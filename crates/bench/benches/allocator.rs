@@ -40,7 +40,7 @@ fn bench_alloc(c: &mut Criterion) {
             i += 1;
             // Hold the live set bounded so unlimited criterion iterations
             // cannot exhaust the arena.
-            if (i % 3 == 0 || live.len() >= 8192) && !live.is_empty() {
+            if (i.is_multiple_of(3) || live.len() >= 8192) && !live.is_empty() {
                 let victim: u64 = live.swap_remove((i as usize * 7) % live.len());
                 heap.free(victim).expect("valid");
             } else {

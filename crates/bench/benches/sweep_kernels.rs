@@ -2,7 +2,7 @@
 //! several pointer densities.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use revoker::{Kernel, ShadowMap, Sweeper};
+use revoker::{Kernel, NoFilter, SegmentSource, ShadowMap, SweepEngine};
 
 const IMAGE_BYTES: u64 = 8 << 20;
 
@@ -20,16 +20,17 @@ fn bench_kernels(c: &mut Criterion) {
             ("simple", Kernel::Simple),
             ("unrolled", Kernel::Unrolled),
             ("wide", Kernel::Wide),
-            ("parallel4", Kernel::Parallel { threads: 4 }),
+            ("fast", Kernel::Fast),
+            ("simd", Kernel::Simd),
         ] {
             group.bench_with_input(
                 BenchmarkId::new(name, format!("density{density}")),
                 &kernel,
                 |b, &kernel| {
-                    let sweeper = Sweeper::new(kernel);
+                    let engine = SweepEngine::new(kernel);
                     b.iter_batched(
                         || mem.clone(),
-                        |mut img| sweeper.sweep_segment(&mut img, &shadow),
+                        |mut img| engine.sweep(SegmentSource::new(&mut img), NoFilter, &shadow),
                         criterion::BatchSize::LargeInput,
                     );
                 },

@@ -472,7 +472,7 @@ pub fn run_experiment(
 fn rel_spread_pct(samples: &[f64]) -> f64 {
     let max = samples.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
     let min = samples.iter().fold(f64::INFINITY, |a, &b| a.min(b));
-    if !(max > 0.0) {
+    if max.is_nan() || max <= 0.0 {
         return 0.0;
     }
     (max - min) / max * 100.0

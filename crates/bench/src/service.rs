@@ -55,7 +55,7 @@ pub struct ChurnParams {
     /// Fault-injection mode.
     pub faults: FaultMode,
     /// Sweep kernel for every shard's engine (`None` = policy default,
-    /// honouring `CHERIVOKE_FAST_KERNEL`).
+    /// honouring `CHERIVOKE_KERNEL`).
     pub kernel: Option<Kernel>,
     /// Sweep worker threads per sweep (`None` = policy default,
     /// honouring `CHERIVOKE_SWEEP_WORKERS`).

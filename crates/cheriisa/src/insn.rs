@@ -270,6 +270,6 @@ mod tests {
             xd: XReg(1),
             imm: 42,
         };
-        assert_eq!(format!("{i:?}").contains("Li"), true);
+        assert!(format!("{i:?}").contains("Li"));
     }
 }

@@ -1,22 +1,50 @@
-//! Fleet-scale multi-tenant revocation service: many tenant heaps, one
-//! global sweep scheduler, a shared work-stealing sweep-worker pool.
+//! The concurrent runtime core, and the fleet-scale multi-tenant service
+//! built on it.
 //!
-//! [`crate::ConcurrentHeap`] tunes CHERIvoke's amortisation trade-off
-//! (PAPER.md §4) for *one* heap; a production service hosts hundreds of
-//! independent heaps under skewed traffic. [`HeapService`] is that layer:
+//! # The runtime core
 //!
-//! * **Tenants.** Each tenant owns a private [`CherivokeHeap`] in a
-//!   disjoint address range (same layout rule as the service's shards:
-//!   `base + tenant · stride`). Capabilities are *tenant-isolated*: a
-//!   capability minted by tenant A can never be stored into tenant B's
-//!   heap ([`FleetError::CrossTenantStore`]). Isolation is what replaces
-//!   the service's cross-shard foreign-sweep handshake — there is no
-//!   address-space overlap and no cross-tenant capability flow, so one
-//!   tenant's epoch never has to sweep another tenant's memory, and a
-//!   revoked capability from tenant A cannot resurrect through tenant
-//!   B's reuse (their bases can never alias). In-tenant flows during an
-//!   epoch are covered by the heap's own epoch barrier, exactly as for a
-//!   single [`CherivokeHeap`].
+//! One core runs every concurrent configuration in this crate. It owns
+//! the only table of *member* heaps — each a private [`CherivokeHeap`] in
+//! a disjoint address range (`base + i · stride`) — plus a shared worker
+//! pool that runs revocation epochs in bounded slices, the supervisor
+//! that keeps the pool alive, the synchronous drain and emergency path,
+//! one pause histogram, the telemetry block and the per-member epoch
+//! journals.
+//!
+//! Every member belongs to an **isolation domain**: the set of members
+//! its capabilities may reach. A tagged capability store across domains
+//! is refused ([`FleetError::CrossTenantStore`]), so an epoch is complete
+//! once it has swept every member of its own domain:
+//!
+//! * a **one-member domain** sweeps only itself; the heap's own epoch
+//!   barrier covers flows inside it;
+//! * in a **domain with peers**, an epoch first publishes its painted
+//!   ranges to the domain barrier, which filters every capability loaded
+//!   or stored while the ranges are published. It then sweeps each
+//!   peer's roots against its shadow map ([`CherivokeHeap::sweep_foreign`]),
+//!   retires the barrier, and only then runs its own slices. The epoch
+//!   is held open ([`CherivokeHeap::set_epoch_hold`]) until the peer
+//!   sweeps finish, so no drain can race past them.
+//!
+//! [`HeapService`] is N one-member domains (its tenants);
+//! [`crate::ConcurrentHeap`] is one domain whose members are its shards.
+//!
+//! The domain's shape also sets the epoch cadence. A member with peers
+//! pays a peer sweep on every epoch, so it becomes due only on a worker
+//! tick (the scheduler interval, or an explicit kick), at most once per
+//! tick, when its quarantine reaches the policy fraction of its live
+//! bytes or half its quarantine bound. One-member domains are scheduled
+//! by debt, kicked on free, and drained round-robin when cold.
+//!
+//! # The fleet
+//!
+//! [`HeapService`] hosts hundreds of independent tenant heaps under
+//! skewed traffic:
+//!
+//! * **Tenants.** A capability minted by tenant A can never be stored
+//!   into tenant B's heap, so one tenant's epoch never sweeps another
+//!   tenant's memory, and a revoked capability from tenant A cannot
+//!   resurrect through tenant B's reuse (their bases never alias).
 //!
 //! * **Global sweep scheduler.** Sweep bandwidth is arbitrated by a
 //!   *debt* run queue: `debt = priority · (quarantine / heap size) /
@@ -37,13 +65,18 @@
 //!   ([`FleetConfig::global_ceiling`]) triggers an emergency global
 //!   sweep before any tenant can see an out-of-memory error.
 //!
-//! * **Work-stealing.** The shared worker pool executes epochs as
-//!   bounded slices ([`CherivokeHeap::revoke_step`], which runs on the
-//!   heap's `ParallelSweepEngine` + `SweepScratch`). A worker with no
-//!   runnable tenant does not idle: it *steals* the next slice of the
-//!   busiest in-flight epoch (largest remaining bytes), keeping the
-//!   heaviest tenant's epoch continuously serviced even while its owner
-//!   is descheduled or stalled ([`FaultPoint::TenantStall`]).
+//! * **Work-stealing.** A worker with no runnable tenant does not idle:
+//!   it *steals* the next slice of the busiest in-flight epoch (largest
+//!   remaining bytes), keeping the heaviest tenant's epoch continuously
+//!   serviced even while its owner is descheduled or stalled
+//!   ([`FaultPoint::TenantStall`]).
+//!
+//! * **Supervision.** Each pool worker heartbeats at every task and
+//!   slice. The supervisor respawns a worker that died
+//!   ([`FaultPoint::RevokerDeath`]) or whose heartbeat outlived the
+//!   watchdog, with exponential backoff. While no worker runs, a free
+//!   that makes its member due drains it inline — the paper's
+//!   synchronous design — so quarantine never grows unbounded.
 //!
 //! ```
 //! use cherivoke::fleet::{FleetConfig, HeapService};
@@ -57,18 +90,21 @@
 //! assert_eq!(service.global_quarantined(), 0);
 //! ```
 
+use std::collections::HashMap;
+use std::ops::Range;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cheri::Capability;
 use faultinject::{FaultInjector, FaultPoint};
 use journal::Journal;
-use telemetry::{Counter, EventKind, MetricsSnapshot, Registry};
+use revoker::SweepStats;
+use telemetry::{Counter, EventKind, HistogramSnapshot, LogHistogram, MetricsSnapshot, Registry};
 
 use crate::recovery::{journal_dir_from_env, warn_once, HeapImage, ImageChunkState};
-use crate::stats::{PauseHistogram, PauseSnapshot};
 use crate::{
     CherivokeHeap, HeapConfig, HeapError, RecoveryError, RecoveryReport, RevocationPolicy,
 };
@@ -257,11 +293,11 @@ impl FleetConfig {
     }
 }
 
-/// Per-tenant heap policy derived from the fleet template, shared by
+/// Member heap policy derived from the runtime config, shared by
 /// construction and crash recovery so both build identical heaps:
-/// tenants never self-trigger revocation or sweep on OOM — the fleet
-/// scheduler owns both decisions. Returns the policy and the shared
-/// slice byte budget.
+/// members never self-trigger revocation or sweep on OOM — the core's
+/// scheduler and emergency path own both decisions. Returns the policy
+/// and the shared slice byte budget.
 fn fleet_heap_policy(config: &FleetConfig) -> (RevocationPolicy, u64) {
     let slice_bytes = (config.tenant_heap_size / 16).clamp(64 << 10, 1 << 20);
     let mut heap_policy = config.policy;
@@ -272,10 +308,12 @@ fn fleet_heap_policy(config: &FleetConfig) -> (RevocationPolicy, u64) {
     (heap_policy, slice_bytes)
 }
 
-/// Tenant address-space layout: `(first_base, stride, rounded_size)`.
-/// Tenant `i`'s heap lives at `first_base + i·stride`, sized
-/// `rounded_size`. Shared by construction and crash recovery so a
-/// recovered image always lands on the extent it was captured from.
+/// Member address-space layout: `(first_base, stride, rounded_size)`.
+/// Member `i`'s heap lives at `first_base + i·stride`, sized
+/// `rounded_size`. The stride over-provisions to the next power of two
+/// so every base stays aligned for exact CHERI bounds. Shared by
+/// construction and crash recovery so a recovered image always lands on
+/// the extent it was captured from.
 fn tenant_layout(config: &FleetConfig) -> (u64, u64, u64) {
     let rounded = cheri::CompressedBounds::representable_length(cheri::granule_round_up(
         config.tenant_heap_size,
@@ -393,7 +431,7 @@ pub struct TenantStats {
     pub quarantined_bytes: u64,
     /// Configured quarantine quota.
     pub quota: u64,
-    /// Completed revocation epochs.
+    /// Revocation epochs opened on this tenant (scheduled or drains).
     pub epochs: u64,
     /// `malloc` refusals due to throttling.
     pub throttled: u64,
@@ -404,7 +442,7 @@ pub struct TenantStats {
 pub struct FleetStats {
     /// Per-tenant rows, tenant 0 first.
     pub tenants: Vec<TenantStats>,
-    /// Completed epochs across the fleet.
+    /// Revocation epochs opened across the fleet (scheduled or drains).
     pub epochs: u64,
     /// Epoch slices executed by a worker that *stole* them from another
     /// worker's in-flight epoch instead of idling.
@@ -416,11 +454,14 @@ pub struct FleetStats {
     /// Emergency synchronous sweeps (quota crossings and global-ceiling
     /// crossings).
     pub emergency_sweeps: u64,
+    /// Pool workers respawned by the supervisor after a death or a
+    /// watchdog stall.
+    pub revoker_restarts: u64,
     /// Current fleet-wide quarantine bytes.
     pub global_quarantined: u64,
     /// Fleet-aggregate sweep-pause histogram (every epoch slice by every
-    /// worker, stolen or not).
-    pub pauses: PauseSnapshot,
+    /// worker, stolen or not, and every synchronous drain).
+    pub pauses: HistogramSnapshot,
 }
 
 impl FleetStats {
@@ -434,27 +475,126 @@ impl FleetStats {
     }
 }
 
-/// One tenant heap plus its scheduling state.
-struct Tenant {
+/// Exponential restart backoff for the supervisor: starts at `floor`,
+/// doubles on every respawn, caps at `ceiling`, and resets to the floor
+/// as soon as a healthy heartbeat is observed. A pure state machine, so
+/// the schedule is pinned by unit tests without threads or clocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RestartBackoff {
+    floor: Duration,
+    ceiling: Duration,
+    current: Duration,
+}
+
+impl RestartBackoff {
+    fn new(floor: Duration, ceiling: Duration) -> RestartBackoff {
+        let floor = floor.min(ceiling);
+        RestartBackoff {
+            floor,
+            ceiling,
+            current: floor,
+        }
+    }
+
+    /// How long a restart must trail the last heartbeat.
+    fn delay(&self) -> Duration {
+        self.current
+    }
+
+    /// A live, heartbeating worker was observed: the next failure's
+    /// backoff starts over from the floor.
+    fn on_healthy(&mut self) {
+        self.current = self.floor;
+    }
+
+    /// A replacement worker was spawned: double the next delay, capped
+    /// at the ceiling.
+    fn on_restart(&mut self) {
+        self.current = (self.current * 2).min(self.ceiling);
+    }
+}
+
+/// How a facade shapes the runtime core: its isolation domains, its
+/// watchdog, and the names its telemetry and journals use.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Shape {
+    /// `true`: every member belongs to one domain (a sharded heap);
+    /// `false`: each member is a domain of its own (a fleet).
+    pub(crate) one_domain: bool,
+    /// Heartbeat age past which the supervisor declares a pool worker
+    /// stalled and replaces it.
+    pub(crate) watchdog: Duration,
+    /// Metric-name prefix (`cvk_fleet`, `cvk_service`).
+    pub(crate) prefix: &'static str,
+    /// What a member is called in metric labels and journal file names.
+    pub(crate) member: &'static str,
+}
+
+impl Shape {
+    /// A fleet of tenants. [`FleetConfig`] has no watchdog field, so the
+    /// fleet uses [`crate::ServiceConfig`]'s default deadline.
+    const FLEET: Shape = Shape {
+        one_domain: false,
+        watchdog: Duration::from_secs(1),
+        prefix: "cvk_fleet",
+        member: "tenant",
+    };
+}
+
+/// A lifetime count mirrored into a telemetry counter (a disabled
+/// handle when telemetry is off).
+pub(crate) struct Tally {
+    n: AtomicU64,
+    metric: Counter,
+}
+
+impl Tally {
+    fn new(registry: &Registry, prefix: &str, name: &str) -> Tally {
+        Tally {
+            n: AtomicU64::new(0),
+            metric: registry.counter(&format!("{prefix}_{name}_total")),
+        }
+    }
+
+    fn add(&self, by: u64) {
+        self.n.fetch_add(by, Ordering::Relaxed);
+        self.metric.add(by);
+    }
+
+    pub(crate) fn get(&self) -> u64 {
+        self.n.load(Ordering::Relaxed)
+    }
+}
+
+/// One member heap plus its scheduling state.
+pub(crate) struct Member {
     heap: Mutex<CherivokeHeap>,
     base: u64,
     size: u64,
+    /// The member's isolation domain: the index range of every member
+    /// its capabilities may reach (itself included).
+    domain: Range<usize>,
     // Policy fields are atomics so `set_tenant_policy` never contends
     // with the hot paths (quota/priority reads on every free/schedule).
     quota: AtomicU64,
     priority: AtomicU64,
     max_pause_ns: AtomicU64,
-    // Quarantine hint maintained by every lock holder; the scheduler and
-    // admission control read it lock-free.
-    quarantined_hint: AtomicU64,
-    // Claimed by a worker running this tenant's epoch (advisory — actual
+    // Quarantine and live-byte hints maintained by every lock holder;
+    // the scheduler and admission control read them lock-free.
+    pub(crate) quarantined_hint: AtomicU64,
+    live_hint: AtomicU64,
+    // Claimed by a worker running this member's epoch (advisory — actual
     // exclusion is the heap mutex; the flag only steers scheduling).
     sweeping: AtomicBool,
     // Remaining epoch bytes, updated after every slice: the steal
     // victim-selection key.
     remaining_hint: AtomicU64,
-    mallocs: AtomicU64,
-    frees: AtomicU64,
+    // The worker tick on which this member last opened a scheduled
+    // epoch: a member with peers opens at most one per tick.
+    last_tick: AtomicU64,
+    pub(crate) mallocs: AtomicU64,
+    pub(crate) frees: AtomicU64,
+    pub(crate) freed_bytes: AtomicU64,
     epochs: AtomicU64,
     throttled: AtomicU64,
     t_mallocs: Counter,
@@ -462,15 +602,20 @@ struct Tenant {
     t_quarantine: telemetry::Gauge,
 }
 
-impl Tenant {
+impl Member {
     fn quota(&self) -> u64 {
         self.quota.load(Ordering::Relaxed)
     }
 
-    /// Refreshes the lock-free quarantine hint from the locked heap and
-    /// returns the new value, keeping the fleet-global total in step.
+    fn has_peers(&self) -> bool {
+        self.domain.len() > 1
+    }
+
+    /// Refreshes the lock-free hints from the locked heap and returns
+    /// the new quarantine, keeping the core-wide total in step.
     fn sync_hints(&self, heap: &CherivokeHeap, global: &AtomicU64) -> u64 {
         let q = heap.quarantined_bytes();
+        self.live_hint.store(heap.live_bytes(), Ordering::Relaxed);
         let old = self.quarantined_hint.swap(q, Ordering::Relaxed);
         // Signed delta on an unsigned atomic: wrapping arithmetic keeps
         // the sum exact as long as every update goes through here.
@@ -480,36 +625,26 @@ impl Tenant {
     }
 }
 
-struct FleetInner {
-    tenants: Vec<Tenant>,
-    config: FleetConfig,
-    slice_bytes: u64,
-    global_quarantine: AtomicU64,
-    rr_cursor: AtomicUsize,
-    epochs: AtomicU64,
-    steals: AtomicU64,
-    scheduler_skips: AtomicU64,
-    throttled: AtomicU64,
-    emergency_sweeps: AtomicU64,
-    pauses: PauseHistogram,
-    faults: FaultInjector,
-    registry: Registry,
-    f_epochs: Counter,
-    f_steals: Counter,
-    f_throttled: Counter,
-    f_emergency: Counter,
-    f_skips: Counter,
-    stop: AtomicBool,
-    park: Mutex<bool>,
-    wake: Condvar,
+/// Supervision state of one pool worker. `gen` is the generation the
+/// supervisor last issued (a worker that observes a newer one retires);
+/// `alive` holds the generation of the running worker (0 = none). The
+/// supervisor sets `alive` when it spawns a worker, and a drop guard
+/// clears it on any exit — only for its own generation, so a superseded
+/// worker exiting late cannot erase its replacement's liveness.
+/// `heartbeat_ns` is stamped by the live worker at every task and slice.
+#[derive(Default)]
+struct Slot {
+    gen: AtomicU64,
+    alive: AtomicU64,
+    heartbeat_ns: AtomicU64,
 }
 
 /// What a worker decided to do with one scheduling pass.
 enum Task {
-    /// Claimed tenant `i` (debt order or round-robin fallback): run its
+    /// Claimed member `i` (debt order or round-robin fallback): run its
     /// epoch to completion.
     Run(usize),
-    /// Nothing claimable, but tenant `i` has an in-flight epoch with the
+    /// Nothing claimable, but member `i` has an in-flight epoch with the
     /// most remaining bytes: steal its next slice.
     Steal(usize),
     /// Nothing to do: park until kicked or the scheduler interval.
@@ -523,35 +658,227 @@ enum Slice {
     Inactive,
 }
 
-impl FleetInner {
-    fn lock(&self, i: usize) -> MutexGuard<'_, CherivokeHeap> {
-        match self.tenants[i].heap.lock() {
+/// The runtime core: the member table, the worker pool's shared state,
+/// the domain barrier, and every counter the facades report.
+pub(crate) struct Core {
+    pub(crate) members: Vec<Member>,
+    config: FleetConfig,
+    shape: Shape,
+    slice_bytes: u64,
+    pub(crate) global_quarantine: AtomicU64,
+    rr_cursor: AtomicUsize,
+    /// The domain barrier: painted `(addr, len)` ranges of every epoch
+    /// whose peer sweeps are in flight.
+    painted: RwLock<Vec<(u64, u64)>>,
+    /// Epochs currently published to the barrier — its fast-path gate.
+    barriers: AtomicUsize,
+    /// Worker wake-ups so far (see `Member::last_tick`).
+    tick: AtomicU64,
+    pub(crate) epochs: Tally,
+    steals: Tally,
+    scheduler_skips: Tally,
+    throttled: Tally,
+    pub(crate) emergency_sweeps: Tally,
+    pub(crate) foreign_sweeps: Tally,
+    pub(crate) oom_revocations: Tally,
+    pub(crate) barrier_revocations: Tally,
+    pub(crate) revoker_restarts: Tally,
+    faults_injected: Tally,
+    pub(crate) foreign_caps_revoked: AtomicU64,
+    pub(crate) bytes_swept: AtomicU64,
+    pub(crate) pauses: LogHistogram,
+    pub(crate) faults: FaultInjector,
+    pub(crate) registry: Registry,
+    slots: Vec<Slot>,
+    stop: AtomicBool,
+    park: Mutex<bool>,
+    wake: Condvar,
+    pub(crate) started: Instant,
+}
+
+impl Core {
+    /// Builds the member table. `config` must already be validated;
+    /// members listed in `recovered` reuse the recovered heap.
+    fn new(
+        config: FleetConfig,
+        shape: Shape,
+        faults: FaultInjector,
+        journal_dir: Option<&Path>,
+        mut recovered: HashMap<usize, CherivokeHeap>,
+    ) -> Result<Core, HeapError> {
+        let (heap_policy, slice_bytes) = fleet_heap_policy(&config);
+        let (first_base, stride, rounded) = tenant_layout(&config);
+        let registry = if config.telemetry {
+            Registry::new(512)
+        } else {
+            Registry::disabled()
+        };
+        let (prefix, label) = (shape.prefix, shape.member);
+        let n = config.tenants;
+        let mut members = Vec::with_capacity(n);
+        for i in 0..n {
+            let base = first_base + i as u64 * stride;
+            let mut heap = match recovered.remove(&i) {
+                Some(heap) => heap,
+                None => CherivokeHeap::new(HeapConfig {
+                    heap_base: base,
+                    heap_size: rounded,
+                    policy: heap_policy,
+                    ..HeapConfig::default()
+                })?,
+            };
+            if config.telemetry {
+                heap.set_telemetry_for_shard(&registry, i);
+            }
+            if faults.is_enabled() {
+                heap.set_fault_injector(faults.clone());
+            }
+            if let Some(dir) = journal_dir {
+                // Creation failure is degraded mode, not a constructor
+                // error: the member runs correct-but-unjournaled, like a
+                // mid-run journal write failure (DESIGN.md §20).
+                let _ = std::fs::create_dir_all(dir);
+                match Journal::create(dir.join(format!("{label}-{i}.cvj"))) {
+                    Ok(j) => heap.set_journal(j),
+                    Err(e) => {
+                        warn_once(&format!(
+                            "cannot create {label} {i} epoch journal in {}: {e}; \
+                             {label} runs unjournaled",
+                            dir.display()
+                        ));
+                    }
+                }
+            }
+            let value = i.to_string();
+            members.push(Member {
+                heap: Mutex::new(heap),
+                base,
+                size: rounded,
+                domain: if shape.one_domain { 0..n } else { i..i + 1 },
+                quota: AtomicU64::new(config.tenant_policy.quarantine_quota),
+                priority: AtomicU64::new(u64::from(config.tenant_policy.priority)),
+                max_pause_ns: AtomicU64::new(
+                    config
+                        .tenant_policy
+                        .max_pause
+                        .as_nanos()
+                        .min(u64::MAX as u128) as u64,
+                ),
+                quarantined_hint: AtomicU64::new(0),
+                live_hint: AtomicU64::new(0),
+                sweeping: AtomicBool::new(false),
+                remaining_hint: AtomicU64::new(0),
+                last_tick: AtomicU64::new(0),
+                mallocs: AtomicU64::new(0),
+                frees: AtomicU64::new(0),
+                freed_bytes: AtomicU64::new(0),
+                epochs: AtomicU64::new(0),
+                throttled: AtomicU64::new(0),
+                t_mallocs: registry.counter_labeled(
+                    &format!("{prefix}_{label}_mallocs_total"),
+                    label,
+                    &value,
+                ),
+                t_frees: registry.counter_labeled(
+                    &format!("{prefix}_{label}_frees_total"),
+                    label,
+                    &value,
+                ),
+                t_quarantine: registry.gauge_labeled(
+                    &format!("{prefix}_{label}_quarantined_bytes"),
+                    label,
+                    &value,
+                ),
+            });
+        }
+        // Registry-backed when telemetry is on (the same distribution
+        // feeds the exporters); standalone otherwise, so the stats'
+        // pause histogram is always populated.
+        let pauses = if config.telemetry {
+            registry.histogram(&format!("{prefix}_pause_ns"))
+        } else {
+            LogHistogram::new()
+        };
+        let tally = |name: &str| Tally::new(&registry, prefix, name);
+        let core = Core {
+            members,
+            slice_bytes,
+            global_quarantine: AtomicU64::new(0),
+            rr_cursor: AtomicUsize::new(0),
+            painted: RwLock::new(Vec::new()),
+            barriers: AtomicUsize::new(0),
+            tick: AtomicU64::new(1),
+            epochs: tally("epochs"),
+            steals: tally("steals"),
+            scheduler_skips: tally("scheduler_skips"),
+            throttled: tally("throttled"),
+            emergency_sweeps: tally("emergency_sweeps"),
+            foreign_sweeps: tally("foreign_sweeps"),
+            oom_revocations: tally("oom_revocations"),
+            barrier_revocations: tally("barrier_revocations"),
+            revoker_restarts: tally("revoker_restarts"),
+            faults_injected: tally("faults_injected"),
+            foreign_caps_revoked: AtomicU64::new(0),
+            bytes_swept: AtomicU64::new(0),
+            pauses,
+            faults,
+            registry,
+            slots: (0..config.workers).map(|_| Slot::default()).collect(),
+            stop: AtomicBool::new(false),
+            park: Mutex::new(false),
+            wake: Condvar::new(),
+            started: Instant::now(),
+            config,
+            shape,
+        };
+        // A recovered member can re-enter service still carrying
+        // quarantine (the reopen-seal rollback path); sync every hint now
+        // so the scheduler and the admission throttle see it before the
+        // first free, not after.
+        for (i, m) in core.members.iter().enumerate() {
+            m.sync_hints(&core.lock(i), &core.global_quarantine);
+        }
+        Ok(core)
+    }
+
+    pub(crate) fn lock(&self, i: usize) -> MutexGuard<'_, CherivokeHeap> {
+        // A panic while holding a member lock (e.g. a failing assertion
+        // in a test mutator) must not wedge the runtime; the heap's state
+        // is consistent between &mut calls.
+        match self.members[i].heap.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
     }
 
-    fn tenant_of(&self, base: u64) -> Option<usize> {
-        self.tenants
+    fn member_of(&self, base: u64) -> Option<usize> {
+        self.members
             .iter()
-            .position(|t| base >= t.base && base < t.base + t.size)
+            .position(|m| base >= m.base && base < m.base + m.size)
     }
 
-    fn note_fault(&self, point: FaultPoint, tenant: usize) {
+    fn now_ns(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
+    }
+
+    fn note_fault(&self, point: FaultPoint, member: usize) {
+        self.faults_injected.add(1);
         self.registry.event(EventKind::FaultInjected {
             point: point.name(),
-            shard: tenant,
+            shard: member,
         });
     }
 
-    fn note_emergency(&self, tenant: usize) {
-        self.emergency_sweeps.fetch_add(1, Ordering::Relaxed);
-        self.f_emergency.inc();
+    /// Records an emergency synchronous sweep: the graceful-degradation
+    /// path taken under memory pressure.
+    fn note_emergency(&self, member: usize) {
+        self.emergency_sweeps.add(1);
         self.registry
-            .event(EventKind::EmergencySweep { shard: tenant });
+            .event(EventKind::EmergencySweep { shard: member });
     }
 
-    fn kick(&self) {
+    /// Wakes the worker pool now instead of at its next scheduled scan.
+    pub(crate) fn kick(&self) {
         let mut kicked = match self.park.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -561,22 +888,102 @@ impl FleetInner {
         self.wake.notify_all();
     }
 
-    // --- Mutator-facing operations ------------------------------------
+    /// Whether any pool worker is running. `false` covers worker death,
+    /// spawn failure and restart windows — in all of which mutators
+    /// drain due members inline (see `free`).
+    pub(crate) fn workers_alive(&self) -> bool {
+        self.slots
+            .iter()
+            .any(|s| s.alive.load(Ordering::SeqCst) != 0)
+    }
 
-    fn malloc(&self, tenant: usize, size: u64) -> Result<Capability, FleetError> {
-        let t = self
-            .tenants
+    // --- The domain barrier ---------------------------------------------
+
+    /// Filters `cap` through the domain barrier. MUST be called while
+    /// holding the lock of the member being read from / written to: the
+    /// lock acquisition happens-after the publication of the painted
+    /// ranges, so a store into an already-swept peer always sees them.
+    fn filter(&self, cap: Capability) -> Capability {
+        if !cap.tag() || self.barriers.load(Ordering::SeqCst) == 0 {
+            return cap;
+        }
+        let painted = match self.painted.read() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        let base = cap.base();
+        if painted
+            .iter()
+            .any(|&(addr, len)| base >= addr && base < addr + len)
+        {
+            self.barrier_revocations.add(1);
+            cap.cleared()
+        } else {
+            cap
+        }
+    }
+
+    fn publish(&self, ranges: &[(u64, u64)]) {
+        let mut painted = match self.painted.write() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        painted.extend_from_slice(ranges);
+        drop(painted);
+        self.barriers.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn unpublish(&self, ranges: &[(u64, u64)]) {
+        let mut painted = match self.painted.write() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        painted.retain(|r| !ranges.contains(r));
+        drop(painted);
+        self.barriers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    // --- Mutator-facing operations --------------------------------------
+
+    /// Allocates from member `i`. An out-of-memory with quarantine
+    /// anywhere drains every member and retries once (if the policy
+    /// allows); a heap that is full even then returns the typed error.
+    pub(crate) fn malloc(&self, i: usize, size: u64) -> Result<Capability, HeapError> {
+        let m = &self.members[i];
+        let result = self.lock(i).malloc(size);
+        let cap = match result {
+            Ok(cap) => cap,
+            Err(HeapError::OutOfMemory { .. })
+                if self.config.policy.sweep_on_oom
+                    && self.global_quarantine.load(Ordering::Relaxed) > 0 =>
+            {
+                self.oom_revocations.add(1);
+                self.registry.event(EventKind::OomRevocation { shard: i });
+                self.note_emergency(i);
+                self.drain_all();
+                self.lock(i).malloc(size)?
+            }
+            Err(e) => return Err(e),
+        };
+        m.mallocs.fetch_add(1, Ordering::Relaxed);
+        m.t_mallocs.inc();
+        Ok(cap)
+    }
+
+    /// The fleet's admission-controlled `malloc`: typed backpressure once
+    /// the tenant's quarantine crosses the throttle mark. The pool is
+    /// kicked so a well-behaved caller's retry finds the debt already
+    /// being worked off.
+    fn fleet_malloc(&self, tenant: usize, size: u64) -> Result<Capability, FleetError> {
+        let m = self
+            .members
             .get(tenant)
             .ok_or(FleetError::NoSuchTenant { tenant })?;
-        // Admission control: typed backpressure once quarantine crosses
-        // the throttle mark. The scheduler is kicked so a well-behaved
-        // caller's retry finds the debt already being worked off.
-        let quota = t.quota();
-        let quarantined = t.quarantined_hint.load(Ordering::Relaxed);
+        let quota = m.quota();
+        let quarantined = m.quarantined_hint.load(Ordering::Relaxed);
         if (quarantined as f64) >= THROTTLE_FRACTION * quota as f64 {
-            t.throttled.fetch_add(1, Ordering::Relaxed);
-            self.throttled.fetch_add(1, Ordering::Relaxed);
-            self.f_throttled.inc();
+            m.throttled.fetch_add(1, Ordering::Relaxed);
+            self.throttled.add(1);
             self.kick();
             return Err(FleetError::TenantThrottled {
                 tenant,
@@ -584,115 +991,168 @@ impl FleetInner {
                 quota,
             });
         }
-        let result = self.lock(tenant).malloc(size);
-        match result {
-            Ok(cap) => {
-                t.mallocs.fetch_add(1, Ordering::Relaxed);
-                t.t_mallocs.inc();
-                Ok(cap)
-            }
-            Err(HeapError::OutOfMemory { .. })
-                if self.global_quarantine.load(Ordering::Relaxed) > 0 =>
-            {
-                // Emergency global sweep before any tenant sees OOM: the
-                // tenant's own quarantine is what can satisfy *this*
-                // request (address ranges are disjoint), but the global
-                // drain also resets fleet-wide pressure in one pass.
-                self.note_emergency(tenant);
-                self.drain_all();
-                let cap = self.lock(tenant).malloc(size)?;
-                t.mallocs.fetch_add(1, Ordering::Relaxed);
-                t.t_mallocs.inc();
-                Ok(cap)
-            }
-            Err(e) => Err(e.into()),
-        }
+        Ok(self.malloc(tenant, size)?)
     }
 
-    fn free(&self, cap: Capability) -> Result<(), FleetError> {
+    /// Frees `cap` into its member's quarantine, routed by address.
+    pub(crate) fn free(&self, cap: Capability) -> Result<(), HeapError> {
         let base = cap.base();
-        let tenant = self
-            .tenant_of(base)
-            .ok_or(FleetError::Heap(HeapError::NotAnAllocation { base }))?;
-        let t = &self.tenants[tenant];
-        let quota = t.quota();
-        // Hard budget bound, enforced *before* the quarantine grows: if
-        // this free would cross the quota, drain synchronously first.
+        let i = self
+            .member_of(base)
+            .ok_or(HeapError::NotAnAllocation { base })?;
+        let m = &self.members[i];
+        let size = cap.length();
+        // Hard quarantine bound, enforced *before* the quarantine grows:
+        // if this free would cross the quota, drain synchronously first.
         // The freer pays for the sweep — the paper's synchronous design,
-        // surfacing exactly at the configured budget.
-        if t.quarantined_hint.load(Ordering::Relaxed) + cap.length() > quota {
-            self.note_emergency(tenant);
-            self.drain_tenant(tenant);
+        // surfacing exactly at the configured bound.
+        if m.quarantined_hint
+            .load(Ordering::Relaxed)
+            .saturating_add(size)
+            > m.quota()
+        {
+            self.note_emergency(i);
+            self.drain(i);
         }
-        let quarantined = {
-            let mut heap = self.lock(tenant);
+        {
+            let mut heap = self.lock(i);
             heap.free(cap)?;
-            t.sync_hints(&heap, &self.global_quarantine)
-        };
-        t.frees.fetch_add(1, Ordering::Relaxed);
-        t.t_frees.inc();
-        // Global ceiling: fleet-wide memory pressure drains everyone
-        // before it can turn into a tenant-visible OOM.
+            m.sync_hints(&heap, &self.global_quarantine);
+        }
+        m.frees.fetch_add(1, Ordering::Relaxed);
+        m.freed_bytes.fetch_add(size, Ordering::Relaxed);
+        m.t_frees.inc();
+        // Global ceiling: core-wide memory pressure drains everyone
+        // before it can turn into an out-of-memory error.
         if self.global_quarantine.load(Ordering::Relaxed) > self.config.global_ceiling {
-            self.note_emergency(tenant);
+            self.note_emergency(i);
             self.drain_all();
-        } else if self.debt(tenant, quarantined) >= 1.0 {
-            self.kick();
+        } else if self.due(i) {
+            if !self.workers_alive() {
+                // Graceful degradation: with no worker running (dead,
+                // restarting, or never spawned), the mutator runs the
+                // paper's synchronous design at the normal trigger.
+                self.drain(i);
+            } else if !m.has_peers() {
+                self.kick();
+            }
         }
         Ok(())
     }
 
-    fn with_tenant<R>(
+    /// Runs `f` on the member owning `cap`, routed by address.
+    pub(crate) fn with_member<R>(
         &self,
         cap: &Capability,
         f: impl FnOnce(&mut CherivokeHeap) -> Result<R, HeapError>,
-    ) -> Result<R, FleetError> {
+    ) -> Result<R, HeapError> {
         let base = cap.base();
-        let tenant = self
-            .tenant_of(base)
-            .ok_or(FleetError::Heap(HeapError::NotAnAllocation { base }))?;
-        f(&mut self.lock(tenant)).map_err(FleetError::from)
+        let i = self
+            .member_of(base)
+            .ok_or(HeapError::NotAnAllocation { base })?;
+        f(&mut self.lock(i))
     }
 
-    // --- Scheduling ----------------------------------------------------
+    /// Loads a capability through `cap`, filtered by the member's own
+    /// epoch barrier and the domain barrier.
+    pub(crate) fn load_cap(&self, cap: &Capability, offset: u64) -> Result<Capability, HeapError> {
+        self.with_member(cap, |h| Ok(self.filter(h.load_cap(cap, offset)?)))
+    }
+
+    /// Stores capability `value` through `cap`. A tagged `value` must
+    /// belong to the destination's isolation domain; it is checked
+    /// against the domain barrier *after* the destination's lock is held
+    /// — the ordering that makes peer sweeps sound.
+    pub(crate) fn store_cap(
+        &self,
+        cap: &Capability,
+        offset: u64,
+        value: &Capability,
+    ) -> Result<(), FleetError> {
+        let base = cap.base();
+        let to = self
+            .member_of(base)
+            .ok_or(FleetError::Heap(HeapError::NotAnAllocation { base }))?;
+        if value.tag() {
+            let from = self.member_of(value.base());
+            if !from.is_some_and(|f| self.members[to].domain.contains(&f)) {
+                return Err(FleetError::CrossTenantStore {
+                    from: from.unwrap_or(usize::MAX),
+                    to,
+                });
+            }
+        }
+        self.with_member(cap, |h| h.store_cap(cap, offset, &self.filter(*value)))
+            .map_err(FleetError::from)
+    }
+
+    /// The full-heap safety audit of every member.
+    pub(crate) fn audit_all(&self) -> Vec<revoker::AuditReport> {
+        (0..self.members.len())
+            .map(|i| self.lock(i).audit())
+            .collect()
+    }
+
+    // --- Scheduling ------------------------------------------------------
 
     /// The debt metric: how far past its target quarantine overhead the
-    /// tenant is, weighted by priority. `≥ 1.0` means due.
-    fn debt(&self, tenant: usize, quarantined: u64) -> f64 {
-        let t = &self.tenants[tenant];
+    /// member is, weighted by priority. `≥ 1.0` means due for a
+    /// one-member domain.
+    fn debt(&self, i: usize, quarantined: u64) -> f64 {
+        let m = &self.members[i];
         let target = self.config.policy.quarantine.fraction;
         if !target.is_finite() || target <= 0.0 {
             return 0.0;
         }
-        t.priority.load(Ordering::Relaxed) as f64 * (quarantined as f64 / t.size as f64) / target
+        m.priority.load(Ordering::Relaxed) as f64 * (quarantined as f64 / m.size as f64) / target
     }
 
-    /// Claims tenant `i` for epoch execution (advisory flag steering the
+    /// Whether member `i` wants an epoch. A one-member domain is due at
+    /// debt 1. A member with peers pays a peer sweep per epoch, so it is
+    /// due only once quarantine reaches the policy fraction of its live
+    /// bytes, or half its quarantine bound (staying ahead of the
+    /// synchronous drain at the bound).
+    fn due(&self, i: usize) -> bool {
+        let m = &self.members[i];
+        let q = m.quarantined_hint.load(Ordering::Relaxed);
+        if !m.has_peers() {
+            return self.debt(i, q) >= 1.0;
+        }
+        let p = self.config.policy.quarantine;
+        let live = m.live_hint.load(Ordering::Relaxed).max(1);
+        q >= p.min_bytes.max(1) && (q as f64 >= p.fraction * live as f64 || q >= m.quota() / 2)
+    }
+
+    /// Claims member `i` for epoch execution (advisory flag steering the
     /// run queue; the heap mutex is the actual exclusion).
     fn claim(&self, i: usize) -> bool {
-        self.tenants[i]
+        self.members[i]
             .sweeping
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
 
     fn unclaim(&self, i: usize) {
-        self.tenants[i].sweeping.store(false, Ordering::Release);
+        self.members[i].sweeping.store(false, Ordering::Release);
     }
 
-    /// One scheduling pass: debt order first, round-robin fallback for
-    /// cold tenants, stealing when everything runnable is already
-    /// claimed.
+    /// One scheduling pass: debt order first, stealing when an in-flight
+    /// epoch holds a full slice, round-robin fallback for cold
+    /// one-member domains.
     fn next_task(&self) -> Task {
-        // 1. Highest-debt due tenant not already claimed.
+        let tick = self.tick.load(Ordering::Relaxed);
+        // 1. Highest-debt due member not already claimed. A member with
+        // peers opens at most one scheduled epoch per worker tick.
         let mut best: Option<(usize, f64)> = None;
-        for i in 0..self.tenants.len() {
-            if self.tenants[i].sweeping.load(Ordering::Acquire) {
+        for (i, m) in self.members.iter().enumerate() {
+            if m.sweeping.load(Ordering::Acquire)
+                || (m.has_peers() && m.last_tick.load(Ordering::Relaxed) >= tick)
+                || !self.due(i)
+            {
                 continue;
             }
-            let q = self.tenants[i].quarantined_hint.load(Ordering::Relaxed);
-            let debt = self.debt(i, q);
-            if debt >= 1.0 && best.is_none_or(|(_, d)| debt > d) {
+            let debt = self.debt(i, m.quarantined_hint.load(Ordering::Relaxed));
+            if best.is_none_or(|(_, d)| debt > d) {
                 best = Some((i, debt));
             }
         }
@@ -701,42 +1161,43 @@ impl FleetInner {
                 if self.faults.should_fire(FaultPoint::SchedulerSkip) {
                     // A buggy arbiter drops its pick. Liveness survives
                     // because the debt is still on the queue: the next
-                    // pass (any worker) re-selects the tenant.
+                    // pass (any worker) re-selects the member.
                     self.note_fault(FaultPoint::SchedulerSkip, i);
-                    self.scheduler_skips.fetch_add(1, Ordering::Relaxed);
-                    self.f_skips.inc();
+                    self.scheduler_skips.add(1);
                     self.unclaim(i);
                     return Task::Idle;
                 }
+                self.members[i].last_tick.store(tick, Ordering::Relaxed);
                 return Task::Run(i);
             }
         }
         // 2. Steal before opening a cold epoch: if an in-flight epoch
         // still holds at least a full slice of worklist, helping it
-        // finish bounds the fleet pause tail better than starting a
-        // tenant whose debt never even reached 1 — the due scan above
-        // already guaranteed nobody urgent is waiting. Due tenants keep
-        // absolute priority, so this cannot starve them; cold tenants
-        // drain via the fallback below as soon as the hot epochs end.
-        let n = self.tenants.len();
+        // finish bounds the pause tail better than starting a member
+        // whose debt never even reached 1 — the due scan above already
+        // guaranteed nobody urgent is waiting. Due members keep absolute
+        // priority, so this cannot starve them; cold members drain via
+        // the fallback below as soon as the hot epochs end.
+        let n = self.members.len();
         let victim = (0..n)
-            .filter(|&i| self.tenants[i].sweeping.load(Ordering::Acquire))
-            .max_by_key(|&i| self.tenants[i].remaining_hint.load(Ordering::Relaxed));
+            .filter(|&i| self.members[i].sweeping.load(Ordering::Acquire))
+            .max_by_key(|&i| self.members[i].remaining_hint.load(Ordering::Relaxed));
         if let Some(i) = victim {
-            if self.tenants[i].remaining_hint.load(Ordering::Relaxed) >= self.slice_bytes {
+            if self.members[i].remaining_hint.load(Ordering::Relaxed) >= self.slice_bytes {
                 return Task::Steal(i);
             }
         }
-        // 3. Round-robin fallback: pick the next tenant (cursor order)
-        // with any quarantine at all, so cold tenants drain even though
-        // their debt never reaches 1.
+        // 3. Round-robin fallback: pick the next one-member domain
+        // (cursor order) with any quarantine at all, so cold tenants
+        // drain even though their debt never reaches 1.
         let start = self.rr_cursor.fetch_add(1, Ordering::Relaxed) % n;
         for off in 0..n {
             let i = (start + off) % n;
-            if self.tenants[i].quarantined_hint.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            if self.tenants[i].sweeping.load(Ordering::Acquire) {
+            let m = &self.members[i];
+            if m.has_peers()
+                || m.quarantined_hint.load(Ordering::Relaxed) == 0
+                || m.sweeping.load(Ordering::Acquire)
+            {
                 continue;
             }
             if self.claim(i) {
@@ -746,31 +1207,126 @@ impl FleetInner {
         // 4. Last resort: help any in-flight epoch with work left (even
         // a partial slice) rather than idling.
         match victim {
-            Some(i) if self.tenants[i].remaining_hint.load(Ordering::Relaxed) > 0 => Task::Steal(i),
+            Some(i) if self.members[i].remaining_hint.load(Ordering::Relaxed) > 0 => Task::Steal(i),
             _ => Task::Idle,
         }
     }
 
-    /// Executes one bounded epoch slice on tenant `i` (owner and thief
-    /// share this path). Slice size honours the tenant's declared pause
-    /// bound, conservatively priced at 1 byte per nanosecond.
+    /// Opens an epoch on member `i` unless one is already active, and
+    /// for a member with peers runs the domain half of it (see
+    /// `sweep_peers`). Returns whether an epoch is active afterwards.
+    fn open_epoch(&self, i: usize) -> bool {
+        let m = &self.members[i];
+        let ranges = {
+            let mut heap = self.lock(i);
+            if heap.revocation_active() {
+                return true;
+            }
+            heap.set_epoch_hold(m.has_peers());
+            if !heap.begin_revocation() {
+                heap.set_epoch_hold(false);
+                m.sync_hints(&heap, &self.global_quarantine);
+                return false;
+            }
+            m.remaining_hint
+                .store(heap.revocation_remaining_bytes(), Ordering::Relaxed);
+            m.epochs.fetch_add(1, Ordering::Relaxed);
+            self.epochs.add(1);
+            if !m.has_peers() {
+                return true;
+            }
+            heap.epoch_ranges()
+        };
+        self.sweep_peers(i, &ranges);
+        true
+    }
+
+    /// The domain half of member `i`'s epoch: publish its painted ranges
+    /// to the domain barrier, sweep every peer's root set against `i`'s
+    /// shadow map, retire the barrier and release the epoch hold.
+    /// Bounded lock holds: one peer at a time, plus `i` for its shadow.
+    fn sweep_peers(&self, i: usize, ranges: &[(u64, u64)]) {
+        self.publish(ranges);
+        if self.faults.should_fire(FaultPoint::EpochBarrierDelay) {
+            // Stretch the window between barrier publication and the
+            // peer sweeps: capabilities moved meanwhile must be filtered
+            // by the published ranges, not by sweep timing.
+            self.note_fault(FaultPoint::EpochBarrierDelay, i);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for j in self.members[i].domain.clone() {
+            if j == i {
+                continue;
+            }
+            // Lock order: ascending index. Mutators only ever hold one
+            // member lock, and this is the only two-lock site.
+            let (first, second) = (i.min(j), i.max(j));
+            let t0 = Instant::now();
+            let mut a = self.lock(first);
+            let mut b = self.lock(second);
+            let (painting, peer) = if first == i {
+                (&mut a, &mut b)
+            } else {
+                (&mut b, &mut a)
+            };
+            let stats = peer.sweep_foreign(painting.shadow());
+            drop(b);
+            drop(a);
+            self.pauses.record_duration(t0.elapsed());
+            self.bytes_swept
+                .fetch_add(stats.bytes_swept, Ordering::Relaxed);
+            self.foreign_sweeps.add(1);
+            self.foreign_caps_revoked
+                .fetch_add(stats.caps_revoked, Ordering::Relaxed);
+            self.registry.event(EventKind::ForeignSweep {
+                painting_shard: i,
+                swept_shard: j,
+                caps_revoked: stats.caps_revoked,
+            });
+        }
+        // Every dangling copy outside member `i` is gone, and `i`'s own
+        // epoch barrier covers its unswept regions until completion.
+        // Retiring the domain barrier *before* the drain means a fresh
+        // allocation of the recycled range is never filtered by a stale
+        // entry.
+        self.unpublish(ranges);
+        self.lock(i).set_epoch_hold(false);
+    }
+
+    /// Accounts one step of an epoch: its pause, if it swept anything or
+    /// retired the epoch (a step on an epoch held open for its peer
+    /// sweeps does neither), and the swept bytes of a retired epoch.
+    fn note_step(&self, t0: Instant, swept: bool, done: Option<&SweepStats>) {
+        if swept || done.is_some() {
+            self.pauses.record_duration(t0.elapsed());
+        }
+        if let Some(stats) = done {
+            self.bytes_swept
+                .fetch_add(stats.bytes_swept, Ordering::Relaxed);
+        }
+    }
+
+    /// Executes one epoch slice on member `i` (owner and thief share
+    /// this path). Slice size honours the member's declared pause bound,
+    /// conservatively priced at 1 byte per nanosecond.
     fn sweep_slice(&self, i: usize) -> Slice {
-        let t = &self.tenants[i];
+        let m = &self.members[i];
         let budget = self
             .slice_bytes
-            .min(t.max_pause_ns.load(Ordering::Relaxed).max(4 << 10));
+            .min(m.max_pause_ns.load(Ordering::Relaxed).max(4 << 10));
         let t0 = Instant::now();
         let mut heap = self.lock(i);
         if !heap.revocation_active() {
-            t.remaining_hint.store(0, Ordering::Relaxed);
+            m.remaining_hint.store(0, Ordering::Relaxed);
             return Slice::Inactive;
         }
+        let before = heap.revocation_remaining_bytes();
         let done = heap.revoke_step(budget);
-        t.remaining_hint
+        m.remaining_hint
             .store(heap.revocation_remaining_bytes(), Ordering::Relaxed);
-        t.sync_hints(&heap, &self.global_quarantine);
+        m.sync_hints(&heap, &self.global_quarantine);
         drop(heap);
-        self.pauses.record_duration(t0.elapsed());
+        self.note_step(t0, before > 0, done.as_ref());
         if done.is_some() {
             Slice::Done
         } else {
@@ -778,134 +1334,309 @@ impl FleetInner {
         }
     }
 
-    /// Runs tenant `i`'s epoch to completion (claimed via the run
+    /// Runs member `i`'s epoch to completion (claimed via the run
     /// queue). Slices release the heap lock between steps, so mutators
     /// interleave and idle workers can steal slices of this same epoch.
-    fn run_epoch(&self, i: usize) {
-        let t = &self.tenants[i];
-        let opened = {
-            let mut heap = self.lock(i);
-            let opened = heap.revocation_active() || heap.begin_revocation();
-            if opened {
-                t.remaining_hint
-                    .store(heap.revocation_remaining_bytes(), Ordering::Relaxed);
-            }
-            opened
-        };
-        if !opened {
-            self.unclaim(i);
-            return;
-        }
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            if self.faults.should_fire(FaultPoint::TenantStall) {
-                // The owner stalls mid-epoch *without* holding the heap
-                // lock: mutators keep running and thieves keep the epoch
-                // advancing — the liveness the chaos test checks.
-                self.note_fault(FaultPoint::TenantStall, i);
-                std::thread::sleep(Duration::from_micros(500));
-            }
-            match self.sweep_slice(i) {
-                Slice::Progress => std::thread::yield_now(),
-                Slice::Done | Slice::Inactive => break,
+    fn run_epoch(&self, i: usize, slot: &Slot) {
+        if self.open_epoch(i) {
+            while !self.stop.load(Ordering::SeqCst) {
+                if self.faults.should_fire(FaultPoint::TenantStall) {
+                    // The owner stalls mid-epoch *without* holding the
+                    // heap lock: mutators keep running and thieves keep
+                    // the epoch advancing — the liveness the chaos test
+                    // checks.
+                    self.note_fault(FaultPoint::TenantStall, i);
+                    std::thread::sleep(Duration::from_micros(500));
+                }
+                slot.heartbeat_ns.store(self.now_ns(), Ordering::Relaxed);
+                match self.sweep_slice(i) {
+                    Slice::Progress => std::thread::yield_now(),
+                    Slice::Done | Slice::Inactive => break,
+                }
             }
         }
-        t.epochs.fetch_add(1, Ordering::Relaxed);
-        self.epochs.fetch_add(1, Ordering::Relaxed);
-        self.f_epochs.inc();
-        self.registry.event(EventKind::EpochRetired {
-            shard: i,
-            duration_ns: 0,
-        });
         self.unclaim(i);
     }
 
-    /// Synchronously drains tenant `i`'s quarantine to zero. Pumps an
-    /// in-flight epoch rather than hijacking it; loops because a colored
-    /// backend legitimately seals only part of the quarantine per epoch.
-    fn drain_tenant(&self, i: usize) {
-        let t = &self.tenants[i];
-        loop {
-            let t0 = Instant::now();
-            let mut heap = self.lock(i);
-            if !heap.revocation_active() {
-                if heap.quarantined_bytes() == 0 {
-                    t.sync_hints(&heap, &self.global_quarantine);
-                    t.remaining_hint.store(0, Ordering::Relaxed);
-                    return;
+    /// Synchronously drains member `i`'s quarantine to zero. Helps an
+    /// in-flight epoch rather than hijacking it (its owner may be holding
+    /// it open for the peer sweeps); loops because a colored backend
+    /// legitimately seals only part of the quarantine per epoch.
+    pub(crate) fn drain(&self, i: usize) {
+        let m = &self.members[i];
+        while self.open_epoch(i) {
+            loop {
+                let t0 = Instant::now();
+                let mut heap = self.lock(i);
+                if !heap.revocation_active() {
+                    break;
                 }
-                if !heap.begin_revocation() {
-                    t.sync_hints(&heap, &self.global_quarantine);
-                    return;
+                let before = heap.revocation_remaining_bytes();
+                let done = heap.revoke_step(u64::MAX);
+                m.sync_hints(&heap, &self.global_quarantine);
+                m.remaining_hint
+                    .store(heap.revocation_remaining_bytes(), Ordering::Relaxed);
+                drop(heap);
+                self.note_step(t0, before > 0, done.as_ref());
+                if done.is_some() {
+                    break;
                 }
+                // Held open by its owner's peer sweeps: let them finish.
+                std::thread::yield_now();
             }
-            while heap.revoke_step(u64::MAX).is_none() {}
-            t.sync_hints(&heap, &self.global_quarantine);
-            t.remaining_hint.store(0, Ordering::Relaxed);
-            drop(heap);
-            self.pauses.record_duration(t0.elapsed());
         }
     }
 
-    fn drain_all(&self) {
-        for i in 0..self.tenants.len() {
-            self.drain_tenant(i);
+    /// Synchronously drains every member (the emergency global sweep).
+    pub(crate) fn drain_all(&self) {
+        for i in 0..self.members.len() {
+            self.drain(i);
         }
     }
 
-    // --- Worker pool ----------------------------------------------------
+    // --- Worker pool and supervisor ----------------------------------------
 
-    fn worker_loop(&self) {
-        while !self.stop.load(Ordering::SeqCst) {
+    fn retired(&self, slot: &Slot, gen: u64) -> bool {
+        self.stop.load(Ordering::SeqCst) || slot.gen.load(Ordering::SeqCst) != gen
+    }
+
+    /// Parks an idle worker until kicked or one scheduler interval.
+    fn park_worker(&self) {
+        let mut kicked = match self.park.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        if !*kicked {
+            kicked = self
+                .wake
+                .wait_timeout(kicked, self.config.scheduler_interval)
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .0;
+        }
+        *kicked = false;
+    }
+
+    /// Pool worker `w`, generation `gen`. Any exit — retirement, an
+    /// injected death, or a genuine panic — clears its liveness through
+    /// a drop guard, which the supervisor sees at its next tick.
+    fn worker_loop(&self, w: usize, gen: u64) {
+        struct Alive<'a> {
+            slot: &'a Slot,
+            gen: u64,
+        }
+        impl Drop for Alive<'_> {
+            fn drop(&mut self) {
+                let _ = self.slot.alive.compare_exchange(
+                    self.gen,
+                    0,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                );
+            }
+        }
+        let slot = &self.slots[w];
+        let _alive = Alive { slot, gen };
+        while !self.retired(slot, gen) {
+            slot.heartbeat_ns.store(self.now_ns(), Ordering::Relaxed);
             match self.next_task() {
-                Task::Run(i) => self.run_epoch(i),
+                Task::Run(i) => self.run_epoch(i, slot),
                 Task::Steal(i) => {
                     if matches!(self.sweep_slice(i), Slice::Progress | Slice::Done) {
-                        self.steals.fetch_add(1, Ordering::Relaxed);
-                        self.f_steals.inc();
+                        self.steals.add(1);
                     }
                 }
                 Task::Idle => {
-                    let guard = match self.park.lock() {
-                        Ok(g) => g,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    let (mut guard, _) = self
-                        .wake
-                        .wait_timeout(guard, self.config.scheduler_interval)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    *guard = false;
+                    self.park_worker();
+                    if self.retired(slot, gen) {
+                        return;
+                    }
+                    if self.faults.should_fire(FaultPoint::RevokerDeath) {
+                        // Simulated worker death: exit without another
+                        // pass. The supervisor restarts the slot.
+                        self.note_fault(FaultPoint::RevokerDeath, w);
+                        return;
+                    }
+                    self.tick.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
     }
 
-    fn stats(&self) -> FleetStats {
+    fn spawn_worker(self: &Arc<Self>, w: usize, gen: u64) -> Result<JoinHandle<()>, HeapError> {
+        let slot = &self.slots[w];
+        slot.gen.store(gen, Ordering::SeqCst);
+        slot.heartbeat_ns.store(self.now_ns(), Ordering::Relaxed);
+        // Alive from the spawn, so a worker slow to start is not taken
+        // for dead.
+        slot.alive.store(gen, Ordering::SeqCst);
+        let core = Arc::clone(self);
+        std::thread::Builder::new()
+            .name(format!("cherivoke-worker-{w}"))
+            .spawn(move || core.worker_loop(w, gen))
+            .map_err(|_| {
+                let _ = slot
+                    .alive
+                    .compare_exchange(gen, 0, Ordering::SeqCst, Ordering::SeqCst);
+                HeapError::RevokerSpawn
+            })
+    }
+
+    /// The supervisor: spawns the pool, then watches every worker for
+    /// death (liveness cleared) and stalls (heartbeat older than the
+    /// watchdog) and respawns it with exponential backoff. While no
+    /// worker runs, mutators drain inline (see `free`), so every failure
+    /// mode degrades to the paper's synchronous design.
+    fn supervise(self: &Arc<Self>) {
+        let watchdog_ns = self.shape.watchdog.as_nanos() as u64;
+        let tick =
+            (self.shape.watchdog / 8).clamp(Duration::from_micros(200), Duration::from_millis(20));
+        let floor = self.config.scheduler_interval.max(Duration::from_millis(1));
+        let mut backoff =
+            vec![RestartBackoff::new(floor, Duration::from_secs(1)); self.slots.len()];
+        let mut handles: Vec<JoinHandle<()>> = Vec::new();
+        for w in 0..self.slots.len() {
+            match self.spawn_worker(w, 1) {
+                Ok(h) => handles.push(h),
+                Err(e) => eprintln!("cherivoke: {e}; mutators will revoke inline until a retry"),
+            }
+        }
+        while !self.stop.load(Ordering::SeqCst) {
+            std::thread::park_timeout(tick);
+            if self.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            for (w, slot) in self.slots.iter().enumerate() {
+                let gen = slot.gen.load(Ordering::SeqCst);
+                let alive = slot.alive.load(Ordering::SeqCst) == gen;
+                let now = self.now_ns();
+                let heartbeat = slot.heartbeat_ns.load(Ordering::Relaxed);
+                let stalled = alive && now.saturating_sub(heartbeat) > watchdog_ns;
+                if alive && !stalled {
+                    backoff[w].on_healthy();
+                    continue;
+                }
+                // Exponential backoff between restarts after a death: a
+                // crash-looping worker must not starve the mutators who
+                // are covering inline.
+                if !stalled && heartbeat.saturating_add(backoff[w].delay().as_nanos() as u64) > now
+                {
+                    continue;
+                }
+                let cause = if stalled { "stall" } else { "death" };
+                // Issuing a new generation makes a stalled worker retire
+                // as soon as it resumes; its drop guard cannot clear the
+                // new generation's liveness.
+                match self.spawn_worker(w, gen + 1) {
+                    Ok(h) => {
+                        handles.push(h);
+                        self.revoker_restarts.add(1);
+                        self.registry.event(EventKind::RevokerRestarted {
+                            generation: gen + 1,
+                            cause,
+                        });
+                    }
+                    Err(e) => {
+                        eprintln!("cherivoke: {e}; mutators will revoke inline until a retry");
+                    }
+                }
+                backoff[w].on_restart();
+            }
+            // Retired threads eventually finish; reap without blocking
+            // the watch loop on a stalled one.
+            handles.retain(|h| !h.is_finished());
+            while handles.len() > 8 * self.slots.len() {
+                let _ = handles.remove(0).join();
+            }
+        }
+        for h in handles {
+            let _ = h.join();
+        }
+    }
+
+    fn fleet_stats(&self) -> FleetStats {
         let tenants = self
-            .tenants
+            .members
             .iter()
             .enumerate()
-            .map(|(i, t)| TenantStats {
+            .map(|(i, m)| TenantStats {
                 tenant: i,
-                mallocs: t.mallocs.load(Ordering::Relaxed),
-                frees: t.frees.load(Ordering::Relaxed),
-                quarantined_bytes: t.quarantined_hint.load(Ordering::Relaxed),
-                quota: t.quota(),
-                epochs: t.epochs.load(Ordering::Relaxed),
-                throttled: t.throttled.load(Ordering::Relaxed),
+                mallocs: m.mallocs.load(Ordering::Relaxed),
+                frees: m.frees.load(Ordering::Relaxed),
+                quarantined_bytes: m.quarantined_hint.load(Ordering::Relaxed),
+                quota: m.quota(),
+                epochs: m.epochs.load(Ordering::Relaxed),
+                throttled: m.throttled.load(Ordering::Relaxed),
             })
             .collect();
         FleetStats {
             tenants,
-            epochs: self.epochs.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            scheduler_skips: self.scheduler_skips.load(Ordering::Relaxed),
-            throttled: self.throttled.load(Ordering::Relaxed),
-            emergency_sweeps: self.emergency_sweeps.load(Ordering::Relaxed),
+            epochs: self.epochs.get(),
+            steals: self.steals.get(),
+            scheduler_skips: self.scheduler_skips.get(),
+            throttled: self.throttled.get(),
+            emergency_sweeps: self.emergency_sweeps.get(),
+            revoker_restarts: self.revoker_restarts.get(),
             global_quarantined: self.global_quarantine.load(Ordering::Relaxed),
             pauses: self.pauses.snapshot(),
+        }
+    }
+}
+
+/// A running core: the member table plus its supervised worker pool.
+/// Dropping it stops and joins every thread.
+pub(crate) struct Runtime {
+    pub(crate) core: Arc<Core>,
+    supervisor: Option<JoinHandle<()>>,
+}
+
+impl Runtime {
+    /// Builds the core from an already-validated `config` and starts the
+    /// supervisor, which spawns the worker pool. Construction never fails
+    /// on thread exhaustion: without a supervisor no worker runs, and
+    /// mutators revoke inline.
+    pub(crate) fn start(
+        config: FleetConfig,
+        shape: Shape,
+        faults: FaultInjector,
+        journal_dir: Option<&Path>,
+        recovered: HashMap<usize, CherivokeHeap>,
+    ) -> Result<Runtime, HeapError> {
+        let core = Arc::new(Core::new(config, shape, faults, journal_dir, recovered)?);
+        // The pool counts as alive from construction, so mutators do not
+        // drain inline while the supervisor is still spawning it.
+        for slot in &core.slots {
+            slot.gen.store(1, Ordering::SeqCst);
+            slot.alive.store(1, Ordering::SeqCst);
+        }
+        let supervised = Arc::clone(&core);
+        let supervisor = match std::thread::Builder::new()
+            .name("cherivoke-supervisor".into())
+            .spawn(move || supervised.supervise())
+        {
+            Ok(handle) => Some(handle),
+            Err(_) => {
+                eprintln!(
+                    "cherivoke: {}; degrading to inline revocation on mutator threads",
+                    HeapError::RevokerSpawn
+                );
+                for slot in &core.slots {
+                    slot.alive.store(0, Ordering::SeqCst);
+                }
+                None
+            }
+        };
+        Ok(Runtime { core, supervisor })
+    }
+}
+
+impl Drop for Runtime {
+    fn drop(&mut self) {
+        self.core.stop.store(true, Ordering::SeqCst);
+        self.core.kick();
+        // Joining the supervisor joins every worker generation it spawned.
+        if let Some(handle) = self.supervisor.take() {
+            handle.thread().unpark();
+            let _ = handle.join();
         }
     }
 }
@@ -913,8 +1644,7 @@ impl FleetInner {
 /// A fleet of tenant heaps behind a global sweep scheduler and a shared
 /// work-stealing sweep-worker pool. See the module docs for the design.
 pub struct HeapService {
-    inner: Arc<FleetInner>,
-    workers: Vec<JoinHandle<()>>,
+    rt: Runtime,
 }
 
 impl HeapService {
@@ -956,14 +1686,9 @@ impl HeapService {
     pub fn with_journal_dir(
         config: FleetConfig,
         faults: FaultInjector,
-        journal_dir: Option<&std::path::Path>,
+        journal_dir: Option<&Path>,
     ) -> Result<HeapService, HeapError> {
-        HeapService::assemble(
-            config,
-            faults,
-            journal_dir,
-            std::collections::HashMap::new(),
-        )
+        HeapService::assemble(config, faults, journal_dir, HashMap::new())
     }
 
     /// Rebuilds a fleet after a crash. Each [`TenantCrashArtifact`] is
@@ -988,7 +1713,7 @@ impl HeapService {
     pub fn recover(
         config: FleetConfig,
         faults: FaultInjector,
-        journal_dir: Option<&std::path::Path>,
+        journal_dir: Option<&Path>,
         artifacts: Vec<TenantCrashArtifact>,
     ) -> Result<(HeapService, Vec<TenantRecovery>), RecoveryError> {
         let (config, _) = config.validated()?;
@@ -996,7 +1721,7 @@ impl HeapService {
         let (first_base, stride, rounded) = tenant_layout(&config);
         // Debt key per artifact, from the persisted image's quarantine
         // bytes. Priorities are uniform at construction (the config
-        // default), mirroring `FleetInner::debt` on a fresh fleet.
+        // default), mirroring `Core::debt` on a fresh fleet.
         let target = config.policy.quarantine.fraction;
         let priority = f64::from(config.tenant_policy.priority.max(1));
         let mut ordered = Vec::with_capacity(artifacts.len());
@@ -1026,7 +1751,7 @@ impl HeapService {
             ordered.push((debt, art));
         }
         ordered.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut recovered = std::collections::HashMap::new();
+        let mut recovered = HashMap::new();
         let mut reports = Vec::with_capacity(ordered.len());
         for (debt, art) in ordered {
             let base = first_base + art.tenant as u64 * stride;
@@ -1054,147 +1779,38 @@ impl HeapService {
     fn assemble(
         config: FleetConfig,
         faults: FaultInjector,
-        journal_dir: Option<&std::path::Path>,
-        mut recovered: std::collections::HashMap<usize, CherivokeHeap>,
+        journal_dir: Option<&Path>,
+        recovered: HashMap<usize, CherivokeHeap>,
     ) -> Result<HeapService, HeapError> {
         let (config, warnings) = config.validated()?;
         for warning in &warnings {
             eprintln!("cherivoke: {warning}");
         }
-        // Tenant heaps never self-trigger revocation (the fleet
-        // scheduler owns that decision) and never sweep on OOM (the
-        // fleet's emergency path owns that too) — the same inversion the
-        // concurrent service applies to its shards.
-        let (heap_policy, slice_bytes) = fleet_heap_policy(&config);
-        let (first_base, stride, rounded) = tenant_layout(&config);
-        let registry = if config.telemetry {
-            Registry::new(512)
-        } else {
-            Registry::disabled()
+        // An idle worker heartbeats once per scheduler interval, so the
+        // watchdog must outlast a few of them.
+        let shape = Shape {
+            watchdog: Shape::FLEET.watchdog.max(config.scheduler_interval * 4),
+            ..Shape::FLEET
         };
-        let mut tenants = Vec::with_capacity(config.tenants);
-        for i in 0..config.tenants {
-            let base = first_base + i as u64 * stride;
-            let mut heap = match recovered.remove(&i) {
-                Some(heap) => heap,
-                None => CherivokeHeap::new(HeapConfig {
-                    heap_base: base,
-                    heap_size: rounded,
-                    policy: heap_policy,
-                    ..HeapConfig::default()
-                })?,
-            };
-            if config.telemetry {
-                heap.set_telemetry_for_shard(&registry, i);
-            }
-            if faults.is_enabled() {
-                heap.set_fault_injector(faults.clone());
-            }
-            if let Some(dir) = journal_dir {
-                // Creation failure is degraded mode, not a constructor
-                // error: the tenant runs correct-but-unjournaled, like a
-                // mid-run journal write failure (DESIGN.md §20).
-                let _ = std::fs::create_dir_all(dir);
-                match Journal::create(dir.join(format!("tenant-{i}.cvj"))) {
-                    Ok(j) => heap.set_journal(j),
-                    Err(e) => {
-                        warn_once(&format!(
-                            "cannot create tenant {i} epoch journal in {}: {e}; \
-                             tenant runs unjournaled",
-                            dir.display()
-                        ));
-                    }
-                }
-            }
-            let label = i.to_string();
-            tenants.push(Tenant {
-                heap: Mutex::new(heap),
-                base,
-                size: rounded,
-                quota: AtomicU64::new(config.tenant_policy.quarantine_quota),
-                priority: AtomicU64::new(u64::from(config.tenant_policy.priority)),
-                max_pause_ns: AtomicU64::new(
-                    config
-                        .tenant_policy
-                        .max_pause
-                        .as_nanos()
-                        .min(u64::MAX as u128) as u64,
-                ),
-                quarantined_hint: AtomicU64::new(0),
-                sweeping: AtomicBool::new(false),
-                remaining_hint: AtomicU64::new(0),
-                mallocs: AtomicU64::new(0),
-                frees: AtomicU64::new(0),
-                epochs: AtomicU64::new(0),
-                throttled: AtomicU64::new(0),
-                t_mallocs: registry.counter_labeled(
-                    "cvk_fleet_tenant_mallocs_total",
-                    "tenant",
-                    &label,
-                ),
-                t_frees: registry.counter_labeled("cvk_fleet_tenant_frees_total", "tenant", &label),
-                t_quarantine: registry.gauge_labeled(
-                    "cvk_fleet_tenant_quarantined_bytes",
-                    "tenant",
-                    &label,
-                ),
-            });
-        }
-        let pauses = if config.telemetry {
-            registry.histogram("cvk_fleet_pause_ns")
+        let rt = Runtime::start(config, shape, faults, journal_dir, recovered)?;
+        Ok(HeapService { rt })
+    }
+
+    fn core(&self) -> &Core {
+        &self.rt.core
+    }
+
+    fn check(&self, tenant: usize) -> Result<(), FleetError> {
+        if tenant < self.core().members.len() {
+            Ok(())
         } else {
-            PauseHistogram::new()
-        };
-        let inner = Arc::new(FleetInner {
-            tenants,
-            slice_bytes,
-            global_quarantine: AtomicU64::new(0),
-            rr_cursor: AtomicUsize::new(0),
-            epochs: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            scheduler_skips: AtomicU64::new(0),
-            throttled: AtomicU64::new(0),
-            emergency_sweeps: AtomicU64::new(0),
-            pauses,
-            faults,
-            f_epochs: registry.counter("cvk_fleet_epochs_total"),
-            f_steals: registry.counter("cvk_fleet_steals_total"),
-            f_throttled: registry.counter("cvk_fleet_throttled_total"),
-            f_emergency: registry.counter("cvk_fleet_emergency_sweeps_total"),
-            f_skips: registry.counter("cvk_fleet_scheduler_skips_total"),
-            registry,
-            stop: AtomicBool::new(false),
-            park: Mutex::new(false),
-            wake: Condvar::new(),
-            config,
-        });
-        // A recovered tenant can re-enter service still carrying
-        // quarantine (the reopen-seal rollback path); sync every hint now
-        // so the debt scheduler and the admission throttle see it before
-        // the first free, not after.
-        for i in 0..inner.tenants.len() {
-            let heap = inner.lock(i);
-            inner.tenants[i].sync_hints(&heap, &inner.global_quarantine);
+            Err(FleetError::NoSuchTenant { tenant })
         }
-        let mut workers = Vec::with_capacity(inner.config.workers);
-        for w in 0..inner.config.workers {
-            let worker_inner = Arc::clone(&inner);
-            // Spawn failure degrades to fewer workers (worst case zero:
-            // mutators still drain inline at the budget bound) — fleet
-            // construction never fails on thread exhaustion.
-            if let Ok(handle) = std::thread::Builder::new()
-                .name(format!("cvk-fleet-worker-{w}"))
-                .spawn(move || worker_inner.worker_loop())
-            {
-                workers.push(handle);
-            }
-        }
-        Ok(HeapService { inner, workers })
     }
 
     /// Number of tenants in the fleet.
     pub fn tenant_count(&self) -> usize {
-        self.inner.tenants.len()
+        self.core().members.len()
     }
 
     /// A clonable client bound to `tenant`.
@@ -1203,11 +1819,9 @@ impl HeapService {
     ///
     /// [`FleetError::NoSuchTenant`].
     pub fn client(&self, tenant: usize) -> Result<FleetClient, FleetError> {
-        if tenant >= self.inner.tenants.len() {
-            return Err(FleetError::NoSuchTenant { tenant });
-        }
+        self.check(tenant)?;
         Ok(FleetClient {
-            inner: Arc::clone(&self.inner),
+            core: Arc::clone(&self.rt.core),
             tenant,
         })
     }
@@ -1223,11 +1837,7 @@ impl HeapService {
     /// [`HeapError::InvalidConfig`] (as [`FleetError::Heap`]) for a zero
     /// quota, priority, or pause bound.
     pub fn set_tenant_policy(&self, tenant: usize, policy: TenantPolicy) -> Result<(), FleetError> {
-        let t = self
-            .inner
-            .tenants
-            .get(tenant)
-            .ok_or(FleetError::NoSuchTenant { tenant })?;
+        self.check(tenant)?;
         if policy.quarantine_quota == 0 {
             return Err(
                 HeapError::InvalidConfig("tenant quarantine quota must be positive").into(),
@@ -1239,10 +1849,11 @@ impl HeapService {
         if policy.max_pause.is_zero() {
             return Err(HeapError::InvalidConfig("tenant max pause must be positive").into());
         }
-        t.quota.store(policy.quarantine_quota, Ordering::Relaxed);
-        t.priority
+        let m = &self.core().members[tenant];
+        m.quota.store(policy.quarantine_quota, Ordering::Relaxed);
+        m.priority
             .store(u64::from(policy.priority), Ordering::Relaxed);
-        t.max_pause_ns.store(
+        m.max_pause_ns.store(
             policy.max_pause.as_nanos().min(u64::MAX as u128) as u64,
             Ordering::Relaxed,
         );
@@ -1257,7 +1868,7 @@ impl HeapService {
     /// [`FleetError::NoSuchTenant`], or the tenant heap's error (OOM
     /// only after an emergency global sweep failed to help).
     pub fn malloc(&self, tenant: usize, size: u64) -> Result<Capability, FleetError> {
-        self.inner.malloc(tenant, size)
+        self.core().fleet_malloc(tenant, size)
     }
 
     /// Frees `cap`, quarantining its memory in the owning tenant. If the
@@ -1269,7 +1880,7 @@ impl HeapService {
     ///
     /// As [`CherivokeHeap::free`] (wrapped in [`FleetError::Heap`]).
     pub fn free(&self, cap: Capability) -> Result<(), FleetError> {
-        self.inner.free(cap)
+        Ok(self.core().free(cap)?)
     }
 
     /// Loads a `u64` through `cap` (routed to the owning tenant).
@@ -1278,7 +1889,7 @@ impl HeapService {
     ///
     /// As [`CherivokeHeap::load_u64`].
     pub fn load_u64(&self, cap: &Capability, offset: u64) -> Result<u64, FleetError> {
-        self.inner.with_tenant(cap, |h| h.load_u64(cap, offset))
+        Ok(self.core().with_member(cap, |h| h.load_u64(cap, offset))?)
     }
 
     /// Stores a `u64` through `cap` (routed to the owning tenant).
@@ -1287,8 +1898,9 @@ impl HeapService {
     ///
     /// As [`CherivokeHeap::store_u64`].
     pub fn store_u64(&self, cap: &Capability, offset: u64, value: u64) -> Result<(), FleetError> {
-        self.inner
-            .with_tenant(cap, |h| h.store_u64(cap, offset, value))
+        Ok(self
+            .core()
+            .with_member(cap, |h| h.store_u64(cap, offset, value))?)
     }
 
     /// Loads a capability through `cap` from the owning tenant's heap.
@@ -1297,7 +1909,7 @@ impl HeapService {
     ///
     /// As [`CherivokeHeap::load_cap`].
     pub fn load_cap(&self, cap: &Capability, offset: u64) -> Result<Capability, FleetError> {
-        self.inner.with_tenant(cap, |h| h.load_cap(cap, offset))
+        Ok(self.core().load_cap(cap, offset)?)
     }
 
     /// Stores capability `value` through `cap`. Tenant isolation is
@@ -1315,23 +1927,7 @@ impl HeapService {
         offset: u64,
         value: &Capability,
     ) -> Result<(), FleetError> {
-        let inner = &self.inner;
-        let to =
-            inner
-                .tenant_of(cap.base())
-                .ok_or(FleetError::Heap(HeapError::NotAnAllocation {
-                    base: cap.base(),
-                }))?;
-        if value.tag() {
-            let from = inner.tenant_of(value.base());
-            if from != Some(to) {
-                return Err(FleetError::CrossTenantStore {
-                    from: from.unwrap_or(usize::MAX),
-                    to,
-                });
-            }
-        }
-        inner.with_tenant(cap, |h| h.store_cap(cap, offset, value))
+        self.core().store_cap(cap, offset, value)
     }
 
     /// Synchronously drains one tenant's quarantine to zero (the caller
@@ -1342,22 +1938,20 @@ impl HeapService {
     ///
     /// [`FleetError::NoSuchTenant`].
     pub fn drain_tenant(&self, tenant: usize) -> Result<(), FleetError> {
-        if tenant >= self.inner.tenants.len() {
-            return Err(FleetError::NoSuchTenant { tenant });
-        }
-        self.inner.drain_tenant(tenant);
+        self.check(tenant)?;
+        self.core().drain(tenant);
         Ok(())
     }
 
     /// Synchronously drains every tenant (the emergency global sweep,
     /// callable explicitly).
     pub fn drain_all(&self) {
-        self.inner.drain_all();
+        self.core().drain_all();
     }
 
     /// Wakes the worker pool now instead of at its next scheduled scan.
     pub fn kick(&self) {
-        self.inner.kick();
+        self.core().kick();
     }
 
     /// Runs the full-heap safety audit ([`CherivokeHeap::audit`]) on
@@ -1365,9 +1959,7 @@ impl HeapService {
     /// time, including mid-epoch. The chaos harnesses run this after a
     /// fault-injected run as the final soundness check.
     pub fn audit_all(&self) -> Vec<revoker::AuditReport> {
-        (0..self.inner.tenants.len())
-            .map(|i| self.inner.lock(i).audit())
-            .collect()
+        self.core().audit_all()
     }
 
     /// Current quarantine bytes of one tenant.
@@ -1376,54 +1968,42 @@ impl HeapService {
     ///
     /// [`FleetError::NoSuchTenant`].
     pub fn quarantined_bytes(&self, tenant: usize) -> Result<u64, FleetError> {
-        if tenant >= self.inner.tenants.len() {
-            return Err(FleetError::NoSuchTenant { tenant });
-        }
-        Ok(self.inner.lock(tenant).quarantined_bytes())
+        self.check(tenant)?;
+        Ok(self.core().lock(tenant).quarantined_bytes())
     }
 
     /// Fleet-wide quarantine bytes (the lock-free running total the
     /// global ceiling is enforced against).
     pub fn global_quarantined(&self) -> u64 {
-        self.inner.global_quarantine.load(Ordering::Relaxed)
+        self.core().global_quarantine.load(Ordering::Relaxed)
     }
 
     /// Point-in-time fleet statistics.
     pub fn stats(&self) -> FleetStats {
-        self.inner.stats()
+        self.core().fleet_stats()
     }
 
     /// The fleet's fault injector (for test assertions on fired points).
     pub fn fault_injector(&self) -> &FaultInjector {
-        &self.inner.faults
+        &self.core().faults
     }
 
     /// The shared telemetry registry (disabled unless
     /// [`FleetConfig::telemetry`] was set).
     pub fn telemetry(&self) -> &Registry {
-        &self.inner.registry
+        &self.core().registry
     }
 
     /// A snapshot of every fleet metric (empty when telemetry is off).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.inner.registry.snapshot()
-    }
-}
-
-impl Drop for HeapService {
-    fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.kick();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.core().registry.snapshot()
     }
 }
 
 /// A clonable handle bound to one tenant — what a tenant's threads hold.
 #[derive(Clone)]
 pub struct FleetClient {
-    inner: Arc<FleetInner>,
+    core: Arc<Core>,
     tenant: usize,
 }
 
@@ -1439,7 +2019,7 @@ impl FleetClient {
     ///
     /// As [`HeapService::malloc`].
     pub fn malloc(&self, size: u64) -> Result<Capability, FleetError> {
-        self.inner.malloc(self.tenant, size)
+        self.core.fleet_malloc(self.tenant, size)
     }
 
     /// Frees `cap` (any tenant's — routing is by address).
@@ -1448,7 +2028,7 @@ impl FleetClient {
     ///
     /// As [`HeapService::free`].
     pub fn free(&self, cap: Capability) -> Result<(), FleetError> {
-        self.inner.free(cap)
+        Ok(self.core.free(cap)?)
     }
 
     /// Loads a `u64` through `cap`.
@@ -1457,7 +2037,7 @@ impl FleetClient {
     ///
     /// As [`HeapService::load_u64`].
     pub fn load_u64(&self, cap: &Capability, offset: u64) -> Result<u64, FleetError> {
-        self.inner.with_tenant(cap, |h| h.load_u64(cap, offset))
+        Ok(self.core.with_member(cap, |h| h.load_u64(cap, offset))?)
     }
 
     /// Stores a `u64` through `cap`.
@@ -1466,8 +2046,9 @@ impl FleetClient {
     ///
     /// As [`HeapService::store_u64`].
     pub fn store_u64(&self, cap: &Capability, offset: u64, value: u64) -> Result<(), FleetError> {
-        self.inner
-            .with_tenant(cap, |h| h.store_u64(cap, offset, value))
+        Ok(self
+            .core
+            .with_member(cap, |h| h.store_u64(cap, offset, value))?)
     }
 
     /// Loads a capability through `cap`.
@@ -1476,7 +2057,7 @@ impl FleetClient {
     ///
     /// As [`HeapService::load_cap`].
     pub fn load_cap(&self, cap: &Capability, offset: u64) -> Result<Capability, FleetError> {
-        self.inner.with_tenant(cap, |h| h.load_cap(cap, offset))
+        Ok(self.core.load_cap(cap, offset)?)
     }
 }
 
@@ -1490,6 +2071,47 @@ mod tests {
         c.tenant_policy.quarantine_quota = 128 << 10;
         c.global_ceiling = tenants as u64 * (128 << 10);
         c
+    }
+
+    #[test]
+    fn restart_backoff_pins_the_exponential_sequence_and_cap() {
+        // The supervisor's schedule for a 1 ms floor: 1, 2, 4, … doubling
+        // per respawn, capped at the 1 s ceiling, and never growing past
+        // it.
+        let mut b = RestartBackoff::new(Duration::from_millis(1), Duration::from_secs(1));
+        let mut seen = Vec::new();
+        for _ in 0..14 {
+            seen.push(b.delay().as_millis() as u64);
+            b.on_restart();
+        }
+        assert_eq!(
+            seen,
+            vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000, 1000, 1000, 1000],
+            "doubling sequence with a 1 s cap"
+        );
+    }
+
+    #[test]
+    fn restart_backoff_resets_on_healthy_heartbeat() {
+        let mut b = RestartBackoff::new(Duration::from_millis(1), Duration::from_secs(1));
+        for _ in 0..6 {
+            b.on_restart();
+        }
+        assert_eq!(b.delay(), Duration::from_millis(64));
+        b.on_healthy();
+        assert_eq!(b.delay(), Duration::from_millis(1), "reset to the floor");
+        b.on_restart();
+        assert_eq!(b.delay(), Duration::from_millis(2), "doubling starts over");
+    }
+
+    #[test]
+    fn restart_backoff_floor_above_ceiling_is_clamped() {
+        let mut b = RestartBackoff::new(Duration::from_secs(5), Duration::from_secs(1));
+        assert_eq!(b.delay(), Duration::from_secs(1));
+        b.on_restart();
+        assert_eq!(b.delay(), Duration::from_secs(1));
+        b.on_healthy();
+        assert_eq!(b.delay(), Duration::from_secs(1));
     }
 
     #[test]
@@ -1642,13 +2264,16 @@ mod tests {
         ballast: u64,
     ) -> TenantCrashArtifact {
         use faultinject::{silence_injected_panics, FaultPlan, FaultRule};
+        // Tests run in parallel and several crash the same tenant at the
+        // same point: every call needs a directory of its own.
+        static CALLS: AtomicU64 = AtomicU64::new(0);
         silence_injected_panics();
         let (config, _) = config.validated().unwrap();
         let (first_base, stride, rounded) = tenant_layout(&config);
         let dir = std::env::temp_dir().join(format!(
-            "cvk-fleet-crash-{}-t{tenant}-{}",
+            "cvk-fleet-crash-{}-{}",
             std::process::id(),
-            point.name()
+            CALLS.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1822,7 +2447,7 @@ mod tests {
                 .unwrap();
         for i in 0..service.tenant_count() {
             assert!(
-                service.inner.lock(i).journal_active(),
+                service.core().lock(i).journal_active(),
                 "tenant {i} journal missing"
             );
             assert!(dir.join(format!("tenant-{i}.cvj")).exists());

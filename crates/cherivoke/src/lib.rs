@@ -72,15 +72,13 @@ pub use fleet::{
 pub use heap::{CherivokeHeap, HeapConfig};
 pub use model::OverheadModel;
 pub use obs::HeapTelemetry;
-pub use policy::{RevocationPolicy, SweepPacer};
+pub use policy::RevocationPolicy;
 pub use recovery::{
     journal_dir_from_env, warn_once, HeapImage, ImageChunk, ImageChunkState, RecoveryAction,
     RecoveryError, RecoveryReport,
 };
 pub use service::{ConcurrentHeap, HeapClient, ServiceConfig};
-pub use stats::{
-    HeapStats, PauseHistogram, PauseSnapshot, ServiceStats, ShardStats, PAUSE_BUCKETS,
-};
+pub use stats::{HeapStats, ServiceStats, ShardStats};
 
 pub use cvkalloc::QuarantineConfig;
 pub use revoker::{AuditReport, AuditViolation, BackendKind, Kernel};

@@ -60,9 +60,8 @@ impl RevocationPolicy {
     /// The configuration evaluated in the paper: 25% quarantine, buffered
     /// (non-strict) revocation, optimised kernel, CapDirty page skipping.
     ///
-    /// The kernel honours `CHERIVOKE_KERNEL=reference|wide|simple|unrolled|fast|simd`
-    /// (and, deprecated, the boolean `CHERIVOKE_FAST_KERNEL`), defaulting
-    /// to the word-at-a-time fast path; unrecognised values warn and fall
+    /// The kernel honours `CHERIVOKE_KERNEL=reference|wide|simple|unrolled|fast|simd`,
+    /// defaulting to the word-at-a-time fast path; unrecognised values warn and fall
     /// back instead of panicking (see [`revoker::kernel_from_env`]).
     pub fn paper_default() -> RevocationPolicy {
         RevocationPolicy {
@@ -148,102 +147,6 @@ impl Default for RevocationPolicy {
     }
 }
 
-/// Paces a background revoker's sweep slices from the observed free rate
-/// (the paper's §6.1.3 overhead model turned into a control law).
-///
-/// The model says each revocation cycle sweeps all capability-bearing
-/// memory `A_t` to reclaim one quarantine's worth of frees `Q = f × L`
-/// (quarantine fraction × live heap). A sweeper that must keep up with a
-/// mutator freeing `R_free` bytes/second therefore needs sweep bandwidth
-///
-/// ```text
-/// R_sweep ≥ R_free × A_t / Q
-/// ```
-///
-/// — every freed byte obliges `A_t / Q` bytes of future sweeping.
-/// [`SweepPacer::budget`] converts that rate into a per-wakeup byte budget,
-/// clamped between a progress floor (`min_slice_bytes`, so idle periods
-/// still retire epochs) and a pause ceiling (`max_slice_bytes`, bounding
-/// how long the revoker occupies one shard's lock per step).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPacer {
-    /// Smallest per-wakeup budget: guarantees forward progress even when
-    /// the mutator is idle.
-    pub min_slice_bytes: u64,
-    /// Largest per-wakeup budget: bounds the revoker's lock-hold time (the
-    /// observable mutator pause).
-    pub max_slice_bytes: u64,
-    /// Safety multiplier on the computed rate (> 1 keeps the sweeper ahead
-    /// of bursty free traffic).
-    pub headroom: f64,
-}
-
-impl SweepPacer {
-    /// Defaults tuned for the simulator's heap scales: 64 KiB floor,
-    /// 4 MiB pause ceiling, 50% headroom.
-    pub fn paper_default() -> SweepPacer {
-        SweepPacer {
-            min_slice_bytes: 64 << 10,
-            max_slice_bytes: 4 << 20,
-            headroom: 1.5,
-        }
-    }
-
-    /// Validates and normalises the pacer (see
-    /// [`RevocationPolicy::validated`] for the error/clamp split): a NaN
-    /// or non-positive headroom is a typed error (the control law would
-    /// compute garbage budgets); a zero floor or an inverted
-    /// floor/ceiling pair is clamped with a warning.
-    pub fn validated(mut self) -> Result<(SweepPacer, Vec<String>), HeapError> {
-        if self.headroom.is_nan() || self.headroom <= 0.0 {
-            return Err(HeapError::InvalidConfig(
-                "pacer headroom must be a positive multiplier",
-            ));
-        }
-        let mut warnings = Vec::new();
-        if self.min_slice_bytes == 0 {
-            warnings.push(
-                "pacer min_slice_bytes 0 stalls idle progress; clamping to 4 KiB".to_string(),
-            );
-            self.min_slice_bytes = 4 << 10;
-        }
-        if self.max_slice_bytes < self.min_slice_bytes {
-            warnings.push(format!(
-                "pacer max_slice_bytes {} below min_slice_bytes {}; clamping to the floor",
-                self.max_slice_bytes, self.min_slice_bytes
-            ));
-            self.max_slice_bytes = self.min_slice_bytes;
-        }
-        Ok((self, warnings))
-    }
-
-    /// The byte budget for the next revoker wakeup.
-    ///
-    /// * `free_rate` — observed mutator free rate, bytes/second.
-    /// * `interval_secs` — time until the next wakeup, seconds.
-    /// * `sweepable_bytes` — total capability-bearing memory to sweep per
-    ///   cycle (`A_t`: heap + stack + globals).
-    /// * `quarantine_capacity` — bytes one quarantine generation holds
-    ///   before it must drain (`Q = f × L`).
-    pub fn budget(
-        &self,
-        free_rate: f64,
-        interval_secs: f64,
-        sweepable_bytes: u64,
-        quarantine_capacity: u64,
-    ) -> u64 {
-        let amplification = sweepable_bytes as f64 / quarantine_capacity.max(1) as f64;
-        let need = self.headroom * free_rate * interval_secs * amplification;
-        (need as u64).clamp(self.min_slice_bytes, self.max_slice_bytes)
-    }
-}
-
-impl Default for SweepPacer {
-    fn default() -> Self {
-        SweepPacer::paper_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,8 +170,8 @@ mod tests {
     fn with_fraction_overrides_only_quarantine() {
         let p = RevocationPolicy::with_fraction(1.0);
         assert_eq!(p.quarantine.fraction, 1.0);
-        // The kernel is env-selected (CHERIVOKE_KERNEL, or the deprecated
-        // CHERIVOKE_FAST_KERNEL; default fast): any named sequential tier.
+        // The kernel is env-selected (CHERIVOKE_KERNEL; default fast): any
+        // named sequential tier.
         assert_eq!(p.kernel, Kernel::from_env());
         assert!(matches!(
             p.kernel,
@@ -338,59 +241,5 @@ mod tests {
         let (fixed, warnings) = p.validated().unwrap();
         assert_eq!(fixed.sweep_workers, revoker::MAX_SWEEP_WORKERS);
         assert_eq!(warnings.len(), 1);
-    }
-
-    #[test]
-    fn pacer_validation() {
-        for bad in [f64::NAN, 0.0, -1.0] {
-            let p = SweepPacer {
-                headroom: bad,
-                ..SweepPacer::paper_default()
-            };
-            assert!(matches!(p.validated(), Err(HeapError::InvalidConfig(_))));
-        }
-        let p = SweepPacer {
-            min_slice_bytes: 0,
-            max_slice_bytes: 0,
-            headroom: 1.0,
-        };
-        let (fixed, warnings) = p.validated().unwrap();
-        assert_eq!(fixed.min_slice_bytes, 4 << 10);
-        assert_eq!(fixed.max_slice_bytes, fixed.min_slice_bytes);
-        assert_eq!(warnings.len(), 2);
-        // A valid pacer passes untouched.
-        let (same, warnings) = SweepPacer::paper_default().validated().unwrap();
-        assert_eq!(same, SweepPacer::paper_default());
-        assert!(warnings.is_empty());
-    }
-
-    #[test]
-    fn pacer_idle_mutator_gets_floor() {
-        let p = SweepPacer::paper_default();
-        assert_eq!(p.budget(0.0, 0.001, 16 << 20, 4 << 20), p.min_slice_bytes);
-    }
-
-    #[test]
-    fn pacer_fast_mutator_hits_ceiling() {
-        let p = SweepPacer::paper_default();
-        // 1 GiB/s of frees for 10ms against a 4:1 sweep amplification
-        // vastly exceeds the 4 MiB pause ceiling.
-        let b = p.budget(1e9, 0.010, 16 << 20, 4 << 20);
-        assert_eq!(b, p.max_slice_bytes);
-    }
-
-    #[test]
-    fn pacer_scales_with_free_rate_and_amplification() {
-        let p = SweepPacer {
-            min_slice_bytes: 0,
-            max_slice_bytes: u64::MAX,
-            headroom: 1.0,
-        };
-        // Freeing 1 MiB/s with A_t/Q = 8 needs 8 MiB/s of sweeping.
-        let b = p.budget(1_048_576.0, 1.0, 8 << 20, 1 << 20);
-        assert_eq!(b, 8 << 20);
-        // Twice the free rate, twice the budget.
-        let b2 = p.budget(2.0 * 1_048_576.0, 1.0, 8 << 20, 1 << 20);
-        assert_eq!(b2, 16 << 20);
     }
 }

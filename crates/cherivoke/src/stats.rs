@@ -3,6 +3,7 @@
 
 use cvkalloc::AllocStats;
 use revoker::SweepStats;
+use telemetry::HistogramSnapshot;
 
 /// Cumulative statistics of a [`crate::CherivokeHeap`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,25 +44,6 @@ impl HeapStats {
     }
 }
 
-/// Number of log2 buckets in a [`PauseHistogram`] (the full `u64` range).
-pub use telemetry::HIST_BUCKETS as PAUSE_BUCKETS;
-
-/// A lock-free log2 histogram of revoker pause times (the time the
-/// background revoker holds one shard's lock per step — the mutator-visible
-/// "pause" of §3.5's concurrent revocation).
-///
-/// Since the telemetry subsystem landed this is [`telemetry::LogHistogram`]
-/// recording nanoseconds: construct a standalone one with
-/// [`telemetry::LogHistogram::new`], or obtain a registry-backed one from
-/// [`telemetry::Registry::histogram`] so the same distribution feeds the
-/// exporters. Note `LogHistogram::default()` is a *disabled* handle.
-pub use telemetry::LogHistogram as PauseHistogram;
-
-/// An immutable copy of a [`PauseHistogram`]'s counts
-/// ([`telemetry::HistogramSnapshot`]; `percentile_ns`/`max_ns` give bucket
-/// ceilings in nanoseconds).
-pub use telemetry::HistogramSnapshot as PauseSnapshot;
-
 /// Counters for one shard of a [`crate::ConcurrentHeap`], plus derived
 /// rates over the service's lifetime.
 #[derive(Debug, Clone, Default)]
@@ -89,30 +71,34 @@ pub struct ShardStats {
 pub struct ServiceStats {
     /// Per-shard counters, indexed by shard.
     pub shards: Vec<ShardStats>,
-    /// Background revocation epochs completed by the service revoker.
+    /// Revocation epochs opened (by the background worker, by a
+    /// synchronous drain, or by a mutator covering for a dead worker).
     pub epochs: u64,
-    /// Foreign sweeps performed (other shards swept against a painting
+    /// Peer sweeps performed (other shards swept against a painting
     /// shard's shadow map).
     pub foreign_sweeps: u64,
-    /// Capabilities revoked by foreign sweeps.
+    /// Capabilities revoked by peer sweeps.
     pub foreign_caps_revoked: u64,
-    /// Dangling capabilities filtered in flight by the service-level
-    /// cross-shard barrier (on top of each shard's own epoch barrier).
+    /// Dangling capabilities filtered in flight by the domain barrier
+    /// (on top of each shard's own epoch barrier).
     pub barrier_revocations: u64,
     /// Synchronous whole-service revocations forced by out-of-memory.
     pub oom_revocations: u64,
-    /// Background revoker threads respawned by the supervisor after a
-    /// death or watchdog stall.
+    /// Background workers respawned by the supervisor after a death or
+    /// watchdog stall.
     pub revoker_restarts: u64,
     /// Emergency synchronous sweeps: allocation failures retried after a
-    /// full revocation, plus quarantine-overflow drains past the hard cap.
+    /// full revocation, plus drains of a shard whose next free would
+    /// cross its quarantine bound.
     pub emergency_sweeps: u64,
-    /// Bytes swept by the background revoker (own slices + foreign sweeps).
+    /// Bytes swept by retired epochs and peer sweeps.
     pub bytes_swept: u64,
-    /// Wall-clock seconds the revoker spent sweeping (lock held).
+    /// Wall-clock seconds spent sweeping with a shard lock held: epoch
+    /// slices, peer sweeps and synchronous drains (the sum of `pauses`).
     pub sweep_secs: f64,
-    /// Revoker pause-time distribution.
-    pub pauses: PauseSnapshot,
+    /// Revoker pause-time distribution (log2 buckets of nanoseconds;
+    /// `percentile_ns`/`max_ns` give bucket ceilings, `sum` is exact).
+    pub pauses: HistogramSnapshot,
     /// Seconds since the service started.
     pub elapsed_secs: f64,
 }
@@ -167,7 +153,7 @@ mod tests {
     #[test]
     fn pause_histogram_buckets_by_log2() {
         use std::time::Duration;
-        let h = PauseHistogram::new();
+        let h = telemetry::LogHistogram::new();
         h.record_duration(Duration::from_nanos(1)); // bucket 0
         h.record_duration(Duration::from_nanos(3)); // bucket 1
         h.record_duration(Duration::from_nanos(1024)); // bucket 10
@@ -181,7 +167,7 @@ mod tests {
     #[test]
     fn pause_percentiles_are_bucket_ceilings() {
         use std::time::Duration;
-        let h = PauseHistogram::new();
+        let h = telemetry::LogHistogram::new();
         for _ in 0..99 {
             h.record_duration(Duration::from_nanos(100)); // bucket 6: [64, 128)
         }
@@ -195,7 +181,7 @@ mod tests {
 
     #[test]
     fn empty_pause_histogram_is_zero() {
-        let s = PauseHistogram::new().snapshot();
+        let s = telemetry::LogHistogram::new().snapshot();
         assert_eq!(s.count(), 0);
         assert_eq!(s.percentile_ns(99.0), 0);
     }

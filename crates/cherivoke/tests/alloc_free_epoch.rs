@@ -92,13 +92,15 @@ fn drain(h: &mut CherivokeHeap) {
 #[test]
 fn warm_epoch_seal_and_slices_allocate_nothing() {
     for kind in BackendKind::ALL {
-        let mut config = HeapConfig::default();
-        config.policy = RevocationPolicy {
-            backend: kind,
-            // Manual epochs only: frees never trigger revocation.
-            incremental_slice_bytes: Some(SLICE),
-            sweep_workers: 1, // the parallel pool spawns (= allocates)
-            ..RevocationPolicy::paper_default()
+        let mut config = HeapConfig {
+            policy: RevocationPolicy {
+                backend: kind,
+                // Manual epochs only: frees never trigger revocation.
+                incremental_slice_bytes: Some(SLICE),
+                sweep_workers: 1, // the parallel pool spawns (= allocates)
+                ..RevocationPolicy::paper_default()
+            },
+            ..HeapConfig::default()
         };
         config.policy.quarantine.fraction = f64::INFINITY;
         let mut h = CherivokeHeap::new(config).expect("heap");

@@ -208,7 +208,7 @@ fn chaos_config(seed: u64) -> ServiceConfig {
     config.shards = 1 + (seed % 4) as usize;
     config.telemetry = true;
     config.revoker_watchdog = Duration::from_millis(20);
-    config.policy.quarantine.fraction = if seed % 3 == 0 { 0.1 } else { 0.25 };
+    config.policy.quarantine.fraction = if seed.is_multiple_of(3) { 0.1 } else { 0.25 };
     // Rotate the revocation backend by seed: the headline invariant must
     // hold under the stock, colored and hierarchical lifecycles alike
     // (the seed list covers all three).

@@ -197,6 +197,41 @@ fn hundred_tenant_smoke_is_fast_and_drains_clean() {
     );
 }
 
+/// The fleet runs on the same supervised runtime core as the sharded
+/// service: a pool worker killed by an injected death is respawned,
+/// mutators cover while it is down, and every tenant still drains to a
+/// clean audit.
+#[test]
+fn dead_pool_workers_are_respawned() {
+    let plan: FaultPlan = "revoker_death@1/2".parse().unwrap();
+    let mut config = fleet_config(4, 256 << 10, 64 << 10);
+    config.workers = 2;
+    let service = HeapService::with_faults(config, FaultInjector::new(plan)).unwrap();
+    let stashes: Vec<_> = (0..4).map(|t| service.malloc(t, 16).unwrap()).collect();
+    for _ in 0..50 {
+        for (tenant, stash) in stashes.iter().enumerate() {
+            let client = service.client(tenant).unwrap();
+            if let Ok(cap) = client.malloc(4096) {
+                service.store_cap(stash, 0, &cap).unwrap();
+                client.free(cap).unwrap();
+            }
+        }
+    }
+    await_or_die(&service, "a pool worker restart", || {
+        service.stats().revoker_restarts > 0
+    });
+    assert!(service.fault_injector().fired(FaultPoint::RevokerDeath) > 0);
+    service.drain_all();
+    assert_eq!(service.global_quarantined(), 0);
+    for (tenant, stash) in stashes.iter().enumerate() {
+        assert_eq!(service.quarantined_bytes(tenant).unwrap(), 0);
+        assert!(!service.load_cap(stash, 0).unwrap().tag());
+    }
+    for (tenant, report) in service.audit_all().iter().enumerate() {
+        assert!(report.clean(), "tenant {tenant}: {report:?}");
+    }
+}
+
 /// Satellite (c): the fleet scheduler stays live under rotated
 /// `tenant_stall` / `scheduler_skip` fault plans — every plan variation
 /// must still drain every tenant's quarantine, with the budget bound

@@ -141,7 +141,7 @@ fn automatic_incremental_mode_is_safe_under_churn() {
     let mut live = Vec::new();
     for _ in 0..4000 {
         rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-        if rng % 3 == 0 && !live.is_empty() {
+        if rng.is_multiple_of(3) && !live.is_empty() {
             let cap = live.swap_remove((rng >> 33) as usize % live.len());
             if slot < 128 {
                 h.store_cap(&museum, slot * 16, &cap).unwrap();

@@ -43,9 +43,11 @@ mod tests {
 
     #[test]
     fn footprint_tracks_peaks() {
-        let mut s = AllocStats::default();
-        s.live_bytes = 100;
-        s.quarantined_bytes = 50;
+        let mut s = AllocStats {
+            live_bytes: 100,
+            quarantined_bytes: 50,
+            ..AllocStats::default()
+        };
         s.note_footprint();
         assert_eq!(s.peak_live_bytes, 100);
         assert_eq!(s.peak_footprint_bytes, 150);

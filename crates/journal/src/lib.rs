@@ -6,7 +6,7 @@
 //! allocator later reuses — exactly the temporal-safety violation
 //! CHERIvoke exists to prevent. This crate records each transition as an
 //! append-only, checksummed record so recovery
-//! ([`cherivoke::CherivokeHeap::recover`]) can deterministically classify
+//! (`cherivoke::CherivokeHeap::recover`) can deterministically classify
 //! the interrupted epoch and either roll it forward (sweeps are
 //! idempotent) or re-open a partially sealed quarantine.
 //!

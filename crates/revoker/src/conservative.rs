@@ -12,16 +12,16 @@
 //! * [`ConservativeImage`] — a memory image preprocessed exactly as §5.3
 //!   describes (non-pointer words zeroed).
 //! * [`ConsKernel`] — the fig. 7 tiers as engine
-//!   [`RevokeKernel`](crate::engine::RevokeKernel)s over such images:
+//!   [`RevokeKernel`]s over such images:
 //!   scalar, manually unrolled, and a genuine AVX2 implementation
 //!   (`std::arch`) used when the host supports it.
-//! * [`ImageSource`] — the [`CapSource`](crate::engine::CapSource)
+//! * [`ImageSource`] — the [`CapSource`]
 //!   adapter, so images sweep through the same
-//!   [`SweepEngine`](crate::engine::SweepEngine) as tagged memory.
+//!   [`SweepEngine`] as tagged memory.
 //! * [`sweep_scalar`] / [`sweep_unrolled`] / [`sweep_avx2`] — convenience
 //!   wrappers composing the above.
 //!
-//! Unlike the tag-exact kernels in [`crate::Sweeper`], conservative
+//! Unlike the tag-exact kernels of [`crate::SweepEngine`], conservative
 //! identification has **false positives**: integers that happen to look
 //! like heap addresses are treated as pointers (and, if they "point" into
 //! quarantined memory, zeroed). The paper accepts the same imprecision for
@@ -112,7 +112,7 @@ impl TagProbe for ConservativeImage {
     }
 }
 
-/// A [`CapSource`](crate::engine::CapSource) walking one conservative
+/// A [`CapSource`] walking one conservative
 /// image as a single region.
 pub struct ImageSource<'a>(&'a mut ConservativeImage);
 
@@ -439,7 +439,11 @@ mod tests {
         }
         let mut img = ConservativeImage::from_memory(&mem, HEAP, HEAP + LEN);
         let cons = sweep_avx2(&mut img, &shadow);
-        let exact = crate::Sweeper::new(crate::Kernel::Wide).sweep_segment(&mut mem, &shadow);
+        let exact = crate::SweepEngine::new(crate::Kernel::Wide).sweep(
+            crate::SegmentSource::new(&mut mem),
+            crate::NoFilter,
+            &shadow,
+        );
         assert_eq!(cons.revoked, exact.caps_revoked);
     }
 

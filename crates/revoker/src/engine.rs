@@ -570,7 +570,7 @@ fn walk_region<M, F, C>(
 }
 
 /// Sweeps the capability register file against `shadow` (§3.3's register
-/// roots). Shared by every engine and by [`crate::Sweeper`].
+/// roots). Shared by every engine.
 pub fn sweep_register_file(regs: &mut RegisterFile, shadow: &ShadowMap) -> SweepStats {
     let mut stats = SweepStats::default();
     for cap in regs.iter_mut() {
@@ -755,52 +755,6 @@ pub fn workers_from_env() -> usize {
     }
 }
 
-/// Validates a raw `CHERIVOKE_FAST_KERNEL` value. Returns whether the
-/// fast kernel is enabled plus a warning when the value was not
-/// recognised (unrecognised values keep the default: enabled).
-pub fn parse_fast_kernel(raw: &str) -> (bool, Option<String>) {
-    let v = raw.trim();
-    if v.is_empty()
-        || v.eq_ignore_ascii_case("1")
-        || v.eq_ignore_ascii_case("true")
-        || v.eq_ignore_ascii_case("on")
-    {
-        (true, None)
-    } else if v.eq_ignore_ascii_case("0")
-        || v.eq_ignore_ascii_case("false")
-        || v.eq_ignore_ascii_case("off")
-    {
-        (false, None)
-    } else {
-        (
-            true,
-            Some(format!(
-                "CHERIVOKE_FAST_KERNEL={v:?} is not recognised (expected 0/1/true/false/on/off); \
-                 keeping the fast kernel enabled"
-            )),
-        )
-    }
-}
-
-/// Whether the word-at-a-time fast sweep kernel is enabled, from the
-/// `CHERIVOKE_FAST_KERNEL` environment variable. **Default on**: unset,
-/// empty, `1`, `true` and `on` enable it; `0`, `false` and `off` fall
-/// back to [`Kernel::Wide`]. Unrecognised values warn once to stderr and
-/// keep the default.
-pub fn fast_kernel_from_env() -> bool {
-    match std::env::var("CHERIVOKE_FAST_KERNEL") {
-        Err(_) => true,
-        Ok(raw) => {
-            let (enabled, warning) = parse_fast_kernel(&raw);
-            if let Some(msg) = warning {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| eprintln!("warning: {msg}"));
-            }
-            enabled
-        }
-    }
-}
-
 /// Validates a raw `CHERIVOKE_KERNEL` value. Returns the kernel to use
 /// plus a warning when the value was not recognised (unrecognised values
 /// keep the default: [`Kernel::Fast`]).
@@ -830,39 +784,20 @@ pub fn parse_kernel(raw: &str) -> (Kernel, Option<String>) {
     }
 }
 
-/// The sweep kernel selected by the environment, unifying the kernel
-/// knobs behind one clamp+warn parse:
-///
-/// * `CHERIVOKE_KERNEL=reference|wide|simple|unrolled|fast|simd` picks a
-///   kernel by name and takes precedence; unrecognised values warn once
-///   to stderr and fall back to [`Kernel::Fast`] instead of panicking.
-/// * Otherwise the deprecated boolean `CHERIVOKE_FAST_KERNEL` is still
-///   honoured (with a one-time deprecation warning pointing at the new
-///   variable): enabled → [`Kernel::Fast`], disabled → [`Kernel::Wide`].
-/// * With neither set, the default is [`Kernel::Fast`].
+/// The sweep kernel selected by `CHERIVOKE_KERNEL`
+/// (`reference|wide|simple|unrolled|fast|simd`, see [`parse_kernel`]).
+/// Unset, the default is [`Kernel::Fast`]; unrecognised values warn once
+/// to stderr and fall back to [`Kernel::Fast`] instead of panicking.
 pub fn kernel_from_env() -> Kernel {
-    if let Ok(raw) = std::env::var("CHERIVOKE_KERNEL") {
-        let (kernel, warning) = parse_kernel(&raw);
-        if let Some(msg) = warning {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| eprintln!("warning: {msg}"));
-        }
-        return kernel;
+    let Ok(raw) = std::env::var("CHERIVOKE_KERNEL") else {
+        return Kernel::Fast;
+    };
+    let (kernel, warning) = parse_kernel(&raw);
+    if let Some(msg) = warning {
+        static WARNED: std::sync::Once = std::sync::Once::new();
+        WARNED.call_once(|| eprintln!("warning: {msg}"));
     }
-    if std::env::var("CHERIVOKE_FAST_KERNEL").is_ok() {
-        static DEPRECATED: std::sync::Once = std::sync::Once::new();
-        DEPRECATED.call_once(|| {
-            eprintln!(
-                "warning: CHERIVOKE_FAST_KERNEL is deprecated; \
-                 use CHERIVOKE_KERNEL=fast|wide (or reference|simple|unrolled|simd) instead"
-            )
-        });
-        if fast_kernel_from_env() {
-            return Kernel::Fast;
-        }
-        return Kernel::Wide;
-    }
-    Kernel::Fast
+    kernel
 }
 
 /// The parallel sweep engine (§3.5): plans the identical chunk list the
@@ -1517,19 +1452,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_fast_kernel_recognises_switches() {
-        for on in ["", "1", "true", "on", "TRUE", " 1 "] {
-            assert_eq!(parse_fast_kernel(on), (true, None), "{on:?}");
-        }
-        for off in ["0", "false", "off", "FALSE", " 0 "] {
-            assert_eq!(parse_fast_kernel(off), (false, None), "{off:?}");
-        }
-        let (enabled, warn) = parse_fast_kernel("banana");
-        assert!(enabled, "unrecognised values keep the default");
-        assert!(warn.unwrap().contains("not recognised"));
-    }
-
-    #[test]
     fn parse_kernel_recognises_names_and_clamps() {
         for (name, kernel) in [
             ("reference", Kernel::Wide),
@@ -1551,21 +1473,11 @@ mod tests {
 
     #[test]
     fn kernel_from_env_agrees_with_parse() {
-        // The variables may or may not be set by CI's matrix; either way
-        // kernel_from_env must agree with the pure parse functions.
+        // The variable may or may not be set by CI's matrix; either way
+        // kernel_from_env must agree with the pure parse function.
         match std::env::var("CHERIVOKE_KERNEL") {
             Ok(v) => assert_eq!(kernel_from_env(), parse_kernel(&v).0),
-            Err(_) => match std::env::var("CHERIVOKE_FAST_KERNEL") {
-                Ok(v) => {
-                    let expect = if parse_fast_kernel(&v).0 {
-                        Kernel::Fast
-                    } else {
-                        Kernel::Wide
-                    };
-                    assert_eq!(kernel_from_env(), expect);
-                }
-                Err(_) => assert_eq!(kernel_from_env(), Kernel::Fast),
-            },
+            Err(_) => assert_eq!(kernel_from_env(), Kernel::Fast),
         }
     }
 

@@ -15,17 +15,15 @@
 //!    **CLoadTags** skips capability-free cache lines (§3.4) — see
 //!    [`SweepPlan`] and [`timed`].
 //!
-//! Sweep kernels come in the same flavours the paper benchmarks in
-//! Figure 7 ([`Kernel::Simple`], [`Kernel::Unrolled`], [`Kernel::Wide`])
-//! plus a thread-parallel variant ([`Kernel::Parallel`]) exploiting the
-//! embarrassing parallelism of §3.5.
+//! Sweep kernels come in the flavours the paper benchmarks in Figure 7
+//! ([`Kernel::Simple`], [`Kernel::Unrolled`], [`Kernel::Wide`]) plus the
+//! word-at-a-time [`Kernel::Fast`] and vectorised [`Kernel::Simd`] tiers.
 //!
 //! All sweeping runs through the [`engine`] module's [`SweepEngine`]: a
 //! composition of a [`CapSource`] (what to walk), a [`GranuleFilter`]
 //! (what to skip), and a [`RevokeKernel`] (the inner loop).
 //! [`ParallelSweepEngine`] executes the identical plan across worker
-//! threads. [`Sweeper`] remains as a thin facade over the common
-//! compositions.
+//! threads, exploiting the embarrassing parallelism of §3.5.
 //!
 //! # Example
 //!
@@ -82,11 +80,11 @@ pub use backend::{
     HierarchicalBackend, RevocationBackend, StockBackend, MAX_QUARANTINE_BINS,
 };
 pub use engine::{
-    fast_kernel_from_env, kernel_from_env, line_spans, page_spans, parse_fast_kernel, parse_kernel,
-    parse_workers, sweep_register_file, workers_from_env, CLoadTagsLines, CapDirtyPages, CapSource,
-    DirtyPageList, DumpSource, EveryLine, FilterGranularity, GranuleFilter, IdealLines, NoCost,
-    NoFilter, ParallelSweepEngine, RangeSource, RegisterSource, RevokeKernel, SegmentSource,
-    SpaceSource, SweepCost, SweepEngine, SweepScratch, TagProbe, MAX_SWEEP_WORKERS,
+    kernel_from_env, line_spans, page_spans, parse_kernel, parse_workers, sweep_register_file,
+    workers_from_env, CLoadTagsLines, CapDirtyPages, CapSource, DirtyPageList, DumpSource,
+    EveryLine, FilterGranularity, GranuleFilter, IdealLines, NoCost, NoFilter, ParallelSweepEngine,
+    RangeSource, RegisterSource, RevokeKernel, SegmentSource, SpaceSource, SweepCost, SweepEngine,
+    SweepScratch, TagProbe, MAX_SWEEP_WORKERS,
 };
 /// Deterministic fault injection for chaos testing the sweep machinery
 /// (re-export of the `faultinject` crate; see its docs for plan syntax).
@@ -96,4 +94,4 @@ pub use plan::{poisoned_subspans, SkipMode, SweepPlan};
 pub use shadow::ShadowMap;
 #[doc(hidden)]
 pub use sweep::force_scalar_kernel;
-pub use sweep::{Kernel, SweepStats, Sweeper};
+pub use sweep::{Kernel, SweepStats};

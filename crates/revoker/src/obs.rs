@@ -261,9 +261,11 @@ mod tests {
     #[test]
     fn cost_freeness_composes() {
         use crate::engine::NoCost;
-        assert!(<NoCost as SweepCost>::IS_FREE);
-        assert!(<(NoCost, NoCost) as SweepCost>::IS_FREE);
-        assert!(!<TelemetryCost as SweepCost>::IS_FREE);
-        assert!(!<(NoCost, TelemetryCost) as SweepCost>::IS_FREE);
+        const {
+            assert!(<NoCost as SweepCost>::IS_FREE);
+            assert!(<(NoCost, NoCost) as SweepCost>::IS_FREE);
+            assert!(!<TelemetryCost as SweepCost>::IS_FREE);
+            assert!(!<(NoCost, TelemetryCost) as SweepCost>::IS_FREE);
+        }
     }
 }

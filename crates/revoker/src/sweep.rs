@@ -1,17 +1,14 @@
-//! Sweep kernels, stats, and the legacy [`Sweeper`] facade (§3.3, §6.2).
+//! Sweep kernels and stats (§3.3, §6.2).
 //!
 //! The walk logic lives in [`crate::engine`]; this module contributes the
-//! Figure 7 kernel tiers (the inner loops) and keeps [`Sweeper`] as a thin
-//! facade whose methods are one-line compositions over
-//! [`SweepEngine`](crate::engine::SweepEngine).
+//! Figure 7 kernel tiers (the inner loops) that
+//! [`SweepEngine`](crate::engine::SweepEngine) and
+//! [`ParallelSweepEngine`](crate::engine::ParallelSweepEngine) dispatch to.
 
 use cheri::CapWord;
-use tagmem::{AddressSpace, RegisterFile, TaggedMemory, GRANULE_SIZE};
+use tagmem::GRANULE_SIZE;
 
-use crate::engine::{
-    sweep_register_file, CLoadTagsLines, CapDirtyPages, NoFilter, RangeSource, SegmentSource,
-    SpaceSource, SweepCost, SweepEngine,
-};
+use crate::engine::SweepCost;
 use crate::ShadowMap;
 
 /// Which inner-loop implementation to use — the paper's Figure 7 compares
@@ -29,20 +26,13 @@ pub enum Kernel {
     /// the role AVX2 plays in the paper.
     #[default]
     Wide,
-    /// [`Kernel::Wide`] parallelised across scoped threads (§3.5:
-    /// sweeping is embarrassingly parallel; the shadow map is read-only).
-    Parallel {
-        /// Number of worker threads.
-        threads: usize,
-    },
     /// The word-at-a-time fast path: like [`Kernel::Wide`], but each
     /// capability is read as two 8-byte loads (no `u128` round trip), only
     /// its **base** is decoded (the partial 64-bit decode,
     /// [`cheri::CompressedBounds::decode_base_partial`]), and the decoded
     /// base is first tested against the whole 64-granule shadow word
     /// covering it — one `u64` compare rejects unpainted bases without a
-    /// bit extraction. Selected by default via `CHERIVOKE_FAST_KERNEL`
-    /// (see [`crate::fast_kernel_from_env`]).
+    /// bit extraction. The default kernel (see [`crate::kernel_from_env`]).
     Fast,
     /// The vectorised tier (the role AVX2 plays in the paper's Fig. 7
     /// hardware sweep): tag words are scanned four at a time with a
@@ -67,16 +57,15 @@ impl Kernel {
             Kernel::Simple => "simple",
             Kernel::Unrolled => "unrolled",
             Kernel::Wide => "wide",
-            Kernel::Parallel { .. } => "parallel",
             Kernel::Fast => "fast",
             Kernel::Simd => "simd",
         }
     }
 
-    /// The default sweep kernel honouring the environment: first
-    /// `CHERIVOKE_KERNEL=reference|wide|fast|simd`, then the deprecated
-    /// `CHERIVOKE_FAST_KERNEL` toggle, defaulting to [`Kernel::Fast`]
-    /// (see [`crate::kernel_from_env`] for the full clamp+warn semantics).
+    /// The default sweep kernel honouring
+    /// `CHERIVOKE_KERNEL=reference|wide|simple|unrolled|fast|simd`,
+    /// defaulting to [`Kernel::Fast`] (see [`crate::kernel_from_env`] for
+    /// the clamp+warn semantics).
     pub fn from_env() -> Kernel {
         crate::engine::kernel_from_env()
     }
@@ -143,94 +132,6 @@ impl core::ops::AddAssign for SweepStats {
     }
 }
 
-/// Executes revocation sweeps with a chosen [`Kernel`].
-///
-/// A thin facade over [`SweepEngine`]: each method is one fixed
-/// `source × filter` composition, kept for callers that don't need the
-/// engine's generality. See the crate-level example for typical use.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Sweeper {
-    kernel: Kernel,
-}
-
-impl Sweeper {
-    /// A sweeper using `kernel`.
-    pub fn new(kernel: Kernel) -> Sweeper {
-        Sweeper { kernel }
-    }
-
-    /// The configured kernel.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// Sweeps every sweepable segment and the register file: the full §3.3
-    /// root set.
-    pub fn sweep_space(&self, space: &mut AddressSpace, shadow: &ShadowMap) -> SweepStats {
-        let (source, _) = SpaceSource::split(space);
-        SweepEngine::new(self.kernel).sweep(source, NoFilter, shadow)
-    }
-
-    /// Sweeps with PTE CapDirty filtering (§3.4.2): clean pages are skipped
-    /// entirely, and pages found capability-free are re-cleaned (clearing
-    /// CapDirty false positives).
-    pub fn sweep_space_skipping(&self, space: &mut AddressSpace, shadow: &ShadowMap) -> SweepStats {
-        let (source, page_table) = SpaceSource::split(space);
-        SweepEngine::new(self.kernel).sweep(source, CapDirtyPages::new(page_table), shadow)
-    }
-
-    /// Sweeps with both hardware assists (§3.4): PTE CapDirty skips clean
-    /// pages, and within dirty pages `CLoadTags` skips capability-free
-    /// cache lines — "both coarse-grained and fine-grained optimisations
-    /// are necessary for optimal work reduction" (§6.3).
-    pub fn sweep_space_skipping_lines(
-        &self,
-        space: &mut AddressSpace,
-        shadow: &ShadowMap,
-    ) -> SweepStats {
-        let (source, page_table) = SpaceSource::split(space);
-        SweepEngine::new(self.kernel).sweep(
-            source,
-            (CapDirtyPages::new(page_table), CLoadTagsLines::new()),
-            shadow,
-        )
-    }
-
-    /// Sweeps one whole segment.
-    pub fn sweep_segment(&self, mem: &mut TaggedMemory, shadow: &ShadowMap) -> SweepStats {
-        SweepEngine::new(self.kernel).sweep(SegmentSource::new(mem), NoFilter, shadow)
-    }
-
-    /// Sweeps `[start, start + len)` of a segment (must be granule-aligned
-    /// and inside the segment).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is unaligned or outside the segment.
-    pub fn sweep_range(
-        &self,
-        mem: &mut TaggedMemory,
-        shadow: &ShadowMap,
-        start: u64,
-        len: u64,
-    ) -> SweepStats {
-        let mut stats = SweepEngine::new(self.kernel).sweep(
-            RangeSource::new(mem, start, len),
-            NoFilter,
-            shadow,
-        );
-        // Historical contract: a partial-range sweep reports no completed
-        // segments (callers tally segment completion themselves).
-        stats.segments_swept = 0;
-        stats
-    }
-
-    /// Sweeps the capability register file.
-    pub fn sweep_registers(regs: &mut RegisterFile, shadow: &ShadowMap) -> SweepStats {
-        sweep_register_file(regs, shadow)
-    }
-}
-
 /// Dispatches `kernel` over granules `[g0, g1)` of a data/tag slice pair.
 /// `base` is the address of granule 0 (for cost hooks). The engine's
 /// single entry point into the inner loops.
@@ -250,9 +151,6 @@ pub(crate) fn run_kernel<C: SweepCost>(
         Kernel::Simple => kernel_simple(data, tags, g0, g1, shadow, base, cost, stats),
         Kernel::Unrolled => kernel_unrolled(data, tags, g0, g1, shadow, base, cost, stats),
         Kernel::Wide => kernel_wide(data, tags, g0, g1, shadow, base, cost, stats),
-        Kernel::Parallel { threads } => {
-            kernel_parallel(data, tags, g0, g1, shadow, threads.max(1), stats)
-        }
         Kernel::Fast => kernel_fast(data, tags, g0, g1, shadow, base, cost, stats),
         Kernel::Simd => kernel_simd(data, tags, g0, g1, shadow, base, cost, stats),
     }
@@ -871,7 +769,7 @@ mod simd_avx2 {
                 x.wrapping_mul(0x2545_f491_4f6c_dd1d)
             };
             for round in 0..10_000 {
-                let mut lo = [next(), next(), next(), next()];
+                let lo = [next(), next(), next(), next()];
                 let mut hi = [next(), next(), next(), next()];
                 // Hit the exponent-clamp and shift>=64 edges explicitly.
                 if round % 7 == 0 {
@@ -1039,79 +937,15 @@ mod simd_neon {
     }
 }
 
-/// [`kernel_wide`] across threads: tag words and their 1 KiB data blocks
-/// are partitioned disjointly; the shadow map is shared read-only (§3.5).
-/// Workers charge no [`SweepCost`] (use a sequential kernel for timed
-/// sweeps).
-fn kernel_parallel(
-    data: &mut [u8],
-    tags: &mut [u64],
-    g0: usize,
-    g1: usize,
-    shadow: &ShadowMap,
-    threads: usize,
-    stats: &mut SweepStats,
-) {
-    // Partition on tag-word boundaries so each worker owns whole words.
-    let w0 = g0 / 64;
-    let w1 = g1.div_ceil(64);
-    let words = w1 - w0;
-    if words == 0 {
-        return;
-    }
-    let per = words.div_ceil(threads);
-
-    // Ragged segment edges are handled by clamping each worker's granule
-    // range to [g0, g1].
-    let mut remaining_data = &mut data[w0 * 64 * 16..];
-    let mut remaining_tags = &mut tags[w0..w1];
-    let mut jobs = Vec::new();
-    let mut w = w0;
-    while w < w1 {
-        let take = per.min(w1 - w);
-        let (td, rd) = remaining_data.split_at_mut((take * 64 * 16).min(remaining_data.len()));
-        let (tt, rt) = remaining_tags.split_at_mut(take);
-        remaining_data = rd;
-        remaining_tags = rt;
-        jobs.push((w, take, td, tt));
-        w += take;
-    }
-
-    let partials: Vec<SweepStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|(wstart, take, td, tt)| {
-                scope.spawn(move || {
-                    // Worker-local granule window, clamped to the request.
-                    let local_g0 = (wstart * 64).max(g0) - wstart * 64;
-                    let local_g1 = ((wstart + take) * 64).min(g1) - wstart * 64;
-                    let mut local = SweepStats::default();
-                    kernel_wide(
-                        td,
-                        tt,
-                        local_g0,
-                        local_g1,
-                        shadow,
-                        (wstart as u64) * 64 * GRANULE_SIZE,
-                        &mut crate::engine::NoCost,
-                        &mut local,
-                    );
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    *stats += SweepStats::merge_parallel(partials);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{
+        sweep_register_file, CapDirtyPages, NoFilter, ParallelSweepEngine, RangeSource,
+        SegmentSource, SpaceSource, SweepEngine,
+    };
     use cheri::Capability;
+    use tagmem::{AddressSpace, RegisterFile, TaggedMemory};
 
     const HEAP: u64 = 0x1000_0000;
     const LEN: u64 = 1 << 18;
@@ -1134,12 +968,25 @@ mod tests {
         (mem, shadow, expect)
     }
 
+    fn sweep_segment(kernel: Kernel, mem: &mut TaggedMemory, shadow: &ShadowMap) -> SweepStats {
+        SweepEngine::new(kernel).sweep(SegmentSource::new(mem), NoFilter, shadow)
+    }
+
+    fn sweep_range(
+        kernel: Kernel,
+        mem: &mut TaggedMemory,
+        shadow: &ShadowMap,
+        start: u64,
+        len: u64,
+    ) -> SweepStats {
+        SweepEngine::new(kernel).sweep(RangeSource::new(mem, start, len), NoFilter, shadow)
+    }
+
     fn all_kernels() -> Vec<Kernel> {
         vec![
             Kernel::Simple,
             Kernel::Unrolled,
             Kernel::Wide,
-            Kernel::Parallel { threads: 4 },
             Kernel::Fast,
             Kernel::Simd,
         ]
@@ -1150,7 +997,6 @@ mod tests {
         assert_eq!(Kernel::Simple.name(), "simple");
         assert_eq!(Kernel::Unrolled.name(), "unrolled");
         assert_eq!(Kernel::Wide.name(), "wide");
-        assert_eq!(Kernel::Parallel { threads: 4 }.name(), "parallel");
         assert_eq!(Kernel::Fast.name(), "fast");
         assert_eq!(Kernel::Simd.name(), "simd");
     }
@@ -1162,13 +1008,15 @@ mod tests {
         for (start_g, len_g) in [(0u64, 37u64), (3, 61), (5, 400), (64, 256), (70, 130)] {
             let (mut fast_mem, shadow, _) = scenario(300);
             let mut simd_mem = fast_mem.clone();
-            let fast = Sweeper::new(Kernel::Fast).sweep_range(
+            let fast = sweep_range(
+                Kernel::Fast,
                 &mut fast_mem,
                 &shadow,
                 HEAP + start_g * 16,
                 len_g * 16,
             );
-            let simd = Sweeper::new(Kernel::Simd).sweep_range(
+            let simd = sweep_range(
+                Kernel::Simd,
                 &mut simd_mem,
                 &shadow,
                 HEAP + start_g * 16,
@@ -1183,9 +1031,9 @@ mod tests {
     fn forced_scalar_simd_matches_vector_simd() {
         let (mut vec_mem, shadow, expect) = scenario(333);
         let mut scalar_mem = vec_mem.clone();
-        let vec_stats = Sweeper::new(Kernel::Simd).sweep_segment(&mut vec_mem, &shadow);
+        let vec_stats = sweep_segment(Kernel::Simd, &mut vec_mem, &shadow);
         force_scalar_kernel(true);
-        let scalar_stats = Sweeper::new(Kernel::Simd).sweep_segment(&mut scalar_mem, &shadow);
+        let scalar_stats = sweep_segment(Kernel::Simd, &mut scalar_mem, &shadow);
         force_scalar_kernel(false);
         assert_eq!(vec_stats, scalar_stats);
         assert_eq!(vec_stats.caps_revoked, expect);
@@ -1198,9 +1046,9 @@ mod tests {
         // path would: every tagged word inspected, none revoked.
         let (mut mem, _, _) = scenario(100);
         let empty = ShadowMap::new(HEAP, LEN);
-        let fast = Sweeper::new(Kernel::Fast).sweep_segment(&mut mem, &empty);
+        let fast = sweep_segment(Kernel::Fast, &mut mem, &empty);
         let (mut mem2, _, _) = scenario(100);
-        let wide = Sweeper::new(Kernel::Wide).sweep_segment(&mut mem2, &empty);
+        let wide = sweep_segment(Kernel::Wide, &mut mem2, &empty);
         assert_eq!(fast, wide);
         assert_eq!(fast.caps_inspected, 100);
         assert_eq!(fast.caps_revoked, 0);
@@ -1265,7 +1113,7 @@ mod tests {
     fn all_kernels_agree_on_revocations() {
         for kernel in all_kernels() {
             let (mut mem, shadow, expect) = scenario(100);
-            let stats = Sweeper::new(kernel).sweep_segment(&mut mem, &shadow);
+            let stats = sweep_segment(kernel, &mut mem, &shadow);
             assert_eq!(stats.caps_inspected, 100, "{kernel:?}");
             assert_eq!(stats.caps_revoked, expect, "{kernel:?}");
             assert_eq!(stats.bytes_swept, LEN);
@@ -1280,7 +1128,7 @@ mod tests {
     #[test]
     fn revoked_words_are_zeroed() {
         let (mut mem, shadow, _) = scenario(10);
-        Sweeper::new(Kernel::Wide).sweep_segment(&mut mem, &shadow);
+        sweep_segment(Kernel::Wide, &mut mem, &shadow);
         let (word, tag) = mem.read_cap_word(HEAP).unwrap();
         assert!(!tag);
         assert_eq!(
@@ -1299,7 +1147,7 @@ mod tests {
         let mut shadow = ShadowMap::new(HEAP, LEN);
         shadow.paint(HEAP + 0x40, 64);
         for kernel in all_kernels() {
-            let stats = Sweeper::new(kernel).sweep_segment(&mut mem, &shadow);
+            let stats = sweep_segment(kernel, &mut mem, &shadow);
             assert_eq!(stats.caps_inspected, 0);
             assert_eq!(stats.caps_revoked, 0);
         }
@@ -1318,7 +1166,7 @@ mod tests {
         mem.write_cap(HEAP, &wandered).unwrap();
         let mut shadow = ShadowMap::new(HEAP, LEN);
         shadow.paint(HEAP + 0x100, 64);
-        let stats = Sweeper::new(Kernel::Wide).sweep_segment(&mut mem, &shadow);
+        let stats = sweep_segment(Kernel::Wide, &mut mem, &shadow);
         assert_eq!(stats.caps_revoked, 1);
     }
 
@@ -1328,7 +1176,7 @@ mod tests {
         let obj = Capability::root_rw(HEAP + 0x100, 64);
         mem.write_cap(HEAP, &obj).unwrap();
         let shadow = ShadowMap::new(HEAP, LEN);
-        let stats = Sweeper::new(Kernel::Wide).sweep_segment(&mut mem, &shadow);
+        let stats = sweep_segment(Kernel::Wide, &mut mem, &shadow);
         assert_eq!(stats.caps_inspected, 1);
         assert_eq!(stats.caps_revoked, 0);
         assert!(mem.read_cap(HEAP).unwrap().tag());
@@ -1341,7 +1189,7 @@ mod tests {
         regs.set(1, Capability::root_rw(HEAP + 0x1000, 64));
         let mut shadow = ShadowMap::new(HEAP, LEN);
         shadow.paint(HEAP + 0x40, 64);
-        let stats = Sweeper::sweep_registers(&mut regs, &shadow);
+        let stats = sweep_register_file(&mut regs, &shadow);
         assert_eq!(stats.regs_revoked, 1);
         assert!(!regs.get(0).tag());
         assert!(regs.get(1).tag());
@@ -1363,7 +1211,8 @@ mod tests {
         space.registers_mut().set(5, obj);
         let mut shadow = ShadowMap::new(HEAP, 1 << 16);
         shadow.paint(HEAP + 0x40, 64);
-        let stats = Sweeper::new(Kernel::Wide).sweep_space(&mut space, &shadow);
+        let (source, _) = SpaceSource::split(&mut space);
+        let stats = SweepEngine::new(Kernel::Wide).sweep(source, NoFilter, &shadow);
         assert_eq!(stats.caps_revoked, 4);
         assert_eq!(stats.segments_swept, 3);
         assert_eq!(space.tag_count(), 0);
@@ -1382,7 +1231,9 @@ mod tests {
         space.store_u64(HEAP + 0x5000, 0).unwrap();
         let mut shadow = ShadowMap::new(HEAP, 1 << 16);
         shadow.paint(HEAP + 0x40, 64);
-        let stats = Sweeper::new(Kernel::Wide).sweep_space_skipping(&mut space, &shadow);
+        let (source, table) = SpaceSource::split(&mut space);
+        let stats =
+            SweepEngine::new(Kernel::Wide).sweep(source, CapDirtyPages::new(table), &shadow);
         assert_eq!(stats.caps_revoked, 1);
         assert_eq!(stats.pages_skipped, 14, "14 never-dirty pages skipped");
         // The false-positive page was re-cleaned.
@@ -1420,18 +1271,24 @@ mod tests {
             }
             let mut full = build();
             let mut skip = build();
-            let a = Sweeper::new(Kernel::Wide).sweep_space(&mut full, &shadow);
-            let b = Sweeper::new(Kernel::Wide).sweep_space_skipping(&mut skip, &shadow);
+            let engine = SweepEngine::new(Kernel::Wide);
+            let a = engine.sweep(SpaceSource::split(&mut full).0, NoFilter, &shadow);
+            let (source, table) = SpaceSource::split(&mut skip);
+            let b = engine.sweep(source, CapDirtyPages::new(table), &shadow);
             assert_eq!(a.caps_revoked, b.caps_revoked, "seed {seed}");
             assert_eq!(full.tag_count(), skip.tag_count(), "seed {seed}");
         }
     }
 
     #[test]
-    fn parallel_kernel_handles_odd_partitions() {
+    fn parallel_engine_handles_odd_partitions() {
         for threads in [1, 2, 3, 7, 16] {
             let (mut mem, shadow, expect) = scenario(333);
-            let stats = Sweeper::new(Kernel::Parallel { threads }).sweep_segment(&mut mem, &shadow);
+            let stats = ParallelSweepEngine::new(Kernel::Wide, threads).sweep(
+                SegmentSource::new(&mut mem),
+                NoFilter,
+                &shadow,
+            );
             assert_eq!(stats.caps_revoked, expect, "threads={threads}");
         }
     }
@@ -1441,7 +1298,7 @@ mod tests {
         let (mut mem, shadow, _) = scenario(100);
         // Sweep only the first 32 granules (two tag words): 16 caps live
         // there (i = 0..32 at 16-byte spacing → granules 0..32).
-        let stats = Sweeper::new(Kernel::Wide).sweep_range(&mut mem, &shadow, HEAP, 32 * 16);
+        let stats = sweep_range(Kernel::Wide, &mut mem, &shadow, HEAP, 32 * 16);
         assert_eq!(stats.caps_inspected, 32);
         // Capabilities outside the range are untouched even if dangling:
         // granule 40 holds a cap to a painted object (i=40 is even).
@@ -1453,8 +1310,9 @@ mod tests {
 #[cfg(test)]
 mod line_skip_tests {
     use super::*;
+    use crate::engine::{CLoadTagsLines, CapDirtyPages, NoFilter, SpaceSource, SweepEngine};
     use cheri::Capability;
-    use tagmem::SegmentKind;
+    use tagmem::{AddressSpace, SegmentKind};
 
     const HEAP: u64 = 0x1000_0000;
 
@@ -1472,12 +1330,25 @@ mod line_skip_tests {
         (space, shadow)
     }
 
+    /// Sweeps with both hardware assists (§3.4): PTE CapDirty skips clean
+    /// pages, and within dirty pages `CLoadTags` skips capability-free
+    /// cache lines.
+    fn sweep_skipping_lines(space: &mut AddressSpace, shadow: &ShadowMap) -> SweepStats {
+        let (source, table) = SpaceSource::split(space);
+        SweepEngine::new(Kernel::Wide).sweep(
+            source,
+            (CapDirtyPages::new(table), CLoadTagsLines::new()),
+            shadow,
+        )
+    }
+
     #[test]
     fn line_skipping_agrees_with_full_sweep() {
         let (mut a, shadow) = seeded_space();
         let (mut b, _) = seeded_space();
-        let full = Sweeper::new(Kernel::Wide).sweep_space(&mut a, &shadow);
-        let skip = Sweeper::new(Kernel::Wide).sweep_space_skipping_lines(&mut b, &shadow);
+        let full =
+            SweepEngine::new(Kernel::Wide).sweep(SpaceSource::split(&mut a).0, NoFilter, &shadow);
+        let skip = sweep_skipping_lines(&mut b, &shadow);
         assert_eq!(full.caps_revoked, skip.caps_revoked);
         assert_eq!(a.tag_count(), b.tag_count());
         assert_eq!(skip.caps_revoked, 2);
@@ -1486,7 +1357,7 @@ mod line_skip_tests {
     #[test]
     fn line_skipping_skips_both_granularities() {
         let (mut space, shadow) = seeded_space();
-        let stats = Sweeper::new(Kernel::Wide).sweep_space_skipping_lines(&mut space, &shadow);
+        let stats = sweep_skipping_lines(&mut space, &shadow);
         // 16 pages total, 2 dirty, 14 skipped at page level.
         assert_eq!(stats.pages_skipped, 14);
         // Dirty pages hold 2×32 = 64 lines; only 3 hold tags.
@@ -1504,7 +1375,7 @@ mod line_skip_tests {
         space.store_cap(HEAP + 0x2000, &cap).unwrap();
         space.store_u64(HEAP + 0x2000, 0).unwrap(); // tag gone, page still dirty
         let shadow = ShadowMap::new(HEAP, 1 << 16);
-        Sweeper::new(Kernel::Wide).sweep_space_skipping_lines(&mut space, &shadow);
+        sweep_skipping_lines(&mut space, &shadow);
         assert!(!space.page_table().is_cap_dirty(HEAP + 0x2000));
     }
 }

@@ -10,7 +10,7 @@
 //! *lose* to page skipping at high line density (§6.3).
 //!
 //! The timed path is the *same walk* as the functional path: it runs the
-//! [`SweepEngine`](crate::engine::SweepEngine) with a [`SweepCost`] hook
+//! [`SweepEngine`] with a [`SweepCost`] hook
 //! that charges each access to the machine, so the visitation order (and
 //! therefore the revocation set) cannot diverge from an untimed sweep by
 //! construction. Each [`TimedMode`] is just a different
@@ -301,7 +301,11 @@ mod tests {
         let mut dump2 = dump.clone();
         let mut total = crate::SweepStats::default();
         for img in dump2.segments_mut() {
-            total += crate::Sweeper::new(crate::Kernel::Wide).sweep_segment(&mut img.mem, &shadow);
+            total += crate::SweepEngine::new(crate::Kernel::Wide).sweep(
+                crate::SegmentSource::new(&mut img.mem),
+                crate::NoFilter,
+                &shadow,
+            );
         }
         assert_eq!(timed.caps_revoked, total.caps_revoked);
         assert_eq!(timed.caps_inspected, total.caps_inspected);

@@ -117,7 +117,7 @@ proptest! {
         prop_assert_eq!(vec_stats, wide_stats);
 
         force_scalar_kernel(true);
-        let outcome = (|| -> Result<(), proptest::test_runner::TestCaseError> {
+        let forced = || -> Result<(), proptest::test_runner::TestCaseError> {
             let (mut mem, shadow) = build(&plants, &paint);
             let stats = SweepEngine::new(Kernel::Simd)
                 .sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
@@ -153,7 +153,8 @@ proptest! {
                 prop_assert_eq!(stats, ref_stats);
             }
             Ok(())
-        })();
+        };
+        let outcome = forced();
         force_scalar_kernel(false);
         outcome?;
     }

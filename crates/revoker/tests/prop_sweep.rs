@@ -4,7 +4,9 @@
 
 use cheri::Capability;
 use proptest::prelude::*;
-use revoker::{Kernel, ShadowMap, Sweeper};
+use revoker::{
+    Kernel, NoFilter, ParallelSweepEngine, SegmentSource, ShadowMap, SweepEngine, SweepStats,
+};
 use tagmem::{TaggedMemory, GRANULE_SIZE};
 
 const HEAP: u64 = 0x1000_0000;
@@ -48,25 +50,38 @@ fn build(plants: &[PlantedCap], paint: &[u64]) -> (TaggedMemory, ShadowMap) {
     (mem, shadow)
 }
 
+/// One sequential whole-segment sweep with `kernel`.
+fn sweep(kernel: Kernel, mem: &mut TaggedMemory, shadow: &ShadowMap) -> SweepStats {
+    SweepEngine::new(kernel).sweep(SegmentSource::new(mem), NoFilter, shadow)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every kernel produces byte-identical post-sweep memory and identical
-    /// statistics.
+    /// Every kernel, and the parallel engine, produces byte-identical
+    /// post-sweep memory and identical statistics.
     #[test]
     fn kernels_are_equivalent(plants in planted(), paint in painted_granules()) {
         let kernels = [
             Kernel::Simple,
             Kernel::Unrolled,
             Kernel::Wide,
-            Kernel::Parallel { threads: 3 },
+            Kernel::Fast,
+            Kernel::Simd,
         ];
         let mut outcomes = Vec::new();
         for kernel in kernels {
             let (mut mem, shadow) = build(&plants, &paint);
-            let stats = Sweeper::new(kernel).sweep_segment(&mut mem, &shadow);
+            let stats = sweep(kernel, &mut mem, &shadow);
             outcomes.push((mem, stats.caps_inspected, stats.caps_revoked));
         }
+        let (mut mem, shadow) = build(&plants, &paint);
+        let stats = ParallelSweepEngine::new(Kernel::Wide, 3).sweep(
+            SegmentSource::new(&mut mem),
+            NoFilter,
+            &shadow,
+        );
+        outcomes.push((mem, stats.caps_inspected, stats.caps_revoked));
         for other in &outcomes[1..] {
             prop_assert_eq!(&outcomes[0].0, &other.0, "memory diverged");
             prop_assert_eq!(outcomes[0].1, other.1);
@@ -90,7 +105,7 @@ proptest! {
             .collect();
         let expect_revoked = ground_truth.iter().filter(|&&(_, dangling)| dangling).count();
 
-        let stats = Sweeper::new(Kernel::Wide).sweep_segment(&mut mem, &shadow);
+        let stats = sweep(Kernel::Wide, &mut mem, &shadow);
         prop_assert_eq!(stats.caps_revoked as usize, expect_revoked);
         prop_assert_eq!(stats.caps_inspected as usize, ground_truth.len());
         for (addr, dangling) in ground_truth {
@@ -108,9 +123,9 @@ proptest! {
     #[test]
     fn sweep_is_idempotent(plants in planted(), paint in painted_granules()) {
         let (mut mem, shadow) = build(&plants, &paint);
-        Sweeper::new(Kernel::Wide).sweep_segment(&mut mem, &shadow);
+        sweep(Kernel::Wide, &mut mem, &shadow);
         let snapshot = mem.clone();
-        let again = Sweeper::new(Kernel::Wide).sweep_segment(&mut mem, &shadow);
+        let again = sweep(Kernel::Wide, &mut mem, &shadow);
         prop_assert_eq!(again.caps_revoked, 0);
         prop_assert_eq!(mem, snapshot);
     }

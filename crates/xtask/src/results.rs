@@ -21,7 +21,6 @@ pub const DETERMINISTIC_RESULTS: &[&str] =
 /// developer's shell cannot skew the regenerated captures.
 const SCRUBBED_ENV: &[&str] = &[
     "CHERIVOKE_KERNEL",
-    "CHERIVOKE_FAST_KERNEL",
     "CHERIVOKE_SWEEP_WORKERS",
     "CHERIVOKE_FAULT_PLAN",
     "CHERIVOKE_BACKEND",

@@ -13,9 +13,9 @@
 //! table (stored in shard 0's memory) but allocates its sessions from its
 //! *own* pinned shard — so every routing-table entry is a **cross-shard**
 //! capability, the case §3.5's concurrent revocation has to get right. The
-//! background revoker and the service's foreign-sweep handshake revoke the
-//! stale pointer before its memory is ever reused, so the bug is a clean
-//! fault instead of a security hole.
+//! background worker and the peer sweeps every epoch runs across the
+//! shards revoke the stale pointer before its memory is ever reused, so
+//! the bug is a clean fault instead of a security hole.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -5,7 +5,7 @@
 
 use cherivoke::{CherivokeHeap, HeapConfig};
 use revoker::timed::{timed_sweep, TimedMode};
-use revoker::{Kernel, ShadowMap, SkipMode, SweepPlan, Sweeper};
+use revoker::{Kernel, NoFilter, SegmentSource, ShadowMap, SkipMode, SweepEngine, SweepPlan};
 use simcache::{Machine, MachineConfig};
 use tagmem::snapshot_io::{decode_dump, encode_dump};
 use workloads::trace_io::{decode_trace, encode_trace};
@@ -73,14 +73,18 @@ fn serialised_dumps_sweep_identically_to_live_memory() {
     // heap's own image.
     let mut live_img = dump.clone();
     let mut wire_img = restored;
-    let sweeper = Sweeper::new(Kernel::Wide);
+    let engine = SweepEngine::new(Kernel::Wide);
     let mut live_total = 0;
     let mut wire_total = 0;
     for img in live_img.segments_mut() {
-        live_total += sweeper.sweep_segment(&mut img.mem, &shadow).caps_revoked;
+        live_total += engine
+            .sweep(SegmentSource::new(&mut img.mem), NoFilter, &shadow)
+            .caps_revoked;
     }
     for img in wire_img.segments_mut() {
-        wire_total += sweeper.sweep_segment(&mut img.mem, &shadow).caps_revoked;
+        wire_total += engine
+            .sweep(SegmentSource::new(&mut img.mem), NoFilter, &shadow)
+            .caps_revoked;
     }
     assert_eq!(live_total, wire_total);
     assert!(live_total > 0, "scenario must have dangling captures");
