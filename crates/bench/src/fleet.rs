@@ -328,14 +328,15 @@ fn rel_spread_pct(samples: &[f64]) -> f64 {
     (max - min) / max * 100.0
 }
 
+/// The fleet p99 pause bar of [`fleet_fairness_verdict`], in µs (5 ms).
+const PAUSE_BOUND_US: f64 = 5_000.0;
+
 /// The fleet-fairness acceptance bar (ISSUE 8): across every fleet cell,
 /// (1) every tenant's quarantine stayed within its budget, (2) the fleet
-/// p99 pause stays within the default [`cherivoke::TenantPolicy`] pause
-/// bound, and (3) at skew ≥ 1 with ≥ 2 workers the stolen-slice counter
-/// is nonzero — the scheduler demonstrably redistributed sweep bandwidth
-/// toward the skew.
+/// p99 pause stays within 5 ms, and (3) at skew ≥ 1 with ≥ 2 workers the
+/// stolen-slice counter is nonzero — the scheduler demonstrably
+/// redistributed sweep bandwidth toward the skew.
 pub fn fleet_fairness_verdict(results: &[FleetResult]) -> Verdict {
-    let pause_bound_us = cherivoke::TenantPolicy::default().max_pause.as_nanos() as f64 / 1e3;
     let mut failures = Vec::new();
     let mut worst_fraction = 0.0f64;
     for r in results {
@@ -346,9 +347,9 @@ pub fn fleet_fairness_verdict(results: &[FleetResult]) -> Verdict {
                 r.id, r.metrics.max_budget_fraction
             ));
         }
-        if r.metrics.fleet_p99_pause_us > pause_bound_us {
+        if r.metrics.fleet_p99_pause_us > PAUSE_BOUND_US {
             failures.push(format!(
-                "{}: p99 pause {:.0}µs over the {pause_bound_us:.0}µs policy bound",
+                "{}: p99 pause {:.0}µs over the {PAUSE_BOUND_US:.0}µs bound",
                 r.id, r.metrics.fleet_p99_pause_us
             ));
         }
@@ -370,7 +371,7 @@ pub fn fleet_fairness_verdict(results: &[FleetResult]) -> Verdict {
         } else if pass {
             format!(
                 "{} cells: every tenant within budget (peak {:.2}x quota), p99 within \
-                 {pause_bound_us:.0}µs, stealing engaged at skew >= 1",
+                 {PAUSE_BOUND_US:.0}µs, stealing engaged at skew >= 1",
                 results.len(),
                 worst_fraction
             )

@@ -47,8 +47,8 @@
 //!   resurrect through tenant B's reuse (their bases never alias).
 //!
 //! * **Global sweep scheduler.** Sweep bandwidth is arbitrated by a
-//!   *debt* run queue: `debt = priority · (quarantine / heap size) /
-//!   target overhead` (the policy's quarantine fraction). Workers pull
+//!   *debt* run queue: `debt = (quarantine / heap size) / target
+//!   overhead` (the policy's quarantine fraction). Workers pull
 //!   the highest-debt tenant with `debt ≥ 1`; when nobody is due, a
 //!   round-robin cursor picks the next tenant with any quarantine at
 //!   all, so cold tenants still drain ([`FaultPoint::SchedulerSkip`]
@@ -82,10 +82,9 @@
 //! use cherivoke::fleet::{FleetConfig, HeapService};
 //!
 //! let service = HeapService::new(FleetConfig::with_tenants(4)).unwrap();
-//! let a = service.client(0).unwrap();
-//! let obj = a.malloc(64).unwrap();
-//! a.store_u64(&obj, 0, 7).unwrap();
-//! a.free(obj).unwrap();
+//! let obj = service.malloc(0, 64).unwrap();
+//! service.store_u64(&obj, 0, 7).unwrap();
+//! service.free(obj).unwrap();
 //! service.drain_all();
 //! assert_eq!(service.global_quarantined(), 0);
 //! ```
@@ -101,7 +100,6 @@ use std::time::{Duration, Instant};
 use cheri::Capability;
 use faultinject::{FaultInjector, FaultPoint};
 use journal::Journal;
-use revoker::SweepStats;
 use telemetry::{Counter, EventKind, HistogramSnapshot, LogHistogram, MetricsSnapshot, Registry};
 
 use crate::recovery::{journal_dir_from_env, warn_once, HeapImage, ImageChunkState};
@@ -125,29 +123,19 @@ pub const MIN_TENANT_QUOTA: u64 = 64 << 10;
 /// scheduler catches up.
 pub const THROTTLE_FRACTION: f64 = 0.75;
 
-/// Per-tenant scheduling and budget policy.
+/// Per-tenant budget policy, the same for every tenant of a fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantPolicy {
     /// Hard quarantine budget in bytes. Enforced synchronously: a free
     /// that would push quarantine past the quota drains the tenant
     /// first, so the bound holds at every operation boundary.
     pub quarantine_quota: u64,
-    /// Scheduling weight: debt is multiplied by this, so a priority-2
-    /// tenant is swept at half the relative quarantine of a priority-1
-    /// tenant. Zero clamps to 1.
-    pub priority: u32,
-    /// Declared per-slice pause bound. Caps the slice byte budget
-    /// (conservatively priced at 1 byte/ns) and is the bound the fleet
-    /// `p99` pause verdict gates against.
-    pub max_pause: Duration,
 }
 
 impl Default for TenantPolicy {
     fn default() -> TenantPolicy {
         TenantPolicy {
             quarantine_quota: 512 << 10,
-            priority: 1,
-            max_pause: Duration::from_millis(5),
         }
     }
 }
@@ -171,8 +159,7 @@ pub struct FleetConfig {
     /// the debt metric; kernel / `sweep_workers` / backend flow through
     /// to each tenant's sweep engine.
     pub policy: RevocationPolicy,
-    /// Default per-tenant policy (overridable per tenant via
-    /// [`HeapService::set_tenant_policy`]).
+    /// Per-tenant policy, applied to every tenant.
     pub tenant_policy: TenantPolicy,
     /// How long an idle worker parks before rescanning the run queue.
     pub scheduler_interval: Duration,
@@ -266,14 +253,6 @@ impl FleetConfig {
             warnings.push("tenant quarantine quota clamped to the tenant heap size".to_string());
             self.tenant_policy.quarantine_quota = self.tenant_heap_size;
         }
-        if self.tenant_policy.priority == 0 {
-            warnings.push("tenant priority 0 raised to 1".to_string());
-            self.tenant_policy.priority = 1;
-        }
-        if self.tenant_policy.max_pause.is_zero() {
-            warnings.push("tenant max pause 0 raised to 50µs".to_string());
-            self.tenant_policy.max_pause = Duration::from_micros(50);
-        }
         if self.scheduler_interval.is_zero() {
             warnings.push("fleet scheduler interval 0 raised to 50µs".to_string());
             self.scheduler_interval = Duration::from_micros(50);
@@ -306,6 +285,15 @@ fn fleet_heap_policy(config: &FleetConfig) -> (RevocationPolicy, u64) {
     heap_policy.sweep_on_oom = false;
     heap_policy.incremental_slice_bytes = Some(slice_bytes);
     (heap_policy, slice_bytes)
+}
+
+/// The debt metric, shared by the scheduler and crash recovery: how far
+/// past its target quarantine overhead (the policy's quarantine fraction)
+/// a member is, `(quarantined / heap size) / target`. `≥ 1.0` means due
+/// for a one-member domain. Validation keeps the target positive; an
+/// infinite one (no size trigger) gives every member zero debt.
+fn debt(quarantined: u64, heap_size: u64, target: f64) -> f64 {
+    (quarantined as f64 / heap_size as f64) / target
 }
 
 /// Member address-space layout: `(first_base, stride, rounded_size)`.
@@ -574,11 +562,6 @@ pub(crate) struct Member {
     /// The member's isolation domain: the index range of every member
     /// its capabilities may reach (itself included).
     domain: Range<usize>,
-    // Policy fields are atomics so `set_tenant_policy` never contends
-    // with the hot paths (quota/priority reads on every free/schedule).
-    quota: AtomicU64,
-    priority: AtomicU64,
-    max_pause_ns: AtomicU64,
     // Quarantine and live-byte hints maintained by every lock holder;
     // the scheduler and admission control read them lock-free.
     pub(crate) quarantined_hint: AtomicU64,
@@ -603,10 +586,6 @@ pub(crate) struct Member {
 }
 
 impl Member {
-    fn quota(&self) -> u64 {
-        self.quota.load(Ordering::Relaxed)
-    }
-
     fn has_peers(&self) -> bool {
         self.domain.len() > 1
     }
@@ -755,15 +734,6 @@ impl Core {
                 base,
                 size: rounded,
                 domain: if shape.one_domain { 0..n } else { i..i + 1 },
-                quota: AtomicU64::new(config.tenant_policy.quarantine_quota),
-                priority: AtomicU64::new(u64::from(config.tenant_policy.priority)),
-                max_pause_ns: AtomicU64::new(
-                    config
-                        .tenant_policy
-                        .max_pause
-                        .as_nanos()
-                        .min(u64::MAX as u128) as u64,
-                ),
                 quarantined_hint: AtomicU64::new(0),
                 live_hint: AtomicU64::new(0),
                 sweeping: AtomicBool::new(false),
@@ -855,6 +825,11 @@ impl Core {
         self.members
             .iter()
             .position(|m| base >= m.base && base < m.base + m.size)
+    }
+
+    /// Every member's quarantine bound.
+    fn quota(&self) -> u64 {
+        self.config.tenant_policy.quarantine_quota
     }
 
     fn now_ns(&self) -> u64 {
@@ -979,7 +954,7 @@ impl Core {
             .members
             .get(tenant)
             .ok_or(FleetError::NoSuchTenant { tenant })?;
-        let quota = m.quota();
+        let quota = self.quota();
         let quarantined = m.quarantined_hint.load(Ordering::Relaxed);
         if (quarantined as f64) >= THROTTLE_FRACTION * quota as f64 {
             m.throttled.fetch_add(1, Ordering::Relaxed);
@@ -1009,7 +984,7 @@ impl Core {
         if m.quarantined_hint
             .load(Ordering::Relaxed)
             .saturating_add(size)
-            > m.quota()
+            > self.quota()
         {
             self.note_emergency(i);
             self.drain(i);
@@ -1060,7 +1035,8 @@ impl Core {
     }
 
     /// Stores capability `value` through `cap`. A tagged `value` must
-    /// belong to the destination's isolation domain; it is checked
+    /// belong to the destination's isolation domain (one in no member at
+    /// all is [`HeapError::NotAnAllocation`]); it is checked
     /// against the domain barrier *after* the destination's lock is held
     /// — the ordering that makes peer sweeps sound.
     pub(crate) fn store_cap(
@@ -1074,12 +1050,12 @@ impl Core {
             .member_of(base)
             .ok_or(FleetError::Heap(HeapError::NotAnAllocation { base }))?;
         if value.tag() {
-            let from = self.member_of(value.base());
-            if !from.is_some_and(|f| self.members[to].domain.contains(&f)) {
-                return Err(FleetError::CrossTenantStore {
-                    from: from.unwrap_or(usize::MAX),
-                    to,
-                });
+            let base = value.base();
+            let from = self
+                .member_of(base)
+                .ok_or(FleetError::Heap(HeapError::NotAnAllocation { base }))?;
+            if !self.members[to].domain.contains(&from) {
+                return Err(FleetError::CrossTenantStore { from, to });
             }
         }
         self.with_member(cap, |h| h.store_cap(cap, offset, &self.filter(*value)))
@@ -1095,18 +1071,6 @@ impl Core {
 
     // --- Scheduling ------------------------------------------------------
 
-    /// The debt metric: how far past its target quarantine overhead the
-    /// member is, weighted by priority. `≥ 1.0` means due for a
-    /// one-member domain.
-    fn debt(&self, i: usize, quarantined: u64) -> f64 {
-        let m = &self.members[i];
-        let target = self.config.policy.quarantine.fraction;
-        if !target.is_finite() || target <= 0.0 {
-            return 0.0;
-        }
-        m.priority.load(Ordering::Relaxed) as f64 * (quarantined as f64 / m.size as f64) / target
-    }
-
     /// Whether member `i` wants an epoch. A one-member domain is due at
     /// debt 1. A member with peers pays a peer sweep per epoch, so it is
     /// due only once quarantine reaches the policy fraction of its live
@@ -1115,12 +1079,12 @@ impl Core {
     fn due(&self, i: usize) -> bool {
         let m = &self.members[i];
         let q = m.quarantined_hint.load(Ordering::Relaxed);
-        if !m.has_peers() {
-            return self.debt(i, q) >= 1.0;
-        }
         let p = self.config.policy.quarantine;
+        if !m.has_peers() {
+            return debt(q, m.size, p.fraction) >= 1.0;
+        }
         let live = m.live_hint.load(Ordering::Relaxed).max(1);
-        q >= p.min_bytes.max(1) && (q as f64 >= p.fraction * live as f64 || q >= m.quota() / 2)
+        q >= p.min_bytes.max(1) && (q as f64 >= p.fraction * live as f64 || q >= self.quota() / 2)
     }
 
     /// Claims member `i` for epoch execution (advisory flag steering the
@@ -1151,7 +1115,11 @@ impl Core {
             {
                 continue;
             }
-            let debt = self.debt(i, m.quarantined_hint.load(Ordering::Relaxed));
+            let debt = debt(
+                m.quarantined_hint.load(Ordering::Relaxed),
+                m.size,
+                self.config.policy.quarantine.fraction,
+            );
             if best.is_none_or(|(_, d)| debt > d) {
                 best = Some((i, debt));
             }
@@ -1293,27 +1261,11 @@ impl Core {
         self.lock(i).set_epoch_hold(false);
     }
 
-    /// Accounts one step of an epoch: its pause, if it swept anything or
-    /// retired the epoch (a step on an epoch held open for its peer
-    /// sweeps does neither), and the swept bytes of a retired epoch.
-    fn note_step(&self, t0: Instant, swept: bool, done: Option<&SweepStats>) {
-        if swept || done.is_some() {
-            self.pauses.record_duration(t0.elapsed());
-        }
-        if let Some(stats) = done {
-            self.bytes_swept
-                .fetch_add(stats.bytes_swept, Ordering::Relaxed);
-        }
-    }
-
-    /// Executes one epoch slice on member `i` (owner and thief share
-    /// this path). Slice size honours the member's declared pause bound,
-    /// conservatively priced at 1 byte per nanosecond.
-    fn sweep_slice(&self, i: usize) -> Slice {
+    /// Executes one step of member `i`'s epoch, sweeping at most `budget`
+    /// bytes: a `slice_bytes` slice for its owner and thieves, the whole
+    /// remaining worklist for a synchronous drain.
+    fn sweep_slice(&self, i: usize, budget: u64) -> Slice {
         let m = &self.members[i];
-        let budget = self
-            .slice_bytes
-            .min(m.max_pause_ns.load(Ordering::Relaxed).max(4 << 10));
         let t0 = Instant::now();
         let mut heap = self.lock(i);
         if !heap.revocation_active() {
@@ -1326,11 +1278,18 @@ impl Core {
             .store(heap.revocation_remaining_bytes(), Ordering::Relaxed);
         m.sync_hints(&heap, &self.global_quarantine);
         drop(heap);
-        self.note_step(t0, before > 0, done.as_ref());
-        if done.is_some() {
-            Slice::Done
-        } else {
-            Slice::Progress
+        // A pause is a step that swept something or retired the epoch; a
+        // step on an epoch held open for its peer sweeps does neither.
+        if before > 0 || done.is_some() {
+            self.pauses.record_duration(t0.elapsed());
+        }
+        match done {
+            Some(stats) => {
+                self.bytes_swept
+                    .fetch_add(stats.bytes_swept, Ordering::Relaxed);
+                Slice::Done
+            }
+            None => Slice::Progress,
         }
     }
 
@@ -1349,7 +1308,7 @@ impl Core {
                     std::thread::sleep(Duration::from_micros(500));
                 }
                 slot.heartbeat_ns.store(self.now_ns(), Ordering::Relaxed);
-                match self.sweep_slice(i) {
+                match self.sweep_slice(i, self.slice_bytes) {
                     Slice::Progress => std::thread::yield_now(),
                     Slice::Done | Slice::Inactive => break,
                 }
@@ -1363,25 +1322,10 @@ impl Core {
     /// it open for the peer sweeps); loops because a colored backend
     /// legitimately seals only part of the quarantine per epoch.
     pub(crate) fn drain(&self, i: usize) {
-        let m = &self.members[i];
         while self.open_epoch(i) {
-            loop {
-                let t0 = Instant::now();
-                let mut heap = self.lock(i);
-                if !heap.revocation_active() {
-                    break;
-                }
-                let before = heap.revocation_remaining_bytes();
-                let done = heap.revoke_step(u64::MAX);
-                m.sync_hints(&heap, &self.global_quarantine);
-                m.remaining_hint
-                    .store(heap.revocation_remaining_bytes(), Ordering::Relaxed);
-                drop(heap);
-                self.note_step(t0, before > 0, done.as_ref());
-                if done.is_some() {
-                    break;
-                }
-                // Held open by its owner's peer sweeps: let them finish.
+            // Progress without completion: the epoch is held open by its
+            // owner's peer sweeps; let them finish.
+            while let Slice::Progress = self.sweep_slice(i, u64::MAX) {
                 std::thread::yield_now();
             }
         }
@@ -1441,7 +1385,10 @@ impl Core {
             match self.next_task() {
                 Task::Run(i) => self.run_epoch(i, slot),
                 Task::Steal(i) => {
-                    if matches!(self.sweep_slice(i), Slice::Progress | Slice::Done) {
+                    if matches!(
+                        self.sweep_slice(i, self.slice_bytes),
+                        Slice::Progress | Slice::Done
+                    ) {
                         self.steals.add(1);
                     }
                 }
@@ -1563,7 +1510,7 @@ impl Core {
                 mallocs: m.mallocs.load(Ordering::Relaxed),
                 frees: m.frees.load(Ordering::Relaxed),
                 quarantined_bytes: m.quarantined_hint.load(Ordering::Relaxed),
-                quota: m.quota(),
+                quota: self.quota(),
                 epochs: m.epochs.load(Ordering::Relaxed),
                 throttled: m.throttled.load(Ordering::Relaxed),
             })
@@ -1694,15 +1641,16 @@ impl HeapService {
     /// Rebuilds a fleet after a crash. Each [`TenantCrashArtifact`] is
     /// replayed through [`CherivokeHeap::recover`] onto the extent the
     /// fleet layout assigns that tenant; tenants without artifacts start
-    /// fresh. Recovery runs in **debt-scheduler order** — the same
-    /// `priority × quarantine-fraction / target` key the epoch scheduler
-    /// uses, computed from the persisted images — so the tenants furthest
-    /// past their revocation target are made safe first. Every recovered
+    /// fresh. When several artifacts name one tenant, the last one wins.
+    /// Recovery runs in **debt-scheduler order** — the same
+    /// `quarantine-fraction / target` key the epoch scheduler uses,
+    /// computed from the persisted images — so the tenants furthest past
+    /// their revocation target are made safe first. Every recovered
     /// tenant's quarantine hint is synced before workers start, so
     /// admission throttling engages immediately.
     ///
     /// Returns the running service plus one [`TenantRecovery`] per
-    /// artifact (in recovery order). Callers should gate on
+    /// recovered tenant (in recovery order). Callers should gate on
     /// [`RecoveryReport::safe`] before admitting traffic.
     ///
     /// # Errors
@@ -1719,16 +1667,22 @@ impl HeapService {
         let (config, _) = config.validated()?;
         let (heap_policy, _) = fleet_heap_policy(&config);
         let (first_base, stride, rounded) = tenant_layout(&config);
-        // Debt key per artifact, from the persisted image's quarantine
-        // bytes. Priorities are uniform at construction (the config
-        // default), mirroring `Core::debt` on a fresh fleet.
-        let target = config.policy.quarantine.fraction;
-        let priority = f64::from(config.tenant_policy.priority.max(1));
-        let mut ordered = Vec::with_capacity(artifacts.len());
-        for art in artifacts {
+        // The last artifact per tenant, in input order.
+        let mut seen = vec![false; config.tenants];
+        let mut latest = Vec::with_capacity(artifacts.len());
+        for art in artifacts.into_iter().rev() {
             if art.tenant >= config.tenants {
                 return Err(RecoveryError::UnknownTenant { tenant: art.tenant });
             }
+            if !std::mem::replace(&mut seen[art.tenant], true) {
+                latest.push(art);
+            }
+        }
+        latest.reverse();
+        // Debt key per artifact, from the persisted image's quarantine
+        // bytes.
+        let mut ordered = Vec::with_capacity(latest.len());
+        for art in latest {
             let image = HeapImage::decode(&art.image)?;
             let quarantined: u64 = image
                 .chunks
@@ -1742,12 +1696,7 @@ impl HeapService {
                 })
                 .map(|c| c.size)
                 .sum();
-            let fraction = quarantined as f64 / rounded as f64;
-            let debt = if target.is_finite() && target > 0.0 {
-                priority * fraction / target
-            } else {
-                fraction
-            };
+            let debt = debt(quarantined, rounded, config.policy.quarantine.fraction);
             ordered.push((debt, art));
         }
         ordered.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
@@ -1813,53 +1762,6 @@ impl HeapService {
         self.core().members.len()
     }
 
-    /// A clonable client bound to `tenant`.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::NoSuchTenant`].
-    pub fn client(&self, tenant: usize) -> Result<FleetClient, FleetError> {
-        self.check(tenant)?;
-        Ok(FleetClient {
-            core: Arc::clone(&self.rt.core),
-            tenant,
-        })
-    }
-
-    /// Replaces `tenant`'s policy at runtime (quota, priority, pause
-    /// bound), validated with the same arms as [`FleetConfig::validated`]
-    /// minus the clamps — runtime changes are explicit, so inconsistent
-    /// values are rejected rather than repaired.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::NoSuchTenant`], or
-    /// [`HeapError::InvalidConfig`] (as [`FleetError::Heap`]) for a zero
-    /// quota, priority, or pause bound.
-    pub fn set_tenant_policy(&self, tenant: usize, policy: TenantPolicy) -> Result<(), FleetError> {
-        self.check(tenant)?;
-        if policy.quarantine_quota == 0 {
-            return Err(
-                HeapError::InvalidConfig("tenant quarantine quota must be positive").into(),
-            );
-        }
-        if policy.priority == 0 {
-            return Err(HeapError::InvalidConfig("tenant priority must be positive").into());
-        }
-        if policy.max_pause.is_zero() {
-            return Err(HeapError::InvalidConfig("tenant max pause must be positive").into());
-        }
-        let m = &self.core().members[tenant];
-        m.quota.store(policy.quarantine_quota, Ordering::Relaxed);
-        m.priority
-            .store(u64::from(policy.priority), Ordering::Relaxed);
-        m.max_pause_ns.store(
-            policy.max_pause.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-        Ok(())
-    }
-
     /// Allocates `size` bytes from `tenant`'s heap.
     ///
     /// # Errors
@@ -1919,7 +1821,9 @@ impl HeapService {
     ///
     /// # Errors
     ///
-    /// [`FleetError::CrossTenantStore`], or as
+    /// [`FleetError::CrossTenantStore`];
+    /// [`HeapError::NotAnAllocation`] (as [`FleetError::Heap`]) when
+    /// `cap`, or a tagged `value`, points into no tenant; otherwise as
     /// [`CherivokeHeap::store_cap`].
     pub fn store_cap(
         &self,
@@ -2000,67 +1904,6 @@ impl HeapService {
     }
 }
 
-/// A clonable handle bound to one tenant — what a tenant's threads hold.
-#[derive(Clone)]
-pub struct FleetClient {
-    core: Arc<Core>,
-    tenant: usize,
-}
-
-impl FleetClient {
-    /// The tenant this client allocates from.
-    pub fn tenant(&self) -> usize {
-        self.tenant
-    }
-
-    /// Allocates from this tenant.
-    ///
-    /// # Errors
-    ///
-    /// As [`HeapService::malloc`].
-    pub fn malloc(&self, size: u64) -> Result<Capability, FleetError> {
-        self.core.fleet_malloc(self.tenant, size)
-    }
-
-    /// Frees `cap` (any tenant's — routing is by address).
-    ///
-    /// # Errors
-    ///
-    /// As [`HeapService::free`].
-    pub fn free(&self, cap: Capability) -> Result<(), FleetError> {
-        Ok(self.core.free(cap)?)
-    }
-
-    /// Loads a `u64` through `cap`.
-    ///
-    /// # Errors
-    ///
-    /// As [`HeapService::load_u64`].
-    pub fn load_u64(&self, cap: &Capability, offset: u64) -> Result<u64, FleetError> {
-        Ok(self.core.with_member(cap, |h| h.load_u64(cap, offset))?)
-    }
-
-    /// Stores a `u64` through `cap`.
-    ///
-    /// # Errors
-    ///
-    /// As [`HeapService::store_u64`].
-    pub fn store_u64(&self, cap: &Capability, offset: u64, value: u64) -> Result<(), FleetError> {
-        Ok(self
-            .core
-            .with_member(cap, |h| h.store_u64(cap, offset, value))?)
-    }
-
-    /// Loads a capability through `cap`.
-    ///
-    /// # Errors
-    ///
-    /// As [`HeapService::load_cap`].
-    pub fn load_cap(&self, cap: &Capability, offset: u64) -> Result<Capability, FleetError> {
-        Ok(self.core.load_cap(cap, offset)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2123,17 +1966,14 @@ mod tests {
             scheduler_interval: Duration::ZERO,
             ..FleetConfig::default()
         };
-        c.tenant_policy.priority = 0;
-        c.tenant_policy.max_pause = Duration::ZERO;
         c.tenant_policy.quarantine_quota = 1;
         let (v, warnings) = c.validated().unwrap();
         assert_eq!(v.tenants, 1);
         assert_eq!(v.workers, 1);
-        assert_eq!(v.tenant_policy.priority, 1);
         assert_eq!(v.tenant_policy.quarantine_quota, MIN_TENANT_QUOTA);
         assert_eq!(v.tenant_heap_size, 64 << 10);
         assert!(!v.scheduler_interval.is_zero());
-        assert!(warnings.len() >= 6, "{warnings:?}");
+        assert!(warnings.len() >= 5, "{warnings:?}");
     }
 
     #[test]
@@ -2195,11 +2035,9 @@ mod tests {
     #[test]
     fn malloc_free_and_cross_tenant_isolation() {
         let service = HeapService::with_faults(small_config(2), FaultInjector::disabled()).unwrap();
-        let a = service.client(0).unwrap();
-        let b = service.client(1).unwrap();
-        let slot_a = a.malloc(64).unwrap();
-        let obj_a = a.malloc(64).unwrap();
-        let slot_b = b.malloc(64).unwrap();
+        let slot_a = service.malloc(0, 64).unwrap();
+        let obj_a = service.malloc(0, 64).unwrap();
+        let slot_b = service.malloc(1, 64).unwrap();
         // Same-tenant capability stores work…
         service.store_cap(&slot_a, 0, &obj_a).unwrap();
         assert_eq!(service.load_cap(&slot_a, 0).unwrap().base(), obj_a.base());
@@ -2223,33 +2061,8 @@ mod tests {
             service.malloc(9, 64).unwrap_err(),
             FleetError::NoSuchTenant { tenant: 9 }
         );
-        assert!(service.client(9).is_err());
         assert!(service.drain_tenant(9).is_err());
         assert!(service.quarantined_bytes(9).is_err());
-    }
-
-    #[test]
-    fn set_tenant_policy_validates() {
-        let service = HeapService::with_faults(small_config(1), FaultInjector::disabled()).unwrap();
-        let ok = TenantPolicy::default();
-        service.set_tenant_policy(0, ok).unwrap();
-        for bad in [
-            TenantPolicy {
-                quarantine_quota: 0,
-                ..ok
-            },
-            TenantPolicy { priority: 0, ..ok },
-            TenantPolicy {
-                max_pause: Duration::ZERO,
-                ..ok
-            },
-        ] {
-            assert!(matches!(
-                service.set_tenant_policy(0, bad),
-                Err(FleetError::Heap(HeapError::InvalidConfig(_)))
-            ));
-        }
-        assert!(service.set_tenant_policy(5, ok).is_err());
     }
 
     /// Soft-crashes a standalone heap on the extent the fleet layout
@@ -2362,6 +2175,24 @@ mod tests {
     }
 
     #[test]
+    fn recover_keeps_the_last_of_duplicate_artifacts() {
+        let config = small_config(1);
+        // The heavier after-seal artifact comes second, so it wins even
+        // though the lighter mid-sweep one would recover first by debt.
+        let light = crash_artifact(config, 0, FaultPoint::CrashMidSweep, 16 << 10);
+        let heavy = crash_artifact(config, 0, FaultPoint::CrashAfterSeal, 128 << 10);
+        let (_service, reports) =
+            HeapService::recover(config, FaultInjector::disabled(), None, vec![light, heavy])
+                .unwrap();
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        assert!(
+            matches!(reports[0].report.action, crate::RecoveryAction::ReopenSeal),
+            "{reports:?}"
+        );
+        assert!(reports[0].report.safe());
+    }
+
+    #[test]
     fn recover_rejects_unknown_tenants() {
         let config = small_config(2);
         let art = crash_artifact(config, 0, FaultPoint::CrashAfterPaint, 16 << 10);
@@ -2397,6 +2228,7 @@ mod tests {
         // Park the worker pool: nothing drains behind the test's back,
         // so the throttle observation is deterministic.
         config.scheduler_interval = Duration::from_secs(30);
+        config.tenant_policy.quarantine_quota = MIN_TENANT_QUOTA;
         // A mid-sweep crash rolls forward, so the recovered tenant comes
         // back with an empty quarantine and the (single, parked) worker
         // idles immediately — nothing drains behind the test's back.
@@ -2408,15 +2240,6 @@ mod tests {
             crate::RecoveryAction::RollForward { .. }
         ));
         assert!(reports[0].report.safe());
-        service
-            .set_tenant_policy(
-                0,
-                TenantPolicy {
-                    quarantine_quota: MIN_TENANT_QUOTA,
-                    ..TenantPolicy::default()
-                },
-            )
-            .unwrap();
         // Push the recovered tenant past THROTTLE_FRACTION of the tight
         // quota. Frees in this band never reach debt 1.0, so the parked
         // scheduler is not kicked; admission reads the hint the frees

@@ -66,8 +66,8 @@ mod stats;
 
 pub use error::HeapError;
 pub use fleet::{
-    FleetClient, FleetConfig, FleetError, FleetStats, HeapService, TenantCrashArtifact,
-    TenantPolicy, TenantRecovery,
+    FleetConfig, FleetError, FleetStats, HeapService, TenantCrashArtifact, TenantPolicy,
+    TenantRecovery,
 };
 pub use heap::{CherivokeHeap, HeapConfig};
 pub use model::OverheadModel;

@@ -22,8 +22,10 @@
 //! size)`. Every capability the service hands out is bounded inside
 //! exactly one shard, so `free`, loads and stores route by the
 //! capability's *base address* with no shared state on the hot path.
+//! Every per-capability operation goes through a [`HeapClient`]:
 //! [`ConcurrentHeap::handle`] pins each client to a shard round-robin, so
-//! `threads ≤ shards` keeps allocation entirely uncontended.
+//! `threads ≤ shards` keeps allocation entirely uncontended, and
+//! [`ConcurrentHeap::handle_on`] pins one to a chosen shard.
 //!
 //! # Peer sweeps
 //!
@@ -31,10 +33,10 @@
 //! and shard A's own sweep never visits shard B. Because the shards form
 //! one domain, every epoch on shard A first publishes A's painted ranges
 //! to the domain barrier (filtering every capability moved through
-//! [`ConcurrentHeap::load_cap`] / `store_cap` after the destination
-//! shard's lock is acquired), sweeps every other shard's root set against
-//! A's shadow map ([`CherivokeHeap::sweep_foreign`]), and only then lets
-//! the epoch drain. The epoch is held open
+//! [`HeapClient::load_cap`] / [`HeapClient::store_cap`] after the
+//! destination shard's lock is acquired), sweeps every other shard's root
+//! set against A's shadow map ([`CherivokeHeap::sweep_foreign`]), and only
+//! then lets the epoch drain. The epoch is held open
 //! ([`CherivokeHeap::set_epoch_hold`]) until the peer sweeps finish, so
 //! mutators pumping the epoch from their own `malloc`/`free` make
 //! progress on the sweep but cannot race the drain past them.
@@ -67,7 +69,7 @@ use std::time::Duration;
 
 use cheri::Capability;
 use faultinject::FaultInjector;
-use telemetry::{MetricsSnapshot, PeriodicExporter, Registry};
+use telemetry::{MetricsSnapshot, Registry};
 
 use crate::fleet::{Core, FleetConfig, FleetError, Runtime, Shape, TenantPolicy};
 use crate::recovery::journal_dir_from_env;
@@ -124,14 +126,6 @@ impl ServiceConfig {
         ServiceConfig {
             shard_heap_size: 1 << 20,
             revoker_interval: Duration::from_micros(200),
-            ..ServiceConfig::default()
-        }
-    }
-
-    /// Same, with an explicit shard count.
-    pub fn with_shards(shards: usize) -> ServiceConfig {
-        ServiceConfig {
-            shards,
             ..ServiceConfig::default()
         }
     }
@@ -195,7 +189,6 @@ impl ServiceConfig {
             policy: self.policy,
             tenant_policy: TenantPolicy {
                 quarantine_quota: bound,
-                ..TenantPolicy::default()
             },
             scheduler_interval: self.revoker_interval,
             telemetry: self.telemetry,
@@ -284,7 +277,21 @@ impl ConcurrentHeap {
         &self.rt.core
     }
 
-    fn client(&self, shard: usize) -> HeapClient {
+    /// A client pinned (round-robin) to one shard for allocation. Clients
+    /// are cheap, `Send`, and independent — give each thread its own.
+    pub fn handle(&self) -> HeapClient {
+        self.handle_on(self.next_handle.fetch_add(1, Ordering::Relaxed) % self.shards())
+    }
+
+    /// A client pinned to a specific shard (tests placing objects on
+    /// chosen shards, and benchmarks pinning multiple clients to one shard
+    /// to measure lock contention; normal callers use the round-robin
+    /// [`ConcurrentHeap::handle`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn handle_on(&self, shard: usize) -> HeapClient {
         assert!(shard < self.shards(), "shard out of range");
         HeapClient {
             core: Arc::clone(&self.rt.core),
@@ -292,99 +299,9 @@ impl ConcurrentHeap {
         }
     }
 
-    /// A client pinned (round-robin) to one shard for allocation. Clients
-    /// are cheap, `Send`, and independent — give each thread its own.
-    pub fn handle(&self) -> HeapClient {
-        self.client(self.next_handle.fetch_add(1, Ordering::Relaxed) % self.shards())
-    }
-
-    /// A client pinned to a specific shard (benchmarks pinning multiple
-    /// clients to one shard to measure lock contention; normal callers use
-    /// the round-robin [`ConcurrentHeap::handle`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn handle_on(&self, shard: usize) -> HeapClient {
-        self.client(shard)
-    }
-
     /// The number of shards.
     pub fn shards(&self) -> usize {
         self.core().members.len()
-    }
-
-    /// Allocates from a specific shard (tests and benchmarks; normal
-    /// clients use [`ConcurrentHeap::handle`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`CherivokeHeap::malloc`]; on out-of-memory the service first
-    /// drains every shard's quarantine if policy allows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn malloc_on(&self, shard: usize, size: u64) -> Result<Capability, HeapError> {
-        assert!(shard < self.shards(), "shard out of range");
-        self.core().malloc(shard, size)
-    }
-
-    /// Frees `cap`, routing to the owning shard by address.
-    ///
-    /// # Errors
-    ///
-    /// As [`CherivokeHeap::free`]; [`HeapError::NotAnAllocation`] if the
-    /// capability does not point into any shard.
-    pub fn free(&self, cap: Capability) -> Result<(), HeapError> {
-        self.core().free(cap)
-    }
-
-    /// Loads a `u64` through `cap` (routed by the capability's base).
-    ///
-    /// # Errors
-    ///
-    /// As [`CherivokeHeap::load_u64`].
-    pub fn load_u64(&self, cap: &Capability, offset: u64) -> Result<u64, HeapError> {
-        self.core().with_member(cap, |h| h.load_u64(cap, offset))
-    }
-
-    /// Stores a `u64` through `cap`.
-    ///
-    /// # Errors
-    ///
-    /// As [`CherivokeHeap::store_u64`].
-    pub fn store_u64(&self, cap: &Capability, offset: u64, value: u64) -> Result<(), HeapError> {
-        self.core()
-            .with_member(cap, |h| h.store_u64(cap, offset, value))
-    }
-
-    /// Loads a capability through `cap`, applying both the shard's epoch
-    /// barrier and the domain barrier.
-    ///
-    /// # Errors
-    ///
-    /// As [`CherivokeHeap::load_cap`].
-    pub fn load_cap(&self, cap: &Capability, offset: u64) -> Result<Capability, HeapError> {
-        self.core().load_cap(cap, offset)
-    }
-
-    /// Stores capability `value` through `cap`. The value is checked
-    /// against the domain barrier *after* the destination shard's lock is
-    /// held — the ordering that makes cross-shard quarantine drains sound
-    /// (see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// As [`CherivokeHeap::store_cap`]; a tagged `value` pointing outside
-    /// every shard is refused as [`HeapError::NotAnAllocation`].
-    pub fn store_cap(
-        &self,
-        cap: &Capability,
-        offset: u64,
-        value: &Capability,
-    ) -> Result<(), HeapError> {
-        store_cap(self.core(), cap, offset, value)
     }
 
     /// Runs a full, synchronous, cross-shard revocation: seals and paints
@@ -493,30 +410,6 @@ impl ConcurrentHeap {
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.core().registry.snapshot()
     }
-
-    /// Spawns a background thread calling `emit` with a fresh snapshot
-    /// every `interval` (and once more on shutdown). Drop the returned
-    /// [`PeriodicExporter`] to stop it.
-    pub fn spawn_exporter<F>(&self, interval: Duration, emit: F) -> PeriodicExporter
-    where
-        F: FnMut(MetricsSnapshot) + Send + 'static,
-    {
-        PeriodicExporter::spawn(self.core().registry.clone(), interval, emit)
-    }
-}
-
-/// The service's `store_cap`: the shards share one domain, so the only
-/// refused store is of a tagged capability into no shard at all.
-fn store_cap(
-    core: &Core,
-    cap: &Capability,
-    offset: u64,
-    value: &Capability,
-) -> Result<(), HeapError> {
-    core.store_cap(cap, offset, value).map_err(|e| match e {
-        FleetError::Heap(e) => e,
-        _ => HeapError::NotAnAllocation { base: value.base() },
-    })
 }
 
 /// A per-thread client of a [`ConcurrentHeap`], pinned to one shard for
@@ -538,16 +431,19 @@ impl HeapClient {
     ///
     /// # Errors
     ///
-    /// As [`ConcurrentHeap::malloc_on`].
+    /// As [`CherivokeHeap::malloc`]; on out-of-memory the service first
+    /// drains every shard's quarantine if policy allows.
     pub fn malloc(&self, size: u64) -> Result<Capability, HeapError> {
         self.core.malloc(self.shard, size)
     }
 
-    /// Frees `cap` (any shard's).
+    /// Frees `cap`, routing to the owning shard by address (any shard's,
+    /// not only the pinned one).
     ///
     /// # Errors
     ///
-    /// As [`ConcurrentHeap::free`].
+    /// As [`CherivokeHeap::free`]; [`HeapError::NotAnAllocation`] if the
+    /// capability does not point into any shard.
     pub fn free(&self, cap: Capability) -> Result<(), HeapError> {
         self.core.free(cap)
     }
@@ -571,7 +467,8 @@ impl HeapClient {
             .with_member(cap, |h| h.store_u64(cap, offset, value))
     }
 
-    /// Loads a capability through `cap` (barrier-filtered).
+    /// Loads a capability through `cap`, applying both the shard's epoch
+    /// barrier and the domain barrier.
     ///
     /// # Errors
     ///
@@ -580,18 +477,28 @@ impl HeapClient {
         self.core.load_cap(cap, offset)
     }
 
-    /// Stores capability `value` through `cap` (barrier-filtered).
+    /// Stores capability `value` through `cap`. The value is checked
+    /// against the domain barrier *after* the destination shard's lock is
+    /// held — the ordering that makes cross-shard quarantine drains sound
+    /// (see the module docs).
     ///
     /// # Errors
     ///
-    /// As [`ConcurrentHeap::store_cap`].
+    /// As [`CherivokeHeap::store_cap`]; a tagged `value` pointing outside
+    /// every shard is refused as [`HeapError::NotAnAllocation`].
     pub fn store_cap(
         &self,
         cap: &Capability,
         offset: u64,
         value: &Capability,
     ) -> Result<(), HeapError> {
-        store_cap(&self.core, cap, offset, value)
+        self.core
+            .store_cap(cap, offset, value)
+            .map_err(|e| match e {
+                FleetError::Heap(e) => e,
+                // The shards share one domain: no store crosses domains.
+                e => unreachable!("{e}"),
+            })
     }
 }
 
@@ -617,6 +524,7 @@ mod tests {
             Some(&dir),
         )
         .unwrap();
+        let client = heap.handle_on(0);
         for i in 0..heap.shards() {
             assert!(
                 heap.core().lock(i).journal_active(),
@@ -625,8 +533,8 @@ mod tests {
             assert!(dir.join(format!("shard-{i}.cvj")).exists());
         }
         // Journaled shards still run full epochs end to end.
-        let a = heap.malloc_on(0, 256).unwrap();
-        heap.free(a).unwrap();
+        let a = client.malloc(256).unwrap();
+        client.free(a).unwrap();
         heap.revoke_all_now();
         assert_eq!(heap.quarantined_bytes(), 0);
         drop(heap);
@@ -644,8 +552,9 @@ mod tests {
     #[test]
     fn shards_own_disjoint_address_ranges() {
         let heap = service();
+        let client = heap.handle_on(0);
         let caps: Vec<_> = (0..heap.shards())
-            .map(|i| heap.malloc_on(i, 64).unwrap())
+            .map(|i| heap.handle_on(i).malloc(64).unwrap())
             .collect();
         for (i, a) in caps.iter().enumerate() {
             for b in &caps[i + 1..] {
@@ -654,7 +563,7 @@ mod tests {
         }
         // Every cap frees back through address routing.
         for c in caps {
-            heap.free(c).unwrap();
+            client.free(c).unwrap();
         }
     }
 
@@ -670,14 +579,15 @@ mod tests {
     #[test]
     fn cross_shard_stash_is_revoked() {
         let heap = service();
+        let client = heap.handle_on(0);
         // Victim on shard 0, stash slot on shard 1.
-        let victim = heap.malloc_on(0, 64).unwrap();
-        let stash = heap.malloc_on(1, 16).unwrap();
-        heap.store_u64(&victim, 0, 0xfeed).unwrap();
-        heap.store_cap(&stash, 0, &victim).unwrap();
-        heap.free(victim).unwrap();
+        let victim = client.malloc(64).unwrap();
+        let stash = heap.handle_on(1).malloc(16).unwrap();
+        client.store_u64(&victim, 0, 0xfeed).unwrap();
+        client.store_cap(&stash, 0, &victim).unwrap();
+        client.free(victim).unwrap();
         heap.revoke_all_now();
-        let dangling = heap.load_cap(&stash, 0).unwrap();
+        let dangling = client.load_cap(&stash, 0).unwrap();
         assert!(!dangling.tag(), "cross-shard copy survived revocation");
         assert_eq!(heap.quarantined_bytes(), 0, "quarantine drained");
     }
@@ -685,43 +595,46 @@ mod tests {
     #[test]
     fn same_shard_uaf_still_caught() {
         let heap = service();
-        let victim = heap.malloc_on(2, 64).unwrap();
-        let stash = heap.malloc_on(2, 16).unwrap();
-        heap.store_cap(&stash, 0, &victim).unwrap();
-        heap.free(victim).unwrap();
+        let client = heap.handle_on(0);
+        let victim = heap.handle_on(2).malloc(64).unwrap();
+        let stash = heap.handle_on(2).malloc(16).unwrap();
+        client.store_cap(&stash, 0, &victim).unwrap();
+        client.free(victim).unwrap();
         heap.revoke_all_now();
-        assert!(!heap.load_cap(&stash, 0).unwrap().tag());
+        assert!(!client.load_cap(&stash, 0).unwrap().tag());
     }
 
     #[test]
     fn store_of_a_capability_outside_every_shard_is_refused() {
         let heap = service();
-        let slot = heap.malloc_on(0, 16).unwrap();
+        let client = heap.handle_on(0);
+        let slot = client.malloc(16).unwrap();
         let outside = Capability::root_rw(0x10, 0x10);
         assert_eq!(
-            heap.store_cap(&slot, 0, &outside),
+            client.store_cap(&slot, 0, &outside),
             Err(HeapError::NotAnAllocation { base: 0x10 })
         );
         // Untagged data words are never capabilities, so they pass.
-        heap.store_cap(&slot, 0, &outside.cleared()).unwrap();
+        client.store_cap(&slot, 0, &outside.cleared()).unwrap();
     }
 
     #[test]
     fn revoked_memory_is_reusable_and_new_caps_live() {
         let heap = service();
-        let a = heap.malloc_on(0, 256).unwrap();
-        let stash = heap.malloc_on(1, 16).unwrap();
-        heap.store_cap(&stash, 0, &a).unwrap();
+        let client = heap.handle_on(0);
+        let a = client.malloc(256).unwrap();
+        let stash = heap.handle_on(1).malloc(16).unwrap();
+        client.store_cap(&stash, 0, &a).unwrap();
         let old_base = a.base();
-        heap.free(a).unwrap();
+        client.free(a).unwrap();
         heap.revoke_all_now();
         // The address range comes back…
-        let b = heap.malloc_on(0, 256).unwrap();
+        let b = client.malloc(256).unwrap();
         assert_eq!(b.base(), old_base, "drained memory is reusable");
         // …and a fresh capability to it is NOT filtered by stale barrier
         // state.
-        heap.store_cap(&stash, 0, &b).unwrap();
-        assert!(heap.load_cap(&stash, 0).unwrap().tag());
+        client.store_cap(&stash, 0, &b).unwrap();
+        assert!(client.load_cap(&stash, 0).unwrap().tag());
     }
 
     #[test]
@@ -729,14 +642,13 @@ mod tests {
         let mut config = ServiceConfig::small();
         config.policy.quarantine.fraction = f64::INFINITY; // revoker never fires
         let heap = ConcurrentHeap::new(config).unwrap();
-        let blocks: Vec<_> = (0..15)
-            .map(|_| heap.malloc_on(0, 64 << 10).unwrap())
-            .collect();
+        let client = heap.handle_on(0);
+        let blocks: Vec<_> = (0..15).map(|_| client.malloc(64 << 10).unwrap()).collect();
         for b in blocks {
-            heap.free(b).unwrap();
+            client.free(b).unwrap();
         }
         assert!(heap.quarantined_bytes() > 0);
-        let c = heap.malloc_on(0, 512 << 10).unwrap();
+        let c = client.malloc(512 << 10).unwrap();
         assert!(c.tag());
         assert_eq!(heap.stats().oom_revocations, 1);
     }
@@ -749,11 +661,12 @@ mod tests {
         config.revoker_interval = Duration::from_secs(30);
         config.revoker_watchdog = Duration::from_secs(120);
         let heap = ConcurrentHeap::new(config).unwrap();
+        let client = heap.handle_on(0);
         let bound = (0.25 * (1u64 << 20) as f64 / 2.0) as u64;
-        let _live: Vec<_> = (0..64).map(|_| heap.malloc_on(0, 4096).unwrap()).collect();
+        let _live: Vec<_> = (0..64).map(|_| client.malloc(4096).unwrap()).collect();
         for _ in 0..200 {
-            let c = heap.malloc_on(0, 4096).unwrap();
-            heap.free(c).unwrap();
+            let c = client.malloc(4096).unwrap();
+            client.free(c).unwrap();
             assert!(heap.quarantined_bytes() <= bound);
         }
         assert!(heap.stats().emergency_sweeps > 0);
@@ -824,10 +737,11 @@ mod tests {
     #[test]
     fn foreign_caps_register_in_stats() {
         let heap = service();
-        let victim = heap.malloc_on(0, 64).unwrap();
-        let stash = heap.malloc_on(1, 16).unwrap();
-        heap.store_cap(&stash, 0, &victim).unwrap();
-        heap.free(victim).unwrap();
+        let client = heap.handle_on(0);
+        let victim = client.malloc(64).unwrap();
+        let stash = heap.handle_on(1).malloc(16).unwrap();
+        client.store_cap(&stash, 0, &victim).unwrap();
+        client.free(victim).unwrap();
         heap.revoke_all_now();
         assert!(heap.stats().foreign_caps_revoked >= 1);
     }
@@ -837,10 +751,11 @@ mod tests {
         let mut config = ServiceConfig::small();
         config.telemetry = true;
         let heap = ConcurrentHeap::new(config).unwrap();
-        let victim = heap.malloc_on(0, 64).unwrap();
-        let stash = heap.malloc_on(1, 16).unwrap();
-        heap.store_cap(&stash, 0, &victim).unwrap();
-        heap.free(victim).unwrap();
+        let client = heap.handle_on(0);
+        let victim = client.malloc(64).unwrap();
+        let stash = heap.handle_on(1).malloc(16).unwrap();
+        client.store_cap(&stash, 0, &victim).unwrap();
+        client.free(victim).unwrap();
         heap.revoke_all_now();
         let snap = heap.snapshot();
         assert!(snap.counters["cvk_alloc_mallocs_total"] >= 2);
@@ -875,8 +790,9 @@ mod tests {
     #[test]
     fn telemetry_disabled_by_default() {
         let heap = service();
-        let c = heap.malloc_on(0, 64).unwrap();
-        heap.free(c).unwrap();
+        let client = heap.handle_on(0);
+        let c = client.malloc(64).unwrap();
+        client.free(c).unwrap();
         heap.revoke_all_now();
         assert!(!heap.telemetry().is_enabled());
         let snap = heap.snapshot();
@@ -914,9 +830,10 @@ mod tests {
             ..ServiceConfig::small()
         };
         let heap = ConcurrentHeap::new(config).unwrap();
+        let client = heap.handle_on(0);
         let mut held = Vec::new();
         let err = loop {
-            match heap.malloc_on(0, 64 << 10) {
+            match client.malloc(64 << 10) {
                 Ok(cap) => held.push(cap),
                 Err(e) => break e,
             }
@@ -925,10 +842,10 @@ mod tests {
         assert!(matches!(err, HeapError::OutOfMemory { .. }), "got {err:?}");
         // The service is still operational after reporting OOM.
         for cap in held {
-            heap.free(cap).unwrap();
+            client.free(cap).unwrap();
         }
         heap.revoke_all_now();
-        assert!(heap.malloc_on(0, 64 << 10).is_ok());
+        assert!(client.malloc(64 << 10).is_ok());
     }
 
     #[test]
@@ -940,6 +857,7 @@ mod tests {
         config.telemetry = true;
         config.revoker_watchdog = Duration::from_millis(5);
         let heap = ConcurrentHeap::with_faults(config, FaultInjector::new(plan)).unwrap();
+        let client = heap.handle_on(0);
         let deadline = Instant::now() + Duration::from_secs(10);
         while heap.stats().revoker_restarts < 3 || !heap.revoker_alive() {
             assert!(Instant::now() < deadline, "supervisor never recovered");
@@ -958,12 +876,12 @@ mod tests {
                 ..
             }
         )));
-        let victim = heap.malloc_on(0, 64).unwrap();
-        let stash = heap.malloc_on(1, 16).unwrap();
-        heap.store_cap(&stash, 0, &victim).unwrap();
-        heap.free(victim).unwrap();
+        let victim = client.malloc(64).unwrap();
+        let stash = heap.handle_on(1).malloc(16).unwrap();
+        client.store_cap(&stash, 0, &victim).unwrap();
+        client.free(victim).unwrap();
         heap.revoke_all_now();
-        assert!(!heap.load_cap(&stash, 0).unwrap().tag());
+        assert!(!client.load_cap(&stash, 0).unwrap().tag());
     }
 
     #[test]
@@ -972,6 +890,7 @@ mod tests {
         config.telemetry = true;
         config.revoker_watchdog = Duration::from_millis(2);
         let heap = ConcurrentHeap::new(config).unwrap();
+        let client = heap.handle_on(0);
         let core = heap.core();
         // Wedge the worker: shard 0 looks due, so its next pass blocks on
         // shard 0's lock, which the test holds; its heartbeat goes stale
@@ -995,8 +914,8 @@ mod tests {
             .iter()
             .any(|e| matches!(e.kind, EventKind::RevokerRestarted { cause: "stall", .. })));
         // Superseded generations unwedge and retire; the service drains.
-        let c = heap.malloc_on(0, 64).unwrap();
-        heap.free(c).unwrap();
+        let c = client.malloc(64).unwrap();
+        client.free(c).unwrap();
         heap.revoke_all_now();
         assert_eq!(heap.quarantined_bytes(), 0);
     }

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use cheri::Capability;
 use cherivoke::fault::{FaultInjector, FaultPlan, FaultPoint};
-use cherivoke::{BackendKind, ConcurrentHeap, HeapError, ServiceConfig};
+use cherivoke::{BackendKind, ConcurrentHeap, HeapClient, HeapError, ServiceConfig};
 use telemetry::EventKind;
 
 /// SplitMix64 — the op driver's own deterministic stream (independent of
@@ -53,6 +53,9 @@ struct Stored {
 
 struct Driver {
     heap: ConcurrentHeap,
+    /// One client pinned to each shard. Frees and accesses route by
+    /// address, so any of them serves those.
+    clients: Vec<HeapClient>,
     rng: Rng,
     /// Live allocations (model of the program's owned objects).
     live: Vec<Capability>,
@@ -64,25 +67,30 @@ struct Driver {
 
 /// Allocates, tolerating a bounded number of *injected* allocation
 /// failures (fault plans cap each rule's firings, so retries converge).
-fn must_malloc(heap: &ConcurrentHeap, shard: usize, size: u64) -> Capability {
+fn must_malloc(client: &HeapClient, size: u64) -> Capability {
     for _ in 0..16 {
-        match heap.malloc_on(shard, size) {
+        match client.malloc(size) {
             Ok(cap) => return cap,
             Err(HeapError::OutOfMemory { .. }) => continue,
             Err(e) => panic!("malloc returned undocumented error {e:?}"),
         }
     }
-    panic!("allocation failed 16 times in a row on shard {shard}");
+    panic!(
+        "allocation failed 16 times in a row on shard {}",
+        client.shard()
+    );
 }
 
 impl Driver {
     fn new(heap: ConcurrentHeap, seed: u64) -> Driver {
+        let clients: Vec<_> = (0..heap.shards()).map(|i| heap.handle_on(i)).collect();
         let slots: Vec<_> = (0..12)
-            .map(|i| must_malloc(&heap, i % heap.shards(), 16))
+            .map(|i| must_malloc(&clients[i % clients.len()], 16))
             .collect();
         let stored = vec![None; slots.len()];
         Driver {
             heap,
+            clients,
             rng: Rng(seed),
             live: Vec::new(),
             slots,
@@ -99,9 +107,9 @@ impl Driver {
             // malloc — the only op allowed to fail, and only with the
             // documented terminal error.
             0..=3 => {
-                let shard = self.rng.below(self.heap.shards() as u64) as usize;
+                let shard = self.rng.below(self.clients.len() as u64) as usize;
                 let size = 16 + self.rng.below(4096);
-                match self.heap.malloc_on(shard, size) {
+                match self.clients[shard].malloc(size) {
                     Ok(cap) => {
                         assert!(cap.tag(), "fresh allocation must be tagged");
                         self.live.push(cap);
@@ -118,7 +126,9 @@ impl Driver {
                 let i = self.rng.below(self.live.len() as u64) as usize;
                 let cap = self.live.swap_remove(i);
                 let base = cap.base();
-                self.heap.free(cap).expect("freeing a live allocation");
+                self.clients[0]
+                    .free(cap)
+                    .expect("freeing a live allocation");
                 for s in self.stored.iter_mut().flatten() {
                     if s.base == base {
                         s.freed = true;
@@ -132,7 +142,7 @@ impl Driver {
                 }
                 let v = self.live[self.rng.below(self.live.len() as u64) as usize];
                 let s = self.rng.below(self.slots.len() as u64) as usize;
-                self.heap
+                self.clients[0]
                     .store_cap(&self.slots[s], 0, &v)
                     .expect("store_cap into a live slot");
                 self.stored[s] = Some(Stored {
@@ -144,8 +154,7 @@ impl Driver {
             // load_cap: read a slot back and check it against the model.
             8 => {
                 let s = self.rng.below(self.slots.len() as u64) as usize;
-                let got = self
-                    .heap
+                let got = self.clients[0]
                     .load_cap(&self.slots[s], 0)
                     .expect("load_cap from a live slot");
                 match self.stored[s] {
@@ -170,10 +179,10 @@ impl Driver {
                     return;
                 }
                 let c = self.live[self.rng.below(self.live.len() as u64) as usize];
-                self.heap
+                self.clients[0]
                     .store_u64(&c, 0, 0xfeed)
                     .expect("store through a live capability");
-                assert_eq!(self.heap.load_u64(&c, 0).unwrap(), 0xfeed);
+                assert_eq!(self.clients[0].load_u64(&c, 0).unwrap(), 0xfeed);
             }
         }
     }
@@ -190,7 +199,7 @@ impl Driver {
         for (i, slot) in self.slots.iter().enumerate() {
             if let Some(st) = self.stored[i] {
                 if st.revoked {
-                    let got = self.heap.load_cap(slot, 0).unwrap();
+                    let got = self.clients[0].load_cap(slot, 0).unwrap();
                     assert!(
                         !got.tag(),
                         "HEADLINE VIOLATION: stash of freed base {:#x} still tagged \
@@ -268,11 +277,11 @@ fn run_seed(seed: u64) {
     // Final soundness: drain everything and verify the heap still works.
     let survivors: Vec<_> = driver.live.drain(..).collect();
     for cap in survivors {
-        driver.heap.free(cap).unwrap();
+        driver.clients[0].free(cap).unwrap();
     }
     driver.epoch_and_check();
     assert_eq!(driver.heap.quarantined_bytes(), 0, "quarantine drained");
-    assert!(must_malloc(&driver.heap, 0, 64).tag());
+    assert!(must_malloc(&driver.clients[0], 64).tag());
 
     // Full-heap safety audit, per shard: whatever the fault plan did, no
     // tagged capability may point into memory the allocator can hand out
@@ -315,14 +324,15 @@ fn directed_sweep_faults_recover_via_retry() {
     let mut config = ServiceConfig::small();
     config.telemetry = true;
     let heap = ConcurrentHeap::with_faults(config, FaultInjector::new(plan)).unwrap();
-    let victim = heap.malloc_on(0, 64).unwrap();
-    let stash = heap.malloc_on(1, 16).unwrap();
-    heap.store_cap(&stash, 0, &victim).unwrap();
-    heap.free(victim).unwrap();
+    let client = heap.handle_on(0);
+    let victim = client.malloc(64).unwrap();
+    let stash = heap.handle_on(1).malloc(16).unwrap();
+    client.store_cap(&stash, 0, &victim).unwrap();
+    client.free(victim).unwrap();
     heap.revoke_all_now();
     // The panicked chunks were retried on the sequential reference kernel
     // and the sweep still revoked the cross-shard copy.
-    assert!(!heap.load_cap(&stash, 0).unwrap().tag());
+    assert!(!client.load_cap(&stash, 0).unwrap().tag());
     assert!(heap.fault_injector().fired(FaultPoint::SweepWorkerPanic) > 0);
     let snap = heap.snapshot();
     assert!(snap.counters["cvk_sweep_retries_total"] > 0);
@@ -341,12 +351,13 @@ fn directed_barrier_delay_cannot_leak_dangling_caps() {
     let heap = ConcurrentHeap::with_faults(config, FaultInjector::new(plan)).unwrap();
     // The classic cross-shard stash, with the window between barrier
     // publication and the foreign sweeps stretched by the injected delay.
-    let victim = heap.malloc_on(0, 64).unwrap();
-    let stash = heap.malloc_on(1, 16).unwrap();
-    heap.store_cap(&stash, 0, &victim).unwrap();
-    heap.free(victim).unwrap();
+    let client = heap.handle_on(0);
+    let victim = client.malloc(64).unwrap();
+    let stash = heap.handle_on(1).malloc(16).unwrap();
+    client.store_cap(&stash, 0, &victim).unwrap();
+    client.free(victim).unwrap();
     heap.revoke_all_now();
-    assert!(!heap.load_cap(&stash, 0).unwrap().tag());
+    assert!(!client.load_cap(&stash, 0).unwrap().tag());
     assert!(heap.fault_injector().fired(FaultPoint::EpochBarrierDelay) > 0);
     assert!(heap.telemetry().recent_events(128).iter().any(|e| matches!(
         e.kind,
@@ -370,9 +381,10 @@ fn directed_alloc_failure_triggers_emergency_sweep() {
     // the emergency path must be the one draining the quarantine.
     config.policy.quarantine.fraction = f64::INFINITY;
     let heap = ConcurrentHeap::with_faults(config, FaultInjector::new(plan)).unwrap();
-    let a = heap.malloc_on(0, 64 << 10).unwrap();
-    heap.free(a).unwrap();
-    let b = heap.malloc_on(0, 64 << 10).unwrap();
+    let client = heap.handle_on(0);
+    let a = client.malloc(64 << 10).unwrap();
+    client.free(a).unwrap();
+    let b = client.malloc(64 << 10).unwrap();
     assert!(b.tag());
     let stats = heap.stats();
     assert_eq!(stats.oom_revocations, 1);

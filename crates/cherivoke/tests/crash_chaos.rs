@@ -17,7 +17,7 @@
 //! are exported to `$CARGO_TARGET_TMPDIR` for artifact upload.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use cherivoke::fault::{FaultInjector, FaultPlan, FaultPoint, FaultRule, CRASH_POINTS};
@@ -118,22 +118,27 @@ fn kill_and_recover(test_name: &str, backend: BackendKind, point: FaultPoint, st
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let exe = std::env::current_exe().unwrap();
-    let status = Command::new(&exe)
+    // The child's output is captured, not inherited: its test harness
+    // prints a `test <name> ... ` line that the abort leaves unfinished,
+    // which would otherwise splice into the parent run's own report.
+    let child = Command::new(&exe)
         .arg(test_name)
         .arg("--exact")
         .arg("--test-threads=1")
         .env(SPEC_ENV, &spec)
         .env(DIR_ENV, &dir)
-        .status()
+        .stdin(Stdio::null())
+        .output()
         .expect("re-exec test binary");
-    if status.code() == Some(EXIT_NEVER_FIRED) {
+    let child_stderr = String::from_utf8_lossy(&child.stderr);
+    if child.status.code() == Some(EXIT_NEVER_FIRED) {
         fail_entry(
             &spec,
             &dir,
             "armed crash point never fired (workload too small?)",
         );
     }
-    if status.success() {
+    if child.status.success() {
         fail_entry(&spec, &dir, "child exited cleanly instead of crashing");
     }
     let image = match std::fs::read(dir.join("heap.img")) {
@@ -141,7 +146,7 @@ fn kill_and_recover(test_name: &str, backend: BackendKind, point: FaultPoint, st
         Err(e) => fail_entry(
             &spec,
             &dir,
-            &format!("child died without persisting image: {e}"),
+            &format!("child died without persisting image: {e}\nchild stderr:\n{child_stderr}"),
         ),
     };
     let journal_bytes = match std::fs::read(dir.join("heap.cvj")) {

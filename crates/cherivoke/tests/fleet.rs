@@ -5,8 +5,10 @@
 
 use std::time::{Duration, Instant};
 
+use cheri::Capability;
 use cherivoke::fault::{FaultInjector, FaultPlan, FaultPoint, FaultRule};
 use cherivoke::fleet::{FleetConfig, FleetError, HeapService, THROTTLE_FRACTION};
+use cherivoke::HeapError;
 
 /// A small fleet config sized so budget arithmetic in the tests is exact.
 fn fleet_config(tenants: usize, heap: u64, quota: u64) -> FleetConfig {
@@ -34,17 +36,14 @@ fn cross_tenant_uaf_is_stopped() {
         FaultInjector::disabled(),
     )
     .unwrap();
-    let a = service.client(0).unwrap();
-    let b = service.client(3).unwrap();
-
     // Tenant A allocates an object and stashes a second pointer to it;
     // tenant B holds an unrelated live object the sweep must not touch.
-    let stash = a.malloc(16).unwrap();
-    let obj = a.malloc(64).unwrap();
-    a.store_u64(&obj, 0, 0xfeed).unwrap();
+    let stash = service.malloc(0, 16).unwrap();
+    let obj = service.malloc(0, 64).unwrap();
+    service.store_u64(&obj, 0, 0xfeed).unwrap();
     service.store_cap(&stash, 0, &obj).unwrap();
-    let b_obj = b.malloc(64).unwrap();
-    b.store_u64(&b_obj, 0, 0xbee5).unwrap();
+    let b_obj = service.malloc(3, 64).unwrap();
+    service.store_u64(&b_obj, 0, 0xbee5).unwrap();
 
     // Isolation: the dangling-to-be capability cannot even be smuggled
     // into tenant B's heap, so A's sweep never needs to scan B.
@@ -53,7 +52,7 @@ fn cross_tenant_uaf_is_stopped() {
         Err(FleetError::CrossTenantStore { from: 0, to: 3 })
     ));
 
-    a.free(obj).unwrap();
+    service.free(obj).unwrap();
     service.drain_tenant(0).unwrap();
 
     // The stashed copy in tenant A is revoked in place…
@@ -64,8 +63,30 @@ fn cross_tenant_uaf_is_stopped() {
     );
     assert!(service.load_u64(&dangling, 0).is_err());
     // …and tenant B's live object is untouched.
-    assert_eq!(b.load_u64(&b_obj, 0).unwrap(), 0xbee5);
+    assert_eq!(service.load_u64(&b_obj, 0).unwrap(), 0xbee5);
     assert_eq!(service.quarantined_bytes(0).unwrap(), 0);
+}
+
+/// A capability outside every tenant routes nowhere: each routed
+/// operation refuses it as `NotAnAllocation` with that capability's base,
+/// whether it is the destination or the stored value.
+#[test]
+fn capabilities_outside_every_tenant_are_not_allocations() {
+    let service = HeapService::with_faults(
+        fleet_config(2, 256 << 10, 64 << 10),
+        FaultInjector::disabled(),
+    )
+    .unwrap();
+    let slot = service.malloc(0, 16).unwrap();
+    let outside = Capability::root_rw(0x10, 0x10);
+    let refused = FleetError::Heap(HeapError::NotAnAllocation { base: 0x10 });
+    assert_eq!(service.store_cap(&slot, 0, &outside), Err(refused));
+    assert_eq!(service.store_cap(&outside, 0, &slot), Err(refused));
+    assert_eq!(service.load_cap(&outside, 0), Err(refused));
+    assert_eq!(service.free(outside), Err(refused));
+    // Untagged data words are never capabilities, so they pass.
+    service.store_cap(&slot, 0, &outside.cleared()).unwrap();
+    assert!(!service.load_cap(&slot, 0).unwrap().tag());
 }
 
 #[test]
@@ -76,12 +97,11 @@ fn quarantine_budget_is_enforced_under_pressure() {
     // not a background drain — is what the test observes.
     config.scheduler_interval = Duration::from_millis(500);
     let service = HeapService::with_faults(config, FaultInjector::disabled()).unwrap();
-    let client = service.client(0).unwrap();
 
     let mut throttled = None;
     for _ in 0..10_000 {
-        match client.malloc(4096) {
-            Ok(cap) => client.free(cap).unwrap(),
+        match service.malloc(0, 4096) {
+            Ok(cap) => service.free(cap).unwrap(),
             Err(FleetError::TenantThrottled {
                 tenant,
                 quarantined,
@@ -108,8 +128,10 @@ fn quarantine_budget_is_enforced_under_pressure() {
     // An explicit drain lifts the throttle.
     service.drain_tenant(0).unwrap();
     assert_eq!(service.quarantined_bytes(0).unwrap(), 0);
-    let cap = client.malloc(4096).expect("drain must lift the throttle");
-    client.free(cap).unwrap();
+    let cap = service
+        .malloc(0, 4096)
+        .expect("drain must lift the throttle");
+    service.free(cap).unwrap();
     assert!(service.stats().max_budget_fraction() <= 1.0);
 }
 
@@ -127,7 +149,6 @@ fn idle_workers_steal_slices_from_the_busiest_epoch() {
         limit: 512,
     }]);
     let service = HeapService::with_faults(config, FaultInjector::new(plan)).unwrap();
-    let client = service.client(0).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(10);
     while service.stats().steals == 0 {
@@ -136,12 +157,14 @@ fn idle_workers_steal_slices_from_the_busiest_epoch() {
         // Chain capability stores through every object first: the epoch
         // worklist is the heap's capability-dirty pages, so ~100 dirtied
         // pages give the epoch enough slices to be worth stealing.
-        let objs: Vec<_> = (0..100).filter_map(|_| client.malloc(4096).ok()).collect();
+        let objs: Vec<_> = (0..100)
+            .filter_map(|_| service.malloc(0, 4096).ok())
+            .collect();
         for pair in objs.windows(2) {
             service.store_cap(&pair[0], 0, &pair[1]).unwrap();
         }
         for cap in objs {
-            client.free(cap).unwrap();
+            service.free(cap).unwrap();
         }
         service.kick();
         std::thread::sleep(Duration::from_millis(5));
@@ -164,17 +187,18 @@ fn hundred_tenant_smoke_is_fast_and_drains_clean() {
     let service = HeapService::with_faults(config, FaultInjector::disabled()).unwrap();
 
     for tenant in 0..tenants {
-        let client = service.client(tenant).unwrap();
-        let objs: Vec<_> = (0..8).map(|_| client.malloc(1024).unwrap()).collect();
+        let objs: Vec<_> = (0..8)
+            .map(|_| service.malloc(tenant, 1024).unwrap())
+            .collect();
         for (i, cap) in objs.iter().enumerate() {
-            client.store_u64(cap, 0, i as u64).unwrap();
+            service.store_u64(cap, 0, i as u64).unwrap();
         }
         for (i, cap) in objs.iter().enumerate() {
-            assert_eq!(client.load_u64(cap, 0).unwrap(), i as u64);
+            assert_eq!(service.load_u64(cap, 0).unwrap(), i as u64);
         }
         // Free half; the other half stays live across the global drain.
         for cap in objs.into_iter().skip(4) {
-            client.free(cap).unwrap();
+            service.free(cap).unwrap();
         }
     }
     service.drain_all();
@@ -210,10 +234,9 @@ fn dead_pool_workers_are_respawned() {
     let stashes: Vec<_> = (0..4).map(|t| service.malloc(t, 16).unwrap()).collect();
     for _ in 0..50 {
         for (tenant, stash) in stashes.iter().enumerate() {
-            let client = service.client(tenant).unwrap();
-            if let Ok(cap) = client.malloc(4096) {
+            if let Ok(cap) = service.malloc(tenant, 4096) {
                 service.store_cap(stash, 0, &cap).unwrap();
-                client.free(cap).unwrap();
+                service.free(cap).unwrap();
             }
         }
     }
@@ -262,10 +285,9 @@ fn scheduler_survives_rotated_stall_and_skip_plans() {
 
         // Push every tenant past its debt threshold.
         for tenant in 0..3 {
-            let client = service.client(tenant).unwrap();
             for _ in 0..14 {
-                if let Ok(cap) = client.malloc(4096) {
-                    client.free(cap).unwrap();
+                if let Ok(cap) = service.malloc(tenant, 4096) {
+                    service.free(cap).unwrap();
                 }
                 assert!(
                     service.quarantined_bytes(tenant).unwrap() <= 64 << 10,

@@ -14,9 +14,10 @@ fn service() -> ConcurrentHeap {
 fn malloc_after_exhaustion_is_typed_oom_on_every_shard() {
     let heap = service();
     for shard in 0..heap.shards() {
+        let client = heap.handle_on(shard);
         let mut held = Vec::new();
         let err = loop {
-            match heap.malloc_on(shard, 64 << 10) {
+            match client.malloc(64 << 10) {
                 Ok(cap) => held.push(cap),
                 Err(e) => break e,
             }
@@ -28,10 +29,10 @@ fn malloc_after_exhaustion_is_typed_oom_on_every_shard() {
         );
         // The shard recovers fully once memory is returned.
         for cap in held {
-            heap.free(cap).unwrap();
+            client.free(cap).unwrap();
         }
         heap.revoke_all_now();
-        assert!(heap.malloc_on(shard, 64 << 10).is_ok());
+        assert!(client.malloc(64 << 10).is_ok());
     }
 }
 
@@ -39,11 +40,12 @@ fn malloc_after_exhaustion_is_typed_oom_on_every_shard() {
 fn double_free_is_typed_invalid_free_on_every_shard() {
     let heap = service();
     for shard in 0..heap.shards() {
-        let cap = heap.malloc_on(shard, 128).unwrap();
-        heap.free(cap).unwrap();
+        let client = heap.handle_on(shard);
+        let cap = client.malloc(128).unwrap();
+        client.free(cap).unwrap();
         // The register copy still carries a tag; the allocator rejects the
         // second free of the same (still-quarantined) chunk.
-        let err = heap.free(cap).unwrap_err();
+        let err = client.free(cap).unwrap_err();
         assert!(
             matches!(err, HeapError::Alloc(AllocError::InvalidFree { .. })),
             "shard {shard}: expected InvalidFree, got {err:?}"
@@ -58,18 +60,22 @@ fn double_free_is_typed_invalid_free_on_every_shard() {
 fn free_of_revoked_capability_is_typed_tag_cleared() {
     let heap = service();
     for shard in 0..heap.shards() {
-        let victim = heap.malloc_on(shard, 64).unwrap();
-        let stash = heap.malloc_on((shard + 1) % heap.shards(), 16).unwrap();
-        heap.store_cap(&stash, 0, &victim).unwrap();
-        heap.free(victim).unwrap();
+        let client = heap.handle_on(shard);
+        let victim = client.malloc(64).unwrap();
+        let stash = heap
+            .handle_on((shard + 1) % heap.shards())
+            .malloc(16)
+            .unwrap();
+        client.store_cap(&stash, 0, &victim).unwrap();
+        client.free(victim).unwrap();
         heap.revoke_all_now();
         // Pick up the architecturally-revoked copy and try to free it.
         // The sweep cleared the whole capability word, so the copy either
         // fails tag validation or (bounds gone too) routes to no shard —
         // both documented typed errors, never a panic.
-        let revoked = heap.load_cap(&stash, 0).unwrap();
+        let revoked = client.load_cap(&stash, 0).unwrap();
         assert!(!revoked.tag());
-        let err = heap.free(revoked).unwrap_err();
+        let err = client.free(revoked).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -77,7 +83,7 @@ fn free_of_revoked_capability_is_typed_tag_cleared() {
             ),
             "shard {shard}: expected TagCleared/NotAnAllocation, got {err:?}"
         );
-        heap.free(stash).unwrap();
+        client.free(stash).unwrap();
     }
 }
 
@@ -85,22 +91,23 @@ fn free_of_revoked_capability_is_typed_tag_cleared() {
 fn out_of_bounds_store_cap_is_typed_bounds_error() {
     let heap = service();
     for shard in 0..heap.shards() {
-        let slot = heap.malloc_on(shard, 16).unwrap();
-        let value = heap.malloc_on(shard, 32).unwrap();
+        let client = heap.handle_on(shard);
+        let slot = client.malloc(16).unwrap();
+        let value = client.malloc(32).unwrap();
         // Offset 16 needs bytes [16, 32) — outside the 16-byte slot.
-        let err = heap.store_cap(&slot, 16, &value).unwrap_err();
+        let err = client.store_cap(&slot, 16, &value).unwrap_err();
         assert!(
             matches!(err, HeapError::Cap(CapError::BoundsViolation { .. })),
             "shard {shard}: expected BoundsViolation, got {err:?}"
         );
         // And far outside any shard: same typed error, no panic.
-        let err = heap.store_cap(&slot, 1 << 40, &value).unwrap_err();
+        let err = client.store_cap(&slot, 1 << 40, &value).unwrap_err();
         assert!(matches!(
             err,
             HeapError::Cap(CapError::BoundsViolation { .. })
         ));
-        heap.free(slot).unwrap();
-        heap.free(value).unwrap();
+        client.free(slot).unwrap();
+        client.free(value).unwrap();
     }
 }
 
@@ -109,6 +116,6 @@ fn free_of_foreign_address_is_not_an_allocation() {
     let heap = service();
     // A capability whose base lies outside every shard routes nowhere.
     let cap = cheri::Capability::root_rw(0x10, 0x10);
-    let err = heap.free(cap).unwrap_err();
+    let err = heap.handle().free(cap).unwrap_err();
     assert!(matches!(err, HeapError::NotAnAllocation { .. }));
 }

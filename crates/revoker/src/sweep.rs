@@ -13,7 +13,7 @@ use crate::ShadowMap;
 
 /// Which inner-loop implementation to use — the paper's Figure 7 compares
 /// exactly this set of optimisation levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// The naïve per-granule loop of §3.3: check the tag, decode, branch.
     Simple,
@@ -24,7 +24,6 @@ pub enum Kernel {
     /// Bit-parallel scan: only *set* tag bits are visited (via
     /// count-trailing-zeros), with a branch-minimised revocation write —
     /// the role AVX2 plays in the paper.
-    #[default]
     Wide,
     /// The word-at-a-time fast path: like [`Kernel::Wide`], but each
     /// capability is read as two 8-byte loads (no `u128` round trip), only

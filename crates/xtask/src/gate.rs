@@ -129,7 +129,7 @@ pub fn default_policies() -> BTreeMap<String, MetricPolicy> {
     // Fleet sweep slices are tens of µs and contention-scheduled, so the
     // log2-bucketed p99 jitters a couple of buckets run to run; only an
     // order-of-magnitude blowup is a regression (the hard bound is the
-    // fleet_fairness verdict's policy max_pause).
+    // fleet_fairness verdict's 5 ms pause bar).
     p(
         "fleet_p99_pause_us",
         700.0,

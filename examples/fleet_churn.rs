@@ -117,17 +117,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // tenant's sweep; smuggling it into another tenant is refused.
     // (Drain first — the hot tenant may still be throttled post-churn.)
     service.drain_all();
-    let hot = service.client(0)?;
-    let cold = service.client(TENANTS - 1)?;
-    let stash = hot.malloc(16)?;
-    let victim = hot.malloc(64)?;
+    let stash = service.malloc(0, 16)?;
+    let victim = service.malloc(0, 64)?;
     service.store_cap(&stash, 0, &victim)?;
-    let foreign_slot = cold.malloc(16)?;
+    let foreign_slot = service.malloc(TENANTS - 1, 16)?;
     let smuggle = service.store_cap(&foreign_slot, 0, &victim);
     assert!(matches!(smuggle, Err(FleetError::CrossTenantStore { .. })));
-    hot.free(victim)?;
+    service.free(victim)?;
     service.drain_tenant(0)?;
-    let dangling = hot.load_cap(&stash, 0)?;
+    let dangling = service.load_cap(&stash, 0)?;
     assert!(!dangling.tag(), "stale capability must be revoked");
 
     service.drain_all();

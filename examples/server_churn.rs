@@ -36,7 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for w in 0..WORKERS {
             // The routing table lives in shard 0; worker sessions come from
             // the worker's own shard. Every table entry crosses shards.
-            let table = heap.malloc_on(0, (SESSIONS_PER_WORKER * 16) as u64)?;
+            let table = heap
+                .handle_on(0)
+                .malloc((SESSIONS_PER_WORKER * 16) as u64)?;
             let client = heap.handle();
             let uaf_attempts = &uaf_attempts;
             let uaf_caught = &uaf_caught;

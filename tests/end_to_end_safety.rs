@@ -274,7 +274,7 @@ fn concurrent_churn_has_no_use_after_reallocation() {
     // Each thread's stash holder lives on the *next* shard, so every
     // dangling copy crosses shards — the §3.5 foreign-sweep path.
     let holders: Vec<Capability> = (0..THREADS)
-        .map(|t| heap.malloc_on((t + 1) % THREADS, 32 * 16).unwrap())
+        .map(|t| heap.handle_on((t + 1) % THREADS).malloc(32 * 16).unwrap())
         .collect();
 
     std::thread::scope(|scope| {
@@ -316,9 +316,10 @@ fn concurrent_churn_has_no_use_after_reallocation() {
         0,
         "final drain leaves quarantine empty"
     );
+    let client = heap.handle();
     for holder in &holders {
         for slot in 0..32 {
-            let cap = heap.load_cap(holder, slot * 16).unwrap();
+            let cap = client.load_cap(holder, slot * 16).unwrap();
             assert!(!cap.tag(), "stale cross-shard stash survived revocation");
         }
     }

@@ -185,9 +185,13 @@ proptest! {
             ..ServiceConfig::small()
         };
         let heap = ConcurrentHeap::new(config).expect("service");
+        let clients: Vec<_> = (0..shards).map(|i| heap.handle_on(i)).collect();
+        // Frees and accesses route by address, so any client serves them.
+        let client = &clients[0];
         // One 96-slot stash holder region, one segment per shard.
-        let holders: Vec<Capability> = (0..shards)
-            .map(|i| heap.malloc_on(i, 96 * 16).expect("holder"))
+        let holders: Vec<Capability> = clients
+            .iter()
+            .map(|c| c.malloc(96 * 16).expect("holder"))
             .collect();
         let slot_of = |slot: usize| (&holders[slot % shards], ((slot / shards) * 16) as u64);
 
@@ -196,19 +200,19 @@ proptest! {
         for op in ops {
             match op {
                 SvcOp::Malloc { shard, size } => {
-                    if let Ok(cap) = heap.malloc_on(shard % shards, size) {
+                    if let Ok(cap) = clients[shard % shards].malloc(size) {
                         live.push(cap);
                     }
                 }
                 SvcOp::FreeOldest if !live.is_empty() => {
-                    heap.free(live.remove(0)).expect("valid free");
+                    client.free(live.remove(0)).expect("valid free");
                 }
                 SvcOp::FreeOldest => {}
                 SvcOp::Stash { live_idx, slot } => {
                     if !live.is_empty() {
                         let cap = live[live_idx % live.len()];
                         let (holder, off) = slot_of(slot);
-                        heap.store_cap(holder, off, &cap).expect("stash");
+                        client.store_cap(holder, off, &cap).expect("stash");
                         used_slots.push(slot);
                     }
                 }
@@ -221,13 +225,13 @@ proptest! {
         // stored, whichever shard it pointed into — and the quarantine of
         // every shard must be fully drained.
         for cap in live.drain(..) {
-            heap.free(cap).expect("final free");
+            client.free(cap).expect("final free");
         }
         heap.revoke_all_now();
         prop_assert_eq!(heap.quarantined_bytes(), 0, "quarantine drained service-wide");
         for slot in used_slots {
             let (holder, off) = slot_of(slot);
-            let cap = heap.load_cap(holder, off).expect("load stash");
+            let cap = client.load_cap(holder, off).expect("load stash");
             prop_assert!(
                 !cap.tag(),
                 "cross-shard stash in slot {} survived the final revocation",
