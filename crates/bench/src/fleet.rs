@@ -310,7 +310,7 @@ fn run_once(params: &FleetParams, seed: u64) -> Result<RunRow, String> {
     let stats = service.stats();
     Ok(RunRow {
         ops_per_sec: total_ops as f64 / elapsed.max(1e-9),
-        p99_pause_us: stats.pauses.percentile_ns(99.0) as f64 / 1e3,
+        p99_pause_us: stats.pauses.percentile(99.0) as f64 / 1e3,
         max_budget_fraction: driver_peak.max(stats.max_budget_fraction()),
         steals: stats.steals,
         epochs: stats.epochs,

@@ -162,9 +162,7 @@ impl ExperimentConfig {
     }
 
     fn backend(&self) -> Result<BackendKind, String> {
-        // The lab wants a hard error on a typo'd axis value — the
-        // CHERIVOKE_BACKEND env knob's clamp-and-warn is for production
-        // heaps, not for experiment matrices.
+        // A typo'd axis value is a hard error, not a silent default.
         self.backend
             .parse::<BackendKind>()
             .map_err(|_| format!("unknown backend '{}'", self.backend))
@@ -411,9 +409,9 @@ pub fn run_experiment(
                 threads,
                 ops_per_thread: opts.service_ops_per_thread,
                 shard_mib: opts.service_shard_mib,
-                kernel: Some(kernel),
-                sweep_workers: Some(config.sweep_workers),
-                backend: Some(backend),
+                kernel,
+                sweep_workers: config.sweep_workers,
+                backend,
                 faults: faults.clone(),
                 ..ChurnParams::default()
             })

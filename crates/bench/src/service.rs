@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use cherivoke::fault::{FaultInjector, FaultPoint};
-use cherivoke::{ConcurrentHeap, Kernel, ServiceConfig};
+use cherivoke::{BackendKind, ConcurrentHeap, Kernel, RevocationPolicy, ServiceConfig};
 use serde::Serialize;
 use telemetry::MetricsSnapshot;
 
@@ -54,19 +54,18 @@ pub struct ChurnParams {
     pub telemetry: bool,
     /// Fault-injection mode.
     pub faults: FaultMode,
-    /// Sweep kernel for every shard's engine (`None` = policy default,
-    /// honouring `CHERIVOKE_KERNEL`).
-    pub kernel: Option<Kernel>,
-    /// Sweep worker threads per sweep (`None` = policy default,
-    /// honouring `CHERIVOKE_SWEEP_WORKERS`).
-    pub sweep_workers: Option<usize>,
-    /// Revocation backend for every shard (`None` = policy default,
-    /// honouring `CHERIVOKE_BACKEND`).
-    pub backend: Option<cherivoke::BackendKind>,
+    /// Sweep kernel for every shard's engine.
+    pub kernel: Kernel,
+    /// Sweep worker threads per sweep.
+    pub sweep_workers: usize,
+    /// Revocation backend for every shard.
+    pub backend: BackendKind,
 }
 
 impl Default for ChurnParams {
+    /// The paper-default policy's kernel, workers and backend.
     fn default() -> ChurnParams {
+        let policy = RevocationPolicy::paper_default();
         ChurnParams {
             threads: 4,
             shards: 4,
@@ -75,9 +74,9 @@ impl Default for ChurnParams {
             shard_mib: 4,
             telemetry: false,
             faults: FaultMode::Inherit,
-            kernel: None,
-            sweep_workers: None,
-            backend: None,
+            kernel: policy.kernel,
+            sweep_workers: policy.sweep_workers,
+            backend: policy.backend,
         }
     }
 }
@@ -135,15 +134,9 @@ pub fn churn(params: &ChurnParams) -> (ServiceRow, Option<MetricsSnapshot>) {
         telemetry: params.telemetry,
         ..ServiceConfig::default()
     };
-    if let Some(kernel) = params.kernel {
-        config.policy.kernel = kernel;
-    }
-    if let Some(workers) = params.sweep_workers {
-        config.policy.sweep_workers = workers;
-    }
-    if let Some(backend) = params.backend {
-        config.policy.backend = backend;
-    }
+    config.policy.kernel = params.kernel;
+    config.policy.sweep_workers = params.sweep_workers;
+    config.policy.backend = params.backend;
     let fraction = config.policy.quarantine.fraction;
     let kernel = config.policy.kernel.name();
     let injector = match &params.faults {
@@ -241,9 +234,9 @@ pub fn churn(params: &ChurnParams) -> (ServiceRow, Option<MetricsSnapshot>) {
         peak_quarantine_fraction: peak_fraction,
         quarantine_bound_fraction: fraction,
         quarantine_bounded: peak_fraction < fraction,
-        p50_pause_us: stats.pauses.percentile_ns(50.0) as f64 / 1e3,
-        p99_pause_us: stats.pauses.percentile_ns(99.0) as f64 / 1e3,
-        max_pause_us: stats.pauses.max_ns() as f64 / 1e3,
+        p50_pause_us: stats.pauses.percentile(50.0) as f64 / 1e3,
+        p99_pause_us: stats.pauses.percentile(99.0) as f64 / 1e3,
+        max_pause_us: stats.pauses.max_value() as f64 / 1e3,
         sweep_bandwidth_mib_s: stats.sweep_bandwidth() / (1 << 20) as f64,
     };
     (row, metrics)

@@ -767,7 +767,7 @@ impl Core {
         let pauses = if config.telemetry {
             registry.histogram(&format!("{prefix}_pause_ns"))
         } else {
-            LogHistogram::new()
+            LogHistogram::standalone()
         };
         let tally = |name: &str| Tally::new(&registry, prefix, name);
         let core = Core {

@@ -43,36 +43,31 @@ pub struct RevocationPolicy {
     pub incremental_slice_bytes: Option<u64>,
     /// Worker threads for each sweep (§3.5's parallel sweeps): 1 runs
     /// sequentially; more fan chunk execution out across a scoped pool via
-    /// [`revoker::ParallelSweepEngine`]. [`RevocationPolicy::paper_default`]
-    /// reads `CHERIVOKE_SWEEP_WORKERS` (default 1), so CI can force the
-    /// parallel engine on without code changes.
+    /// [`revoker::ParallelSweepEngine`]. At most [`MAX_SWEEP_WORKERS`]
+    /// ([`RevocationPolicy::validated`] clamps larger counts).
     pub sweep_workers: usize,
     /// The revocation backend owning the quarantine→sweep lifecycle (see
     /// [`revoker::backend`]): [`BackendKind::Stock`] reproduces the paper's
     /// behaviour; [`BackendKind::Colored`] / [`BackendKind::Hierarchical`]
     /// are the PICASSO / PoisonCap sweep-avoidance strategies.
-    /// [`RevocationPolicy::paper_default`] reads `CHERIVOKE_BACKEND`
-    /// (default `stock`), so CI can compare backends without code changes.
     pub backend: BackendKind,
 }
 
 impl RevocationPolicy {
     /// The configuration evaluated in the paper: 25% quarantine, buffered
-    /// (non-strict) revocation, optimised kernel, CapDirty page skipping.
-    ///
-    /// The kernel honours `CHERIVOKE_KERNEL=reference|wide|simple|unrolled|fast|simd`,
-    /// defaulting to the word-at-a-time fast path; unrecognised values warn and fall
-    /// back instead of panicking (see [`revoker::kernel_from_env`]).
+    /// (non-strict) revocation, optimised kernel, CapDirty page skipping:
+    /// the word-at-a-time [`Kernel::Fast`] kernel, one sweep worker and the
+    /// stock backend. Other configurations set these fields.
     pub fn paper_default() -> RevocationPolicy {
         RevocationPolicy {
             quarantine: QuarantineConfig::paper_default(),
             strict: false,
-            kernel: Kernel::from_env(),
+            kernel: Kernel::Fast,
             use_capdirty: true,
             sweep_on_oom: true,
             incremental_slice_bytes: None,
-            sweep_workers: revoker::workers_from_env(),
-            backend: revoker::backend_from_env(),
+            sweep_workers: 1,
+            backend: BackendKind::Stock,
         }
     }
 
@@ -87,10 +82,10 @@ impl RevocationPolicy {
     /// Validates and normalises the policy, as heap/service constructors
     /// do. Values no clamp can repair — a NaN or non-positive quarantine
     /// fraction — are typed [`HeapError::InvalidConfig`] errors; values
-    /// with an obvious safe reading are clamped with a warning, consistent
-    /// with the `CHERIVOKE_SWEEP_WORKERS` precedent
-    /// ([`revoker::parse_workers`]). Returns the normalised policy and the
-    /// warnings (callers print them to stderr).
+    /// with an obvious safe reading are clamped with a warning: a
+    /// `sweep_workers` of 0 becomes 1 and one above [`MAX_SWEEP_WORKERS`]
+    /// becomes the maximum. Returns the normalised policy and the warnings
+    /// (callers print them to stderr).
     ///
     /// A finite fraction above 1.0 is *valid* (the fig. 9 trade-off sweeps
     /// past 1.0: quarantine may outgrow the live heap) but warned about;
@@ -162,21 +157,21 @@ mod tests {
             p.incremental_slice_bytes.is_none(),
             "paper evaluates stop-the-world"
         );
-        // Env-dependent (CHERIVOKE_SWEEP_WORKERS), but always a valid pool.
-        assert!(p.sweep_workers >= 1);
+        assert_eq!(p.kernel, Kernel::Fast);
+        assert_eq!(p.sweep_workers, 1);
+        assert_eq!(p.backend, BackendKind::Stock);
     }
 
     #[test]
     fn with_fraction_overrides_only_quarantine() {
         let p = RevocationPolicy::with_fraction(1.0);
-        assert_eq!(p.quarantine.fraction, 1.0);
-        // The kernel is env-selected (CHERIVOKE_KERNEL; default fast): any
-        // named sequential tier.
-        assert_eq!(p.kernel, Kernel::from_env());
-        assert!(matches!(
-            p.kernel,
-            Kernel::Fast | Kernel::Wide | Kernel::Simd | Kernel::Simple | Kernel::Unrolled
-        ));
+        assert_eq!(
+            p,
+            RevocationPolicy {
+                quarantine: QuarantineConfig::with_fraction(1.0),
+                ..RevocationPolicy::paper_default()
+            }
+        );
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub struct ServiceStats {
     /// slices, peer sweeps and synchronous drains (the sum of `pauses`).
     pub sweep_secs: f64,
     /// Revoker pause-time distribution (log2 buckets of nanoseconds;
-    /// `percentile_ns`/`max_ns` give bucket ceilings, `sum` is exact).
+    /// `percentile`/`max_value` give bucket ceilings, `sum` is exact).
     pub pauses: HistogramSnapshot,
     /// Seconds since the service started.
     pub elapsed_secs: f64,
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn pause_histogram_buckets_by_log2() {
         use std::time::Duration;
-        let h = telemetry::LogHistogram::new();
+        let h = telemetry::LogHistogram::standalone();
         h.record_duration(Duration::from_nanos(1)); // bucket 0
         h.record_duration(Duration::from_nanos(3)); // bucket 1
         h.record_duration(Duration::from_nanos(1024)); // bucket 10
@@ -167,23 +167,23 @@ mod tests {
     #[test]
     fn pause_percentiles_are_bucket_ceilings() {
         use std::time::Duration;
-        let h = telemetry::LogHistogram::new();
+        let h = telemetry::LogHistogram::standalone();
         for _ in 0..99 {
             h.record_duration(Duration::from_nanos(100)); // bucket 6: [64, 128)
         }
         h.record_duration(Duration::from_micros(100)); // bucket 16
         let s = h.snapshot();
-        assert_eq!(s.percentile_ns(50.0), 128);
-        assert_eq!(s.percentile_ns(99.0), 128);
-        assert_eq!(s.percentile_ns(100.0), 1 << 17);
-        assert_eq!(s.max_ns(), 1 << 17);
+        assert_eq!(s.percentile(50.0), 128);
+        assert_eq!(s.percentile(99.0), 128);
+        assert_eq!(s.percentile(100.0), 1 << 17);
+        assert_eq!(s.max_value(), 1 << 17);
     }
 
     #[test]
     fn empty_pause_histogram_is_zero() {
-        let s = telemetry::LogHistogram::new().snapshot();
+        let s = telemetry::LogHistogram::standalone().snapshot();
         assert_eq!(s.count(), 0);
-        assert_eq!(s.percentile_ns(99.0), 0);
+        assert_eq!(s.percentile(99.0), 0);
     }
 
     #[test]

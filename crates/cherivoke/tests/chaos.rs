@@ -9,17 +9,24 @@
 //! either succeeds or returns a *documented* typed [`HeapError`], never a
 //! panic, and that the service keeps revoking soundly afterwards.
 //!
-//! A failing seed is reproducible: the expanded fault plan is written to
+//! Each seed also picks the service configuration it runs under: shard
+//! count, quarantine fraction, revocation backend, sweep kernel and sweep
+//! worker count (see [`chaos_config`]). The seed list covers every
+//! kernel × backend pair and both worker counts under the wide and fast
+//! kernels.
+//!
+//! A failing seed is reproducible from the seed alone: the op stream, the
+//! fault plan and the configuration all derive from it. The seed, its
+//! expanded fault plan and the resolved configuration are written to
 //! `$CARGO_TARGET_TMPDIR/chaos_failing_plan.txt` (CI uploads it as an
-//! artifact) and printed in the panic message — re-run by exporting it as
-//! `CHERIVOKE_FAULT_PLAN`.
+//! artifact) and printed when the test fails.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use cheri::Capability;
 use cherivoke::fault::{FaultInjector, FaultPlan, FaultPoint};
-use cherivoke::{BackendKind, ConcurrentHeap, HeapClient, HeapError, ServiceConfig};
+use cherivoke::{BackendKind, ConcurrentHeap, HeapClient, HeapError, Kernel, ServiceConfig};
 use telemetry::EventKind;
 
 /// SplitMix64 — the op driver's own deterministic stream (independent of
@@ -218,15 +225,34 @@ fn chaos_config(seed: u64) -> ServiceConfig {
     config.telemetry = true;
     config.revoker_watchdog = Duration::from_millis(20);
     config.policy.quarantine.fraction = if seed.is_multiple_of(3) { 0.1 } else { 0.25 };
-    // Rotate the revocation backend by seed: the headline invariant must
-    // hold under the stock, colored and hierarchical lifecycles alike
-    // (the seed list covers all three).
+    // Rotate the revocation backend, sweep kernel and worker count by
+    // seed: the headline invariant must hold under every lifecycle and
+    // every sweep path alike.
     config.policy.backend = BackendKind::ALL[(seed % 3) as usize];
+    config.policy.kernel = [Kernel::Wide, Kernel::Fast, Kernel::Simd][(seed / 3 % 3) as usize];
+    config.policy.sweep_workers = if (seed / 9).is_multiple_of(2) { 1 } else { 4 };
     config
 }
 
-/// Runs one full chaos scenario for `seed`; panics (with the expanded
-/// plan in the message) on any invariant violation.
+/// The seed's fault plan and resolved configuration, as recorded when it
+/// fails.
+fn describe_seed(seed: u64) -> String {
+    let config = chaos_config(seed);
+    let policy = config.policy;
+    format!(
+        "seed={seed}\nfault_plan={}\nshards={}\nquarantine_fraction={}\nbackend={}\n\
+         kernel={}\nsweep_workers={}\n",
+        FaultPlan::from_seed(seed),
+        config.shards,
+        policy.quarantine.fraction,
+        policy.backend.name(),
+        policy.kernel.name(),
+        policy.sweep_workers,
+    )
+}
+
+/// Runs one full chaos scenario for `seed`; panics on any invariant
+/// violation.
 fn run_seed(seed: u64) {
     cherivoke::fault::silence_injected_panics();
     let plan = FaultPlan::from_seed(seed);
@@ -295,21 +321,50 @@ fn run_seed(seed: u64) {
     }
 }
 
+/// The chaos seeds. Together they cover every kernel × backend pair and
+/// both worker counts under the wide and fast kernels (checked by
+/// `seeds_cover_every_kernel_backend_and_worker_count`).
+const SEEDS: [u64; 10] = [1, 2, 3, 7, 9, 13, 42, 1337, 0xdead, 0xc0ffee];
+
+#[test]
+fn seeds_cover_every_kernel_backend_and_worker_count() {
+    let configs: Vec<_> = SEEDS
+        .iter()
+        .map(|&seed| {
+            let policy = chaos_config(seed).policy;
+            (policy.kernel, policy.backend, policy.sweep_workers)
+        })
+        .collect();
+    for kernel in [Kernel::Wide, Kernel::Fast, Kernel::Simd] {
+        for backend in BackendKind::ALL {
+            assert!(
+                configs.iter().any(|&(k, b, _)| (k, b) == (kernel, backend)),
+                "no seed runs {kernel:?} × {backend:?}"
+            );
+        }
+    }
+    for kernel in [Kernel::Wide, Kernel::Fast] {
+        for workers in [1, 4] {
+            assert!(
+                configs.iter().any(|&(k, _, w)| (k, w) == (kernel, workers)),
+                "no seed runs {kernel:?} with {workers} sweep workers"
+            );
+        }
+    }
+}
+
 #[test]
 fn chaos_property_holds_across_seeds_and_plans() {
-    for seed in [1u64, 2, 3, 7, 42, 1337, 0xdead, 0xc0ffee] {
-        let plan_text = FaultPlan::from_seed(seed).to_string();
+    for seed in SEEDS {
         let outcome = catch_unwind(AssertUnwindSafe(|| run_seed(seed)));
         if let Err(payload) = outcome {
+            let description = describe_seed(seed);
             let artifact =
                 std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("chaos_failing_plan.txt");
-            let _ = std::fs::write(
-                &artifact,
-                format!("seed={seed}\nCHERIVOKE_FAULT_PLAN={plan_text}\n"),
-            );
+            let _ = std::fs::write(&artifact, &description);
             eprintln!(
-                "chaos seed {seed} failed; reproduce with CHERIVOKE_FAULT_PLAN={plan_text} \
-                 (also written to {})",
+                "chaos seed {seed} failed; the seed alone reproduces it (run this test with \
+                 only {seed} in its seed list). Written to {}:\n{description}",
                 artifact.display()
             );
             std::panic::resume_unwind(payload);

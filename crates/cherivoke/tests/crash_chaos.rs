@@ -3,7 +3,7 @@
 //! persisted heap image + epoch journal and audits the result.
 //!
 //! Each matrix entry re-execs this test binary with `CVK_CRASH_SPEC`
-//! set. The child arms **hard** crash persistence
+//! (`backend/kernel/point/start`) set. The child arms **hard** crash persistence
 //! ([`CherivokeHeap::set_crash_persist`] with `hard = true`), runs an
 //! alloc/stash/free workload until the seeded crash point fires, writes
 //! the image, and dies with `SIGABRT` — a real process kill, not an
@@ -11,19 +11,20 @@
 //! [`CherivokeHeap::recover`] and asserts the full-heap safety audit is
 //! clean: no tagged capability points into reusable memory.
 //!
-//! The matrix is 5 crash points × 3 start indices × 3 backends = 45
-//! seeded kills (the ISSUE's ≥ 32 floor). CI shards it by backend via
-//! `CHERIVOKE_CRASH_BACKEND`; a failing entry's spec, image and journal
-//! are exported to `$CARGO_TARGET_TMPDIR` for artifact upload.
+//! The matrix is 5 crash points × 3 start indices × 2 sweep kernels
+//! (word-at-a-time and vector) × 3 backends = 90 seeded kills. CI shards
+//! it by backend via `CHERIVOKE_CRASH_BACKEND`; a failing entry's spec,
+//! image and journal are exported to `$CARGO_TARGET_TMPDIR` for artifact
+//! upload.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use cherivoke::fault::{FaultInjector, FaultPlan, FaultPoint, FaultRule, CRASH_POINTS};
-use cherivoke::{BackendKind, CherivokeHeap, HeapConfig, RecoveryAction};
+use cherivoke::{BackendKind, CherivokeHeap, HeapConfig, Kernel, RecoveryAction};
 
-/// Child-mode selector: `backend/point/start`.
+/// Child-mode selector: `backend/kernel/point/start`.
 const SPEC_ENV: &str = "CVK_CRASH_SPEC";
 /// Directory the child persists its image + journal into.
 const DIR_ENV: &str = "CVK_CRASH_DIR";
@@ -35,21 +36,17 @@ const EXIT_NEVER_FIRED: i32 = 86;
 /// late-run epochs are all killed.
 const START_INDICES: [u64; 3] = [0, 2, 5];
 
-fn heap_config(backend: BackendKind) -> HeapConfig {
+/// Sweep kernels every backend is killed under: the word-at-a-time
+/// default and the vector tier.
+const KERNELS: [Kernel; 2] = [Kernel::Fast, Kernel::Simd];
+
+fn heap_config(backend: BackendKind, kernel: Kernel) -> HeapConfig {
     let mut cfg = HeapConfig::small();
     cfg.policy.backend = backend;
+    cfg.policy.kernel = kernel;
     cfg.policy.quarantine.fraction = 0.125;
     cfg.policy.incremental_slice_bytes = Some(16 << 10);
     cfg
-}
-
-fn backend_by_name(name: &str) -> BackendKind {
-    match name {
-        "stock" => BackendKind::Stock,
-        "colored" => BackendKind::Colored,
-        "hierarchical" => BackendKind::Hierarchical,
-        other => panic!("unknown backend {other:?} in {SPEC_ENV}"),
-    }
 }
 
 /// Child mode: run the workload with a hard crash armed. On the expected
@@ -58,14 +55,19 @@ fn backend_by_name(name: &str) -> BackendKind {
 /// finishes without the point firing.
 fn run_child(spec: &str, dir: &Path) -> ! {
     let mut parts = spec.split('/');
-    let backend = backend_by_name(parts.next().expect("spec backend"));
+    let backend: BackendKind = parts.next().expect("spec backend").parse().unwrap();
+    let kernel_name = parts.next().expect("spec kernel");
+    let kernel = KERNELS
+        .into_iter()
+        .find(|k| k.name() == kernel_name)
+        .unwrap_or_else(|| panic!("unknown kernel {kernel_name:?} in {SPEC_ENV}"));
     let point = FaultPoint::from_name(parts.next().expect("spec point")).expect("known point");
     let start: u64 = parts
         .next()
         .expect("spec start")
         .parse()
         .expect("start index");
-    let mut heap = CherivokeHeap::new(heap_config(backend)).unwrap();
+    let mut heap = CherivokeHeap::new(heap_config(backend, kernel)).unwrap();
     heap.set_journal(journal::Journal::create(dir.join("heap.cvj")).unwrap());
     heap.set_crash_persist(dir.join("heap.img"), true);
     heap.set_fault_injector(FaultInjector::new(FaultPlan::from_rules(vec![
@@ -108,13 +110,21 @@ fn fail_entry(spec: &str, dir: &Path, why: &str) -> ! {
 }
 
 /// One matrix entry: kill a child at `spec`, recover in-process, audit.
-fn kill_and_recover(test_name: &str, backend: BackendKind, point: FaultPoint, start: u64) {
-    let spec = format!("{}/{}/{start}", backend.name(), point.name());
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!(
-        "crash-chaos-{}-{}-{start}",
+fn kill_and_recover(
+    test_name: &str,
+    backend: BackendKind,
+    kernel: Kernel,
+    point: FaultPoint,
+    start: u64,
+) {
+    let spec = format!(
+        "{}/{}/{}/{start}",
         backend.name(),
+        kernel.name(),
         point.name()
-    ));
+    );
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("crash-chaos-{}", spec.replace('/', "-")));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let exe = std::env::current_exe().unwrap();
@@ -155,7 +165,7 @@ fn kill_and_recover(test_name: &str, backend: BackendKind, point: FaultPoint, st
     };
     let started = Instant::now();
     let (mut heap, report) =
-        match CherivokeHeap::recover(heap_config(backend), &image, &journal_bytes) {
+        match CherivokeHeap::recover(heap_config(backend, kernel), &image, &journal_bytes) {
             Ok(r) => r,
             Err(e) => fail_entry(&spec, &dir, &format!("recovery failed: {e}")),
         };
@@ -194,7 +204,7 @@ fn kill_and_recover(test_name: &str, backend: BackendKind, point: FaultPoint, st
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs the full kill matrix for one backend (15 seeded process kills).
+/// Runs the full kill matrix for one backend (30 seeded process kills).
 fn run_matrix(test_name: &str, backend: BackendKind) {
     // Child mode short-circuits everything: this process IS a matrix
     // entry, re-execed by a parent run of the same test.
@@ -213,13 +223,18 @@ fn run_matrix(test_name: &str, backend: BackendKind) {
         }
     }
     let mut kills = 0;
-    for point in CRASH_POINTS {
-        for start in START_INDICES {
-            kill_and_recover(test_name, backend, point, start);
-            kills += 1;
+    for kernel in KERNELS {
+        for point in CRASH_POINTS {
+            for start in START_INDICES {
+                kill_and_recover(test_name, backend, kernel, point, start);
+                kills += 1;
+            }
         }
     }
-    assert_eq!(kills, CRASH_POINTS.len() * START_INDICES.len());
+    assert_eq!(
+        kills,
+        KERNELS.len() * CRASH_POINTS.len() * START_INDICES.len()
+    );
 }
 
 #[test]

@@ -23,8 +23,9 @@
 //!   the same op sequence injects the same faults.
 //! - **Reproducible from one string.** Plans round-trip through
 //!   [`FaultPlan::parse`] / `Display`, and `seed=N` expands to a derived
-//!   rule set, so a failing chaos run is reproduced by exporting
-//!   `CHERIVOKE_FAULT_PLAN` with the plan printed in the failure message.
+//!   rule set, so a plan printed in a failure message is re-armed from
+//!   that one string: [`FaultPlan::parse`], or `CHERIVOKE_FAULT_PLAN`
+//!   for constructors that read [`FaultInjector::from_env`].
 //!
 //! # Plan syntax
 //!

@@ -37,7 +37,7 @@ use crate::shadow::ShadowMap;
 use tagmem::PageTable;
 
 /// Selects one of the built-in [`RevocationBackend`] implementations —
-/// the `RevocationPolicy::backend` / `CHERIVOKE_BACKEND` knob.
+/// the `RevocationPolicy::backend` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// Today's behaviour: one quarantine bin, full sweeps.
@@ -87,48 +87,6 @@ impl std::str::FromStr for BackendKind {
             other => Err(format!(
                 "unknown revocation backend {other:?} (expected stock, colored or hierarchical)"
             )),
-        }
-    }
-}
-
-/// Validates a raw `CHERIVOKE_BACKEND` value. Returns the backend to use
-/// plus a human-readable warning when the value was not recognised
-/// (unrecognised or empty values fall back to [`BackendKind::Stock`]) —
-/// the same clamp-and-warn contract as
-/// [`parse_workers`][crate::parse_workers].
-pub fn parse_backend(raw: &str) -> (BackendKind, Option<String>) {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return (
-            BackendKind::Stock,
-            Some("CHERIVOKE_BACKEND is set but empty; using the stock backend".to_string()),
-        );
-    }
-    match trimmed.parse() {
-        Ok(kind) => (kind, None),
-        Err(_) => (
-            BackendKind::Stock,
-            Some(format!(
-                "CHERIVOKE_BACKEND={trimmed:?} is not recognised (expected stock, colored or \
-                 hierarchical); using the stock backend"
-            )),
-        ),
-    }
-}
-
-/// The revocation backend from the `CHERIVOKE_BACKEND` environment
-/// variable (default [`BackendKind::Stock`]). Unrecognised values warn
-/// once to stderr and keep the default.
-pub fn backend_from_env() -> BackendKind {
-    match std::env::var("CHERIVOKE_BACKEND") {
-        Err(_) => BackendKind::Stock,
-        Ok(raw) => {
-            let (kind, warning) = parse_backend(&raw);
-            if let Some(msg) = warning {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| eprintln!("warning: {msg}"));
-            }
-            kind
         }
     }
 }
@@ -383,20 +341,6 @@ mod tests {
             BackendKind::Colored
         );
         assert!("picasso".parse::<BackendKind>().is_err());
-    }
-
-    #[test]
-    fn parse_backend_clamps_and_warns_like_the_workers_knob() {
-        assert_eq!(
-            parse_backend("hierarchical"),
-            (BackendKind::Hierarchical, None)
-        );
-        let (kind, warning) = parse_backend("rainbow");
-        assert_eq!(kind, BackendKind::Stock);
-        assert!(warning.unwrap().contains("rainbow"));
-        let (kind, warning) = parse_backend("   ");
-        assert_eq!(kind, BackendKind::Stock);
-        assert!(warning.unwrap().contains("empty"));
     }
 
     #[test]

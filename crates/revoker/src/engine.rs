@@ -697,108 +697,11 @@ impl<K> SweepEngine<K> {
     }
 }
 
-/// Upper bound on `CHERIVOKE_SWEEP_WORKERS`: beyond this, thread spawn
-/// and merge overhead dominates any sweep this repo models, so larger
-/// requests are clamped (with a warning) rather than honoured.
+/// Upper bound on a sweep's worker count: beyond this, thread spawn and
+/// merge overhead dominates any sweep this repo models, so
+/// `RevocationPolicy::validated` clamps larger requests (with a warning)
+/// rather than honouring them.
 pub const MAX_SWEEP_WORKERS: usize = 64;
-
-/// Validates a raw `CHERIVOKE_SWEEP_WORKERS` value. Returns the worker
-/// count to use plus a human-readable warning when the value was
-/// malformed or out of range (empty/unparseable/0 fall back to 1; values
-/// above [`MAX_SWEEP_WORKERS`] clamp down to it).
-pub fn parse_workers(raw: &str) -> (usize, Option<String>) {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return (
-            1,
-            Some("CHERIVOKE_SWEEP_WORKERS is set but empty; using 1 worker".to_string()),
-        );
-    }
-    match trimmed.parse::<usize>() {
-        Err(_) => (
-            1,
-            Some(format!(
-                "CHERIVOKE_SWEEP_WORKERS={trimmed:?} is not a positive integer; using 1 worker"
-            )),
-        ),
-        Ok(0) => (
-            1,
-            Some("CHERIVOKE_SWEEP_WORKERS=0 is invalid (minimum 1); using 1 worker".to_string()),
-        ),
-        Ok(n) if n > MAX_SWEEP_WORKERS => (
-            MAX_SWEEP_WORKERS,
-            Some(format!(
-                "CHERIVOKE_SWEEP_WORKERS={n} exceeds the maximum of {MAX_SWEEP_WORKERS}; \
-                 clamping to {MAX_SWEEP_WORKERS}"
-            )),
-        ),
-        Ok(n) => (n, None),
-    }
-}
-
-/// Worker-thread count for parallel sweeps, from the
-/// `CHERIVOKE_SWEEP_WORKERS` environment variable (default 1 =
-/// sequential). Malformed or out-of-range values are validated by
-/// [`parse_workers`]; the warning, if any, is printed to stderr once per
-/// process instead of being silently swallowed.
-pub fn workers_from_env() -> usize {
-    match std::env::var("CHERIVOKE_SWEEP_WORKERS") {
-        Err(_) => 1,
-        Ok(raw) => {
-            let (workers, warning) = parse_workers(&raw);
-            if let Some(msg) = warning {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| eprintln!("warning: {msg}"));
-            }
-            workers
-        }
-    }
-}
-
-/// Validates a raw `CHERIVOKE_KERNEL` value. Returns the kernel to use
-/// plus a warning when the value was not recognised (unrecognised values
-/// keep the default: [`Kernel::Fast`]).
-///
-/// Accepted names (case-insensitive): `reference` (or `wide` — the
-/// bit-parallel reference tier), `simple`, `unrolled`, `fast`, and `simd`.
-pub fn parse_kernel(raw: &str) -> (Kernel, Option<String>) {
-    let v = raw.trim();
-    if v.eq_ignore_ascii_case("reference") || v.eq_ignore_ascii_case("wide") {
-        (Kernel::Wide, None)
-    } else if v.eq_ignore_ascii_case("simple") {
-        (Kernel::Simple, None)
-    } else if v.eq_ignore_ascii_case("unrolled") {
-        (Kernel::Unrolled, None)
-    } else if v.eq_ignore_ascii_case("fast") || v.is_empty() {
-        (Kernel::Fast, None)
-    } else if v.eq_ignore_ascii_case("simd") {
-        (Kernel::Simd, None)
-    } else {
-        (
-            Kernel::Fast,
-            Some(format!(
-                "CHERIVOKE_KERNEL={v:?} is not recognised \
-                 (expected reference|wide|simple|unrolled|fast|simd); using the fast kernel"
-            )),
-        )
-    }
-}
-
-/// The sweep kernel selected by `CHERIVOKE_KERNEL`
-/// (`reference|wide|simple|unrolled|fast|simd`, see [`parse_kernel`]).
-/// Unset, the default is [`Kernel::Fast`]; unrecognised values warn once
-/// to stderr and fall back to [`Kernel::Fast`] instead of panicking.
-pub fn kernel_from_env() -> Kernel {
-    let Ok(raw) = std::env::var("CHERIVOKE_KERNEL") else {
-        return Kernel::Fast;
-    };
-    let (kernel, warning) = parse_kernel(&raw);
-    if let Some(msg) = warning {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        WARNED.call_once(|| eprintln!("warning: {msg}"));
-    }
-    kernel
-}
 
 /// The parallel sweep engine (§3.5): plans the identical chunk list the
 /// sequential engine would visit, partitions it across scoped worker
@@ -806,7 +709,9 @@ pub fn kernel_from_env() -> Kernel {
 /// so no two touch the same tag word), and merges per-worker stats
 /// deterministically with [`SweepStats::merge_parallel`]. The shadow map
 /// is shared read-only. Results — memory, tags, and stats — are
-/// byte-identical to the sequential engine by construction.
+/// byte-identical to the sequential engine by construction. Heaps size
+/// theirs from the `RevocationPolicy::sweep_workers` field (paper default
+/// 1, sequential).
 ///
 /// An engine optionally carries a [`SweepTelemetry`][crate::SweepTelemetry]
 /// (see [`ParallelSweepEngine::with_telemetry`]): each sweep is then timed
@@ -830,12 +735,6 @@ impl ParallelSweepEngine {
             telemetry: crate::SweepTelemetry::default(),
             faults: FaultInjector::disabled(),
         }
-    }
-
-    /// An engine sized from `CHERIVOKE_SWEEP_WORKERS` (see
-    /// [`workers_from_env`]).
-    pub fn from_env(kernel: Kernel) -> ParallelSweepEngine {
-        ParallelSweepEngine::new(kernel, workers_from_env())
     }
 
     /// Attaches sweep telemetry: every subsequent sweep records its
@@ -1411,74 +1310,6 @@ mod tests {
         assert_eq!(stats.regs_revoked, 1);
         assert_eq!(stats.segments_swept, 0);
         assert_eq!(stats.bytes_swept, 0);
-    }
-
-    #[test]
-    fn workers_from_env_defaults_to_one() {
-        // The test environment does not set the variable for this process
-        // (CI's forced-parallel job sets it globally, which is also fine —
-        // then workers_from_env must agree with parse_workers).
-        match std::env::var("CHERIVOKE_SWEEP_WORKERS") {
-            Err(_) => assert_eq!(workers_from_env(), 1),
-            Ok(v) => assert_eq!(workers_from_env(), parse_workers(&v).0),
-        }
-    }
-
-    #[test]
-    fn parse_workers_validates_and_clamps() {
-        assert_eq!(parse_workers("4"), (4, None));
-        assert_eq!(parse_workers(" 8 "), (8, None)); // whitespace tolerated
-        assert_eq!(parse_workers(&MAX_SWEEP_WORKERS.to_string()).0, 64);
-
-        let (w, warn) = parse_workers("");
-        assert_eq!(w, 1);
-        assert!(warn.unwrap().contains("empty"));
-
-        let (w, warn) = parse_workers("0");
-        assert_eq!(w, 1);
-        assert!(warn.unwrap().contains("minimum 1"));
-
-        let (w, warn) = parse_workers("banana");
-        assert_eq!(w, 1);
-        assert!(warn.unwrap().contains("not a positive integer"));
-
-        let (w, warn) = parse_workers("-3");
-        assert_eq!(w, 1);
-        assert!(warn.is_some());
-
-        let (w, warn) = parse_workers("10000");
-        assert_eq!(w, MAX_SWEEP_WORKERS);
-        assert!(warn.unwrap().contains("clamping"));
-    }
-
-    #[test]
-    fn parse_kernel_recognises_names_and_clamps() {
-        for (name, kernel) in [
-            ("reference", Kernel::Wide),
-            ("wide", Kernel::Wide),
-            ("simple", Kernel::Simple),
-            ("unrolled", Kernel::Unrolled),
-            ("fast", Kernel::Fast),
-            ("simd", Kernel::Simd),
-            ("SIMD", Kernel::Simd),
-            (" Fast ", Kernel::Fast),
-            ("", Kernel::Fast),
-        ] {
-            assert_eq!(parse_kernel(name), (kernel, None), "{name:?}");
-        }
-        let (kernel, warn) = parse_kernel("banana");
-        assert_eq!(kernel, Kernel::Fast, "unrecognised values fall back");
-        assert!(warn.unwrap().contains("not recognised"));
-    }
-
-    #[test]
-    fn kernel_from_env_agrees_with_parse() {
-        // The variable may or may not be set by CI's matrix; either way
-        // kernel_from_env must agree with the pure parse function.
-        match std::env::var("CHERIVOKE_KERNEL") {
-            Ok(v) => assert_eq!(kernel_from_env(), parse_kernel(&v).0),
-            Err(_) => assert_eq!(kernel_from_env(), Kernel::Fast),
-        }
     }
 
     #[test]

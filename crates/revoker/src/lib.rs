@@ -76,15 +76,14 @@ pub mod timed;
 
 pub use audit::{audit_dump, AuditReport, AuditViolation};
 pub use backend::{
-    backend_from_env, parse_backend, BackendFilter, BackendKind, ColoredBackend,
-    HierarchicalBackend, RevocationBackend, StockBackend, MAX_QUARANTINE_BINS,
+    BackendFilter, BackendKind, ColoredBackend, HierarchicalBackend, RevocationBackend,
+    StockBackend, MAX_QUARANTINE_BINS,
 };
 pub use engine::{
-    kernel_from_env, line_spans, page_spans, parse_kernel, parse_workers, sweep_register_file,
-    workers_from_env, CLoadTagsLines, CapDirtyPages, CapSource, DirtyPageList, DumpSource,
-    EveryLine, FilterGranularity, GranuleFilter, IdealLines, NoCost, NoFilter, ParallelSweepEngine,
-    RangeSource, RegisterSource, RevokeKernel, SegmentSource, SpaceSource, SweepCost, SweepEngine,
-    SweepScratch, TagProbe, MAX_SWEEP_WORKERS,
+    line_spans, page_spans, sweep_register_file, CLoadTagsLines, CapDirtyPages, CapSource,
+    DirtyPageList, DumpSource, EveryLine, FilterGranularity, GranuleFilter, IdealLines, NoCost,
+    NoFilter, ParallelSweepEngine, RangeSource, RegisterSource, RevokeKernel, SegmentSource,
+    SpaceSource, SweepCost, SweepEngine, SweepScratch, TagProbe, MAX_SWEEP_WORKERS,
 };
 /// Deterministic fault injection for chaos testing the sweep machinery
 /// (re-export of the `faultinject` crate; see its docs for plan syntax).

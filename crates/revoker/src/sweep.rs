@@ -12,7 +12,9 @@ use crate::engine::SweepCost;
 use crate::ShadowMap;
 
 /// Which inner-loop implementation to use — the paper's Figure 7 compares
-/// exactly this set of optimisation levels.
+/// exactly this set of optimisation levels. Heaps take theirs from the
+/// `RevocationPolicy::kernel` field, whose paper default is
+/// [`Kernel::Fast`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// The naïve per-granule loop of §3.3: check the tag, decode, branch.
@@ -31,7 +33,7 @@ pub enum Kernel {
     /// [`cheri::CompressedBounds::decode_base_partial`]), and the decoded
     /// base is first tested against the whole 64-granule shadow word
     /// covering it — one `u64` compare rejects unpainted bases without a
-    /// bit extraction. The default kernel (see [`crate::kernel_from_env`]).
+    /// bit extraction. The paper-default kernel.
     Fast,
     /// The vectorised tier (the role AVX2 plays in the paper's Fig. 7
     /// hardware sweep): tag words are scanned four at a time with a
@@ -44,8 +46,7 @@ pub enum Kernel {
     /// them — or whenever a [`SweepCost`] model is attached, so timed
     /// replays observe the exact scalar access stream — the kernel falls
     /// back to [`Kernel::Fast`], which it matches bit-for-bit by
-    /// construction. Selected via `CHERIVOKE_KERNEL=simd`
-    /// (see [`crate::kernel_from_env`]).
+    /// construction.
     Simd,
 }
 
@@ -59,14 +60,6 @@ impl Kernel {
             Kernel::Fast => "fast",
             Kernel::Simd => "simd",
         }
-    }
-
-    /// The default sweep kernel honouring
-    /// `CHERIVOKE_KERNEL=reference|wide|simple|unrolled|fast|simd`,
-    /// defaulting to [`Kernel::Fast`] (see [`crate::kernel_from_env`] for
-    /// the clamp+warn semantics).
-    pub fn from_env() -> Kernel {
-        crate::engine::kernel_from_env()
     }
 }
 

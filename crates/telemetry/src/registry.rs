@@ -150,12 +150,6 @@ impl LogHistogram {
         LogHistogram(Some(Arc::new(HistCells::default())))
     }
 
-    /// An enabled histogram (alias of [`LogHistogram::standalone`], kept
-    /// for call sites that predate the registry).
-    pub fn new() -> LogHistogram {
-        LogHistogram::standalone()
-    }
-
     /// A permanently disabled handle (same as `LogHistogram::default()`).
     pub fn disabled() -> LogHistogram {
         LogHistogram(None)
@@ -247,20 +241,9 @@ impl HistogramSnapshot {
         u64::MAX
     }
 
-    /// Nanosecond-flavoured alias of [`HistogramSnapshot::percentile`]
-    /// (the revocation runtime records pauses in ns).
-    pub fn percentile_ns(&self, p: f64) -> u64 {
-        self.percentile(p)
-    }
-
     /// Ceiling of the largest recorded sample.
     pub fn max_value(&self) -> u64 {
         self.percentile(100.0)
-    }
-
-    /// Nanosecond-flavoured alias of [`HistogramSnapshot::max_value`].
-    pub fn max_ns(&self) -> u64 {
-        self.max_value()
     }
 
     /// The samples recorded *since* `earlier` (per-bucket and sum
@@ -531,7 +514,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_log2() {
-        let h = LogHistogram::new();
+        let h = LogHistogram::standalone();
         h.record(0); // bucket 0 (absorbs 0)
         h.record(1); // bucket 0
         h.record(3); // bucket 1
@@ -548,7 +531,7 @@ mod tests {
 
     #[test]
     fn percentiles_are_bucket_ceilings() {
-        let h = LogHistogram::new();
+        let h = LogHistogram::standalone();
         for _ in 0..99 {
             h.record(100); // bucket 6: [64, 128)
         }
@@ -558,16 +541,15 @@ mod tests {
         assert_eq!(s.percentile(99.0), 128);
         assert_eq!(s.percentile(100.0), 1 << 17);
         assert_eq!(s.max_value(), 1 << 17);
-        assert_eq!(s.max_ns(), 1 << 17);
         // Top bucket's ceiling saturates instead of overflowing.
-        let top = LogHistogram::new();
+        let top = LogHistogram::standalone();
         top.record(u64::MAX);
         assert_eq!(top.snapshot().max_value(), u64::MAX);
     }
 
     #[test]
     fn empty_histogram_is_zero() {
-        let s = LogHistogram::new().snapshot();
+        let s = LogHistogram::standalone().snapshot();
         assert_eq!(s.count(), 0);
         assert_eq!(s.percentile(99.0), 0);
         assert_eq!(s.mean(), 0.0);

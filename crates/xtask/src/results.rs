@@ -19,13 +19,7 @@ pub const DETERMINISTIC_RESULTS: &[&str] =
 
 /// Environment variables that change experiment behaviour; scrubbed so a
 /// developer's shell cannot skew the regenerated captures.
-const SCRUBBED_ENV: &[&str] = &[
-    "CHERIVOKE_KERNEL",
-    "CHERIVOKE_SWEEP_WORKERS",
-    "CHERIVOKE_FAULT_PLAN",
-    "CHERIVOKE_BACKEND",
-    "BENCH_MEASURED_PSWEEPER",
-];
+const SCRUBBED_ENV: &[&str] = &["CHERIVOKE_FAULT_PLAN", "BENCH_MEASURED_PSWEEPER"];
 
 /// The repository root (two levels above this crate's manifest).
 pub fn repo_root() -> PathBuf {

@@ -106,8 +106,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 rate(&delta, "cvk_alloc_mallocs_total", secs),
                 rate(&delta, "cvk_alloc_frees_total", secs),
                 rate(&delta, "cvk_sweep_bytes_total", secs) / (1 << 20) as f64,
-                pauses.percentile_ns(50.0) / 1_000,
-                pauses.percentile_ns(99.0) / 1_000,
+                pauses.percentile(50.0) / 1_000,
+                pauses.percentile(99.0) / 1_000,
                 snap.gauges
                     .get("cvk_alloc_quarantined_bytes")
                     .copied()

@@ -143,7 +143,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let peak = peak_bps.load(Ordering::Relaxed) as f64 / 100.0;
     println!(
         "  p99 sweep pause {:.0}µs | peak budget use {peak:.0}% of quota | global quarantine {}",
-        stats.pauses.percentile_ns(99.0) as f64 / 1e3,
+        stats.pauses.percentile(99.0) as f64 / 1e3,
         stats.global_quarantined
     );
     let hot_stats = &stats.tenants[0];

@@ -118,9 +118,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "pauses: p50 {} µs, p99 {} µs, max {} µs over {} revoker lock holds",
-        stats.pauses.percentile_ns(50.0) / 1_000,
-        stats.pauses.percentile_ns(99.0) / 1_000,
-        stats.pauses.max_ns() / 1_000,
+        stats.pauses.percentile(50.0) / 1_000,
+        stats.pauses.percentile(99.0) / 1_000,
+        stats.pauses.max_value() / 1_000,
         stats.pauses.count()
     );
     println!(

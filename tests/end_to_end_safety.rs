@@ -155,11 +155,6 @@ fn reallocation_is_always_safe_under_churn() {
 fn strict_mode_revokes_immediately() {
     let mut cfg = HeapConfig::small();
     cfg.policy.strict = true;
-    // Strict per-free revocation requires the stock backend (the
-    // sweep-avoidance backends schedule partial sweeps, which validated()
-    // rejects as InvalidConfig) — pin it so a CHERIVOKE_BACKEND override
-    // in the environment cannot invalidate this config.
-    cfg.policy.backend = cherivoke::BackendKind::Stock;
     let mut h = CherivokeHeap::new(cfg).unwrap();
     let obj = h.malloc(64).unwrap();
     let holder = h.malloc(16).unwrap();

@@ -9,12 +9,16 @@
 //!    every sweep with their tags intact.
 //!
 //! The checker tracks allocation generations per address and audits the
-//! heap after every operation batch.
+//! heap after every operation batch. Each case also draws the sweep
+//! configuration it runs under (kernel, revocation backend, worker
+//! count), so the theorem is checked across every combination.
 
 use std::collections::HashMap;
 
 use cheri::Capability;
-use cherivoke::{CherivokeHeap, ConcurrentHeap, HeapConfig, RevocationPolicy, ServiceConfig};
+use cherivoke::{
+    BackendKind, CherivokeHeap, ConcurrentHeap, HeapConfig, Kernel, RevocationPolicy, ServiceConfig,
+};
 use proptest::prelude::*;
 use tagmem::SegmentKind;
 
@@ -43,6 +47,20 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A sweep configuration: the three kernel tiers heaps run in practice,
+/// every revocation backend, and sequential or 4-worker sweeps.
+fn sweep_config_strategy() -> impl Strategy<Value = (Kernel, BackendKind, usize)> {
+    (0usize..3, 0usize..3, prop_oneof![Just(1usize), Just(4)]).prop_map(
+        |(kernel, backend, workers)| {
+            (
+                [Kernel::Wide, Kernel::Fast, Kernel::Simd][kernel],
+                BackendKind::ALL[backend],
+                workers,
+            )
+        },
+    )
+}
+
 /// Every tagged capability currently stored in the heap segment, by base.
 fn tagged_bases(h: &CherivokeHeap) -> Vec<(u64, u64)> {
     let mem = h.space().segment(SegmentKind::Heap).expect("heap").mem();
@@ -58,9 +76,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn temporal_safety_holds_for_arbitrary_programs(ops in proptest::collection::vec(op_strategy(), 1..120)) {
+    fn temporal_safety_holds_for_arbitrary_programs(
+        sweep in sweep_config_strategy(),
+        ops in proptest::collection::vec(op_strategy(), 1..120),
+    ) {
         let mut cfg = HeapConfig::small();
         cfg.policy = RevocationPolicy::with_fraction(0.25);
+        (cfg.policy.kernel, cfg.policy.backend, cfg.policy.sweep_workers) = sweep;
         let mut h = CherivokeHeap::new(cfg).expect("heap");
         let _ballast = h.malloc(64 << 10).expect("ballast");
         let holder = h.malloc(128 * 16).expect("holder");
@@ -178,12 +200,14 @@ proptest! {
     #[test]
     fn concurrent_service_temporal_safety(
         shards in 1usize..5,
+        sweep in sweep_config_strategy(),
         ops in proptest::collection::vec(svc_op_strategy(), 1..100),
     ) {
-        let config = ServiceConfig {
+        let mut config = ServiceConfig {
             shards,
             ..ServiceConfig::small()
         };
+        (config.policy.kernel, config.policy.backend, config.policy.sweep_workers) = sweep;
         let heap = ConcurrentHeap::new(config).expect("service");
         let clients: Vec<_> = (0..shards).map(|i| heap.handle_on(i)).collect();
         // Frees and accesses route by address, so any client serves them.
