@@ -1,6 +1,8 @@
 //! The [`CherivokeHeap`]: allocator + shadow map + sweep engine (paper
-//! fig. 3). All sweeps — full cycles, incremental slices and foreign
-//! root-set sweeps — run through one [`ParallelSweepEngine`], sized by
+//! fig. 3). Every revocation cycle — stop-the-world, incremental, and
+//! recovery's roll-forward — is one epoch state machine (see the `epoch`
+//! module). All sweeps — epoch slices and foreign root-set sweeps — run
+//! through one [`ParallelSweepEngine`], sized by
 //! [`RevocationPolicy::sweep_workers`].
 
 use cheri::{CapError, Capability, Perms};
@@ -8,12 +10,12 @@ use cvkalloc::{CherivokeAllocator, ChunkState, DlAllocator};
 use journal::{Journal, Record, TailState};
 use revoker::fault::FaultPoint;
 use revoker::{
-    audit_dump, poisoned_subspans, sweep_register_file, AuditReport, BackendFilter, BackendKind,
-    NoFilter, ParallelSweepEngine, RangeSource, ShadowMap, SpaceSource, SweepScratch, SweepStats,
+    audit_dump, sweep_register_file, AuditReport, BackendFilter, BackendKind, ParallelSweepEngine,
+    ShadowMap, SpaceSource, SweepScratch, SweepStats,
 };
 use tagmem::{AddressSpace, CoreDump, SegmentKind};
 
-use crate::epoch::Epoch;
+use crate::epoch::{Epoch, SliceFilter, SliceSource};
 use crate::obs::HeapTelemetry;
 use crate::recovery::{
     warn_once, HeapImage, ImageChunk, ImageChunkState, RecoveryAction, RecoveryError,
@@ -78,10 +80,10 @@ pub struct CherivokeHeap {
     /// Reusable sweep working memory: persists across epochs so
     /// steady-state sweeps allocate nothing in the walk and inner loop.
     scratch: SweepScratch,
-    /// Recycled range buffers for the epoch lifecycle (seal hand-off and
-    /// `revoke_now` paint set, drain hand-off, worklist build/prune, slice
-    /// take): retained across epochs, so the steady-state seal → sweep →
-    /// drain path performs no Vec allocations.
+    /// Recycled range buffers for the epoch lifecycle (seal hand-off,
+    /// drain hand-off, worklist build, slice take): retained across
+    /// epochs, so the steady-state seal → sweep → drain path performs no
+    /// Vec allocations.
     range_scratch: Vec<(u64, u64)>,
     drain_scratch: Vec<(u64, u64)>,
     worklist_scratch: Vec<(u64, u64)>,
@@ -293,33 +295,15 @@ impl CherivokeHeap {
         }
     }
 
-    /// Appends one record to the journal (no-op without one). A write
-    /// failure — real, or injected via [`FaultPoint::JournalAppend`] —
-    /// triggers degraded mode: warn once, drop the journal, and complete
-    /// all future epochs synchronously so there is never in-flight state
-    /// an unjournaled crash could lose.
+    /// Appends one record to the journal (no-op without one); see
+    /// [`CherivokeHeap::journal_failed`] for a failed write.
     fn journal_append(&mut self, rec: &Record) {
-        let Some(j) = self.journal.as_mut() else {
-            return;
-        };
-        let result = if self.faults.should_fire(FaultPoint::JournalAppend) {
-            Err(std::io::Error::other("injected journal write failure"))
-        } else {
-            j.append(rec)
-        };
-        if let Err(e) = result {
-            warn_once(&format!(
-                "epoch journal write failed ({e}); journaling disabled, \
-                 epochs will complete synchronously"
-            ));
-            self.journal = None;
-            self.journal_degraded = true;
-            self.telemetry.on_journal_degraded();
-        }
+        self.journal_append_batch(std::slice::from_ref(rec));
     }
 
-    /// Appends a burst of records ([`Journal::append_batch`]), with the
-    /// same degraded-mode contract as [`CherivokeHeap::journal_append`].
+    /// Appends a burst of records ([`Journal::append_batch`]). A write
+    /// failure — real, or injected via [`FaultPoint::JournalAppend`] —
+    /// degrades the heap (see [`CherivokeHeap::journal_failed`]).
     fn journal_append_batch(&mut self, recs: &[Record]) {
         let Some(j) = self.journal.as_mut() else {
             return;
@@ -330,14 +314,21 @@ impl CherivokeHeap {
             j.append_batch(recs)
         };
         if let Err(e) = result {
-            warn_once(&format!(
-                "epoch journal write failed ({e}); journaling disabled, \
-                 epochs will complete synchronously"
-            ));
-            self.journal = None;
-            self.journal_degraded = true;
-            self.telemetry.on_journal_degraded();
+            self.journal_failed(&e);
         }
+    }
+
+    /// Degraded mode after a journal write failure: warn once, drop the
+    /// journal, and complete all future epochs synchronously so there is
+    /// never in-flight state an unjournaled crash could lose.
+    fn journal_failed(&mut self, e: &std::io::Error) {
+        warn_once(&format!(
+            "epoch journal write failed ({e}); journaling disabled, \
+             epochs will complete synchronously"
+        ));
+        self.journal = None;
+        self.journal_degraded = true;
+        self.telemetry.on_journal_degraded();
     }
 
     /// Flushes pending journal frames to the backing file — the
@@ -354,13 +345,7 @@ impl CherivokeHeap {
             return;
         };
         if let Err(e) = j.flush() {
-            warn_once(&format!(
-                "epoch journal write failed ({e}); journaling disabled, \
-                 epochs will complete synchronously"
-            ));
-            self.journal = None;
-            self.journal_degraded = true;
-            self.telemetry.on_journal_degraded();
+            self.journal_failed(&e);
         }
     }
 
@@ -510,35 +495,25 @@ impl CherivokeHeap {
         // colored backend).
         let bin = self.policy.backend.backend().bin_of(cap.base());
         self.alloc.free_binned(cap.base(), bin)?;
-        if self.policy.strict {
+        // Stop-the-world unless incremental. Degraded mode (a journal
+        // write failed) can no longer make in-flight epoch state
+        // crash-consistent, so it completes synchronously too — slower,
+        // never less safe.
+        let stop_the_world = self.policy.incremental_slice_bytes.is_none() || self.journal_degraded;
+        if self.policy.strict || (stop_the_world && self.alloc.needs_sweep()) {
             self.revoke_now();
         } else if self.alloc.needs_sweep() {
-            match self.policy.incremental_slice_bytes {
-                None => {
-                    self.revoke_now();
-                }
-                Some(_) if self.journal_degraded => {
-                    // Degraded mode: a journal write failed, so in-flight
-                    // epoch state can no longer be made crash-consistent.
-                    // Complete synchronously instead — slower, never less
-                    // safe.
-                    self.revoke_now();
-                }
-                Some(_) => {
-                    // §3.5 mode: open an epoch (if none is running) and let
-                    // slices interleave with execution. If the quarantine
-                    // doubles past its threshold while an epoch runs, the
-                    // mutator is outpacing the sweeper: fall back to
-                    // finishing synchronously.
-                    if self.epoch.is_none() {
-                        self.begin_revocation();
-                    } else {
-                        let q = self.alloc.quarantined_bytes() as f64;
-                        let live = self.live_bytes().max(1) as f64;
-                        if q >= 2.0 * self.policy.quarantine.fraction * live {
-                            self.finish_revocation();
-                        }
-                    }
+            // §3.5 mode: open an epoch (if none is running) and let slices
+            // interleave with execution. If the quarantine doubles past its
+            // threshold while an epoch runs, the mutator is outpacing the
+            // sweeper: fall back to finishing synchronously.
+            if self.epoch.is_none() {
+                self.begin_revocation();
+            } else {
+                let q = self.alloc.quarantined_bytes() as f64;
+                let live = self.live_bytes().max(1) as f64;
+                if q >= 2.0 * self.policy.quarantine.fraction * live {
+                    self.finish_revocation();
                 }
             }
         }
@@ -555,12 +530,12 @@ impl CherivokeHeap {
     }
 
     /// Opens an incremental revocation epoch (paper §3.5): the backend
-    /// selects which quarantine bins to seal, the sealed ranges are
-    /// painted, and the sweep worklist is built from the CapDirty page set
-    /// restricted to what the backend says the sweep must visit (pages
-    /// whose color summary intersects the revoked colors for the colored
-    /// backend; poisoned coarse regions for the hierarchical one). Returns
-    /// `false` if an epoch is already active or there is nothing to revoke.
+    /// selects which quarantine bins to seal, and the epoch opens over
+    /// them: seal, paint, and fix the visit set (the coalesced CapDirty
+    /// runs, narrowed per slice by the backend's filter). Slices then run
+    /// through [`CherivokeHeap::revoke_step`]; [`CherivokeHeap::revoke_now`]
+    /// and crash recovery run this same epoch pipeline. Returns `false` if
+    /// an epoch is already active or there is nothing to revoke.
     pub fn begin_revocation(&mut self) -> bool {
         if self.epoch.is_some() {
             return false;
@@ -569,6 +544,14 @@ impl CherivokeHeap {
         let mut bin_bytes = [0u64; 64];
         self.alloc.open_bin_bytes_into(&mut bin_bytes);
         let mask = backend.select_bins(&bin_bytes[..usize::from(backend.partitions())]);
+        self.open_epoch(mask, false)
+    }
+
+    /// The epoch's open step: seals the bins `mask` selects, journals and
+    /// paints them, and fixes the visit set. `full` marks a stop-the-world
+    /// cycle in the journal. Returns `false` (opening nothing) when the
+    /// selected bins are empty.
+    fn open_epoch(&mut self, mask: u64, full: bool) -> bool {
         let mut ranges = std::mem::take(&mut self.range_scratch);
         ranges.clear();
         self.alloc.seal_bins_into(mask, &mut ranges);
@@ -585,7 +568,7 @@ impl CherivokeHeap {
             epoch: self.epoch_seq,
             backend: self.policy.backend as u8,
             mask,
-            full: false,
+            full,
         });
         self.maybe_crash(FaultPoint::CrashAfterSeal);
         if self.journal.is_some() {
@@ -594,72 +577,43 @@ impl CherivokeHeap {
                 ranges: ranges.clone(),
             });
         }
-        let mut painted = 0u64;
-        for &(addr, len) in &ranges {
-            self.shadow.paint(addr, len);
-            painted += len;
-        }
+        let sealed = ranges.len() as u64;
+        let painted = self.install_epoch(ranges, self.policy.backend, self.policy.use_capdirty);
         self.maybe_crash(FaultPoint::CrashAfterPaint);
         self.journal_append(&Record::ShadowPainted {
             epoch: self.epoch_seq,
         });
         if self.telemetry.is_enabled() {
-            self.telemetry
-                .on_quarantine_sealed(painted, ranges.len() as u64);
+            self.telemetry.on_quarantine_sealed(painted, sealed);
             self.telemetry.on_epoch_opened(painted);
             self.epoch_opened_at = Some(std::time::Instant::now());
         }
-        // Worklist: CapDirty pages of every sweepable segment, coalesced,
-        // then narrowed to the backend's visit set. Capabilities stored to
-        // clean (or skipped) pages *after* this point are caught by the
-        // store barrier, so the snapshot is sound; pages whose pointee
-        // summaries miss the painted set provably hold no capability into
-        // it (the summaries only over-approximate).
-        let revoked_colors = match self.policy.backend {
-            BackendKind::Colored => self.shadow.painted_color_mask(),
-            _ => u8::MAX,
-        };
-        let mut worklist = std::mem::take(&mut self.worklist_scratch);
-        worklist.clear();
-        let table = self.space.page_table();
-        for seg in self
-            .space
-            .segments()
-            .iter()
-            .filter(|s| s.kind().sweepable())
-        {
-            let mem = seg.mem();
-            table.for_each_cap_dirty_page(|page, flags| {
-                if page >= mem.base()
-                    && page < mem.end()
-                    && (revoked_colors == u8::MAX || flags.pointee_colors & revoked_colors != 0)
-                {
-                    let start = page.max(mem.base());
-                    let len = (mem.end() - start).min(tagmem::PAGE_SIZE);
-                    match worklist.last_mut() {
-                        Some((ws, wl)) if *ws + *wl == start => *wl += len,
-                        _ => worklist.push((start, len)),
-                    }
-                }
-            });
-        }
-        if self.policy.backend == BackendKind::Hierarchical {
-            // PoisonCap's hierarchy: consult the coarse region poison map
-            // first — whole 1 MiB regions with no capability pointing into
-            // the painted set fall through in O(1) each.
-            let poisoned = self.shadow.painted_poison_mask();
-            let mut pruned = std::mem::take(&mut self.slice_scratch);
-            pruned.clear();
-            poisoned_subspans(table, poisoned, &worklist, &mut pruned);
-            std::mem::swap(&mut worklist, &mut pruned);
-            self.slice_scratch = pruned;
-        }
-        self.epoch = Some(Epoch {
-            ranges,
-            worklist,
-            stats: SweepStats::default(),
-        });
         true
+    }
+
+    /// Paints `ranges` and installs the epoch over them, its visit set
+    /// fixed by [`Epoch::open`]. Shared by [`CherivokeHeap::open_epoch`]
+    /// and recovery's roll-forward. Returns the bytes painted.
+    fn install_epoch(
+        &mut self,
+        ranges: Vec<(u64, u64)>,
+        backend: BackendKind,
+        use_capdirty: bool,
+    ) -> u64 {
+        let mut painted = 0u64;
+        for &(addr, len) in &ranges {
+            self.shadow.paint(addr, len);
+            painted += len;
+        }
+        let worklist = std::mem::take(&mut self.worklist_scratch);
+        self.epoch = Some(Epoch::open(
+            &self.space,
+            ranges,
+            backend,
+            use_capdirty,
+            worklist,
+        ));
+        painted
     }
 
     /// `true` while an incremental epoch is in progress.
@@ -676,65 +630,55 @@ impl CherivokeHeap {
             .unwrap_or(0)
     }
 
-    /// Sweeps up to `max_bytes` of the active epoch's worklist. Returns the
-    /// epoch's total statistics when it completes, `None` if work remains
-    /// (or no epoch is active, or the epoch is held open — see
-    /// [`CherivokeHeap::set_epoch_hold`]).
+    /// The epoch's step: sweeps up to `max_bytes` of the active epoch's
+    /// worklist in one engine call, through the epoch's filter; once the
+    /// worklist is empty, retires the epoch (registers, drain, unpaint,
+    /// commit). Returns the epoch's total statistics when it completes,
+    /// `None` if work remains (or no epoch is active, or the epoch is held
+    /// open — see [`CherivokeHeap::set_epoch_hold`]).
     pub fn revoke_step(&mut self, max_bytes: u64) -> Option<SweepStats> {
         let mut epoch = self.epoch.take()?;
         let mut slice = std::mem::take(&mut self.slice_scratch);
         slice.clear();
+        let cut_before = epoch.cut;
         epoch.take_slice_into(max_bytes, &mut slice);
-        for &(start, len) in &slice {
-            let seg = self
-                .space
-                .segments_mut()
-                .iter_mut()
-                .find(|s| s.mem().contains(start, len))
-                .expect("worklist regions lie in segments");
+        if !slice.is_empty() {
+            let (segments, _, table) = self.space.sweep_parts_mut();
+            let filter = SliceFilter {
+                inner: BackendFilter::for_epoch(
+                    epoch.backend,
+                    epoch.use_capdirty,
+                    table,
+                    &self.shadow,
+                ),
+                cut: [cut_before, epoch.cut],
+            };
             let mut stats = self.engine.sweep_scratched(
-                RangeSource::new(seg.mem_mut(), start, len),
-                NoFilter,
+                SliceSource {
+                    segments,
+                    ranges: &slice,
+                },
+                filter,
                 &self.shadow,
                 &mut self.scratch,
             );
-            // A slice is a fragment of a segment, not a segment sweep.
+            // A slice is fragments of segments, not segment sweeps.
             stats.segments_swept = 0;
             epoch.stats += stats;
-        }
-        // Slice records are advisory (recovery re-sweeps exhaustively;
-        // sweeps are idempotent) but bound how much work a crash loses.
-        // Contiguous slices coalesce into one record each: a full-epoch
-        // sweep is usually a handful of runs, not hundreds of frames.
-        if self.journal.is_some() && !slice.is_empty() {
-            let seq = self.epoch_seq;
-            let mut recs: Vec<Record> = Vec::new();
-            let mut run: Option<(u64, u64)> = None;
-            for &(start, len) in &slice {
-                match &mut run {
-                    Some((rs, rl)) if *rs + *rl == start => *rl += len,
-                    _ => {
-                        if let Some((rs, rl)) = run.take() {
-                            recs.push(Record::ChunkSwept {
-                                epoch: seq,
-                                start: rs,
-                                len: rl,
-                            });
-                        }
-                        run = Some((start, len));
-                    }
-                }
+            // Slice records are advisory: recovery re-sweeps exhaustively
+            // (sweeps are idempotent) and reads none of them. Worklist
+            // runs are coalesced, so each range is one run's record.
+            if self.journal.is_some() {
+                let recs: Vec<Record> = slice
+                    .iter()
+                    .map(|&(start, len)| Record::ChunkSwept {
+                        epoch: self.epoch_seq,
+                        start,
+                        len,
+                    })
+                    .collect();
+                self.journal_append_batch(&recs);
             }
-            if let Some((rs, rl)) = run {
-                recs.push(Record::ChunkSwept {
-                    epoch: seq,
-                    start: rs,
-                    len: rl,
-                });
-            }
-            self.journal_append_batch(&recs);
-        }
-        if !slice.is_empty() {
             self.maybe_crash(FaultPoint::CrashMidSweep);
         }
         self.slice_scratch = slice;
@@ -769,7 +713,6 @@ impl CherivokeHeap {
         epoch.worklist.clear();
         self.worklist_scratch = std::mem::take(&mut epoch.worklist);
         self.stats.absorb_sweep(&epoch.stats, painted);
-        self.stats.epochs += 1;
         if self.telemetry.is_enabled() {
             let elapsed_ns = self
                 .epoch_opened_at
@@ -902,75 +845,21 @@ impl CherivokeHeap {
         Ok(new_cap)
     }
 
-    /// Runs a full revocation cycle now (fig. 3): paint quarantined
-    /// granules, sweep all roots, drain the quarantine, clear the shadow
-    /// map. Returns the sweep statistics.
+    /// Runs a full revocation cycle now (fig. 3), as one stop-the-world
+    /// epoch: finishes any open epoch, opens one over every quarantine
+    /// bin (journaled `full: true`), and runs it to completion through
+    /// [`CherivokeHeap::revoke_step`] in a single slice. Returns the
+    /// epoch's sweep statistics; with an empty quarantine nothing is
+    /// swept and the statistics are zero.
     pub fn revoke_now(&mut self) -> SweepStats {
         // An in-progress incremental epoch completes first (its painted
         // ranges must not be re-painted or double-drained).
         self.finish_revocation();
-        let mut ranges = std::mem::take(&mut self.range_scratch);
-        ranges.clear();
-        self.alloc
-            .for_each_quarantined_range(|addr, size| ranges.push((addr, size)));
-        // Full cycles are journaled too (as `full: true` epochs whose
-        // roll-forward drains *all* quarantine), keeping the record
-        // stream complete when incremental and full cycles interleave.
-        let journal_cycle = self.journal.is_some() && !ranges.is_empty();
-        if journal_cycle {
-            self.epoch_seq += 1;
-            self.journal_append(&Record::EpochOpen {
-                epoch: self.epoch_seq,
-                backend: self.policy.backend as u8,
-                mask: u64::MAX,
-                full: true,
-            });
-            self.journal_append(&Record::BinsSealed {
-                epoch: self.epoch_seq,
-                ranges: ranges.clone(),
-            });
+        if !self.open_epoch(u64::MAX, true) {
+            return SweepStats::default();
         }
-        let mut painted = 0u64;
-        for &(addr, len) in &ranges {
-            self.shadow.paint(addr, len);
-            painted += len;
-        }
-        if journal_cycle {
-            self.journal_append(&Record::ShadowPainted {
-                epoch: self.epoch_seq,
-            });
-        }
-        let stats = {
-            let (source, page_table) = SpaceSource::split(&mut self.space);
-            let filter = BackendFilter::for_epoch(
-                self.policy.backend,
-                self.policy.use_capdirty,
-                page_table,
-                &self.shadow,
-            );
-            self.engine
-                .sweep_scratched(source, filter, &self.shadow, &mut self.scratch)
-        };
-        // Full drain regardless of backend: every painted range was swept.
-        let mut drained = std::mem::take(&mut self.drain_scratch);
-        drained.clear();
-        self.alloc.seal_bins_into(u64::MAX, &mut drained);
-        drained.clear();
-        self.alloc.drain_sealed_into(&mut drained);
-        self.drain_scratch = drained;
-        for &(addr, len) in &ranges {
-            self.shadow.clear(addr, len);
-        }
-        if journal_cycle {
-            self.journal_append(&Record::EpochCommitted {
-                epoch: self.epoch_seq,
-            });
-            self.journal_flush_batched();
-        }
-        ranges.clear();
-        self.range_scratch = ranges;
-        self.stats.absorb_sweep(&stats, painted);
-        stats
+        self.finish_revocation()
+            .expect("an open epoch runs to completion")
     }
 
     // --- Crash recovery ------------------------------------------------------
@@ -1124,51 +1013,20 @@ impl CherivokeHeap {
                 report.epoch = Some(epoch);
                 report.action = RecoveryAction::RollForward { full };
                 report.repainted_ranges = ranges.len();
-                for &(addr, len) in &ranges {
-                    heap.shadow.paint(addr, len);
-                }
-                // Exhaustive, unfiltered re-sweep of every root: the
-                // crashed sweep's progress records are advisory only, and
-                // re-sweeping already-swept memory is free of harm.
-                let stats = heap.sweep_all_exhaustive();
-                report.caps_revoked = stats.caps_revoked;
-                let mut drained = std::mem::take(&mut heap.drain_scratch);
-                drained.clear();
-                if full {
-                    // A full cycle drains the entire quarantine.
-                    heap.alloc.seal_bins_into(u64::MAX, &mut drained);
-                    drained.clear();
-                }
-                heap.alloc.drain_sealed_into(&mut drained);
-                heap.drain_scratch = drained;
-                for &(addr, len) in &ranges {
-                    heap.shadow.clear(addr, len);
-                }
-                heap.stats.absorb_sweep(&stats, 0);
+                // Re-paint and complete the epoch over the exhaustive
+                // visit set — every byte of every sweepable segment, no
+                // filter: the crashed sweep's progress records are
+                // advisory only, and re-sweeping swept memory is harmless.
+                heap.install_epoch(ranges, BackendKind::Stock, false);
+                report.caps_revoked = heap
+                    .finish_revocation()
+                    .expect("an open epoch runs to completion")
+                    .caps_revoked;
             }
         }
         heap.telemetry.on_recovery(&report);
         report.audit = heap.audit();
         Ok((heap, report))
-    }
-
-    /// One unfiltered sweep of every sweepable segment plus the register
-    /// file against the current shadow map — recovery's roll-forward
-    /// sweep, deliberately ignoring every skip assist.
-    fn sweep_all_exhaustive(&mut self) -> SweepStats {
-        let mut total = SweepStats::default();
-        let (segments, regs, _) = self.space.sweep_parts_mut();
-        for seg in segments.iter_mut().filter(|s| s.kind().sweepable()) {
-            let (base, len) = (seg.mem().base(), seg.mem().len());
-            total += self.engine.sweep_scratched(
-                RangeSource::new(seg.mem_mut(), base, len),
-                NoFilter,
-                &self.shadow,
-                &mut self.scratch,
-            );
-        }
-        total += sweep_register_file(regs, &self.shadow);
-        total
     }
 
     /// Full-heap safety audit: proves that **no tagged capability points
@@ -1404,6 +1262,7 @@ impl CherivokeHeap {
 mod tests {
     use super::*;
     use crate::Kernel;
+    use telemetry::EventKind;
 
     fn heap() -> CherivokeHeap {
         CherivokeHeap::new(HeapConfig::small()).unwrap()
@@ -1596,19 +1455,87 @@ mod tests {
 
     #[test]
     fn capdirty_and_full_sweep_policies_agree() {
-        for use_capdirty in [false, true] {
-            let mut cfg = HeapConfig::small();
-            cfg.policy.use_capdirty = use_capdirty;
-            cfg.policy.kernel = Kernel::Simple;
-            let mut h = CherivokeHeap::new(cfg).unwrap();
-            let _ballast = h.malloc(512 << 10).unwrap();
-            let obj = h.malloc(64).unwrap();
-            let holder = h.malloc(16).unwrap();
-            h.store_cap(&holder, 0, &obj).unwrap();
-            h.free(obj).unwrap();
-            let stats = h.revoke_now();
-            assert_eq!(stats.caps_revoked, 1, "use_capdirty={use_capdirty}");
+        for slice in [None, Some(4 << 10)] {
+            for use_capdirty in [false, true] {
+                let what = format!("use_capdirty={use_capdirty} slice={slice:?}");
+                let mut cfg = HeapConfig::small();
+                cfg.policy.use_capdirty = use_capdirty;
+                cfg.policy.kernel = Kernel::Simple;
+                cfg.policy.incremental_slice_bytes = slice;
+                let mut h = CherivokeHeap::new(cfg).unwrap();
+                let _ballast = h.malloc(512 << 10).unwrap();
+                let obj = h.malloc(64).unwrap();
+                let holder = h.malloc(16).unwrap();
+                h.store_cap(&holder, 0, &obj).unwrap();
+                h.free(obj).unwrap();
+                let stats = match slice {
+                    None => h.revoke_now(),
+                    Some(bytes) => {
+                        assert!(h.begin_revocation(), "{what}");
+                        loop {
+                            if let Some(stats) = h.revoke_step(bytes) {
+                                break stats;
+                            }
+                        }
+                    }
+                };
+                assert_eq!(stats.caps_revoked, 1, "{what}");
+                let sweepable: u64 = h
+                    .space()
+                    .segments()
+                    .iter()
+                    .filter(|s| s.kind().sweepable())
+                    .map(|s| s.mem().len())
+                    .sum();
+                if use_capdirty {
+                    assert!(stats.bytes_swept < sweepable, "{what}");
+                } else {
+                    assert_eq!(stats.bytes_swept, sweepable, "{what}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn slices_that_cut_a_page_keep_its_capdirty_bit() {
+        let mut cfg = HeapConfig::small();
+        cfg.policy.incremental_slice_bytes = Some(1024);
+        let mut h = CherivokeHeap::new(cfg).unwrap();
+        let _ballast = h.malloc(512 << 10).unwrap();
+        let obj = h.malloc(64).unwrap();
+        // The only capability-bearing page, and its first 2 KiB hold no
+        // capability: the first slices sweep a capability-free fragment.
+        let stack = h.stack_root();
+        h.store_cap(&stack, 2048, &obj).unwrap();
+        h.free(obj).unwrap();
+        assert!(h.begin_revocation());
+        let stats = loop {
+            if let Some(stats) = h.revoke_step(1024) {
+                break stats;
+            }
+        };
+        assert_eq!(stats.caps_revoked, 1);
+        assert!(!h.load_cap(&stack, 2048).unwrap().tag());
+    }
+
+    #[test]
+    fn stop_the_world_cycles_are_epochs() {
+        let mut h = heap();
+        let registry = telemetry::Registry::new(64);
+        h.set_telemetry(&registry);
+        let _ballast = h.malloc(512 << 10).unwrap();
+        let obj = h.malloc(64).unwrap();
+        h.free(obj).unwrap();
+        h.revoke_now();
+        assert_eq!(registry.snapshot().counters["cvk_heap_epochs_total"], 1);
+        let events = registry.recent_events(64);
+        assert!(matches!(events[0].kind, EventKind::QuarantineSealed { .. }));
+        assert!(matches!(events[1].kind, EventKind::EpochOpened { .. }));
+        assert!(matches!(events[2].kind, EventKind::EpochRetired { .. }));
+        // An empty quarantine opens no epoch and sweeps nothing.
+        assert_eq!(h.revoke_now(), SweepStats::default());
+        assert_eq!(registry.snapshot().counters["cvk_heap_epochs_total"], 1);
+        assert_eq!(h.stats().sweeps, 1);
     }
 
     #[test]

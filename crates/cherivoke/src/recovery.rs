@@ -226,8 +226,9 @@ pub enum RecoveryAction {
     /// (roll-forward — safe because sweeps are idempotent and nothing
     /// allocates between drain and commit).
     RollForward {
-        /// Whether the interrupted cycle was a full (`revoke_now`) one,
-        /// whose roll-forward drains *all* quarantine.
+        /// Whether the interrupted cycle was a stop-the-world
+        /// (`revoke_now`) one. It sealed every bin when it opened, so it
+        /// rolls forward exactly like an incremental epoch.
         full: bool,
     },
 }

@@ -5,10 +5,12 @@ use cvkalloc::AllocStats;
 use revoker::SweepStats;
 use telemetry::HistogramSnapshot;
 
-/// Cumulative statistics of a [`crate::CherivokeHeap`].
+/// Cumulative statistics of a [`crate::CherivokeHeap`]. Every revocation
+/// cycle — stop-the-world, incremental or recovery's roll-forward — is one
+/// epoch, folded in once when it retires.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapStats {
-    /// Revocation sweeps performed.
+    /// Revocation epochs retired (each sweeps its visit set once).
     pub sweeps: u64,
     /// Total capabilities revoked across all sweeps.
     pub caps_revoked: u64,
@@ -16,15 +18,14 @@ pub struct HeapStats {
     pub caps_inspected: u64,
     /// Total bytes walked by sweeps.
     pub bytes_swept: u64,
-    /// Pages skipped thanks to PTE CapDirty filtering.
+    /// Pages skipped: left out of an epoch's CapDirty worklist, or
+    /// skipped by its backend filter.
     pub pages_skipped: u64,
     /// Bytes painted into the shadow map (cumulative).
     pub bytes_painted: u64,
     /// Emergency sweeps triggered by out-of-memory (policy
     /// `sweep_on_oom`).
     pub oom_sweeps: u64,
-    /// Incremental revocation epochs completed (§3.5 mode).
-    pub epochs: u64,
     /// Dangling capabilities revoked in flight by the epoch load/store
     /// barrier rather than by the sweep itself.
     pub barrier_revocations: u64,
@@ -33,7 +34,7 @@ pub struct HeapStats {
 }
 
 impl HeapStats {
-    /// Folds one sweep's counters in.
+    /// Folds one retired epoch's counters in.
     pub(crate) fn absorb_sweep(&mut self, s: &SweepStats, painted: u64) {
         self.sweeps += 1;
         self.caps_revoked += s.caps_revoked;

@@ -3,7 +3,7 @@
 //! persisted heap image + epoch journal and audits the result.
 //!
 //! Each matrix entry re-execs this test binary with `CVK_CRASH_SPEC`
-//! (`backend/kernel/point/start`) set. The child arms **hard** crash persistence
+//! (`backend/kernel/slice/point/start`) set. The child arms **hard** crash persistence
 //! ([`CherivokeHeap::set_crash_persist`] with `hard = true`), runs an
 //! alloc/stash/free workload until the seeded crash point fires, writes
 //! the image, and dies with `SIGABRT` — a real process kill, not an
@@ -12,7 +12,10 @@
 //! clean: no tagged capability points into reusable memory.
 //!
 //! The matrix is 5 crash points × 3 start indices × 2 sweep kernels
-//! (word-at-a-time and vector) × 3 backends = 90 seeded kills. CI shards
+//! (word-at-a-time and vector) × 2 epoch modes (incremental slices and
+//! stop-the-world `revoke_now` cycles) × 3 backends = 180 seeded kills.
+//! Both modes run the same epoch pipeline, so every crash point fires in
+//! both. CI shards
 //! it by backend via `CHERIVOKE_CRASH_BACKEND`; a failing entry's spec,
 //! image and journal are exported to `$CARGO_TARGET_TMPDIR` for artifact
 //! upload.
@@ -24,7 +27,7 @@ use std::time::{Duration, Instant};
 use cherivoke::fault::{FaultInjector, FaultPlan, FaultPoint, FaultRule, CRASH_POINTS};
 use cherivoke::{BackendKind, CherivokeHeap, HeapConfig, Kernel, RecoveryAction};
 
-/// Child-mode selector: `backend/kernel/point/start`.
+/// Child-mode selector: `backend/kernel/slice/point/start`.
 const SPEC_ENV: &str = "CVK_CRASH_SPEC";
 /// Directory the child persists its image + journal into.
 const DIR_ENV: &str = "CVK_CRASH_DIR";
@@ -40,12 +43,17 @@ const START_INDICES: [u64; 3] = [0, 2, 5];
 /// default and the vector tier.
 const KERNELS: [Kernel; 2] = [Kernel::Fast, Kernel::Simd];
 
-fn heap_config(backend: BackendKind, kernel: Kernel) -> HeapConfig {
+/// Epoch modes every backend is killed under: incremental 16 KiB slices,
+/// and `None` — each full quarantine runs one stop-the-world cycle. The
+/// spec names a mode by its slice bytes, 0 for `None`.
+const SLICES: [Option<u64>; 2] = [Some(16 << 10), None];
+
+fn heap_config(backend: BackendKind, kernel: Kernel, slice: Option<u64>) -> HeapConfig {
     let mut cfg = HeapConfig::small();
     cfg.policy.backend = backend;
     cfg.policy.kernel = kernel;
     cfg.policy.quarantine.fraction = 0.125;
-    cfg.policy.incremental_slice_bytes = Some(16 << 10);
+    cfg.policy.incremental_slice_bytes = slice;
     cfg
 }
 
@@ -61,13 +69,22 @@ fn run_child(spec: &str, dir: &Path) -> ! {
         .into_iter()
         .find(|k| k.name() == kernel_name)
         .unwrap_or_else(|| panic!("unknown kernel {kernel_name:?} in {SPEC_ENV}"));
+    let slice = match parts
+        .next()
+        .expect("spec slice")
+        .parse()
+        .expect("slice bytes")
+    {
+        0 => None,
+        bytes => Some(bytes),
+    };
     let point = FaultPoint::from_name(parts.next().expect("spec point")).expect("known point");
     let start: u64 = parts
         .next()
         .expect("spec start")
         .parse()
         .expect("start index");
-    let mut heap = CherivokeHeap::new(heap_config(backend, kernel)).unwrap();
+    let mut heap = CherivokeHeap::new(heap_config(backend, kernel, slice)).unwrap();
     heap.set_journal(journal::Journal::create(dir.join("heap.cvj")).unwrap());
     heap.set_crash_persist(dir.join("heap.img"), true);
     heap.set_fault_injector(FaultInjector::new(FaultPlan::from_rules(vec![
@@ -114,13 +131,15 @@ fn kill_and_recover(
     test_name: &str,
     backend: BackendKind,
     kernel: Kernel,
+    slice: Option<u64>,
     point: FaultPoint,
     start: u64,
 ) {
     let spec = format!(
-        "{}/{}/{}/{start}",
+        "{}/{}/{}/{}/{start}",
         backend.name(),
         kernel.name(),
+        slice.unwrap_or(0),
         point.name()
     );
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
@@ -165,7 +184,7 @@ fn kill_and_recover(
     };
     let started = Instant::now();
     let (mut heap, report) =
-        match CherivokeHeap::recover(heap_config(backend, kernel), &image, &journal_bytes) {
+        match CherivokeHeap::recover(heap_config(backend, kernel, slice), &image, &journal_bytes) {
             Ok(r) => r,
             Err(e) => fail_entry(&spec, &dir, &format!("recovery failed: {e}")),
         };
@@ -204,7 +223,7 @@ fn kill_and_recover(
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs the full kill matrix for one backend (30 seeded process kills).
+/// Runs the full kill matrix for one backend (60 seeded process kills).
 fn run_matrix(test_name: &str, backend: BackendKind) {
     // Child mode short-circuits everything: this process IS a matrix
     // entry, re-execed by a parent run of the same test.
@@ -224,16 +243,18 @@ fn run_matrix(test_name: &str, backend: BackendKind) {
     }
     let mut kills = 0;
     for kernel in KERNELS {
-        for point in CRASH_POINTS {
-            for start in START_INDICES {
-                kill_and_recover(test_name, backend, kernel, point, start);
-                kills += 1;
+        for slice in SLICES {
+            for point in CRASH_POINTS {
+                for start in START_INDICES {
+                    kill_and_recover(test_name, backend, kernel, slice, point, start);
+                    kills += 1;
+                }
             }
         }
     }
     assert_eq!(
         kills,
-        KERNELS.len() * CRASH_POINTS.len() * START_INDICES.len()
+        KERNELS.len() * SLICES.len() * CRASH_POINTS.len() * START_INDICES.len()
     );
 }
 

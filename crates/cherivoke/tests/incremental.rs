@@ -46,7 +46,7 @@ fn epoch_lifecycle_completes_in_slices() {
     );
     assert_eq!(stats.caps_revoked, 1);
     assert!(!h.load_cap(&holder, 0).unwrap().tag());
-    assert_eq!(h.stats().epochs, 1);
+    assert_eq!(h.stats().sweeps, 1);
     assert_eq!(h.quarantined_bytes(), 0);
 }
 
@@ -125,7 +125,7 @@ fn frees_during_epoch_wait_for_the_next_one() {
     assert!(h.begin_revocation());
     h.finish_revocation();
     assert!(!h.load_cap(&holder, 0).unwrap().tag());
-    assert_eq!(h.stats().epochs, 2);
+    assert_eq!(h.stats().sweeps, 2);
 }
 
 /// Automatic mode: the policy opens epochs and pumps slices from
@@ -154,7 +154,7 @@ fn automatic_incremental_mode_is_safe_under_churn() {
     }
     // Epochs ran incrementally.
     assert!(
-        h.stats().epochs > 0,
+        h.stats().sweeps > 0,
         "automatic mode should have opened epochs"
     );
 

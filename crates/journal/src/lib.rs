@@ -66,8 +66,7 @@ pub enum Record {
     /// A revocation epoch opened. `backend` is the backend discriminant
     /// (informational; recovery re-derives behavior from the heap's own
     /// policy), `mask` the quarantine-bin selection, and `full` marks a
-    /// full-heap cycle (`revoke_now`) whose roll-forward drains *all*
-    /// quarantine rather than just the sealed portion.
+    /// stop-the-world cycle (`revoke_now`), which seals every bin.
     EpochOpen {
         /// Monotonic epoch sequence number.
         epoch: u64,

@@ -21,7 +21,7 @@
 //! |---|---|---|
 //! | [`StockBackend`] | 1 | none (CapDirty pages as before) |
 //! | [`ColoredBackend`] | [`cheri::NUM_COLORS`] | pages whose stored-capability **color summary** intersects the revoked color set |
-//! | [`HierarchicalBackend`] | 1 | coarse 1 MiB **poison regions** first (clean regions fall through in O(1)), then per-page region summaries |
+//! | [`HierarchicalBackend`] | 1 | pages whose coarse 1 MiB **poison-region** summary intersects the poisoned regions |
 //!
 //! Both restrictions are sound for the same reason CapDirty is: the
 //! per-page summaries ([`tagmem::PageFlags::pointee_colors`] /
@@ -200,10 +200,9 @@ impl RevocationBackend for ColoredBackend {
 }
 
 /// PoisonCap-style hierarchical revocation: one bin (epochs seal
-/// everything, like stock), but the sweep consults a coarse poison map
-/// first — [`poisoned_subspans`][crate::poisoned_subspans] drops whole
-/// 1 MiB regions whose pages cannot point into any poisoned region, and
-/// the [`BackendFilter::Poison`] page filter handles the rest.
+/// everything, like stock), but the sweep consults a coarse poison map:
+/// the [`BackendFilter::Poison`] page filter skips every page whose
+/// capabilities cannot point into any poisoned 1 MiB region.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HierarchicalBackend;
 

@@ -160,8 +160,7 @@ impl CapSource for SegmentSource<'_> {
     }
 }
 
-/// A granule-aligned sub-range of one segment (incremental sweep slices,
-/// §3.5).
+/// A granule-aligned sub-range of one segment.
 pub struct RangeSource<'a> {
     mem: &'a mut TaggedMemory,
     start: u64,

@@ -89,7 +89,7 @@ pub use engine::{
 /// (re-export of the `faultinject` crate; see its docs for plan syntax).
 pub use faultinject as fault;
 pub use obs::{SweepTelemetry, TelemetryCost};
-pub use plan::{poisoned_subspans, SkipMode, SweepPlan};
+pub use plan::{SkipMode, SweepPlan};
 pub use shadow::ShadowMap;
 #[doc(hidden)]
 pub use sweep::force_scalar_kernel;

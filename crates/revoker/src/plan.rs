@@ -5,7 +5,7 @@
 //! `CLoadTags` (cache-line granularity). The planned/total byte ratio is
 //! exactly the "proportion of memory that needs to be swept" of Figure 8(a).
 
-use tagmem::{CoreDump, PageTable, LINE_SIZE, PAGE_SIZE};
+use tagmem::{CoreDump, LINE_SIZE, PAGE_SIZE};
 
 /// Which work-elimination hardware to use when planning a sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,45 +122,6 @@ impl SweepPlan {
     }
 }
 
-/// Coarse-region pre-planning for the **hierarchical backend** (PoisonCap's
-/// region poison map, consulted before any fine granule work): splits each
-/// `(addr, len)` span at [`cheri::POISON_REGION_BYTES`] boundaries and
-/// keeps only the pieces whose pages may point into a region of the
-/// `poisoned` mask — every clean region falls through with a single O(1)
-/// page-table range probe. Adjacent survivors are coalesced so the pruned
-/// plan stays as short as the original. Appends to `out`, which callers
-/// reuse across epochs to keep the seal path allocation-free.
-///
-/// Soundness: [`PageTable::pointee_regions_in`] over-approximates where a
-/// span's stored capabilities point, so a span whose probe misses the
-/// poison mask provably holds no capability into any poisoned region and
-/// can be skipped entirely.
-pub fn poisoned_subspans(
-    table: &PageTable,
-    poisoned: u64,
-    spans: &[(u64, u64)],
-    out: &mut Vec<(u64, u64)>,
-) {
-    const REGION: u64 = cheri::POISON_REGION_BYTES;
-    for &(addr, len) in spans {
-        let end = addr + len;
-        let mut piece = addr;
-        while piece < end {
-            let piece_end = ((piece / REGION + 1) * REGION).min(end);
-            let piece_len = piece_end - piece;
-            if table.pointee_regions_in(piece, piece_len) & poisoned != 0 {
-                match out.last_mut() {
-                    Some((last_addr, last_len)) if *last_addr + *last_len == piece => {
-                        *last_len += piece_len;
-                    }
-                    _ => out.push((piece, piece_len)),
-                }
-            }
-            piece = piece_end;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,49 +189,6 @@ mod tests {
         let plan = SweepPlan::for_dump(&dump, SkipMode::PteCapDirty);
         assert_eq!(plan.bytes_planned(), 0);
         assert_eq!(plan.sweep_fraction(), 0.0);
-    }
-
-    #[test]
-    fn poisoned_subspans_drop_clean_regions_in_o1() {
-        const REGION: u64 = cheri::POISON_REGION_BYTES;
-        let mut table = PageTable::new();
-        // Region 0 of the span points into poisoned region 5; region 2
-        // points into (clean) region 9; region 1 holds no capabilities.
-        let span_base = 4 * REGION;
-        table.note_cap_store(span_base + 0x1000).unwrap();
-        table.note_cap_pointee(span_base + 0x1000, 5 * REGION);
-        table.note_cap_store(span_base + 2 * REGION).unwrap();
-        table.note_cap_pointee(span_base + 2 * REGION, 9 * REGION);
-
-        let poisoned = cheri::poison_bit(5 * REGION);
-        let spans = [(span_base, 3 * REGION)];
-        let mut out = Vec::new();
-        poisoned_subspans(&table, poisoned, &spans, &mut out);
-        assert_eq!(out, vec![(span_base, REGION)]);
-
-        // Poisoning region 9 as well keeps both pointing regions but still
-        // drops the capability-free middle region.
-        out.clear();
-        let both = poisoned | cheri::poison_bit(9 * REGION);
-        poisoned_subspans(&table, both, &spans, &mut out);
-        assert_eq!(
-            out,
-            vec![(span_base, REGION), (span_base + 2 * REGION, REGION)]
-        );
-
-        // Adjacent surviving regions coalesce; unaligned span edges are
-        // preserved exactly.
-        out.clear();
-        table.note_cap_store(span_base + REGION).unwrap();
-        table.note_cap_pointee(span_base + REGION, 5 * REGION);
-        let ragged = [(span_base + 0x800, 3 * REGION - 0x1000)];
-        poisoned_subspans(&table, both, &ragged, &mut out);
-        assert_eq!(out, vec![(span_base + 0x800, 3 * REGION - 0x1000)]);
-
-        // A fully clean table prunes everything.
-        out.clear();
-        poisoned_subspans(&PageTable::new(), both, &spans, &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

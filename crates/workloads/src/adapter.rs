@@ -382,7 +382,7 @@ mod incremental_tests {
         // incremental run).
         let inc_stats = inc.heap().stats();
         assert!(
-            inc_stats.epochs > 0,
+            inc_stats.sweeps > 0,
             "incremental mode must have run epochs"
         );
         assert!(
