@@ -33,8 +33,11 @@
 //! pays a peer sweep on every epoch, so it becomes due only on a worker
 //! tick (the scheduler interval, or an explicit kick), at most once per
 //! tick, when its quarantine reaches the policy fraction of its live
-//! bytes or half its quarantine bound. One-member domains are scheduled
-//! by debt, kicked on free, and drained round-robin when cold.
+//! bytes or half its quarantine bound. A one-member domain has one
+//! trigger, its quarantine debt: it is due, and kicks the pool from the
+//! free that makes it so, once its quarantine reaches
+//! `min(fraction, THROTTLE_FRACTION) × quota`. Below that it sweeps
+//! nothing in the background.
 //!
 //! # The fleet
 //!
@@ -47,17 +50,19 @@
 //!   resurrect through tenant B's reuse (their bases never alias).
 //!
 //! * **Global sweep scheduler.** Sweep bandwidth is arbitrated by a
-//!   *debt* run queue: `debt = (quarantine / heap size) / target
-//!   overhead` (the policy's quarantine fraction). Workers pull
-//!   the highest-debt tenant with `debt ≥ 1`; when nobody is due, a
-//!   round-robin cursor picks the next tenant with any quarantine at
-//!   all, so cold tenants still drain ([`FaultPoint::SchedulerSkip`]
-//!   chaos-proves the fallback keeps every epoch live).
+//!   *debt* run queue: `debt = quarantine / (min(fraction,
+//!   THROTTLE_FRACTION) × quota)`, where `fraction` is the policy's
+//!   quarantine fraction. Workers pull the highest-debt tenant with
+//!   `debt ≥ 1`; when nobody is due they steal or idle. A cold tenant
+//!   keeps up to its trigger in quarantine, memory the policy already
+//!   budgets. A dropped pick stays on the queue and is re-selected by
+//!   the next pass ([`FaultPoint::SchedulerSkip`] chaos-proves it).
 //!
 //! * **Budgets and admission control.** Each tenant's
 //!   [`TenantPolicy::quarantine_quota`] is a hard bound enforced in
-//!   three escalating stages: past `fraction × quota` the tenant is
-//!   *due* (scheduler work); past [`THROTTLE_FRACTION`] of quota,
+//!   three escalating stages: at debt 1 (`min(fraction,
+//!   THROTTLE_FRACTION) × quota`) the tenant is *due* (scheduler work);
+//!   past [`THROTTLE_FRACTION`] of quota, where it is always due,
 //!   `malloc` returns the typed backpressure error
 //!   [`FleetError::TenantThrottled`]; and a `free` that would cross the
 //!   quota runs a synchronous drain *first*, so quarantine never
@@ -155,9 +160,10 @@ pub struct FleetConfig {
     /// stealing from busy tenants).
     pub workers: usize,
     /// Revocation policy template applied to every tenant heap. The
-    /// quarantine fraction doubles as the scheduler's target overhead in
-    /// the debt metric; kernel / `sweep_workers` / backend flow through
-    /// to each tenant's sweep engine.
+    /// quarantine fraction, capped at [`THROTTLE_FRACTION`], is each
+    /// tenant's trigger as a share of its quota (see the debt metric);
+    /// kernel / `sweep_workers` / backend flow through to each tenant's
+    /// sweep engine.
     pub policy: RevocationPolicy,
     /// Per-tenant policy, applied to every tenant.
     pub tenant_policy: TenantPolicy,
@@ -287,13 +293,14 @@ fn fleet_heap_policy(config: &FleetConfig) -> (RevocationPolicy, u64) {
     (heap_policy, slice_bytes)
 }
 
-/// The debt metric, shared by the scheduler and crash recovery: how far
-/// past its target quarantine overhead (the policy's quarantine fraction)
-/// a member is, `(quarantined / heap size) / target`. `≥ 1.0` means due
-/// for a one-member domain. Validation keeps the target positive; an
-/// infinite one (no size trigger) gives every member zero debt.
-fn debt(quarantined: u64, heap_size: u64, target: f64) -> f64 {
-    (quarantined as f64 / heap_size as f64) / target
+/// The debt metric, shared by `Core::due`, the scheduler's ordering and
+/// crash recovery's: a member's quarantine over its trigger,
+/// `quarantined / (min(fraction, THROTTLE_FRACTION) × quota)`. `≥ 1.0`
+/// means due for a one-member domain. The cap keeps the trigger at or
+/// below the throttle point, so a throttled member is always due, even
+/// under a fraction of 1.0 or `INFINITY`.
+fn debt(quarantined: u64, quota: u64, fraction: f64) -> f64 {
+    quarantined as f64 / (fraction.min(THROTTLE_FRACTION) * quota as f64)
 }
 
 /// Member address-space layout: `(first_base, stride, rounded_size)`.
@@ -330,7 +337,9 @@ pub struct TenantCrashArtifact {
 pub struct TenantRecovery {
     /// The recovered tenant.
     pub tenant: usize,
-    /// The debt-scheduler key its recovery order used (higher = sooner).
+    /// The debt-scheduler key its recovery order used (higher = sooner):
+    /// the image's quarantine over the tenant's trigger,
+    /// `min(fraction, THROTTLE_FRACTION) × quota`.
     pub debt: f64,
     /// The per-heap recovery report, including the safety audit.
     pub report: RecoveryReport,
@@ -620,8 +629,8 @@ struct Slot {
 
 /// What a worker decided to do with one scheduling pass.
 enum Task {
-    /// Claimed member `i` (debt order or round-robin fallback): run its
-    /// epoch to completion.
+    /// Claimed due member `i`, highest debt first: run its epoch to
+    /// completion.
     Run(usize),
     /// Nothing claimable, but member `i` has an in-flight epoch with the
     /// most remaining bytes: steal its next slice.
@@ -645,7 +654,6 @@ pub(crate) struct Core {
     shape: Shape,
     slice_bytes: u64,
     pub(crate) global_quarantine: AtomicU64,
-    rr_cursor: AtomicUsize,
     /// The domain barrier: painted `(addr, len)` ranges of every epoch
     /// whose peer sweeps are in flight.
     painted: RwLock<Vec<(u64, u64)>>,
@@ -774,7 +782,6 @@ impl Core {
             members,
             slice_bytes,
             global_quarantine: AtomicU64::new(0),
-            rr_cursor: AtomicUsize::new(0),
             painted: RwLock::new(Vec::new()),
             barriers: AtomicUsize::new(0),
             tick: AtomicU64::new(1),
@@ -1072,16 +1079,18 @@ impl Core {
     // --- Scheduling ------------------------------------------------------
 
     /// Whether member `i` wants an epoch. A one-member domain is due at
-    /// debt 1. A member with peers pays a peer sweep per epoch, so it is
-    /// due only once quarantine reaches the policy fraction of its live
-    /// bytes, or half its quarantine bound (staying ahead of the
-    /// synchronous drain at the bound).
+    /// debt 1, i.e. once its quarantine reaches
+    /// `min(fraction, THROTTLE_FRACTION) × quota`. A member with peers
+    /// pays a peer sweep per epoch, so it is due only once quarantine
+    /// reaches the policy fraction of its live bytes, or half its
+    /// quarantine bound (staying ahead of the synchronous drain at the
+    /// bound).
     fn due(&self, i: usize) -> bool {
         let m = &self.members[i];
         let q = m.quarantined_hint.load(Ordering::Relaxed);
         let p = self.config.policy.quarantine;
         if !m.has_peers() {
-            return debt(q, m.size, p.fraction) >= 1.0;
+            return debt(q, self.quota(), p.fraction) >= 1.0;
         }
         let live = m.live_hint.load(Ordering::Relaxed).max(1);
         q >= p.min_bytes.max(1) && (q as f64 >= p.fraction * live as f64 || q >= self.quota() / 2)
@@ -1100,9 +1109,8 @@ impl Core {
         self.members[i].sweeping.store(false, Ordering::Release);
     }
 
-    /// One scheduling pass: debt order first, stealing when an in-flight
-    /// epoch holds a full slice, round-robin fallback for cold
-    /// one-member domains.
+    /// One scheduling pass: debt order first, then stealing from an
+    /// in-flight epoch, else idle.
     fn next_task(&self) -> Task {
         let tick = self.tick.load(Ordering::Relaxed);
         // 1. Highest-debt due member not already claimed. A member with
@@ -1117,7 +1125,7 @@ impl Core {
             }
             let debt = debt(
                 m.quarantined_hint.load(Ordering::Relaxed),
-                m.size,
+                self.quota(),
                 self.config.policy.quarantine.fraction,
             );
             if best.is_none_or(|(_, d)| debt > d) {
@@ -1139,45 +1147,14 @@ impl Core {
                 return Task::Run(i);
             }
         }
-        // 2. Steal before opening a cold epoch: if an in-flight epoch
-        // still holds at least a full slice of worklist, helping it
-        // finish bounds the pause tail better than starting a member
-        // whose debt never even reached 1 — the due scan above already
-        // guaranteed nobody urgent is waiting. Due members keep absolute
-        // priority, so this cannot starve them; cold members drain via
-        // the fallback below as soon as the hot epochs end.
-        let n = self.members.len();
-        let victim = (0..n)
+        // 2. Nobody due: help the in-flight epoch with the most work left,
+        // which bounds the pause tail and keeps a stalled owner's epoch
+        // moving.
+        (0..self.members.len())
             .filter(|&i| self.members[i].sweeping.load(Ordering::Acquire))
-            .max_by_key(|&i| self.members[i].remaining_hint.load(Ordering::Relaxed));
-        if let Some(i) = victim {
-            if self.members[i].remaining_hint.load(Ordering::Relaxed) >= self.slice_bytes {
-                return Task::Steal(i);
-            }
-        }
-        // 3. Round-robin fallback: pick the next one-member domain
-        // (cursor order) with any quarantine at all, so cold tenants
-        // drain even though their debt never reaches 1.
-        let start = self.rr_cursor.fetch_add(1, Ordering::Relaxed) % n;
-        for off in 0..n {
-            let i = (start + off) % n;
-            let m = &self.members[i];
-            if m.has_peers()
-                || m.quarantined_hint.load(Ordering::Relaxed) == 0
-                || m.sweeping.load(Ordering::Acquire)
-            {
-                continue;
-            }
-            if self.claim(i) {
-                return Task::Run(i);
-            }
-        }
-        // 4. Last resort: help any in-flight epoch with work left (even
-        // a partial slice) rather than idling.
-        match victim {
-            Some(i) if self.members[i].remaining_hint.load(Ordering::Relaxed) > 0 => Task::Steal(i),
-            _ => Task::Idle,
-        }
+            .max_by_key(|&i| self.members[i].remaining_hint.load(Ordering::Relaxed))
+            .filter(|&i| self.members[i].remaining_hint.load(Ordering::Relaxed) > 0)
+            .map_or(Task::Idle, Task::Steal)
     }
 
     /// Opens an epoch on member `i` unless one is already active, and
@@ -1643,11 +1620,11 @@ impl HeapService {
     /// fleet layout assigns that tenant; tenants without artifacts start
     /// fresh. When several artifacts name one tenant, the last one wins.
     /// Recovery runs in **debt-scheduler order** — the same
-    /// `quarantine-fraction / target` key the epoch scheduler uses,
-    /// computed from the persisted images — so the tenants furthest past
-    /// their revocation target are made safe first. Every recovered
-    /// tenant's quarantine hint is synced before workers start, so
-    /// admission throttling engages immediately.
+    /// quarantine-over-trigger key the epoch scheduler uses, computed from
+    /// the persisted images — so the tenants furthest past their trigger
+    /// are made safe first. Every recovered tenant's quarantine hint is
+    /// synced before workers start, so admission throttling engages
+    /// immediately.
     ///
     /// Returns the running service plus one [`TenantRecovery`] per
     /// recovered tenant (in recovery order). Callers should gate on
@@ -1696,7 +1673,11 @@ impl HeapService {
                 })
                 .map(|c| c.size)
                 .sum();
-            let debt = debt(quarantined, rounded, config.policy.quarantine.fraction);
+            let debt = debt(
+                quarantined,
+                config.tenant_policy.quarantine_quota,
+                config.policy.quarantine.fraction,
+            );
             ordered.push((debt, art));
         }
         ordered.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
@@ -2065,6 +2046,18 @@ mod tests {
         assert!(service.quarantined_bytes(9).is_err());
     }
 
+    /// An injector whose `scheduler_skip` fires on every pick, so no
+    /// pool worker ever claims a member.
+    fn skip_every_pick() -> FaultInjector {
+        use faultinject::{FaultPlan, FaultRule};
+        FaultInjector::new(FaultPlan::from_rules(vec![FaultRule {
+            point: FaultPoint::SchedulerSkip,
+            start: 1,
+            every: 1,
+            limit: u64::MAX,
+        }]))
+    }
+
     /// Soft-crashes a standalone heap on the extent the fleet layout
     /// assigns `tenant`, mid-epoch at `point`, and returns the persisted
     /// image + journal as a recovery artifact. The crash heap runs a
@@ -2225,26 +2218,25 @@ mod tests {
     #[test]
     fn tenant_throttle_is_still_enforced_after_recovery() {
         let mut config = small_config(2);
-        // Park the worker pool: nothing drains behind the test's back,
-        // so the throttle observation is deterministic.
         config.scheduler_interval = Duration::from_secs(30);
         config.tenant_policy.quarantine_quota = MIN_TENANT_QUOTA;
         // A mid-sweep crash rolls forward, so the recovered tenant comes
-        // back with an empty quarantine and the (single, parked) worker
-        // idles immediately — nothing drains behind the test's back.
+        // back with an empty quarantine.
         let art = crash_artifact(config, 0, FaultPoint::CrashMidSweep, 16 << 10);
+        // Every scheduler pick is dropped, so no worker ever claims the
+        // tenant: the loop's frees make it due and kick the pool, but
+        // nothing drains behind the test's back.
         let (service, reports) =
-            HeapService::recover(config, FaultInjector::disabled(), None, vec![art]).unwrap();
+            HeapService::recover(config, skip_every_pick(), None, vec![art]).unwrap();
         assert!(matches!(
             reports[0].report.action,
             crate::RecoveryAction::RollForward { .. }
         ));
         assert!(reports[0].report.safe());
         // Push the recovered tenant past THROTTLE_FRACTION of the tight
-        // quota. Frees in this band never reach debt 1.0, so the parked
-        // scheduler is not kicked; admission reads the hint the frees
-        // keep synced, and the condition re-checks actual quarantine
-        // before each malloc, so every malloc in the loop stays admitted.
+        // quota. Admission reads the hint the frees keep synced, and the
+        // condition re-checks actual quarantine before each malloc, so
+        // every malloc in the loop stays admitted.
         while (service.quarantined_bytes(0).unwrap() as f64)
             < THROTTLE_FRACTION * MIN_TENANT_QUOTA as f64
         {
@@ -2259,6 +2251,44 @@ mod tests {
         service.drain_tenant(0).unwrap();
         let c = service.malloc(0, 64).unwrap();
         service.free(c).unwrap();
+    }
+
+    #[test]
+    fn a_tenant_is_due_at_its_trigger_and_the_crossing_free_opens_an_epoch() {
+        let mut config = small_config(1);
+        config.tenant_policy.quarantine_quota = MIN_TENANT_QUOTA;
+        // Park the pool: only a kick from the crossing free wakes it.
+        config.scheduler_interval = Duration::from_secs(30);
+        let trigger = MIN_TENANT_QUOTA / 4;
+
+        // The boundary, on a service whose worker drops every pick, so
+        // no epoch resyncs the hint under the test.
+        let probe = HeapService::with_faults(config, skip_every_pick()).unwrap();
+        let core = probe.core();
+        let hint = &core.members[0].quarantined_hint;
+        hint.store(trigger - 1, Ordering::Relaxed);
+        assert!(!core.due(0), "one byte below the trigger is not due");
+        hint.store(trigger, Ordering::Relaxed);
+        assert!(core.due(0), "the trigger itself is due");
+
+        let service = HeapService::with_faults(config, FaultInjector::disabled()).unwrap();
+        let step = trigger / 4;
+        for _ in 0..3 {
+            let obj = service.malloc(0, step).unwrap();
+            service.free(obj).unwrap();
+        }
+        assert_eq!(service.quarantined_bytes(0).unwrap(), trigger - step);
+        assert_eq!(service.stats().epochs, 0);
+        let obj = service.malloc(0, step).unwrap();
+        service.free(obj).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.stats().epochs == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the free that crossed the trigger opened no epoch"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

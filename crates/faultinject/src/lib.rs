@@ -108,9 +108,9 @@ pub enum FaultPoint {
     /// stalled epoch completes on a later slice.
     TenantStall,
     /// The fleet scheduler drops the tenant it just selected instead of
-    /// sweeping it, as a buggy arbiter would. Recovery: the round-robin
-    /// fallback guarantees the skipped tenant is reselected, so every
-    /// epoch still completes.
+    /// sweeping it, as a buggy arbiter would. Recovery: the skipped
+    /// tenant's debt stays on the run queue, so the next scheduling pass
+    /// re-selects it and every due tenant is still swept.
     SchedulerSkip,
     /// The process dies right after the quarantine bins are sealed but
     /// before the `BinsSealed` journal record lands. Recovery: the
