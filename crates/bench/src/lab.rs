@@ -24,7 +24,6 @@
 //! comparable across commits.
 
 use cherivoke::fault::FaultPlan;
-use cherivoke::BackendKind;
 use revoker::{Kernel, ShadowMap};
 use serde::Serialize;
 use workloads::{profiles, run_trace, CherivokeUnderTest, CostModel, Stage, TraceGenerator};
@@ -40,7 +39,7 @@ use crate::service::{churn, ChurnParams, FaultMode, ServiceRow};
 pub const CHAOS_SMOKE_PLAN: &str =
     "worker_panic@4/8x4,tag_read_error@6/10x3,barrier_delay@2/4x2,revoker_death@1/3x2";
 
-/// The matrix: every combination of the five axes is one experiment.
+/// The matrix: every combination of the four axes is one experiment.
 #[derive(Debug, Clone, Serialize)]
 pub struct LabMatrix {
     /// Table-2 workload names (`omnetpp`, `xalancbmk`, …).
@@ -51,25 +50,21 @@ pub struct LabMatrix {
     pub sweep_workers: Vec<usize>,
     /// Fault plans: `off` or `chaos-smoke`.
     pub fault_plans: Vec<String>,
-    /// Revocation backends: `stock`, `colored`, `hierarchical`.
-    pub backends: Vec<String>,
 }
 
 impl LabMatrix {
-    /// The reduced matrix CI runs on every PR (16 experiments).
+    /// The reduced matrix CI runs on every PR (8 experiments).
     pub fn smoke() -> LabMatrix {
         LabMatrix {
             workloads: vec!["omnetpp".into(), "xalancbmk".into()],
             kernels: vec!["reference".into(), "fast".into()],
             sweep_workers: vec![1, 4],
             fault_plans: vec!["off".into()],
-            backends: vec!["stock".into(), "colored".into()],
         }
     }
 
     /// The full characterisation matrix (the paper's axes: 4 workloads ×
-    /// 4 kernels × 4 worker counts × 2 fault plans × 3 backends = 384
-    /// experiments).
+    /// 4 kernels × 4 worker counts × 2 fault plans = 128 experiments).
     pub fn full() -> LabMatrix {
         LabMatrix {
             workloads: vec![
@@ -86,27 +81,23 @@ impl LabMatrix {
             ],
             sweep_workers: vec![1, 2, 4, 8],
             fault_plans: vec!["off".into(), "chaos-smoke".into()],
-            backends: vec!["stock".into(), "colored".into(), "hierarchical".into()],
         }
     }
 
     /// Expands the matrix into its experiment list, in deterministic
-    /// order (workload-major, backend-minor).
+    /// order (workload-major, fault-plan-minor).
     pub fn expand(&self) -> Vec<ExperimentConfig> {
         let mut out = Vec::new();
         for workload in &self.workloads {
             for kernel in &self.kernels {
                 for &workers in &self.sweep_workers {
                     for fault_plan in &self.fault_plans {
-                        for backend in &self.backends {
-                            out.push(ExperimentConfig {
-                                workload: workload.clone(),
-                                kernel: kernel.clone(),
-                                sweep_workers: workers,
-                                fault_plan: fault_plan.clone(),
-                                backend: backend.clone(),
-                            });
-                        }
+                        out.push(ExperimentConfig {
+                            workload: workload.clone(),
+                            kernel: kernel.clone(),
+                            sweep_workers: workers,
+                            fault_plan: fault_plan.clone(),
+                        });
                     }
                 }
             }
@@ -126,17 +117,15 @@ pub struct ExperimentConfig {
     pub sweep_workers: usize,
     /// Fault plan name (`off` / `chaos-smoke`).
     pub fault_plan: String,
-    /// Revocation backend name (`stock` / `colored` / `hierarchical`).
-    pub backend: String,
 }
 
 impl ExperimentConfig {
-    /// Stable experiment id: `workload/kernel/wN/faults/backend` — the
-    /// key the trajectory diff joins baseline and current runs on.
+    /// Stable experiment id: `workload/kernel/wN/faults` — the key the
+    /// trajectory diff joins baseline and current runs on.
     pub fn id(&self) -> String {
         format!(
-            "{}/{}/w{}/{}/{}",
-            self.workload, self.kernel, self.sweep_workers, self.fault_plan, self.backend
+            "{}/{}/w{}/{}",
+            self.workload, self.kernel, self.sweep_workers, self.fault_plan
         )
     }
 
@@ -159,13 +148,6 @@ impl ExperimentConfig {
             )),
             other => Err(format!("unknown fault plan '{other}'")),
         }
-    }
-
-    fn backend(&self) -> Result<BackendKind, String> {
-        // A typo'd axis value is a hard error, not a silent default.
-        self.backend
-            .parse::<BackendKind>()
-            .map_err(|_| format!("unknown backend '{}'", self.backend))
     }
 }
 
@@ -236,8 +218,7 @@ pub struct ExperimentMetrics {
     /// Fraction of the sweepable address space a single revocation pass
     /// actually visited in the [`swept_fraction_probe`] scenario (1.0 =
     /// every byte walked). Deterministic — pure counts, no wall clock —
-    /// so it gates hard; the sweep-avoidance backends must hold this well
-    /// below the stock backend's value.
+    /// so it gates hard: any growth means CapDirty skipping lost pages.
     pub swept_fraction: f64,
     /// Revocation epochs the service completed during churn.
     pub service_epochs: u64,
@@ -284,27 +265,21 @@ pub struct ExperimentResult {
     pub metrics: ExperimentMetrics,
 }
 
-/// The deterministic sweep-avoidance scenario behind
+/// The deterministic CapDirty scenario behind
 /// [`ExperimentMetrics::swept_fraction`]: a 16 MiB heap tiled with ~60 KiB
-/// arenas, each holding capabilities **to itself** (the clustered pointer
-/// locality the PICASSO/PoisonCap summaries exploit), with exactly one
-/// arena freed — so the painted set occupies a single 64 KiB color window
-/// inside a single 1 MiB poison region. One `revoke_now` then reports how
-/// much of the sweepable address space the backend actually walked.
+/// arenas, each holding capabilities to itself on its first page and on
+/// further pages at the workload's pointer page density, with exactly one
+/// arena freed. One `revoke_now` then reports how much of the sweepable
+/// address space the CapDirty-filtered sweep actually walked.
 ///
-/// Pure counts, no wall clock: the same backend, density and seed always
-/// produce the same fraction, so the metric gates hard in CI.
+/// Pure counts, no wall clock: the same density and seed always produce
+/// the same fraction, so the metric gates hard in CI.
 ///
 /// # Errors
 ///
 /// Returns a message if the probe heap cannot be constructed or driven.
-pub fn swept_fraction_probe(
-    backend: BackendKind,
-    pointer_page_density: f64,
-    seed: u64,
-) -> Result<f64, String> {
+pub fn swept_fraction_probe(pointer_page_density: f64, seed: u64) -> Result<f64, String> {
     let mut policy = cherivoke::RevocationPolicy::paper_default();
-    policy.backend = backend;
     policy.use_capdirty = true;
     policy.strict = false;
     policy.incremental_slice_bytes = None;
@@ -363,12 +338,12 @@ pub fn swept_fraction_probe(
 }
 
 /// Runs one experiment end to end (sweep rate, service churn, workload
-/// replay, sweep-avoidance probe) and returns its trajectory record.
+/// replay, CapDirty probe) and returns its trajectory record.
 ///
 /// # Errors
 ///
 /// Returns a message naming the failing stage for unknown workloads /
-/// kernels / fault plans / backends or a failed trace replay.
+/// kernels / fault plans or a failed trace replay.
 pub fn run_experiment(
     config: &ExperimentConfig,
     opts: &LabOptions,
@@ -377,7 +352,6 @@ pub fn run_experiment(
         .ok_or_else(|| format!("unknown workload '{}'", config.workload))?;
     let kernel = config.kernel()?;
     let faults = config.fault_mode()?;
-    let backend = config.backend()?;
 
     let repeats = opts.measure_repeats.max(1);
 
@@ -411,7 +385,6 @@ pub fn run_experiment(
                 shard_mib: opts.service_shard_mib,
                 kernel,
                 sweep_workers: config.sweep_workers,
-                backend,
                 faults: faults.clone(),
                 ..ChurnParams::default()
             })
@@ -432,16 +405,14 @@ pub fn run_experiment(
     let mut policy = cherivoke::RevocationPolicy::paper_default();
     policy.kernel = kernel;
     policy.sweep_workers = config.sweep_workers;
-    policy.backend = backend;
     let mut sut = CherivokeUnderTest::new(&trace, policy, CostModel::x86_default(), Stage::Full)
         .map_err(|e| format!("{}: heap construction failed: {e}", config.id()))?;
     let report = run_trace(&mut sut, &trace)
         .map_err(|e| format!("{}: trace replay failed: {e}", config.id()))?;
 
-    // 4. The deterministic sweep-avoidance probe (clustered pointer
-    // locality, single-window revocation): how much of the sweepable
-    // space does this backend actually visit per pass?
-    let swept_fraction = swept_fraction_probe(backend, profile.pointer_page_density, opts.seed)
+    // 4. The deterministic CapDirty probe: how much of the sweepable
+    // space does one revocation pass actually visit?
+    let swept_fraction = swept_fraction_probe(profile.pointer_page_density, opts.seed)
         .map_err(|e| format!("{}: {e}", config.id()))?;
 
     Ok(ExperimentResult {
@@ -487,10 +458,10 @@ mod tests {
             .iter()
             .map(ExperimentConfig::id)
             .collect();
-        assert_eq!(ids.len(), 16);
-        assert_eq!(ids[0], "omnetpp/reference/w1/off/stock");
-        assert_eq!(ids[1], "omnetpp/reference/w1/off/colored");
-        assert_eq!(ids[15], "xalancbmk/fast/w4/off/colored");
+        assert_eq!(ids.len(), 8);
+        assert_eq!(ids[0], "omnetpp/reference/w1/off");
+        assert_eq!(ids[1], "omnetpp/reference/w4/off");
+        assert_eq!(ids[7], "xalancbmk/fast/w4/off");
         // Ids are unique — the trajectory diff joins on them.
         let mut dedup = ids.clone();
         dedup.sort();
@@ -499,23 +470,14 @@ mod tests {
     }
 
     #[test]
-    fn sweep_avoidance_backends_visit_far_less_than_stock() {
-        // The ISSUE acceptance bar, as a deterministic unit test: on the
-        // clustered probe scenario the colored and hierarchical backends
-        // must visit at least 2x fewer bytes per pass than stock — and
-        // re-running the probe must reproduce the fraction bit-for-bit.
+    fn swept_fraction_probe_is_deterministic() {
+        // CapDirty skips the capability-free pages, and re-running the
+        // probe reproduces the fraction bit-for-bit (the lab gates it at
+        // zero drift).
         let density = profiles::by_name("omnetpp").unwrap().pointer_page_density;
-        let stock = swept_fraction_probe(BackendKind::Stock, density, 42).unwrap();
-        let colored = swept_fraction_probe(BackendKind::Colored, density, 42).unwrap();
-        let hierarchical = swept_fraction_probe(BackendKind::Hierarchical, density, 42).unwrap();
-        assert!(stock > 0.0);
-        assert!(colored <= stock / 2.0, "colored {colored} vs stock {stock}");
-        assert!(
-            hierarchical <= stock / 2.0,
-            "hierarchical {hierarchical} vs stock {stock}"
-        );
-        let again = swept_fraction_probe(BackendKind::Colored, density, 42).unwrap();
-        assert_eq!(colored, again, "probe must be deterministic");
+        let fraction = swept_fraction_probe(density, 42).unwrap();
+        assert!(fraction > 0.0 && fraction < 1.0, "{fraction}");
+        assert_eq!(swept_fraction_probe(density, 42).unwrap(), fraction);
     }
 
     #[test]
@@ -543,7 +505,6 @@ mod tests {
             kernel: "fast".into(),
             sweep_workers: 2,
             fault_plan: "chaos-smoke".into(),
-            backend: "colored".into(),
         };
         let opts = LabOptions {
             trace_scale: 1.0 / 8192.0,
@@ -554,7 +515,7 @@ mod tests {
             measure_repeats: 1,
         };
         let result = run_experiment(&config, &opts).expect("experiment runs");
-        assert_eq!(result.id, "omnetpp/fast/w2/chaos-smoke/colored");
+        assert_eq!(result.id, "omnetpp/fast/w2/chaos-smoke");
         assert!(result.metrics.sweep_mib_s > 0.0);
         assert!(result.metrics.service_ops_per_sec > 0.0);
         assert!(result.metrics.overhead_time >= 1.0 - 0.05);

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use cherivoke::fault::{FaultInjector, FaultPoint};
-use cherivoke::{BackendKind, ConcurrentHeap, Kernel, RevocationPolicy, ServiceConfig};
+use cherivoke::{ConcurrentHeap, Kernel, RevocationPolicy, ServiceConfig};
 use serde::Serialize;
 use telemetry::MetricsSnapshot;
 
@@ -58,12 +58,10 @@ pub struct ChurnParams {
     pub kernel: Kernel,
     /// Sweep worker threads per sweep.
     pub sweep_workers: usize,
-    /// Revocation backend for every shard.
-    pub backend: BackendKind,
 }
 
 impl Default for ChurnParams {
-    /// The paper-default policy's kernel, workers and backend.
+    /// The paper-default policy's kernel and workers.
     fn default() -> ChurnParams {
         let policy = RevocationPolicy::paper_default();
         ChurnParams {
@@ -76,7 +74,6 @@ impl Default for ChurnParams {
             faults: FaultMode::Inherit,
             kernel: policy.kernel,
             sweep_workers: policy.sweep_workers,
-            backend: policy.backend,
         }
     }
 }
@@ -136,7 +133,6 @@ pub fn churn(params: &ChurnParams) -> (ServiceRow, Option<MetricsSnapshot>) {
     };
     config.policy.kernel = params.kernel;
     config.policy.sweep_workers = params.sweep_workers;
-    config.policy.backend = params.backend;
     let fraction = config.policy.quarantine.fraction;
     let kernel = config.policy.kernel.name();
     let injector = match &params.faults {

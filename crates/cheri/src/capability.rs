@@ -133,14 +133,6 @@ impl Capability {
         self.bounds.decode_base(self.address)
     }
 
-    /// The capability's **color** (see [`crate::color`]): derived from the
-    /// base address's 64 KiB stripe, so every copy — however forged — of a
-    /// capability to the same allocation carries the same color.
-    #[inline]
-    pub fn color(&self) -> u8 {
-        crate::color::color_of(self.base())
-    }
-
     /// Upper bound (exclusive); up to `2^64`, hence `u128`.
     #[inline]
     pub fn top(&self) -> u128 {

@@ -49,7 +49,6 @@
 
 mod capability;
 mod capword;
-pub mod color;
 mod compress;
 mod error;
 mod otype;
@@ -57,10 +56,6 @@ mod perms;
 
 pub use capability::Capability;
 pub use capword::CapWord;
-pub use color::{
-    color_mask_of_range, color_of, poison_bit, poison_mask_of_range, COLOR_BITS,
-    COLOR_REGION_BYTES, NUM_COLORS, POISON_REGION_BYTES,
-};
 pub use compress::{CompressedBounds, MANTISSA_WIDTH, MAX_EXPONENT};
 pub use error::CapError;
 pub use otype::OType;

@@ -2,15 +2,15 @@
 //! (paper fig. 3, and §3.5's incremental form of it) — **open** (seal,
 //! paint, fix the visit set) → **step** (sweep a slice of the visit set)
 //! → **retire** (sweep registers, drain, unpaint, commit).
-//! `begin_revocation` opens over the bins the backend selects and slices
-//! interleave with execution; `revoke_now` opens over every bin and runs
-//! one slice; crash recovery re-paints the journaled ranges and completes
-//! the epoch over an exhaustive visit set.
+//! `begin_revocation` opens over the quarantine and slices interleave
+//! with execution; `revoke_now` opens the same way and runs one slice;
+//! crash recovery re-paints the journaled ranges and completes the epoch
+//! over an exhaustive visit set.
 //!
 //! Slicing is sound (paper §3.5, and the CheriBSD/Cornucopia lineage that
 //! followed it) because of three rules:
 //!
-//! * When an epoch opens, its quarantine bins are *sealed* and painted;
+//! * When an epoch opens, the quarantine is *sealed* and painted;
 //!   frees issued while it runs join the next generation.
 //! * While an epoch is active, every capability moved through
 //!   [`crate::CherivokeHeap::load_cap`] / `store_cap` / `set_register` is
@@ -18,9 +18,7 @@
 //!   capability never reaches an already-swept or left-out page.
 //! * The epoch retires only once its worklist is empty.
 
-use revoker::{
-    BackendFilter, BackendKind, CapSource, FilterGranularity, GranuleFilter, SweepCost, SweepStats,
-};
+use revoker::{CapDirtyPages, CapSource, FilterGranularity, GranuleFilter, SweepCost, SweepStats};
 use tagmem::{AddressSpace, Segment, TaggedMemory, GRANULE_SIZE, PAGE_SIZE};
 
 /// The persistent state of an open revocation epoch.
@@ -31,10 +29,8 @@ pub(crate) struct Epoch {
     /// Remaining `(start, len)` regions to sweep, in segment order and
     /// address order within a segment.
     pub worklist: Vec<(u64, u64)>,
-    /// The backend whose [`BackendFilter`] every slice applies.
-    pub backend: BackendKind,
-    /// Whether the worklist holds CapDirty runs (and stock slices skip
-    /// clean pages) rather than whole segments.
+    /// Whether the worklist holds CapDirty runs (and slices skip clean
+    /// pages) rather than whole segments.
     pub use_capdirty: bool,
     /// The page frame the last slice cut in two, if any (see
     /// [`SliceFilter`]).
@@ -47,14 +43,12 @@ impl Epoch {
     /// An epoch over the painted `ranges`, its visit set fixed now: the
     /// coalesced CapDirty runs of every sweepable segment of `space` (whole
     /// segments when `use_capdirty` is off; pages left out count as
-    /// skipped), which every slice filters through
-    /// `BackendFilter::for_epoch(backend, use_capdirty, ..)`. Stock with
+    /// skipped), which every slice filters through [`CapDirtyPages`].
     /// CapDirty off is the exhaustive set: whole segments, no filter.
     /// `worklist` is a recycled buffer, so a warm open allocates nothing.
     pub fn open(
         space: &AddressSpace,
         ranges: Vec<(u64, u64)>,
-        backend: BackendKind,
         use_capdirty: bool,
         mut worklist: Vec<(u64, u64)>,
     ) -> Epoch {
@@ -89,7 +83,6 @@ impl Epoch {
         Epoch {
             ranges,
             worklist,
-            backend,
             use_capdirty,
             cut: None,
             stats: SweepStats {
@@ -176,13 +169,14 @@ impl CapSource for SliceSource<'_> {
     }
 }
 
-/// The epoch's [`BackendFilter`] for one slice, withholding the
+/// The epoch's page filter for one slice — [`CapDirtyPages`] when the
+/// epoch uses CapDirty, none otherwise — withholding the
 /// false-positive purge from the pages a slice boundary cuts in two. Such
 /// a page is swept in two visits and neither sees all of its
 /// capabilities, so neither may declare it capability-free.
 pub(crate) struct SliceFilter<'a> {
-    /// The epoch's backend filter.
-    pub inner: BackendFilter<'a>,
+    /// The epoch's page filter.
+    pub inner: Option<CapDirtyPages<'a>>,
     /// The page frames cut at this slice's start and end.
     pub cut: [Option<u64>; 2],
 }
@@ -211,7 +205,6 @@ mod tests {
         Epoch {
             ranges: vec![(0x1000, 64)],
             worklist: vec![(0x1000, 4096), (0x3000, 1024)],
-            backend: BackendKind::Stock,
             use_capdirty: true,
             cut: None,
             stats: SweepStats::default(),

@@ -162,7 +162,7 @@ pub struct FleetConfig {
     /// Revocation policy template applied to every tenant heap. The
     /// quarantine fraction, capped at [`THROTTLE_FRACTION`], is each
     /// tenant's trigger as a share of its quota (see the debt metric);
-    /// kernel / `sweep_workers` / backend flow through to each tenant's
+    /// kernel and `sweep_workers` flow through to each tenant's
     /// sweep engine.
     pub policy: RevocationPolicy,
     /// Per-tenant policy, applied to every tenant.
@@ -1296,8 +1296,9 @@ impl Core {
 
     /// Synchronously drains member `i`'s quarantine to zero. Helps an
     /// in-flight epoch rather than hijacking it (its owner may be holding
-    /// it open for the peer sweeps); loops because a colored backend
-    /// legitimately seals only part of the quarantine per epoch.
+    /// it open for the peer sweeps); loops because a helped in-flight
+    /// epoch sealed only what was quarantined when it opened, so frees
+    /// since then wait for a new epoch.
     pub(crate) fn drain(&self, i: usize) {
         while self.open_epoch(i) {
             // Progress without completion: the epoch is held open by its

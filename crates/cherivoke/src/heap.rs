@@ -10,8 +10,8 @@ use cvkalloc::{CherivokeAllocator, ChunkState, DlAllocator};
 use journal::{Journal, Record, TailState};
 use revoker::fault::FaultPoint;
 use revoker::{
-    audit_dump, sweep_register_file, AuditReport, BackendFilter, BackendKind, ParallelSweepEngine,
-    ShadowMap, SpaceSource, SweepScratch, SweepStats,
+    audit_dump, sweep_register_file, AuditReport, CapDirtyPages, ParallelSweepEngine, ShadowMap,
+    SpaceSource, SweepScratch, SweepStats,
 };
 use tagmem::{AddressSpace, CoreDump, SegmentKind};
 
@@ -171,11 +171,10 @@ impl CherivokeHeap {
         let globals_root = root
             .set_bounds_exact(globals_base, config.globals_size)?
             .with_perms(Perms::RW_DATA)?;
-        let mut alloc = CherivokeAllocator::with_config(
+        let alloc = CherivokeAllocator::with_config(
             DlAllocator::new(config.heap_base, config.heap_size),
             config.policy.quarantine,
         );
-        alloc.set_partitions(config.policy.backend.backend().partitions());
         Ok(CherivokeHeap {
             space,
             alloc,
@@ -260,8 +259,6 @@ impl CherivokeHeap {
     /// sweepable segment plus the allocator's chunk and quarantine
     /// records (see [`HeapImage`] for the split).
     pub fn capture_image(&self) -> HeapImage {
-        let open: std::collections::HashMap<u64, u8> =
-            self.alloc.open_chunk_bins().into_iter().collect();
         let sealed: std::collections::HashSet<u64> = self
             .alloc
             .sealed_ranges()
@@ -283,9 +280,7 @@ impl CherivokeHeap {
                     ChunkState::Quarantined if sealed.contains(&addr) => {
                         ImageChunkState::QuarantinedSealed
                     }
-                    ChunkState::Quarantined => ImageChunkState::QuarantinedOpen {
-                        bin: open.get(&addr).copied().unwrap_or(0),
-                    },
+                    ChunkState::Quarantined => ImageChunkState::QuarantinedOpen { bin: 0 },
                 },
             })
             .collect();
@@ -490,11 +485,8 @@ impl CherivokeHeap {
         }
         // The base identifies the allocation (monotonic bounds guarantee it
         // is inside the original allocation, §4.1 — and the allocator
-        // demands it be exactly the chunk start). The backend picks the
-        // quarantine bin (always 0 for stock; the chunk's color for the
-        // colored backend).
-        let bin = self.policy.backend.backend().bin_of(cap.base());
-        self.alloc.free_binned(cap.base(), bin)?;
+        // demands it be exactly the chunk start).
+        self.alloc.free(cap.base())?;
         // Stop-the-world unless incremental. Degraded mode (a journal
         // write failed) can no longer make in-flight epoch state
         // crash-consistent, so it completes synchronously too — slower,
@@ -529,32 +521,28 @@ impl CherivokeHeap {
         }
     }
 
-    /// Opens an incremental revocation epoch (paper §3.5): the backend
-    /// selects which quarantine bins to seal, and the epoch opens over
-    /// them: seal, paint, and fix the visit set (the coalesced CapDirty
-    /// runs, narrowed per slice by the backend's filter). Slices then run
-    /// through [`CherivokeHeap::revoke_step`]; [`CherivokeHeap::revoke_now`]
-    /// and crash recovery run this same epoch pipeline. Returns `false` if
-    /// an epoch is already active or there is nothing to revoke.
+    /// Opens an incremental revocation epoch (paper §3.5) over the whole
+    /// open quarantine: seal, paint, and fix the visit set (the coalesced
+    /// CapDirty runs, or whole segments with CapDirty off). Frees issued
+    /// while it runs wait for the next epoch. Slices then run through
+    /// [`CherivokeHeap::revoke_step`]; [`CherivokeHeap::revoke_now`] and
+    /// crash recovery run this same epoch pipeline. Returns `false` if an
+    /// epoch is already active or there is nothing to revoke.
     pub fn begin_revocation(&mut self) -> bool {
         if self.epoch.is_some() {
             return false;
         }
-        let backend = self.policy.backend.backend();
-        let mut bin_bytes = [0u64; 64];
-        self.alloc.open_bin_bytes_into(&mut bin_bytes);
-        let mask = backend.select_bins(&bin_bytes[..usize::from(backend.partitions())]);
-        self.open_epoch(mask, false)
+        self.open_epoch(false)
     }
 
-    /// The epoch's open step: seals the bins `mask` selects, journals and
-    /// paints them, and fixes the visit set. `full` marks a stop-the-world
+    /// The epoch's open step: seals the open quarantine, journals and
+    /// paints it, and fixes the visit set. `full` marks a stop-the-world
     /// cycle in the journal. Returns `false` (opening nothing) when the
-    /// selected bins are empty.
-    fn open_epoch(&mut self, mask: u64, full: bool) -> bool {
+    /// open quarantine is empty.
+    fn open_epoch(&mut self, full: bool) -> bool {
         let mut ranges = std::mem::take(&mut self.range_scratch);
         ranges.clear();
-        self.alloc.seal_bins_into(mask, &mut ranges);
+        self.alloc.seal_quarantine_into(&mut ranges);
         if ranges.is_empty() {
             self.range_scratch = ranges;
             return false;
@@ -564,10 +552,12 @@ impl CherivokeHeap {
         // observe the paint — so the journal tail always classifies the
         // interrupted step correctly (see the recovery decision table).
         self.epoch_seq += 1;
+        // Journal v1 keeps its one-backend, selected-bins fields: backend 0
+        // (stock) and every bin.
         self.journal_append(&Record::EpochOpen {
             epoch: self.epoch_seq,
-            backend: self.policy.backend as u8,
-            mask,
+            backend: 0,
+            mask: u64::MAX,
             full,
         });
         self.maybe_crash(FaultPoint::CrashAfterSeal);
@@ -578,7 +568,7 @@ impl CherivokeHeap {
             });
         }
         let sealed = ranges.len() as u64;
-        let painted = self.install_epoch(ranges, self.policy.backend, self.policy.use_capdirty);
+        let painted = self.install_epoch(ranges, self.policy.use_capdirty);
         self.maybe_crash(FaultPoint::CrashAfterPaint);
         self.journal_append(&Record::ShadowPainted {
             epoch: self.epoch_seq,
@@ -594,25 +584,14 @@ impl CherivokeHeap {
     /// Paints `ranges` and installs the epoch over them, its visit set
     /// fixed by [`Epoch::open`]. Shared by [`CherivokeHeap::open_epoch`]
     /// and recovery's roll-forward. Returns the bytes painted.
-    fn install_epoch(
-        &mut self,
-        ranges: Vec<(u64, u64)>,
-        backend: BackendKind,
-        use_capdirty: bool,
-    ) -> u64 {
+    fn install_epoch(&mut self, ranges: Vec<(u64, u64)>, use_capdirty: bool) -> u64 {
         let mut painted = 0u64;
         for &(addr, len) in &ranges {
             self.shadow.paint(addr, len);
             painted += len;
         }
         let worklist = std::mem::take(&mut self.worklist_scratch);
-        self.epoch = Some(Epoch::open(
-            &self.space,
-            ranges,
-            backend,
-            use_capdirty,
-            worklist,
-        ));
+        self.epoch = Some(Epoch::open(&self.space, ranges, use_capdirty, worklist));
         painted
     }
 
@@ -645,12 +624,7 @@ impl CherivokeHeap {
         if !slice.is_empty() {
             let (segments, _, table) = self.space.sweep_parts_mut();
             let filter = SliceFilter {
-                inner: BackendFilter::for_epoch(
-                    epoch.backend,
-                    epoch.use_capdirty,
-                    table,
-                    &self.shadow,
-                ),
+                inner: epoch.use_capdirty.then(|| CapDirtyPages::new(table)),
                 cut: [cut_before, epoch.cut],
             };
             let mut stats = self.engine.sweep_scratched(
@@ -767,15 +741,10 @@ impl CherivokeHeap {
     /// sweep counters (the orchestrator accounts for foreign sweeps).
     pub fn sweep_foreign(&mut self, shadow: &ShadowMap) -> SweepStats {
         let (source, page_table) = SpaceSource::split(&mut self.space);
-        // The visit set derives entirely from the *foreign* shadow's
-        // painted colors/regions plus this heap's own page summaries, so
-        // sweep-avoidance backends restrict foreign sweeps too.
-        let filter = BackendFilter::for_epoch(
-            self.policy.backend,
-            self.policy.use_capdirty,
-            page_table,
-            shadow,
-        );
+        let filter = self
+            .policy
+            .use_capdirty
+            .then(|| CapDirtyPages::new(page_table));
         self.engine
             .sweep_scratched(source, filter, shadow, &mut self.scratch)
     }
@@ -846,8 +815,8 @@ impl CherivokeHeap {
     }
 
     /// Runs a full revocation cycle now (fig. 3), as one stop-the-world
-    /// epoch: finishes any open epoch, opens one over every quarantine
-    /// bin (journaled `full: true`), and runs it to completion through
+    /// epoch: finishes any open epoch, opens one over the quarantine
+    /// (journaled `full: true`), and runs it to completion through
     /// [`CherivokeHeap::revoke_step`] in a single slice. Returns the
     /// epoch's sweep statistics; with an empty quarantine nothing is
     /// swept and the statistics are zero.
@@ -855,7 +824,7 @@ impl CherivokeHeap {
         // An in-progress incremental epoch completes first (its painted
         // ranges must not be re-painted or double-drained).
         self.finish_revocation();
-        if !self.open_epoch(u64::MAX, true) {
+        if !self.open_epoch(true) {
             return SweepStats::default();
         }
         self.finish_revocation()
@@ -900,9 +869,9 @@ impl CherivokeHeap {
         let mut heap = CherivokeHeap::new(config)?;
 
         // Memory: replay the dump into the fresh segments, then rebuild
-        // the page table's CapDirty flags and pointee summaries by
-        // re-storing every tagged capability through the normal store
-        // path (the table is process state the dump does not carry).
+        // the page table's CapDirty flags by re-storing every tagged
+        // capability through the normal store path (the table is process
+        // state the dump does not carry).
         image.dump.restore_into(heap.space.segments_mut());
         let mut tagged: Vec<u64> = Vec::new();
         for seg in heap
@@ -944,24 +913,20 @@ impl CherivokeHeap {
                 (c.addr, c.size, state)
             })
             .collect();
+        // Every open chunk joins the one open generation, whatever bin
+        // its record names.
         let mut open = Vec::new();
         let mut sealed_records = Vec::new();
         for c in &image.chunks {
             match c.state {
-                ImageChunkState::QuarantinedOpen { bin } => open.push((c.addr, bin)),
+                ImageChunkState::QuarantinedOpen { .. } => open.push(c.addr),
                 ImageChunkState::QuarantinedSealed => sealed_records.push((c.addr, c.size)),
                 _ => {}
             }
         }
         let inner = DlAllocator::restore(base, size, &triples)?;
-        let backend = heap.policy.backend.backend();
-        heap.alloc = CherivokeAllocator::restore(
-            inner,
-            heap.policy.quarantine,
-            backend.partitions(),
-            &open,
-            &sealed_records,
-        )?;
+        heap.alloc =
+            CherivokeAllocator::restore(inner, heap.policy.quarantine, &open, &sealed_records)?;
 
         // The journal's epoch numbering continues across the crash.
         heap.epoch_seq = outcome
@@ -995,14 +960,14 @@ impl CherivokeHeap {
                 // Re-opening is the safe default: the memory stays
                 // quarantined and the next epoch re-seals it.
                 if !heap.alloc.sealed_ranges().is_empty() {
-                    report.reopened_chunks = heap.alloc.unseal_sealed(|addr| backend.bin_of(addr));
+                    report.reopened_chunks = heap.alloc.unseal_sealed();
                     report.action = RecoveryAction::ReopenSeal;
                 }
             }
             TailState::SealInterrupted { epoch } => {
                 report.epoch = Some(epoch);
                 report.action = RecoveryAction::ReopenSeal;
-                report.reopened_chunks = heap.alloc.unseal_sealed(|addr| backend.bin_of(addr));
+                report.reopened_chunks = heap.alloc.unseal_sealed();
             }
             TailState::SweepInterrupted {
                 epoch,
@@ -1017,7 +982,7 @@ impl CherivokeHeap {
                 // visit set — every byte of every sweepable segment, no
                 // filter: the crashed sweep's progress records are
                 // advisory only, and re-sweeping swept memory is harmless.
-                heap.install_epoch(ranges, BackendKind::Stock, false);
+                heap.install_epoch(ranges, false);
                 report.caps_revoked = heap
                     .finish_revocation()
                     .expect("an open epoch runs to completion")
@@ -1177,8 +1142,6 @@ impl CherivokeHeap {
     pub fn set_policy(&mut self, policy: RevocationPolicy) {
         self.policy = policy;
         self.alloc.set_config(policy.quarantine);
-        self.alloc
-            .set_partitions(policy.backend.backend().partitions());
         self.rebuild_engine();
     }
 
@@ -1604,6 +1567,35 @@ mod tests {
     }
 
     #[test]
+    fn recover_puts_open_chunks_of_any_bin_into_the_open_generation() {
+        // Images written while the quarantine had bins name a bin per
+        // open chunk; restore ignores it.
+        let mut cfg = HeapConfig::small();
+        cfg.policy.quarantine.fraction = f64::INFINITY; // the free stays quarantined
+        let mut h = CherivokeHeap::new(cfg).unwrap();
+        let gone = h.malloc(64).unwrap();
+        let _guard = h.malloc(16).unwrap();
+        h.free(gone).unwrap();
+        let mut image = h.capture_image();
+        for c in &mut image.chunks {
+            if let ImageChunkState::QuarantinedOpen { bin } = &mut c.state {
+                assert_eq!(*bin, 0, "the heap writes bin 0");
+                *bin = 5;
+            }
+        }
+        let empty_journal = journal::Journal::in_memory().into_bytes();
+        let (mut rh, report) =
+            CherivokeHeap::recover(cfg, &image.encode(), &empty_journal).unwrap();
+        assert!(report.safe(), "audit: {:?}", report.audit);
+        assert_eq!(
+            rh.allocator().open_chunks().collect::<Vec<_>>(),
+            vec![gone.base()]
+        );
+        rh.revoke_now();
+        assert_eq!(rh.quarantined_bytes(), 0);
+    }
+
+    #[test]
     fn recover_rejects_mismatched_layout() {
         let h = heap();
         let image = h.capture_image().encode();
@@ -1616,9 +1608,8 @@ mod tests {
         ));
     }
 
-    fn incremental_config(backend: BackendKind) -> HeapConfig {
+    fn incremental_config() -> HeapConfig {
         let mut cfg = HeapConfig::small();
-        cfg.policy.backend = backend;
         cfg.policy.quarantine.fraction = 0.125;
         cfg.policy.incremental_slice_bytes = Some(16 << 10);
         cfg
@@ -1627,18 +1618,14 @@ mod tests {
     /// Drives a crash-armed heap until the injected crash point fires
     /// (as an `InjectedFault::CrashRequested` panic), then recovers from
     /// the persisted image + journal and asserts safety.
-    fn soft_crash_and_recover(point: revoker::fault::FaultPoint, backend: BackendKind) {
+    fn soft_crash_and_recover(point: revoker::fault::FaultPoint) {
         use revoker::fault::{silence_injected_panics, FaultInjector, FaultPlan, FaultRule};
         silence_injected_panics();
-        let dir = std::env::temp_dir().join(format!(
-            "cvk-heap-crash-{}-{}",
-            point.name(),
-            backend.name()
-        ));
+        let dir = std::env::temp_dir().join(format!("cvk-heap-crash-{}", point.name()));
         std::fs::create_dir_all(&dir).unwrap();
         let image_path = dir.join("heap.img");
         let journal_path = dir.join("heap.cvj");
-        let cfg = incremental_config(backend);
+        let cfg = incremental_config();
         let mut h = CherivokeHeap::new(cfg).unwrap();
         h.set_journal(journal::Journal::create(&journal_path).unwrap());
         h.set_crash_persist(image_path.clone(), false);
@@ -1659,7 +1646,7 @@ mod tests {
         }));
         assert!(
             crashed.is_err(),
-            "{point:?} never fired on {backend:?} — workload too small?"
+            "{point:?} never fired — workload too small?"
         );
         drop(h);
         let image = std::fs::read(&image_path).unwrap();
@@ -1667,7 +1654,7 @@ mod tests {
         let (mut rh, report) = CherivokeHeap::recover(cfg, &image, &journal_bytes).unwrap();
         assert!(
             report.safe(),
-            "{point:?}/{backend:?} recovery unsafe: {:?}",
+            "{point:?} recovery unsafe: {:?}",
             report.audit
         );
         match point {
@@ -1692,48 +1679,33 @@ mod tests {
 
     #[test]
     fn crash_after_seal_recovers_by_reopening() {
-        soft_crash_and_recover(
-            revoker::fault::FaultPoint::CrashAfterSeal,
-            BackendKind::Stock,
-        );
+        soft_crash_and_recover(revoker::fault::FaultPoint::CrashAfterSeal);
     }
 
     #[test]
     fn crash_after_paint_rolls_forward() {
-        soft_crash_and_recover(
-            revoker::fault::FaultPoint::CrashAfterPaint,
-            BackendKind::Colored,
-        );
+        soft_crash_and_recover(revoker::fault::FaultPoint::CrashAfterPaint);
     }
 
     #[test]
     fn crash_mid_sweep_rolls_forward() {
-        soft_crash_and_recover(
-            revoker::fault::FaultPoint::CrashMidSweep,
-            BackendKind::Hierarchical,
-        );
+        soft_crash_and_recover(revoker::fault::FaultPoint::CrashMidSweep);
     }
 
     #[test]
     fn crash_before_drain_rolls_forward() {
-        soft_crash_and_recover(
-            revoker::fault::FaultPoint::CrashBeforeDrain,
-            BackendKind::Stock,
-        );
+        soft_crash_and_recover(revoker::fault::FaultPoint::CrashBeforeDrain);
     }
 
     #[test]
     fn crash_before_commit_rolls_forward() {
-        soft_crash_and_recover(
-            revoker::fault::FaultPoint::CrashBeforeCommit,
-            BackendKind::Colored,
-        );
+        soft_crash_and_recover(revoker::fault::FaultPoint::CrashBeforeCommit);
     }
 
     #[test]
     fn journal_write_failure_degrades_to_synchronous_epochs() {
         use revoker::fault::{FaultInjector, FaultPlan, FaultPoint, FaultRule};
-        let cfg = incremental_config(BackendKind::Stock);
+        let cfg = incremental_config();
         let mut h = CherivokeHeap::new(cfg).unwrap();
         h.set_journal(journal::Journal::in_memory());
         h.set_fault_injector(FaultInjector::new(FaultPlan::from_rules(vec![
@@ -1757,7 +1729,7 @@ mod tests {
     #[test]
     fn crash_points_are_inert_without_crash_persistence() {
         use revoker::fault::{FaultInjector, FaultPlan, FaultPoint, FaultRule};
-        let cfg = incremental_config(BackendKind::Stock);
+        let cfg = incremental_config();
         let mut h = CherivokeHeap::new(cfg).unwrap();
         // Armed plan, but no set_crash_persist: the heap must run as if
         // the crash points did not exist (seeded chaos plans rely on it).

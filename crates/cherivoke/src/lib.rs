@@ -72,7 +72,7 @@ pub use fleet::{
 pub use heap::{CherivokeHeap, HeapConfig};
 pub use model::OverheadModel;
 pub use obs::HeapTelemetry;
-pub use policy::RevocationPolicy;
+pub use policy::{BackendKind, RevocationPolicy};
 pub use recovery::{
     journal_dir_from_env, warn_once, HeapImage, ImageChunk, ImageChunkState, RecoveryAction,
     RecoveryError, RecoveryReport,
@@ -81,7 +81,7 @@ pub use service::{ConcurrentHeap, HeapClient, ServiceConfig};
 pub use stats::{HeapStats, ServiceStats, ShardStats};
 
 pub use cvkalloc::QuarantineConfig;
-pub use revoker::{AuditReport, AuditViolation, BackendKind, Kernel};
+pub use revoker::{AuditReport, AuditViolation, Kernel};
 
 /// Deterministic fault injection ([`fault::FaultInjector`],
 /// [`fault::FaultPlan`], the `CHERIVOKE_FAULT_PLAN` knob) — re-exported so

@@ -1,9 +1,21 @@
 //! Revocation policy: when and how to sweep.
 
 use cvkalloc::QuarantineConfig;
-use revoker::{BackendKind, Kernel, MAX_SWEEP_WORKERS};
+use revoker::{Kernel, MAX_SWEEP_WORKERS};
 
 use crate::HeapError;
+
+/// The revocation lifecycle a [`RevocationPolicy`] runs. Stock CHERIvoke
+/// (paper §3) is the only one, so this is not a knob: the type is kept
+/// because callers print [`RevocationPolicy::backend`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BackendKind {
+    /// The paper's lifecycle: each epoch seals the whole quarantine, and
+    /// sweeps skip only CapDirty-clean pages (when
+    /// [`RevocationPolicy::use_capdirty`] is set).
+    #[default]
+    Stock,
+}
 
 /// Controls when sweeps trigger and how they execute.
 ///
@@ -46,18 +58,16 @@ pub struct RevocationPolicy {
     /// [`revoker::ParallelSweepEngine`]. At most [`MAX_SWEEP_WORKERS`]
     /// ([`RevocationPolicy::validated`] clamps larger counts).
     pub sweep_workers: usize,
-    /// The revocation backend owning the quarantine→sweep lifecycle (see
-    /// [`revoker::backend`]): [`BackendKind::Stock`] reproduces the paper's
-    /// behaviour; [`BackendKind::Colored`] / [`BackendKind::Hierarchical`]
-    /// are the PICASSO / PoisonCap sweep-avoidance strategies.
+    /// The revocation lifecycle: always [`BackendKind::Stock`], the paper's.
+    /// It carries no choice; run reports print it.
     pub backend: BackendKind,
 }
 
 impl RevocationPolicy {
     /// The configuration evaluated in the paper: 25% quarantine, buffered
     /// (non-strict) revocation, optimised kernel, CapDirty page skipping:
-    /// the word-at-a-time [`Kernel::Fast`] kernel, one sweep worker and the
-    /// stock backend. Other configurations set these fields.
+    /// the word-at-a-time [`Kernel::Fast`] kernel and one sweep worker.
+    /// Other configurations set these fields.
     pub fn paper_default() -> RevocationPolicy {
         RevocationPolicy {
             quarantine: QuarantineConfig::paper_default(),
@@ -96,15 +106,6 @@ impl RevocationPolicy {
         if fraction.is_nan() || fraction <= 0.0 {
             return Err(HeapError::InvalidConfig(
                 "quarantine fraction must be > 0 (f64::INFINITY disables the size trigger)",
-            ));
-        }
-        if self.strict && self.backend != BackendKind::Stock {
-            // Strict mode promises exhaustive per-free revocation for
-            // debugging; pairing it with a sweep-avoidance backend is a
-            // configuration contradiction no clamp can repair.
-            return Err(HeapError::InvalidConfig(
-                "strict per-free revocation requires the stock backend \
-                 (sweep-avoidance backends schedule partial sweeps)",
             ));
         }
         let mut warnings = Vec::new();
@@ -193,28 +194,6 @@ mod tests {
         let (p, warnings) = RevocationPolicy::with_fraction(2.0).validated().unwrap();
         assert_eq!(p.quarantine.fraction, 2.0);
         assert_eq!(warnings.len(), 1);
-    }
-
-    #[test]
-    fn strict_mode_rejects_sweep_avoidance_backends() {
-        for backend in [BackendKind::Colored, BackendKind::Hierarchical] {
-            let p = RevocationPolicy {
-                strict: true,
-                backend,
-                ..RevocationPolicy::paper_default()
-            };
-            assert!(
-                matches!(p.validated(), Err(HeapError::InvalidConfig(_))),
-                "strict + {backend:?} must be rejected"
-            );
-        }
-        // Strict with the stock backend stays valid.
-        let p = RevocationPolicy {
-            strict: true,
-            backend: BackendKind::Stock,
-            ..RevocationPolicy::paper_default()
-        };
-        assert!(p.validated().is_ok());
     }
 
     #[test]

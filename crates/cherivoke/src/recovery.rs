@@ -63,9 +63,11 @@ pub enum ImageChunkState {
     Free,
     /// Live allocation.
     Allocated,
-    /// Quarantined, in the open generation's bin `bin`.
+    /// Quarantined, in the open generation.
     QuarantinedOpen {
-        /// The open quarantine bin holding the chunk.
+        /// Written as `0`: the open generation is one set. Restore puts
+        /// the chunk into it whatever the value. Kept so the image layout
+        /// is unchanged.
         bin: u8,
     },
     /// Quarantined and sealed into the in-flight epoch.
@@ -221,14 +223,14 @@ pub enum RecoveryAction {
     /// sealed quarantine was re-opened (rollback — safe because sealed
     /// memory stays quarantined either way).
     ReopenSeal,
-    /// Bins were durably sealed but the epoch never committed: the
+    /// The quarantine was durably sealed but the epoch never committed: the
     /// recorded ranges were re-painted and the whole heap re-swept
     /// (roll-forward — safe because sweeps are idempotent and nothing
     /// allocates between drain and commit).
     RollForward {
         /// Whether the interrupted cycle was a stop-the-world
-        /// (`revoke_now`) one. It sealed every bin when it opened, so it
-        /// rolls forward exactly like an incremental epoch.
+        /// (`revoke_now`) one. It sealed the quarantine when it opened,
+        /// so it rolls forward exactly like an incremental epoch.
         full: bool,
     },
 }
@@ -245,7 +247,7 @@ pub struct RecoveryReport {
     /// Chunk records restored into the allocator.
     pub chunks_restored: usize,
     /// Tagged capabilities replayed to rebuild the page table's CapDirty
-    /// and pointee summaries.
+    /// flags.
     pub caps_replayed: u64,
     /// Sealed chunks returned to the open generation (rollback path).
     pub reopened_chunks: usize,

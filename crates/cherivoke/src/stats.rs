@@ -19,7 +19,7 @@ pub struct HeapStats {
     /// Total bytes walked by sweeps.
     pub bytes_swept: u64,
     /// Pages skipped: left out of an epoch's CapDirty worklist, or
-    /// skipped by its backend filter.
+    /// skipped by the CapDirty filter.
     pub pages_skipped: u64,
     /// Bytes painted into the shadow map (cumulative).
     pub bytes_painted: u64,

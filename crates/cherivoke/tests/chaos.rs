@@ -10,10 +10,9 @@
 //! panic, and that the service keeps revoking soundly afterwards.
 //!
 //! Each seed also picks the service configuration it runs under: shard
-//! count, quarantine fraction, revocation backend, sweep kernel and sweep
-//! worker count (see [`chaos_config`]). The seed list covers every
-//! kernel × backend pair and both worker counts under the wide and fast
-//! kernels.
+//! count, quarantine fraction, sweep kernel and sweep worker count (see
+//! [`chaos_config`]). The seed list covers every kernel with both worker
+//! counts.
 //!
 //! A failing seed is reproducible from the seed alone: the op stream, the
 //! fault plan and the configuration all derive from it. The seed, its
@@ -26,7 +25,7 @@ use std::time::Duration;
 
 use cheri::Capability;
 use cherivoke::fault::{FaultInjector, FaultPlan, FaultPoint};
-use cherivoke::{BackendKind, ConcurrentHeap, HeapClient, HeapError, Kernel, ServiceConfig};
+use cherivoke::{ConcurrentHeap, HeapClient, HeapError, Kernel, ServiceConfig};
 use telemetry::EventKind;
 
 /// SplitMix64 — the op driver's own deterministic stream (independent of
@@ -225,10 +224,8 @@ fn chaos_config(seed: u64) -> ServiceConfig {
     config.telemetry = true;
     config.revoker_watchdog = Duration::from_millis(20);
     config.policy.quarantine.fraction = if seed.is_multiple_of(3) { 0.1 } else { 0.25 };
-    // Rotate the revocation backend, sweep kernel and worker count by
-    // seed: the headline invariant must hold under every lifecycle and
-    // every sweep path alike.
-    config.policy.backend = BackendKind::ALL[(seed % 3) as usize];
+    // Rotate the sweep kernel and worker count by seed: the headline
+    // invariant must hold under every sweep path alike.
     config.policy.kernel = [Kernel::Wide, Kernel::Fast, Kernel::Simd][(seed / 3 % 3) as usize];
     config.policy.sweep_workers = if (seed / 9).is_multiple_of(2) { 1 } else { 4 };
     config
@@ -240,12 +237,11 @@ fn describe_seed(seed: u64) -> String {
     let config = chaos_config(seed);
     let policy = config.policy;
     format!(
-        "seed={seed}\nfault_plan={}\nshards={}\nquarantine_fraction={}\nbackend={}\n\
-         kernel={}\nsweep_workers={}\n",
+        "seed={seed}\nfault_plan={}\nshards={}\nquarantine_fraction={}\nkernel={}\n\
+         sweep_workers={}\n",
         FaultPlan::from_seed(seed),
         config.shards,
         policy.quarantine.fraction,
-        policy.backend.name(),
         policy.kernel.name(),
         policy.sweep_workers,
     )
@@ -321,32 +317,23 @@ fn run_seed(seed: u64) {
     }
 }
 
-/// The chaos seeds. Together they cover every kernel × backend pair and
-/// both worker counts under the wide and fast kernels (checked by
-/// `seeds_cover_every_kernel_backend_and_worker_count`).
+/// The chaos seeds. Together they cover every kernel with both worker
+/// counts (checked by `seeds_cover_every_kernel_and_worker_count`).
 const SEEDS: [u64; 10] = [1, 2, 3, 7, 9, 13, 42, 1337, 0xdead, 0xc0ffee];
 
 #[test]
-fn seeds_cover_every_kernel_backend_and_worker_count() {
+fn seeds_cover_every_kernel_and_worker_count() {
     let configs: Vec<_> = SEEDS
         .iter()
         .map(|&seed| {
             let policy = chaos_config(seed).policy;
-            (policy.kernel, policy.backend, policy.sweep_workers)
+            (policy.kernel, policy.sweep_workers)
         })
         .collect();
     for kernel in [Kernel::Wide, Kernel::Fast, Kernel::Simd] {
-        for backend in BackendKind::ALL {
-            assert!(
-                configs.iter().any(|&(k, b, _)| (k, b) == (kernel, backend)),
-                "no seed runs {kernel:?} × {backend:?}"
-            );
-        }
-    }
-    for kernel in [Kernel::Wide, Kernel::Fast] {
         for workers in [1, 4] {
             assert!(
-                configs.iter().any(|&(k, _, w)| (k, w) == (kernel, workers)),
+                configs.contains(&(kernel, workers)),
                 "no seed runs {kernel:?} with {workers} sweep workers"
             );
         }

@@ -3,7 +3,7 @@
 //! persisted heap image + epoch journal and audits the result.
 //!
 //! Each matrix entry re-execs this test binary with `CVK_CRASH_SPEC`
-//! (`backend/kernel/slice/point/start`) set. The child arms **hard** crash persistence
+//! (`kernel/slice/point/start`) set. The child arms **hard** crash persistence
 //! ([`CherivokeHeap::set_crash_persist`] with `hard = true`), runs an
 //! alloc/stash/free workload until the seeded crash point fires, writes
 //! the image, and dies with `SIGABRT` — a real process kill, not an
@@ -13,44 +13,41 @@
 //!
 //! The matrix is 5 crash points × 3 start indices × 2 sweep kernels
 //! (word-at-a-time and vector) × 2 epoch modes (incremental slices and
-//! stop-the-world `revoke_now` cycles) × 3 backends = 180 seeded kills.
-//! Both modes run the same epoch pipeline, so every crash point fires in
-//! both. CI shards
-//! it by backend via `CHERIVOKE_CRASH_BACKEND`; a failing entry's spec,
-//! image and journal are exported to `$CARGO_TARGET_TMPDIR` for artifact
-//! upload.
+//! stop-the-world `revoke_now` cycles) = 60 seeded kills. Both modes run
+//! the same epoch pipeline, so every crash point fires in both. A failing
+//! entry's spec, image and journal are exported to `$CARGO_TARGET_TMPDIR`
+//! for artifact upload.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use cherivoke::fault::{FaultInjector, FaultPlan, FaultPoint, FaultRule, CRASH_POINTS};
-use cherivoke::{BackendKind, CherivokeHeap, HeapConfig, Kernel, RecoveryAction};
+use cherivoke::{CherivokeHeap, HeapConfig, Kernel, RecoveryAction};
 
-/// Child-mode selector: `backend/kernel/slice/point/start`.
+/// Child-mode selector: `kernel/slice/point/start`.
 const SPEC_ENV: &str = "CVK_CRASH_SPEC";
 /// Directory the child persists its image + journal into.
 const DIR_ENV: &str = "CVK_CRASH_DIR";
 /// Child exit code meaning "the armed crash point never fired".
 const EXIT_NEVER_FIRED: i32 = 86;
 
-/// Epoch-crash start indices per (point, backend): the Nth time the
+/// Epoch-crash start indices per point: the Nth time the
 /// point is reached is when the process dies, so early, mid-run and
 /// late-run epochs are all killed.
 const START_INDICES: [u64; 3] = [0, 2, 5];
 
-/// Sweep kernels every backend is killed under: the word-at-a-time
+/// Sweep kernels the heap is killed under: the word-at-a-time
 /// default and the vector tier.
 const KERNELS: [Kernel; 2] = [Kernel::Fast, Kernel::Simd];
 
-/// Epoch modes every backend is killed under: incremental 16 KiB slices,
+/// Epoch modes the heap is killed under: incremental 16 KiB slices,
 /// and `None` — each full quarantine runs one stop-the-world cycle. The
 /// spec names a mode by its slice bytes, 0 for `None`.
 const SLICES: [Option<u64>; 2] = [Some(16 << 10), None];
 
-fn heap_config(backend: BackendKind, kernel: Kernel, slice: Option<u64>) -> HeapConfig {
+fn heap_config(kernel: Kernel, slice: Option<u64>) -> HeapConfig {
     let mut cfg = HeapConfig::small();
-    cfg.policy.backend = backend;
     cfg.policy.kernel = kernel;
     cfg.policy.quarantine.fraction = 0.125;
     cfg.policy.incremental_slice_bytes = slice;
@@ -63,7 +60,6 @@ fn heap_config(backend: BackendKind, kernel: Kernel, slice: Option<u64>) -> Heap
 /// finishes without the point firing.
 fn run_child(spec: &str, dir: &Path) -> ! {
     let mut parts = spec.split('/');
-    let backend: BackendKind = parts.next().expect("spec backend").parse().unwrap();
     let kernel_name = parts.next().expect("spec kernel");
     let kernel = KERNELS
         .into_iter()
@@ -84,7 +80,7 @@ fn run_child(spec: &str, dir: &Path) -> ! {
         .expect("spec start")
         .parse()
         .expect("start index");
-    let mut heap = CherivokeHeap::new(heap_config(backend, kernel, slice)).unwrap();
+    let mut heap = CherivokeHeap::new(heap_config(kernel, slice)).unwrap();
     heap.set_journal(journal::Journal::create(dir.join("heap.cvj")).unwrap());
     heap.set_crash_persist(dir.join("heap.img"), true);
     heap.set_fault_injector(FaultInjector::new(FaultPlan::from_rules(vec![
@@ -129,15 +125,13 @@ fn fail_entry(spec: &str, dir: &Path, why: &str) -> ! {
 /// One matrix entry: kill a child at `spec`, recover in-process, audit.
 fn kill_and_recover(
     test_name: &str,
-    backend: BackendKind,
     kernel: Kernel,
     slice: Option<u64>,
     point: FaultPoint,
     start: u64,
 ) {
     let spec = format!(
-        "{}/{}/{}/{}/{start}",
-        backend.name(),
+        "{}/{}/{}/{start}",
         kernel.name(),
         slice.unwrap_or(0),
         point.name()
@@ -184,7 +178,7 @@ fn kill_and_recover(
     };
     let started = Instant::now();
     let (mut heap, report) =
-        match CherivokeHeap::recover(heap_config(backend, kernel, slice), &image, &journal_bytes) {
+        match CherivokeHeap::recover(heap_config(kernel, slice), &image, &journal_bytes) {
             Ok(r) => r,
             Err(e) => fail_entry(&spec, &dir, &format!("recovery failed: {e}")),
         };
@@ -223,30 +217,22 @@ fn kill_and_recover(
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs the full kill matrix for one backend (60 seeded process kills).
-fn run_matrix(test_name: &str, backend: BackendKind) {
+/// The full kill matrix: 60 seeded process kills.
+#[test]
+fn crash_chaos_stock() {
+    let test_name = "crash_chaos_stock";
     // Child mode short-circuits everything: this process IS a matrix
     // entry, re-execed by a parent run of the same test.
     if let Ok(spec) = std::env::var(SPEC_ENV) {
         let dir = PathBuf::from(std::env::var(DIR_ENV).expect("child needs CVK_CRASH_DIR"));
         run_child(&spec, &dir);
     }
-    // CI shards the matrix one backend per job.
-    if let Ok(filter) = std::env::var("CHERIVOKE_CRASH_BACKEND") {
-        if !filter.is_empty() && filter != backend.name() {
-            eprintln!(
-                "crash-chaos: skipping backend {} (CHERIVOKE_CRASH_BACKEND={filter})",
-                backend.name()
-            );
-            return;
-        }
-    }
     let mut kills = 0;
     for kernel in KERNELS {
         for slice in SLICES {
             for point in CRASH_POINTS {
                 for start in START_INDICES {
-                    kill_and_recover(test_name, backend, kernel, slice, point, start);
+                    kill_and_recover(test_name, kernel, slice, point, start);
                     kills += 1;
                 }
             }
@@ -256,19 +242,4 @@ fn run_matrix(test_name: &str, backend: BackendKind) {
         kills,
         KERNELS.len() * SLICES.len() * CRASH_POINTS.len() * START_INDICES.len()
     );
-}
-
-#[test]
-fn crash_chaos_stock() {
-    run_matrix("crash_chaos_stock", BackendKind::Stock);
-}
-
-#[test]
-fn crash_chaos_colored() {
-    run_matrix("crash_chaos_colored", BackendKind::Colored);
-}
-
-#[test]
-fn crash_chaos_hierarchical() {
-    run_matrix("crash_chaos_hierarchical", BackendKind::Hierarchical);
 }

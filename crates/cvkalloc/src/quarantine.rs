@@ -60,12 +60,9 @@ impl QuarantineConfig {
 pub struct CherivokeAllocator {
     inner: DlAllocator,
     config: QuarantineConfig,
-    /// Open generation, partitioned into **bins** (the revocation backend's
-    /// quarantine partitions — one per capability color for the colored
-    /// backend, a single bin otherwise): chunks freed since the last seal,
-    /// still aggregating. Aggregation never crosses bins, so each bin's
-    /// ranges stay attributable to its partition.
-    open: Vec<BTreeSet<u64>>,
+    /// Open generation: chunks freed since the last seal, still
+    /// aggregating.
+    open: BTreeSet<u64>,
     /// Sealed generation: chunks whose shadow bits are painted for an
     /// in-progress (incremental) revocation epoch. No further aggregation —
     /// the `(addr, size)` extents are frozen at seal time because they must
@@ -92,31 +89,11 @@ impl CherivokeAllocator {
         CherivokeAllocator {
             inner,
             config,
-            open: vec![BTreeSet::new()],
+            open: BTreeSet::new(),
             sealed: Vec::new(),
             telemetry: AllocTelemetry::default(),
             faults: faultinject::FaultInjector::disabled(),
         }
-    }
-
-    /// Number of quarantine bins (1 unless a partitioning backend called
-    /// [`CherivokeAllocator::set_partitions`]).
-    pub fn partitions(&self) -> u8 {
-        self.open.len() as u8
-    }
-
-    /// Re-partitions the open quarantine into `n` bins (clamped to 1..=64).
-    /// Growing adds empty bins; shrinking folds the surplus bins' chunks
-    /// into bin 0 (they keep their frozen extents — no cross-bin
-    /// aggregation happens retroactively), so no quarantined chunk is ever
-    /// stranded by a policy change.
-    pub fn set_partitions(&mut self, n: u8) {
-        let n = usize::from(n.clamp(1, 64));
-        while self.open.len() > n {
-            let surplus = self.open.pop().expect("len > n >= 1");
-            self.open[0].extend(surplus);
-        }
-        self.open.resize_with(n, BTreeSet::new);
     }
 
     /// Arms fault injection: `malloc` fails with a spurious
@@ -193,21 +170,6 @@ impl CherivokeAllocator {
     /// particular, freeing an already-quarantined chunk is a detected double
     /// free.
     pub fn free(&mut self, addr: u64) -> Result<u64, AllocError> {
-        self.free_binned(addr, 0)
-    }
-
-    /// Frees `addr` into quarantine **bin** `bin` (the revocation backend's
-    /// partition for the chunk). Bins beyond the current partition count
-    /// fold into bin 0. Aggregation only
-    /// merges with quarantined neighbours *in the same open bin*, so each
-    /// bin's aggregated ranges stay attributable to its partition.
-    ///
-    /// # Errors
-    ///
-    /// As [`CherivokeAllocator::free`].
-    pub fn free_binned(&mut self, addr: u64, bin: u8) -> Result<u64, AllocError> {
-        let bin = usize::from(bin);
-        let bin = if bin < self.open.len() { bin } else { 0 };
         let levels_before = self.telemetry.is_enabled().then(|| self.byte_levels());
         let size = self.inner.begin_free(addr)?;
         self.inner.set_chunk_state(addr, ChunkState::Quarantined);
@@ -215,29 +177,28 @@ impl CherivokeAllocator {
         self.inner.stats_mut().note_footprint();
 
         // Aggregate with quarantined neighbours (constant-time, §5.2) — but
-        // only within the *same bin of the open* generation: sealed chunks'
-        // extents are frozen because their shadow bits are already painted,
-        // and other bins' chunks belong to different sweep partitions.
+        // only within the *open* generation: sealed chunks' extents are
+        // frozen because their shadow bits are already painted.
         if !self.config.aggregate {
-            self.open[bin].insert(addr);
+            self.open.insert(addr);
         } else {
             let mut start = addr;
             if let Some((paddr, _, ChunkState::Quarantined)) =
                 self.inner.chunks().prev_neighbour(addr)
             {
-                if self.open[bin].contains(&paddr) {
+                if self.open.contains(&paddr) {
                     self.inner.chunks_mut().merge_with_next(paddr);
                     start = paddr;
                 } else {
-                    self.open[bin].insert(addr);
+                    self.open.insert(addr);
                 }
             } else {
-                self.open[bin].insert(addr);
+                self.open.insert(addr);
             }
             if let Some((naddr, _, ChunkState::Quarantined)) =
                 self.inner.chunks().next_neighbour(start)
             {
-                if self.open[bin].remove(&naddr) {
+                if self.open.remove(&naddr) {
                     self.inner.chunks_mut().merge_with_next(start);
                 }
             }
@@ -255,7 +216,7 @@ impl CherivokeAllocator {
 
     /// Number of (aggregated) chunks in quarantine (both generations).
     pub fn quarantined_chunks(&self) -> usize {
-        self.open.iter().map(BTreeSet::len).sum::<usize>() + self.sealed.len()
+        self.open.len() + self.sealed.len()
     }
 
     /// `true` when the quarantine policy says it is time to sweep:
@@ -273,18 +234,16 @@ impl CherivokeAllocator {
     }
 
     /// Visits every aggregated `(addr, size)` range currently in quarantine
-    /// — sealed generation first, then each open bin in order — without
+    /// — sealed generation first, then the open one — without
     /// materialising a vector. This is the allocation-free spine behind
     /// [`CherivokeAllocator::quarantined_ranges`].
     pub fn for_each_quarantined_range(&self, mut f: impl FnMut(u64, u64)) {
         for &(addr, size) in &self.sealed {
             f(addr, size);
         }
-        for bin in &self.open {
-            for &addr in bin {
-                let (addr, size) = self.range_of(addr);
-                f(addr, size);
-            }
+        for &addr in &self.open {
+            let (addr, size) = self.range_of(addr);
+            f(addr, size);
         }
     }
 
@@ -299,46 +258,30 @@ impl CherivokeAllocator {
         v
     }
 
-    /// Quarantined bytes per open bin, written into `out[bin]` (bins past
-    /// `out.len()` are ignored; callers pass a `[u64; 64]` scratch). The
-    /// backend's seal selection reads these.
-    pub fn open_bin_bytes_into(&self, out: &mut [u64]) {
-        out.fill(0);
-        for (bin, set) in self.open.iter().enumerate().take(out.len()) {
-            out[bin] = set.iter().map(|&a| self.range_of(a).1).sum();
-        }
-    }
-
-    /// Seals the open bins selected by `mask` (bit `b` ⇒ bin `b`) for an
-    /// incremental revocation epoch: their chunks stop aggregating (their
-    /// extents are about to be painted) and will be released by
-    /// [`CherivokeAllocator::drain_sealed_into`]. The newly sealed
-    /// `(addr, size)` ranges are *appended* to `out` — callers reuse the
-    /// buffer across epochs, so steady-state sealing allocates nothing.
-    /// Frees arriving while the epoch runs accumulate in the still-open
-    /// bins for a later epoch.
-    pub fn seal_bins_into(&mut self, mask: u64, out: &mut Vec<(u64, u64)>) {
+    /// Seals the open generation for a revocation epoch: its chunks stop
+    /// aggregating (their extents are about to be painted) and will be
+    /// released by [`CherivokeAllocator::drain_sealed_into`]. The newly
+    /// sealed `(addr, size)` ranges are *appended* to `out` — callers
+    /// reuse the buffer across epochs, so steady-state sealing allocates
+    /// nothing. Frees arriving while the epoch runs open the next
+    /// generation.
+    pub fn seal_quarantine_into(&mut self, out: &mut Vec<(u64, u64)>) {
         let sealed_before = self.sealed.len();
-        for (bin, set) in self.open.iter_mut().enumerate() {
-            if bin < 64 && mask & (1 << bin) == 0 {
-                continue;
-            }
-            for &addr in set.iter() {
-                let (size, state) = self.inner.chunks().get(addr).expect("quarantined chunk");
-                debug_assert_eq!(state, ChunkState::Quarantined);
-                self.sealed.push((addr, size));
-            }
-            set.clear();
+        for &addr in &self.open {
+            let (size, state) = self.inner.chunks().get(addr).expect("quarantined chunk");
+            debug_assert_eq!(state, ChunkState::Quarantined);
+            self.sealed.push((addr, size));
         }
+        self.open.clear();
         out.extend_from_slice(&self.sealed[sealed_before..]);
     }
 
-    /// Seals the *entire* open generation. Returns the newly sealed
-    /// `(addr, size)` ranges (allocating wrapper around
-    /// [`CherivokeAllocator::seal_bins_into`]).
+    /// Seals the open generation. Returns the newly sealed `(addr, size)`
+    /// ranges (allocating wrapper around
+    /// [`CherivokeAllocator::seal_quarantine_into`]).
     pub fn seal_quarantine(&mut self) -> Vec<(u64, u64)> {
         let mut ranges = Vec::new();
-        self.seal_bins_into(u64::MAX, &mut ranges);
+        self.seal_quarantine_into(&mut ranges);
         ranges
     }
 
@@ -350,8 +293,8 @@ impl CherivokeAllocator {
     /// Releases the sealed generation into the free lists (call after the
     /// epoch's sweep completes), *appending* the drained ranges — whose
     /// shadow bits the caller clears — to `out`. Like
-    /// [`CherivokeAllocator::seal_bins_into`], reusing `out` across epochs
-    /// makes the steady-state drain hand-off allocation-free.
+    /// [`CherivokeAllocator::seal_quarantine_into`], reusing `out` across
+    /// epochs makes the steady-state drain hand-off allocation-free.
     pub fn drain_sealed_into(&mut self, out: &mut Vec<(u64, u64)>) {
         let levels_before = self.telemetry.is_enabled().then(|| self.byte_levels());
         let mut drained = 0u64;
@@ -403,13 +346,13 @@ impl CherivokeAllocator {
     }
 
     /// Rebuilds a quarantining allocator from a restored base allocator
-    /// plus the persisted quarantine bookkeeping (crash recovery):
-    /// `partitions` open bins, each open chunk assigned by `open`
-    /// `(addr, bin)` records, and the sealed generation's frozen
-    /// `(addr, size)` extents. Every referenced address must be a
-    /// [`ChunkState::Quarantined`] chunk in `inner`, and together the
-    /// open and sealed records must account for every quarantined chunk
-    /// (the caller's image format guarantees this by construction).
+    /// plus the persisted quarantine bookkeeping (crash recovery): the
+    /// open generation's chunk addresses `open`, and the sealed
+    /// generation's frozen `(addr, size)` extents. Every referenced
+    /// address must be a [`ChunkState::Quarantined`] chunk in `inner`,
+    /// and together the open and sealed records must account for every
+    /// quarantined chunk (the caller's image format guarantees this by
+    /// construction).
     ///
     /// Telemetry and fault injection come back detached, exactly as
     /// after [`CherivokeAllocator::with_config`].
@@ -421,21 +364,14 @@ impl CherivokeAllocator {
     pub fn restore(
         inner: DlAllocator,
         config: QuarantineConfig,
-        partitions: u8,
-        open: &[(u64, u8)],
+        open: &[u64],
         sealed: &[(u64, u64)],
     ) -> Result<CherivokeAllocator, RestoreError> {
-        let n = usize::from(partitions.clamp(1, 64));
-        let mut bins: Vec<BTreeSet<u64>> = Vec::new();
-        bins.resize_with(n, BTreeSet::new);
-        for &(addr, bin) in open {
+        for &addr in open {
             match inner.chunks().get(addr) {
                 Some((_, ChunkState::Quarantined)) => {}
                 _ => return Err(RestoreError::NotQuarantined { addr }),
             }
-            let bin = usize::from(bin);
-            let bin = if bin < n { bin } else { 0 };
-            bins[bin].insert(addr);
         }
         for &(addr, size) in sealed {
             match inner.chunks().get(addr) {
@@ -446,7 +382,7 @@ impl CherivokeAllocator {
         Ok(CherivokeAllocator {
             inner,
             config,
-            open: bins,
+            open: open.iter().copied().collect(),
             sealed: sealed.to_vec(),
             telemetry: AllocTelemetry::default(),
             faults: faultinject::FaultInjector::disabled(),
@@ -456,32 +392,20 @@ impl CherivokeAllocator {
     /// Moves every sealed chunk back into the open generation — the
     /// recovery action for an epoch that died *before* its `BinsSealed`
     /// journal record landed: nothing was durably painted, so the safe
-    /// rollback is to pretend the seal never happened. `bin_of` assigns
-    /// each returned chunk its open bin (the backend's partition
-    /// function). Returns the number of chunks re-opened. Safe in both
-    /// crash orders because the memory stays quarantined throughout.
-    pub fn unseal_sealed(&mut self, mut bin_of: impl FnMut(u64) -> u8) -> usize {
-        let n = self.open.len();
+    /// rollback is to pretend the seal never happened. Returns the number
+    /// of chunks re-opened. Safe in both crash orders because the memory
+    /// stays quarantined throughout.
+    pub fn unseal_sealed(&mut self) -> usize {
         let count = self.sealed.len();
-        for (addr, _) in self.sealed.drain(..) {
-            let bin = usize::from(bin_of(addr));
-            let bin = if bin < n { bin } else { 0 };
-            self.open[bin].insert(addr);
-        }
+        self.open
+            .extend(self.sealed.drain(..).map(|(addr, _)| addr));
         count
     }
 
-    /// The per-bin open-generation contents, as `(addr, bin)` records in
-    /// bin order — the persistence inverse of the `open` argument to
-    /// [`CherivokeAllocator::restore`].
-    pub fn open_chunk_bins(&self) -> Vec<(u64, u8)> {
-        let mut out = Vec::new();
-        for (bin, set) in self.open.iter().enumerate() {
-            for &addr in set {
-                out.push((addr, bin as u8));
-            }
-        }
-        out
+    /// The open generation's chunk addresses, ascending — the persistence
+    /// inverse of the `open` argument to [`CherivokeAllocator::restore`].
+    pub fn open_chunks(&self) -> impl Iterator<Item = u64> + '_ {
+        self.open.iter().copied()
     }
 
     /// The sealed generation's frozen `(addr, size)` extents — the
@@ -620,69 +544,9 @@ mod tests {
     }
 
     #[test]
-    fn binned_frees_partition_and_never_aggregate_across_bins() {
-        let mut h = heap();
-        h.set_partitions(4);
-        assert_eq!(h.partitions(), 4);
-        let a = h.malloc(64).unwrap();
-        let b = h.malloc(64).unwrap();
-        let c = h.malloc(64).unwrap();
-        let _guard = h.malloc(64).unwrap();
-        // a and c in bin 1; b (the bridge) in bin 2 — adjacent but in a
-        // different partition, so no merge happens.
-        h.free_binned(a.addr, 1).unwrap();
-        h.free_binned(c.addr, 1).unwrap();
-        h.free_binned(b.addr, 2).unwrap();
-        assert_eq!(h.quarantined_chunks(), 3);
-        // Same-bin adjacency still aggregates: free b's twin next to a new
-        // chunk in the same bin.
-        let mut bytes = [0u64; 64];
-        h.open_bin_bytes_into(&mut bytes);
-        assert_eq!(bytes[1], 128);
-        assert_eq!(bytes[2], 64);
-        assert_eq!(bytes[0], 0);
-        // Out-of-range bins clamp to bin 0.
-        let d = h.malloc(64).unwrap();
-        h.free_binned(d.addr, 200).unwrap();
-        h.open_bin_bytes_into(&mut bytes);
-        assert_eq!(bytes[0], 64);
-    }
-
-    #[test]
-    fn selective_sealing_drains_only_selected_bins() {
-        let mut h = heap();
-        h.set_partitions(2);
-        let a = h.malloc(64).unwrap();
-        let _g1 = h.malloc(16).unwrap();
-        let b = h.malloc(64).unwrap();
-        let _g2 = h.malloc(16).unwrap();
-        h.free_binned(a.addr, 0).unwrap();
-        h.free_binned(b.addr, 1).unwrap();
-
-        // Seal only bin 1; bin 0 stays open (and keeps aggregating).
-        let mut sealed = Vec::new();
-        h.seal_bins_into(1 << 1, &mut sealed);
-        assert_eq!(sealed, vec![(b.addr, b.size)]);
-        assert_eq!(h.sealed_bytes(), b.size);
-        assert_eq!(h.quarantined_bytes(), a.size + b.size);
-
-        // Draining releases only the sealed bin's chunk.
-        let mut drained = Vec::new();
-        h.drain_sealed_into(&mut drained);
-        assert_eq!(drained, vec![(b.addr, b.size)]);
-        assert_eq!(h.quarantined_bytes(), a.size);
-        assert_eq!(h.quarantined_chunks(), 1);
-        // The still-open chunk paints (and later drains) normally.
-        assert_eq!(h.quarantined_ranges(), vec![(a.addr, a.size)]);
-        h.drain_quarantine();
-        assert_eq!(h.quarantined_bytes(), 0);
-        h.inner().chunks().assert_tiling();
-    }
-
-    #[test]
     fn sealed_extents_survive_neighbouring_frees() {
         // A free adjacent to a *sealed* chunk must not merge with it (its
-        // painted extent is frozen), even in the same notional partition.
+        // painted extent is frozen).
         let mut h = heap();
         let a = h.malloc(64).unwrap();
         let b = h.malloc(64).unwrap();
@@ -700,23 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_partitions_folds_chunks_into_bin_zero() {
-        let mut h = heap();
-        h.set_partitions(8);
-        let a = h.malloc(64).unwrap();
-        let _guard = h.malloc(16).unwrap();
-        h.free_binned(a.addr, 7).unwrap();
-        h.set_partitions(2);
-        assert_eq!(h.partitions(), 2);
-        let mut bytes = [0u64; 64];
-        h.open_bin_bytes_into(&mut bytes);
-        assert_eq!(bytes[0], a.size, "stranded bin folds into bin 0");
-        // Nothing is lost: the chunk still seals and drains.
-        assert_eq!(h.drain_quarantine(), vec![(a.addr, a.size)]);
-        h.inner().chunks().assert_tiling();
-    }
-
-    #[test]
     fn scratch_buffers_are_reused_without_growth() {
         // The allocation-free contract: once warm, seal/drain hand-offs fit
         // in the buffers' existing capacity.
@@ -729,7 +576,7 @@ mod tests {
             h.free(a.addr).unwrap();
             sealed.clear();
             drained.clear();
-            h.seal_bins_into(u64::MAX, &mut sealed);
+            h.seal_quarantine_into(&mut sealed);
             h.drain_sealed_into(&mut drained);
             assert_eq!(sealed, drained);
             assert_eq!(sealed.len(), 1);
@@ -780,26 +627,22 @@ mod tests {
     #[test]
     fn restore_round_trips_allocator_state() {
         let mut h = heap();
-        h.set_partitions(4);
         let a = h.malloc(64).unwrap();
         let b = h.malloc(128).unwrap();
         let c = h.malloc(64).unwrap();
         let _guard = h.malloc(16).unwrap();
-        h.free_binned(a.addr, 1).unwrap();
-        h.free_binned(c.addr, 2).unwrap();
-        let mut sealed = Vec::new();
-        h.seal_bins_into(1 << 2, &mut sealed); // seal bin 2 (chunk c)
+        h.free(c.addr).unwrap();
+        h.seal_quarantine(); // c sealed
+        h.free(a.addr).unwrap(); // a open
 
         // Persist: chunk tiling + quarantine bookkeeping.
         let chunks: Vec<_> = h.inner().chunks().iter().collect();
-        let open = h.open_chunk_bins();
+        let open: Vec<u64> = h.open_chunks().collect();
+        assert_eq!(open, vec![a.addr]);
         let sealed_ranges = h.sealed_ranges().to_vec();
 
         let inner = DlAllocator::restore(BASE, 1 << 20, &chunks).unwrap();
-        let mut r =
-            CherivokeAllocator::restore(inner, h.config(), h.partitions(), &open, &sealed_ranges)
-                .unwrap();
-        assert_eq!(r.partitions(), 4);
+        let mut r = CherivokeAllocator::restore(inner, h.config(), &open, &sealed_ranges).unwrap();
         assert_eq!(r.quarantined_bytes(), h.quarantined_bytes());
         assert_eq!(r.quarantined_chunks(), h.quarantined_chunks());
         assert_eq!(r.sealed_ranges(), &[(c.addr, c.size)]);
@@ -821,20 +664,21 @@ mod tests {
     }
 
     #[test]
-    fn unseal_returns_sealed_chunks_to_open_bins() {
+    fn unseal_returns_sealed_chunks_to_open_generation() {
         let mut h = heap();
-        h.set_partitions(2);
         let a = h.malloc(64).unwrap();
         let _guard = h.malloc(16).unwrap();
-        h.free_binned(a.addr, 1).unwrap();
+        h.free(a.addr).unwrap();
         h.seal_quarantine();
         assert_eq!(h.sealed_bytes(), a.size);
-        let n = h.unseal_sealed(|_| 1);
+        let n = h.unseal_sealed();
         assert_eq!(n, 1);
         assert_eq!(h.sealed_bytes(), 0);
-        let mut bytes = [0u64; 64];
-        h.open_bin_bytes_into(&mut bytes);
-        assert_eq!(bytes[1], a.size, "chunk back in its open bin");
+        assert_eq!(
+            h.open_chunks().collect::<Vec<_>>(),
+            vec![a.addr],
+            "chunk back in the open generation"
+        );
         // And it still drains normally later.
         assert_eq!(h.drain_quarantine(), vec![(a.addr, a.size)]);
     }
@@ -848,7 +692,7 @@ mod tests {
         let inner = DlAllocator::restore(BASE, 1 << 20, &chunks).unwrap();
         // Open record pointing at a non-quarantined address.
         assert_eq!(
-            CherivokeAllocator::restore(inner.clone(), h.config(), 1, &[(BASE + 0x8000, 0)], &[])
+            CherivokeAllocator::restore(inner.clone(), h.config(), &[BASE + 0x8000], &[])
                 .unwrap_err(),
             RestoreError::NotQuarantined {
                 addr: BASE + 0x8000
@@ -856,8 +700,7 @@ mod tests {
         );
         // Sealed record with the wrong extent.
         assert!(
-            CherivokeAllocator::restore(inner, h.config(), 1, &[], &[(a.addr, a.size + 16)])
-                .is_err()
+            CherivokeAllocator::restore(inner, h.config(), &[], &[(a.addr, a.size + 16)]).is_err()
         );
     }
 

@@ -1,6 +1,6 @@
 //! Crash-consistent write-ahead journal for CHERIvoke revocation epochs.
 //!
-//! A revocation epoch is a multi-step state machine (seal quarantine bins
+//! A revocation epoch is a multi-step state machine (seal the quarantine
 //! → paint the shadow map → sweep → drain → commit). A process that dies
 //! mid-epoch can leave tagged capabilities pointing into granules the
 //! allocator later reuses — exactly the temporal-safety violation
@@ -63,21 +63,24 @@ const KIND_EPOCH_COMMITTED: u8 = 5;
 /// One epoch state-machine transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
-    /// A revocation epoch opened. `backend` is the backend discriminant
-    /// (informational; recovery re-derives behavior from the heap's own
-    /// policy), `mask` the quarantine-bin selection, and `full` marks a
-    /// stop-the-world cycle (`revoke_now`), which seals every bin.
+    /// A revocation epoch opened; `full` marks a stop-the-world cycle
+    /// (`revoke_now`). Every epoch seals the whole quarantine, so
+    /// `backend` and `mask` carry no choice: the heap writes `0` (stock)
+    /// and `u64::MAX` (every bin), and recovery ignores both. They stay
+    /// so the v1 record layout is unchanged.
     EpochOpen {
         /// Monotonic epoch sequence number.
         epoch: u64,
-        /// Backend discriminant at the time the epoch opened.
+        /// Backend discriminant: always `0` (stock) when written by the
+        /// heap.
         backend: u8,
-        /// Quarantine-bin selection mask.
+        /// Quarantine-bin selection: always `u64::MAX` when written by
+        /// the heap.
         mask: u64,
         /// Whether this is a full-heap (`revoke_now`-style) cycle.
         full: bool,
     },
-    /// The quarantine bins selected by `mask` were sealed; `ranges` is
+    /// The quarantine was sealed; `ranges` is
     /// the exact set of address ranges moved into the sealed list.
     BinsSealed {
         /// Epoch this sealing belongs to.
@@ -500,9 +503,9 @@ pub enum TailState {
         /// The interrupted epoch.
         epoch: u64,
     },
-    /// Bins were durably sealed but the epoch never committed. Recovery
-    /// rolls forward: re-paint the recorded ranges, re-sweep the whole
-    /// heap (idempotent), then drain.
+    /// The quarantine was durably sealed but the epoch never committed.
+    /// Recovery rolls forward: re-paint the recorded ranges, re-sweep the
+    /// whole heap (idempotent), then drain.
     SweepInterrupted {
         /// The interrupted epoch.
         epoch: u64,

@@ -11,7 +11,8 @@
 //! * **What to skip** — a [`GranuleFilter`]: nothing ([`NoFilter`]), PTE
 //!   CapDirty-clean pages ([`CapDirtyPages`], [`DirtyPageList`]; §3.4.2),
 //!   or capability-free cache lines ([`CLoadTagsLines`], [`IdealLines`];
-//!   §3.4.1). Filters compose as tuples: `(pages, lines)` applies both.
+//!   §3.4.1). Filters compose as tuples: `(pages, lines)` applies both;
+//!   an `Option` of one toggles it at run time.
 //! * **How to revoke** — a [`RevokeKernel`]: the Figure 7 optimisation
 //!   tiers wrapped by [`Kernel`], or the conservative-image kernels in
 //!   [`crate::conservative`].
@@ -273,6 +274,29 @@ pub trait GranuleFilter<M: TagProbe> {
 pub struct NoFilter;
 
 impl<M: TagProbe> GranuleFilter<M> for NoFilter {}
+
+/// An optional filter: `None` filters nothing (as [`NoFilter`]), so a
+/// policy toggle such as CapDirty picks its filter at run time.
+impl<M: TagProbe, F: GranuleFilter<M>> GranuleFilter<M> for Option<F> {
+    fn granularity(&self) -> FilterGranularity {
+        self.as_ref()
+            .map_or(FilterGranularity::Region, F::granularity)
+    }
+
+    fn visit_page<C: SweepCost>(&mut self, page: u64, mem: &M, cost: &mut C) -> bool {
+        self.as_mut().is_none_or(|f| f.visit_page(page, mem, cost))
+    }
+
+    fn visit_line<C: SweepCost>(&mut self, line: u64, mem: &M, cost: &mut C) -> bool {
+        self.as_mut().is_none_or(|f| f.visit_line(line, mem, cost))
+    }
+
+    fn page_swept(&mut self, page: u64, caps_found: u64) {
+        if let Some(f) = self {
+            f.page_swept(page, caps_found);
+        }
+    }
+}
 
 /// PTE CapDirty page skipping over a live [`PageTable`] (§3.4.2): clean
 /// pages are skipped, and visited pages found capability-free are

@@ -65,7 +65,6 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod backend;
 pub mod conservative;
 pub mod engine;
 pub mod obs;
@@ -75,10 +74,6 @@ mod sweep;
 pub mod timed;
 
 pub use audit::{audit_dump, AuditReport, AuditViolation};
-pub use backend::{
-    BackendFilter, BackendKind, ColoredBackend, HierarchicalBackend, RevocationBackend,
-    StockBackend, MAX_QUARANTINE_BINS,
-};
 pub use engine::{
     line_spans, page_spans, sweep_register_file, CLoadTagsLines, CapDirtyPages, CapSource,
     DirtyPageList, DumpSource, EveryLine, FilterGranularity, GranuleFilter, IdealLines, NoCost,

@@ -323,55 +323,6 @@ impl ShadowMap {
         self.painted_granules * GRANULE_SIZE
     }
 
-    /// The union of [`cheri::color_of`] colors over every painted granule —
-    /// the **revoked color set** the colored backend sweeps against. Walks
-    /// the hierarchical summary, so a mostly-clean map answers in
-    /// O(heap / 4 MiB); saturating (all colors painted) returns early.
-    pub fn painted_color_mask(&self) -> u8 {
-        let mut mask = 0u8;
-        self.for_each_painted_window(|window_base, window_len| {
-            mask |= cheri::color_mask_of_range(window_base, window_len);
-            mask == u8::MAX
-        });
-        mask
-    }
-
-    /// The union of [`cheri::poison_bit`] coarse-region bits over every
-    /// painted granule — the **poison map** the hierarchical backend
-    /// consults before any fine sweep work. Same cost shape as
-    /// [`ShadowMap::painted_color_mask`].
-    pub fn painted_poison_mask(&self) -> u64 {
-        let mut mask = 0u64;
-        self.for_each_painted_window(|window_base, window_len| {
-            mask |= cheri::poison_mask_of_range(window_base, window_len);
-            mask == u64::MAX
-        });
-        mask
-    }
-
-    /// Visits the 1 KiB heap window of every non-zero shadow word, passing
-    /// `(window_base, window_len)`; the visitor returns `true` to stop
-    /// early (mask saturated).
-    fn for_each_painted_window(&self, mut visit: impl FnMut(u64, u64) -> bool) {
-        if self.painted_granules == 0 {
-            return;
-        }
-        let window = WORD_GRANULES * GRANULE_SIZE;
-        for (s, &summary) in self.summary.iter().enumerate() {
-            let mut pending = summary;
-            while pending != 0 {
-                let bit = pending.trailing_zeros() as u64;
-                pending &= pending - 1;
-                let w = s as u64 * 64 + bit;
-                let base = self.heap_base + w * window;
-                let len = window.min(self.covered_bytes() - w * window);
-                if visit(base, len) {
-                    return;
-                }
-            }
-        }
-    }
-
     /// Clears the entire map (constant-time bulk store).
     pub fn clear_all(&mut self) {
         self.bits.fill(0);
@@ -569,59 +520,6 @@ mod tests {
         assert_eq!(s.summary_words()[1], 0);
         s.clear(BASE + 0x400, 16);
         assert!(s.summary_words().iter().all(|&w| w == 0));
-    }
-
-    #[test]
-    fn painted_masks_summarise_painted_ranges() {
-        let mut s = ShadowMap::new(BASE, 32 * 1024 * 1024);
-        // Clean map: nothing revoked, nothing poisoned.
-        assert_eq!(s.painted_color_mask(), 0);
-        assert_eq!(s.painted_poison_mask(), 0);
-
-        // One paint inside the first 64 KiB stripe / first 1 MiB region.
-        s.paint(BASE + 0x40, 0x40);
-        assert_eq!(s.painted_color_mask(), 1 << cheri::color_of(BASE));
-        assert_eq!(s.painted_poison_mask(), cheri::poison_bit(BASE));
-
-        // Paint in a different stripe and a different coarse region.
-        let far = BASE + 3 * cheri::COLOR_REGION_BYTES + 5 * cheri::POISON_REGION_BYTES;
-        s.paint(far, 16);
-        assert_eq!(
-            s.painted_color_mask(),
-            (1 << cheri::color_of(BASE)) | (1 << cheri::color_of(far))
-        );
-        assert_eq!(
-            s.painted_poison_mask(),
-            cheri::poison_bit(BASE) | cheri::poison_bit(far)
-        );
-
-        // The masks are sound: every painted granule's color/region bit is
-        // present.
-        for addr in [BASE + 0x40, BASE + 0x70, far] {
-            assert_ne!(s.painted_color_mask() & (1 << cheri::color_of(addr)), 0);
-            assert_ne!(s.painted_poison_mask() & cheri::poison_bit(addr), 0);
-        }
-
-        // Painting everything saturates both masks (the map spans all 8
-        // color stripes and more than one aliasing wrap of regions).
-        let mut full = ShadowMap::new(BASE, 32 * 1024 * 1024);
-        full.paint(BASE, 32 * 1024 * 1024);
-        assert_eq!(full.painted_color_mask(), u8::MAX);
-        assert_ne!(full.painted_poison_mask(), 0);
-        // Clearing returns the masks to empty.
-        full.clear_all();
-        assert_eq!(full.painted_color_mask(), 0);
-        assert_eq!(full.painted_poison_mask(), 0);
-    }
-
-    #[test]
-    fn painted_masks_cover_ragged_heap_tails() {
-        // A map whose last shadow word is partial: the window length must
-        // clamp to the covered bytes, not run past the heap.
-        let mut s = ShadowMap::new(BASE, 1024 + 256);
-        s.paint(BASE + 1024, 256); // the ragged tail window
-        assert_eq!(s.painted_color_mask(), 1 << cheri::color_of(BASE + 1024));
-        assert_eq!(s.painted_poison_mask(), cheri::poison_bit(BASE + 1024));
     }
 
     #[test]

@@ -15,8 +15,8 @@ use std::cell::Cell;
 
 use cheri::Capability;
 use revoker::{
-    BackendFilter, BackendKind, CLoadTagsLines, EveryLine, Kernel, NoFilter, SegmentSource,
-    ShadowMap, SweepEngine, SweepScratch,
+    CLoadTagsLines, CapDirtyPages, EveryLine, Kernel, NoFilter, SegmentSource, ShadowMap,
+    SweepEngine, SweepScratch,
 };
 use tagmem::{PageTable, TaggedMemory};
 
@@ -130,42 +130,37 @@ fn steady_state_scratched_sweeps_allocate_nothing() {
             "steady-state filtered sweep allocated ({kernel:?})"
         );
 
-        // Backend filters (the colored / hierarchical sweep-avoidance page
-        // skipping): building the filter from the painted shadow map reads
-        // the color/poison masks without allocating, and the page-granular
-        // summary checks reuse the same scratch as CapDirty.
+        // The epoch's CapDirty page filter: page-granular skipping reuses
+        // the same scratch.
         let mut table = PageTable::new();
         let mut addr = BASE;
         while addr < BASE + LEN {
             table.note_cap_store(addr).expect("stores not inhibited");
-            table.note_cap_pointee(addr, BASE);
             addr += 256;
         }
-        for kind in [BackendKind::Colored, BackendKind::Hierarchical] {
-            engine.sweep_scratched(
+        engine.sweep_scratched(
+            SegmentSource::new(&mut mem),
+            CapDirtyPages::new(&mut table),
+            &shadow,
+            &mut scratch,
+        );
+        let before = allocations();
+        let mut inspected = 0u64;
+        for _ in 0..8 {
+            let stats = engine.sweep_scratched(
                 SegmentSource::new(&mut mem),
-                BackendFilter::for_epoch(kind, true, &mut table, &shadow),
+                CapDirtyPages::new(&mut table),
                 &shadow,
                 &mut scratch,
             );
-            let before = allocations();
-            let mut inspected = 0u64;
-            for _ in 0..8 {
-                let stats = engine.sweep_scratched(
-                    SegmentSource::new(&mut mem),
-                    BackendFilter::for_epoch(kind, true, &mut table, &shadow),
-                    &shadow,
-                    &mut scratch,
-                );
-                inspected += stats.caps_inspected;
-            }
-            let after = allocations();
-            assert_eq!(
-                after - before,
-                0,
-                "steady-state {kind:?} backend sweep allocated ({kernel:?})"
-            );
-            assert!(inspected > 0, "backend sweeps must stay on the hot path");
+            inspected += stats.caps_inspected;
         }
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state CapDirty sweep allocated ({kernel:?})"
+        );
+        assert!(inspected > 0, "CapDirty sweeps must stay on the hot path");
     }
 }

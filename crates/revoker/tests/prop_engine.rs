@@ -6,19 +6,18 @@
 use cheri::Capability;
 use proptest::prelude::*;
 use revoker::{
-    BackendFilter, BackendKind, CLoadTagsLines, CapDirtyPages, EveryLine, IdealLines, Kernel,
-    NoFilter, ParallelSweepEngine, SegmentSource, ShadowMap, SweepEngine, SweepStats,
+    CLoadTagsLines, CapDirtyPages, EveryLine, IdealLines, Kernel, NoFilter, ParallelSweepEngine,
+    SegmentSource, ShadowMap, SweepEngine, SweepStats,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE, PAGE_SIZE};
 
 const HEAP: u64 = 0x1000_0000;
 const LEN: u64 = 1 << 16;
 
-/// A wider image for the backend-filter tests: 2 MiB spans 32 of the
-/// 64 KiB color windows (the 8 colors cycle four times) and two 1 MiB
-/// poison regions, so the colored and hierarchical filters actually get
-/// pages to skip. The paint window is confined to the first 128 KiB (two
-/// color windows, one poison region) to keep the revoked sets narrow.
+/// A wider image for the CapDirty filter test: 2 MiB holds 512 pages
+/// and few plants, so most pages are clean and the filter actually gets
+/// pages to skip. The paint window is confined to the first 128 KiB to
+/// keep the revoked sets narrow.
 const BLEN: u64 = 1 << 21;
 const PAINT_WINDOW: u64 = 1 << 17;
 
@@ -89,15 +88,14 @@ fn painted_window_granules() -> impl Strategy<Value = Vec<u64>> {
 }
 
 /// The page table a real heap would carry for this image: every stored
-/// capability noted on the store choke point (CapDirty bit + pointee
-/// color/region summaries). Overwritten slots keep their old pointee
-/// noted — exactly the over-approximation the live table accumulates.
-fn summaries(plants: &[PlantedCap]) -> PageTable {
+/// capability noted on the store choke point (its page's CapDirty bit).
+/// Overwritten slots keep their page dirty — exactly the
+/// over-approximation the live table accumulates.
+fn dirty_table(plants: &[PlantedCap]) -> PageTable {
     let mut table = PageTable::new();
     for p in plants {
         let slot = HEAP + p.slot * GRANULE_SIZE;
         table.note_cap_store(slot).expect("stores not inhibited");
-        table.note_cap_pointee(slot, HEAP + p.obj * GRANULE_SIZE);
     }
     table
 }
@@ -257,13 +255,12 @@ proptest! {
         prop_assert_eq!(par, seq);
     }
 
-    /// The no-tagged-cap-to-reused-granule invariant is backend-blind:
-    /// every [`BackendFilter`] (stock CapDirty, colored page summaries,
-    /// hierarchical region summaries) leaves byte-identical memory to the
-    /// unfiltered sweep — the skipped pages provably held no capability
-    /// into the painted set — for any kernel and any worker count.
+    /// The no-tagged-cap-to-reused-granule invariant survives the
+    /// epoch's CapDirty page filter: it leaves byte-identical memory to
+    /// the unfiltered sweep — the skipped pages provably held no
+    /// capability — for any kernel and any worker count.
     #[test]
-    fn backend_filters_revoke_same_set(
+    fn capdirty_filter_matches_unfiltered_at_any_worker_count(
         plants in planted_wide(),
         paint in painted_window_granules(),
         kernel in kernels(),
@@ -273,42 +270,38 @@ proptest! {
         let seq_stats = SweepEngine::new(kernel)
             .sweep(SegmentSource::new(&mut seq_mem), NoFilter, &shadow);
 
-        for kind in BackendKind::ALL {
-            // Sequential, through the backend's epoch filter.
-            let (mut mem, shadow) = build_len(BLEN, &plants, &paint);
-            let mut table = summaries(&plants);
-            let filter = BackendFilter::for_epoch(kind, true, &mut table, &shadow);
-            let stats = SweepEngine::new(kernel)
-                .sweep(SegmentSource::new(&mut mem), filter, &shadow);
-            prop_assert_eq!(
-                &mem, &seq_mem,
-                "{:?} backend revoked a different set", kind
+        // Sequential, through the epoch's filter.
+        let (mut mem, shadow) = build_len(BLEN, &plants, &paint);
+        let mut table = dirty_table(&plants);
+        let stats = SweepEngine::new(kernel).sweep(
+            SegmentSource::new(&mut mem),
+            CapDirtyPages::new(&mut table),
+            &shadow,
+        );
+        prop_assert_eq!(&mem, &seq_mem, "CapDirty filter revoked a different set");
+        prop_assert_eq!(stats.caps_revoked, seq_stats.caps_revoked);
+        prop_assert!(stats.caps_inspected <= seq_stats.caps_inspected);
+        prop_assert!(stats.bytes_swept <= seq_stats.bytes_swept);
+        // Pages the filter visited but found capability-free were
+        // re-cleaned: whatever stayed dirty really holds caps.
+        for page in table.cap_dirty_pages() {
+            prop_assert!(
+                plants.iter().any(|p| (HEAP + p.slot * GRANULE_SIZE)
+                    & !(PAGE_SIZE - 1) == page),
+                "dirty page {page:#x} holds no capability"
             );
-            prop_assert_eq!(stats.caps_revoked, seq_stats.caps_revoked);
-            prop_assert!(stats.caps_inspected <= seq_stats.caps_inspected);
-            prop_assert!(stats.bytes_swept <= seq_stats.bytes_swept);
-            // Pages the filter visited but found capability-free had their
-            // summaries purged: whatever stayed dirty really holds caps.
-            for page in table.cap_dirty_pages() {
-                prop_assert!(
-                    plants.iter().any(|p| (HEAP + p.slot * GRANULE_SIZE)
-                        & !(PAGE_SIZE - 1) == page),
-                    "{:?}: dirty page {page:#x} holds no capability", kind
-                );
-            }
-
-            // Parallel at the sampled worker count: same memory, same
-            // revocations (the plan is built by the same filter walk).
-            let (mut mem, shadow) = build_len(BLEN, &plants, &paint);
-            let mut table = summaries(&plants);
-            let filter = BackendFilter::for_epoch(kind, true, &mut table, &shadow);
-            let par = ParallelSweepEngine::new(kernel, workers)
-                .sweep(SegmentSource::new(&mut mem), filter, &shadow);
-            prop_assert_eq!(
-                &mem, &seq_mem,
-                "{:?} backend diverged at {} workers", kind, workers
-            );
-            prop_assert_eq!(par, stats, "{:?} stats diverged at {} workers", kind, workers);
         }
+
+        // Parallel at the sampled worker count: same memory, same
+        // revocations (the plan is built by the same filter walk).
+        let (mut mem, shadow) = build_len(BLEN, &plants, &paint);
+        let mut table = dirty_table(&plants);
+        let par = ParallelSweepEngine::new(kernel, workers).sweep(
+            SegmentSource::new(&mut mem),
+            CapDirtyPages::new(&mut table),
+            &shadow,
+        );
+        prop_assert_eq!(&mem, &seq_mem, "CapDirty filter diverged at {} workers", workers);
+        prop_assert_eq!(par, stats, "stats diverged at {} workers", workers);
     }
 }

@@ -12,17 +12,17 @@
 use cheri::Capability;
 use proptest::prelude::*;
 use revoker::{
-    BackendFilter, BackendKind, CLoadTagsLines, CapDirtyPages, EveryLine, Kernel, NoFilter,
-    ParallelSweepEngine, SegmentSource, ShadowMap, SweepEngine, SweepStats,
+    CLoadTagsLines, CapDirtyPages, EveryLine, Kernel, NoFilter, ParallelSweepEngine, SegmentSource,
+    ShadowMap, SweepEngine, SweepStats,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE};
 
 const HEAP: u64 = 0x1000_0000;
 const LEN: u64 = 1 << 16;
 
-/// Wider image for the backend-filter pinning test: 2 MiB crosses all 8
-/// colors four times and two 1 MiB poison regions; paint stays in the
-/// first 128 KiB so the colored/hierarchical filters have pages to skip.
+/// Wider image for the CapDirty filter pinning test: 2 MiB of mostly
+/// clean pages, so the filter has pages to skip; paint stays in the
+/// first 128 KiB.
 const BLEN: u64 = 1 << 21;
 const PAINT_WINDOW: u64 = 1 << 17;
 
@@ -76,13 +76,12 @@ fn build_wide(plants: &[PlantedCap], paint: &[u64]) -> (TaggedMemory, ShadowMap)
 }
 
 /// The page table a real heap would carry: each stored capability noted
-/// at the store choke point (CapDirty bit + pointee summaries).
-fn summaries(plants: &[PlantedCap]) -> PageTable {
+/// at the store choke point (its page's CapDirty bit).
+fn dirty_table(plants: &[PlantedCap]) -> PageTable {
     let mut table = PageTable::new();
     for p in plants {
         let slot = HEAP + p.slot * GRANULE_SIZE;
         table.note_cap_store(slot).expect("stores not inhibited");
-        table.note_cap_pointee(slot, HEAP + p.obj * GRANULE_SIZE);
     }
     table
 }
@@ -222,54 +221,52 @@ proptest! {
         }
     }
 
-    /// The fast and simd kernels behind every [`BackendFilter`] (stock
-    /// CapDirty, colored, hierarchical) match the wide reference bit for
-    /// bit — memory, stats, and which pages stayed summary-dirty
-    /// afterwards — sequentially and at any worker count in 1..=8.
+    /// The fast and simd kernels behind the epoch's CapDirty page filter
+    /// match the wide reference bit for bit — memory, stats, and which
+    /// pages stayed dirty afterwards — sequentially and at any worker
+    /// count in 1..=8.
     #[test]
-    fn fast_matches_wide_under_backend_filters(
+    fn fast_matches_wide_under_capdirty_filter(
         plants in planted_wide(),
         paint in painted_window_granules(),
         workers in 1..=8usize,
     ) {
-        for kind in BackendKind::ALL {
-            let (mut wide_mem, shadow) = build_wide(&plants, &paint);
-            let mut wide_table = summaries(&plants);
-            let wide_stats = SweepEngine::new(Kernel::Wide).sweep(
-                SegmentSource::new(&mut wide_mem),
-                BackendFilter::for_epoch(kind, true, &mut wide_table, &shadow),
+        let (mut wide_mem, shadow) = build_wide(&plants, &paint);
+        let mut wide_table = dirty_table(&plants);
+        let wide_stats = SweepEngine::new(Kernel::Wide).sweep(
+            SegmentSource::new(&mut wide_mem),
+            CapDirtyPages::new(&mut wide_table),
+            &shadow,
+        );
+
+        for kernel in [Kernel::Fast, Kernel::Simd] {
+            let (mut mem, shadow) = build_wide(&plants, &paint);
+            let mut table = dirty_table(&plants);
+            let stats = SweepEngine::new(kernel).sweep(
+                SegmentSource::new(&mut mem),
+                CapDirtyPages::new(&mut table),
                 &shadow,
             );
+            prop_assert_eq!(&mem, &wide_mem, "{:?} sweep diverged", kernel);
+            prop_assert_eq!(stats, wide_stats);
+            prop_assert_eq!(
+                wide_table.cap_dirty_pages(),
+                table.cap_dirty_pages(),
+                "{:?} CapDirty purging diverged", kernel
+            );
 
-            for kernel in [Kernel::Fast, Kernel::Simd] {
-                let (mut mem, shadow) = build_wide(&plants, &paint);
-                let mut table = summaries(&plants);
-                let stats = SweepEngine::new(kernel).sweep(
-                    SegmentSource::new(&mut mem),
-                    BackendFilter::for_epoch(kind, true, &mut table, &shadow),
-                    &shadow,
-                );
-                prop_assert_eq!(&mem, &wide_mem, "{:?} {:?} sweep diverged", kind, kernel);
-                prop_assert_eq!(stats, wide_stats);
-                prop_assert_eq!(
-                    wide_table.cap_dirty_pages(),
-                    table.cap_dirty_pages(),
-                    "{:?} {:?} summary purging diverged", kind, kernel
-                );
-
-                let (mut mem, shadow) = build_wide(&plants, &paint);
-                let mut table = summaries(&plants);
-                let par = ParallelSweepEngine::new(kernel, workers).sweep(
-                    SegmentSource::new(&mut mem),
-                    BackendFilter::for_epoch(kind, true, &mut table, &shadow),
-                    &shadow,
-                );
-                prop_assert_eq!(
-                    &mem, &wide_mem,
-                    "{:?} parallel {:?} diverged at {} workers", kind, kernel, workers
-                );
-                prop_assert_eq!(par, wide_stats);
-            }
+            let (mut mem, shadow) = build_wide(&plants, &paint);
+            let mut table = dirty_table(&plants);
+            let par = ParallelSweepEngine::new(kernel, workers).sweep(
+                SegmentSource::new(&mut mem),
+                CapDirtyPages::new(&mut table),
+                &shadow,
+            );
+            prop_assert_eq!(
+                &mem, &wide_mem,
+                "parallel {:?} diverged at {} workers", kernel, workers
+            );
+            prop_assert_eq!(par, wide_stats);
         }
     }
 }

@@ -20,8 +20,8 @@
 use cheri::Capability;
 use proptest::prelude::*;
 use revoker::{
-    force_scalar_kernel, BackendFilter, BackendKind, EveryLine, Kernel, NoFilter,
-    ParallelSweepEngine, SegmentSource, ShadowMap, SweepCost, SweepEngine,
+    force_scalar_kernel, CapDirtyPages, EveryLine, Kernel, NoFilter, ParallelSweepEngine,
+    SegmentSource, ShadowMap, SweepCost, SweepEngine,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE};
 
@@ -61,12 +61,11 @@ fn build(plants: &[PlantedCap], paint: &[u64]) -> (TaggedMemory, ShadowMap) {
     (mem, shadow)
 }
 
-fn summaries(plants: &[PlantedCap]) -> PageTable {
+fn dirty_table(plants: &[PlantedCap]) -> PageTable {
     let mut table = PageTable::new();
     for p in plants {
         let slot = HEAP + p.slot * GRANULE_SIZE;
         table.note_cap_store(slot).expect("stores not inhibited");
-        table.note_cap_pointee(slot, HEAP + p.obj * GRANULE_SIZE);
     }
     table
 }
@@ -98,7 +97,7 @@ proptest! {
 
     /// With the scalar fallback forced, simd still matches wide (and its
     /// own unforced vector results) bit for bit — sequentially, in
-    /// parallel at 1..=8 workers, and under every backend filter.
+    /// parallel at 1..=8 workers, and under the CapDirty page filter.
     #[test]
     fn forced_scalar_simd_matches_wide(
         plants in planted(),
@@ -134,24 +133,22 @@ proptest! {
             prop_assert_eq!(stats.caps_revoked, wide_stats.caps_revoked);
             prop_assert_eq!(stats.caps_inspected, wide_stats.caps_inspected);
 
-            for kind in BackendKind::ALL {
-                let (mut ref_mem, shadow) = build(&plants, &paint);
-                let mut ref_table = summaries(&plants);
-                let ref_stats = SweepEngine::new(Kernel::Wide).sweep(
-                    SegmentSource::new(&mut ref_mem),
-                    BackendFilter::for_epoch(kind, true, &mut ref_table, &shadow),
-                    &shadow,
-                );
-                let (mut mem, shadow) = build(&plants, &paint);
-                let mut table = summaries(&plants);
-                let stats = SweepEngine::new(Kernel::Simd).sweep(
-                    SegmentSource::new(&mut mem),
-                    BackendFilter::for_epoch(kind, true, &mut table, &shadow),
-                    &shadow,
-                );
-                prop_assert_eq!(&mem, &ref_mem, "forced-scalar {:?} simd diverged", kind);
-                prop_assert_eq!(stats, ref_stats);
-            }
+            let (mut ref_mem, shadow) = build(&plants, &paint);
+            let mut ref_table = dirty_table(&plants);
+            let ref_stats = SweepEngine::new(Kernel::Wide).sweep(
+                SegmentSource::new(&mut ref_mem),
+                CapDirtyPages::new(&mut ref_table),
+                &shadow,
+            );
+            let (mut mem, shadow) = build(&plants, &paint);
+            let mut table = dirty_table(&plants);
+            let stats = SweepEngine::new(Kernel::Simd).sweep(
+                SegmentSource::new(&mut mem),
+                CapDirtyPages::new(&mut table),
+                &shadow,
+            );
+            prop_assert_eq!(&mem, &ref_mem, "forced-scalar CapDirty simd diverged");
+            prop_assert_eq!(stats, ref_stats);
             Ok(())
         };
         let outcome = forced();

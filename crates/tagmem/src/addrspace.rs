@@ -263,9 +263,6 @@ impl AddressSpace {
             self.page_table
                 .note_cap_store(addr)
                 .map_err(|()| MemError::CapStoreInhibited { addr })?;
-            // Summarise where the stored capability points (per-page color
-            // and coarse-region masks for the sweep-avoidance backends).
-            self.page_table.note_cap_pointee(addr, cap.base());
         }
         self.seg_for_mut(addr, 16)?.write_cap(addr, cap)
     }
@@ -312,24 +309,6 @@ mod tests {
         assert!(s.page_table().is_cap_dirty(0x7fff_0020));
         assert!(!s.page_table().is_cap_dirty(0x1000_0000));
         assert_eq!(s.tag_count(), 1);
-    }
-
-    #[test]
-    fn cap_store_summarises_pointee_color_and_region() {
-        let mut s = space();
-        let cap = Capability::root_rw(0x1000_0000, 64);
-        s.store_cap(0x7fff_0020, &cap).unwrap();
-        let table = s.page_table();
-        assert_eq!(
-            table.pointee_colors(0x7fff_0020),
-            1 << cheri::color_of(0x1000_0000)
-        );
-        assert_eq!(
-            table.pointee_regions(0x7fff_0020),
-            cheri::poison_bit(0x1000_0000)
-        );
-        // The pointee's own page is untouched.
-        assert_eq!(table.pointee_colors(0x1000_0000), 0);
     }
 
     #[test]

@@ -14,17 +14,6 @@ pub struct PageFlags {
     /// Capability stores to this page trap (paper footnote 3: used for
     /// shared memory segments and file mappings that cannot hold tags).
     pub cap_store_inhibit: bool,
-    /// Union of the [`cheri::color_of`] colors of every capability *base*
-    /// stored to this page since the flag block was last cleared — the
-    /// per-page color summary the colored revocation backend consults.
-    /// Like CapDirty it has false positives (an overwritten capability's
-    /// color lingers) but never false negatives, so skipping on a miss is
-    /// sound.
-    pub pointee_colors: u8,
-    /// Union of the [`cheri::poison_bit`] coarse-region bits of every
-    /// capability base stored to this page — the hierarchical backend's
-    /// page-level poison summary. Same false-positive-only contract.
-    pub pointee_regions: u64,
 }
 
 /// A software-managed page table tracking the **CapDirty** state the paper
@@ -115,57 +104,10 @@ impl PageTable {
         }
     }
 
-    /// Records *where* a tagged capability stored to `addr` points:
-    /// accumulates the pointee's color and coarse-region bits into the
-    /// page's summary masks. Called alongside [`PageTable::note_cap_store`]
-    /// on the same store path, so the summaries cover exactly the stores
-    /// CapDirty covers.
-    pub fn note_cap_pointee(&mut self, addr: u64, cap_base: u64) {
-        let entry = self.pages.entry(Self::page_of(addr)).or_default();
-        entry.pointee_colors |= 1 << cheri::color_of(cap_base);
-        entry.pointee_regions |= cheri::poison_bit(cap_base);
-    }
-
-    /// The color summary of the page containing `addr`: a set bit means a
-    /// capability with that color *may* be stored on the page; a clear bit
-    /// means none is. Untracked pages report 0 (no capability was ever
-    /// stored through the tracked address space).
-    #[inline]
-    pub fn pointee_colors(&self, addr: u64) -> u8 {
-        self.flags(addr).pointee_colors
-    }
-
-    /// The coarse-region summary of the page containing `addr` (see
-    /// [`PageFlags::pointee_regions`]).
-    #[inline]
-    pub fn pointee_regions(&self, addr: u64) -> u64 {
-        self.flags(addr).pointee_regions
-    }
-
-    /// Union of the per-page coarse-region summaries over every page
-    /// overlapping `[base, base + len)` — the hierarchical backend's
-    /// region-level poison probe. Costs one ordered-map range walk over the
-    /// pages *tracked* in the range, so a capability-free region answers in
-    /// O(1).
-    pub fn pointee_regions_in(&self, base: u64, len: u64) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        let first = base / PAGE_SIZE;
-        let last = (base + len - 1) / PAGE_SIZE;
-        self.pages
-            .range(first..=last)
-            .fold(0, |mask, (_, f)| mask | f.pointee_regions)
-    }
-
     /// Re-cleans the page containing `addr` (a sweep found it tag-free).
-    /// Also resets the pointee summaries: a tag-free page points nowhere,
-    /// so this is the same false-positive purge CapDirty gets.
     pub fn clear_cap_dirty(&mut self, addr: u64) {
         if let Some(flags) = self.pages.get_mut(&Self::page_of(addr)) {
             flags.cap_dirty = false;
-            flags.pointee_colors = 0;
-            flags.pointee_regions = 0;
         }
     }
 
@@ -256,48 +198,6 @@ mod tests {
         assert!(!pt.is_cap_dirty(0x1000));
         // And the next store traps again (false positives were purged).
         assert!(pt.note_cap_store(0x1000).unwrap());
-    }
-
-    #[test]
-    fn pointee_summaries_accumulate_and_reclean_with_capdirty() {
-        let mut pt = PageTable::new();
-        // Untracked pages summarise to "points nowhere".
-        assert_eq!(pt.pointee_colors(0x1000), 0);
-        assert_eq!(pt.pointee_regions(0x1000), 0);
-
-        // Two stores on one page, pointing at different color stripes and
-        // different coarse regions: the summaries union.
-        pt.note_cap_store(0x1000).unwrap();
-        pt.note_cap_pointee(0x1000, 0);
-        pt.note_cap_store(0x1008).unwrap();
-        pt.note_cap_pointee(
-            0x1008,
-            3 * cheri::COLOR_REGION_BYTES + cheri::POISON_REGION_BYTES,
-        );
-        assert_eq!(pt.pointee_colors(0x1ff0), (1 << 0) | (1 << 3));
-        assert_eq!(pt.pointee_regions(0x1ff0), 0b11);
-
-        // Re-cleaning purges the summaries along with CapDirty.
-        pt.clear_cap_dirty(0x1234);
-        assert_eq!(pt.pointee_colors(0x1000), 0);
-        assert_eq!(pt.pointee_regions(0x1000), 0);
-        assert!(!pt.is_cap_dirty(0x1000));
-    }
-
-    #[test]
-    fn region_probe_unions_page_summaries_in_range() {
-        let mut pt = PageTable::new();
-        pt.note_cap_store(0x1000).unwrap();
-        pt.note_cap_pointee(0x1000, 0);
-        pt.note_cap_store(0x3000).unwrap();
-        pt.note_cap_pointee(0x3000, 2 * cheri::POISON_REGION_BYTES);
-        // Whole span unions both pages; sub-spans see only their pages;
-        // untracked spans (and empty ones) probe to zero.
-        assert_eq!(pt.pointee_regions_in(0x1000, 0x3000), 0b101);
-        assert_eq!(pt.pointee_regions_in(0x1000, 0x1000), 0b001);
-        assert_eq!(pt.pointee_regions_in(0x2000, 0x2000), 0b100);
-        assert_eq!(pt.pointee_regions_in(0x8000, 0x1000), 0);
-        assert_eq!(pt.pointee_regions_in(0x1000, 0), 0);
     }
 
     #[test]

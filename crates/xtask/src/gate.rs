@@ -113,7 +113,7 @@ pub fn default_policies() -> BTreeMap<String, MetricPolicy> {
         false,
         None,
     );
-    // The sweep-avoidance probe's visited fraction is pure counting —
+    // The CapDirty probe's visited fraction is pure counting —
     // zero tolerance, like the other deterministic metrics.
     p("swept_fraction", 0.0, Direction::LowerIsBetter, false, None);
     // Fleet cells (`[matrix.fleet]`): aggregate throughput and pause tail
@@ -473,7 +473,7 @@ mod tests {
             .filter(|c| c.outcome == Outcome::Fail)
             .collect();
         assert_eq!(failing.len(), 1, "{}", report.render());
-        assert_eq!(failing[0].subject, "wl-a/fast/w4/off/stock :: sweep_mib_s");
+        assert_eq!(failing[0].subject, "wl-a/fast/w4/off :: sweep_mib_s");
         assert!(
             failing[0].detail.contains("-20.0%"),
             "{}",

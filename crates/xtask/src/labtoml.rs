@@ -119,9 +119,22 @@ impl LabFile {
     ///
     /// # Errors
     ///
-    /// Returns a message for malformed axis values.
+    /// Returns a message for malformed axis values, and one naming the key
+    /// for a key that is not an axis (a typo would otherwise quietly run
+    /// the default).
     pub fn matrix(&self, mode: &str, defaults: LabMatrix) -> Result<LabMatrix, String> {
+        const AXES: [&str; 4] = ["workloads", "kernels", "fault_plans", "sweep_workers"];
         let section = format!("matrix.{mode}");
+        if let Some(key) = self
+            .sections
+            .get(&section)
+            .and_then(|entries| entries.keys().find(|k| !AXES.contains(&k.as_str())))
+        {
+            return Err(format!(
+                "[{section}]: unknown key '{key}' (expected one of {})",
+                AXES.join(", ")
+            ));
+        }
         let mut matrix = defaults;
         if let Some(v) = self.get(&section, "workloads") {
             matrix.workloads = string_axis(v, "workloads")?;
@@ -131,9 +144,6 @@ impl LabFile {
         }
         if let Some(v) = self.get(&section, "fault_plans") {
             matrix.fault_plans = string_axis(v, "fault_plans")?;
-        }
-        if let Some(v) = self.get(&section, "backends") {
-            matrix.backends = string_axis(v, "backends")?;
         }
         if let Some(v) = self.get(&section, "sweep_workers") {
             let TomlValue::Array(items) = v else {
@@ -343,7 +353,6 @@ workloads = ["omnetpp"]  # one workload only
 kernels = ["reference", "fast"]
 sweep_workers = [1, 2]
 fault_plans = ["off", "chaos-smoke"]
-backends = ["stock", "hierarchical"]
 
 [matrix.fleet]
 tenants = [8, 128]
@@ -367,11 +376,9 @@ overhead_time = 1
         assert_eq!(matrix.kernels, vec!["reference", "fast"]);
         assert_eq!(matrix.sweep_workers, vec![1, 2]);
         assert_eq!(matrix.fault_plans, vec!["off", "chaos-smoke"]);
-        assert_eq!(matrix.backends, vec!["stock", "hierarchical"]);
         // Absent mode falls through to defaults.
         let full = file.matrix("full", LabMatrix::full()).expect("full");
         assert_eq!(full.sweep_workers, LabMatrix::full().sweep_workers);
-        assert_eq!(full.backends, LabMatrix::full().backends);
 
         let opts = file.options(LabOptions::smoke()).expect("options");
         assert_eq!(opts.seed, 7);
@@ -383,6 +390,19 @@ overhead_time = 1
             cells,
             vec![(8, 0.0, 2), (8, 1.2, 2), (128, 0.0, 2), (128, 1.2, 2)]
         );
+    }
+
+    #[test]
+    fn matrix_rejects_unknown_keys() {
+        // A stale axis and a typo'd one are errors that name the key.
+        for (line, key) in [
+            ("backends = [\"stock\"]", "backends"),
+            ("kernel = [\"fast\"]", "kernel"),
+        ] {
+            let file = LabFile::parse(&format!("[matrix.smoke]\n{line}")).unwrap();
+            let err = file.matrix("smoke", LabMatrix::smoke()).unwrap_err();
+            assert!(err.contains(&format!("'{key}'")), "{err}");
+        }
     }
 
     #[test]

@@ -296,13 +296,11 @@ fn run_lab(
     // The acceptance bars CI used to compute with inline Python over
     // bench stdout, now in-process (bench::verdicts).
     eprintln!(
-        "lab: verdicts (fast kernel, simd kernel, sweep avoidance, telemetry, faults, journal, \
-         recovery, snapshot)"
+        "lab: verdicts (fast kernel, simd kernel, telemetry, faults, journal, recovery, snapshot)"
     );
     let mut verdicts = vec![
         bench::verdicts::fast_kernel_verdict(),
         bench::verdicts::simd_kernel_verdict(),
-        bench::verdicts::backend_sweep_avoidance_verdict(),
     ];
     let record_iters = if mode == "full" {
         50_000_000

@@ -275,7 +275,6 @@ pub(crate) mod fixtures {
             kernel: "fast".into(),
             sweep_workers: 4,
             fault_plan: "off".into(),
-            backend: "stock".into(),
         };
         ExperimentResult {
             id: config.id(),
@@ -337,7 +336,7 @@ mod tests {
         assert_eq!(parsed.mode, "smoke");
         assert_eq!(parsed.host, t.host);
         assert_eq!(parsed.metrics.len(), 2);
-        let a = &parsed.metrics["wl-a/fast/w4/off/stock"];
+        let a = &parsed.metrics["wl-a/fast/w4/off"];
         assert_eq!(a["sweep_mib_s"], 1000.0);
         assert_eq!(a["service_ops_per_sec"], 2_000_000.0);
         assert_eq!(a["overhead_time"], 1.05);

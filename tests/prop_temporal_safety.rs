@@ -10,14 +10,14 @@
 //!
 //! The checker tracks allocation generations per address and audits the
 //! heap after every operation batch. Each case also draws the sweep
-//! configuration it runs under (kernel, revocation backend, worker
-//! count), so the theorem is checked across every combination.
+//! configuration it runs under (kernel and worker count), so the theorem
+//! is checked across every combination.
 
 use std::collections::HashMap;
 
 use cheri::Capability;
 use cherivoke::{
-    BackendKind, CherivokeHeap, ConcurrentHeap, HeapConfig, Kernel, RevocationPolicy, ServiceConfig,
+    CherivokeHeap, ConcurrentHeap, HeapConfig, Kernel, RevocationPolicy, ServiceConfig,
 };
 use proptest::prelude::*;
 use tagmem::SegmentKind;
@@ -48,17 +48,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// A sweep configuration: the three kernel tiers heaps run in practice,
-/// every revocation backend, and sequential or 4-worker sweeps.
-fn sweep_config_strategy() -> impl Strategy<Value = (Kernel, BackendKind, usize)> {
-    (0usize..3, 0usize..3, prop_oneof![Just(1usize), Just(4)]).prop_map(
-        |(kernel, backend, workers)| {
-            (
-                [Kernel::Wide, Kernel::Fast, Kernel::Simd][kernel],
-                BackendKind::ALL[backend],
-                workers,
-            )
-        },
-    )
+/// and sequential or 4-worker sweeps.
+fn sweep_config_strategy() -> impl Strategy<Value = (Kernel, usize)> {
+    (0usize..3, prop_oneof![Just(1usize), Just(4)])
+        .prop_map(|(kernel, workers)| ([Kernel::Wide, Kernel::Fast, Kernel::Simd][kernel], workers))
 }
 
 /// Every tagged capability currently stored in the heap segment, by base.
@@ -82,7 +75,7 @@ proptest! {
     ) {
         let mut cfg = HeapConfig::small();
         cfg.policy = RevocationPolicy::with_fraction(0.25);
-        (cfg.policy.kernel, cfg.policy.backend, cfg.policy.sweep_workers) = sweep;
+        (cfg.policy.kernel, cfg.policy.sweep_workers) = sweep;
         let mut h = CherivokeHeap::new(cfg).expect("heap");
         let _ballast = h.malloc(64 << 10).expect("ballast");
         let holder = h.malloc(128 * 16).expect("holder");
@@ -207,7 +200,7 @@ proptest! {
             shards,
             ..ServiceConfig::small()
         };
-        (config.policy.kernel, config.policy.backend, config.policy.sweep_workers) = sweep;
+        (config.policy.kernel, config.policy.sweep_workers) = sweep;
         let heap = ConcurrentHeap::new(config).expect("service");
         let clients: Vec<_> = (0..shards).map(|i| heap.handle_on(i)).collect();
         // Frees and accesses route by address, so any client serves them.
