@@ -69,7 +69,7 @@ impl Default for BaselineCosts {
 /// contention model is grounded in the same kernel CHERIvoke's own numbers
 /// come from.
 pub fn measured_sweep_rate() -> f64 {
-    use revoker::{Kernel, NoFilter, SegmentSource, ShadowMap, SweepEngine, SweepScratch};
+    use revoker::{Kernel, NoCost, NoFilter, SegmentSource, ShadowMap, SweepEngine, SweepScratch};
 
     const BASE: u64 = 0x1000_0000;
     const LEN: u64 = 4 << 20;
@@ -90,10 +90,11 @@ pub fn measured_sweep_rate() -> f64 {
     // One scratch is reused across the repeats so the measured rate is the
     // steady-state, allocation-free sweep throughput.
     while bytes == 0 || t0.elapsed().as_secs_f64() < 2e-3 {
-        let stats = engine.sweep_scratched(
+        let stats = engine.sweep_with(
             SegmentSource::new(&mut mem),
             NoFilter,
             &shadow,
+            &mut NoCost,
             &mut scratch,
         );
         bytes += stats.bytes_swept;

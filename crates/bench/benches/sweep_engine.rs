@@ -1,16 +1,13 @@
-//! Criterion benchmark for the unified sweep engine: sequential vs
-//! chunk-parallel execution across kernels and filters (§3.4 / §3.5).
+//! Criterion benchmark for the sweep engine: one worker vs chunk-parallel
+//! execution across kernels and filters (§3.4 / §3.5).
 //!
 //! The final group prints a PASS/SKIP verdict for the PR's scaling
-//! acceptance bar: the parallel engine with 4 workers should clear 2× the
+//! acceptance bar: the engine with 4 workers should clear 2× the
 //! sequential throughput on a host with ≥ 4 cores. Hosts with fewer cores
 //! print SKIP rather than failing — scaling cannot be measured there.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use revoker::{
-    CLoadTagsLines, EveryLine, Kernel, NoFilter, ParallelSweepEngine, SegmentSource, ShadowMap,
-    SweepEngine,
-};
+use revoker::{CLoadTagsLines, EveryLine, Kernel, NoFilter, SegmentSource, ShadowMap, SweepEngine};
 
 const IMAGE_BYTES: u64 = 8 << 20;
 
@@ -23,7 +20,7 @@ fn image() -> (tagmem::TaggedMemory, ShadowMap) {
     (mem, shadow)
 }
 
-/// Sequential engine, every kernel, unfiltered.
+/// One-worker engine, every kernel, unfiltered.
 fn bench_sequential_kernels(c: &mut Criterion) {
     let (mem, shadow) = image();
     let mut group = c.benchmark_group("sweep_engine_seq");
@@ -46,7 +43,7 @@ fn bench_sequential_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Filters under the sequential engine: what the §3.4 assists cost/save
+/// Filters under the one-worker engine: what the §3.4 assists cost/save
 /// at this density, on the identical visitation order.
 fn bench_filters(c: &mut Criterion) {
     let (mem, shadow) = image();
@@ -71,7 +68,7 @@ fn bench_filters(c: &mut Criterion) {
     group.finish();
 }
 
-/// Parallel engine scaling over worker counts, line-granular plan (the
+/// Engine scaling over worker counts, line-granular plan (the
 /// multi-chunk shape real sweeps take).
 fn bench_parallel_scaling(c: &mut Criterion) {
     let (mem, shadow) = image();
@@ -83,7 +80,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
             BenchmarkId::new("wide", format!("workers{workers}")),
             &workers,
             |b, &workers| {
-                let engine = ParallelSweepEngine::new(Kernel::Wide, workers);
+                let engine = SweepEngine::new(Kernel::Wide).with_workers(workers);
                 b.iter_batched(
                     || mem.clone(),
                     |mut img| engine.sweep(SegmentSource::new(&mut img), EveryLine, &shadow),

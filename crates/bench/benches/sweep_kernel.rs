@@ -11,7 +11,7 @@
 //! sweep bandwidth in GiB/s per image, alongside the per-op numbers.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use revoker::{Kernel, NoFilter, SegmentSource, ShadowMap, SweepEngine, SweepScratch};
+use revoker::{Kernel, NoCost, NoFilter, SegmentSource, ShadowMap, SweepEngine, SweepScratch};
 
 const IMAGE_BYTES: u64 = 4 << 20;
 
@@ -63,10 +63,11 @@ fn bench_kernel_matrix(c: &mut Criterion) {
                         b.iter_batched(
                             || mem.clone(),
                             |mut img| {
-                                engine.sweep_scratched(
+                                engine.sweep_with(
                                     SegmentSource::new(&mut img),
                                     NoFilter,
                                     &shadow,
+                                    &mut NoCost,
                                     &mut scratch,
                                 )
                             },

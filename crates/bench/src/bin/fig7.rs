@@ -5,7 +5,7 @@
 //! AVX2 kernel sweeping application images. Here each benchmark's image is
 //! synthesised at its pointer density and swept by this crate's kernel
 //! tiers ([`revoker::Kernel::Simple`] / `Unrolled` / `Wide`, plus the
-//! chunk-parallel [`revoker::ParallelSweepEngine`] of §3.5); the reference
+//! multi-worker [`revoker::SweepEngine`] of §3.5); the reference
 //! line is the host's streaming read bandwidth over the same buffer. All
 //! rates come through [`bench::engine_sweep_rate`] — one engine, one
 //! visitation order.
@@ -34,7 +34,7 @@ struct Fig7Row {
 }
 
 /// Times one sweep of `mem` (warmed best of five runs), returning MiB/s — the
-/// sequential [`revoker::SweepEngine`] path via [`bench::engine_sweep_rate`].
+/// one-worker [`revoker::SweepEngine`] path via [`bench::engine_sweep_rate`].
 fn sweep_rate(kernel: Kernel, mem: &tagmem::TaggedMemory, shadow: &ShadowMap) -> f64 {
     bench::engine_sweep_rate(kernel, 1, mem, shadow)
 }

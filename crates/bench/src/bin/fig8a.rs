@@ -2,10 +2,12 @@
 //! sweep must read under PTE CapDirty (page granularity) and CLoadTags
 //! (cache-line granularity) work elimination, per benchmark.
 //!
-//! Each benchmark's trace is replayed on the real heap; the resulting core
-//! dump is planned for sweeping under each [`revoker::SkipMode`].
+//! Each benchmark's trace is replayed on the real heap; a clone of the
+//! resulting core dump is swept by the [`revoker::SweepEngine`] under each
+//! assist's filter composition, and the bytes it swept are the metric.
 
-use revoker::{SkipMode, SweepPlan};
+use revoker::timed::{sweep_image, TimedMode};
+use revoker::{Kernel, NoCost, ShadowMap, SweepEngine};
 use serde::Serialize;
 use workloads::{profiles, run_trace, CherivokeUnderTest, TraceGenerator};
 
@@ -26,8 +28,19 @@ fn main() {
         let mut sut = CherivokeUnderTest::paper_default(&trace).expect("construct heap");
         run_trace(&mut sut, &trace).unwrap_or_else(|e| panic!("{}: {e}", p.name));
         let dump = sut.heap().dump();
-        let pte = SweepPlan::for_dump(&dump, SkipMode::PteCapDirty);
-        let clt = SweepPlan::for_dump(&dump, SkipMode::CLoadTags);
+        let swept = |mode| {
+            sweep_image(
+                &SweepEngine::new(Kernel::Fast),
+                dump.clone().segments_mut(),
+                dump.cap_dirty_pages(),
+                &ShadowMap::new(0, 0),
+                mode,
+                &mut NoCost,
+            )
+            .bytes_swept
+        };
+        let (pte, clt) = (swept(TimedMode::PteCapDirty), swept(TimedMode::CLoadTags));
+        let total: u64 = dump.segments().iter().map(|img| img.mem.len()).sum();
         // Normalise against the memory the application actually used, not
         // the simulator's oversized heap segment (the paper sweeps real
         // process images whose segments are sized to the application).
@@ -40,11 +53,11 @@ fn main() {
                 .filter(|s| s.kind().sweepable() && s.kind() != tagmem::SegmentKind::Heap)
                 .map(|s| s.mem().len())
                 .sum::<u64>();
-        let used = used.min(pte.bytes_total()).max(1);
+        let used = used.min(total).max(1);
         rows.push(Fig8aRow {
             benchmark: p.name.to_string(),
-            pte_capdirty_fraction: (pte.bytes_planned() as f64 / used as f64).min(1.0),
-            cloadtags_fraction: (clt.bytes_planned() as f64 / used as f64).min(1.0),
+            pte_capdirty_fraction: (pte as f64 / used as f64).min(1.0),
+            cloadtags_fraction: (clt as f64 / used as f64).min(1.0),
         });
     }
 

@@ -40,8 +40,8 @@ fn main() {
     std::hint::black_box(acc);
     let read_bw = data.len() as f64 / (1024.0 * 1024.0) / t0.elapsed().as_secs_f64();
 
-    // The chunk-parallel engine: identical plan to the sequential engine,
-    // execution fanned out across `threads` scoped workers.
+    // The engine's uncosted walk: one plan, execution fanned out across
+    // `threads` scoped workers.
     let rate =
         |threads: usize| -> f64 { bench::engine_sweep_rate(Kernel::Wide, threads, &mem, &shadow) };
 

@@ -46,7 +46,7 @@ pub struct LabMatrix {
     pub workloads: Vec<String>,
     /// Kernel names: `reference`, `wide`, `fast`.
     pub kernels: Vec<String>,
-    /// Sweep worker counts per sweep (1 = sequential engine).
+    /// Sweep worker counts per sweep (1 = the calling thread).
     pub sweep_workers: Vec<usize>,
     /// Fault plans: `off` or `chaos-smoke`.
     pub fault_plans: Vec<String>,
@@ -150,6 +150,17 @@ impl ExperimentConfig {
         }
     }
 }
+
+/// The fleet grid both modes run, as `(tenants, Zipfian skew, sweep
+/// workers)` cells in deterministic order (tenants-major, workers-minor):
+/// each cell is one multi-tenant `HeapService` churn
+/// ([`crate::fleet::run_fleet_cell`]); the full mode drives each cell
+/// harder. The 128-tenant cell at skew 1.2 is the acceptance cell: the
+/// `fleet_fairness` verdict requires every tenant within its quarantine
+/// budget, the fleet p99 pause within the tenant policy bound, and a
+/// nonzero stolen-slice counter there.
+pub const FLEET_GRID: [(usize, f64, usize); 4] =
+    [(8, 0.0, 4), (8, 1.2, 4), (128, 0.0, 4), (128, 1.2, 4)];
 
 /// Sizing knobs shared by every experiment in one lab run.
 #[derive(Debug, Clone, Serialize)]

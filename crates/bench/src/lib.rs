@@ -33,7 +33,7 @@ pub mod service;
 pub mod verdicts;
 
 use cheri::Capability;
-use revoker::{Kernel, NoFilter, ParallelSweepEngine, SegmentSource, ShadowMap};
+use revoker::{Kernel, NoFilter, SegmentSource, ShadowMap, SweepEngine};
 use tagmem::{TaggedMemory, GRANULE_SIZE, LINE_SIZE, PAGE_SIZE};
 
 /// Geometric mean of a slice (the paper's summary statistic in fig. 5).
@@ -82,8 +82,8 @@ pub fn json_mode() -> bool {
 }
 
 /// Warmed best-of-five sweep rate (MiB/s) of `mem` under one engine
-/// composition: `kernel` executed by a [`ParallelSweepEngine`] with
-/// `workers` threads (1 = the sequential path): two untimed warm-up
+/// composition: `kernel` executed by a [`SweepEngine`] with
+/// `workers` threads (1 = the calling thread): two untimed warm-up
 /// sweeps, then the fastest of five timed ones. Every host-measured
 /// sweep number in the experiment binaries comes through here, so
 /// figures, the Criterion benches and the runtime share one visitation
@@ -103,7 +103,7 @@ pub fn engine_sweep_rate(
     mem: &TaggedMemory,
     shadow: &ShadowMap,
 ) -> f64 {
-    let engine = ParallelSweepEngine::new(kernel, workers);
+    let engine = SweepEngine::new(kernel).with_workers(workers);
     let mut times = Vec::new();
     for rep in 0..7 {
         let mut img = mem.clone();

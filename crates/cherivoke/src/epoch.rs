@@ -155,8 +155,6 @@ pub(crate) struct SliceSource<'a> {
 }
 
 impl CapSource for SliceSource<'_> {
-    type Mem = TaggedMemory;
-
     fn for_each_region(&mut self, mut f: impl FnMut(&mut TaggedMemory, u64, u64)) {
         for &(start, len) in self.ranges {
             let seg = self
@@ -181,9 +179,9 @@ pub(crate) struct SliceFilter<'a> {
     pub cut: [Option<u64>; 2],
 }
 
-impl GranuleFilter<TaggedMemory> for SliceFilter<'_> {
+impl GranuleFilter for SliceFilter<'_> {
     fn granularity(&self) -> FilterGranularity {
-        GranuleFilter::<TaggedMemory>::granularity(&self.inner)
+        self.inner.granularity()
     }
 
     fn visit_page<C: SweepCost>(&mut self, page: u64, mem: &TaggedMemory, cost: &mut C) -> bool {
@@ -192,7 +190,7 @@ impl GranuleFilter<TaggedMemory> for SliceFilter<'_> {
 
     fn page_swept(&mut self, page: u64, caps_found: u64) {
         if !self.cut.contains(&Some(page)) {
-            GranuleFilter::<TaggedMemory>::page_swept(&mut self.inner, page, caps_found);
+            self.inner.page_swept(page, caps_found);
         }
     }
 }

@@ -2,7 +2,7 @@
 //! fig. 3). Every revocation cycle — stop-the-world, incremental, and
 //! recovery's roll-forward — is one epoch state machine (see the `epoch`
 //! module). All sweeps — epoch slices and foreign root-set sweeps — run
-//! through one [`ParallelSweepEngine`], sized by
+//! through one [`SweepEngine`], sized by
 //! [`RevocationPolicy::sweep_workers`].
 
 use cheri::{CapError, Capability, Perms};
@@ -10,8 +10,8 @@ use cvkalloc::{CherivokeAllocator, ChunkState, DlAllocator};
 use journal::{Journal, Record, TailState};
 use revoker::fault::FaultPoint;
 use revoker::{
-    audit_dump, sweep_register_file, AuditReport, CapDirtyPages, ParallelSweepEngine, ShadowMap,
-    SpaceSource, SweepScratch, SweepStats,
+    audit_dump, sweep_register_file, AuditReport, CapDirtyPages, NoCost, ShadowMap, SpaceSource,
+    SweepEngine, SweepScratch, SweepStats,
 };
 use tagmem::{AddressSpace, CoreDump, SegmentKind};
 
@@ -76,7 +76,7 @@ pub struct CherivokeHeap {
     space: AddressSpace,
     alloc: CherivokeAllocator,
     shadow: ShadowMap,
-    engine: ParallelSweepEngine,
+    engine: SweepEngine,
     /// Reusable sweep working memory: persists across epochs so
     /// steady-state sweeps allocate nothing in the walk and inner loop.
     scratch: SweepScratch,
@@ -179,7 +179,8 @@ impl CherivokeHeap {
             space,
             alloc,
             shadow: ShadowMap::new(config.heap_base, config.heap_size),
-            engine: ParallelSweepEngine::new(config.policy.kernel, config.policy.sweep_workers),
+            engine: SweepEngine::new(config.policy.kernel)
+                .with_workers(config.policy.sweep_workers),
             scratch: SweepScratch::new(),
             range_scratch: Vec::new(),
             drain_scratch: Vec::new(),
@@ -205,7 +206,7 @@ impl CherivokeHeap {
 
     /// Arms fault injection across the heap's machinery: sweep chunks run
     /// panic-guarded with injected worker panics / tag read errors (see
-    /// [`ParallelSweepEngine`]), and the allocator can fail requests
+    /// [`SweepEngine::with_faults`]), and the allocator can fail requests
     /// spuriously to exercise the emergency-sweep path. Chaos tests attach
     /// a shared injector here; production heaps leave it disabled.
     pub fn set_fault_injector(&mut self, faults: revoker::fault::FaultInjector) {
@@ -395,7 +396,8 @@ impl CherivokeHeap {
     /// Rebuilds the sweep engine from the current policy, telemetry and
     /// fault injector (the engine is immutable-by-construction).
     fn rebuild_engine(&mut self) {
-        self.engine = ParallelSweepEngine::new(self.policy.kernel, self.policy.sweep_workers)
+        self.engine = SweepEngine::new(self.policy.kernel)
+            .with_workers(self.policy.sweep_workers)
             .with_telemetry(self.telemetry.sweep())
             .with_faults(self.faults.clone());
     }
@@ -627,13 +629,14 @@ impl CherivokeHeap {
                 inner: epoch.use_capdirty.then(|| CapDirtyPages::new(table)),
                 cut: [cut_before, epoch.cut],
             };
-            let mut stats = self.engine.sweep_scratched(
+            let mut stats = self.engine.sweep_with(
                 SliceSource {
                     segments,
                     ranges: &slice,
                 },
                 filter,
                 &self.shadow,
+                &mut NoCost,
                 &mut self.scratch,
             );
             // A slice is fragments of segments, not segment sweeps.
@@ -746,7 +749,7 @@ impl CherivokeHeap {
             .use_capdirty
             .then(|| CapDirtyPages::new(page_table));
         self.engine
-            .sweep_scratched(source, filter, shadow, &mut self.scratch)
+            .sweep_with(source, filter, shadow, &mut NoCost, &mut self.scratch)
     }
 
     /// The §3.5 barrier: while an epoch is active, no dangling capability
@@ -1135,14 +1138,6 @@ impl CherivokeHeap {
     /// The revocation policy in force.
     pub fn policy(&self) -> RevocationPolicy {
         self.policy
-    }
-
-    /// Replaces the policy (e.g. to vary the quarantine fraction between
-    /// runs, fig. 9).
-    pub fn set_policy(&mut self, policy: RevocationPolicy) {
-        self.policy = policy;
-        self.alloc.set_config(policy.quarantine);
-        self.rebuild_engine();
     }
 
     /// Heap statistics (sweeps, revocations, allocator counters).

@@ -55,7 +55,7 @@ pub struct RevocationPolicy {
     pub incremental_slice_bytes: Option<u64>,
     /// Worker threads for each sweep (§3.5's parallel sweeps): 1 runs
     /// sequentially; more fan chunk execution out across a scoped pool via
-    /// [`revoker::ParallelSweepEngine`]. At most [`MAX_SWEEP_WORKERS`]
+    /// [`revoker::SweepEngine`]. At most [`MAX_SWEEP_WORKERS`]
     /// ([`RevocationPolicy::validated`] clamps larger counts).
     pub sweep_workers: usize,
     /// The revocation lifecycle: always [`BackendKind::Stock`], the paper's.

@@ -127,12 +127,6 @@ impl CherivokeAllocator {
         self.config
     }
 
-    /// Replaces the quarantine policy (used by the fig. 9 sweep-frequency
-    /// trade-off experiment).
-    pub fn set_config(&mut self, config: QuarantineConfig) {
-        self.config = config;
-    }
-
     /// Allocates `size` bytes (delegates to the base allocator — quarantined
     /// chunks are *not* eligible).
     ///

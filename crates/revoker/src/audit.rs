@@ -8,7 +8,7 @@
 //! paper's §3.7 window between free and sweep — so the caller paints the
 //! audit shadow with exactly the reusable set, not the quarantine.
 //!
-//! The audit reuses the [`ParallelSweepEngine`] as its checking kernel:
+//! The audit reuses the [`SweepEngine`] as its checking kernel:
 //! the image is swept (unfiltered, so nothing is skipped) against the
 //! audit shadow, and every capability the sweep would have revoked is a
 //! violation. Because the sweep mutates tags, it runs over a [`CoreDump`]
@@ -17,7 +17,7 @@
 //! and the walk must agree, and the report carries both counts so a
 //! divergence (a kernel bug) is itself detectable.
 
-use crate::engine::{DumpSource, NoFilter, ParallelSweepEngine};
+use crate::engine::{DumpSource, NoFilter, SweepEngine};
 use crate::shadow::ShadowMap;
 use tagmem::{CoreDump, RegisterFile};
 
@@ -65,7 +65,7 @@ impl AuditReport {
 /// mutably because the checking sweep clears the violating tags it finds
 /// — callers pass a clone of the live image.
 pub fn audit_dump(
-    engine: &ParallelSweepEngine,
+    engine: &SweepEngine,
     dump: &mut CoreDump,
     regs: &RegisterFile,
     shadow: &ShadowMap,
@@ -122,7 +122,7 @@ mod tests {
         let space = space_with_cap(HEAP + 0x100);
         let mut dump = CoreDump::capture(&space);
         let shadow = ShadowMap::new(HEAP, 1 << 20); // nothing reusable
-        let engine = ParallelSweepEngine::new(Kernel::Simple, 1);
+        let engine = SweepEngine::new(Kernel::Simple);
         let report = audit_dump(&engine, &mut dump, space.registers(), &shadow);
         assert!(report.clean());
         assert_eq!(report.caps_inspected, 1);
@@ -135,7 +135,7 @@ mod tests {
         let mut dump = CoreDump::capture(&space);
         let mut shadow = ShadowMap::new(HEAP, 1 << 20);
         shadow.paint(HEAP + 0x100, 64);
-        let engine = ParallelSweepEngine::new(Kernel::Simple, 1);
+        let engine = SweepEngine::new(Kernel::Simple);
         let report = audit_dump(&engine, &mut dump, space.registers(), &shadow);
         assert!(!report.clean());
         assert_eq!(report.violations, 1);
@@ -153,7 +153,7 @@ mod tests {
         let mut dump = CoreDump::capture(&space);
         let mut shadow = ShadowMap::new(HEAP, 1 << 20);
         shadow.paint(HEAP + 0x400, 32);
-        let engine = ParallelSweepEngine::new(Kernel::Simple, 1);
+        let engine = SweepEngine::new(Kernel::Simple);
         let report = audit_dump(&engine, &mut dump, space.registers(), &shadow);
         assert_eq!(report.reg_violations, 1);
         assert_eq!(report.violations, 0, "memory itself is clean");
@@ -168,7 +168,7 @@ mod tests {
         let mut dump = CoreDump::capture(&space);
         let mut shadow = ShadowMap::new(HEAP, 1 << 20);
         shadow.paint(HEAP + 0x100, 64);
-        let engine = ParallelSweepEngine::new(Kernel::Simple, 1);
+        let engine = SweepEngine::new(Kernel::Simple);
         audit_dump(&engine, &mut dump, space.registers(), &shadow);
         assert!(space.load_cap(HEAP + 0x2000).unwrap().tag());
     }

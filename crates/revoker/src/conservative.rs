@@ -11,15 +11,13 @@
 //!
 //! * [`ConservativeImage`] — a memory image preprocessed exactly as §5.3
 //!   describes (non-pointer words zeroed).
-//! * [`ConsKernel`] — the fig. 7 tiers as engine
-//!   [`RevokeKernel`]s over such images:
-//!   scalar, manually unrolled, and a genuine AVX2 implementation
-//!   (`std::arch`) used when the host supports it.
-//! * [`ImageSource`] — the [`CapSource`]
-//!   adapter, so images sweep through the same
-//!   [`SweepEngine`] as tagged memory.
-//! * [`sweep_scalar`] / [`sweep_unrolled`] / [`sweep_avx2`] — convenience
-//!   wrappers composing the above.
+//! * [`ConsKernel`] — the fig. 7 tiers over such images: scalar,
+//!   manually unrolled, and a genuine AVX2 implementation (`std::arch`)
+//!   used when the host supports it.
+//! * [`sweep_scalar`] / [`sweep_unrolled`] / [`sweep_avx2`] — one sweep
+//!   of a whole image with each tier. An image sweep has no roots to
+//!   choose and no pages or lines to skip, so it calls the tier's scan
+//!   directly rather than going through the [`crate::SweepEngine`].
 //!
 //! Unlike the tag-exact kernels of [`crate::SweepEngine`], conservative
 //! identification has **false positives**: integers that happen to look
@@ -27,9 +25,8 @@
 //! quarantined memory, zeroed). The paper accepts the same imprecision for
 //! its x86 measurements; CHERI itself does not (§4.1).
 
-use tagmem::{TaggedMemory, LINE_SIZE};
+use tagmem::TaggedMemory;
 
-use crate::engine::{CapSource, NoFilter, RevokeKernel, SweepCost, SweepEngine, TagProbe};
 use crate::ShadowMap;
 
 /// A §5.3-preprocessed image: 64-bit words, with every word whose value is
@@ -100,38 +97,6 @@ impl ConservativeImage {
     }
 }
 
-impl TagProbe for ConservativeImage {
-    /// After §5.3 preprocessing, "holds a capability" means "holds a
-    /// non-zero word" — the conservative analogue of `CLoadTags`.
-    fn probe_line(&self, line: u64) -> bool {
-        let i0 = ((line.saturating_sub(self.base)) / 8) as usize;
-        let i1 = (i0 + (LINE_SIZE / 8) as usize).min(self.words.len());
-        self.words[i0.min(self.words.len())..i1]
-            .iter()
-            .any(|&w| w != 0)
-    }
-}
-
-/// A [`CapSource`] walking one conservative
-/// image as a single region.
-pub struct ImageSource<'a>(&'a mut ConservativeImage);
-
-impl<'a> ImageSource<'a> {
-    /// A source walking all of `image`.
-    pub fn new(image: &'a mut ConservativeImage) -> ImageSource<'a> {
-        ImageSource(image)
-    }
-}
-
-impl CapSource for ImageSource<'_> {
-    type Mem = ConservativeImage;
-
-    fn for_each_region(&mut self, mut f: impl FnMut(&mut ConservativeImage, u64, u64)) {
-        let (base, len) = (self.0.base, self.0.len_bytes());
-        f(self.0, base, len);
-    }
-}
-
 /// The fig. 7 optimisation tiers for conservative images.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConsKernel {
@@ -148,74 +113,34 @@ pub enum ConsKernel {
     Avx2,
 }
 
-impl RevokeKernel<ConservativeImage> for ConsKernel {
-    fn sweep_window<C: SweepCost>(
-        &self,
-        image: &mut ConservativeImage,
-        start: u64,
-        len: u64,
-        shadow: &ShadowMap,
-        _cost: &mut C,
-        stats: &mut crate::SweepStats,
-    ) {
-        let i0 = ((start - image.base) / 8) as usize;
-        let i1 = (i0 + (len / 8) as usize).min(image.words.len());
-        let window = &mut image.words[i0..i1];
-        let (seen, revoked) = match self {
-            ConsKernel::Scalar => scan_scalar(window, shadow),
-            ConsKernel::Unrolled => scan_unrolled(window, shadow),
-            ConsKernel::Avx2 => scan_avx2(window, shadow),
-        };
-        stats.caps_inspected += seen;
-        stats.caps_revoked += revoked;
-    }
-}
-
 fn run(image: &mut ConservativeImage, shadow: &ShadowMap, kernel: ConsKernel) -> ConservativeStats {
-    let stats = SweepEngine::new(kernel).sweep(ImageSource::new(image), NoFilter, shadow);
+    let words = &mut image.words;
+    let (pointers_seen, revoked) = match kernel {
+        ConsKernel::Scalar => scan_scalar(words, shadow),
+        ConsKernel::Unrolled => scan_unrolled(words, shadow),
+        ConsKernel::Avx2 => scan_avx2(words, shadow),
+    };
     ConservativeStats {
-        words_scanned: stats.bytes_swept / 8,
-        pointers_seen: stats.caps_inspected,
-        revoked: stats.caps_revoked,
+        words_scanned: words.len() as u64,
+        pointers_seen,
+        revoked,
     }
 }
 
-/// Sweeps `image` with [`ConsKernel::Scalar`] through the engine.
+/// Sweeps `image` with [`ConsKernel::Scalar`].
 pub fn sweep_scalar(image: &mut ConservativeImage, shadow: &ShadowMap) -> ConservativeStats {
     run(image, shadow, ConsKernel::Scalar)
 }
 
-/// Sweeps `image` with [`ConsKernel::Unrolled`] through the engine.
+/// Sweeps `image` with [`ConsKernel::Unrolled`].
 pub fn sweep_unrolled(image: &mut ConservativeImage, shadow: &ShadowMap) -> ConservativeStats {
     run(image, shadow, ConsKernel::Unrolled)
 }
 
-/// Sweeps `image` with [`ConsKernel::Avx2`] through the engine (falling
-/// back to the unrolled loop when the host lacks AVX2).
+/// Sweeps `image` with [`ConsKernel::Avx2`] (falling back to the unrolled
+/// loop when the host lacks AVX2).
 pub fn sweep_avx2(image: &mut ConservativeImage, shadow: &ShadowMap) -> ConservativeStats {
     run(image, shadow, ConsKernel::Avx2)
-}
-
-/// Sweeps `image` with `kernel`, reusing `scratch`'s walk buffers — the
-/// repeated-measurement form (§5.3 sweeps the same image 20×): after the
-/// first sweep warms the scratch, subsequent sweeps allocate nothing.
-pub fn sweep_scratched(
-    image: &mut ConservativeImage,
-    shadow: &ShadowMap,
-    kernel: ConsKernel,
-    scratch: &mut crate::SweepScratch,
-) -> ConservativeStats {
-    let stats = SweepEngine::new(kernel).sweep_scratched(
-        ImageSource::new(image),
-        NoFilter,
-        shadow,
-        scratch,
-    );
-    ConservativeStats {
-        words_scanned: stats.bytes_swept / 8,
-        pointers_seen: stats.caps_inspected,
-        revoked: stats.caps_revoked,
-    }
 }
 
 /// Scalar inner loop over one word window. Returns (pointers_seen,
@@ -455,12 +380,5 @@ mod tests {
             assert_eq!(stats.pointers_seen, 0, "{name}");
             assert_eq!(stats.words_scanned, LEN / 8, "{name}");
         }
-    }
-
-    #[test]
-    fn line_probe_matches_word_content() {
-        let img = image_with(&[(16, HEAP + 0x40)]); // word 16 = byte 128
-        assert!(!img.probe_line(HEAP), "first line is empty");
-        assert!(img.probe_line(HEAP + 128), "second line holds a pointer");
     }
 }

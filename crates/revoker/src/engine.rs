@@ -1,30 +1,25 @@
-//! The unified sweep engine: roots × filters × kernels (§3.3–§3.5).
+//! The sweep engine: roots × filters × kernels (§3.3–§3.5).
 //!
 //! Revocation sweeping decomposes into three orthogonal choices:
 //!
 //! * **What to walk** — a [`CapSource`]: an [`AddressSpace`]'s sweepable
 //!   segments plus the register file ([`SpaceSource`]), one segment
 //!   ([`SegmentSource`]), a sub-range of one ([`RangeSource`]), the
-//!   register file alone ([`RegisterSource`]), a core dump's images
-//!   ([`DumpSource`]), or a conservatively preprocessed x86 image
-//!   ([`crate::conservative::ImageSource`]).
+//!   register file alone ([`RegisterSource`]), or a core dump's images
+//!   ([`DumpSource`]).
 //! * **What to skip** — a [`GranuleFilter`]: nothing ([`NoFilter`]), PTE
 //!   CapDirty-clean pages ([`CapDirtyPages`], [`DirtyPageList`]; §3.4.2),
 //!   or capability-free cache lines ([`CLoadTagsLines`], [`IdealLines`];
 //!   §3.4.1). Filters compose as tuples: `(pages, lines)` applies both;
 //!   an `Option` of one toggles it at run time.
-//! * **How to revoke** — a [`RevokeKernel`]: the Figure 7 optimisation
-//!   tiers wrapped by [`Kernel`], or the conservative-image kernels in
-//!   [`crate::conservative`].
+//! * **How to revoke** — a [`Kernel`]: the Figure 7 optimisation tiers.
 //!
-//! [`SweepEngine`] composes the three, owning chunked visitation and
-//! [`SweepStats`] accumulation. Because the *same* walk drives both the
+//! [`SweepEngine`] composes the three, owning chunked visitation,
+//! [`SweepStats`] accumulation, the worker split of §3.5, fault recovery
+//! and sweep telemetry. Because the *same* walk drives both the
 //! functional sweep and the cycle-accounted one (via [`SweepCost`] hooks,
 //! implemented over [`simcache::Machine`] in [`crate::timed`]), the timed
 //! and untimed paths share one visitation order by construction.
-//! [`ParallelSweepEngine`] runs the identical plan across scoped worker
-//! threads (§3.5: sweeping is embarrassingly parallel) with per-worker
-//! stats merged deterministically.
 
 use faultinject::{FaultInjector, FaultPoint, InjectedFault};
 use tagmem::{
@@ -32,23 +27,25 @@ use tagmem::{
     LINE_SIZE, PAGE_SIZE,
 };
 
+use crate::plan::{plan_groups, plan_region, walk_region};
 use crate::sweep::run_kernel;
-use crate::{Kernel, ShadowMap, SweepStats};
+use crate::{Kernel, ShadowMap, SweepStats, SweepTelemetry};
 
 /// Hooks charging the memory-system cost of a sweep's accesses.
 ///
-/// The sequential [`SweepEngine`] invokes these in exactly the order the
+/// A costed [`SweepEngine`] sweep invokes these in exactly the order the
 /// sweep touches memory, so a cost model (e.g. [`crate::timed`]'s machine
 /// replay) observes the same access stream the functional sweep performs.
 /// Every method defaults to a no-op; [`NoCost`] is the free implementation
 /// used by untimed sweeps.
 pub trait SweepCost {
     /// Whether this cost model observes nothing (every hook is a no-op).
-    /// Kernels may take accounting-free shortcuts — e.g. the fast kernel's
-    /// empty-shadow bulk fall-through — only when this is `true`, so that
-    /// cost-charging sweeps always see the full access stream. Composite
-    /// models must AND their parts; anything that records state must leave
-    /// this `false` (the conservative default).
+    /// When `true` the engine takes its uncosted walk (plan, then execute
+    /// on the worker pool), and kernels may take accounting-free
+    /// shortcuts — e.g. the fast kernel's empty-shadow bulk fall-through —
+    /// so cost-charging sweeps always see the full access stream in
+    /// order. Anything that records state must leave this `false` (the
+    /// conservative default).
     const IS_FREE: bool = false;
 
     /// A data read of `len` bytes at `addr` (one chunk the engine visits).
@@ -79,28 +76,11 @@ impl SweepCost for NoCost {
     const IS_FREE: bool = true;
 }
 
-/// Memory a filter can query for tag presence without reading data.
-pub trait TagProbe {
-    /// Whether the cache line containing `line` holds any tagged granule
-    /// (the `CLoadTags` primitive, §3.4.1). Conservative: returns `true`
-    /// when the line cannot be queried.
-    fn probe_line(&self, line: u64) -> bool;
-}
-
-impl TagProbe for TaggedMemory {
-    fn probe_line(&self, line: u64) -> bool {
-        self.load_tags(line).map(|mask| mask != 0).unwrap_or(true)
-    }
-}
-
 /// A root set to sweep: one or more contiguous memory regions, plus
 /// optionally the capability register file (§3.3's roots).
 pub trait CapSource {
-    /// The memory type backing each region.
-    type Mem: TagProbe;
-
     /// Calls `f(mem, start, len)` for each region, in a fixed order.
-    fn for_each_region(&mut self, f: impl FnMut(&mut Self::Mem, u64, u64));
+    fn for_each_region(&mut self, f: impl FnMut(&mut TaggedMemory, u64, u64));
 
     /// The register file to sweep after the regions, if this source has
     /// one.
@@ -127,8 +107,6 @@ impl<'a> SpaceSource<'a> {
 }
 
 impl CapSource for SpaceSource<'_> {
-    type Mem = TaggedMemory;
-
     fn for_each_region(&mut self, mut f: impl FnMut(&mut TaggedMemory, u64, u64)) {
         for seg in self.segments.iter_mut().filter(|s| s.kind().sweepable()) {
             let mem = seg.mem_mut();
@@ -153,8 +131,6 @@ impl<'a> SegmentSource<'a> {
 }
 
 impl CapSource for SegmentSource<'_> {
-    type Mem = TaggedMemory;
-
     fn for_each_region(&mut self, mut f: impl FnMut(&mut TaggedMemory, u64, u64)) {
         let (base, len) = (self.0.base(), self.0.len());
         f(self.0, base, len);
@@ -176,8 +152,6 @@ impl<'a> RangeSource<'a> {
 }
 
 impl CapSource for RangeSource<'_> {
-    type Mem = TaggedMemory;
-
     fn for_each_region(&mut self, mut f: impl FnMut(&mut TaggedMemory, u64, u64)) {
         let (start, len) = (self.start, self.len);
         f(self.mem, start, len);
@@ -196,8 +170,6 @@ impl<'a> RegisterSource<'a> {
 }
 
 impl CapSource for RegisterSource<'_> {
-    type Mem = TaggedMemory;
-
     fn for_each_region(&mut self, _f: impl FnMut(&mut TaggedMemory, u64, u64)) {}
 
     fn registers(&mut self) -> Option<&mut RegisterFile> {
@@ -216,8 +188,6 @@ impl<'a> DumpSource<'a> {
 }
 
 impl CapSource for DumpSource<'_> {
-    type Mem = TaggedMemory;
-
     fn for_each_region(&mut self, mut f: impl FnMut(&mut TaggedMemory, u64, u64)) {
         for img in self.0.iter_mut() {
             let (base, len) = (img.mem.base(), img.mem.len());
@@ -241,7 +211,7 @@ pub enum FilterGranularity {
 /// A work-skipping predicate over the walk (the paper's hardware assists,
 /// §3.4). Filters are stateful; the engine consults them in ascending
 /// address order.
-pub trait GranuleFilter<M: TagProbe> {
+pub trait GranuleFilter {
     /// The chunking this filter needs. Defaults to whole regions.
     fn granularity(&self) -> FilterGranularity {
         FilterGranularity::Region
@@ -249,14 +219,14 @@ pub trait GranuleFilter<M: TagProbe> {
 
     /// Whether the page frame at `page` must be visited. Charged via
     /// `cost`; called once per frame, ascending. Defaults to visiting.
-    fn visit_page<C: SweepCost>(&mut self, page: u64, mem: &M, cost: &mut C) -> bool {
+    fn visit_page<C: SweepCost>(&mut self, page: u64, mem: &TaggedMemory, cost: &mut C) -> bool {
         let _ = (page, mem, cost);
         true
     }
 
     /// Whether the line at `line` (within a visited page) must be swept.
     /// Defaults to sweeping.
-    fn visit_line<C: SweepCost>(&mut self, line: u64, mem: &M, cost: &mut C) -> bool {
+    fn visit_line<C: SweepCost>(&mut self, line: u64, mem: &TaggedMemory, cost: &mut C) -> bool {
         let _ = (line, mem, cost);
         true
     }
@@ -273,21 +243,21 @@ pub trait GranuleFilter<M: TagProbe> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFilter;
 
-impl<M: TagProbe> GranuleFilter<M> for NoFilter {}
+impl GranuleFilter for NoFilter {}
 
 /// An optional filter: `None` filters nothing (as [`NoFilter`]), so a
 /// policy toggle such as CapDirty picks its filter at run time.
-impl<M: TagProbe, F: GranuleFilter<M>> GranuleFilter<M> for Option<F> {
+impl<F: GranuleFilter> GranuleFilter for Option<F> {
     fn granularity(&self) -> FilterGranularity {
         self.as_ref()
             .map_or(FilterGranularity::Region, F::granularity)
     }
 
-    fn visit_page<C: SweepCost>(&mut self, page: u64, mem: &M, cost: &mut C) -> bool {
+    fn visit_page<C: SweepCost>(&mut self, page: u64, mem: &TaggedMemory, cost: &mut C) -> bool {
         self.as_mut().is_none_or(|f| f.visit_page(page, mem, cost))
     }
 
-    fn visit_line<C: SweepCost>(&mut self, line: u64, mem: &M, cost: &mut C) -> bool {
+    fn visit_line<C: SweepCost>(&mut self, line: u64, mem: &TaggedMemory, cost: &mut C) -> bool {
         self.as_mut().is_none_or(|f| f.visit_line(line, mem, cost))
     }
 
@@ -310,12 +280,12 @@ impl<'a> CapDirtyPages<'a> {
     }
 }
 
-impl<M: TagProbe> GranuleFilter<M> for CapDirtyPages<'_> {
+impl GranuleFilter for CapDirtyPages<'_> {
     fn granularity(&self) -> FilterGranularity {
         FilterGranularity::Page
     }
 
-    fn visit_page<C: SweepCost>(&mut self, page: u64, _mem: &M, _cost: &mut C) -> bool {
+    fn visit_page<C: SweepCost>(&mut self, page: u64, _mem: &TaggedMemory, _cost: &mut C) -> bool {
         self.0.is_cap_dirty(page)
     }
 
@@ -338,14 +308,21 @@ impl<'a> DirtyPageList<'a> {
     }
 }
 
-impl<M: TagProbe> GranuleFilter<M> for DirtyPageList<'_> {
+impl GranuleFilter for DirtyPageList<'_> {
     fn granularity(&self) -> FilterGranularity {
         FilterGranularity::Page
     }
 
-    fn visit_page<C: SweepCost>(&mut self, page: u64, _mem: &M, _cost: &mut C) -> bool {
+    fn visit_page<C: SweepCost>(&mut self, page: u64, _mem: &TaggedMemory, _cost: &mut C) -> bool {
         self.0.binary_search(&(page & !(PAGE_SIZE - 1))).is_ok()
     }
+}
+
+/// The `CLoadTags` primitive (§3.4.1): whether the cache line containing
+/// `line` holds any tagged granule. Conservative: a line that cannot be
+/// queried counts as tagged.
+fn line_has_tags(mem: &TaggedMemory, line: u64) -> bool {
+    mem.load_tags(line).map(|mask| mask != 0).unwrap_or(true)
 }
 
 /// `CLoadTags` line skipping (§3.4.1): each line pays a tag query, and the
@@ -363,19 +340,19 @@ impl CLoadTagsLines {
     }
 }
 
-impl<M: TagProbe> GranuleFilter<M> for CLoadTagsLines {
+impl GranuleFilter for CLoadTagsLines {
     fn granularity(&self) -> FilterGranularity {
         FilterGranularity::Line
     }
 
-    fn visit_page<C: SweepCost>(&mut self, _page: u64, _mem: &M, _cost: &mut C) -> bool {
+    fn visit_page<C: SweepCost>(&mut self, _page: u64, _mem: &TaggedMemory, _cost: &mut C) -> bool {
         self.prev_skipped = false;
         true
     }
 
-    fn visit_line<C: SweepCost>(&mut self, line: u64, mem: &M, cost: &mut C) -> bool {
+    fn visit_line<C: SweepCost>(&mut self, line: u64, mem: &TaggedMemory, cost: &mut C) -> bool {
         cost.cloadtags(line);
-        let skip = !mem.probe_line(line);
+        let skip = !line_has_tags(mem, line);
         if skip != self.prev_skipped {
             cost.branch_mispredict();
         }
@@ -389,13 +366,13 @@ impl<M: TagProbe> GranuleFilter<M> for CLoadTagsLines {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdealLines;
 
-impl<M: TagProbe> GranuleFilter<M> for IdealLines {
+impl GranuleFilter for IdealLines {
     fn granularity(&self) -> FilterGranularity {
         FilterGranularity::Line
     }
 
-    fn visit_line<C: SweepCost>(&mut self, line: u64, mem: &M, _cost: &mut C) -> bool {
-        mem.probe_line(line)
+    fn visit_line<C: SweepCost>(&mut self, line: u64, mem: &TaggedMemory, _cost: &mut C) -> bool {
+        line_has_tags(mem, line)
     }
 }
 
@@ -404,66 +381,28 @@ impl<M: TagProbe> GranuleFilter<M> for IdealLines {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EveryLine;
 
-impl<M: TagProbe> GranuleFilter<M> for EveryLine {
+impl GranuleFilter for EveryLine {
     fn granularity(&self) -> FilterGranularity {
         FilterGranularity::Line
     }
 }
 
-impl<M: TagProbe, A: GranuleFilter<M>, B: GranuleFilter<M>> GranuleFilter<M> for (A, B) {
+impl<A: GranuleFilter, B: GranuleFilter> GranuleFilter for (A, B) {
     fn granularity(&self) -> FilterGranularity {
         self.0.granularity().max(self.1.granularity())
     }
 
-    fn visit_page<C: SweepCost>(&mut self, page: u64, mem: &M, cost: &mut C) -> bool {
+    fn visit_page<C: SweepCost>(&mut self, page: u64, mem: &TaggedMemory, cost: &mut C) -> bool {
         self.0.visit_page(page, mem, cost) && self.1.visit_page(page, mem, cost)
     }
 
-    fn visit_line<C: SweepCost>(&mut self, line: u64, mem: &M, cost: &mut C) -> bool {
+    fn visit_line<C: SweepCost>(&mut self, line: u64, mem: &TaggedMemory, cost: &mut C) -> bool {
         self.0.visit_line(line, mem, cost) && self.1.visit_line(line, mem, cost)
     }
 
     fn page_swept(&mut self, page: u64, caps_found: u64) {
         self.0.page_swept(page, caps_found);
         self.1.page_swept(page, caps_found);
-    }
-}
-
-/// A revocation inner loop over one contiguous window of a source's
-/// memory (§3.3). Implementations add `caps_inspected` / `caps_revoked`
-/// (and, via `cost`, per-capability charges) to `stats`; the engine
-/// accounts `bytes_swept` and the chunk read itself.
-pub trait RevokeKernel<M> {
-    /// Sweeps `[start, start + len)` of `mem` against `shadow`.
-    fn sweep_window<C: SweepCost>(
-        &self,
-        mem: &mut M,
-        start: u64,
-        len: u64,
-        shadow: &ShadowMap,
-        cost: &mut C,
-        stats: &mut SweepStats,
-    );
-}
-
-impl RevokeKernel<TaggedMemory> for Kernel {
-    fn sweep_window<C: SweepCost>(
-        &self,
-        mem: &mut TaggedMemory,
-        start: u64,
-        len: u64,
-        shadow: &ShadowMap,
-        cost: &mut C,
-        stats: &mut SweepStats,
-    ) {
-        assert!(mem.contains(start, len), "sweep range outside segment");
-        assert_eq!(start % GRANULE_SIZE, 0, "unaligned sweep start");
-        assert_eq!(len % GRANULE_SIZE, 0, "unaligned sweep length");
-        let base = mem.base();
-        let g0 = ((start - base) / GRANULE_SIZE) as usize;
-        let g1 = g0 + (len / GRANULE_SIZE) as usize;
-        let (data, tags) = mem.as_parts_mut();
-        run_kernel(*self, data, tags, g0, g1, shadow, base, cost, stats);
     }
 }
 
@@ -501,25 +440,38 @@ pub fn line_spans(start: u64, len: u64) -> impl Iterator<Item = (u64, u64)> {
     })
 }
 
-/// Reusable working memory for sweep walks and plans.
+/// Reusable working memory for sweeps.
 ///
-/// Each engine walk needs a handful of growable buffers: the visited-page
-/// feedback list and — for the parallel engine — the planned chunk list,
-/// per-chunk granule windows, worker group boundaries and per-worker
-/// capability-count buffers. A `SweepScratch` owns all of them, so a
-/// caller that threads the *same* scratch through every sweep (see
-/// [`SweepEngine::sweep_scratched`],
-/// [`ParallelSweepEngine::sweep_scratched`]) pays each allocation once:
-/// the buffers grow to their high-water mark during warm-up and are then
-/// reused, leaving steady-state sweeps with **zero heap allocations** in
-/// the walk and inner loop. The scratch-free entry points build a fresh
-/// scratch per sweep, preserving the old behaviour.
+/// Each sweep needs a handful of growable buffers: the visited-page
+/// feedback list, the planned chunk list, per-chunk granule windows,
+/// worker group boundaries and per-worker capability-count buffers. A
+/// `SweepScratch` owns all of them, so a caller that threads the *same*
+/// scratch through every [`SweepEngine::sweep_with`] call pays each
+/// allocation once: the buffers grow to their high-water mark during
+/// warm-up and are then reused, leaving steady-state sweeps with **zero
+/// heap allocations** in the walk and inner loop (apart from the
+/// O(workers) thread spawns of a multi-worker sweep). [`SweepEngine::sweep`]
+/// builds a fresh scratch per call.
 #[derive(Debug, Default)]
 pub struct SweepScratch {
     /// `(frame, caps_found)` pairs from the page walk of one region.
     pages: Vec<(u64, u64)>,
-    /// Planned `(start, len)` chunk list (parallel engine).
+    /// Planned `(start, len)` chunk list of one region.
     chunks: Vec<(u64, u64)>,
+    /// Buffers for executing the planned chunks.
+    exec: ExecScratch,
+}
+
+impl SweepScratch {
+    /// An empty scratch; buffers are grown on first use.
+    pub fn new() -> SweepScratch {
+        SweepScratch::default()
+    }
+}
+
+/// The buffers [`SweepEngine`]'s execute step reuses.
+#[derive(Debug, Default)]
+struct ExecScratch {
     /// Granule windows per planned chunk.
     windows: Vec<(usize, usize)>,
     /// Per-chunk `caps_inspected` counts, in plan order.
@@ -533,67 +485,8 @@ pub struct SweepScratch {
     worker_caps: Vec<Vec<u64>>,
 }
 
-impl SweepScratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> SweepScratch {
-        SweepScratch::default()
-    }
-}
-
-/// Walks one region under `filter`, calling `emit(mem, start, len, cost,
-/// stats)` for each chunk that must be swept; `emit` returns the number of
-/// capabilities it inspected. The visited pages are collected into
-/// `pages` (cleared first) as `(frame, caps_found)` pairs — the engine
-/// feeds these to [`GranuleFilter::page_swept`] after execution (page
-/// feedback only affects *future* sweeps, so deferring it preserves
-/// semantics). Taking the buffer from the caller lets a reused
-/// [`SweepScratch`] make this walk allocation-free after warm-up.
-#[allow(clippy::too_many_arguments)] // walk ABI: region + hooks + scratch
-fn walk_region<M, F, C>(
-    mem: &mut M,
-    start: u64,
-    len: u64,
-    filter: &mut F,
-    cost: &mut C,
-    stats: &mut SweepStats,
-    pages: &mut Vec<(u64, u64)>,
-    mut emit: impl FnMut(&mut M, u64, u64, &mut C, &mut SweepStats) -> u64,
-) where
-    M: TagProbe,
-    F: GranuleFilter<M>,
-    C: SweepCost,
-{
-    pages.clear();
-    match filter.granularity() {
-        FilterGranularity::Region => {
-            emit(mem, start, len, cost, stats);
-        }
-        granularity => {
-            for (frame, page_start, page_end) in page_spans(start, len) {
-                if !filter.visit_page(frame, mem, cost) {
-                    stats.pages_skipped = stats.pages_skipped.saturating_add(1);
-                    continue;
-                }
-                let mut caps = 0u64;
-                if granularity == FilterGranularity::Page {
-                    caps += emit(mem, page_start, page_end - page_start, cost, stats);
-                } else {
-                    for (line, line_len) in line_spans(page_start, page_end - page_start) {
-                        if filter.visit_line(line, mem, cost) {
-                            caps += emit(mem, line, line_len, cost, stats);
-                        } else {
-                            stats.lines_skipped = stats.lines_skipped.saturating_add(1);
-                        }
-                    }
-                }
-                pages.push((frame, caps));
-            }
-        }
-    }
-}
-
 /// Sweeps the capability register file against `shadow` (§3.3's register
-/// roots). Shared by every engine.
+/// roots).
 pub fn sweep_register_file(regs: &mut RegisterFile, shadow: &ShadowMap) -> SweepStats {
     let mut stats = SweepStats::default();
     for cap in regs.iter_mut() {
@@ -609,272 +502,169 @@ pub fn sweep_register_file(regs: &mut RegisterFile, shadow: &ShadowMap) -> Sweep
     stats
 }
 
-/// The sequential sweep engine: one `source × filter × kernel`
-/// composition, executed chunk by chunk in ascending address order with
-/// optional cost accounting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SweepEngine<K> {
-    kernel: K,
-}
-
-impl<K> SweepEngine<K> {
-    /// An engine revoking with `kernel`.
-    pub fn new(kernel: K) -> SweepEngine<K> {
-        SweepEngine { kernel }
-    }
-
-    /// The configured kernel.
-    pub fn kernel(&self) -> &K {
-        &self.kernel
-    }
-
-    /// Sweeps `source` under `filter` without cost accounting.
-    pub fn sweep<S, F>(&self, source: S, filter: F, shadow: &ShadowMap) -> SweepStats
-    where
-        S: CapSource,
-        F: GranuleFilter<S::Mem>,
-        K: RevokeKernel<S::Mem>,
-    {
-        self.sweep_costed(source, filter, shadow, &mut NoCost)
-    }
-
-    /// Sweeps `source` under `filter`, charging every access to `cost` in
-    /// visitation order.
-    pub fn sweep_costed<S, F, C>(
-        &self,
-        source: S,
-        filter: F,
-        shadow: &ShadowMap,
-        cost: &mut C,
-    ) -> SweepStats
-    where
-        S: CapSource,
-        F: GranuleFilter<S::Mem>,
-        C: SweepCost,
-        K: RevokeKernel<S::Mem>,
-    {
-        self.sweep_costed_scratched(source, filter, shadow, cost, &mut SweepScratch::new())
-    }
-
-    /// [`SweepEngine::sweep`] reusing `scratch`'s buffers: after the first
-    /// (warm-up) sweep grows them, subsequent sweeps with the same scratch
-    /// allocate nothing.
-    pub fn sweep_scratched<S, F>(
-        &self,
-        source: S,
-        filter: F,
-        shadow: &ShadowMap,
-        scratch: &mut SweepScratch,
-    ) -> SweepStats
-    where
-        S: CapSource,
-        F: GranuleFilter<S::Mem>,
-        K: RevokeKernel<S::Mem>,
-    {
-        self.sweep_costed_scratched(source, filter, shadow, &mut NoCost, scratch)
-    }
-
-    /// [`SweepEngine::sweep_costed`] reusing `scratch`'s buffers.
-    pub fn sweep_costed_scratched<S, F, C>(
-        &self,
-        mut source: S,
-        mut filter: F,
-        shadow: &ShadowMap,
-        cost: &mut C,
-        scratch: &mut SweepScratch,
-    ) -> SweepStats
-    where
-        S: CapSource,
-        F: GranuleFilter<S::Mem>,
-        C: SweepCost,
-        K: RevokeKernel<S::Mem>,
-    {
-        let mut stats = SweepStats::default();
-        let pages = &mut scratch.pages;
-        source.for_each_region(|mem, start, len| {
-            walk_region(
-                mem,
-                start,
-                len,
-                &mut filter,
-                cost,
-                &mut stats,
-                pages,
-                |mem, s, l, cost, stats| {
-                    cost.chunk_read(s, l);
-                    let before = stats.caps_inspected;
-                    self.kernel.sweep_window(mem, s, l, shadow, cost, stats);
-                    stats.bytes_swept = stats.bytes_swept.saturating_add(l);
-                    stats.caps_inspected - before
-                },
-            );
-            stats.segments_swept = stats.segments_swept.saturating_add(1);
-            for &(frame, caps) in pages.iter() {
-                filter.page_swept(frame, caps);
-            }
-        });
-        if let Some(regs) = source.registers() {
-            stats += sweep_register_file(regs, shadow);
-        }
-        stats
-    }
-}
-
 /// Upper bound on a sweep's worker count: beyond this, thread spawn and
 /// merge overhead dominates any sweep this repo models, so
 /// `RevocationPolicy::validated` clamps larger requests (with a warning)
 /// rather than honouring them.
 pub const MAX_SWEEP_WORKERS: usize = 64;
 
-/// The parallel sweep engine (§3.5): plans the identical chunk list the
-/// sequential engine would visit, partitions it across scoped worker
-/// threads on tag-word boundaries (workers own disjoint 64-granule words,
-/// so no two touch the same tag word), and merges per-worker stats
-/// deterministically with [`SweepStats::merge_parallel`]. The shadow map
-/// is shared read-only. Results — memory, tags, and stats — are
-/// byte-identical to the sequential engine by construction. Heaps size
-/// theirs from the `RevocationPolicy::sweep_workers` field (paper default
-/// 1, sequential).
+/// The sweep engine: one `source × filter × kernel` composition (§3.3–§3.5).
 ///
-/// An engine optionally carries a [`SweepTelemetry`][crate::SweepTelemetry]
-/// (see [`ParallelSweepEngine::with_telemetry`]): each sweep is then timed
-/// and reported as metrics plus one structured event. Detached telemetry
-/// (the default) costs one branch per sweep.
+/// An engine holds the [`Kernel`], a worker count (default 1, set with
+/// [`SweepEngine::with_workers`]), a [`SweepTelemetry`] and a
+/// [`FaultInjector`]. Every sweep walks its source's regions in ascending
+/// address order, one of two ways, picked by [`SweepCost::IS_FREE`]:
+///
+/// * **Costed** (a cost model is attached, as in [`crate::timed`]): each
+///   chunk is executed on the calling thread the moment the walk reaches
+///   it, so the cost model observes every access in visitation order.
+/// * **Uncosted**: the walk first plans the region's chunk list, then the
+///   execute step runs it. Skip decisions cannot depend on execution
+///   (revocations only clear tags in already-visited chunks), so
+///   plan-then-execute revokes exactly what the interleaved walk does.
+///   With more than one worker the plan is split across scoped threads on
+///   tag-word boundaries (workers own disjoint 64-granule words, so no two
+///   touch the same tag word; §3.5's embarrassing parallelism), and
+///   per-worker stats merge deterministically with
+///   [`SweepStats::merge_parallel`]. An armed fault injector runs each
+///   chunk under `catch_unwind` and retries a poisoned chunk on the
+///   reference kernel.
+///
+/// Both walks leave byte-identical memory, tags and [`SweepStats`] for
+/// any worker count. Attached telemetry times each sweep and reports it
+/// as metrics plus one structured event; detached telemetry (the
+/// default) costs one branch per sweep.
 #[derive(Debug, Clone)]
-pub struct ParallelSweepEngine {
+pub struct SweepEngine {
     kernel: Kernel,
     workers: usize,
-    telemetry: crate::SweepTelemetry,
+    telemetry: SweepTelemetry,
     faults: FaultInjector,
 }
 
-impl ParallelSweepEngine {
-    /// An engine using `kernel` across `workers` threads (clamped to ≥ 1;
-    /// 1 executes sequentially with no thread overhead).
-    pub fn new(kernel: Kernel, workers: usize) -> ParallelSweepEngine {
-        ParallelSweepEngine {
+impl SweepEngine {
+    /// A one-worker engine revoking with `kernel`.
+    pub fn new(kernel: Kernel) -> SweepEngine {
+        SweepEngine {
             kernel,
-            workers: workers.max(1),
-            telemetry: crate::SweepTelemetry::default(),
+            workers: 1,
+            telemetry: SweepTelemetry::default(),
             faults: FaultInjector::disabled(),
         }
     }
 
+    /// Splits uncosted sweeps across `workers` threads (clamped to ≥ 1;
+    /// 1 executes on the calling thread with no thread overhead).
+    pub fn with_workers(mut self, workers: usize) -> SweepEngine {
+        self.workers = workers.max(1);
+        self
+    }
+
     /// Attaches sweep telemetry: every subsequent sweep records its
     /// duration, volume and revocation counts.
-    pub fn with_telemetry(mut self, telemetry: crate::SweepTelemetry) -> ParallelSweepEngine {
+    pub fn with_telemetry(mut self, telemetry: SweepTelemetry) -> SweepEngine {
         self.telemetry = telemetry;
         self
     }
 
-    /// Arms fault injection: sweep chunks then run under `catch_unwind`
-    /// with injected [`FaultPoint::SweepWorkerPanic`] /
+    /// Arms fault injection: uncosted sweep chunks then run under
+    /// `catch_unwind` with injected [`FaultPoint::SweepWorkerPanic`] /
     /// [`FaultPoint::TagReadError`] faults, recovering by retrying the
     /// poisoned chunk on the sequential reference kernel
     /// ([`Kernel::Wide`]). A disabled injector (the default) keeps the
     /// unguarded fast path.
-    pub fn with_faults(mut self, faults: FaultInjector) -> ParallelSweepEngine {
+    pub fn with_faults(mut self, faults: FaultInjector) -> SweepEngine {
         self.faults = faults;
         self
     }
 
-    /// The armed fault injector (disabled by default).
-    pub fn faults(&self) -> &FaultInjector {
-        &self.faults
-    }
-
-    /// The configured kernel.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Sweeps `source` under `filter`, fanning chunk execution out across
-    /// the worker pool. Untimed only: parallel workers charge no
-    /// [`SweepCost`].
+    /// Sweeps `source` under `filter` without cost accounting, with a
+    /// fresh [`SweepScratch`].
     pub fn sweep<S, F>(&self, source: S, filter: F, shadow: &ShadowMap) -> SweepStats
     where
-        S: CapSource<Mem = TaggedMemory>,
-        F: GranuleFilter<TaggedMemory>,
+        S: CapSource,
+        F: GranuleFilter,
     {
-        self.sweep_scratched(source, filter, shadow, &mut SweepScratch::new())
+        self.sweep_with(
+            source,
+            filter,
+            shadow,
+            &mut NoCost,
+            &mut SweepScratch::new(),
+        )
     }
 
-    /// [`ParallelSweepEngine::sweep`] reusing `scratch`'s plan buffers
-    /// (chunk list, granule windows, worker groups, per-worker capability
-    /// counts). After warm-up, the walk, plan and inner loops allocate
-    /// nothing; only per-worker thread spawns remain (O(workers), not
-    /// O(chunks)).
-    pub fn sweep_scratched<S, F>(
+    /// Sweeps `source` under `filter`, charging every access to `cost` in
+    /// visitation order (the costed walk; [`NoCost`] selects the uncosted
+    /// one) and reusing `scratch`'s buffers.
+    pub fn sweep_with<S, F, C>(
         &self,
         mut source: S,
         mut filter: F,
         shadow: &ShadowMap,
+        cost: &mut C,
         scratch: &mut SweepScratch,
     ) -> SweepStats
     where
-        S: CapSource<Mem = TaggedMemory>,
-        F: GranuleFilter<TaggedMemory>,
+        S: CapSource,
+        F: GranuleFilter,
+        C: SweepCost,
     {
         let timer = self.telemetry.is_enabled().then(std::time::Instant::now);
         let mut stats = SweepStats::default();
         let SweepScratch {
             pages,
             chunks,
-            windows,
-            caps_per_chunk,
-            weights,
-            groups,
-            worker_caps,
+            exec,
         } = scratch;
         source.for_each_region(|mem, start, len| {
-            // Plan: the exact walk the sequential engine performs,
-            // executing nothing. Skip decisions cannot depend on execution
-            // (revocations only clear tags in already-visited chunks), so
-            // plan-then-execute is equivalent to the interleaved walk.
-            chunks.clear();
-            walk_region(
-                mem,
-                start,
-                len,
-                &mut filter,
-                &mut NoCost,
-                &mut stats,
-                pages,
-                |_mem, s, l, _cost, _stats| {
-                    chunks.push((s, l));
-                    0
-                },
-            );
-            stats.segments_swept = stats.segments_swept.saturating_add(1);
-
-            execute_chunks(
-                self.kernel,
-                self.workers,
-                &self.faults,
-                mem,
-                chunks,
-                shadow,
-                &mut stats,
-                windows,
-                caps_per_chunk,
-                weights,
-                groups,
-                worker_caps,
-            );
-
-            // Fold per-chunk capability counts back onto their pages and
-            // deliver the deferred page feedback in address order.
-            for (&(chunk_start, _), &caps) in chunks.iter().zip(caps_per_chunk.iter()) {
-                let frame = chunk_start & !(PAGE_SIZE - 1);
-                if let Ok(i) = pages.binary_search_by_key(&frame, |&(f, _)| f) {
-                    pages[i].1 += caps;
+            assert!(mem.contains(start, len), "sweep range outside segment");
+            assert_eq!(start % GRANULE_SIZE, 0, "unaligned sweep start");
+            assert_eq!(len % GRANULE_SIZE, 0, "unaligned sweep length");
+            if C::IS_FREE {
+                // Uncosted: plan the region's chunks, then execute them.
+                plan_region(
+                    mem,
+                    start,
+                    len,
+                    &mut filter,
+                    cost,
+                    &mut stats,
+                    pages,
+                    chunks,
+                );
+                self.execute_chunks(mem, chunks, shadow, &mut stats, exec);
+                // Fold per-chunk capability counts back onto their pages.
+                for (&(chunk_start, _), &caps) in chunks.iter().zip(exec.caps_per_chunk.iter()) {
+                    let frame = chunk_start & !(PAGE_SIZE - 1);
+                    if let Ok(i) = pages.binary_search_by_key(&frame, |&(f, _)| f) {
+                        pages[i].1 += caps;
+                    }
                 }
+            } else {
+                // Costed: execute each chunk as the walk reaches it.
+                walk_region(
+                    mem,
+                    start,
+                    len,
+                    &mut filter,
+                    cost,
+                    &mut stats,
+                    pages,
+                    |mem, s, l, cost, stats| {
+                        cost.chunk_read(s, l);
+                        let before = stats.caps_inspected;
+                        let base = mem.base();
+                        let g0 = ((s - base) / GRANULE_SIZE) as usize;
+                        let g1 = g0 + (l / GRANULE_SIZE) as usize;
+                        let (data, tags) = mem.as_parts_mut();
+                        run_kernel(self.kernel, data, tags, g0, g1, shadow, base, cost, stats);
+                        stats.bytes_swept = stats.bytes_swept.saturating_add(l);
+                        stats.caps_inspected - before
+                    },
+                );
             }
+            stats.segments_swept = stats.segments_swept.saturating_add(1);
             for &(frame, caps) in pages.iter() {
                 filter.page_swept(frame, caps);
             }
@@ -892,24 +682,140 @@ impl ParallelSweepEngine {
         }
         stats
     }
-}
 
-/// Scheduling weight of one tagged granule relative to one clean byte:
-/// a tagged granule costs its 16 streamed bytes *plus* `DECODE_WEIGHT ×
-/// 16` for the capability decode, shadow probe, and (potential)
-/// revocation store. The value is a planning heuristic, not a cost model
-/// — it only shifts worker group boundaries, never what executes.
-const DECODE_WEIGHT: u64 = 4;
+    /// The execute step of an uncosted sweep: runs a planned chunk list,
+    /// split across the worker pool when `workers > 1` and the plan is
+    /// large enough to split. Fills `exec.caps_per_chunk` with per-chunk
+    /// `caps_inspected` counts in plan order.
+    fn execute_chunks(
+        &self,
+        mem: &mut TaggedMemory,
+        chunks: &[(u64, u64)],
+        shadow: &ShadowMap,
+        stats: &mut SweepStats,
+        exec: &mut ExecScratch,
+    ) {
+        let (kernel, faults) = (self.kernel, &self.faults);
+        let base = mem.base();
+        // Granule windows per chunk (chunks are granule-aligned by
+        // construction: regions, pages, and lines are all multiples of 16).
+        let windows = &mut exec.windows;
+        windows.clear();
+        windows.extend(chunks.iter().map(|&(s, l)| {
+            let g0 = ((s - base) / GRANULE_SIZE) as usize;
+            (g0, g0 + (l / GRANULE_SIZE) as usize)
+        }));
+        exec.caps_per_chunk.clear();
+        exec.groups.clear();
+        if self.workers > 1 && chunks.len() > 1 {
+            plan_groups(
+                self.workers,
+                mem,
+                chunks,
+                shadow,
+                &exec.windows,
+                &mut exec.weights,
+                &mut exec.groups,
+            );
+        }
 
-/// Bytes of swept data covered by one modeled tag-cache line, from
-/// `simcache`'s FPGA-like machine geometry (one 128-byte tag line carries
-/// the tag bits for 16 KiB of data). Worker group boundaries prefer these
-/// seams so no modeled tag line is shared between two workers' streams.
-fn tag_cache_line_coverage() -> u64 {
-    static COVERAGE: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *COVERAGE.get_or_init(|| {
-        simcache::TagCache::new(&simcache::MachineConfig::cheri_fpga_like()).coverage_per_line()
-    })
+        if exec.groups.len() <= 1 {
+            let (data, tags) = mem.as_parts_mut();
+            for (&(_, l), &(g0, g1)) in chunks.iter().zip(exec.windows.iter()) {
+                let before = stats.caps_inspected;
+                run_chunk_guarded(kernel, faults, data, tags, g0, g1, shadow, base, stats);
+                stats.bytes_swept = stats.bytes_swept.saturating_add(l);
+                exec.caps_per_chunk.push(stats.caps_inspected - before);
+            }
+            return;
+        }
+
+        // Carve each group's word range out of the data and tag arrays.
+        let ExecScratch {
+            windows,
+            caps_per_chunk,
+            groups,
+            worker_caps,
+            ..
+        } = exec;
+        let (data, tags) = mem.as_parts_mut();
+        let mut data_rest: &mut [u8] = data;
+        let mut tags_rest: &mut [u64] = tags;
+        let mut word_off = 0usize;
+        let mut jobs = Vec::with_capacity(groups.len());
+        for &(c0, c1) in groups.iter() {
+            let w_lo = windows[c0].0 / 64;
+            let w_hi = (windows[c1 - 1].1).div_ceil(64);
+            // Discard [word_off, w_lo).
+            let skip = w_lo - word_off;
+            let taken_d = std::mem::take(&mut data_rest);
+            let (_, d) =
+                taken_d.split_at_mut((skip * 64 * GRANULE_SIZE as usize).min(taken_d.len()));
+            let taken_t = std::mem::take(&mut tags_rest);
+            let (_, t) = taken_t.split_at_mut(skip.min(taken_t.len()));
+            // Take [w_lo, w_hi).
+            let take_w = w_hi - w_lo;
+            let (dj, d_rest) = d.split_at_mut((take_w * 64 * GRANULE_SIZE as usize).min(d.len()));
+            let (tj, t_rest) = t.split_at_mut(take_w.min(t.len()));
+            data_rest = d_rest;
+            tags_rest = t_rest;
+            word_off = w_hi;
+            jobs.push((c0, c1, w_lo, dj, tj));
+        }
+
+        // Per-worker capability buffers persist in the scratch; grow the pool
+        // but never shrink it (shrinking would free a warmed-up buffer).
+        if worker_caps.len() < groups.len() {
+            worker_caps.resize_with(groups.len(), Vec::new);
+        }
+        let windows: &[(usize, usize)] = windows;
+        let partials: Vec<SweepStats> = std::thread::scope(|scope| {
+            let handles: Vec<_> = jobs
+                .into_iter()
+                .zip(worker_caps.iter_mut())
+                .map(|((c0, c1, w_lo, dj, tj), caps)| {
+                    scope.spawn(move || {
+                        caps.clear();
+                        let mut local = SweepStats::default();
+                        let local_base = base + (w_lo as u64) * 64 * GRANULE_SIZE;
+                        for i in c0..c1 {
+                            let (g0, g1) = windows[i];
+                            let before = local.caps_inspected;
+                            run_chunk_guarded(
+                                kernel,
+                                faults,
+                                dj,
+                                tj,
+                                g0 - w_lo * 64,
+                                g1 - w_lo * 64,
+                                shadow,
+                                local_base,
+                                &mut local,
+                            );
+                            local.bytes_swept = local.bytes_swept.saturating_add(chunks[i].1);
+                            caps.push(local.caps_inspected - before);
+                        }
+                        local
+                    })
+                })
+                .collect();
+            // A worker only panics when even the reference-kernel retry in
+            // `run_chunk_guarded` failed (a genuine kernel bug, not an
+            // injected fault); propagate it with its original payload.
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(partial) => partial,
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        });
+
+        for caps in worker_caps.iter().take(groups.len()) {
+            caps_per_chunk.extend_from_slice(caps);
+        }
+        *stats += SweepStats::merge_parallel(partials);
+    }
 }
 
 /// Runs one planned chunk through the kernel, panic-safely when fault
@@ -993,201 +899,12 @@ fn run_chunk_guarded(
     }
 }
 
-/// Executes a planned chunk list, in parallel when `workers > 1` and the
-/// plan is large enough to split. Fills `caps_per_chunk` with per-chunk
-/// `caps_inspected` counts in plan order. The `windows`, `groups` and
-/// `worker_caps` buffers come from the caller's [`SweepScratch`], so a
-/// warmed-up scratch makes the whole plan-and-execute pass allocation-free
-/// apart from the O(workers) thread spawns.
-#[allow(clippy::too_many_arguments)] // plan ABI: work + scratch buffers
-fn execute_chunks(
-    kernel: Kernel,
-    workers: usize,
-    faults: &FaultInjector,
-    mem: &mut TaggedMemory,
-    chunks: &[(u64, u64)],
-    shadow: &ShadowMap,
-    stats: &mut SweepStats,
-    windows: &mut Vec<(usize, usize)>,
-    caps_per_chunk: &mut Vec<u64>,
-    weights: &mut Vec<u64>,
-    groups: &mut Vec<(usize, usize)>,
-    worker_caps: &mut Vec<Vec<u64>>,
-) {
-    let base = mem.base();
-    // Granule windows per chunk (chunks are granule-aligned by
-    // construction: regions, pages, and lines are all multiples of 16).
-    windows.clear();
-    windows.extend(chunks.iter().map(|&(s, l)| {
-        let g0 = ((s - base) / GRANULE_SIZE) as usize;
-        (g0, g0 + (l / GRANULE_SIZE) as usize)
-    }));
-    caps_per_chunk.clear();
-
-    if workers <= 1 || chunks.len() <= 1 {
-        let (data, tags) = mem.as_parts_mut();
-        for (&(_, l), &(g0, g1)) in chunks.iter().zip(windows.iter()) {
-            let before = stats.caps_inspected;
-            run_chunk_guarded(kernel, faults, data, tags, g0, g1, shadow, base, stats);
-            stats.bytes_swept = stats.bytes_swept.saturating_add(l);
-            caps_per_chunk.push(stats.caps_inspected - before);
-        }
-        return;
-    }
-
-    // Tag-cache-aware grouping (DESIGN.md §19). Two refinements over a
-    // plain equal-bytes split, both scheduling-only — every chunk still
-    // executes in plan order within its group, so memory, stats, and
-    // filter feedback stay byte-identical to the sequential engine:
-    //
-    // * Chunks are weighted by the work the kernel will actually do:
-    //   bytes streamed plus [`DECODE_WEIGHT`]× the tagged granules (each
-    //   forces a capability decode and shadow probe). The hierarchical
-    //   shadow summary collapses the decode term when nothing is painted —
-    //   the fast kernels then take their empty-shadow bulk fall-through
-    //   and tagged granules cost no more than clean ones.
-    // * Groups preferentially close on modeled tag-cache-line coverage
-    //   boundaries (`simcache`'s tag-cache geometry: one 128-byte tag
-    //   line covers 16 KiB of data), so no modeled tag line is shared
-    //   between workers and each worker streams whole tag lines in
-    //   address order. A group already one full line's coverage past its
-    //   target closes at any tag-word boundary, bounding the imbalance a
-    //   boundary-poor plan could otherwise accumulate.
-    //
-    // Groups always close *at least* on tag-word boundaries (64 granules
-    // = 1 KiB), so groups own disjoint word ranges of both arrays.
-    let summary_clean = shadow.painted_bytes() == 0;
-    weights.clear();
-    weights.extend(chunks.iter().map(|&(s, l)| {
-        if summary_clean {
-            l
-        } else {
-            l.saturating_add(DECODE_WEIGHT * mem.count_tags_in(s, l) * GRANULE_SIZE)
-        }
-    }));
-    let total_weight: u64 = weights.iter().sum();
-    let target = (total_weight / workers as u64).max(1);
-    let line_coverage = tag_cache_line_coverage();
-    let words_per_tag_line = ((line_coverage / (64 * GRANULE_SIZE)) as usize).max(1);
-    groups.clear();
-    let mut group_start = 0;
-    let mut acc = 0u64;
-    for i in 0..chunks.len() {
-        acc += weights[i];
-        if acc < target || groups.len() + 1 >= workers || i + 1 == chunks.len() {
-            continue;
-        }
-        let (next_w, last_w) = (windows[i + 1].0 / 64, (windows[i].1 - 1) / 64);
-        if next_w <= last_w {
-            continue; // not even a tag-word boundary
-        }
-        let line_boundary = next_w / words_per_tag_line > last_w / words_per_tag_line;
-        if line_boundary || acc >= target.saturating_add(line_coverage) {
-            groups.push((group_start, i + 1));
-            group_start = i + 1;
-            acc = 0;
-        }
-    }
-    if group_start < chunks.len() {
-        groups.push((group_start, chunks.len()));
-    }
-
-    if groups.len() <= 1 {
-        // Couldn't split (e.g. everything in one tag word): run inline.
-        let (data, tags) = mem.as_parts_mut();
-        for (&(_, l), &(g0, g1)) in chunks.iter().zip(windows.iter()) {
-            let before = stats.caps_inspected;
-            run_chunk_guarded(kernel, faults, data, tags, g0, g1, shadow, base, stats);
-            stats.bytes_swept = stats.bytes_swept.saturating_add(l);
-            caps_per_chunk.push(stats.caps_inspected - before);
-        }
-        return;
-    }
-
-    // Carve each group's word range out of the data and tag arrays.
-    let (data, tags) = mem.as_parts_mut();
-    let mut data_rest: &mut [u8] = data;
-    let mut tags_rest: &mut [u64] = tags;
-    let mut word_off = 0usize;
-    let mut jobs = Vec::with_capacity(groups.len());
-    for &(c0, c1) in groups.iter() {
-        let w_lo = windows[c0].0 / 64;
-        let w_hi = (windows[c1 - 1].1).div_ceil(64);
-        // Discard [word_off, w_lo).
-        let skip = w_lo - word_off;
-        let taken_d = std::mem::take(&mut data_rest);
-        let (_, d) = taken_d.split_at_mut((skip * 64 * GRANULE_SIZE as usize).min(taken_d.len()));
-        let taken_t = std::mem::take(&mut tags_rest);
-        let (_, t) = taken_t.split_at_mut(skip.min(taken_t.len()));
-        // Take [w_lo, w_hi).
-        let take_w = w_hi - w_lo;
-        let (dj, d_rest) = d.split_at_mut((take_w * 64 * GRANULE_SIZE as usize).min(d.len()));
-        let (tj, t_rest) = t.split_at_mut(take_w.min(t.len()));
-        data_rest = d_rest;
-        tags_rest = t_rest;
-        word_off = w_hi;
-        jobs.push((c0, c1, w_lo, dj, tj));
-    }
-
-    // Per-worker capability buffers persist in the scratch; grow the pool
-    // but never shrink it (shrinking would free a warmed-up buffer).
-    if worker_caps.len() < groups.len() {
-        worker_caps.resize_with(groups.len(), Vec::new);
-    }
-    let windows: &[(usize, usize)] = windows;
-    let partials: Vec<SweepStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .zip(worker_caps.iter_mut())
-            .map(|((c0, c1, w_lo, dj, tj), caps)| {
-                scope.spawn(move || {
-                    caps.clear();
-                    let mut local = SweepStats::default();
-                    let local_base = base + (w_lo as u64) * 64 * GRANULE_SIZE;
-                    for i in c0..c1 {
-                        let (g0, g1) = windows[i];
-                        let before = local.caps_inspected;
-                        run_chunk_guarded(
-                            kernel,
-                            faults,
-                            dj,
-                            tj,
-                            g0 - w_lo * 64,
-                            g1 - w_lo * 64,
-                            shadow,
-                            local_base,
-                            &mut local,
-                        );
-                        local.bytes_swept = local.bytes_swept.saturating_add(chunks[i].1);
-                        caps.push(local.caps_inspected - before);
-                    }
-                    local
-                })
-            })
-            .collect();
-        // A worker only panics when even the reference-kernel retry in
-        // `run_chunk_guarded` failed (a genuine kernel bug, not an
-        // injected fault); propagate it with its original payload.
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(partial) => partial,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-
-    for caps in worker_caps.iter().take(groups.len()) {
-        caps_per_chunk.extend_from_slice(caps);
-    }
-    *stats += SweepStats::merge_parallel(partials);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timed::{sweep_image, TimedMode};
     use cheri::Capability;
-    use tagmem::SegmentKind;
+    use tagmem::{CoreDump, SegmentKind};
 
     const HEAP: u64 = 0x1000_0000;
     const LEN: u64 = 1 << 16;
@@ -1240,26 +957,67 @@ mod tests {
         );
     }
 
+    /// A recording cost model: attaching it selects the costed walk.
+    #[derive(Default)]
+    struct BytesRead(u64);
+
+    impl SweepCost for BytesRead {
+        fn chunk_read(&mut self, _addr: u64, len: u64) {
+            self.0 += len;
+        }
+    }
+
     #[test]
     fn parallel_engine_matches_sequential_on_all_filters() {
+        // The costed walk (interleaved, on the calling thread) is the
+        // reference; the uncosted walk matches it at any worker count,
+        // under the epoch's filter and every composition `timed` builds.
+        let dump = CoreDump::capture(&seeded_space(7).0);
         for workers in [1, 2, 3, 8] {
+            let engine = SweepEngine::new(Kernel::Wide).with_workers(workers);
             let (mut a, shadow) = seeded_space(7);
             let (mut b, _) = seeded_space(7);
 
             let (src_a, pt_a) = SpaceSource::split(&mut a);
-            let seq = SweepEngine::new(Kernel::Wide).sweep(
+            let mut cost = BytesRead::default();
+            let costed = engine.sweep_with(
                 src_a,
                 (CapDirtyPages::new(pt_a), CLoadTagsLines::new()),
                 &shadow,
+                &mut cost,
+                &mut SweepScratch::new(),
             );
             let (src_b, pt_b) = SpaceSource::split(&mut b);
-            let par = ParallelSweepEngine::new(Kernel::Wide, workers).sweep(
+            let uncosted = engine.sweep(
                 src_b,
                 (CapDirtyPages::new(pt_b), CLoadTagsLines::new()),
                 &shadow,
             );
-            assert_eq!(seq, par, "workers={workers}");
-            assert_eq!(a.tag_count(), b.tag_count(), "workers={workers}");
+            assert_eq!(costed, uncosted, "workers={workers}");
+            assert_eq!(cost.0, costed.bytes_swept, "workers={workers}");
+            assert_eq!(CoreDump::capture(&a), CoreDump::capture(&b));
+
+            for mode in [
+                TimedMode::Full,
+                TimedMode::PteCapDirty,
+                TimedMode::CLoadTags,
+                TimedMode::Ideal,
+            ] {
+                let dirty = dump.cap_dirty_pages();
+                let (mut x, mut y) = (dump.clone(), dump.clone());
+                let costed = sweep_image(
+                    &engine,
+                    x.segments_mut(),
+                    dirty,
+                    &shadow,
+                    mode,
+                    &mut BytesRead::default(),
+                );
+                let uncosted =
+                    sweep_image(&engine, y.segments_mut(), dirty, &shadow, mode, &mut NoCost);
+                assert_eq!(costed, uncosted, "{mode:?}, workers={workers}");
+                assert_eq!(x, y, "{mode:?}, workers={workers}");
+            }
         }
     }
 
@@ -1271,7 +1029,7 @@ mod tests {
             let (mut b, _) = seeded_space(11);
 
             let (src_a, _) = SpaceSource::split(&mut a);
-            let clean = ParallelSweepEngine::new(Kernel::Fast, workers).sweep(
+            let clean = SweepEngine::new(Kernel::Fast).with_workers(workers).sweep(
                 src_a,
                 CLoadTagsLines::new(),
                 &shadow,
@@ -1283,7 +1041,8 @@ mod tests {
                 faultinject::FaultPlan::parse("worker_panic@1/2,tag_read_error@2/2").unwrap();
             let inj = FaultInjector::new(plan);
             let (src_b, _) = SpaceSource::split(&mut b);
-            let faulted = ParallelSweepEngine::new(Kernel::Fast, workers)
+            let faulted = SweepEngine::new(Kernel::Fast)
+                .with_workers(workers)
                 .with_faults(inj.clone())
                 .sweep(src_b, CLoadTagsLines::new(), &shadow);
 
@@ -1306,7 +1065,8 @@ mod tests {
         let (mut space, shadow) = seeded_space(3);
         let inj = FaultInjector::new(faultinject::FaultPlan::parse("worker_panic@1x2").unwrap());
         let (src, _) = SpaceSource::split(&mut space);
-        let stats = ParallelSweepEngine::new(Kernel::Fast, 2)
+        let stats = SweepEngine::new(Kernel::Fast)
+            .with_workers(2)
             .with_telemetry(crate::SweepTelemetry::register(&registry))
             .with_faults(inj)
             .sweep(src, NoFilter, &shadow);
@@ -1339,35 +1099,30 @@ mod tests {
     fn scratched_sweeps_match_unscratched() {
         let mut scratch = SweepScratch::new();
         for seed in 0..3u64 {
-            // Sequential, filtered: the page-feedback buffer is reused.
-            let (mut a, shadow) = seeded_space(seed);
-            let (mut b, _) = seeded_space(seed);
-            let (src_a, pt_a) = SpaceSource::split(&mut a);
-            let plain = SweepEngine::new(Kernel::Fast).sweep(
-                src_a,
-                (CapDirtyPages::new(pt_a), CLoadTagsLines::new()),
-                &shadow,
-            );
-            let (src_b, pt_b) = SpaceSource::split(&mut b);
-            let scratched = SweepEngine::new(Kernel::Fast).sweep_scratched(
-                src_b,
-                (CapDirtyPages::new(pt_b), CLoadTagsLines::new()),
-                &shadow,
-                &mut scratch,
-            );
-            assert_eq!(plain, scratched, "seed {seed}");
-            assert_eq!(a.tag_count(), b.tag_count(), "seed {seed}");
-
-            // Parallel: plan buffers and worker cap buffers are reused.
-            let (mut c, shadow) = seeded_space(seed);
-            let (mut d, _) = seeded_space(seed);
-            let engine = ParallelSweepEngine::new(Kernel::Fast, 4);
-            let (src_c, _) = SpaceSource::split(&mut c);
-            let plain = engine.sweep(src_c, EveryLine, &shadow);
-            let (src_d, _) = SpaceSource::split(&mut d);
-            let scratched = engine.sweep_scratched(src_d, EveryLine, &shadow, &mut scratch);
-            assert_eq!(plain, scratched, "seed {seed}");
-            assert_eq!(c.tag_count(), d.tag_count(), "seed {seed}");
+            for engine in [
+                SweepEngine::new(Kernel::Fast),
+                SweepEngine::new(Kernel::Fast).with_workers(4),
+            ] {
+                // The page-feedback, plan and worker buffers are reused.
+                let (mut a, shadow) = seeded_space(seed);
+                let (mut b, _) = seeded_space(seed);
+                let (src_a, pt_a) = SpaceSource::split(&mut a);
+                let plain = engine.sweep(
+                    src_a,
+                    (CapDirtyPages::new(pt_a), CLoadTagsLines::new()),
+                    &shadow,
+                );
+                let (src_b, pt_b) = SpaceSource::split(&mut b);
+                let scratched = engine.sweep_with(
+                    src_b,
+                    (CapDirtyPages::new(pt_b), CLoadTagsLines::new()),
+                    &shadow,
+                    &mut NoCost,
+                    &mut scratch,
+                );
+                assert_eq!(plain, scratched, "seed {seed}");
+                assert_eq!(a.tag_count(), b.tag_count(), "seed {seed}");
+            }
         }
     }
 }

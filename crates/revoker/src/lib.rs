@@ -13,17 +13,18 @@
 //! 3. Optionally skipping work with the paper's two hardware assists:
 //!    **PTE CapDirty** bits skip whole capability-free pages and
 //!    **CLoadTags** skips capability-free cache lines (§3.4) — see
-//!    [`SweepPlan`] and [`timed`].
+//!    [`CapDirtyPages`], [`CLoadTagsLines`] and [`timed`].
 //!
 //! Sweep kernels come in the flavours the paper benchmarks in Figure 7
 //! ([`Kernel::Simple`], [`Kernel::Unrolled`], [`Kernel::Wide`]) plus the
 //! word-at-a-time [`Kernel::Fast`] and vectorised [`Kernel::Simd`] tiers.
 //!
-//! All sweeping runs through the [`engine`] module's [`SweepEngine`]: a
-//! composition of a [`CapSource`] (what to walk), a [`GranuleFilter`]
-//! (what to skip), and a [`RevokeKernel`] (the inner loop).
-//! [`ParallelSweepEngine`] executes the identical plan across worker
-//! threads, exploiting the embarrassing parallelism of §3.5.
+//! All tag-exact sweeping runs through the [`engine`] module's one
+//! [`SweepEngine`]: a composition of a [`CapSource`] (what to walk), a
+//! [`GranuleFilter`] (what to skip), and a [`Kernel`] (the inner loop).
+//! The same engine splits a sweep across worker threads, exploiting the
+//! embarrassing parallelism of §3.5, and replays it against a cost model
+//! for the timed figures.
 //!
 //! # Example
 //!
@@ -77,14 +78,13 @@ pub use audit::{audit_dump, AuditReport, AuditViolation};
 pub use engine::{
     line_spans, page_spans, sweep_register_file, CLoadTagsLines, CapDirtyPages, CapSource,
     DirtyPageList, DumpSource, EveryLine, FilterGranularity, GranuleFilter, IdealLines, NoCost,
-    NoFilter, ParallelSweepEngine, RangeSource, RegisterSource, RevokeKernel, SegmentSource,
-    SpaceSource, SweepCost, SweepEngine, SweepScratch, TagProbe, MAX_SWEEP_WORKERS,
+    NoFilter, RangeSource, RegisterSource, SegmentSource, SpaceSource, SweepCost, SweepEngine,
+    SweepScratch, MAX_SWEEP_WORKERS,
 };
 /// Deterministic fault injection for chaos testing the sweep machinery
 /// (re-export of the `faultinject` crate; see its docs for plan syntax).
 pub use faultinject as fault;
-pub use obs::{SweepTelemetry, TelemetryCost};
-pub use plan::{SkipMode, SweepPlan};
+pub use obs::SweepTelemetry;
 pub use shadow::ShadowMap;
 #[doc(hidden)]
 pub use sweep::force_scalar_kernel;

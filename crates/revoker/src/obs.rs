@@ -1,11 +1,9 @@
-//! Sweep-engine telemetry: per-sweep metrics/events and a [`SweepCost`]
-//! implementation that feeds the engine's cost hooks into histograms.
+//! Sweep-engine telemetry: per-sweep metrics and events.
 
 use std::time::Duration;
 
 use telemetry::{Counter, EventKind, LogHistogram, Registry};
 
-use crate::engine::SweepCost;
 use crate::SweepStats;
 
 /// Metric handles a sweep engine reports into. Default-constructed (or
@@ -86,146 +84,10 @@ impl SweepTelemetry {
     }
 }
 
-/// A [`SweepCost`] implementation that counts the engine's memory-access
-/// hooks into registry metrics — the §6.3 access mix (chunk reads,
-/// `CLoadTags` queries, shadow lookups, revocation stores, mispredicts)
-/// observable on a live run. Chunk sizes feed a histogram, exposing the
-/// filter-induced chunking distribution.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryCost {
-    chunk_reads: Counter,
-    chunk_bytes: Counter,
-    cloadtags: Counter,
-    shadow_lookups: Counter,
-    revoke_stores: Counter,
-    branch_mispredicts: Counter,
-    chunk_size: LogHistogram,
-}
-
-impl TelemetryCost {
-    /// A cost observer reporting into `registry` under the
-    /// `cvk_sweep_access_*` metric names.
-    pub fn register(registry: &Registry) -> TelemetryCost {
-        TelemetryCost {
-            chunk_reads: registry.counter("cvk_sweep_access_chunk_reads_total"),
-            chunk_bytes: registry.counter("cvk_sweep_access_chunk_bytes_total"),
-            cloadtags: registry.counter("cvk_sweep_access_cloadtags_total"),
-            shadow_lookups: registry.counter("cvk_sweep_access_shadow_lookups_total"),
-            revoke_stores: registry.counter("cvk_sweep_access_revoke_stores_total"),
-            branch_mispredicts: registry.counter("cvk_sweep_access_branch_mispredicts_total"),
-            chunk_size: registry.histogram("cvk_sweep_access_chunk_bytes"),
-        }
-    }
-}
-
-impl SweepCost for TelemetryCost {
-    fn chunk_read(&mut self, _addr: u64, len: u64) {
-        self.chunk_reads.inc();
-        self.chunk_bytes.add(len);
-        self.chunk_size.record(len);
-    }
-
-    fn cloadtags(&mut self, _addr: u64) {
-        self.cloadtags.inc();
-    }
-
-    fn shadow_lookup(&mut self, _cap_base: u64) {
-        self.shadow_lookups.inc();
-    }
-
-    fn revoke_store(&mut self, _addr: u64) {
-        self.revoke_stores.inc();
-    }
-
-    fn branch_mispredict(&mut self) {
-        self.branch_mispredicts.inc();
-    }
-}
-
-/// Cost models compose as tuples: every hook fans out to both halves, so
-/// a timed sweep can charge its machine model *and* stream the same
-/// access mix into telemetry in one walk.
-impl<A: SweepCost, B: SweepCost> SweepCost for (A, B) {
-    const IS_FREE: bool = A::IS_FREE && B::IS_FREE;
-
-    fn chunk_read(&mut self, addr: u64, len: u64) {
-        self.0.chunk_read(addr, len);
-        self.1.chunk_read(addr, len);
-    }
-
-    fn cloadtags(&mut self, addr: u64) {
-        self.0.cloadtags(addr);
-        self.1.cloadtags(addr);
-    }
-
-    fn shadow_lookup(&mut self, cap_base: u64) {
-        self.0.shadow_lookup(cap_base);
-        self.1.shadow_lookup(cap_base);
-    }
-
-    fn revoke_store(&mut self, addr: u64) {
-        self.0.revoke_store(addr);
-        self.1.revoke_store(addr);
-    }
-
-    fn branch_mispredict(&mut self) {
-        self.0.branch_mispredict();
-        self.1.branch_mispredict();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CLoadTagsLines, SegmentSource, SweepEngine};
-    use crate::{Kernel, ShadowMap};
-    use cheri::Capability;
-    use tagmem::TaggedMemory;
-
-    const BASE: u64 = 0x2000_0000;
-
-    #[test]
-    fn telemetry_cost_counts_the_access_mix() {
-        let mut mem = TaggedMemory::new(BASE, 1 << 14);
-        mem.write_cap(BASE + 0x100, &Capability::root_rw(BASE + 0x40, 64))
-            .unwrap();
-        let mut shadow = ShadowMap::new(BASE, 1 << 14);
-        shadow.paint(BASE + 0x40, 64);
-
-        let registry = Registry::new(8);
-        let mut cost = TelemetryCost::register(&registry);
-        let stats = SweepEngine::new(Kernel::Wide).sweep_costed(
-            SegmentSource::new(&mut mem),
-            CLoadTagsLines::new(),
-            &shadow,
-            &mut cost,
-        );
-        assert_eq!(stats.caps_revoked, 1);
-
-        let snap = registry.snapshot();
-        assert!(snap.counters["cvk_sweep_access_cloadtags_total"] > 0);
-        assert_eq!(snap.counters["cvk_sweep_access_shadow_lookups_total"], 1);
-        assert_eq!(snap.counters["cvk_sweep_access_revoke_stores_total"], 1);
-        assert!(snap.histograms["cvk_sweep_access_chunk_bytes"].count() > 0);
-    }
-
-    #[test]
-    fn tuple_cost_fans_out_to_both_halves() {
-        let registry = Registry::new(8);
-        let mut cost = (
-            TelemetryCost::register(&registry),
-            TelemetryCost::register(&registry),
-        );
-        cost.chunk_read(BASE, 128);
-        cost.branch_mispredict();
-        let snap = registry.snapshot();
-        // Both halves share the registry cells, so each hook counts twice.
-        assert_eq!(snap.counters["cvk_sweep_access_chunk_reads_total"], 2);
-        assert_eq!(
-            snap.counters["cvk_sweep_access_branch_mispredicts_total"],
-            2
-        );
-    }
+    use crate::Kernel;
 
     #[test]
     fn disabled_telemetry_observes_nothing() {
@@ -256,16 +118,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn cost_freeness_composes() {
-        use crate::engine::NoCost;
-        const {
-            assert!(<NoCost as SweepCost>::IS_FREE);
-            assert!(<(NoCost, NoCost) as SweepCost>::IS_FREE);
-            assert!(!<TelemetryCost as SweepCost>::IS_FREE);
-            assert!(!<(NoCost, TelemetryCost) as SweepCost>::IS_FREE);
-        }
     }
 }

@@ -1,132 +1,199 @@
-//! Sweep planning under the paper's hardware assists (§3.4, Fig. 8a).
+//! The plan step of a sweep (§3.4–§3.5): which chunks the walk visits.
 //!
-//! A [`SweepPlan`] is the list of memory ranges a sweep must actually read
-//! after filtering with PTE CapDirty bits (page granularity) and/or
-//! `CLoadTags` (cache-line granularity). The planned/total byte ratio is
-//! exactly the "proportion of memory that needs to be swept" of Figure 8(a).
+//! [`walk_region`] walks one region under a
+//! [`GranuleFilter`](crate::engine::GranuleFilter), skipping
+//! CapDirty-clean pages and tag-free lines, and hands every chunk that
+//! must be swept to its caller in ascending address order; both of
+//! [`SweepEngine`](crate::SweepEngine)'s walks run it. An uncosted sweep
+//! first collects the region's chunk list with [`plan_region`] — the
+//! planned bytes are Fig. 8a's memory that must be swept — and, with more
+//! than one worker, [`plan_groups`] splits that list across the worker
+//! pool before the engine's execute step runs it.
 
-use tagmem::{CoreDump, LINE_SIZE, PAGE_SIZE};
+use tagmem::{TaggedMemory, GRANULE_SIZE};
 
-/// Which work-elimination hardware to use when planning a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkipMode {
-    /// Sweep everything (no assists).
-    None,
-    /// Skip pages whose PTE CapDirty bit is clear (§3.4.2).
-    PteCapDirty,
-    /// Skip cache lines whose `CLoadTags` mask is zero (§3.4.1). Implies
-    /// page-level skipping first, as the paper's "both … necessary for
-    /// optimal work reduction" conclusion (§6.3).
-    CLoadTags,
-}
+use crate::engine::{line_spans, page_spans, FilterGranularity, GranuleFilter, SweepCost};
+use crate::{ShadowMap, SweepStats};
 
-/// The ranges a sweep must read, after filtering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepPlan {
-    mode: SkipMode,
-    /// `(addr, len)` ranges to read, in address order.
-    regions: Vec<(u64, u64)>,
-    bytes_total: u64,
-    lines_queried: u64,
-}
-
-impl SweepPlan {
-    /// Plans a sweep over a captured [`CoreDump`] under `mode`.
-    ///
-    /// For [`SkipMode::PteCapDirty`] the dump's captured CapDirty page list
-    /// is authoritative (false positives included, §3.4.2); for
-    /// [`SkipMode::CLoadTags`] every line of every CapDirty page is queried
-    /// and capability-free lines are dropped.
-    pub fn for_dump(dump: &CoreDump, mode: SkipMode) -> SweepPlan {
-        let mut regions = Vec::new();
-        let mut bytes_total = 0u64;
-        let mut lines_queried = 0u64;
-
-        for img in dump.segments() {
-            let mem = &img.mem;
-            bytes_total += mem.len();
-            match mode {
-                SkipMode::None => {
-                    if !mem.is_empty() {
-                        regions.push((mem.base(), mem.len()));
-                    }
+/// Walks one region under `filter`, calling `emit(mem, start, len, cost,
+/// stats)` for each chunk that must be swept; `emit` returns the number of
+/// capabilities it inspected. The visited pages are collected into
+/// `pages` (cleared first) as `(frame, caps_found)` pairs — the engine
+/// feeds these to [`GranuleFilter::page_swept`] once the region is swept
+/// (page feedback only affects *future* sweeps, so deferring it preserves
+/// semantics). Taking the buffer from the caller lets a reused
+/// [`SweepScratch`] make this walk allocation-free after warm-up.
+#[allow(clippy::too_many_arguments)] // walk ABI: region + hooks + scratch
+pub(crate) fn walk_region<F, C>(
+    mem: &mut TaggedMemory,
+    start: u64,
+    len: u64,
+    filter: &mut F,
+    cost: &mut C,
+    stats: &mut SweepStats,
+    pages: &mut Vec<(u64, u64)>,
+    mut emit: impl FnMut(&mut TaggedMemory, u64, u64, &mut C, &mut SweepStats) -> u64,
+) where
+    F: GranuleFilter,
+    C: SweepCost,
+{
+    pages.clear();
+    match filter.granularity() {
+        FilterGranularity::Region => {
+            emit(mem, start, len, cost, stats);
+        }
+        granularity => {
+            for (frame, page_start, page_end) in page_spans(start, len) {
+                if !filter.visit_page(frame, mem, cost) {
+                    stats.pages_skipped = stats.pages_skipped.saturating_add(1);
+                    continue;
                 }
-                SkipMode::PteCapDirty => {
-                    for &page in dump.cap_dirty_pages() {
-                        if page >= mem.base() && page < mem.end() {
-                            let len = (mem.end() - page).min(PAGE_SIZE);
-                            regions.push((page, len));
+                let mut caps = 0u64;
+                if granularity == FilterGranularity::Page {
+                    caps += emit(mem, page_start, page_end - page_start, cost, stats);
+                } else {
+                    for (line, line_len) in line_spans(page_start, page_end - page_start) {
+                        if filter.visit_line(line, mem, cost) {
+                            caps += emit(mem, line, line_len, cost, stats);
+                        } else {
+                            stats.lines_skipped = stats.lines_skipped.saturating_add(1);
                         }
                     }
                 }
-                SkipMode::CLoadTags => {
-                    for &page in dump.cap_dirty_pages() {
-                        if page >= mem.base() && page < mem.end() {
-                            let page_end = (page + PAGE_SIZE).min(mem.end());
-                            let mut line = page;
-                            while line < page_end {
-                                lines_queried += 1;
-                                let len = (page_end - line).min(LINE_SIZE);
-                                if mem.load_tags(line).map(|m| m != 0).unwrap_or(true) {
-                                    regions.push((line, len));
-                                }
-                                line += len;
-                            }
-                        }
-                    }
-                }
+                pages.push((frame, caps));
             }
         }
-        regions.sort_unstable();
-        SweepPlan {
-            mode,
-            regions,
-            bytes_total,
-            lines_queried,
-        }
     }
+}
 
-    /// The mode this plan was built under.
-    pub fn mode(&self) -> SkipMode {
-        self.mode
-    }
+/// Plans one region of an uncosted sweep: walks it under `filter` and
+/// fills `chunks` (cleared first) with the `(start, len)` chunks that must
+/// be swept, in ascending address order, and `pages` with the visited
+/// pages (their capability counts still zero). Nothing is executed.
+#[allow(clippy::too_many_arguments)] // walk ABI: region + hooks + scratch
+pub(crate) fn plan_region<F, C>(
+    mem: &mut TaggedMemory,
+    start: u64,
+    len: u64,
+    filter: &mut F,
+    cost: &mut C,
+    stats: &mut SweepStats,
+    pages: &mut Vec<(u64, u64)>,
+    chunks: &mut Vec<(u64, u64)>,
+) where
+    F: GranuleFilter,
+    C: SweepCost,
+{
+    chunks.clear();
+    walk_region(
+        mem,
+        start,
+        len,
+        filter,
+        cost,
+        stats,
+        pages,
+        |_mem, s, l, _cost, _stats| {
+            chunks.push((s, l));
+            0
+        },
+    );
+}
 
-    /// The `(addr, len)` ranges to read.
-    pub fn regions(&self) -> &[(u64, u64)] {
-        &self.regions
-    }
+/// Scheduling weight of one tagged granule relative to one clean byte:
+/// a tagged granule costs its 16 streamed bytes *plus* `DECODE_WEIGHT ×
+/// 16` for the capability decode, shadow probe, and (potential)
+/// revocation store. The value is a planning heuristic, not a cost model
+/// — it only shifts worker group boundaries, never what executes.
+const DECODE_WEIGHT: u64 = 4;
 
-    /// Bytes the sweep will actually read.
-    pub fn bytes_planned(&self) -> u64 {
-        self.regions.iter().map(|&(_, l)| l).sum()
-    }
+/// Bytes of swept data covered by one modeled tag-cache line, from
+/// `simcache`'s FPGA-like machine geometry (one 128-byte tag line carries
+/// the tag bits for 16 KiB of data). Worker group boundaries prefer these
+/// seams so no modeled tag line is shared between two workers' streams.
+fn tag_cache_line_coverage() -> u64 {
+    static COVERAGE: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *COVERAGE.get_or_init(|| {
+        simcache::TagCache::new(&simcache::MachineConfig::cheri_fpga_like()).coverage_per_line()
+    })
+}
 
-    /// Bytes in the full image.
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_total
-    }
-
-    /// `CLoadTags` queries the plan issued (each costs a tag-cache round
-    /// trip in the timed model).
-    pub fn lines_queried(&self) -> u64 {
-        self.lines_queried
-    }
-
-    /// The Figure 8(a) metric: fraction of memory that must be swept.
-    pub fn sweep_fraction(&self) -> f64 {
-        if self.bytes_total == 0 {
-            0.0
+/// Splits a planned chunk list into at most `workers` groups, filling
+/// the empty `groups` with chunk-index ranges (one group means "do
+/// not split"). `windows` holds the chunks' granule windows; `weights` is
+/// a reused buffer for their scheduling weights.
+///
+/// Tag-cache-aware grouping (DESIGN.md §19). Two refinements over a
+/// plain equal-bytes split, both scheduling-only — every chunk still
+/// executes in plan order within its group, so memory, stats, and
+/// filter feedback stay byte-identical to a one-worker sweep:
+///
+/// * Chunks are weighted by the work the kernel will actually do: bytes
+///   streamed plus [`DECODE_WEIGHT`]× the tagged granules (each forces a
+///   capability decode and shadow probe). An empty shadow collapses the
+///   decode term — the fast kernels then take their empty-shadow bulk
+///   fall-through and tagged granules cost no more than clean ones.
+/// * Groups preferentially close on modeled tag-cache-line coverage
+///   boundaries (`simcache`'s tag-cache geometry: one 128-byte tag line
+///   covers 16 KiB of data), so no modeled tag line is shared between
+///   workers and each worker streams whole tag lines in address order. A
+///   group already one full line's coverage past its target closes at
+///   any tag-word boundary, bounding the imbalance a boundary-poor plan
+///   could otherwise accumulate.
+///
+/// Groups always close *at least* on tag-word boundaries (64 granules =
+/// 1 KiB), so groups own disjoint word ranges of both arrays.
+pub(crate) fn plan_groups(
+    workers: usize,
+    mem: &TaggedMemory,
+    chunks: &[(u64, u64)],
+    shadow: &ShadowMap,
+    windows: &[(usize, usize)],
+    weights: &mut Vec<u64>,
+    groups: &mut Vec<(usize, usize)>,
+) {
+    let summary_clean = shadow.painted_bytes() == 0;
+    weights.clear();
+    weights.extend(chunks.iter().map(|&(s, l)| {
+        if summary_clean {
+            l
         } else {
-            self.bytes_planned() as f64 / self.bytes_total as f64
+            l.saturating_add(DECODE_WEIGHT * mem.count_tags_in(s, l) * GRANULE_SIZE)
         }
+    }));
+    let total_weight: u64 = weights.iter().sum();
+    let target = (total_weight / workers as u64).max(1);
+    let line_coverage = tag_cache_line_coverage();
+    let words_per_tag_line = ((line_coverage / (64 * GRANULE_SIZE)) as usize).max(1);
+    let mut group_start = 0;
+    let mut acc = 0u64;
+    for i in 0..chunks.len() {
+        acc += weights[i];
+        if acc < target || groups.len() + 1 >= workers || i + 1 == chunks.len() {
+            continue;
+        }
+        let (next_w, last_w) = (windows[i + 1].0 / 64, (windows[i].1 - 1) / 64);
+        if next_w <= last_w {
+            continue; // not even a tag-word boundary
+        }
+        let line_boundary = next_w / words_per_tag_line > last_w / words_per_tag_line;
+        if line_boundary || acc >= target.saturating_add(line_coverage) {
+            groups.push((group_start, i + 1));
+            group_start = i + 1;
+            acc = 0;
+        }
+    }
+    if group_start < chunks.len() {
+        groups.push((group_start, chunks.len()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{CLoadTagsLines, DirtyPageList, EveryLine, NoFilter};
     use cheri::Capability;
-    use tagmem::{AddressSpace, SegmentKind};
+    use tagmem::{AddressSpace, CoreDump, SegmentKind, LINE_SIZE, PAGE_SIZE};
 
     const HEAP: u64 = 0x1000_0000;
     const LEN: u64 = 1 << 16; // 16 pages, 512 lines
@@ -142,61 +209,112 @@ mod tests {
         CoreDump::capture(&space)
     }
 
+    /// Counts the `CLoadTags` queries a walk issues.
+    #[derive(Default)]
+    struct Queries(u64);
+
+    impl SweepCost for Queries {
+        fn cloadtags(&mut self, _addr: u64) {
+            self.0 += 1;
+        }
+    }
+
+    /// The planned chunk list of `dump`'s heap image under `filter`, and
+    /// the `CLoadTags` queries planning it issued.
+    fn plan(dump: &CoreDump, mut filter: impl GranuleFilter) -> (Vec<(u64, u64)>, u64) {
+        let mut image = dump.clone();
+        let mem = &mut image.segments_mut()[0].mem;
+        let (mut chunks, mut pages, mut queries) = (Vec::new(), Vec::new(), Queries::default());
+        plan_region(
+            mem,
+            HEAP,
+            LEN,
+            &mut filter,
+            &mut queries,
+            &mut SweepStats::default(),
+            &mut pages,
+            &mut chunks,
+        );
+        (chunks, queries.0)
+    }
+
+    fn bytes(chunks: &[(u64, u64)]) -> u64 {
+        chunks.iter().map(|&(_, l)| l).sum()
+    }
+
+    /// The plans of Fig. 8a's three sweep modes: no assist, PTE CapDirty
+    /// page skipping, and page skipping plus `CLoadTags` line skipping.
+    fn mode_plans(dump: &CoreDump) -> [Vec<(u64, u64)>; 3] {
+        let dirty = dump.cap_dirty_pages();
+        [
+            plan(dump, EveryLine).0,
+            plan(dump, (DirtyPageList::new(dirty), EveryLine)).0,
+            plan(dump, (DirtyPageList::new(dirty), CLoadTagsLines::new())).0,
+        ]
+    }
+
     #[test]
     fn no_skipping_covers_everything() {
         let dump = dump_with_caps(&[HEAP]);
-        let plan = SweepPlan::for_dump(&dump, SkipMode::None);
-        assert_eq!(plan.bytes_planned(), LEN);
-        assert_eq!(plan.sweep_fraction(), 1.0);
-        assert_eq!(plan.regions(), &[(HEAP, LEN)]);
+        assert_eq!(plan(&dump, NoFilter).0, vec![(HEAP, LEN)]);
+        let (lines, queries) = plan(&dump, EveryLine);
+        assert_eq!(bytes(&lines), LEN);
+        assert_eq!(lines.len() as u64, LEN / LINE_SIZE);
+        assert_eq!(queries, 0);
     }
 
     #[test]
     fn page_skipping_keeps_only_dirty_pages() {
         let dump = dump_with_caps(&[HEAP + 0x100, HEAP + 0x5000]);
-        let plan = SweepPlan::for_dump(&dump, SkipMode::PteCapDirty);
-        assert_eq!(plan.bytes_planned(), 2 * PAGE_SIZE);
-        assert!((plan.sweep_fraction() - 2.0 / 16.0).abs() < 1e-12);
+        let dirty = DirtyPageList::new(dump.cap_dirty_pages());
+        let (chunks, _) = plan(&dump, (dirty, EveryLine));
+        assert_eq!(bytes(&chunks), 2 * PAGE_SIZE);
+        assert!(chunks
+            .iter()
+            .all(|&(a, _)| a < HEAP + PAGE_SIZE || (HEAP + 0x5000..HEAP + 0x6000).contains(&a)));
     }
 
     #[test]
     fn line_skipping_keeps_only_tagged_lines() {
         let dump = dump_with_caps(&[HEAP + 0x100, HEAP + 0x5000]);
-        let plan = SweepPlan::for_dump(&dump, SkipMode::CLoadTags);
-        assert_eq!(plan.bytes_planned(), 2 * LINE_SIZE);
+        let dirty = DirtyPageList::new(dump.cap_dirty_pages());
+        let (chunks, queries) = plan(&dump, (dirty, CLoadTagsLines::new()));
+        assert_eq!(
+            chunks,
+            vec![(HEAP + 0x100, LINE_SIZE), (HEAP + 0x5000, LINE_SIZE)]
+        );
         // Queried every line of the two dirty pages.
-        assert_eq!(plan.lines_queried(), 2 * PAGE_SIZE / LINE_SIZE);
-        assert!((plan.sweep_fraction() - 2.0 / 512.0).abs() < 1e-12);
+        assert_eq!(queries, 2 * PAGE_SIZE / LINE_SIZE);
     }
 
     #[test]
     fn plans_are_ordered_and_disjoint() {
         let dump = dump_with_caps(&[HEAP + 0x5000, HEAP + 0x100, HEAP + 0x5040, HEAP + 0xf000]);
-        for mode in [SkipMode::None, SkipMode::PteCapDirty, SkipMode::CLoadTags] {
-            let plan = SweepPlan::for_dump(&dump, mode);
+        for (mode, chunks) in mode_plans(&dump).iter().enumerate() {
             let mut prev_end = 0u64;
-            for &(a, l) in plan.regions() {
-                assert!(a >= prev_end, "{mode:?} overlapping regions");
+            for &(a, l) in chunks {
+                assert!(a >= prev_end, "mode {mode}: overlapping chunks");
                 prev_end = a + l;
             }
-            assert!(plan.bytes_planned() <= plan.bytes_total());
+            assert!(bytes(chunks) <= LEN);
         }
     }
 
     #[test]
     fn empty_image_has_empty_plan() {
         let dump = dump_with_caps(&[]);
-        let plan = SweepPlan::for_dump(&dump, SkipMode::PteCapDirty);
-        assert_eq!(plan.bytes_planned(), 0);
-        assert_eq!(plan.sweep_fraction(), 0.0);
+        let dirty = DirtyPageList::new(dump.cap_dirty_pages());
+        let (chunks, queries) = plan(&dump, (dirty, CLoadTagsLines::new()));
+        assert!(chunks.is_empty());
+        assert_eq!(queries, 0);
+        let dirty = DirtyPageList::new(dump.cap_dirty_pages());
+        assert!(plan(&dump, (dirty, EveryLine)).0.is_empty());
     }
 
     #[test]
     fn modes_are_monotonically_better() {
         let dump = dump_with_caps(&[HEAP + 0x100, HEAP + 0x2000, HEAP + 0x2040, HEAP + 0x9000]);
-        let none = SweepPlan::for_dump(&dump, SkipMode::None).bytes_planned();
-        let pte = SweepPlan::for_dump(&dump, SkipMode::PteCapDirty).bytes_planned();
-        let clt = SweepPlan::for_dump(&dump, SkipMode::CLoadTags).bytes_planned();
+        let [none, pte, clt] = mode_plans(&dump).map(|chunks| bytes(&chunks));
         assert!(pte <= none);
         assert!(clt <= pte);
     }

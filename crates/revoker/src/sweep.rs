@@ -2,8 +2,7 @@
 //!
 //! The walk logic lives in [`crate::engine`]; this module contributes the
 //! Figure 7 kernel tiers (the inner loops) that
-//! [`SweepEngine`](crate::engine::SweepEngine) and
-//! [`ParallelSweepEngine`](crate::engine::ParallelSweepEngine) dispatch to.
+//! [`SweepEngine`](crate::engine::SweepEngine) dispatches to.
 
 use cheri::CapWord;
 use tagmem::GRANULE_SIZE;
@@ -85,7 +84,7 @@ pub struct SweepStats {
     pub lines_skipped: u64,
     /// Chunks whose kernel panicked and were retried on the sequential
     /// reference kernel (only ever non-zero with fault injection armed or
-    /// a genuinely buggy kernel; see `ParallelSweepEngine`).
+    /// a genuinely buggy kernel; see `SweepEngine::with_faults`).
     pub chunks_retried: u64,
 }
 
@@ -150,7 +149,7 @@ pub(crate) fn run_kernel<C: SweepCost>(
 
 /// Forces [`Kernel::Simd`] onto its scalar fallback path (test hook).
 ///
-/// Process-global so the parallel engine's scoped worker threads observe
+/// Process-global so the engine's scoped worker threads observe
 /// it too. Equivalence tests use it to prove the fallback is exercised and
 /// bit-identical; it is not part of the public API surface.
 #[doc(hidden)]
@@ -933,8 +932,8 @@ mod simd_neon {
 mod tests {
     use super::*;
     use crate::engine::{
-        sweep_register_file, CapDirtyPages, NoFilter, ParallelSweepEngine, RangeSource,
-        SegmentSource, SpaceSource, SweepEngine,
+        sweep_register_file, CapDirtyPages, NoFilter, RangeSource, SegmentSource, SpaceSource,
+        SweepEngine,
     };
     use cheri::Capability;
     use tagmem::{AddressSpace, RegisterFile, TaggedMemory};
@@ -1276,7 +1275,7 @@ mod tests {
     fn parallel_engine_handles_odd_partitions() {
         for threads in [1, 2, 3, 7, 16] {
             let (mut mem, shadow, expect) = scenario(333);
-            let stats = ParallelSweepEngine::new(Kernel::Wide, threads).sweep(
+            let stats = SweepEngine::new(Kernel::Wide).with_workers(threads).sweep(
                 SegmentSource::new(&mut mem),
                 NoFilter,
                 &shadow,

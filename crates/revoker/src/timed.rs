@@ -14,21 +14,24 @@
 //! that charges each access to the machine, so the visitation order (and
 //! therefore the revocation set) cannot diverge from an untimed sweep by
 //! construction. Each [`TimedMode`] is just a different
-//! [`GranuleFilter`](crate::engine::GranuleFilter) composition.
+//! [`GranuleFilter`](crate::engine::GranuleFilter) composition, built in
+//! one place ([`sweep_image`]); swept without a cost model, the same
+//! compositions measure Fig. 8a's proportion of memory swept.
 
 use simcache::Machine;
-use tagmem::{CoreDump, GRANULE_SIZE};
+use tagmem::{CoreDump, SegmentImage, GRANULE_SIZE};
 
 use crate::engine::{
     CLoadTagsLines, DirtyPageList, DumpSource, EveryLine, IdealLines, SweepCost, SweepEngine,
+    SweepScratch,
 };
 use crate::{Kernel, ShadowMap, SweepStats};
 
 /// The hardware configuration a timed sweep models (the four lines of
-/// Fig. 8b).
+/// Fig. 8b; the first three are also Fig. 8a's sweep modes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimedMode {
-    /// Read and inspect every line.
+    /// Read and inspect every line (no assists).
     Full,
     /// Skip CapDirty-clean pages; read every line of dirty pages (§3.4.2).
     PteCapDirty,
@@ -102,6 +105,38 @@ impl SweepCost for MachineCost<'_> {
     }
 }
 
+/// Sweeps `segments` (a core dump's images) with `engine` under `mode`'s
+/// filter composition, charging `cost`. `dirty_pages` is the dump's
+/// sorted CapDirty page list. With [`NoCost`](crate::NoCost) this is the
+/// engine's uncosted walk, whose `bytes_swept` is Fig. 8a's memory that
+/// must be swept; with a machine model it is [`timed_sweep`]'s walk.
+pub fn sweep_image<C: SweepCost>(
+    engine: &SweepEngine,
+    segments: &mut [SegmentImage],
+    dirty_pages: &[u64],
+    shadow: &ShadowMap,
+    mode: TimedMode,
+    cost: &mut C,
+) -> SweepStats {
+    let source = DumpSource::new(segments);
+    let pages = DirtyPageList::new(dirty_pages);
+    let scratch = &mut SweepScratch::new();
+    match mode {
+        TimedMode::Full => engine.sweep_with(source, EveryLine, shadow, cost, scratch),
+        TimedMode::PteCapDirty => {
+            engine.sweep_with(source, (pages, EveryLine), shadow, cost, scratch)
+        }
+        TimedMode::CLoadTags => engine.sweep_with(
+            source,
+            (pages, CLoadTagsLines::new()),
+            shadow,
+            cost,
+            scratch,
+        ),
+        TimedMode::Ideal => engine.sweep_with(source, (pages, IdealLines), shadow, cost, scratch),
+    }
+}
+
 /// Replays a revocation sweep of `dump` on `machine` under `mode`,
 /// returning its cost. The dump is not mutated (so one image can be timed
 /// repeatedly, like the paper's 20-sweep averages, §5.3): the sweep runs
@@ -141,34 +176,14 @@ pub fn timed_sweep_with_kernel(
         bytes_read: 0,
         cloadtags_issued: 0,
     };
-    let engine = SweepEngine::new(kernel);
-    let dirty = dump.cap_dirty_pages();
-    let stats: SweepStats = match mode {
-        TimedMode::Full => engine.sweep_costed(
-            DumpSource::new(scratch.segments_mut()),
-            EveryLine,
-            shadow,
-            &mut cost,
-        ),
-        TimedMode::PteCapDirty => engine.sweep_costed(
-            DumpSource::new(scratch.segments_mut()),
-            (DirtyPageList::new(dirty), EveryLine),
-            shadow,
-            &mut cost,
-        ),
-        TimedMode::CLoadTags => engine.sweep_costed(
-            DumpSource::new(scratch.segments_mut()),
-            (DirtyPageList::new(dirty), CLoadTagsLines::new()),
-            shadow,
-            &mut cost,
-        ),
-        TimedMode::Ideal => engine.sweep_costed(
-            DumpSource::new(scratch.segments_mut()),
-            (DirtyPageList::new(dirty), IdealLines),
-            shadow,
-            &mut cost,
-        ),
-    };
+    let stats = sweep_image(
+        &SweepEngine::new(kernel),
+        scratch.segments_mut(),
+        dump.cap_dirty_pages(),
+        shadow,
+        mode,
+        &mut cost,
+    );
     let (bytes_read, cloadtags_issued) = (cost.bytes_read, cost.cloadtags_issued);
     let cycles = machine.cycles() - start_cycles;
     TimedSweepReport {
@@ -330,6 +345,41 @@ mod tests {
             let fast = timed_sweep_with_kernel(&dump, &shadow, &mut m2, mode, Kernel::Fast);
             assert_eq!(wide, fast, "{mode:?}");
         }
+    }
+
+    /// Fig. 8a's metric for an image holding capabilities at `caps`.
+    fn bytes_swept(caps: &[u64], mode: TimedMode) -> u64 {
+        let mut space = AddressSpace::builder()
+            .segment(SegmentKind::Heap, HEAP, LEN)
+            .build();
+        for &a in caps {
+            space.store_cap(a, &Capability::root_rw(HEAP, 64)).unwrap();
+        }
+        let mut dump = CoreDump::capture(&space);
+        let dirty = dump.cap_dirty_pages().to_vec();
+        let shadow = ShadowMap::new(HEAP, LEN);
+        let engine = SweepEngine::new(Kernel::Fast);
+        sweep_image(
+            &engine,
+            dump.segments_mut(),
+            &dirty,
+            &shadow,
+            mode,
+            &mut crate::NoCost,
+        )
+        .bytes_swept
+    }
+
+    #[test]
+    fn assisted_sweeps_read_only_what_they_must() {
+        // Two dirty pages; the second holds two capabilities in one line.
+        let caps = [HEAP + 0x100, HEAP + 0x5000, HEAP + 0x5040];
+        assert_eq!(bytes_swept(&caps, TimedMode::Full), LEN);
+        assert_eq!(bytes_swept(&caps, TimedMode::PteCapDirty), 2 * PAGE_SIZE);
+        assert_eq!(bytes_swept(&caps, TimedMode::CLoadTags), 2 * LINE_SIZE);
+        // A capability-free image needs no sweep under either assist.
+        assert_eq!(bytes_swept(&[], TimedMode::PteCapDirty), 0);
+        assert_eq!(bytes_swept(&[], TimedMode::CLoadTags), 0);
     }
 
     #[test]

@@ -1,21 +1,22 @@
 //! Proves the "allocation-free sweep scratch" claim: once a
 //! [`revoker::SweepScratch`] has been warmed by one sweep, further
-//! steady-state sweeps through the sequential [`revoker::SweepEngine`]
-//! perform **zero** heap allocations — the walk, the per-page capability
-//! accounting and the revoke inner loop all reuse the scratch's buffers.
+//! steady-state uncosted sweeps through a one-worker
+//! [`revoker::SweepEngine`] perform **zero** heap allocations — the walk,
+//! the chunk plan, the per-page capability accounting and the revoke
+//! inner loop all reuse the scratch's buffers.
 //!
 //! The proof is a counting `#[global_allocator]`: every `alloc`/`realloc`
 //! bumps an atomic, and the measured region asserts the counter does not
-//! move. The parallel engine is deliberately out of scope — spawning its
+//! move. Multi-worker sweeps are deliberately out of scope — spawning
 //! scoped worker threads allocates O(workers) per sweep by design (see
-//! `ParallelSweepEngine::sweep_scratched` docs).
+//! the [`revoker::SweepScratch`] docs).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cheri::Capability;
 use revoker::{
-    CLoadTagsLines, CapDirtyPages, EveryLine, Kernel, NoFilter, SegmentSource, ShadowMap,
+    CLoadTagsLines, CapDirtyPages, EveryLine, Kernel, NoCost, NoFilter, SegmentSource, ShadowMap,
     SweepEngine, SweepScratch,
 };
 use tagmem::{PageTable, TaggedMemory};
@@ -73,7 +74,13 @@ fn warmed(kernel: Kernel, scratch: &mut SweepScratch) -> (TaggedMemory, ShadowMa
     // (nothing is revoked, the inner loop stays hot).
     shadow.paint(BASE + 4096, 4096);
     let engine = SweepEngine::new(kernel);
-    engine.sweep_scratched(SegmentSource::new(&mut mem), NoFilter, &shadow, scratch);
+    engine.sweep_with(
+        SegmentSource::new(&mut mem),
+        NoFilter,
+        &shadow,
+        &mut NoCost,
+        scratch,
+    );
     (mem, shadow)
 }
 
@@ -90,10 +97,11 @@ fn steady_state_scratched_sweeps_allocate_nothing() {
         let before = allocations();
         let mut inspected = 0u64;
         for _ in 0..8 {
-            let stats = engine.sweep_scratched(
+            let stats = engine.sweep_with(
                 SegmentSource::new(&mut mem),
                 NoFilter,
                 &shadow,
+                &mut NoCost,
                 &mut scratch,
             );
             inspected += stats.caps_inspected;
@@ -108,18 +116,20 @@ fn steady_state_scratched_sweeps_allocate_nothing() {
 
         // Filtered steady state: the line/page span consumers must reuse
         // the scratch too (the hoisted per-page buffers).
-        engine.sweep_scratched(
+        engine.sweep_with(
             SegmentSource::new(&mut mem),
             (EveryLine, CLoadTagsLines::new()),
             &shadow,
+            &mut NoCost,
             &mut scratch,
         );
         let before = allocations();
         for _ in 0..8 {
-            engine.sweep_scratched(
+            engine.sweep_with(
                 SegmentSource::new(&mut mem),
                 (EveryLine, CLoadTagsLines::new()),
                 &shadow,
+                &mut NoCost,
                 &mut scratch,
             );
         }
@@ -138,19 +148,21 @@ fn steady_state_scratched_sweeps_allocate_nothing() {
             table.note_cap_store(addr).expect("stores not inhibited");
             addr += 256;
         }
-        engine.sweep_scratched(
+        engine.sweep_with(
             SegmentSource::new(&mut mem),
             CapDirtyPages::new(&mut table),
             &shadow,
+            &mut NoCost,
             &mut scratch,
         );
         let before = allocations();
         let mut inspected = 0u64;
         for _ in 0..8 {
-            let stats = engine.sweep_scratched(
+            let stats = engine.sweep_with(
                 SegmentSource::new(&mut mem),
                 CapDirtyPages::new(&mut table),
                 &shadow,
+                &mut NoCost,
                 &mut scratch,
             );
             inspected += stats.caps_inspected;

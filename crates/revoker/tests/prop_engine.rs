@@ -1,15 +1,17 @@
-//! Property tests for the unified sweep engine: the parallel engine is
-//! observationally identical to the sequential one for any worker count,
-//! and the hardware-assist filters (PTE CapDirty pages, CLoadTags lines)
-//! never change *what* a sweep revokes — only how much it reads.
+//! Property tests for the sweep engine: its uncosted walk (plan, then
+//! execute at any worker count) is observationally identical to its
+//! costed walk (interleaved, on the calling thread), and the
+//! hardware-assist filters (PTE CapDirty pages, CLoadTags lines) never
+//! change *what* a sweep revokes — only how much it reads.
 
 use cheri::Capability;
 use proptest::prelude::*;
+use revoker::timed::{sweep_image, TimedMode};
 use revoker::{
-    CLoadTagsLines, CapDirtyPages, EveryLine, IdealLines, Kernel, NoFilter, ParallelSweepEngine,
-    SegmentSource, ShadowMap, SweepEngine, SweepStats,
+    CLoadTagsLines, CapDirtyPages, CapSource, EveryLine, GranuleFilter, IdealLines, Kernel, NoCost,
+    NoFilter, SegmentSource, ShadowMap, SweepCost, SweepEngine, SweepScratch, SweepStats,
 };
-use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE, PAGE_SIZE};
+use tagmem::{PageTable, SegmentImage, SegmentKind, TaggedMemory, GRANULE_SIZE, PAGE_SIZE};
 
 const HEAP: u64 = 0x1000_0000;
 const LEN: u64 = 1 << 16;
@@ -100,20 +102,82 @@ fn dirty_table(plants: &[PlantedCap]) -> PageTable {
     table
 }
 
-/// Sequential reference sweep of a fresh image.
+/// A recording cost model: attaching it selects the engine's costed walk
+/// (walk and execute interleaved, on the calling thread).
+#[derive(Debug, Default)]
+struct Recording {
+    bytes_read: u64,
+    cloadtags: u64,
+}
+
+impl SweepCost for Recording {
+    fn chunk_read(&mut self, _addr: u64, len: u64) {
+        self.bytes_read += len;
+    }
+
+    fn cloadtags(&mut self, _addr: u64) {
+        self.cloadtags += 1;
+    }
+}
+
+/// A costed sweep: the reference every uncosted sweep must match.
+fn costed<S: CapSource, F: GranuleFilter>(
+    kernel: Kernel,
+    source: S,
+    filter: F,
+    shadow: &ShadowMap,
+) -> SweepStats {
+    let mut cost = Recording::default();
+    let stats = SweepEngine::new(kernel).sweep_with(
+        source,
+        filter,
+        shadow,
+        &mut cost,
+        &mut SweepScratch::new(),
+    );
+    assert_eq!(cost.bytes_read, stats.bytes_swept);
+    stats
+}
+
+/// Costed reference sweep of a fresh image.
 fn sequential(plants: &[PlantedCap], paint: &[u64], kernel: Kernel) -> (TaggedMemory, SweepStats) {
     let (mut mem, shadow) = build(plants, paint);
-    let stats = SweepEngine::new(kernel).sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
+    let stats = costed(kernel, SegmentSource::new(&mut mem), NoFilter, &shadow);
     (mem, stats)
 }
+
+/// The image as a one-segment dump, with its CapDirty page list (every
+/// page holding a tag, plus `false_positives`), for the Fig. 8 filter
+/// compositions [`sweep_image`] builds.
+fn dump_image(mem: &TaggedMemory, false_positives: &[u64]) -> (Vec<SegmentImage>, Vec<u64>) {
+    let mut pages: Vec<u64> = mem
+        .tagged_addrs()
+        .map(|addr| addr & !(PAGE_SIZE - 1))
+        .chain(false_positives.iter().map(|&p| HEAP + p * PAGE_SIZE))
+        .collect();
+    pages.sort_unstable();
+    pages.dedup();
+    let image = SegmentImage {
+        kind: SegmentKind::Heap,
+        mem: mem.clone(),
+    };
+    (vec![image], pages)
+}
+
+const MODES: [TimedMode; 4] = [
+    TimedMode::Full,
+    TimedMode::PteCapDirty,
+    TimedMode::CLoadTags,
+    TimedMode::Ideal,
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The parallel engine with any worker count in 1..=8 produces
-    /// byte-identical memory, tags and `SweepStats` to the sequential
-    /// engine — both on the single-chunk (region) plan and on a
-    /// line-granular plan large enough to actually split across workers.
+    /// The uncosted walk with any worker count in 1..=8 produces
+    /// byte-identical memory, tags and `SweepStats` to the costed walk —
+    /// both on the single-chunk (region) plan and on a line-granular plan
+    /// large enough to actually split across workers.
     #[test]
     fn parallel_engine_matches_sequential(
         plants in planted(),
@@ -123,12 +187,11 @@ proptest! {
         let (seq_mem, seq_stats) = sequential(&plants, &paint, kernel);
         // Line-granular reference: same revocations, chunked plan.
         let (mut line_mem, shadow) = build(&plants, &paint);
-        let line_stats = SweepEngine::new(kernel)
-            .sweep(SegmentSource::new(&mut line_mem), EveryLine, &shadow);
+        let line_stats = costed(kernel, SegmentSource::new(&mut line_mem), EveryLine, &shadow);
         prop_assert_eq!(&seq_mem, &line_mem, "chunking changed the result");
 
         for workers in 1..=8usize {
-            let engine = ParallelSweepEngine::new(kernel, workers);
+            let engine = SweepEngine::new(kernel).with_workers(workers);
 
             let (mut mem, shadow) = build(&plants, &paint);
             let stats = engine.sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
@@ -229,30 +292,42 @@ proptest! {
         );
     }
 
-    /// Filtered sweeps behave identically under the parallel engine too:
-    /// the plan is built by the same filter walk, so worker count cannot
-    /// change which chunks are skipped.
+    /// Filtered sweeps behave identically on both walks too: the plan is
+    /// built by the same filter walk, so neither the cost model nor the
+    /// worker count can change which chunks are skipped. Covered for a
+    /// bare CLoadTags filter and for every filter composition the timed
+    /// sweeps build (Fig. 8's modes over a CapDirty page list with false
+    /// positives), at 1 and `workers` workers.
     #[test]
     fn parallel_filtered_matches_sequential_filtered(
         plants in planted(),
         paint in painted_granules(),
+        false_positives in proptest::collection::vec(0u64..LEN / PAGE_SIZE, 0..4),
+        kernel in kernels(),
         workers in 2..=8usize,
     ) {
         let (mut seq_mem, shadow) = build(&plants, &paint);
-        let seq = SweepEngine::new(Kernel::Wide).sweep(
-            SegmentSource::new(&mut seq_mem),
-            CLoadTagsLines::new(),
-            &shadow,
-        );
+        let seq = costed(kernel, SegmentSource::new(&mut seq_mem), CLoadTagsLines::new(), &shadow);
+        let (images, dirty) = dump_image(&build(&plants, &paint).0, &false_positives);
 
-        let (mut par_mem, shadow) = build(&plants, &paint);
-        let par = ParallelSweepEngine::new(Kernel::Wide, workers).sweep(
-            SegmentSource::new(&mut par_mem),
-            CLoadTagsLines::new(),
-            &shadow,
-        );
-        prop_assert_eq!(&par_mem, &seq_mem);
-        prop_assert_eq!(par, seq);
+        for n in [1, workers] {
+            let engine = SweepEngine::new(kernel).with_workers(n);
+            let (mut par_mem, shadow) = build(&plants, &paint);
+            let par = engine.sweep(SegmentSource::new(&mut par_mem), CLoadTagsLines::new(), &shadow);
+            prop_assert_eq!(&par_mem, &seq_mem, "memory diverged at {} workers", n);
+            prop_assert_eq!(par, seq, "stats diverged at {} workers", n);
+
+            for mode in MODES {
+                let mut reference = images.clone();
+                let mut cost = Recording::default();
+                let want = sweep_image(&engine, &mut reference, &dirty, &shadow, mode, &mut cost);
+                prop_assert_eq!(cost.bytes_read, want.bytes_swept);
+                let mut image = images.clone();
+                let got = sweep_image(&engine, &mut image, &dirty, &shadow, mode, &mut NoCost);
+                prop_assert_eq!(&image, &reference, "{:?} memory diverged at {} workers", mode, n);
+                prop_assert_eq!(got, want, "{:?} stats diverged at {} workers", mode, n);
+            }
+        }
     }
 
     /// The no-tagged-cap-to-reused-granule invariant survives the
@@ -267,13 +342,13 @@ proptest! {
         workers in 1..=8usize,
     ) {
         let (mut seq_mem, shadow) = build_len(BLEN, &plants, &paint);
-        let seq_stats = SweepEngine::new(kernel)
-            .sweep(SegmentSource::new(&mut seq_mem), NoFilter, &shadow);
+        let seq_stats = costed(kernel, SegmentSource::new(&mut seq_mem), NoFilter, &shadow);
 
-        // Sequential, through the epoch's filter.
+        // Costed, through the epoch's filter.
         let (mut mem, shadow) = build_len(BLEN, &plants, &paint);
         let mut table = dirty_table(&plants);
-        let stats = SweepEngine::new(kernel).sweep(
+        let stats = costed(
+            kernel,
             SegmentSource::new(&mut mem),
             CapDirtyPages::new(&mut table),
             &shadow,
@@ -292,16 +367,19 @@ proptest! {
             );
         }
 
-        // Parallel at the sampled worker count: same memory, same
-        // revocations (the plan is built by the same filter walk).
+        // Uncosted at the sampled worker count: same memory, same
+        // revocations and the same pages re-cleaned (the plan is built by
+        // the same filter walk).
+        let costed_dirty = table.cap_dirty_pages();
         let (mut mem, shadow) = build_len(BLEN, &plants, &paint);
         let mut table = dirty_table(&plants);
-        let par = ParallelSweepEngine::new(kernel, workers).sweep(
+        let par = SweepEngine::new(kernel).with_workers(workers).sweep(
             SegmentSource::new(&mut mem),
             CapDirtyPages::new(&mut table),
             &shadow,
         );
         prop_assert_eq!(&mem, &seq_mem, "CapDirty filter diverged at {} workers", workers);
         prop_assert_eq!(par, stats, "stats diverged at {} workers", workers);
+        prop_assert_eq!(table.cap_dirty_pages(), costed_dirty, "re-cleaning diverged");
     }
 }

@@ -12,8 +12,8 @@
 use cheri::Capability;
 use proptest::prelude::*;
 use revoker::{
-    CLoadTagsLines, CapDirtyPages, EveryLine, Kernel, NoFilter, ParallelSweepEngine, SegmentSource,
-    ShadowMap, SweepEngine, SweepStats,
+    CLoadTagsLines, CapDirtyPages, EveryLine, Kernel, NoFilter, SegmentSource, ShadowMap,
+    SweepEngine, SweepStats,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE};
 
@@ -106,7 +106,7 @@ fn build(plants: &[PlantedCap], paint: &[u64]) -> (TaggedMemory, ShadowMap) {
 /// Wide-tier reference sweep of a fresh image under `filter`.
 fn reference<F>(plants: &[PlantedCap], paint: &[u64], filter: F) -> (TaggedMemory, SweepStats)
 where
-    F: revoker::GranuleFilter<TaggedMemory>,
+    F: revoker::GranuleFilter,
 {
     let (mut mem, shadow) = build(plants, paint);
     let stats = SweepEngine::new(Kernel::Wide).sweep(SegmentSource::new(&mut mem), filter, &shadow);
@@ -189,7 +189,7 @@ proptest! {
         }
     }
 
-    /// The parallel engine running the fast or simd kernel at any worker
+    /// The engine running the fast or simd kernel at any worker
     /// count in 1..=8 matches the sequential wide reference — both
     /// unfiltered and on a chunked line-granular plan.
     #[test]
@@ -200,7 +200,7 @@ proptest! {
     ) {
         for kernel in [Kernel::Fast, Kernel::Simd] {
             let (wide_mem, wide_stats) = reference(&plants, &paint, NoFilter);
-            let engine = ParallelSweepEngine::new(kernel, workers);
+            let engine = SweepEngine::new(kernel).with_workers(workers);
 
             let (mut mem, shadow) = build(&plants, &paint);
             let stats = engine.sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
@@ -257,7 +257,7 @@ proptest! {
 
             let (mut mem, shadow) = build_wide(&plants, &paint);
             let mut table = dirty_table(&plants);
-            let par = ParallelSweepEngine::new(kernel, workers).sweep(
+            let par = SweepEngine::new(kernel).with_workers(workers).sweep(
                 SegmentSource::new(&mut mem),
                 CapDirtyPages::new(&mut table),
                 &shadow,

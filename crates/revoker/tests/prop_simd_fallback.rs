@@ -5,7 +5,7 @@
 //! * **Forced scalar fallback** — with the `force_scalar_kernel` test hook
 //!   armed, the simd kernel must produce byte-identical memory and stats
 //!   to its own vector path (and to [`Kernel::Wide`]), across filters and
-//!   worker counts. The hook is process-global (the parallel engine's
+//!   worker counts. The hook is process-global (the engine's
 //!   scoped workers must observe it), so this lives in its own integration
 //!   binary: no other test in this process runs concurrently and the hook
 //!   cannot leak into unrelated equivalence tests.
@@ -20,8 +20,8 @@
 use cheri::Capability;
 use proptest::prelude::*;
 use revoker::{
-    force_scalar_kernel, CapDirtyPages, EveryLine, Kernel, NoFilter, ParallelSweepEngine,
-    SegmentSource, ShadowMap, SweepCost, SweepEngine,
+    force_scalar_kernel, CapDirtyPages, EveryLine, Kernel, NoFilter, SegmentSource, ShadowMap,
+    SweepCost, SweepEngine, SweepScratch,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE};
 
@@ -124,7 +124,7 @@ proptest! {
             prop_assert_eq!(stats, wide_stats);
 
             let (mut mem, shadow) = build(&plants, &paint);
-            let stats = ParallelSweepEngine::new(Kernel::Simd, workers)
+            let stats = SweepEngine::new(Kernel::Simd).with_workers(workers)
                 .sweep(SegmentSource::new(&mut mem), EveryLine, &shadow);
             prop_assert_eq!(
                 &mem, &wide_mem,
@@ -166,20 +166,22 @@ proptest! {
     ) {
         let (mut fast_mem, shadow) = build(&plants, &paint);
         let mut fast_cost = RecordingCost::default();
-        let fast_stats = SweepEngine::new(Kernel::Fast).sweep_costed(
+        let fast_stats = SweepEngine::new(Kernel::Fast).sweep_with(
             SegmentSource::new(&mut fast_mem),
             EveryLine,
             &shadow,
             &mut fast_cost,
+            &mut SweepScratch::new(),
         );
 
         let (mut simd_mem, shadow) = build(&plants, &paint);
         let mut simd_cost = RecordingCost::default();
-        let simd_stats = SweepEngine::new(Kernel::Simd).sweep_costed(
+        let simd_stats = SweepEngine::new(Kernel::Simd).sweep_with(
             SegmentSource::new(&mut simd_mem),
             EveryLine,
             &shadow,
             &mut simd_cost,
+            &mut SweepScratch::new(),
         );
 
         prop_assert_eq!(&simd_mem, &fast_mem, "costed simd revoked a different set");

@@ -4,9 +4,7 @@
 
 use cheri::Capability;
 use proptest::prelude::*;
-use revoker::{
-    Kernel, NoFilter, ParallelSweepEngine, SegmentSource, ShadowMap, SweepEngine, SweepStats,
-};
+use revoker::{Kernel, NoFilter, SegmentSource, ShadowMap, SweepEngine, SweepStats};
 use tagmem::{TaggedMemory, GRANULE_SIZE};
 
 const HEAP: u64 = 0x1000_0000;
@@ -58,7 +56,7 @@ fn sweep(kernel: Kernel, mem: &mut TaggedMemory, shadow: &ShadowMap) -> SweepSta
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every kernel, and the parallel engine, produces byte-identical
+    /// Every kernel, and a three-worker sweep, produces byte-identical
     /// post-sweep memory and identical statistics.
     #[test]
     fn kernels_are_equivalent(plants in planted(), paint in painted_granules()) {
@@ -76,7 +74,7 @@ proptest! {
             outcomes.push((mem, stats.caps_inspected, stats.caps_revoked));
         }
         let (mut mem, shadow) = build(&plants, &paint);
-        let stats = ParallelSweepEngine::new(Kernel::Wide, 3).sweep(
+        let stats = SweepEngine::new(Kernel::Wide).with_workers(3).sweep(
             SegmentSource::new(&mut mem),
             NoFilter,
             &shadow,

@@ -1,5 +1,5 @@
-//! Tagged memory, page tables with CapDirty bits, and hierarchical tag
-//! tables — the memory substrate CHERIvoke sweeps.
+//! Tagged memory and page tables with CapDirty bits — the memory
+//! substrate CHERIvoke sweeps.
 //!
 //! CHERI memory attaches one out-of-band **tag bit to every 16-byte
 //! granule** (paper §2.2): the bit is set only by legitimate capability
@@ -8,14 +8,12 @@
 //!
 //! * [`TaggedMemory`] — a contiguous segment of byte-addressable memory plus
 //!   its tag bitmap; data writes clear tags, capability reads/writes move
-//!   [`cheri::CapWord`]s with their tags.
+//!   [`cheri::CapWord`]s with their tags, and [`TaggedMemory::load_tags`]
+//!   is the **CLoadTags** instruction (paper §3.4.1) that lets a sweep
+//!   skip capability-free cache lines without touching their data.
 //! * [`AddressSpace`] — the program's memory image: heap, stack and globals
 //!   segments, a [`RegisterFile`], and a [`PageTable`] whose **CapDirty**
 //!   bits record which pages have ever held capabilities (paper §3.4.2).
-//! * [`TagTable`] — a two-level hierarchical summary of tag bits (after
-//!   Joannou et al.), the structure behind the **CLoadTags** instruction
-//!   (paper §3.4.1) that lets a sweep skip capability-free cache lines
-//!   without touching their data.
 //! * [`CoreDump`] — snapshots of an address space, mirroring the paper's
 //!   methodology of sweeping application memory dumps (§5.3).
 //!
@@ -53,7 +51,6 @@ mod pagetable;
 mod regfile;
 mod snapshot;
 pub mod snapshot_io;
-mod tagtable;
 
 pub use addrspace::{AddressSpace, AddressSpaceBuilder, Segment, SegmentKind};
 pub use error::MemError;
@@ -61,7 +58,6 @@ pub use memory::TaggedMemory;
 pub use pagetable::{PageFlags, PageTable, PAGE_SIZE};
 pub use regfile::{RegisterFile, NUM_CAP_REGS};
 pub use snapshot::{CoreDump, PointerStats, SegmentImage};
-pub use tagtable::{TagTable, GRANULES_PER_GROUP};
 
 /// Bytes per tag granule (one tag bit covers this much data).
 pub const GRANULE_SIZE: u64 = cheri::GRANULE;

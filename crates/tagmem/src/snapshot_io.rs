@@ -8,7 +8,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::{CoreDump, SegmentImage, SegmentKind, TaggedMemory};
+use crate::{CoreDump, SegmentImage, SegmentKind, TaggedMemory, PAGE_SIZE};
 
 /// Format magic: "CVKD" + version 1.
 const MAGIC: u32 = 0x4356_4401;
@@ -29,6 +29,10 @@ pub enum DumpIoError {
     },
     /// Buffer ended mid-record, or a field was inconsistent.
     Truncated,
+    /// The CapDirty page list is not strictly ascending page-aligned
+    /// addresses (unsorted, duplicated or unaligned). Sweeps binary-search
+    /// this list, so accepting it would silently skip dirty pages.
+    BadDirtyPages,
 }
 
 impl core::fmt::Display for DumpIoError {
@@ -39,6 +43,12 @@ impl core::fmt::Display for DumpIoError {
                 write!(f, "unknown segment kind {found}")
             }
             DumpIoError::Truncated => write!(f, "dump buffer truncated or corrupt"),
+            DumpIoError::BadDirtyPages => {
+                write!(
+                    f,
+                    "CapDirty page list is not sorted, unique and page-aligned"
+                )
+            }
         }
     }
 }
@@ -163,6 +173,9 @@ pub fn decode_dump(mut buf: Bytes) -> Result<CoreDump, DumpIoError> {
     for _ in 0..npages {
         pages.push(buf.get_u64_le());
     }
+    if !pages.iter().all(|p| p.is_multiple_of(PAGE_SIZE)) || !pages.is_sorted_by(|a, b| a < b) {
+        return Err(DumpIoError::BadDirtyPages);
+    }
     Ok(CoreDump::from_parts(segments, pages))
 }
 
@@ -220,6 +233,33 @@ mod tests {
             decode_dump(Bytes::from(bytes)),
             Err(DumpIoError::BadSegmentKind { found: 99 })
         ));
+    }
+
+    #[test]
+    fn bad_dirty_page_lists_rejected() {
+        // A segment-free dump carrying only a CapDirty page list.
+        let encode = |pages: &[u64]| {
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(MAGIC);
+            buf.put_u32_le(0);
+            buf.put_u64_le(pages.len() as u64);
+            for &p in pages {
+                buf.put_u64_le(p);
+            }
+            buf.freeze()
+        };
+        assert!(decode_dump(encode(&[0x1000, 0x3000])).is_ok());
+        for pages in [
+            &[0x3000, 0x1000][..], // unsorted
+            &[0x1000, 0x1000],     // duplicated
+            &[0x1010],             // not page-aligned
+        ] {
+            assert_eq!(
+                decode_dump(encode(pages)),
+                Err(DumpIoError::BadDirtyPages),
+                "{pages:x?}"
+            );
+        }
     }
 
     #[test]

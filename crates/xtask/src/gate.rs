@@ -62,9 +62,8 @@ pub const NOISE_MARGIN: f64 = 2.0;
 /// reported as informational with the noise called out.
 pub const NOISE_CAP: f64 = 40.0;
 
-/// The per-metric policy table. Thresholds are the 10% ISSUE default
-/// except where a metric's variance demands otherwise; `lab.toml`'s
-/// `[thresholds]` section overrides any threshold by metric name.
+/// The per-metric policy table. Thresholds are the 10% default except
+/// where a metric's variance demands otherwise.
 pub fn default_policies() -> BTreeMap<String, MetricPolicy> {
     let mut m = BTreeMap::new();
     let mut p = |name: &str, threshold_pct: f64, direction, wall_clock, noise_metric| {
@@ -116,7 +115,7 @@ pub fn default_policies() -> BTreeMap<String, MetricPolicy> {
     // The CapDirty probe's visited fraction is pure counting —
     // zero tolerance, like the other deterministic metrics.
     p("swept_fraction", 0.0, Direction::LowerIsBetter, false, None);
-    // Fleet cells (`[matrix.fleet]`): aggregate throughput and pause tail
+    // Fleet cells (`bench::lab::FLEET_GRID`): aggregate throughput and pause tail
     // are wall-clock; budget boundedness is enforced synchronously by
     // admission control, so it is deterministic and gates at zero drift.
     p(

@@ -5,23 +5,21 @@
 //! Subcommands:
 //!
 //! * `cargo xtask lab` — the scalability lab (DESIGN.md §16): runs the
-//!   declared experiment matrix in-process, writes `BENCH_trajectory.json`
-//!   at the repo root, and with `--gate` diffs it against the committed
-//!   baseline, failing on regression beyond the per-metric thresholds in
-//!   `lab.toml`.
+//!   experiment matrix (`bench::lab`) in-process, writes
+//!   `BENCH_trajectory.json` at the repo root, and with `--gate` diffs it
+//!   against the committed baseline, failing on regression beyond the
+//!   per-metric thresholds of `gate::default_policies`.
 //! * `cargo xtask results` — regenerates the deterministic
 //!   `results/*.txt` captures; `--check` fails on drift.
 
 mod gate;
-mod labtoml;
 mod results;
 mod trajectory;
 
 use bench::fleet::{run_fleet_cell, FleetParams};
-use bench::lab::{run_experiment, ExperimentConfig, LabMatrix, LabOptions};
+use bench::lab::{run_experiment, ExperimentConfig, LabMatrix, LabOptions, FLEET_GRID};
 use bench::service::{churn, ChurnParams};
 use gate::{compare, default_policies};
-use labtoml::LabFile;
 use std::path::PathBuf;
 use trajectory::{HostFingerprint, Trajectory, SCHEMA_VERSION};
 
@@ -29,7 +27,7 @@ const USAGE: &str = "\
 usage: cargo xtask <subcommand>
 
   lab [--smoke|--full] [--gate] [--list] [--out PATH] [--baseline PATH]
-      [--config PATH] [--metrics-out PATH]
+      [--metrics-out PATH]
       Run the scalability-lab experiment matrix and write BENCH_trajectory.json.
         --smoke        CI-sized matrix and sizing (the default)
         --full         full characterisation matrix
@@ -37,7 +35,6 @@ usage: cargo xtask <subcommand>
         --list         print the expanded experiment matrix and exit
         --out PATH     trajectory output (default: <repo>/BENCH_trajectory.json)
         --baseline PATH  baseline to gate against (default: the committed --out file)
-        --config PATH  lab config (default: <repo>/lab.toml)
         --metrics-out PATH  write the telemetry churn's metrics snapshot JSON
 
   results [--check] [--only NAME]
@@ -97,7 +94,7 @@ fn parse_flags(args: &[String], value_flags: &[&str]) -> Result<Flags, String> {
 }
 
 fn lab(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["--out", "--baseline", "--config", "--metrics-out"])?;
+    let flags = parse_flags(args, &["--out", "--baseline", "--metrics-out"])?;
     for s in &flags.switches {
         if !["--smoke", "--full", "--gate", "--list"].contains(&s.as_str()) {
             return Err(format!("unknown flag '{s}'\n\n{USAGE}"));
@@ -110,32 +107,13 @@ fn lab(args: &[String]) -> Result<(), String> {
     let mode = if full { "full" } else { "smoke" };
     let root = results::repo_root();
 
-    // Config: lab.toml declares the matrices and thresholds.
-    let config_path = flags
-        .values
-        .get("--config")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| root.join("lab.toml"));
-    let lab_file = match std::fs::read_to_string(&config_path) {
-        Ok(text) => LabFile::parse(&text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            eprintln!(
-                "lab: no config at {} — using built-in defaults",
-                config_path.display()
-            );
-            LabFile::default()
-        }
-        Err(e) => return Err(format!("read {}: {e}", config_path.display())),
-    };
-    let defaults = if full {
+    let (matrix, opts) = if full {
         (LabMatrix::full(), LabOptions::full())
     } else {
         (LabMatrix::smoke(), LabOptions::smoke())
     };
-    let matrix = lab_file.matrix(mode, defaults.0)?;
-    let opts = lab_file.options(defaults.1)?;
     let experiments = matrix.expand();
-    let fleet_cells = fleet_params(mode, &lab_file.fleet_grid()?, &opts);
+    let fleet_cells = fleet_params(mode, &FLEET_GRID, &opts);
 
     if flags.switches.iter().any(|s| s == "--list") {
         println!(
@@ -194,17 +172,7 @@ fn lab(args: &[String]) -> Result<(), String> {
     };
     let baseline = Trajectory::parse(&baseline_text)
         .map_err(|e| format!("baseline {}: {e}", baseline_path.display()))?;
-    let mut policies = default_policies();
-    for (metric, pct) in lab_file.thresholds()? {
-        if let Some(policy) = policies.get_mut(&metric) {
-            policy.threshold_pct = pct;
-        } else {
-            return Err(format!(
-                "lab.toml [thresholds] names unknown metric '{metric}' (gated metrics: {})",
-                policies.keys().cloned().collect::<Vec<_>>().join(", ")
-            ));
-        }
-    }
+    let policies = default_policies();
     let mut trajectory = trajectory;
     let mut report = compare(&baseline, &trajectory.flatten(), &policies);
     // A failing wall-clock comparison on a shared host may just be a bad
@@ -249,7 +217,7 @@ fn lab(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Sizes the `[matrix.fleet]` grid cells for the run: the lab seed flows
+/// Sizes the [`FLEET_GRID`] cells for the run: the lab seed flows
 /// through, and the full mode drives each cell harder.
 fn fleet_params(mode: &str, cells: &[(usize, f64, usize)], opts: &LabOptions) -> Vec<FleetParams> {
     cells

@@ -1,11 +1,11 @@
 //! Cross-crate test of the full §5.3 offline pipeline: run a workload,
 //! capture a dump, serialise it, deserialise on "another machine", and
-//! verify that plans, timed sweeps and functional sweeps all agree with
-//! the live heap's view.
+//! verify that assisted, timed and functional sweeps all agree with the
+//! live heap's view.
 
 use cherivoke::{CherivokeHeap, HeapConfig};
-use revoker::timed::{timed_sweep, TimedMode};
-use revoker::{Kernel, NoFilter, SegmentSource, ShadowMap, SkipMode, SweepEngine, SweepPlan};
+use revoker::timed::{sweep_image, timed_sweep, TimedMode};
+use revoker::{Kernel, NoCost, NoFilter, SegmentSource, ShadowMap, SweepEngine};
 use simcache::{Machine, MachineConfig};
 use tagmem::snapshot_io::{decode_dump, encode_dump};
 use workloads::trace_io::{decode_trace, encode_trace};
@@ -47,12 +47,32 @@ fn serialised_dumps_sweep_identically_to_live_memory() {
     let restored = decode_dump(encode_dump(&dump)).expect("valid encoding");
     assert_eq!(restored, dump);
 
-    // Plans agree byte for byte.
-    for mode in [SkipMode::None, SkipMode::PteCapDirty, SkipMode::CLoadTags] {
-        let a = SweepPlan::for_dump(&dump, mode);
-        let b = SweepPlan::for_dump(&restored, mode);
-        assert_eq!(a.regions(), b.regions(), "{mode:?}");
-        assert_eq!(a.bytes_planned(), b.bytes_planned());
+    // Assisted sweeps (fig. 8a's walks) agree byte for byte.
+    let engine = SweepEngine::new(Kernel::Wide);
+    for mode in [
+        TimedMode::Full,
+        TimedMode::PteCapDirty,
+        TimedMode::CLoadTags,
+    ] {
+        let (mut a, mut b) = (dump.clone(), restored.clone());
+        let sa = sweep_image(
+            &engine,
+            a.segments_mut(),
+            dump.cap_dirty_pages(),
+            &shadow,
+            mode,
+            &mut NoCost,
+        );
+        let sb = sweep_image(
+            &engine,
+            b.segments_mut(),
+            restored.cap_dirty_pages(),
+            &shadow,
+            mode,
+            &mut NoCost,
+        );
+        assert_eq!(sa, sb, "{mode:?}");
+        assert_eq!(a, b, "{mode:?}");
     }
 
     // Timed sweeps agree cycle for cycle (the model is deterministic).
@@ -73,7 +93,6 @@ fn serialised_dumps_sweep_identically_to_live_memory() {
     // heap's own image.
     let mut live_img = dump.clone();
     let mut wire_img = restored;
-    let engine = SweepEngine::new(Kernel::Wide);
     let mut live_total = 0;
     let mut wire_total = 0;
     for img in live_img.segments_mut() {
