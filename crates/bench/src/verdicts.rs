@@ -416,7 +416,7 @@ pub fn recovery_safety_verdict() -> Verdict {
             }
             let action_ok = match point {
                 FaultPoint::CrashAfterSeal => report.action == RecoveryAction::ReopenSeal,
-                _ => matches!(report.action, RecoveryAction::RollForward { .. }),
+                _ => report.action == RecoveryAction::RollForward,
             };
             if !action_ok {
                 failure = Some(format!("{entry}: unexpected action {:?}", report.action));
@@ -537,9 +537,7 @@ mod tests {
             for r in &out.records {
                 let k = match r {
                     journal::Record::EpochOpen { .. } => "open",
-                    journal::Record::BinsSealed { .. } => "sealed",
-                    journal::Record::ShadowPainted { .. } => "painted",
-                    journal::Record::ChunkSwept { .. } => "swept",
+                    journal::Record::Sealed { .. } => "sealed",
                     journal::Record::EpochCommitted { .. } => "committed",
                 };
                 *counts.entry(k).or_insert(0u64) += 1;

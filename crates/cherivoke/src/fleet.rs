@@ -1085,7 +1085,7 @@ impl Core {
     /// reaches the policy fraction of its live bytes, or half its
     /// quarantine bound (staying ahead of the synchronous drain at the
     /// bound).
-    fn due(&self, i: usize) -> bool {
+    pub(crate) fn due(&self, i: usize) -> bool {
         let m = &self.members[i];
         let q = m.quarantined_hint.load(Ordering::Relaxed);
         let p = self.config.policy.quarantine;
@@ -1668,8 +1668,7 @@ impl HeapService {
                 .filter(|c| {
                     matches!(
                         c.state,
-                        ImageChunkState::QuarantinedOpen { .. }
-                            | ImageChunkState::QuarantinedSealed
+                        ImageChunkState::QuarantinedOpen | ImageChunkState::QuarantinedSealed
                     )
                 })
                 .map(|c| c.size)
@@ -2229,10 +2228,7 @@ mod tests {
         // nothing drains behind the test's back.
         let (service, reports) =
             HeapService::recover(config, skip_every_pick(), None, vec![art]).unwrap();
-        assert!(matches!(
-            reports[0].report.action,
-            crate::RecoveryAction::RollForward { .. }
-        ));
+        assert_eq!(reports[0].report.action, crate::RecoveryAction::RollForward);
         assert!(reports[0].report.safe());
         // Push the recovered tenant past THROTTLE_FRACTION of the tight
         // quota. Admission reads the hint the frees keep synced, and the

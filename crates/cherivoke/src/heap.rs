@@ -217,11 +217,10 @@ impl CherivokeHeap {
 
     // --- Crash consistency ---------------------------------------------------
 
-    /// Attaches a write-ahead epoch journal: every epoch state-machine
-    /// transition (open, seal, paint, slice, commit) is durably recorded
-    /// before the heap moves on, so [`CherivokeHeap::recover`] can
-    /// classify an interrupted epoch after a crash. Off by default; the
-    /// disabled path is unchanged.
+    /// Attaches a write-ahead epoch journal: every epoch's open, seal and
+    /// commit is durably recorded before the heap moves on, so
+    /// [`CherivokeHeap::recover`] can classify an interrupted epoch after
+    /// a crash. Off by default; the disabled path is unchanged.
     pub fn set_journal(&mut self, journal: Journal) {
         self.journal = Some(journal);
         self.journal_degraded = false;
@@ -281,7 +280,7 @@ impl CherivokeHeap {
                     ChunkState::Quarantined if sealed.contains(&addr) => {
                         ImageChunkState::QuarantinedSealed
                     }
-                    ChunkState::Quarantined => ImageChunkState::QuarantinedOpen { bin: 0 },
+                    ChunkState::Quarantined => ImageChunkState::QuarantinedOpen,
                 },
             })
             .collect();
@@ -291,23 +290,17 @@ impl CherivokeHeap {
         }
     }
 
-    /// Appends one record to the journal (no-op without one); see
-    /// [`CherivokeHeap::journal_failed`] for a failed write.
-    fn journal_append(&mut self, rec: &Record) {
-        self.journal_append_batch(std::slice::from_ref(rec));
-    }
-
-    /// Appends a burst of records ([`Journal::append_batch`]). A write
+    /// Appends one record to the journal (no-op without one). A write
     /// failure — real, or injected via [`FaultPoint::JournalAppend`] —
     /// degrades the heap (see [`CherivokeHeap::journal_failed`]).
-    fn journal_append_batch(&mut self, recs: &[Record]) {
+    fn journal_append(&mut self, rec: &Record) {
         let Some(j) = self.journal.as_mut() else {
             return;
         };
         let result = if self.faults.should_fire(FaultPoint::JournalAppend) {
             Err(std::io::Error::other("injected journal write failure"))
         } else {
-            j.append_batch(recs)
+            j.append(rec)
         };
         if let Err(e) = result {
             self.journal_failed(&e);
@@ -402,9 +395,9 @@ impl CherivokeHeap {
             .with_faults(self.faults.clone());
     }
 
-    /// Attaches telemetry: the heap's epoch lifecycle, its allocator and
-    /// its sweep engine all report into `registry` (see
-    /// [`crate::obs::HeapTelemetry`]). Equivalent to
+    /// Attaches telemetry: the heap's epoch lifecycle (the `cvk_heap_*`
+    /// metrics), its allocator and its sweep engine all report into
+    /// `registry`. Equivalent to
     /// [`CherivokeHeap::set_telemetry_for_shard`] with shard 0.
     pub fn set_telemetry(&mut self, registry: &telemetry::Registry) {
         self.set_telemetry_for_shard(registry, 0);
@@ -534,14 +527,13 @@ impl CherivokeHeap {
         if self.epoch.is_some() {
             return false;
         }
-        self.open_epoch(false)
+        self.open_epoch()
     }
 
     /// The epoch's open step: seals the open quarantine, journals and
-    /// paints it, and fixes the visit set. `full` marks a stop-the-world
-    /// cycle in the journal. Returns `false` (opening nothing) when the
-    /// open quarantine is empty.
-    fn open_epoch(&mut self, full: bool) -> bool {
+    /// paints it, and fixes the visit set. Returns `false` (opening
+    /// nothing) when the open quarantine is empty.
+    fn open_epoch(&mut self) -> bool {
         let mut ranges = std::mem::take(&mut self.range_scratch);
         ranges.clear();
         self.alloc.seal_quarantine_into(&mut ranges);
@@ -554,17 +546,12 @@ impl CherivokeHeap {
         // observe the paint — so the journal tail always classifies the
         // interrupted step correctly (see the recovery decision table).
         self.epoch_seq += 1;
-        // Journal v1 keeps its one-backend, selected-bins fields: backend 0
-        // (stock) and every bin.
         self.journal_append(&Record::EpochOpen {
             epoch: self.epoch_seq,
-            backend: 0,
-            mask: u64::MAX,
-            full,
         });
         self.maybe_crash(FaultPoint::CrashAfterSeal);
         if self.journal.is_some() {
-            self.journal_append(&Record::BinsSealed {
+            self.journal_append(&Record::Sealed {
                 epoch: self.epoch_seq,
                 ranges: ranges.clone(),
             });
@@ -572,9 +559,6 @@ impl CherivokeHeap {
         let sealed = ranges.len() as u64;
         let painted = self.install_epoch(ranges, self.policy.use_capdirty);
         self.maybe_crash(FaultPoint::CrashAfterPaint);
-        self.journal_append(&Record::ShadowPainted {
-            epoch: self.epoch_seq,
-        });
         if self.telemetry.is_enabled() {
             self.telemetry.on_quarantine_sealed(painted, sealed);
             self.telemetry.on_epoch_opened(painted);
@@ -642,20 +626,8 @@ impl CherivokeHeap {
             // A slice is fragments of segments, not segment sweeps.
             stats.segments_swept = 0;
             epoch.stats += stats;
-            // Slice records are advisory: recovery re-sweeps exhaustively
-            // (sweeps are idempotent) and reads none of them. Worklist
-            // runs are coalesced, so each range is one run's record.
-            if self.journal.is_some() {
-                let recs: Vec<Record> = slice
-                    .iter()
-                    .map(|&(start, len)| Record::ChunkSwept {
-                        epoch: self.epoch_seq,
-                        start,
-                        len,
-                    })
-                    .collect();
-                self.journal_append_batch(&recs);
-            }
+            // Slices are not journaled: recovery re-sweeps exhaustively
+            // (sweeps are idempotent).
             self.maybe_crash(FaultPoint::CrashMidSweep);
         }
         self.slice_scratch = slice;
@@ -818,8 +790,8 @@ impl CherivokeHeap {
     }
 
     /// Runs a full revocation cycle now (fig. 3), as one stop-the-world
-    /// epoch: finishes any open epoch, opens one over the quarantine
-    /// (journaled `full: true`), and runs it to completion through
+    /// epoch: finishes any open epoch, opens one over the quarantine,
+    /// and runs it to completion through
     /// [`CherivokeHeap::revoke_step`] in a single slice. Returns the
     /// epoch's sweep statistics; with an empty quarantine nothing is
     /// swept and the statistics are zero.
@@ -827,7 +799,7 @@ impl CherivokeHeap {
         // An in-progress incremental epoch completes first (its painted
         // ranges must not be re-painted or double-drained).
         self.finish_revocation();
-        if !self.open_epoch(true) {
+        if !self.open_epoch() {
             return SweepStats::default();
         }
         self.finish_revocation()
@@ -910,19 +882,18 @@ impl CherivokeHeap {
                     ImageChunkState::Free => ChunkState::Free,
                     ImageChunkState::Allocated => ChunkState::Allocated,
                     ImageChunkState::Top => ChunkState::Top,
-                    ImageChunkState::QuarantinedOpen { .. }
-                    | ImageChunkState::QuarantinedSealed => ChunkState::Quarantined,
+                    ImageChunkState::QuarantinedOpen | ImageChunkState::QuarantinedSealed => {
+                        ChunkState::Quarantined
+                    }
                 };
                 (c.addr, c.size, state)
             })
             .collect();
-        // Every open chunk joins the one open generation, whatever bin
-        // its record names.
         let mut open = Vec::new();
         let mut sealed_records = Vec::new();
         for c in &image.chunks {
             match c.state {
-                ImageChunkState::QuarantinedOpen { .. } => open.push(c.addr),
+                ImageChunkState::QuarantinedOpen => open.push(c.addr),
                 ImageChunkState::QuarantinedSealed => sealed_records.push((c.addr, c.size)),
                 _ => {}
             }
@@ -932,18 +903,7 @@ impl CherivokeHeap {
             CherivokeAllocator::restore(inner, heap.policy.quarantine, &open, &sealed_records)?;
 
         // The journal's epoch numbering continues across the crash.
-        heap.epoch_seq = outcome
-            .records
-            .iter()
-            .map(|r| match *r {
-                Record::EpochOpen { epoch, .. }
-                | Record::BinsSealed { epoch, .. }
-                | Record::ShadowPainted { epoch }
-                | Record::ChunkSwept { epoch, .. }
-                | Record::EpochCommitted { epoch } => epoch,
-            })
-            .max()
-            .unwrap_or(0);
+        heap.epoch_seq = outcome.records.iter().map(Record::epoch).max().unwrap_or(0);
 
         let mut report = RecoveryReport {
             action: RecoveryAction::None,
@@ -972,19 +932,14 @@ impl CherivokeHeap {
                 report.action = RecoveryAction::ReopenSeal;
                 report.reopened_chunks = heap.alloc.unseal_sealed();
             }
-            TailState::SweepInterrupted {
-                epoch,
-                full,
-                ranges,
-                ..
-            } => {
+            TailState::SweepInterrupted { epoch, ranges } => {
                 report.epoch = Some(epoch);
-                report.action = RecoveryAction::RollForward { full };
+                report.action = RecoveryAction::RollForward;
                 report.repainted_ranges = ranges.len();
                 // Re-paint and complete the epoch over the exhaustive
                 // visit set — every byte of every sweepable segment, no
-                // filter: the crashed sweep's progress records are
-                // advisory only, and re-sweeping swept memory is harmless.
+                // filter: the journal records no sweep progress, and
+                // re-sweeping swept memory is harmless.
                 heap.install_epoch(ranges, false);
                 report.caps_revoked = heap
                     .finish_revocation()
@@ -1537,16 +1492,18 @@ mod tests {
 
     #[test]
     fn capture_image_round_trips_through_recover_clean() {
-        let mut h = heap();
+        let mut cfg = HeapConfig::small();
+        cfg.policy.quarantine.fraction = f64::INFINITY; // the free stays quarantined
+        let mut h = CherivokeHeap::new(cfg).unwrap();
         let keep = h.malloc(128).unwrap();
         let holder = h.malloc(16).unwrap();
         h.store_cap(&holder, 0, &keep).unwrap();
         let gone = h.malloc(64).unwrap();
+        let gone_base = gone.base();
         h.free(gone).unwrap();
         let image = h.capture_image().encode();
         let empty_journal = journal::Journal::in_memory().into_bytes();
-        let (rh, report) =
-            CherivokeHeap::recover(HeapConfig::small(), &image, &empty_journal).unwrap();
+        let (mut rh, report) = CherivokeHeap::recover(cfg, &image, &empty_journal).unwrap();
         assert_eq!(report.action, RecoveryAction::None);
         assert!(report.safe(), "audit: {:?}", report.audit);
         assert_eq!(
@@ -1559,32 +1516,10 @@ mod tests {
         let stored = rh.space().load_cap(holder.base()).unwrap();
         assert!(stored.tag());
         assert_eq!(stored.base(), keep.base());
-    }
-
-    #[test]
-    fn recover_puts_open_chunks_of_any_bin_into_the_open_generation() {
-        // Images written while the quarantine had bins name a bin per
-        // open chunk; restore ignores it.
-        let mut cfg = HeapConfig::small();
-        cfg.policy.quarantine.fraction = f64::INFINITY; // the free stays quarantined
-        let mut h = CherivokeHeap::new(cfg).unwrap();
-        let gone = h.malloc(64).unwrap();
-        let _guard = h.malloc(16).unwrap();
-        h.free(gone).unwrap();
-        let mut image = h.capture_image();
-        for c in &mut image.chunks {
-            if let ImageChunkState::QuarantinedOpen { bin } = &mut c.state {
-                assert_eq!(*bin, 0, "the heap writes bin 0");
-                *bin = 5;
-            }
-        }
-        let empty_journal = journal::Journal::in_memory().into_bytes();
-        let (mut rh, report) =
-            CherivokeHeap::recover(cfg, &image.encode(), &empty_journal).unwrap();
-        assert!(report.safe(), "audit: {:?}", report.audit);
+        // The open quarantine comes back open, and the next epoch drains it.
         assert_eq!(
             rh.allocator().open_chunks().collect::<Vec<_>>(),
-            vec![gone.base()]
+            vec![gone_base]
         );
         rh.revoke_now();
         assert_eq!(rh.quarantined_bytes(), 0);
@@ -1616,7 +1551,11 @@ mod tests {
     fn soft_crash_and_recover(point: revoker::fault::FaultPoint) {
         use revoker::fault::{silence_injected_panics, FaultInjector, FaultPlan, FaultRule};
         silence_injected_panics();
-        let dir = std::env::temp_dir().join(format!("cvk-heap-crash-{}", point.name()));
+        let dir = std::env::temp_dir().join(format!(
+            "cvk-heap-crash-{}-{}",
+            std::process::id(),
+            point.name()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let image_path = dir.join("heap.img");
         let journal_path = dir.join("heap.cvj");
@@ -1658,7 +1597,7 @@ mod tests {
                 assert!(report.reopened_chunks > 0);
             }
             _ => {
-                assert!(matches!(report.action, RecoveryAction::RollForward { .. }));
+                assert_eq!(report.action, RecoveryAction::RollForward);
                 assert!(report.repainted_ranges > 0);
             }
         }

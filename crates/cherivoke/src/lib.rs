@@ -71,11 +71,9 @@ pub use fleet::{
 };
 pub use heap::{CherivokeHeap, HeapConfig};
 pub use model::OverheadModel;
-pub use obs::HeapTelemetry;
 pub use policy::{BackendKind, RevocationPolicy};
 pub use recovery::{
-    journal_dir_from_env, warn_once, HeapImage, ImageChunk, ImageChunkState, RecoveryAction,
-    RecoveryError, RecoveryReport,
+    HeapImage, ImageChunk, ImageChunkState, RecoveryAction, RecoveryError, RecoveryReport,
 };
 pub use service::{ConcurrentHeap, HeapClient, ServiceConfig};
 pub use stats::{HeapStats, ServiceStats, ShardStats};

@@ -13,7 +13,7 @@ use revoker::SweepTelemetry;
 /// Metric handles a [`crate::CherivokeHeap`] reports into. Detached by
 /// default; attach with [`crate::CherivokeHeap::set_telemetry`].
 #[derive(Debug, Clone, Default)]
-pub struct HeapTelemetry {
+pub(crate) struct HeapTelemetry {
     epochs: Counter,
     oom_sweeps: Counter,
     barrier_revocations: Counter,
@@ -99,7 +99,7 @@ impl HeapTelemetry {
             action: match report.action {
                 crate::recovery::RecoveryAction::None => "none",
                 crate::recovery::RecoveryAction::ReopenSeal => "reopen-seal",
-                crate::recovery::RecoveryAction::RollForward { .. } => "roll-forward",
+                crate::recovery::RecoveryAction::RollForward => "roll-forward",
             },
             caps_revoked: report.caps_revoked,
         });

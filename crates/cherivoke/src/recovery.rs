@@ -23,14 +23,15 @@ use std::sync::Mutex;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tagmem::CoreDump;
 
-/// Image container magic: `b"CVI"` + format version.
-const IMAGE_MAGIC: [u8; 4] = *b"CVI\x01";
+/// Image container magic: `b"CVI"` + format version. There is no reader
+/// for older versions: an image lives only as long as its crash artifact.
+const IMAGE_MAGIC: [u8; 4] = *b"CVI\x02";
 
 /// Prints `cherivoke: {msg}` to stderr the first time `msg` is seen in
 /// this process, and returns whether it printed. Construction-path and
 /// degraded-mode warnings funnel through here so a fleet of heaps (or a
 /// hot construction loop) warns once, not once per heap.
-pub fn warn_once(msg: &str) -> bool {
+pub(crate) fn warn_once(msg: &str) -> bool {
     static SEEN: Mutex<Option<HashSet<String>>> = Mutex::new(None);
     let mut guard = SEEN.lock().unwrap_or_else(|e| e.into_inner());
     let seen = guard.get_or_insert_with(HashSet::new);
@@ -46,7 +47,7 @@ pub fn warn_once(msg: &str) -> bool {
 /// per-heap epoch journals into. Unset, empty, `0` and `off` all mean
 /// "journaling disabled" (the default — the journal costs a file write
 /// per epoch transition, so it is strictly opt-in).
-pub fn journal_dir_from_env() -> Option<PathBuf> {
+pub(crate) fn journal_dir_from_env() -> Option<PathBuf> {
     let val = std::env::var("CHERIVOKE_JOURNAL").ok()?;
     let trimmed = val.trim();
     if trimmed.is_empty() || trimmed == "0" || trimmed.eq_ignore_ascii_case("off") {
@@ -64,12 +65,7 @@ pub enum ImageChunkState {
     /// Live allocation.
     Allocated,
     /// Quarantined, in the open generation.
-    QuarantinedOpen {
-        /// Written as `0`: the open generation is one set. Restore puts
-        /// the chunk into it whatever the value. Kept so the image layout
-        /// is unchanged.
-        bin: u8,
-    },
+    QuarantinedOpen,
     /// Quarantined and sealed into the in-flight epoch.
     QuarantinedSealed,
     /// The wilderness (top) chunk.
@@ -77,21 +73,21 @@ pub enum ImageChunkState {
 }
 
 impl ImageChunkState {
-    fn tag_and_bin(self) -> (u8, u8) {
+    fn tag(self) -> u8 {
         match self {
-            ImageChunkState::Free => (0, 0),
-            ImageChunkState::Allocated => (1, 0),
-            ImageChunkState::QuarantinedOpen { bin } => (2, bin),
-            ImageChunkState::QuarantinedSealed => (3, 0),
-            ImageChunkState::Top => (4, 0),
+            ImageChunkState::Free => 0,
+            ImageChunkState::Allocated => 1,
+            ImageChunkState::QuarantinedOpen => 2,
+            ImageChunkState::QuarantinedSealed => 3,
+            ImageChunkState::Top => 4,
         }
     }
 
-    fn from_tag_and_bin(tag: u8, bin: u8) -> Option<ImageChunkState> {
+    fn from_tag(tag: u8) -> Option<ImageChunkState> {
         Some(match tag {
             0 => ImageChunkState::Free,
             1 => ImageChunkState::Allocated,
-            2 => ImageChunkState::QuarantinedOpen { bin },
+            2 => ImageChunkState::QuarantinedOpen,
             3 => ImageChunkState::QuarantinedSealed,
             4 => ImageChunkState::Top,
             _ => return None,
@@ -157,11 +153,9 @@ impl HeapImage {
         out.put_slice(&IMAGE_MAGIC);
         out.put_u32_le(self.chunks.len() as u32);
         for chunk in &self.chunks {
-            let (tag, bin) = chunk.state.tag_and_bin();
             out.put_u64_le(chunk.addr);
             out.put_u64_le(chunk.size);
-            out.put_u8(tag);
-            out.put_u8(bin);
+            out.put_u8(chunk.state.tag());
         }
         out.put_u64_le(dump_bytes.remaining() as u64);
         out.put_slice(dump_bytes.chunk());
@@ -187,7 +181,7 @@ impl HeapImage {
             return Err(ImageError::BadMagic);
         }
         let count = buf.get_u32_le() as usize;
-        if buf.remaining() < count.checked_mul(18).ok_or(ImageError::Truncated)? {
+        if buf.remaining() < count.checked_mul(17).ok_or(ImageError::Truncated)? {
             return Err(ImageError::Truncated);
         }
         let mut chunks = Vec::with_capacity(count);
@@ -195,9 +189,7 @@ impl HeapImage {
             let addr = buf.get_u64_le();
             let size = buf.get_u64_le();
             let tag = buf.get_u8();
-            let bin = buf.get_u8();
-            let state =
-                ImageChunkState::from_tag_and_bin(tag, bin).ok_or(ImageError::BadState(tag))?;
+            let state = ImageChunkState::from_tag(tag).ok_or(ImageError::BadState(tag))?;
             chunks.push(ImageChunk { addr, size, state });
         }
         if buf.remaining() < 8 {
@@ -226,13 +218,9 @@ pub enum RecoveryAction {
     /// The quarantine was durably sealed but the epoch never committed: the
     /// recorded ranges were re-painted and the whole heap re-swept
     /// (roll-forward — safe because sweeps are idempotent and nothing
-    /// allocates between drain and commit).
-    RollForward {
-        /// Whether the interrupted cycle was a stop-the-world
-        /// (`revoke_now`) one. It sealed the quarantine when it opened,
-        /// so it rolls forward exactly like an incremental epoch.
-        full: bool,
-    },
+    /// allocates between drain and commit). A stop-the-world
+    /// (`revoke_now`) epoch rolls forward exactly like an incremental one.
+    RollForward,
 }
 
 /// Everything a recovery did, plus the safety audit that proves it.
@@ -361,7 +349,7 @@ mod tests {
                 ImageChunk {
                     addr: 0x1000_0100,
                     size: 0x40,
-                    state: ImageChunkState::QuarantinedOpen { bin: 3 },
+                    state: ImageChunkState::QuarantinedOpen,
                 },
                 ImageChunk {
                     addr: 0x1000_0140,
@@ -404,6 +392,13 @@ mod tests {
     fn corrupt_magic_and_state_are_rejected() {
         let mut bytes = sample_image().encode();
         bytes[0] ^= 0xff;
+        assert!(matches!(
+            HeapImage::decode(&bytes),
+            Err(ImageError::BadMagic)
+        ));
+        // A v1 image (one more byte per chunk record) is not read.
+        let mut bytes = sample_image().encode();
+        bytes[3] = 1;
         assert!(matches!(
             HeapImage::decode(&bytes),
             Err(ImageError::BadMagic)

@@ -192,7 +192,7 @@ fn kill_and_recover(
     }
     let action_ok = match point {
         FaultPoint::CrashAfterSeal => report.action == RecoveryAction::ReopenSeal,
-        _ => matches!(report.action, RecoveryAction::RollForward { .. }),
+        _ => report.action == RecoveryAction::RollForward,
     };
     if !action_ok {
         fail_entry(

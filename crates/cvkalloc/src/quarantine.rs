@@ -384,7 +384,7 @@ impl CherivokeAllocator {
     }
 
     /// Moves every sealed chunk back into the open generation — the
-    /// recovery action for an epoch that died *before* its `BinsSealed`
+    /// recovery action for an epoch that died *before* its `Sealed`
     /// journal record landed: nothing was durably painted, so the safe
     /// rollback is to pretend the seal never happened. Returns the number
     /// of chunks re-opened. Safe in both crash orders because the memory

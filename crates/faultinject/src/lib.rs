@@ -112,8 +112,8 @@ pub enum FaultPoint {
     /// tenant's debt stays on the run queue, so the next scheduling pass
     /// re-selects it and every due tenant is still swept.
     SchedulerSkip,
-    /// The process dies right after the quarantine bins are sealed but
-    /// before the `BinsSealed` journal record lands. Recovery: the
+    /// The process dies right after the quarantine is sealed but
+    /// before the `Sealed` journal record lands. Recovery: the
     /// journal classifies the epoch as seal-interrupted and re-opens the
     /// partially sealed quarantine (safe — the memory stays quarantined).
     CrashAfterSeal,
