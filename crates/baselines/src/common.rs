@@ -65,6 +65,12 @@ impl Default for BaselineCosts {
 /// dense enough that shadow lookups are exercised — and the sweep repeats
 /// until enough wall time accumulates for a stable rate.
 ///
+/// The sweep runs [`revoker::Kernel::Simd`], the kernel heaps ship with,
+/// against a shadow with its top quarter painted: a non-empty shadow keeps
+/// the kernel off its empty-shadow shortcut, so every base is decoded and
+/// probed, while the capabilities all point below the painted quarter, so
+/// nothing is revoked and every repeat sweeps the same image.
+///
 /// Used by [`crate::PSweeperHeap::with_measured_rate`] so the analytic
 /// contention model is grounded in the same kernel CHERIvoke's own numbers
 /// come from.
@@ -80,15 +86,15 @@ pub fn measured_sweep_rate() -> f64 {
         mem.write_cap(addr, &cap).expect("address inside image");
         addr += tagmem::PAGE_SIZE;
     }
-    let shadow = ShadowMap::new(BASE, LEN);
-    let engine = SweepEngine::new(Kernel::Wide);
+    let mut shadow = ShadowMap::new(BASE, LEN);
+    shadow.paint(BASE + LEN - LEN / 4, LEN / 4);
+    let engine = SweepEngine::new(Kernel::Simd);
     let mut scratch = SweepScratch::new();
     let t0 = std::time::Instant::now();
     let mut bytes = 0u64;
-    // At least one sweep; then repeat until ~2 ms of signal (sweeping tags
-    // clears nothing here — the shadow is clean — so repeats are identical).
-    // One scratch is reused across the repeats so the measured rate is the
-    // steady-state, allocation-free sweep throughput.
+    // At least one sweep; then repeat until ~2 ms of signal. One scratch is
+    // reused across the repeats so the measured rate is the steady-state,
+    // allocation-free sweep throughput.
     while bytes == 0 || t0.elapsed().as_secs_f64() < 2e-3 {
         let stats = engine.sweep_with(
             SegmentSource::new(&mut mem),
@@ -97,6 +103,7 @@ pub fn measured_sweep_rate() -> f64 {
             &mut NoCost,
             &mut scratch,
         );
+        debug_assert_eq!(stats.caps_revoked, 0, "repeats must sweep one image");
         bytes += stats.bytes_swept;
     }
     (bytes as f64 / t0.elapsed().as_secs_f64().max(1e-9)).max(1.0)

@@ -1,5 +1,6 @@
-//! Criterion benchmark for the sweep engine: one worker vs chunk-parallel
-//! execution across kernels and filters (§3.4 / §3.5).
+//! Criterion benchmark for the sweep engine running the shipped
+//! [`Kernel::Simd`]: the §3.4 filters and chunk-parallel execution over
+//! worker counts (§3.5). Kernel tiers are compared in `sweep_kernel.rs`.
 //!
 //! The final group prints a PASS/SKIP verdict for the PR's scaling
 //! acceptance bar: the engine with 4 workers should clear 2× the
@@ -7,7 +8,7 @@
 //! print SKIP rather than failing — scaling cannot be measured there.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use revoker::{CLoadTagsLines, EveryLine, Kernel, NoFilter, SegmentSource, ShadowMap, SweepEngine};
+use revoker::{CLoadTagsLines, EveryLine, Kernel, SegmentSource, ShadowMap, SweepEngine};
 
 const IMAGE_BYTES: u64 = 8 << 20;
 
@@ -20,29 +21,6 @@ fn image() -> (tagmem::TaggedMemory, ShadowMap) {
     (mem, shadow)
 }
 
-/// One-worker engine, every kernel, unfiltered.
-fn bench_sequential_kernels(c: &mut Criterion) {
-    let (mem, shadow) = image();
-    let mut group = c.benchmark_group("sweep_engine_seq");
-    group.throughput(Throughput::Bytes(IMAGE_BYTES));
-    group.sample_size(10);
-    for (name, kernel) in [
-        ("simple", Kernel::Simple),
-        ("unrolled", Kernel::Unrolled),
-        ("wide", Kernel::Wide),
-    ] {
-        group.bench_with_input(BenchmarkId::new(name, "nofilter"), &kernel, |b, &kernel| {
-            let engine = SweepEngine::new(kernel);
-            b.iter_batched(
-                || mem.clone(),
-                |mut img| engine.sweep(SegmentSource::new(&mut img), NoFilter, &shadow),
-                criterion::BatchSize::LargeInput,
-            );
-        });
-    }
-    group.finish();
-}
-
 /// Filters under the one-worker engine: what the §3.4 assists cost/save
 /// at this density, on the identical visitation order.
 fn bench_filters(c: &mut Criterion) {
@@ -50,15 +28,15 @@ fn bench_filters(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_engine_filters");
     group.throughput(Throughput::Bytes(IMAGE_BYTES));
     group.sample_size(10);
-    let engine = SweepEngine::new(Kernel::Wide);
-    group.bench_function("wide/everyline", |b| {
+    let engine = SweepEngine::new(Kernel::Simd);
+    group.bench_function("simd/everyline", |b| {
         b.iter_batched(
             || mem.clone(),
             |mut img| engine.sweep(SegmentSource::new(&mut img), EveryLine, &shadow),
             criterion::BatchSize::LargeInput,
         );
     });
-    group.bench_function("wide/cloadtags", |b| {
+    group.bench_function("simd/cloadtags", |b| {
         b.iter_batched(
             || mem.clone(),
             |mut img| engine.sweep(SegmentSource::new(&mut img), CLoadTagsLines::new(), &shadow),
@@ -77,10 +55,10 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     group.sample_size(10);
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(
-            BenchmarkId::new("wide", format!("workers{workers}")),
+            BenchmarkId::new("simd", format!("workers{workers}")),
             &workers,
             |b, &workers| {
-                let engine = SweepEngine::new(Kernel::Wide).with_workers(workers);
+                let engine = SweepEngine::new(Kernel::Simd).with_workers(workers);
                 b.iter_batched(
                     || mem.clone(),
                     |mut img| engine.sweep(SegmentSource::new(&mut img), EveryLine, &shadow),
@@ -109,8 +87,8 @@ fn scaling_verdict() {
     let mem = bench::image_with_granule_density(64 << 20, 0.07);
     let mut shadow = ShadowMap::new(mem.base(), mem.len());
     shadow.paint(mem.base(), mem.len() / 4);
-    let seq = bench::engine_sweep_rate(Kernel::Wide, 1, &mem, &shadow);
-    let par = bench::engine_sweep_rate(Kernel::Wide, 4, &mem, &shadow);
+    let seq = bench::engine_sweep_rate(Kernel::Simd, 1, &mem, &shadow);
+    let par = bench::engine_sweep_rate(Kernel::Simd, 4, &mem, &shadow);
     let speedup = par / seq;
     let verdict = if speedup >= 2.0 { "PASS" } else { "BELOW-BAR" };
     println!(
@@ -118,12 +96,7 @@ fn scaling_verdict() {
     );
 }
 
-criterion_group!(
-    benches,
-    bench_sequential_kernels,
-    bench_filters,
-    bench_parallel_scaling
-);
+criterion_group!(benches, bench_filters, bench_parallel_scaling);
 
 fn main() {
     benches();

@@ -1,7 +1,8 @@
-//! Criterion benchmark for the word-at-a-time fast revoke kernel
-//! ([`Kernel::Fast`]) and the vector kernel ([`Kernel::Simd`]) against the
-//! §3.3 reference loop ([`Kernel::Simple`]) and the wide tier they extend,
-//! across sparse/dense/mixed tag density and clean/painted shadow state.
+//! Criterion benchmark for the Figure 7 kernel tiers: the §3.3 reference
+//! loop ([`Kernel::Simple`]), the word-skipping [`Kernel::Unrolled`], the
+//! word-at-a-time fast kernel ([`Kernel::Fast`]) and the vector kernel
+//! heaps ship with ([`Kernel::Simd`]), across sparse/dense/mixed tag
+//! density and clean/painted shadow state.
 //!
 //! Two verdict lines are the acceptance bars: on a sparse-capability heap
 //! (≤ 5% tag density, clustered) the fast kernel must clear 3× the
@@ -33,7 +34,7 @@ fn images() -> Vec<(&'static str, tagmem::TaggedMemory)> {
 
 const KERNELS: [(&str, Kernel); 4] = [
     ("reference", Kernel::Simple),
-    ("wide", Kernel::Wide),
+    ("unrolled", Kernel::Unrolled),
     ("fast", Kernel::Fast),
     ("simd", Kernel::Simd),
 ];
@@ -98,7 +99,7 @@ fn bandwidth_table() {
         }
         rows.push(row);
     }
-    bench::print_table(&["image", "reference", "wide", "fast", "simd"], &rows);
+    bench::print_table(&["image", "reference", "unrolled", "fast", "simd"], &rows);
 }
 
 /// The acceptance-bar checks: fast ≥ 3× reference on the sparse clustered

@@ -131,15 +131,18 @@ fn capdirty() -> CapDirtyAblation {
 
 fn kernels() -> Vec<KernelAblation> {
     // Host-measure each kernel's scan rate, then price xalancbmk with it.
+    // A quarter painted, as in Fig. 7: every tier decodes and revokes.
     let mem = bench::image_with_granule_density(32 << 20, 0.07);
-    let shadow = ShadowMap::new(mem.base(), mem.len());
+    let mut shadow = ShadowMap::new(mem.base(), mem.len());
+    shadow.paint(mem.base(), mem.len() / 4);
     let p = profiles::by_name("xalancbmk").expect("profile");
     let trace = TraceGenerator::new(p, 1.0 / 1024.0, 11).generate();
     [
         ("simple", Kernel::Simple, 1),
         ("unrolled", Kernel::Unrolled, 1),
-        ("wide", Kernel::Wide, 1),
-        ("parallel4", Kernel::Wide, 4),
+        ("fast", Kernel::Fast, 1),
+        ("simd", Kernel::Simd, 1),
+        ("parallel4", Kernel::Simd, 4),
     ]
     .into_iter()
     .map(|(name, kernel, workers)| {

@@ -3,12 +3,14 @@
 //!
 //! The paper compares a naïve loop, an unrolled/pipelined loop, and an
 //! AVX2 kernel sweeping application images. Here each benchmark's image is
-//! synthesised at its pointer density and swept by this crate's kernel
-//! tiers ([`revoker::Kernel::Simple`] / `Unrolled` / `Wide`, plus the
-//! multi-worker [`revoker::SweepEngine`] of §3.5); the reference
-//! line is the host's streaming read bandwidth over the same buffer. All
-//! rates come through [`bench::engine_sweep_rate`] — one engine, one
-//! visitation order.
+//! synthesised at its pointer density, a quarter of it is painted into
+//! the shadow map (the paper-default 25% quarantine, so every tier
+//! decodes bases and revokes), and it is swept by this crate's kernel
+//! tiers ([`revoker::Kernel::Simple`] / `Unrolled` / `Fast` / `Simd`, the
+//! last the kernel heaps ship with, plus Simd on the four-worker
+//! [`revoker::SweepEngine`] of §3.5); the reference line is the host's
+//! streaming read bandwidth over the same buffer. All rates come through
+//! [`bench::engine_sweep_rate`] — one engine, one visitation order.
 
 use std::time::Instant;
 
@@ -25,18 +27,13 @@ struct Fig7Row {
     granule_density: f64,
     simple_mib_s: f64,
     unrolled_mib_s: f64,
-    wide_mib_s: f64,
+    fast_mib_s: f64,
+    simd_mib_s: f64,
     parallel_mib_s: f64,
     /// §5.3 conservative-image kernels (the paper's actual x86 loops).
     cons_simple_mib_s: f64,
     cons_unrolled_mib_s: f64,
     cons_avx2_mib_s: f64,
-}
-
-/// Times one sweep of `mem` (warmed best of five runs), returning MiB/s — the
-/// one-worker [`revoker::SweepEngine`] path via [`bench::engine_sweep_rate`].
-fn sweep_rate(kernel: Kernel, mem: &tagmem::TaggedMemory, shadow: &ShadowMap) -> f64 {
-    bench::engine_sweep_rate(kernel, 1, mem, shadow)
 }
 
 /// Times a conservative-image sweep kernel (median of three), in MiB/s.
@@ -95,16 +92,19 @@ fn main() {
         // page density down to a plausible word-level density.
         let density = (p.pointer_page_density * 0.08).min(0.5);
         let mem = bench::image_with_granule_density(IMAGE_BYTES, density);
-        let shadow = ShadowMap::new(mem.base(), mem.len());
+        let mut shadow = ShadowMap::new(mem.base(), mem.len());
+        shadow.paint(mem.base(), mem.len() / 4);
+        let rate = |kernel, workers| bench::engine_sweep_rate(kernel, workers, &mem, &shadow);
         reference = reference.max(read_bandwidth(&mem));
         let cons = ConservativeImage::from_memory(&mem, mem.base(), mem.end());
         rows.push(Fig7Row {
             benchmark: name.to_string(),
             granule_density: density,
-            simple_mib_s: sweep_rate(Kernel::Simple, &mem, &shadow),
-            unrolled_mib_s: sweep_rate(Kernel::Unrolled, &mem, &shadow),
-            wide_mib_s: sweep_rate(Kernel::Wide, &mem, &shadow),
-            parallel_mib_s: bench::engine_sweep_rate(Kernel::Wide, 4, &mem, &shadow),
+            simple_mib_s: rate(Kernel::Simple, 1),
+            unrolled_mib_s: rate(Kernel::Unrolled, 1),
+            fast_mib_s: rate(Kernel::Fast, 1),
+            simd_mib_s: rate(Kernel::Simd, 1),
+            parallel_mib_s: rate(Kernel::Simd, 4),
             cons_simple_mib_s: conservative_rate(sweep_scalar, &cons, &shadow),
             cons_unrolled_mib_s: conservative_rate(sweep_unrolled, &cons, &shadow),
             cons_avx2_mib_s: conservative_rate(sweep_avx2, &cons, &shadow),
@@ -117,7 +117,8 @@ fn main() {
         granule_density: 0.0,
         simple_mib_s: g(&|r| r.simple_mib_s),
         unrolled_mib_s: g(&|r| r.unrolled_mib_s),
-        wide_mib_s: g(&|r| r.wide_mib_s),
+        fast_mib_s: g(&|r| r.fast_mib_s),
+        simd_mib_s: g(&|r| r.simd_mib_s),
         parallel_mib_s: g(&|r| r.parallel_mib_s),
         cons_simple_mib_s: g(&|r| r.cons_simple_mib_s),
         cons_unrolled_mib_s: g(&|r| r.cons_unrolled_mib_s),
@@ -133,7 +134,8 @@ fn main() {
     }
 
     println!(
-        "Figure 7: sweep-loop bandwidth by kernel (host-measured, 64 MiB images)\n\
+        "Figure 7: sweep-loop bandwidth by kernel (host-measured, 64 MiB images, \
+         a quarter painted)\n\
          Host streaming read bandwidth reference: {reference:.0} MiB/s\n"
     );
     bench::print_table(
@@ -142,8 +144,9 @@ fn main() {
             "density",
             "simple",
             "unrolled",
-            "wide",
-            "parallel(4)",
+            "fast",
+            "simd",
+            "simd par(4)",
             "§5.3 simple",
             "§5.3 unrolled",
             "§5.3 AVX2",
@@ -156,7 +159,8 @@ fn main() {
                     format!("{:.3}", r.granule_density),
                     format!("{:.0}", r.simple_mib_s),
                     format!("{:.0}", r.unrolled_mib_s),
-                    format!("{:.0}", r.wide_mib_s),
+                    format!("{:.0}", r.fast_mib_s),
+                    format!("{:.0}", r.simd_mib_s),
                     format!("{:.0}", r.parallel_mib_s),
                     format!("{:.0}", r.cons_simple_mib_s),
                     format!("{:.0}", r.cons_unrolled_mib_s),

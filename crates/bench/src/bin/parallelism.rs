@@ -40,10 +40,10 @@ fn main() {
     std::hint::black_box(acc);
     let read_bw = data.len() as f64 / (1024.0 * 1024.0) / t0.elapsed().as_secs_f64();
 
-    // The engine's uncosted walk: one plan, execution fanned out across
-    // `threads` scoped workers.
+    // The engine's uncosted walk with the kernel heaps ship with: one
+    // plan, execution fanned out across `threads` scoped workers.
     let rate =
-        |threads: usize| -> f64 { bench::engine_sweep_rate(Kernel::Wide, threads, &mem, &shadow) };
+        |threads: usize| -> f64 { bench::engine_sweep_rate(Kernel::Simd, threads, &mem, &shadow) };
 
     let single = rate(1);
     let available = std::thread::available_parallelism()

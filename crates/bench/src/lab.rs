@@ -44,7 +44,7 @@ pub const CHAOS_SMOKE_PLAN: &str =
 pub struct LabMatrix {
     /// Table-2 workload names (`omnetpp`, `xalancbmk`, …).
     pub workloads: Vec<String>,
-    /// Kernel names: `reference`, `wide`, `fast`.
+    /// Kernel names: `reference`, `unrolled`, `fast`, `simd`.
     pub kernels: Vec<String>,
     /// Sweep worker counts per sweep (1 = the calling thread).
     pub sweep_workers: Vec<usize>,
@@ -75,7 +75,7 @@ impl LabMatrix {
             ],
             kernels: vec![
                 "reference".into(),
-                "wide".into(),
+                "unrolled".into(),
                 "fast".into(),
                 "simd".into(),
             ],
@@ -111,7 +111,7 @@ impl LabMatrix {
 pub struct ExperimentConfig {
     /// Table-2 workload name.
     pub workload: String,
-    /// Kernel name (`reference` / `wide` / `fast` / `simd`).
+    /// Kernel name (`reference` / `unrolled` / `fast` / `simd`).
     pub kernel: String,
     /// Sweep workers per sweep.
     pub sweep_workers: usize,
@@ -133,7 +133,6 @@ impl ExperimentConfig {
         match self.kernel.as_str() {
             "reference" => Ok(Kernel::Simple),
             "unrolled" => Ok(Kernel::Unrolled),
-            "wide" => Ok(Kernel::Wide),
             "fast" => Ok(Kernel::Fast),
             "simd" => Ok(Kernel::Simd),
             other => Err(format!("unknown kernel '{other}'")),

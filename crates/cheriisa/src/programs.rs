@@ -268,7 +268,7 @@ mod tests {
             native_space.store_cap(*addr, cap).unwrap();
         }
         let (source, _page_table) = SpaceSource::split(&mut native_space);
-        let native = SweepEngine::new(Kernel::Wide).sweep(source, NoFilter, &shadow);
+        let native = SweepEngine::new(Kernel::Unrolled).sweep(source, NoFilter, &shadow);
 
         assert_eq!(stats.caps_revoked, native.caps_revoked);
         assert!(stats.caps_inspected >= native.caps_inspected);
@@ -580,7 +580,7 @@ mod program_tests {
             native.store_cap(*addr, cap).unwrap();
         }
         let (source, _page_table) = SpaceSource::split(&mut native);
-        let stats = SweepEngine::new(Kernel::Wide).sweep(source, NoFilter, &shadow);
+        let stats = SweepEngine::new(Kernel::Unrolled).sweep(source, NoFilter, &shadow);
         assert_eq!(stats.caps_revoked, 8);
 
         let isa_heap = cpu

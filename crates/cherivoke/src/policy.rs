@@ -65,14 +65,16 @@ pub struct RevocationPolicy {
 
 impl RevocationPolicy {
     /// The configuration evaluated in the paper: 25% quarantine, buffered
-    /// (non-strict) revocation, optimised kernel, CapDirty page skipping:
-    /// the word-at-a-time [`Kernel::Fast`] kernel and one sweep worker.
-    /// Other configurations set these fields.
+    /// (non-strict) revocation, CapDirty page skipping, one sweep worker,
+    /// and the vectorised [`Kernel::Simd`] (the AVX2 tier of the paper's
+    /// Fig. 7). Without AVX2/NEON, or under a cost model, Simd runs the
+    /// scalar [`Kernel::Fast`] and matches it bit for bit. Other
+    /// configurations set these fields.
     pub fn paper_default() -> RevocationPolicy {
         RevocationPolicy {
             quarantine: QuarantineConfig::paper_default(),
             strict: false,
-            kernel: Kernel::Fast,
+            kernel: Kernel::Simd,
             use_capdirty: true,
             sweep_on_oom: true,
             incremental_slice_bytes: None,
@@ -158,7 +160,7 @@ mod tests {
             p.incremental_slice_bytes.is_none(),
             "paper evaluates stop-the-world"
         );
-        assert_eq!(p.kernel, Kernel::Fast);
+        assert_eq!(p.kernel, Kernel::Simd);
         assert_eq!(p.sweep_workers, 1);
         assert_eq!(p.backend, BackendKind::Stock);
     }

@@ -43,12 +43,18 @@ pub(crate) fn warn_once(msg: &str) -> bool {
     }
 }
 
-/// Parses the `CHERIVOKE_JOURNAL` environment knob: a directory to write
-/// per-heap epoch journals into. Unset, empty, `0` and `off` all mean
-/// "journaling disabled" (the default — the journal costs a file write
-/// per epoch transition, so it is strictly opt-in).
+/// Reads the `CHERIVOKE_JOURNAL` environment knob: a directory to write
+/// per-heap epoch journals into, parsed by [`journal_dir_from_value`].
+/// Unset means "journaling disabled" (the default — the journal costs a
+/// file write per epoch transition, so it is strictly opt-in).
 pub(crate) fn journal_dir_from_env() -> Option<PathBuf> {
-    let val = std::env::var("CHERIVOKE_JOURNAL").ok()?;
+    journal_dir_from_value(&std::env::var("CHERIVOKE_JOURNAL").ok()?)
+}
+
+/// Parses one `CHERIVOKE_JOURNAL` value: empty, `0` and `off` (any case,
+/// surrounding whitespace ignored) disable journaling; anything else is
+/// the journal directory.
+fn journal_dir_from_value(val: &str) -> Option<PathBuf> {
     let trimmed = val.trim();
     if trimmed.is_empty() || trimmed == "0" || trimmed.eq_ignore_ascii_case("off") {
         return None;
@@ -423,18 +429,21 @@ mod tests {
     #[test]
     fn journal_env_off_values() {
         // Can't mutate the process env safely in parallel tests; exercise
-        // the trim/off logic through targeted values instead.
-        for (val, expect_on) in [
-            ("", false),
-            ("0", false),
-            ("off", false),
-            ("OFF", false),
-            ("  ", false),
-            ("/tmp/j", true),
+        // the parser the env wrapper calls with targeted values instead.
+        for (val, expect) in [
+            ("", None),
+            ("0", None),
+            ("off", None),
+            ("OFF", None),
+            ("  ", None),
+            ("/tmp/j", Some("/tmp/j")),
+            (" /tmp/j\n", Some("/tmp/j")),
         ] {
-            let trimmed = val.trim();
-            let on = !(trimmed.is_empty() || trimmed == "0" || trimmed.eq_ignore_ascii_case("off"));
-            assert_eq!(on, expect_on, "value {val:?}");
+            assert_eq!(
+                journal_dir_from_value(val),
+                expect.map(PathBuf::from),
+                "value {val:?}"
+            );
         }
     }
 }

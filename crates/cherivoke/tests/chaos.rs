@@ -226,7 +226,7 @@ fn chaos_config(seed: u64) -> ServiceConfig {
     config.policy.quarantine.fraction = if seed.is_multiple_of(3) { 0.1 } else { 0.25 };
     // Rotate the sweep kernel and worker count by seed: the headline
     // invariant must hold under every sweep path alike.
-    config.policy.kernel = [Kernel::Wide, Kernel::Fast, Kernel::Simd][(seed / 3 % 3) as usize];
+    config.policy.kernel = [Kernel::Unrolled, Kernel::Fast, Kernel::Simd][(seed / 3 % 3) as usize];
     config.policy.sweep_workers = if (seed / 9).is_multiple_of(2) { 1 } else { 4 };
     config
 }
@@ -330,7 +330,7 @@ fn seeds_cover_every_kernel_and_worker_count() {
             (policy.kernel, policy.sweep_workers)
         })
         .collect();
-    for kernel in [Kernel::Wide, Kernel::Fast, Kernel::Simd] {
+    for kernel in [Kernel::Unrolled, Kernel::Fast, Kernel::Simd] {
         for workers in [1, 4] {
             assert!(
                 configs.contains(&(kernel, workers)),

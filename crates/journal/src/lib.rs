@@ -41,7 +41,7 @@
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -194,7 +194,6 @@ enum Sink {
 /// exactly like a torn tail. Dropping a journal best-effort flushes.
 pub struct Journal {
     sink: Sink,
-    path: Option<PathBuf>,
     /// Encoded frames not yet written to a file sink.
     pending: Vec<u8>,
 }
@@ -208,7 +207,6 @@ impl Drop for Journal {
 impl fmt::Debug for Journal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Journal")
-            .field("path", &self.path)
             .field(
                 "backing",
                 &match self.sink {
@@ -236,7 +234,6 @@ impl Journal {
         file.flush()?;
         Ok(Journal {
             sink: Sink::File(file),
-            path: Some(path.to_path_buf()),
             pending: Vec::new(),
         })
     }
@@ -248,7 +245,6 @@ impl Journal {
         encode_header(&mut header);
         Journal {
             sink: Sink::Memory(header.freeze().to_vec()),
-            path: None,
             pending: Vec::new(),
         }
     }
@@ -290,17 +286,17 @@ impl Journal {
     }
 
     /// Consumes an in-memory journal, returning its encoded bytes
-    /// (header included). For file-backed journals flushes pending
-    /// frames and returns the bytes written so far by re-reading the
-    /// file.
+    /// (header included).
+    ///
+    /// # Panics
+    ///
+    /// On a file-backed journal ([`Journal::create`]): its frames live in
+    /// its file, which dropping the journal flushes; read them back with
+    /// the file's bytes and [`read_bytes`].
     pub fn into_bytes(mut self) -> Vec<u8> {
-        let _ = self.flush();
-        match std::mem::replace(&mut self.sink, Sink::Memory(Vec::new())) {
-            Sink::Memory(buf) => buf,
-            Sink::File(_) => {
-                let path = self.path.clone().expect("file sink always has a path");
-                std::fs::read(&path).unwrap_or_default()
-            }
+        match &mut self.sink {
+            Sink::Memory(buf) => std::mem::take(buf),
+            Sink::File(_) => panic!("Journal::into_bytes on a file-backed journal"),
         }
     }
 }
@@ -502,6 +498,17 @@ mod tests {
         assert!(!outcome.torn_tail);
         assert_eq!(outcome.records, records);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn into_bytes_refuses_a_file_backed_journal() {
+        let dir = std::env::temp_dir().join("cvj-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(format!("into-bytes-{}.cvj", std::process::id()));
+        let j = Journal::create(&path).expect("create");
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| j.into_bytes()));
+        std::fs::remove_file(&path).ok();
+        assert!(outcome.is_err(), "a file journal's bytes are in its file");
     }
 
     #[test]

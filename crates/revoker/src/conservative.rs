@@ -364,7 +364,7 @@ mod tests {
         }
         let mut img = ConservativeImage::from_memory(&mem, HEAP, HEAP + LEN);
         let cons = sweep_avx2(&mut img, &shadow);
-        let exact = crate::SweepEngine::new(crate::Kernel::Wide).sweep(
+        let exact = crate::SweepEngine::new(crate::Kernel::Unrolled).sweep(
             crate::SegmentSource::new(&mut mem),
             crate::NoFilter,
             &shadow,

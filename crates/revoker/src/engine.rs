@@ -571,7 +571,7 @@ impl SweepEngine {
     /// `catch_unwind` with injected [`FaultPoint::SweepWorkerPanic`] /
     /// [`FaultPoint::TagReadError`] faults, recovering by retrying the
     /// poisoned chunk on the sequential reference kernel
-    /// ([`Kernel::Wide`]). A disabled injector (the default) keeps the
+    /// ([`Kernel::Unrolled`]). A disabled injector (the default) keeps the
     /// unguarded fast path.
     pub fn with_faults(mut self, faults: FaultInjector) -> SweepEngine {
         self.faults = faults;
@@ -826,7 +826,7 @@ impl SweepEngine {
 /// the chunk runs under [`std::panic::catch_unwind`] with injected
 /// [`FaultPoint::SweepWorkerPanic`] / [`FaultPoint::TagReadError`] faults;
 /// a panicking chunk is retried once on the sequential reference kernel
-/// ([`Kernel::Wide`]), which is sound because revocation is idempotent —
+/// ([`Kernel::Unrolled`]), which is sound because revocation is idempotent —
 /// kernels only *clear* tags, never set them, so re-sweeping a partially
 /// swept chunk revokes exactly the capabilities the aborted attempt
 /// missed. A panicked attempt's partial stats are discarded (the retry
@@ -880,7 +880,7 @@ fn run_chunk_guarded(
             let mut retry = SweepStats::default();
             let retried = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_kernel(
-                    Kernel::Wide,
+                    Kernel::Unrolled,
                     data,
                     tags,
                     g0,
@@ -974,7 +974,7 @@ mod tests {
         // under the epoch's filter and every composition `timed` builds.
         let dump = CoreDump::capture(&seeded_space(7).0);
         for workers in [1, 2, 3, 8] {
-            let engine = SweepEngine::new(Kernel::Wide).with_workers(workers);
+            let engine = SweepEngine::new(Kernel::Unrolled).with_workers(workers);
             let (mut a, shadow) = seeded_space(7);
             let (mut b, _) = seeded_space(7);
 
@@ -1088,8 +1088,11 @@ mod tests {
         regs.set(0, Capability::root_rw(HEAP + 0x40, 64));
         let mut shadow = ShadowMap::new(HEAP, LEN);
         shadow.paint(HEAP + 0x40, 64);
-        let stats =
-            SweepEngine::new(Kernel::Wide).sweep(RegisterSource::new(&mut regs), NoFilter, &shadow);
+        let stats = SweepEngine::new(Kernel::Unrolled).sweep(
+            RegisterSource::new(&mut regs),
+            NoFilter,
+            &shadow,
+        );
         assert_eq!(stats.regs_revoked, 1);
         assert_eq!(stats.segments_swept, 0);
         assert_eq!(stats.bytes_swept, 0);

@@ -15,9 +15,11 @@
 //!    **CLoadTags** skips capability-free cache lines (§3.4) — see
 //!    [`CapDirtyPages`], [`CLoadTagsLines`] and [`timed`].
 //!
-//! Sweep kernels come in the flavours the paper benchmarks in Figure 7
-//! ([`Kernel::Simple`], [`Kernel::Unrolled`], [`Kernel::Wide`]) plus the
-//! word-at-a-time [`Kernel::Fast`] and vectorised [`Kernel::Simd`] tiers.
+//! Sweep kernels come in the tiers the paper benchmarks in Figure 7: the
+//! naïve [`Kernel::Simple`], the word-skipping [`Kernel::Unrolled`], the
+//! word-at-a-time scalar [`Kernel::Fast`] and the vectorised
+//! [`Kernel::Simd`] that heaps run by default (falling back to Fast
+//! without AVX2/NEON).
 //!
 //! All tag-exact sweeping runs through the [`engine`] module's one
 //! [`SweepEngine`]: a composition of a [`CapSource`] (what to walk), a
@@ -51,7 +53,7 @@
 //! // set (segments + registers), the PTE CapDirty page filter (§3.4.2),
 //! // and a kernel, then sweep.
 //! let (source, page_table) = SpaceSource::split(&mut space);
-//! let stats = SweepEngine::new(Kernel::Wide).sweep(
+//! let stats = SweepEngine::new(Kernel::Simd).sweep(
 //!     source,
 //!     CapDirtyPages::new(page_table),
 //!     &shadow,

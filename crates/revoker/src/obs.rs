@@ -93,7 +93,7 @@ mod tests {
     fn disabled_telemetry_observes_nothing() {
         let t = SweepTelemetry::default();
         assert!(!t.is_enabled());
-        t.observe(&SweepStats::default(), Duration::from_micros(5), 2, "wide");
+        t.observe(&SweepStats::default(), Duration::from_micros(5), 2, "simd");
         // And a registered one records.
         let registry = Registry::new(8);
         let t = SweepTelemetry::register(&registry);

@@ -13,7 +13,7 @@ use crate::ShadowMap;
 /// Which inner-loop implementation to use — the paper's Figure 7 compares
 /// exactly this set of optimisation levels. Heaps take theirs from the
 /// `RevocationPolicy::kernel` field, whose paper default is
-/// [`Kernel::Fast`].
+/// [`Kernel::Simd`] (running [`Kernel::Fast`] on hosts without AVX2/NEON).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// The naïve per-granule loop of §3.3: check the tag, decode, branch.
@@ -22,17 +22,14 @@ pub enum Kernel {
     /// scan of nonzero words (the paper's "unrolling + manual pipelining"
     /// tier).
     Unrolled,
-    /// Bit-parallel scan: only *set* tag bits are visited (via
-    /// count-trailing-zeros), with a branch-minimised revocation write —
-    /// the role AVX2 plays in the paper.
-    Wide,
-    /// The word-at-a-time fast path: like [`Kernel::Wide`], but each
-    /// capability is read as two 8-byte loads (no `u128` round trip), only
-    /// its **base** is decoded (the partial 64-bit decode,
-    /// [`cheri::CompressedBounds::decode_base_partial`]), and the decoded
-    /// base is first tested against the whole 64-granule shadow word
-    /// covering it — one `u64` compare rejects unpainted bases without a
-    /// bit extraction. The paper-default kernel.
+    /// The word-at-a-time scalar fast path: only *set* tag bits are
+    /// visited (via count-trailing-zeros) and revocations are written back
+    /// once per tag word; each capability is read as two 8-byte loads (no
+    /// `u128` round trip), only its **base** is decoded (the partial
+    /// 64-bit decode, [`cheri::CompressedBounds::decode_base_partial`]),
+    /// and the decoded base is tested against the whole 64-granule shadow
+    /// word covering it — one `u64` load, no data-dependent branch.
+    /// [`Kernel::Simd`] runs this kernel on hosts without a vector unit.
     Fast,
     /// The vectorised tier (the role AVX2 plays in the paper's Fig. 7
     /// hardware sweep): tag words are scanned four at a time with a
@@ -55,7 +52,6 @@ impl Kernel {
         match self {
             Kernel::Simple => "simple",
             Kernel::Unrolled => "unrolled",
-            Kernel::Wide => "wide",
             Kernel::Fast => "fast",
             Kernel::Simd => "simd",
         }
@@ -141,7 +137,6 @@ pub(crate) fn run_kernel<C: SweepCost>(
     match kernel {
         Kernel::Simple => kernel_simple(data, tags, g0, g1, shadow, base, cost, stats),
         Kernel::Unrolled => kernel_unrolled(data, tags, g0, g1, shadow, base, cost, stats),
-        Kernel::Wide => kernel_wide(data, tags, g0, g1, shadow, base, cost, stats),
         Kernel::Fast => kernel_fast(data, tags, g0, g1, shadow, base, cost, stats),
         Kernel::Simd => kernel_simd(data, tags, g0, g1, shadow, base, cost, stats),
     }
@@ -245,65 +240,9 @@ fn kernel_unrolled<C: SweepCost>(
     }
 }
 
-/// Bit-parallel loop: visit only set bits via count-trailing-zeros, build
-/// the revocation mask, and write the tag word back once.
-#[allow(clippy::too_many_arguments)]
-fn kernel_wide<C: SweepCost>(
-    data: &mut [u8],
-    tags: &mut [u64],
-    g0: usize,
-    g1: usize,
-    shadow: &ShadowMap,
-    base: u64,
-    cost: &mut C,
-    stats: &mut SweepStats,
-) {
-    let w0 = g0 / 64;
-    let w1 = g1.div_ceil(64);
-    #[allow(clippy::needless_range_loop)] // `w` also derives `lo`; indexing is the clear form
-    for w in w0..w1 {
-        // Mask the word to the requested granule range (ragged edges).
-        let lo = w * 64;
-        let mut live = tags[w];
-        if lo < g0 {
-            live &= u64::MAX << (g0 - lo);
-        }
-        if lo + 64 > g1 {
-            live &= u64::MAX >> (lo + 64 - g1);
-        }
-        if live == 0 {
-            continue;
-        }
-        let mut kill = 0u64;
-        let mut bits = live;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let g = lo + b;
-            stats.caps_inspected += 1;
-            let cap_base = word_base(data, g);
-            cost.shadow_lookup(cap_base);
-            // Branch-minimised: accumulate the kill mask.
-            kill |= u64::from(shadow.is_painted(cap_base)) << b;
-        }
-        if kill != 0 {
-            tags[w] &= !kill;
-            let mut bits = kill;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let g = lo + b;
-                data[g * 16..g * 16 + 16].fill(0);
-                cost.revoke_store(base + (g as u64) * GRANULE_SIZE);
-                cost.branch_mispredict();
-                stats.caps_revoked += 1;
-            }
-        }
-    }
-}
-
-/// The tentpole fast path: [`kernel_wide`]'s visitation order and exact
-/// statistics, with three per-capability savings.
+/// Bit-parallel scalar loop: visit only set tag bits via
+/// count-trailing-zeros, accumulate the word's kill mask, and write the
+/// tag word back once. Three per-capability savings over a plain decode:
 ///
 /// * The word is read as two `u64` halves straight out of the data slice —
 ///   no 16-byte slice → `u128` widen/narrow round trip.
@@ -974,20 +913,13 @@ mod tests {
     }
 
     fn all_kernels() -> Vec<Kernel> {
-        vec![
-            Kernel::Simple,
-            Kernel::Unrolled,
-            Kernel::Wide,
-            Kernel::Fast,
-            Kernel::Simd,
-        ]
+        vec![Kernel::Simple, Kernel::Unrolled, Kernel::Fast, Kernel::Simd]
     }
 
     #[test]
     fn kernel_names_are_stable() {
         assert_eq!(Kernel::Simple.name(), "simple");
         assert_eq!(Kernel::Unrolled.name(), "unrolled");
-        assert_eq!(Kernel::Wide.name(), "wide");
         assert_eq!(Kernel::Fast.name(), "fast");
         assert_eq!(Kernel::Simd.name(), "simd");
     }
@@ -1039,8 +971,8 @@ mod tests {
         let empty = ShadowMap::new(HEAP, LEN);
         let fast = sweep_segment(Kernel::Fast, &mut mem, &empty);
         let (mut mem2, _, _) = scenario(100);
-        let wide = sweep_segment(Kernel::Wide, &mut mem2, &empty);
-        assert_eq!(fast, wide);
+        let unrolled = sweep_segment(Kernel::Unrolled, &mut mem2, &empty);
+        assert_eq!(fast, unrolled);
         assert_eq!(fast.caps_inspected, 100);
         assert_eq!(fast.caps_revoked, 0);
         assert_eq!(mem, mem2);
@@ -1119,7 +1051,7 @@ mod tests {
     #[test]
     fn revoked_words_are_zeroed() {
         let (mut mem, shadow, _) = scenario(10);
-        sweep_segment(Kernel::Wide, &mut mem, &shadow);
+        sweep_segment(Kernel::Unrolled, &mut mem, &shadow);
         let (word, tag) = mem.read_cap_word(HEAP).unwrap();
         assert!(!tag);
         assert_eq!(
@@ -1157,7 +1089,7 @@ mod tests {
         mem.write_cap(HEAP, &wandered).unwrap();
         let mut shadow = ShadowMap::new(HEAP, LEN);
         shadow.paint(HEAP + 0x100, 64);
-        let stats = sweep_segment(Kernel::Wide, &mut mem, &shadow);
+        let stats = sweep_segment(Kernel::Unrolled, &mut mem, &shadow);
         assert_eq!(stats.caps_revoked, 1);
     }
 
@@ -1167,7 +1099,7 @@ mod tests {
         let obj = Capability::root_rw(HEAP + 0x100, 64);
         mem.write_cap(HEAP, &obj).unwrap();
         let shadow = ShadowMap::new(HEAP, LEN);
-        let stats = sweep_segment(Kernel::Wide, &mut mem, &shadow);
+        let stats = sweep_segment(Kernel::Unrolled, &mut mem, &shadow);
         assert_eq!(stats.caps_inspected, 1);
         assert_eq!(stats.caps_revoked, 0);
         assert!(mem.read_cap(HEAP).unwrap().tag());
@@ -1203,7 +1135,7 @@ mod tests {
         let mut shadow = ShadowMap::new(HEAP, 1 << 16);
         shadow.paint(HEAP + 0x40, 64);
         let (source, _) = SpaceSource::split(&mut space);
-        let stats = SweepEngine::new(Kernel::Wide).sweep(source, NoFilter, &shadow);
+        let stats = SweepEngine::new(Kernel::Unrolled).sweep(source, NoFilter, &shadow);
         assert_eq!(stats.caps_revoked, 4);
         assert_eq!(stats.segments_swept, 3);
         assert_eq!(space.tag_count(), 0);
@@ -1224,7 +1156,7 @@ mod tests {
         shadow.paint(HEAP + 0x40, 64);
         let (source, table) = SpaceSource::split(&mut space);
         let stats =
-            SweepEngine::new(Kernel::Wide).sweep(source, CapDirtyPages::new(table), &shadow);
+            SweepEngine::new(Kernel::Unrolled).sweep(source, CapDirtyPages::new(table), &shadow);
         assert_eq!(stats.caps_revoked, 1);
         assert_eq!(stats.pages_skipped, 14, "14 never-dirty pages skipped");
         // The false-positive page was re-cleaned.
@@ -1262,7 +1194,7 @@ mod tests {
             }
             let mut full = build();
             let mut skip = build();
-            let engine = SweepEngine::new(Kernel::Wide);
+            let engine = SweepEngine::new(Kernel::Unrolled);
             let a = engine.sweep(SpaceSource::split(&mut full).0, NoFilter, &shadow);
             let (source, table) = SpaceSource::split(&mut skip);
             let b = engine.sweep(source, CapDirtyPages::new(table), &shadow);
@@ -1275,11 +1207,9 @@ mod tests {
     fn parallel_engine_handles_odd_partitions() {
         for threads in [1, 2, 3, 7, 16] {
             let (mut mem, shadow, expect) = scenario(333);
-            let stats = SweepEngine::new(Kernel::Wide).with_workers(threads).sweep(
-                SegmentSource::new(&mut mem),
-                NoFilter,
-                &shadow,
-            );
+            let stats = SweepEngine::new(Kernel::Unrolled)
+                .with_workers(threads)
+                .sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
             assert_eq!(stats.caps_revoked, expect, "threads={threads}");
         }
     }
@@ -1289,7 +1219,7 @@ mod tests {
         let (mut mem, shadow, _) = scenario(100);
         // Sweep only the first 32 granules (two tag words): 16 caps live
         // there (i = 0..32 at 16-byte spacing → granules 0..32).
-        let stats = sweep_range(Kernel::Wide, &mut mem, &shadow, HEAP, 32 * 16);
+        let stats = sweep_range(Kernel::Unrolled, &mut mem, &shadow, HEAP, 32 * 16);
         assert_eq!(stats.caps_inspected, 32);
         // Capabilities outside the range are untouched even if dangling:
         // granule 40 holds a cap to a painted object (i=40 is even).
@@ -1326,7 +1256,7 @@ mod line_skip_tests {
     /// cache lines.
     fn sweep_skipping_lines(space: &mut AddressSpace, shadow: &ShadowMap) -> SweepStats {
         let (source, table) = SpaceSource::split(space);
-        SweepEngine::new(Kernel::Wide).sweep(
+        SweepEngine::new(Kernel::Unrolled).sweep(
             source,
             (CapDirtyPages::new(table), CLoadTagsLines::new()),
             shadow,
@@ -1337,8 +1267,11 @@ mod line_skip_tests {
     fn line_skipping_agrees_with_full_sweep() {
         let (mut a, shadow) = seeded_space();
         let (mut b, _) = seeded_space();
-        let full =
-            SweepEngine::new(Kernel::Wide).sweep(SpaceSource::split(&mut a).0, NoFilter, &shadow);
+        let full = SweepEngine::new(Kernel::Unrolled).sweep(
+            SpaceSource::split(&mut a).0,
+            NoFilter,
+            &shadow,
+        );
         let skip = sweep_skipping_lines(&mut b, &shadow);
         assert_eq!(full.caps_revoked, skip.caps_revoked);
         assert_eq!(a.tag_count(), b.tag_count());

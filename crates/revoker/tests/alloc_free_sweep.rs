@@ -88,7 +88,7 @@ fn warmed(kernel: Kernel, scratch: &mut SweepScratch) -> (TaggedMemory, ShadowMa
 /// can bump the process-global counter inside a measured region.
 #[test]
 fn steady_state_scratched_sweeps_allocate_nothing() {
-    for kernel in [Kernel::Wide, Kernel::Fast, Kernel::Simd] {
+    for kernel in [Kernel::Unrolled, Kernel::Fast, Kernel::Simd] {
         let mut scratch = SweepScratch::new();
         let (mut mem, shadow) = warmed(kernel, &mut scratch);
         let engine = SweepEngine::new(kernel);

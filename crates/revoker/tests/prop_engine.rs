@@ -47,7 +47,6 @@ fn kernels() -> impl Strategy<Value = Kernel> {
     prop_oneof![
         Just(Kernel::Simple),
         Just(Kernel::Unrolled),
-        Just(Kernel::Wide),
         Just(Kernel::Fast),
         Just(Kernel::Simd),
     ]

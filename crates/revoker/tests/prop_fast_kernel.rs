@@ -1,8 +1,9 @@
 //! Property tests pinning the word-at-a-time fast kernel and the vector
-//! kernel to the wide reference tier: for any random heap image, paint
+//! kernel to the unrolled reference tier: for any random heap image, paint
 //! set, filter and worker count, [`Kernel::Fast`] and [`Kernel::Simd`]
 //! revoke exactly the same capability set with exactly the same
-//! [`SweepStats`] as [`Kernel::Wide`]. The fast path's shortcuts —
+//! [`SweepStats`] as [`Kernel::Unrolled`]. (The test names predate the
+//! retired `Wide` tier, the previous reference.) The fast path's shortcuts —
 //! partial base-only decode, shadow-word screening, the empty-shadow bulk
 //! fall-through — and the simd tier's lane-parallel decode, clean-span
 //! skip, and prefetching must be invisible except in time. (The simd
@@ -103,20 +104,21 @@ fn build(plants: &[PlantedCap], paint: &[u64]) -> (TaggedMemory, ShadowMap) {
     (mem, shadow)
 }
 
-/// Wide-tier reference sweep of a fresh image under `filter`.
+/// Unrolled-tier reference sweep of a fresh image under `filter`.
 fn reference<F>(plants: &[PlantedCap], paint: &[u64], filter: F) -> (TaggedMemory, SweepStats)
 where
     F: revoker::GranuleFilter,
 {
     let (mut mem, shadow) = build(plants, paint);
-    let stats = SweepEngine::new(Kernel::Wide).sweep(SegmentSource::new(&mut mem), filter, &shadow);
+    let stats =
+        SweepEngine::new(Kernel::Unrolled).sweep(SegmentSource::new(&mut mem), filter, &shadow);
     (mem, stats)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Unfiltered and line-granular sweeps: fast == simd == wide, bit for
+    /// Unfiltered and line-granular sweeps: fast == simd == unrolled, bit for
     /// bit — memory, tags and every stats counter.
     #[test]
     fn fast_matches_wide_sequential(
@@ -124,31 +126,31 @@ proptest! {
         paint in painted_granules(),
     ) {
         for kernel in [Kernel::Fast, Kernel::Simd] {
-            let (wide_mem, wide_stats) = reference(&plants, &paint, NoFilter);
+            let (ref_mem, ref_stats) = reference(&plants, &paint, NoFilter);
             let (mut mem, shadow) = build(&plants, &paint);
             let stats = SweepEngine::new(kernel)
                 .sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
-            prop_assert_eq!(&mem, &wide_mem, "{:?} kernel revoked a different set", kernel);
-            prop_assert_eq!(stats, wide_stats);
+            prop_assert_eq!(&mem, &ref_mem, "{:?} kernel revoked a different set", kernel);
+            prop_assert_eq!(stats, ref_stats);
 
-            let (wide_mem, wide_stats) = reference(&plants, &paint, EveryLine);
+            let (ref_mem, ref_stats) = reference(&plants, &paint, EveryLine);
             let (mut mem, shadow) = build(&plants, &paint);
             let stats = SweepEngine::new(kernel)
                 .sweep(SegmentSource::new(&mut mem), EveryLine, &shadow);
-            prop_assert_eq!(&mem, &wide_mem, "line-granular {:?} sweep diverged", kernel);
-            prop_assert_eq!(stats, wide_stats);
+            prop_assert_eq!(&mem, &ref_mem, "line-granular {:?} sweep diverged", kernel);
+            prop_assert_eq!(stats, ref_stats);
 
-            let (wide_mem, wide_stats) = reference(&plants, &paint, CLoadTagsLines::new());
+            let (ref_mem, ref_stats) = reference(&plants, &paint, CLoadTagsLines::new());
             let (mut mem, shadow) = build(&plants, &paint);
             let stats = SweepEngine::new(kernel)
                 .sweep(SegmentSource::new(&mut mem), CLoadTagsLines::new(), &shadow);
-            prop_assert_eq!(&mem, &wide_mem, "CLoadTags {:?} sweep diverged", kernel);
-            prop_assert_eq!(stats, wide_stats);
+            prop_assert_eq!(&mem, &ref_mem, "CLoadTags {:?} sweep diverged", kernel);
+            prop_assert_eq!(stats, ref_stats);
         }
     }
 
     /// CapDirty page filtering composes with the fast kernel exactly as
-    /// with the wide one (same dirty set in ⇒ same revocations and same
+    /// with the unrolled one (same dirty set in ⇒ same revocations and same
     /// re-cleaned pages out).
     #[test]
     fn fast_matches_wide_under_capdirty(
@@ -163,11 +165,11 @@ proptest! {
             table
         };
 
-        let (mut wide_mem, shadow) = build(&plants, &paint);
-        let mut wide_table = dirty(&wide_mem);
-        let wide_stats = SweepEngine::new(Kernel::Wide).sweep(
-            SegmentSource::new(&mut wide_mem),
-            CapDirtyPages::new(&mut wide_table),
+        let (mut ref_mem, shadow) = build(&plants, &paint);
+        let mut ref_table = dirty(&ref_mem);
+        let ref_stats = SweepEngine::new(Kernel::Unrolled).sweep(
+            SegmentSource::new(&mut ref_mem),
+            CapDirtyPages::new(&mut ref_table),
             &shadow,
         );
 
@@ -179,10 +181,10 @@ proptest! {
                 CapDirtyPages::new(&mut table),
                 &shadow,
             );
-            prop_assert_eq!(&mem, &wide_mem, "CapDirty {:?} sweep diverged", kernel);
-            prop_assert_eq!(stats, wide_stats);
+            prop_assert_eq!(&mem, &ref_mem, "CapDirty {:?} sweep diverged", kernel);
+            prop_assert_eq!(stats, ref_stats);
             prop_assert_eq!(
-                wide_table.cap_dirty_pages(),
+                ref_table.cap_dirty_pages(),
                 table.cap_dirty_pages(),
                 "{:?} page re-cleaning diverged", kernel
             );
@@ -190,7 +192,7 @@ proptest! {
     }
 
     /// The engine running the fast or simd kernel at any worker
-    /// count in 1..=8 matches the sequential wide reference — both
+    /// count in 1..=8 matches the sequential unrolled reference — both
     /// unfiltered and on a chunked line-granular plan.
     #[test]
     fn parallel_fast_matches_wide(
@@ -199,16 +201,16 @@ proptest! {
         workers in 1..=8usize,
     ) {
         for kernel in [Kernel::Fast, Kernel::Simd] {
-            let (wide_mem, wide_stats) = reference(&plants, &paint, NoFilter);
+            let (ref_mem, ref_stats) = reference(&plants, &paint, NoFilter);
             let engine = SweepEngine::new(kernel).with_workers(workers);
 
             let (mut mem, shadow) = build(&plants, &paint);
             let stats = engine.sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
             prop_assert_eq!(
-                &mem, &wide_mem,
+                &mem, &ref_mem,
                 "parallel {:?} diverged at {} workers", kernel, workers
             );
-            prop_assert_eq!(stats, wide_stats);
+            prop_assert_eq!(stats, ref_stats);
 
             let (line_mem, line_stats) = reference(&plants, &paint, EveryLine);
             let (mut mem, shadow) = build(&plants, &paint);
@@ -222,7 +224,8 @@ proptest! {
     }
 
     /// The fast and simd kernels behind the epoch's CapDirty page filter
-    /// match the wide reference bit for bit — memory, stats, and which
+    /// match the unrolled reference on the 2 MiB image bit for bit —
+    /// memory, stats, and which
     /// pages stayed dirty afterwards — sequentially and at any worker
     /// count in 1..=8.
     #[test]
@@ -231,11 +234,11 @@ proptest! {
         paint in painted_window_granules(),
         workers in 1..=8usize,
     ) {
-        let (mut wide_mem, shadow) = build_wide(&plants, &paint);
-        let mut wide_table = dirty_table(&plants);
-        let wide_stats = SweepEngine::new(Kernel::Wide).sweep(
-            SegmentSource::new(&mut wide_mem),
-            CapDirtyPages::new(&mut wide_table),
+        let (mut ref_mem, shadow) = build_wide(&plants, &paint);
+        let mut ref_table = dirty_table(&plants);
+        let ref_stats = SweepEngine::new(Kernel::Unrolled).sweep(
+            SegmentSource::new(&mut ref_mem),
+            CapDirtyPages::new(&mut ref_table),
             &shadow,
         );
 
@@ -247,10 +250,10 @@ proptest! {
                 CapDirtyPages::new(&mut table),
                 &shadow,
             );
-            prop_assert_eq!(&mem, &wide_mem, "{:?} sweep diverged", kernel);
-            prop_assert_eq!(stats, wide_stats);
+            prop_assert_eq!(&mem, &ref_mem, "{:?} sweep diverged", kernel);
+            prop_assert_eq!(stats, ref_stats);
             prop_assert_eq!(
-                wide_table.cap_dirty_pages(),
+                ref_table.cap_dirty_pages(),
                 table.cap_dirty_pages(),
                 "{:?} CapDirty purging diverged", kernel
             );
@@ -263,10 +266,10 @@ proptest! {
                 &shadow,
             );
             prop_assert_eq!(
-                &mem, &wide_mem,
+                &mem, &ref_mem,
                 "parallel {:?} diverged at {} workers", kernel, workers
             );
-            prop_assert_eq!(par, wide_stats);
+            prop_assert_eq!(par, ref_stats);
         }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! * **Forced scalar fallback** — with the `force_scalar_kernel` test hook
 //!   armed, the simd kernel must produce byte-identical memory and stats
-//!   to its own vector path (and to [`Kernel::Wide`]), across filters and
+//!   to its own vector path (and to the [`Kernel::Unrolled`] reference), across filters and
 //!   worker counts. The hook is process-global (the engine's
 //!   scoped workers must observe it), so this lives in its own integration
 //!   binary: no other test in this process runs concurrently and the hook
@@ -95,7 +95,8 @@ impl SweepCost for RecordingCost {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// With the scalar fallback forced, simd still matches wide (and its
+    /// With the scalar fallback forced, simd still matches the unrolled
+    /// reference (and its
     /// own unforced vector results) bit for bit — sequentially, in
     /// parallel at 1..=8 workers, and under the CapDirty page filter.
     #[test]
@@ -104,38 +105,38 @@ proptest! {
         paint in painted_granules(),
         workers in 1..=8usize,
     ) {
-        let (mut wide_mem, shadow) = build(&plants, &paint);
-        let wide_stats = SweepEngine::new(Kernel::Wide)
-            .sweep(SegmentSource::new(&mut wide_mem), NoFilter, &shadow);
+        let (mut ref_mem, shadow) = build(&plants, &paint);
+        let ref_stats = SweepEngine::new(Kernel::Unrolled)
+            .sweep(SegmentSource::new(&mut ref_mem), NoFilter, &shadow);
 
         // Unforced simd first (vector path where the host supports it).
         let (mut vec_mem, shadow) = build(&plants, &paint);
         let vec_stats = SweepEngine::new(Kernel::Simd)
             .sweep(SegmentSource::new(&mut vec_mem), NoFilter, &shadow);
-        prop_assert_eq!(&vec_mem, &wide_mem, "vector simd diverged from wide");
-        prop_assert_eq!(vec_stats, wide_stats);
+        prop_assert_eq!(&vec_mem, &ref_mem, "vector simd diverged from unrolled");
+        prop_assert_eq!(vec_stats, ref_stats);
 
         force_scalar_kernel(true);
         let forced = || -> Result<(), proptest::test_runner::TestCaseError> {
             let (mut mem, shadow) = build(&plants, &paint);
             let stats = SweepEngine::new(Kernel::Simd)
                 .sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
-            prop_assert_eq!(&mem, &wide_mem, "forced-scalar simd diverged from wide");
-            prop_assert_eq!(stats, wide_stats);
+            prop_assert_eq!(&mem, &ref_mem, "forced-scalar simd diverged from unrolled");
+            prop_assert_eq!(stats, ref_stats);
 
             let (mut mem, shadow) = build(&plants, &paint);
             let stats = SweepEngine::new(Kernel::Simd).with_workers(workers)
                 .sweep(SegmentSource::new(&mut mem), EveryLine, &shadow);
             prop_assert_eq!(
-                &mem, &wide_mem,
+                &mem, &ref_mem,
                 "forced-scalar parallel simd diverged at {} workers", workers
             );
-            prop_assert_eq!(stats.caps_revoked, wide_stats.caps_revoked);
-            prop_assert_eq!(stats.caps_inspected, wide_stats.caps_inspected);
+            prop_assert_eq!(stats.caps_revoked, ref_stats.caps_revoked);
+            prop_assert_eq!(stats.caps_inspected, ref_stats.caps_inspected);
 
             let (mut ref_mem, shadow) = build(&plants, &paint);
             let mut ref_table = dirty_table(&plants);
-            let ref_stats = SweepEngine::new(Kernel::Wide).sweep(
+            let ref_stats = SweepEngine::new(Kernel::Unrolled).sweep(
                 SegmentSource::new(&mut ref_mem),
                 CapDirtyPages::new(&mut ref_table),
                 &shadow,
@@ -157,8 +158,8 @@ proptest! {
     }
 
     /// A costed simd sweep charges exactly the hooks, in exactly the
-    /// order, with exactly the operands of a costed fast sweep (and both
-    /// report the stats the wide reference does).
+    /// order, with exactly the operands of a costed fast sweep, and both
+    /// report the same stats.
     #[test]
     fn costed_simd_charges_match_fast(
         plants in planted(),

@@ -24,7 +24,7 @@ pub enum EventKind {
         /// Worker threads the sweep ran on.
         workers: usize,
         /// Stable name of the revoke kernel that executed the sweep
-        /// (e.g. `"wide"`, `"fast"`).
+        /// (e.g. `"fast"`, `"simd"`).
         kernel: &'static str,
     },
     /// A revocation epoch opened: quarantine sealed and shadow painted.
@@ -79,7 +79,7 @@ pub enum EventKind {
     SweepRetried {
         /// Chunks that panicked and were retried.
         chunks: u64,
-        /// Kernel whose chunks panicked (the retry always runs `"wide"`).
+        /// Kernel whose chunks panicked (the retry always runs `"unrolled"`).
         kernel: &'static str,
     },
     /// The supervisor restarted a dead or stalled background revoker.

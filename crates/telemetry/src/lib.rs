@@ -41,7 +41,7 @@
 //!     caps_revoked: 3,
 //!     duration_ns: 1500,
 //!     workers: 1,
-//!     kernel: "wide",
+//!     kernel: "simd",
 //! });
 //!
 //! let snap = registry.snapshot();

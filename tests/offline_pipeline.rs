@@ -48,7 +48,7 @@ fn serialised_dumps_sweep_identically_to_live_memory() {
     assert_eq!(restored, dump);
 
     // Assisted sweeps (fig. 8a's walks) agree byte for byte.
-    let engine = SweepEngine::new(Kernel::Wide);
+    let engine = SweepEngine::new(Kernel::Unrolled);
     for mode in [
         TimedMode::Full,
         TimedMode::PteCapDirty,

@@ -47,11 +47,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// A sweep configuration: the three kernel tiers heaps run in practice,
-/// and sequential or 4-worker sweeps.
+/// A sweep configuration: the unrolled reference tier, the scalar fast
+/// kernel and the default simd kernel, with sequential or 4-worker sweeps.
 fn sweep_config_strategy() -> impl Strategy<Value = (Kernel, usize)> {
-    (0usize..3, prop_oneof![Just(1usize), Just(4)])
-        .prop_map(|(kernel, workers)| ([Kernel::Wide, Kernel::Fast, Kernel::Simd][kernel], workers))
+    (0usize..3, prop_oneof![Just(1usize), Just(4)]).prop_map(|(kernel, workers)| {
+        (
+            [Kernel::Unrolled, Kernel::Fast, Kernel::Simd][kernel],
+            workers,
+        )
+    })
 }
 
 /// Every tagged capability currently stored in the heap segment, by base.
