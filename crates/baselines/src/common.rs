@@ -58,57 +58,6 @@ impl Default for BaselineCosts {
     }
 }
 
-/// Measures this machine's actual sweep throughput (bytes/second) by
-/// running a real [`revoker::SweepEngine`] sweep over a synthetic tagged
-/// heap image, instead of assuming the default 4 GiB/s constant. The image
-/// holds one capability per page — sparse enough that the sweep streams,
-/// dense enough that shadow lookups are exercised — and the sweep repeats
-/// until enough wall time accumulates for a stable rate.
-///
-/// The sweep runs [`revoker::Kernel::Simd`], the kernel heaps ship with,
-/// against a shadow with its top quarter painted: a non-empty shadow keeps
-/// the kernel off its empty-shadow shortcut, so every base is decoded and
-/// probed, while the capabilities all point below the painted quarter, so
-/// nothing is revoked and every repeat sweeps the same image.
-///
-/// Used by [`crate::PSweeperHeap::with_measured_rate`] so the analytic
-/// contention model is grounded in the same kernel CHERIvoke's own numbers
-/// come from.
-pub fn measured_sweep_rate() -> f64 {
-    use revoker::{Kernel, NoCost, NoFilter, SegmentSource, ShadowMap, SweepEngine, SweepScratch};
-
-    const BASE: u64 = 0x1000_0000;
-    const LEN: u64 = 4 << 20;
-    let mut mem = tagmem::TaggedMemory::new(BASE, LEN);
-    let cap = cheri::Capability::root_rw(BASE, 64);
-    let mut addr = BASE;
-    while addr < BASE + LEN {
-        mem.write_cap(addr, &cap).expect("address inside image");
-        addr += tagmem::PAGE_SIZE;
-    }
-    let mut shadow = ShadowMap::new(BASE, LEN);
-    shadow.paint(BASE + LEN - LEN / 4, LEN / 4);
-    let engine = SweepEngine::new(Kernel::Simd);
-    let mut scratch = SweepScratch::new();
-    let t0 = std::time::Instant::now();
-    let mut bytes = 0u64;
-    // At least one sweep; then repeat until ~2 ms of signal. One scratch is
-    // reused across the repeats so the measured rate is the steady-state,
-    // allocation-free sweep throughput.
-    while bytes == 0 || t0.elapsed().as_secs_f64() < 2e-3 {
-        let stats = engine.sweep_with(
-            SegmentSource::new(&mut mem),
-            NoFilter,
-            &shadow,
-            &mut NoCost,
-            &mut scratch,
-        );
-        debug_assert_eq!(stats.caps_revoked, 0, "repeats must sweep one image");
-        bytes += stats.bytes_swept;
-    }
-    (bytes as f64 / t0.elapsed().as_secs_f64().max(1e-9)).max(1.0)
-}
-
 /// A real allocator plus id→block bookkeeping, shared by all baselines so
 /// their memory accounting is as honest as CHERIvoke's.
 #[derive(Debug)]

@@ -61,7 +61,7 @@ mod psweeper;
 
 pub use boehm::BoehmGcHeap;
 pub use cling::{ClingHeap, SiteId};
-pub use common::{measured_sweep_rate, BaselineCosts};
+pub use common::BaselineCosts;
 pub use dangsan::DangSanHeap;
 pub use mte::{MteFault, MteHeap, MtePtr, MTE_COLOURS};
 pub use oscar::OscarHeap;

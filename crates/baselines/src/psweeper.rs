@@ -40,20 +40,6 @@ impl PSweeperHeap {
         PSweeperHeap::with_costs(trace, BaselineCosts::default())
     }
 
-    /// A pSweeper model whose concurrent scan rate is **calibrated by a
-    /// real sweep**: [`crate::measured_sweep_rate`] times an actual
-    /// [`revoker::SweepEngine`] pass over a synthetic heap image on this
-    /// machine, replacing the default 4 GiB/s constant. The contention
-    /// charge then reflects the same kernel throughput the CHERIvoke
-    /// numbers are built from, instead of a guessed constant.
-    pub fn with_measured_rate(trace: &Trace) -> PSweeperHeap {
-        let costs = BaselineCosts {
-            psweep_scan_rate_bytes_s: crate::measured_sweep_rate(),
-            ..BaselineCosts::default()
-        };
-        PSweeperHeap::with_costs(trace, costs)
-    }
-
     /// A pSweeper model with explicit costs.
     pub fn with_costs(trace: &Trace, costs: BaselineCosts) -> PSweeperHeap {
         PSweeperHeap {
@@ -182,17 +168,5 @@ mod tests {
         }
         assert_eq!(p.pending_free_bytes, 0, "sweep should have drained");
         assert!(p.sweeps() >= 1);
-    }
-
-    #[test]
-    fn measured_rate_calibration_is_sane() {
-        let t = trace("bzip2");
-        let p = PSweeperHeap::with_measured_rate(&t);
-        // A real sweep on any machine lands far above 1 MiB/s and the
-        // calibrated model still runs the trace to completion.
-        assert!(p.costs.psweep_scan_rate_bytes_s > (1 << 20) as f64);
-        let mut p = p;
-        let report = run_trace(&mut p, &t).unwrap();
-        assert!(report.normalized_time >= 1.0);
     }
 }

@@ -45,14 +45,7 @@ fn main() {
             &trace,
         );
         let (os_t, os_m) = run_system(OscarHeap::new(&trace), &trace);
-        // BENCH_MEASURED_PSWEEPER calibrates pSweeper's concurrent scan
-        // rate with a real SweepEngine pass instead of the 4 GiB/s default.
-        let psweeper = if std::env::var_os("BENCH_MEASURED_PSWEEPER").is_some() {
-            PSweeperHeap::with_measured_rate(&trace)
-        } else {
-            PSweeperHeap::new(&trace)
-        };
-        let (ps_t, ps_m) = run_system(psweeper, &trace);
+        let (ps_t, ps_m) = run_system(PSweeperHeap::new(&trace), &trace);
         let (ds_t, ds_m) = run_system(DangSanHeap::new(&trace), &trace);
         let (gc_t, gc_m) = run_system(BoehmGcHeap::new(&trace), &trace);
         rows.push(Fig5Row {

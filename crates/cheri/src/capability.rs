@@ -195,9 +195,7 @@ impl Capability {
 
     /// Returns a copy with the tag cleared. This is *revocation*: the result
     /// can never authorise anything again, and no operation restores its
-    /// tag without a still-live authorising capability (see
-    /// [`Capability::build_cap`] — rebuilding requires authority the holder
-    /// of a revoked reference, by construction, no longer has).
+    /// tag.
     #[inline]
     #[must_use]
     pub fn cleared(&self) -> Capability {
@@ -308,21 +306,6 @@ impl Capability {
         self.with_address(addr)
     }
 
-    /// Like hardware CSetAddr semantics: never fails, but clears the tag if
-    /// the new address is unrepresentable. Useful when modelling raw pointer
-    /// arithmetic in C programs.
-    #[must_use]
-    pub fn with_address_clearing(&self, addr: u64) -> Capability {
-        match self.with_address(addr) {
-            Ok(c) => c,
-            Err(_) => Capability {
-                address: addr,
-                tag: false,
-                ..*self
-            },
-        }
-    }
-
     /// Seals this capability with the object type of `auth` (CSeal).
     ///
     /// # Errors
@@ -356,40 +339,6 @@ impl Capability {
         Ok(Capability {
             otype: OType::UNSEALED,
             ..*self
-        })
-    }
-
-    /// Rebuilds a tagged capability from an untagged bit pattern, using
-    /// `self` as the authorising capability (the CBuildCap instruction).
-    ///
-    /// CBuildCap exists so software that legitimately holds authority (via
-    /// `self`) can restore a capability whose tag was lost through
-    /// byte-wise copies — e.g. `memcpy`-style runtime routines, or a
-    /// revoker *re-deriving* references it previously filtered. It is NOT
-    /// a forgery primitive: the result never exceeds the authorising
-    /// capability, so monotonicity is preserved.
-    ///
-    /// # Errors
-    ///
-    /// * [`CapError::TagCleared`] / [`CapError::Sealed`] if `self` cannot
-    ///   authorise (untagged or sealed).
-    /// * [`CapError::MonotonicityViolation`] if `pattern`'s bounds are not
-    ///   contained in `self`'s, its permissions are not a subset, or the
-    ///   pattern decodes inconsistently (top below base).
-    pub fn build_cap(&self, pattern: &Capability) -> Result<Capability, CapError> {
-        self.guard_derive()?;
-        let (pb, pt) = pattern.bounds.decode(pattern.address);
-        if pt < pb as u128 {
-            return Err(CapError::MonotonicityViolation);
-        }
-        self.check_shrinks(pb, pt)?;
-        if !pattern.perms.is_subset_of(self.perms) {
-            return Err(CapError::MonotonicityViolation);
-        }
-        Ok(Capability {
-            tag: true,
-            otype: OType::UNSEALED,
-            ..*pattern
         })
     }
 
@@ -465,7 +414,6 @@ impl fmt::Display for Capability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CapWord;
 
     fn heap_cap() -> Capability {
         Capability::root_rw(0x10_0000, 0x10_0000)
@@ -553,15 +501,12 @@ mod tests {
     fn unrepresentable_wander_clears_tag() {
         let o = heap_cap().set_bounds_exact(0x10_0040, 64).unwrap();
         // Small object (E=0): representable window is tight; going far away
-        // must fail or clear.
+        // must fail rather than yield a tagged capability.
         let far = 0x40_0000_0000u64;
         assert!(matches!(
             o.with_address(far),
             Err(CapError::UnrepresentableAddress { .. })
         ));
-        let c = o.with_address_clearing(far);
-        assert!(!c.tag());
-        assert_eq!(c.address(), far);
     }
 
     #[test]
@@ -624,60 +569,6 @@ mod tests {
         let s = format!("{o:?}");
         assert!(s.contains("0x100040"));
         assert!(s.contains("tag: true"));
-    }
-
-    #[test]
-    fn build_cap_restores_lost_tags() {
-        let auth = heap_cap();
-        let obj = auth.set_bounds_exact(0x10_0040, 64).unwrap();
-        // The tag is lost through a data copy…
-        let pattern = obj.cleared();
-        assert!(!pattern.tag());
-        // …and restored under the heap authority.
-        let rebuilt = auth.build_cap(&pattern).unwrap();
-        assert!(rebuilt.tag());
-        assert_eq!(rebuilt.base(), obj.base());
-        assert_eq!(rebuilt.top(), obj.top());
-        assert_eq!(rebuilt.perms(), obj.perms());
-        assert!(rebuilt.check_access(0x10_0040, 8, Perms::LOAD).is_ok());
-    }
-
-    #[test]
-    fn build_cap_cannot_amplify() {
-        let auth = heap_cap(); // bounds [0x10_0000, 0x20_0000), RW_DATA
-                               // Pattern with bounds outside the authority: rejected.
-        let outside = Capability::root_rw(0x40_0000, 64).cleared();
-        assert_eq!(
-            auth.build_cap(&outside),
-            Err(CapError::MonotonicityViolation)
-        );
-        // Pattern with extra permissions: rejected.
-        let too_permissive = Capability::root()
-            .set_bounds_exact(0x10_0040, 64)
-            .unwrap()
-            .cleared();
-        assert_eq!(
-            auth.build_cap(&too_permissive),
-            Err(CapError::MonotonicityViolation)
-        );
-        // A dead authority builds nothing.
-        assert_eq!(
-            auth.cleared().build_cap(&auth.cleared()),
-            Err(CapError::TagCleared)
-        );
-    }
-
-    #[test]
-    fn build_cap_rejects_inconsistent_patterns() {
-        let auth = heap_cap();
-        // A garbage word can decode with top < base; it must not build.
-        let garbage = CapWord::from_bits((0x3000u128 << 92) | 0x10_0000).decode(false);
-        if garbage.top() < garbage.base() as u128 {
-            assert_eq!(
-                auth.build_cap(&garbage),
-                Err(CapError::MonotonicityViolation)
-            );
-        }
     }
 
     #[test]

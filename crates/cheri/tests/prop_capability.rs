@@ -138,8 +138,8 @@ proptest! {
         let _ = c.length();
     }
 
-    /// Address wandering: if with_address succeeds, bounds are unchanged; if
-    /// it fails, the hardware-style variant clears the tag.
+    /// Address wandering: if with_address succeeds, bounds are unchanged;
+    /// otherwise it fails with the unrepresentable-address error.
     #[test]
     fn wandering_preserves_bounds_or_kills(
         (base, len) in bounds_strategy(),
@@ -153,11 +153,7 @@ proptest! {
                 prop_assert_eq!(moved.top(), cap.top());
                 prop_assert!(moved.tag());
             }
-            Err(CapError::UnrepresentableAddress { .. }) => {
-                let killed = cap.with_address_clearing(target);
-                prop_assert!(!killed.tag());
-                prop_assert_eq!(killed.address(), target);
-            }
+            Err(CapError::UnrepresentableAddress { .. }) => {}
             Err(e) => prop_assert!(false, "unexpected error {e:?}"),
         }
     }

@@ -17,13 +17,20 @@
 //! the same epoch pipeline, so every crash point fires in both. A failing
 //! entry's spec, image and journal are exported to `$CARGO_TARGET_TMPDIR`
 //! for artifact upload.
+//!
+//! Before recovering, each kill also checks the fact roll-forward rests
+//! on: recovery drains the image's `QuarantinedSealed` chunks but
+//! repaints the journal's `Sealed` ranges, so the former must lie inside
+//! the latter. Until the drain the two cover the same bytes; after it
+//! (`crash_before_commit`) the image holds no sealed chunk.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use cherivoke::fault::{FaultInjector, FaultPlan, FaultPoint, FaultRule, CRASH_POINTS};
-use cherivoke::{CherivokeHeap, HeapConfig, Kernel, RecoveryAction};
+use cherivoke::{CherivokeHeap, HeapConfig, HeapImage, ImageChunkState, Kernel, RecoveryAction};
+use journal::TailState;
 
 /// Child-mode selector: `kernel/slice/point/start`.
 const SPEC_ENV: &str = "CVK_CRASH_SPEC";
@@ -122,6 +129,68 @@ fn fail_entry(spec: &str, dir: &Path, why: &str) -> ! {
     );
 }
 
+/// The bytes `(start, len)` ranges cover, as sorted, disjoint,
+/// non-adjacent `[start, end)` spans.
+fn byte_spans(ranges: impl IntoIterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
+    let mut spans: Vec<(u64, u64)> = ranges
+        .into_iter()
+        .filter(|&(_, len)| len > 0)
+        .map(|(start, len)| (start, start + len))
+        .collect();
+    spans.sort_unstable();
+    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
+    for (start, end) in spans {
+        match merged.last_mut() {
+            Some(last) if start <= last.1 => last.1 = last.1.max(end),
+            _ => merged.push((start, end)),
+        }
+    }
+    merged
+}
+
+/// Checks the persisted image's sealed chunks against the journal's
+/// `Sealed` ranges at a kill of `point`; `Err` says how they disagree.
+fn check_sealed_sets(point: FaultPoint, image: &[u8], journal_bytes: &[u8]) -> Result<(), String> {
+    let image = HeapImage::decode(image).map_err(|e| format!("image does not decode: {e}"))?;
+    let outcome =
+        journal::read_bytes(journal_bytes).map_err(|e| format!("journal does not read: {e}"))?;
+    let ranges = match journal::classify(&outcome.records) {
+        TailState::SweepInterrupted { ranges, .. } => ranges,
+        // The seal record is not yet written: recovery re-opens the
+        // image's sealed chunks and repaints nothing.
+        _ if point == FaultPoint::CrashAfterSeal => return Ok(()),
+        tail => return Err(format!("journal tail {tail:?}, expected SweepInterrupted")),
+    };
+    let journal = byte_spans(ranges);
+    let sealed = byte_spans(
+        image
+            .chunks
+            .iter()
+            .filter(|c| c.state == ImageChunkState::QuarantinedSealed)
+            .map(|c| (c.addr, c.size)),
+    );
+    let inside = sealed
+        .iter()
+        .all(|&(s, e)| journal.iter().any(|&(js, je)| js <= s && e <= je));
+    if !inside {
+        return Err(format!(
+            "image's sealed chunks {sealed:x?} are not inside the journal's ranges {journal:x?}"
+        ));
+    }
+    let drained = point == FaultPoint::CrashBeforeCommit;
+    if drained && !sealed.is_empty() {
+        return Err(format!(
+            "drained image still holds sealed chunks {sealed:x?}"
+        ));
+    }
+    if !drained && sealed != journal {
+        return Err(format!(
+            "image's sealed chunks {sealed:x?} differ from the journal's ranges {journal:x?}"
+        ));
+    }
+    Ok(())
+}
+
 /// One matrix entry: kill a child at `spec`, recover in-process, audit.
 fn kill_and_recover(
     test_name: &str,
@@ -176,6 +245,9 @@ fn kill_and_recover(
         Ok(b) => b,
         Err(e) => fail_entry(&spec, &dir, &format!("child died without a journal: {e}")),
     };
+    if let Err(why) = check_sealed_sets(point, &image, &journal_bytes) {
+        fail_entry(&spec, &dir, &why);
+    }
     let started = Instant::now();
     let (mut heap, report) =
         match CherivokeHeap::recover(heap_config(kernel, slice), &image, &journal_bytes) {

@@ -425,9 +425,8 @@ pub fn page_spans(start: u64, len: u64) -> impl Iterator<Item = (u64, u64, u64)>
 
 /// Yields `(line_start, line_len)` chunks of at most [`LINE_SIZE`] bytes
 /// covering `[start, start + len)`, ascending — the visitation order the
-/// engine (and [`cheriisa`-style assembled sweeps][crate::timed]) use for
-/// line-granular walks.
-pub fn line_spans(start: u64, len: u64) -> impl Iterator<Item = (u64, u64)> {
+/// engine uses for line-granular walks.
+pub(crate) fn line_spans(start: u64, len: u64) -> impl Iterator<Item = (u64, u64)> {
     let end = start + len;
     let mut line = start;
     core::iter::from_fn(move || {

@@ -19,7 +19,7 @@ pub const DETERMINISTIC_RESULTS: &[&str] =
 
 /// Environment variables that change experiment behaviour; scrubbed so a
 /// developer's shell cannot skew the regenerated captures.
-const SCRUBBED_ENV: &[&str] = &["CHERIVOKE_FAULT_PLAN", "BENCH_MEASURED_PSWEEPER"];
+const SCRUBBED_ENV: &[&str] = &["CHERIVOKE_FAULT_PLAN"];
 
 /// The repository root (two levels above this crate's manifest).
 pub fn repo_root() -> PathBuf {

@@ -5,7 +5,6 @@
 //! actual functionality lives in the member crates, re-exported here:
 //!
 //! * [`cheri`] — software model of CHERI Concentrate capabilities.
-//! * [`cheriisa`] — instruction-level CHERI CPU (CLoadTags included).
 //! * [`tagmem`] — tagged memory, hierarchical tag tables, page tables with
 //!   CapDirty bits.
 //! * [`simcache`] — cycle-approximate cache/DRAM hierarchy model.
@@ -18,7 +17,6 @@
 
 pub use baselines;
 pub use cheri;
-pub use cheriisa;
 pub use cherivoke;
 pub use cvkalloc;
 pub use revoker;
