@@ -69,6 +69,37 @@ fn bench_alloc(c: &mut Criterion) {
         );
     });
 
+    // One epoch's drain: 1000 sealed chunks, each between two free
+    // chunks, with a live chunk after every group, so each release
+    // absorbs both neighbours out of the free bins.
+    group.bench_function("sealed_drain_coalescing_1000", |b| {
+        b.iter_batched(
+            || {
+                let mut heap = CherivokeAllocator::new(DlAllocator::new(BASE, SIZE), f64::INFINITY);
+                let blocks: Vec<u64> = (0..4000u64)
+                    .map(|i| heap.malloc(16 + (i * 37) % 2048).expect("space").addr)
+                    .collect();
+                // Slots 0 and 2 of every four become free chunks, slot 1
+                // the sealed generation, slot 3 stays live.
+                for (i, &addr) in blocks.iter().enumerate() {
+                    if i % 2 == 0 {
+                        heap.free(addr).expect("valid");
+                    }
+                }
+                heap.drain_quarantine();
+                for (i, &addr) in blocks.iter().enumerate() {
+                    if i % 4 == 1 {
+                        heap.free(addr).expect("valid");
+                    }
+                }
+                heap.seal_quarantine();
+                heap
+            },
+            |mut heap| heap.drain_sealed(),
+            criterion::BatchSize::SmallInput,
+        );
+    });
+
     group.finish();
 }
 

@@ -34,7 +34,48 @@ fn bench_paint(c: &mut Criterion) {
         });
     });
 
+    // One epoch's paint and unpaint: ~1000 quarantined ranges of 16 B to
+    // 2 KiB at mixed granule alignment, painted, then cleared range by
+    // range as the drain does. Nearly every range has a ragged end, so
+    // this is the per-word mask path rather than the whole-word body.
+    let ranges = epoch_ranges(1000);
+    let bytes: u64 = ranges.iter().map(|&(_, len)| len).sum();
+    group.throughput(Throughput::Bytes(bytes));
+    group.bench_function("epoch_paint_clear_1000_ranges", |b| {
+        let mut shadow = ShadowMap::new(HEAP_BASE, HEAP_LEN);
+        b.iter(|| {
+            for &(addr, len) in &ranges {
+                shadow.paint(addr, len);
+            }
+            for &(addr, len) in &ranges {
+                shadow.clear(addr, len);
+            }
+        });
+    });
+
     group.finish();
+}
+
+/// `n` disjoint ranges of 16..=2048 bytes separated by 0..=1008-byte gaps,
+/// from a fixed linear congruential sequence.
+fn epoch_ranges(n: usize) -> Vec<(u64, u64)> {
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut next = |bound: u64| {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (x >> 33) % bound
+    };
+    let mut addr = HEAP_BASE;
+    (0..n)
+        .map(|_| {
+            addr += next(64) * 16;
+            let len = (1 + next(128)) * 16;
+            let range = (addr, len);
+            addr += len;
+            range
+        })
+        .collect()
 }
 
 criterion_group!(benches, bench_paint);

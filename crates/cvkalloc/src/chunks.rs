@@ -23,6 +23,23 @@ pub(crate) struct Chunk {
     pub state: ChunkState,
 }
 
+/// The outcome of [`ChunkMap::coalesce_free`]: the merged chunk and the
+/// free neighbours it absorbed.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Coalesced {
+    /// Start of the merged chunk.
+    pub addr: u64,
+    /// Size of the merged chunk.
+    pub size: u64,
+    /// [`ChunkState::Top`] if it absorbed the wilderness, else
+    /// [`ChunkState::Free`].
+    pub state: ChunkState,
+    /// The absorbed free predecessor, `(addr, size)`.
+    pub prev: Option<(u64, u64)>,
+    /// The absorbed free (not top) successor, `(addr, size)`.
+    pub next: Option<(u64, u64)>,
+}
+
 /// An ordered map from chunk start address to chunk, maintaining the
 /// *tiling invariant*: chunks are disjoint, contiguous, and cover the whole
 /// heap. This plays the role of dlmalloc's boundary tags — it gives O(log n)
@@ -134,6 +151,64 @@ impl ChunkMap {
         me.size
     }
 
+    /// Frees the chunk at `addr` (in any non-free state) in the map,
+    /// absorbing a [`ChunkState::Free`] predecessor and a
+    /// [`ChunkState::Free`] or [`ChunkState::Top`] successor. The three
+    /// chunks are read with one backward and one forward range lookup and
+    /// the merged chunk is written once; the caller moves the absorbed
+    /// neighbours out of its free bins.
+    pub(crate) fn coalesce_free(&mut self, addr: u64) -> Coalesced {
+        let prev = self
+            .chunks
+            .range(..addr)
+            .next_back()
+            .filter(|&(&p, c)| p + c.size == addr && c.state == ChunkState::Free)
+            .map(|(&p, c)| (p, c.size));
+        let mut at = self.chunks.range(addr..);
+        let (_, me) = at
+            .next()
+            .filter(|&(&a, _)| a == addr)
+            .expect("chunk exists");
+        debug_assert_ne!(me.state, ChunkState::Free, "releasing a free chunk");
+        let size = me.size;
+        let next = at
+            .next()
+            .filter(|&(&n, c)| {
+                n == addr + size && matches!(c.state, ChunkState::Free | ChunkState::Top)
+            })
+            .map(|(&n, c)| (n, c.size, c.state));
+
+        let mut merged = Coalesced {
+            addr,
+            size,
+            state: ChunkState::Free,
+            prev,
+            next: None,
+        };
+        if let Some((paddr, psize)) = prev {
+            self.chunks.remove(&addr);
+            merged.addr = paddr;
+            merged.size += psize;
+        }
+        if let Some((naddr, nsize, nstate)) = next {
+            self.chunks.remove(&naddr);
+            merged.size += nsize;
+            if nstate == ChunkState::Top {
+                merged.state = ChunkState::Top;
+            } else {
+                merged.next = Some((naddr, nsize));
+            }
+        }
+        self.chunks.insert(
+            merged.addr,
+            Chunk {
+                size: merged.size,
+                state: merged.state,
+            },
+        );
+        merged
+    }
+
     /// The chunk immediately before `addr`, if contiguous: `(start, size,
     /// state)`.
     pub fn prev_neighbour(&self, addr: u64) -> Option<(u64, u64, ChunkState)> {
@@ -238,6 +313,43 @@ mod tests {
         assert_eq!(m.next_neighbour(b), Some((c, 0xd00, ChunkState::Top)));
         assert_eq!(m.prev_neighbour(0x1000), None);
         assert_eq!(m.next_neighbour(c), None);
+    }
+
+    #[test]
+    fn coalesce_free_absorbs_free_neighbours_and_top() {
+        let mut m = map();
+        let b = m.split(0x1000, 0x100);
+        let c = m.split(b, 0x100);
+        let d = m.split(c, 0x100);
+        let e = m.split(d, 0x100);
+        m.set_state(0x1000, ChunkState::Free);
+        m.set_state(b, ChunkState::Quarantined);
+        m.set_state(c, ChunkState::Free);
+        m.set_state(d, ChunkState::Allocated);
+        // b: free on both sides.
+        let merged = m.coalesce_free(b);
+        assert_eq!(
+            merged,
+            Coalesced {
+                addr: 0x1000,
+                size: 0x300,
+                state: ChunkState::Free,
+                prev: Some((0x1000, 0x100)),
+                next: Some((c, 0x100)),
+            }
+        );
+        assert_eq!(m.get(0x1000), Some((0x300, ChunkState::Free)));
+        m.assert_tiling();
+        // d: free predecessor, top successor — folds into the wilderness.
+        let merged = m.coalesce_free(d);
+        assert_eq!(merged.addr, 0x1000);
+        assert_eq!(merged.state, ChunkState::Top);
+        assert_eq!(merged.prev, Some((0x1000, 0x300)));
+        assert_eq!(merged.next, None);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.get(0x1000), Some((0x1000, ChunkState::Top)));
+        assert_eq!(m.get(e), None);
+        m.assert_tiling();
     }
 
     #[test]

@@ -236,35 +236,21 @@ impl DlAllocator {
     /// Returns the chunk at `addr` (in any non-free state) to the free
     /// lists, coalescing with free/top neighbours. Internal engine of both
     /// `free` and quarantine draining.
-    pub(crate) fn release(&mut self, mut addr: u64) {
+    pub(crate) fn release(&mut self, addr: u64) {
         self.stats.internal_frees += 1;
-        self.chunks.set_state(addr, ChunkState::Free);
-
-        // Coalesce with a free predecessor.
-        if let Some((paddr, psize, ChunkState::Free)) = self.chunks.prev_neighbour(addr) {
+        let merged = self.chunks.coalesce_free(addr);
+        if let Some((paddr, psize)) = merged.prev {
             self.bins.remove(paddr, psize);
-            self.chunks.merge_with_next(paddr);
-            addr = paddr;
         }
-
-        // Coalesce with the successor.
-        match self.chunks.next_neighbour(addr) {
-            Some((naddr, nsize, ChunkState::Free)) => {
-                self.bins.remove(naddr, nsize);
-                self.chunks.merge_with_next(addr);
-            }
-            Some((_, _, ChunkState::Top)) => {
-                // Fold into the wilderness.
-                self.chunks.set_state(addr, ChunkState::Top);
-                self.chunks.merge_with_next(addr);
-                self.top = Some(addr);
-                return;
-            }
-            _ => {}
+        if let Some((naddr, nsize)) = merged.next {
+            self.bins.remove(naddr, nsize);
         }
-
-        let (size, _) = self.chunks.get(addr).expect("released chunk exists");
-        self.bins.insert(addr, size);
+        if merged.state == ChunkState::Top {
+            // Folded into the wilderness.
+            self.top = Some(merged.addr);
+        } else {
+            self.bins.insert(merged.addr, merged.size);
+        }
     }
 
     /// Mutable chunk-state transition for quarantine bookkeeping.

@@ -1,6 +1,6 @@
 //! The quarantine buffer: `dlmalloc_cherivoke` (paper §3.1, §5.2).
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use crate::obs::{AllocTelemetry, ByteLevels};
 use crate::{AllocError, AllocStats, Block, ChunkState, DlAllocator, RestoreError};
@@ -61,8 +61,9 @@ pub struct CherivokeAllocator {
     inner: DlAllocator,
     config: QuarantineConfig,
     /// Open generation: chunks freed since the last seal, still
-    /// aggregating.
-    open: BTreeSet<u64>,
+    /// aggregating, from address to aggregated size. The sizes travel
+    /// with the aggregation so sealing reads no chunk map.
+    open: BTreeMap<u64, u64>,
     /// Sealed generation: chunks whose shadow bits are painted for an
     /// in-progress (incremental) revocation epoch. No further aggregation —
     /// the `(addr, size)` extents are frozen at seal time because they must
@@ -89,7 +90,7 @@ impl CherivokeAllocator {
         CherivokeAllocator {
             inner,
             config,
-            open: BTreeSet::new(),
+            open: BTreeMap::new(),
             sealed: Vec::new(),
             telemetry: AllocTelemetry::default(),
             faults: faultinject::FaultInjector::disabled(),
@@ -174,26 +175,34 @@ impl CherivokeAllocator {
         // only within the *open* generation: sealed chunks' extents are
         // frozen because their shadow bits are already painted.
         if !self.config.aggregate {
-            self.open.insert(addr);
+            self.open.insert(addr, size);
         } else {
-            let mut start = addr;
-            if let Some((paddr, _, ChunkState::Quarantined)) =
-                self.inner.chunks().prev_neighbour(addr)
-            {
-                if self.open.contains(&paddr) {
-                    self.inner.chunks_mut().merge_with_next(paddr);
-                    start = paddr;
-                } else {
-                    self.open.insert(addr);
-                }
-            } else {
-                self.open.insert(addr);
-            }
+            // The successor first, so the entry that ends up holding this
+            // chunk is written once, with its final size.
+            let mut total = size;
             if let Some((naddr, _, ChunkState::Quarantined)) =
-                self.inner.chunks().next_neighbour(start)
+                self.inner.chunks().next_neighbour(addr)
             {
-                if self.open.remove(&naddr) {
-                    self.inner.chunks_mut().merge_with_next(start);
+                if let Some(nsize) = self.open.remove(&naddr) {
+                    self.inner.chunks_mut().merge_with_next(addr);
+                    total += nsize;
+                }
+            }
+            let into_prev = match self.inner.chunks().prev_neighbour(addr) {
+                Some((paddr, _, ChunkState::Quarantined)) => {
+                    self.open.get_mut(&paddr).map(|psize| {
+                        *psize += total;
+                        paddr
+                    })
+                }
+                _ => None,
+            };
+            match into_prev {
+                Some(paddr) => {
+                    self.inner.chunks_mut().merge_with_next(paddr);
+                }
+                None => {
+                    self.open.insert(addr, total);
                 }
             }
         }
@@ -221,12 +230,6 @@ impl CherivokeAllocator {
             && q as f64 >= self.config.fraction * self.inner.live_bytes().max(1) as f64
     }
 
-    fn range_of(&self, addr: u64) -> (u64, u64) {
-        let (size, state) = self.inner.chunks().get(addr).expect("quarantined chunk");
-        debug_assert_eq!(state, ChunkState::Quarantined);
-        (addr, size)
-    }
-
     /// Visits every aggregated `(addr, size)` range currently in quarantine
     /// — sealed generation first, then the open one — without
     /// materialising a vector. This is the allocation-free spine behind
@@ -235,8 +238,7 @@ impl CherivokeAllocator {
         for &(addr, size) in &self.sealed {
             f(addr, size);
         }
-        for &addr in &self.open {
-            let (addr, size) = self.range_of(addr);
+        for (&addr, &size) in &self.open {
             f(addr, size);
         }
     }
@@ -261,9 +263,12 @@ impl CherivokeAllocator {
     /// generation.
     pub fn seal_quarantine_into(&mut self, out: &mut Vec<(u64, u64)>) {
         let sealed_before = self.sealed.len();
-        for &addr in &self.open {
-            let (size, state) = self.inner.chunks().get(addr).expect("quarantined chunk");
-            debug_assert_eq!(state, ChunkState::Quarantined);
+        for (&addr, &size) in &self.open {
+            debug_assert_eq!(
+                self.inner.chunks().get(addr),
+                Some((size, ChunkState::Quarantined)),
+                "open generation out of step with the chunk map at {addr:#x}"
+            );
             self.sealed.push((addr, size));
         }
         self.open.clear();
@@ -361,9 +366,12 @@ impl CherivokeAllocator {
         open: &[u64],
         sealed: &[(u64, u64)],
     ) -> Result<CherivokeAllocator, RestoreError> {
+        let mut open_sizes = BTreeMap::new();
         for &addr in open {
             match inner.chunks().get(addr) {
-                Some((_, ChunkState::Quarantined)) => {}
+                Some((size, ChunkState::Quarantined)) => {
+                    open_sizes.insert(addr, size);
+                }
                 _ => return Err(RestoreError::NotQuarantined { addr }),
             }
         }
@@ -376,7 +384,7 @@ impl CherivokeAllocator {
         Ok(CherivokeAllocator {
             inner,
             config,
-            open: open.iter().copied().collect(),
+            open: open_sizes,
             sealed: sealed.to_vec(),
             telemetry: AllocTelemetry::default(),
             faults: faultinject::FaultInjector::disabled(),
@@ -391,15 +399,14 @@ impl CherivokeAllocator {
     /// stays quarantined throughout.
     pub fn unseal_sealed(&mut self) -> usize {
         let count = self.sealed.len();
-        self.open
-            .extend(self.sealed.drain(..).map(|(addr, _)| addr));
+        self.open.extend(self.sealed.drain(..));
         count
     }
 
     /// The open generation's chunk addresses, ascending — the persistence
     /// inverse of the `open` argument to [`CherivokeAllocator::restore`].
     pub fn open_chunks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.open.iter().copied()
+        self.open.keys().copied()
     }
 
     /// The sealed generation's frozen `(addr, size)` extents — the

@@ -1,7 +1,7 @@
 //! Property tests for allocator invariants under arbitrary operation
 //! sequences: tiling, non-overlap, conservation, quarantine isolation.
 
-use cvkalloc::{CherivokeAllocator, ChunkState, DlAllocator};
+use cvkalloc::{CherivokeAllocator, ChunkMap, ChunkState, DlAllocator};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -25,6 +25,21 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         ],
         1..200,
     )
+}
+
+/// Full coalescing: no two adjacent chunks are both free, and no free
+/// chunk directly precedes the top chunk (it would have folded into it).
+fn assert_coalesced(chunks: &ChunkMap) {
+    let mut prev: Option<(u64, ChunkState)> = None;
+    for (addr, _, state) in chunks.iter() {
+        if let Some((paddr, ChunkState::Free)) = prev {
+            assert!(
+                !matches!(state, ChunkState::Free | ChunkState::Top),
+                "free chunk {paddr:#x} not coalesced with its {state:?} successor {addr:#x}"
+            );
+        }
+        prev = Some((addr, state));
+    }
 }
 
 proptest! {
@@ -58,6 +73,7 @@ proptest! {
                         let &addr = live.keys().nth(n % live.len()).expect("key");
                         live.remove(&addr);
                         prop_assert!(heap.free(addr).is_ok());
+                        assert_coalesced(heap.chunks());
                     }
                 }
                 Op::Drain => {}
@@ -98,16 +114,27 @@ proptest! {
                         let size = live.remove(&addr).expect("size");
                         prop_assert!(heap.free(addr).is_ok());
                         quarantined.insert(addr, size);
+                        assert_coalesced(heap.inner().chunks());
                     }
                 }
                 Op::Drain => {
                     heap.drain_quarantine();
                     quarantined.clear();
+                    assert_coalesced(heap.inner().chunks());
                 }
             }
             let qsum: u64 = quarantined.values().sum();
             prop_assert_eq!(heap.quarantined_bytes(), qsum);
             heap.inner().chunks().assert_tiling();
+            // The aggregated sizes the quarantine keeps are the chunk
+            // map's extents.
+            heap.for_each_quarantined_range(|addr, size| {
+                assert_eq!(
+                    heap.inner().chunks().get(addr),
+                    Some((size, ChunkState::Quarantined)),
+                    "quarantined range {addr:#x}+{size}"
+                );
+            });
         }
         // Quarantined ranges must cover exactly the quarantined bytes.
         let ranges_sum: u64 = heap.quarantined_ranges().iter().map(|&(_, s)| s).sum();
@@ -130,6 +157,13 @@ proptest! {
         }
         let before = heap.quarantined_bytes();
         let sealed = heap.seal_quarantine();
+        // Each sealed extent is exactly the chunk the map holds there.
+        for &(addr, size) in &sealed {
+            prop_assert_eq!(
+                heap.inner().chunks().get(addr),
+                Some((size, ChunkState::Quarantined))
+            );
+        }
         let sealed_sum: u64 = sealed.iter().map(|&(_, s)| s).sum();
         prop_assert_eq!(sealed_sum, before);
         prop_assert_eq!(heap.sealed_bytes(), before);
@@ -140,6 +174,7 @@ proptest! {
         }
         let open_bytes = heap.quarantined_bytes() - heap.sealed_bytes();
         heap.drain_sealed();
+        assert_coalesced(heap.inner().chunks());
         prop_assert_eq!(heap.quarantined_bytes(), open_bytes);
         prop_assert_eq!(heap.sealed_bytes(), 0);
         heap.inner().chunks().assert_tiling();

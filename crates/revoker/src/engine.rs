@@ -409,7 +409,7 @@ impl<A: GranuleFilter, B: GranuleFilter> GranuleFilter for (A, B) {
 /// Yields the page frames overlapping `[start, start + len)` as
 /// `(frame, clamped_start, clamped_end)` triples, ascending. `frame` is
 /// the [`PAGE_SIZE`]-aligned key used by page tables and dirty lists.
-pub fn page_spans(start: u64, len: u64) -> impl Iterator<Item = (u64, u64, u64)> {
+pub(crate) fn page_spans(start: u64, len: u64) -> impl Iterator<Item = (u64, u64, u64)> {
     let end = start + len;
     let mut page = start & !(PAGE_SIZE - 1);
     core::iter::from_fn(move || {

@@ -78,9 +78,9 @@ pub mod timed;
 
 pub use audit::{audit_dump, AuditReport, AuditViolation};
 pub use engine::{
-    page_spans, sweep_register_file, CLoadTagsLines, CapDirtyPages, CapSource, DirtyPageList,
-    DumpSource, EveryLine, FilterGranularity, GranuleFilter, IdealLines, NoCost, NoFilter,
-    RangeSource, RegisterSource, SegmentSource, SpaceSource, SweepCost, SweepEngine, SweepScratch,
+    sweep_register_file, CLoadTagsLines, CapDirtyPages, CapSource, DirtyPageList, DumpSource,
+    EveryLine, FilterGranularity, GranuleFilter, IdealLines, NoCost, NoFilter, RangeSource,
+    RegisterSource, SegmentSource, SpaceSource, SweepCost, SweepEngine, SweepScratch,
     MAX_SWEEP_WORKERS,
 };
 /// Deterministic fault injection for chaos testing the sweep machinery

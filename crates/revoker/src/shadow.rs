@@ -15,8 +15,10 @@ const WORD_GRANULES: u64 = 64;
 /// is a shift and an add). It occupies 1/128 of the heap — "less than 1% of
 /// the heap" (§3.2).
 ///
-/// Painting is optimised like the paper's: interior runs of whole 64-bit
-/// words are stored directly; only the ragged ends manipulate single bits.
+/// Painting and clearing are optimised like the paper's wide stores: a
+/// range touches each 64-bit shadow word it overlaps with one masked
+/// read-modify-write, a whole-word mask in the body and a partial one at
+/// each ragged end, so a range costs O(words), never O(granules).
 ///
 /// # Examples
 ///
@@ -136,7 +138,7 @@ impl ShadowMap {
             .granule_of(addr + len - GRANULE_SIZE)
             .expect("paint runs past shadowed heap");
         for g in first..=last {
-            self.put(g, true);
+            self.put(g);
         }
     }
 
@@ -151,61 +153,68 @@ impl ShadowMap {
             .granule_of(addr + len - GRANULE_SIZE)
             .expect("paint runs past shadowed heap");
 
-        let mut g = first;
-        // Ragged head: bits up to the next word boundary.
-        while g <= last && !g.is_multiple_of(64) {
-            self.put(g, set);
-            g += 1;
+        // One masked read-modify-write per shadow word: the ragged ends
+        // take a partial mask, the body whole words (the paper's
+        // wide-store optimisation, §5.2).
+        let (w_first, w_last) = ((first / 64) as usize, (last / 64) as usize);
+        let head = u64::MAX << (first % 64);
+        let tail = u64::MAX >> (63 - last % 64);
+        if w_first == w_last {
+            self.put_word(w_first, head & tail, set);
+            return;
         }
-        // Whole-word body: the paper's wide-store optimisation (§5.2).
-        while g + 63 <= last {
-            let w = (g / 64) as usize;
-            let old = self.bits[w];
-            if set {
-                // Under the strict paint/clear contract (each granule is
-                // painted exactly once per quarantine generation) a
-                // whole-word paint always lands on a clean word; anything
-                // else means `painted_granules` was about to drift.
-                debug_assert_eq!(old, 0, "repainting word {w}: already-painted granules");
-                self.painted_granules += u64::from(old.count_zeros());
-                self.bits[w] = u64::MAX;
-                self.summary[w / 64] |= 1 << (w % 64);
-            } else {
-                debug_assert_eq!(old, u64::MAX, "clearing word {w}: already-clean granules");
-                self.painted_granules -= u64::from(old.count_ones());
-                self.bits[w] = 0;
+        self.put_word(w_first, head, set);
+        for w in w_first + 1..w_last {
+            self.put_word(w, u64::MAX, set);
+        }
+        self.put_word(w_last, tail, set);
+    }
+
+    /// Sets (or clears) the granules `mask` selects in shadow word `w`,
+    /// keeping `painted_granules` and the summary bit in step.
+    #[inline]
+    fn put_word(&mut self, w: usize, mask: u64, set: bool) {
+        let old = self.bits[w];
+        if set {
+            // Under the strict paint/clear contract (each granule is
+            // painted exactly once per quarantine generation) the masked
+            // granules are all clean; anything else means
+            // `painted_granules` was about to drift.
+            debug_assert_eq!(
+                old & mask,
+                0,
+                "repainting already-painted granules in word {w}"
+            );
+            self.painted_granules += u64::from((mask & !old).count_ones());
+            self.bits[w] = old | mask;
+            self.summary[w / 64] |= 1 << (w % 64);
+        } else {
+            debug_assert_eq!(
+                old & mask,
+                mask,
+                "clearing already-clean granules in word {w}"
+            );
+            self.painted_granules -= u64::from((old & mask).count_ones());
+            let new = old & !mask;
+            self.bits[w] = new;
+            if new == 0 {
                 self.summary[w / 64] &= !(1 << (w % 64));
             }
-            g += 64;
-        }
-        // Ragged tail.
-        while g <= last {
-            self.put(g, set);
-            g += 1;
         }
     }
 
+    /// Paints the single granule `g`: the bit-at-a-time loop of
+    /// [`ShadowMap::paint_bitwise`].
     #[inline]
-    fn put(&mut self, g: u64, set: bool) {
+    fn put(&mut self, g: u64) {
         let w = (g / 64) as usize;
         let mask = 1u64 << (g % 64);
         let was = self.bits[w] & mask != 0;
-        if set {
-            debug_assert!(!was, "repainting already-painted granule {g}");
-            if !was {
-                self.bits[w] |= mask;
-                self.summary[w / 64] |= 1 << (w % 64);
-                self.painted_granules += 1;
-            }
-        } else {
-            debug_assert!(was, "clearing already-clean granule {g}");
-            if was {
-                self.bits[w] &= !mask;
-                if self.bits[w] == 0 {
-                    self.summary[w / 64] &= !(1 << (w % 64));
-                }
-                self.painted_granules -= 1;
-            }
+        debug_assert!(!was, "repainting already-painted granule {g}");
+        if !was {
+            self.bits[w] |= mask;
+            self.summary[w / 64] |= 1 << (w % 64);
+            self.painted_granules += 1;
         }
     }
 

@@ -126,13 +126,24 @@ proptest! {
         prop_assert_eq!(mem, snapshot);
     }
 
-    /// Shadow painting with the optimised wide-store path equals the
+    /// Shadow painting and clearing with the per-word masks equal the
     /// bit-at-a-time reference for arbitrary **disjoint** (aligned) range
     /// sets — disjoint because the strict paint/clear contract forbids
-    /// repainting a painted granule.
+    /// repainting a painted granule. Short ranges and short gaps dominate,
+    /// so several ranges often share one shadow word, and a random subset
+    /// is cleared range by range, as an epoch's drain does, with the map
+    /// checked against a reference of the ranges still painted after
+    /// every step.
     #[test]
     fn painting_matches_bitwise_reference(
-        gaps_lens in proptest::collection::vec((0u64..64, 1u64..512), 0..20)
+        gaps_lens in proptest::collection::vec(
+            (
+                prop_oneof![3 => 0u64..4, 1 => 0u64..64],
+                prop_oneof![3 => 1u64..8, 1 => 1u64..512],
+            ),
+            0..40,
+        ),
+        clears in proptest::collection::vec(any::<usize>(), 0..40),
     ) {
         // Turn (gap, len) pairs into non-overlapping granule runs.
         let mut ranges = Vec::new();
@@ -146,20 +157,41 @@ proptest! {
             ranges.push((HEAP + start * GRANULE_SIZE, n * GRANULE_SIZE));
             g = end;
         }
+        let reference = |ranges: &[(u64, u64)]| {
+            let mut slow = ShadowMap::new(HEAP, LEN);
+            for &(addr, len) in ranges {
+                slow.paint_bitwise(addr, len);
+            }
+            slow
+        };
         let mut fast = ShadowMap::new(HEAP, LEN);
-        let mut slow = ShadowMap::new(HEAP, LEN);
         for &(addr, len) in &ranges {
             fast.paint(addr, len);
-            slow.paint_bitwise(addr, len);
         }
+        let slow = reference(&ranges);
         prop_assert_eq!(fast.as_words(), slow.as_words());
+        prop_assert_eq!(fast.summary_words(), slow.summary_words());
         prop_assert_eq!(fast.painted_bytes(), slow.painted_bytes());
-        // And clearing with the fast path empties both identically.
-        for &(addr, len) in &ranges {
+
+        // Clear a random subset, one range at a time.
+        let mut painted = ranges.clone();
+        for &pick in &clears {
+            if painted.is_empty() {
+                break;
+            }
+            let (addr, len) = painted.remove(pick % painted.len());
             fast.clear(addr, len);
-            slow.clear(addr, len);
+            let slow = reference(&painted);
+            prop_assert_eq!(fast.as_words(), slow.as_words());
+            prop_assert_eq!(fast.summary_words(), slow.summary_words());
+            prop_assert_eq!(fast.painted_bytes(), slow.painted_bytes());
+        }
+        // Clearing the rest empties the map, summary included.
+        for &(addr, len) in &painted {
+            fast.clear(addr, len);
         }
         prop_assert_eq!(fast.painted_bytes(), 0);
-        prop_assert_eq!(slow.painted_bytes(), 0);
+        prop_assert!(fast.as_words().iter().all(|&w| w == 0));
+        prop_assert!(fast.summary_words().iter().all(|&w| w == 0));
     }
 }
