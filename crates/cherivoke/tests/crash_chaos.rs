@@ -22,7 +22,10 @@
 //! on: recovery drains the image's `QuarantinedSealed` chunks but
 //! repaints the journal's `Sealed` ranges, so the former must lie inside
 //! the latter. Until the drain the two cover the same bytes; after it
-//! (`crash_before_commit`) the image holds no sealed chunk.
+//! (`crash_before_commit`) the image holds no sealed chunk. The workload
+//! keeps live fences between freed objects, so an epoch seals several
+//! non-adjacent spans, and the matrix asserts that some kill checked
+//! such a journal.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -95,16 +98,25 @@ fn run_child(spec: &str, dir: &Path) -> ! {
     ])));
     // Live ballast keeps the epoch trigger meaningfully sized; the loop
     // stashes each allocation before freeing it so dangling architectural
-    // copies exist in memory at every crash window.
+    // copies exist in memory at every crash window. A small fence
+    // allocated after each object outlives it by FENCES iterations, so
+    // the newest freed objects of every epoch stay apart and the epoch
+    // seals several non-adjacent spans, not one coalesced run.
+    const FENCES: usize = 4;
     let mut ballast = Vec::new();
     for _ in 0..4 {
         ballast.push(heap.malloc(64 << 10).unwrap());
     }
     let holder = heap.malloc(16).unwrap();
+    let mut fences = std::collections::VecDeque::with_capacity(FENCES + 1);
     for _ in 0..2000 {
         let obj = heap.malloc(4 << 10).unwrap();
+        fences.push_back(heap.malloc(16).unwrap());
         heap.store_cap(&holder, 0, &obj).unwrap();
         heap.free(obj).unwrap();
+        if fences.len() > FENCES {
+            heap.free(fences.pop_front().unwrap()).unwrap();
+        }
     }
     std::process::exit(EXIT_NEVER_FIRED);
 }
@@ -150,7 +162,13 @@ fn byte_spans(ranges: impl IntoIterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
 
 /// Checks the persisted image's sealed chunks against the journal's
 /// `Sealed` ranges at a kill of `point`; `Err` says how they disagree.
-fn check_sealed_sets(point: FaultPoint, image: &[u8], journal_bytes: &[u8]) -> Result<(), String> {
+/// `Ok` carries how many non-adjacent byte spans those ranges cover, or
+/// `None` when the journal holds no seal record yet.
+fn check_sealed_sets(
+    point: FaultPoint,
+    image: &[u8],
+    journal_bytes: &[u8],
+) -> Result<Option<usize>, String> {
     let image = HeapImage::decode(image).map_err(|e| format!("image does not decode: {e}"))?;
     let outcome =
         journal::read_bytes(journal_bytes).map_err(|e| format!("journal does not read: {e}"))?;
@@ -158,7 +176,7 @@ fn check_sealed_sets(point: FaultPoint, image: &[u8], journal_bytes: &[u8]) -> R
         TailState::SweepInterrupted { ranges, .. } => ranges,
         // The seal record is not yet written: recovery re-opens the
         // image's sealed chunks and repaints nothing.
-        _ if point == FaultPoint::CrashAfterSeal => return Ok(()),
+        _ if point == FaultPoint::CrashAfterSeal => return Ok(None),
         tail => return Err(format!("journal tail {tail:?}, expected SweepInterrupted")),
     };
     let journal = byte_spans(ranges);
@@ -188,17 +206,18 @@ fn check_sealed_sets(point: FaultPoint, image: &[u8], journal_bytes: &[u8]) -> R
             "image's sealed chunks {sealed:x?} differ from the journal's ranges {journal:x?}"
         ));
     }
-    Ok(())
+    Ok(Some(journal.len()))
 }
 
 /// One matrix entry: kill a child at `spec`, recover in-process, audit.
+/// Returns the span count [`check_sealed_sets`] saw.
 fn kill_and_recover(
     test_name: &str,
     kernel: Kernel,
     slice: Option<u64>,
     point: FaultPoint,
     start: u64,
-) {
+) -> Option<usize> {
     let spec = format!(
         "{}/{}/{}/{start}",
         kernel.name(),
@@ -245,9 +264,10 @@ fn kill_and_recover(
         Ok(b) => b,
         Err(e) => fail_entry(&spec, &dir, &format!("child died without a journal: {e}")),
     };
-    if let Err(why) = check_sealed_sets(point, &image, &journal_bytes) {
-        fail_entry(&spec, &dir, &why);
-    }
+    let spans = match check_sealed_sets(point, &image, &journal_bytes) {
+        Ok(spans) => spans,
+        Err(why) => fail_entry(&spec, &dir, &why),
+    };
     let started = Instant::now();
     let (mut heap, report) =
         match CherivokeHeap::recover(heap_config(kernel, slice), &image, &journal_bytes) {
@@ -287,6 +307,7 @@ fn kill_and_recover(
         fail_entry(&spec, &dir, "post-recovery lifecycle left an unclean audit");
     }
     let _ = std::fs::remove_dir_all(&dir);
+    spans
 }
 
 /// The full kill matrix: 60 seeded process kills.
@@ -300,12 +321,16 @@ fn crash_chaos_stock() {
         run_child(&spec, &dir);
     }
     let mut kills = 0;
+    let mut multi_span_kills = 0;
     for kernel in KERNELS {
         for slice in SLICES {
             for point in CRASH_POINTS {
                 for start in START_INDICES {
-                    kill_and_recover(test_name, kernel, slice, point, start);
+                    let spans = kill_and_recover(test_name, kernel, slice, point, start);
                     kills += 1;
+                    if spans.is_some_and(|n| n >= 2) {
+                        multi_span_kills += 1;
+                    }
                 }
             }
         }
@@ -313,5 +338,11 @@ fn crash_chaos_stock() {
     assert_eq!(
         kills,
         KERNELS.len() * SLICES.len() * CRASH_POINTS.len() * START_INDICES.len()
+    );
+    // The sealed-set check above must have compared a journal whose
+    // ranges are not one contiguous run.
+    assert!(
+        multi_span_kills > 0,
+        "no SweepInterrupted kill sealed two or more non-adjacent spans"
     );
 }

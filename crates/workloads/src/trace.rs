@@ -211,8 +211,7 @@ impl TraceGenerator {
         let random_victim_frac = if p.cache_sensitivity > 0.0 { 0.8 } else { 0.3 };
 
         let mut events = Vec::new();
-        let mut live: Vec<(u64, u64)> = Vec::new(); // (id, size)
-        let mut next_id = 0u64;
+        let mut live = LiveSet::new();
         let mut live_bytes = 0u64;
         let mut t_us = 0u64;
 
@@ -235,16 +234,16 @@ impl TraceGenerator {
         // structure pointers); only a minority end up dangling. Model this
         // with 70% self-references (stable for the holder's lifetime) and
         // 30% cross-object references (the dangling-pointer source).
-        let pick_target = |rng: &mut SmallRng, live: &Vec<(u64, u64)>, id: u64| -> u64 {
+        let pick_target = |rng: &mut SmallRng, live: &LiveSet, id: u64| -> u64 {
             if rng.gen_bool(0.7) || live.is_empty() {
                 id
             } else {
-                live[rng.gen_range(0..live.len())].0
+                live.select(rng.gen_range(0..live.len()))
             }
         };
         let emit_ptrs = |rng: &mut SmallRng,
                          events: &mut Vec<TraceEvent>,
-                         live: &Vec<(u64, u64)>,
+                         live: &LiveSet,
                          at_us: u64,
                          id: u64,
                          size: u64| {
@@ -278,14 +277,13 @@ impl TraceGenerator {
         // Ramp-up: build the live set at t ≈ 0.
         while live_bytes < live_target {
             let size = sample_size(&mut rng);
-            let id = next_id;
-            next_id += 1;
+            let id = live.next_id();
             events.push(TraceEvent {
                 at_us: t_us,
                 op: TraceOp::Malloc { id, size },
             });
             emit_ptrs(&mut rng, &mut events, &live, t_us, id, size);
-            live.push((id, size));
+            live.push(size);
             live_bytes += size;
             t_us += 1;
         }
@@ -305,7 +303,7 @@ impl TraceGenerator {
                     } else {
                         0 // oldest
                     };
-                    let (id, size) = live.remove(idx);
+                    let (id, size) = live.remove_at(idx);
                     live_bytes -= size;
                     events.push(TraceEvent {
                         at_us,
@@ -315,14 +313,13 @@ impl TraceGenerator {
                 // Allocate a replacement to hold the live set steady.
                 if live_bytes < live_target {
                     let size = sample_size(&mut rng);
-                    let id = next_id;
-                    next_id += 1;
+                    let id = live.next_id();
                     events.push(TraceEvent {
                         at_us,
                         op: TraceOp::Malloc { id, size },
                     });
                     emit_ptrs(&mut rng, &mut events, &live, at_us, id, size);
-                    live.push((id, size));
+                    live.push(size);
                     live_bytes += size;
                 }
             }
@@ -339,10 +336,107 @@ impl TraceGenerator {
     }
 }
 
+/// The generator's live objects in allocation order, with every operation
+/// in O(log n).
+///
+/// Free victims and pointer targets are picked by position — 0 is the
+/// oldest live object, a random position a scattered one — so a trace of
+/// n events must not pay O(live objects) per free. Ids are handed out as
+/// 0, 1, 2, … so allocation order is id order, and a Fenwick tree of
+/// presence counts over ids finds the k-th live object by a prefix-count
+/// descent.
+#[derive(Debug)]
+struct LiveSet {
+    /// Size of every object ever pushed, indexed by id.
+    sizes: Vec<u64>,
+    /// Fenwick tree of presence counts, 1-based: node `i` counts the live
+    /// ids in `[i - lowbit(i), i)`. `tree.len() - 1`, the capacity in ids,
+    /// is a power of two, so node `cap` counts every live id.
+    tree: Vec<u32>,
+}
+
+impl LiveSet {
+    fn new() -> LiveSet {
+        LiveSet {
+            sizes: Vec::new(),
+            tree: vec![0; 2],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.tree[self.tree.len() - 1] as usize
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The id the next [`push`](LiveSet::push) assigns.
+    fn next_id(&self) -> u64 {
+        self.sizes.len() as u64
+    }
+
+    /// Adds a live object of `size` bytes under id [`next_id`](LiveSet::next_id).
+    fn push(&mut self, size: u64) {
+        let id = self.sizes.len();
+        self.sizes.push(size);
+        let cap = self.tree.len() - 1;
+        if id == cap {
+            // Node `cap` covers every id so far, so node `2 * cap` starts as
+            // its copy; the nodes between cover only ids not yet pushed.
+            let total = self.tree[cap];
+            self.tree.resize(2 * cap + 1, 0);
+            self.tree[2 * cap] = total;
+        }
+        let mut i = id + 1;
+        while i < self.tree.len() {
+            self.tree[i] += 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The id of the `k`-th oldest live object (0-based). The descent
+    /// finds, one bit at a time from the top, the longest id range
+    /// `[0, pos)` holding at most `k` live ids; id `pos` is then live and
+    /// the `k`-th.
+    fn select(&self, k: usize) -> u64 {
+        assert!(
+            k < self.len(),
+            "select({k}) of a {}-object live set",
+            self.len()
+        );
+        let cap = self.tree.len() - 1;
+        let mut rem = k as u32;
+        let mut pos = 0;
+        let mut step = cap;
+        while step > 0 {
+            let next = pos + step;
+            if next <= cap && self.tree[next] <= rem {
+                pos = next;
+                rem -= self.tree[next];
+            }
+            step >>= 1;
+        }
+        pos as u64
+    }
+
+    /// Removes the `k`-th oldest live object and returns its id and size.
+    fn remove_at(&mut self, k: usize) -> (u64, u64) {
+        let id = self.select(k) as usize;
+        let mut i = id + 1;
+        while i < self.tree.len() {
+            self.tree[i] -= 1;
+            i += i & i.wrapping_neg();
+        }
+        (id as u64, self.sizes[id])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profiles;
+    use proptest::prelude::*;
 
     fn gen(name: &str, scale: f64) -> Trace {
         TraceGenerator::new(profiles::by_name(name).unwrap(), scale, 1).generate()
@@ -401,6 +495,64 @@ mod tests {
             .with_max_events(10_000)
             .generate();
         assert!(t.events.len() <= 10_000);
+    }
+
+    /// One step of a [`LiveSet`] workload: the operation and a raw draw
+    /// its size or position is taken from.
+    #[derive(Debug, Clone, Copy)]
+    enum LiveOp {
+        Push(u64),
+        RemoveOldest,
+        RemoveAt(u64),
+        Select(u64),
+    }
+
+    fn arb_live_op() -> impl Strategy<Value = LiveOp> {
+        prop_oneof![
+            3 => any::<u64>().prop_map(LiveOp::Push),
+            1 => Just(LiveOp::RemoveOldest),
+            1 => any::<u64>().prop_map(LiveOp::RemoveAt),
+            1 => any::<u64>().prop_map(LiveOp::Select),
+        ]
+    }
+
+    proptest! {
+        /// The Fenwick-tree live set answers every operation exactly as the
+        /// `Vec` the generator used to keep, through many capacity
+        /// doublings (the set starts at a capacity of one id).
+        #[test]
+        fn live_set_matches_a_vec(ops in proptest::collection::vec(arb_live_op(), 0..1500)) {
+            let mut set = LiveSet::new();
+            let mut reference: Vec<(u64, u64)> = Vec::new();
+            for op in ops {
+                match op {
+                    LiveOp::Push(size) => {
+                        let id = set.next_id();
+                        set.push(size);
+                        reference.push((id, size));
+                    }
+                    LiveOp::RemoveOldest if !reference.is_empty() => {
+                        prop_assert_eq!(set.remove_at(0), reference.remove(0));
+                    }
+                    LiveOp::RemoveAt(r) if !reference.is_empty() => {
+                        let k = (r % reference.len() as u64) as usize;
+                        prop_assert_eq!(set.remove_at(k), reference.remove(k));
+                    }
+                    LiveOp::Select(r) if !reference.is_empty() => {
+                        let k = (r % reference.len() as u64) as usize;
+                        prop_assert_eq!(set.select(k), reference[k].0);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(set.len(), reference.len());
+                prop_assert_eq!(set.is_empty(), reference.is_empty());
+            }
+            // Drain what is left, oldest first.
+            for expected in reference {
+                prop_assert_eq!(set.remove_at(0), expected);
+            }
+            prop_assert!(set.is_empty());
+        }
     }
 
     #[test]
