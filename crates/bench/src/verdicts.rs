@@ -536,7 +536,6 @@ mod tests {
             let mut counts = std::collections::BTreeMap::new();
             for r in &out.records {
                 let k = match r {
-                    journal::Record::EpochOpen { .. } => "open",
                     journal::Record::Sealed { .. } => "sealed",
                     journal::Record::EpochCommitted { .. } => "committed",
                 };

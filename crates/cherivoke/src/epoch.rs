@@ -1,11 +1,17 @@
 //! Revocation epochs: the one state machine behind every revocation cycle
 //! (paper fig. 3, and §3.5's incremental form of it) — **open** (seal,
 //! paint, fix the visit set) → **step** (sweep a slice of the visit set)
-//! → **retire** (sweep registers, drain, unpaint, commit).
+//! → **retire** (sweep registers, unpaint, drain, commit).
 //! `begin_revocation` opens over the quarantine and slices interleave
 //! with execution; `revoke_now` opens the same way and runs one slice;
-//! crash recovery re-paints the journaled ranges and completes the epoch
-//! over an exhaustive visit set.
+//! crash recovery re-paints the sealed chunks restored from the heap
+//! image and completes the epoch over an exhaustive visit set.
+//!
+//! An epoch keeps no copy of what it sealed: the allocator's sealed list
+//! ([`cvkalloc::CherivokeAllocator::sealed_ranges`]) is the one record of
+//! the sealed set from seal to drain. Open paints it, retire unpaints and
+//! drains it, the journal names only the epoch, and the heap image
+//! persists it as `QuarantinedSealed` chunks.
 //!
 //! Slicing is sound (paper §3.5, and the CheriBSD/Cornucopia lineage that
 //! followed it) because of three rules:
@@ -24,8 +30,6 @@ use tagmem::{AddressSpace, Segment, TaggedMemory, GRANULE_SIZE, PAGE_SIZE};
 /// The persistent state of an open revocation epoch.
 #[derive(Debug, Clone)]
 pub(crate) struct Epoch {
-    /// Sealed quarantine ranges painted for this epoch.
-    pub ranges: Vec<(u64, u64)>,
     /// Remaining `(start, len)` regions to sweep, in segment order and
     /// address order within a segment.
     pub worklist: Vec<(u64, u64)>,
@@ -40,18 +44,13 @@ pub(crate) struct Epoch {
 }
 
 impl Epoch {
-    /// An epoch over the painted `ranges`, its visit set fixed now: the
+    /// An epoch over the painted sealed set, its visit set fixed now: the
     /// coalesced CapDirty runs of every sweepable segment of `space` (whole
     /// segments when `use_capdirty` is off; pages left out count as
     /// skipped), which every slice filters through [`CapDirtyPages`].
     /// CapDirty off is the exhaustive set: whole segments, no filter.
     /// `worklist` is a recycled buffer, so a warm open allocates nothing.
-    pub fn open(
-        space: &AddressSpace,
-        ranges: Vec<(u64, u64)>,
-        use_capdirty: bool,
-        mut worklist: Vec<(u64, u64)>,
-    ) -> Epoch {
+    pub fn open(space: &AddressSpace, use_capdirty: bool, mut worklist: Vec<(u64, u64)>) -> Epoch {
         worklist.clear();
         let table = space.page_table();
         let mut pages_skipped = 0;
@@ -81,7 +80,6 @@ impl Epoch {
             pages_skipped += clean;
         }
         Epoch {
-            ranges,
             worklist,
             use_capdirty,
             cut: None,
@@ -201,7 +199,6 @@ mod tests {
 
     fn epoch() -> Epoch {
         Epoch {
-            ranges: vec![(0x1000, 64)],
             worklist: vec![(0x1000, 4096), (0x3000, 1024)],
             use_capdirty: true,
             cut: None,

@@ -80,12 +80,10 @@ pub struct CherivokeHeap {
     /// Reusable sweep working memory: persists across epochs so
     /// steady-state sweeps allocate nothing in the walk and inner loop.
     scratch: SweepScratch,
-    /// Recycled range buffers for the epoch lifecycle (seal hand-off,
-    /// drain hand-off, worklist build, slice take): retained across
-    /// epochs, so the steady-state seal → sweep → drain path performs no
-    /// Vec allocations.
-    range_scratch: Vec<(u64, u64)>,
-    drain_scratch: Vec<(u64, u64)>,
+    /// Recycled range buffers for the epoch lifecycle (worklist build,
+    /// slice take): retained across epochs, so the steady-state seal →
+    /// sweep → drain path performs no Vec allocations. The sealed ranges
+    /// need none: they stay in the allocator's sealed list.
     worklist_scratch: Vec<(u64, u64)>,
     slice_scratch: Vec<(u64, u64)>,
     policy: RevocationPolicy,
@@ -182,8 +180,6 @@ impl CherivokeHeap {
             engine: SweepEngine::new(config.policy.kernel)
                 .with_workers(config.policy.sweep_workers),
             scratch: SweepScratch::new(),
-            range_scratch: Vec::new(),
-            drain_scratch: Vec::new(),
             worklist_scratch: Vec::new(),
             slice_scratch: Vec::new(),
             policy: config.policy,
@@ -217,7 +213,7 @@ impl CherivokeHeap {
 
     // --- Crash consistency ---------------------------------------------------
 
-    /// Attaches a write-ahead epoch journal: every epoch's open, seal and
+    /// Attaches a write-ahead epoch journal: every epoch's seal and
     /// commit is durably recorded before the heap moves on, so
     /// [`CherivokeHeap::recover`] can classify an interrupted epoch after
     /// a crash. Off by default; the disabled path is unchanged.
@@ -290,21 +286,20 @@ impl CherivokeHeap {
         }
     }
 
-    /// Appends one record to the journal (no-op without one). A write
-    /// failure — real, or injected via [`FaultPoint::JournalAppend`] —
-    /// degrades the heap (see [`CherivokeHeap::journal_failed`]).
-    fn journal_append(&mut self, rec: &Record) {
+    /// Appends one record to the journal (no-op without one). Appends
+    /// only buffer, so real write failures surface at
+    /// [`CherivokeHeap::journal_flush`]; an injected
+    /// [`FaultPoint::JournalAppend`] failure degrades the heap here (see
+    /// [`CherivokeHeap::journal_failed`]).
+    fn journal_append(&mut self, rec: Record) {
         let Some(j) = self.journal.as_mut() else {
             return;
         };
-        let result = if self.faults.should_fire(FaultPoint::JournalAppend) {
-            Err(std::io::Error::other("injected journal write failure"))
-        } else {
-            j.append(rec)
-        };
-        if let Err(e) = result {
-            self.journal_failed(&e);
+        if !self.faults.should_fire(FaultPoint::JournalAppend) {
+            j.append(rec);
+            return;
         }
+        self.journal_failed(&std::io::Error::other("injected journal write failure"));
     }
 
     /// Degraded mode after a journal write failure: warn once, drop the
@@ -530,36 +525,26 @@ impl CherivokeHeap {
         self.open_epoch()
     }
 
-    /// The epoch's open step: seals the open quarantine, journals and
-    /// paints it, and fixes the visit set. Returns `false` (opening
-    /// nothing) when the open quarantine is empty.
+    /// The epoch's open step: seals the open quarantine, journals the
+    /// seal, paints the sealed list and fixes the visit set. Returns
+    /// `false` (opening nothing) when the open quarantine is empty.
     fn open_epoch(&mut self) -> bool {
-        let mut ranges = std::mem::take(&mut self.range_scratch);
-        ranges.clear();
-        self.alloc.seal_quarantine_into(&mut ranges);
-        if ranges.is_empty() {
-            self.range_scratch = ranges;
+        if self.alloc.seal_quarantine().is_empty() {
             return false;
         }
-        // Write-ahead: the epoch-open record lands before any crash point
-        // can observe the seal, and the seal record before any point can
-        // observe the paint — so the journal tail always classifies the
-        // interrupted step correctly (see the recovery decision table).
+        // Write-ahead: the seal record lands before any crash point can
+        // observe the paint, so a crash before it (`CrashAfterSeal`)
+        // leaves a clean tail plus sealed chunks in the image, which
+        // recovery re-opens (see the recovery decision table).
         self.epoch_seq += 1;
-        self.journal_append(&Record::EpochOpen {
+        self.maybe_crash(FaultPoint::CrashAfterSeal);
+        self.journal_append(Record::Sealed {
             epoch: self.epoch_seq,
         });
-        self.maybe_crash(FaultPoint::CrashAfterSeal);
-        if self.journal.is_some() {
-            self.journal_append(&Record::Sealed {
-                epoch: self.epoch_seq,
-                ranges: ranges.clone(),
-            });
-        }
-        let sealed = ranges.len() as u64;
-        let painted = self.install_epoch(ranges, self.policy.use_capdirty);
+        let painted = self.install_epoch(self.policy.use_capdirty);
         self.maybe_crash(FaultPoint::CrashAfterPaint);
         if self.telemetry.is_enabled() {
+            let sealed = self.alloc.sealed_ranges().len() as u64;
             self.telemetry.on_quarantine_sealed(painted, sealed);
             self.telemetry.on_epoch_opened(painted);
             self.epoch_opened_at = Some(std::time::Instant::now());
@@ -567,17 +552,18 @@ impl CherivokeHeap {
         true
     }
 
-    /// Paints `ranges` and installs the epoch over them, its visit set
-    /// fixed by [`Epoch::open`]. Shared by [`CherivokeHeap::open_epoch`]
-    /// and recovery's roll-forward. Returns the bytes painted.
-    fn install_epoch(&mut self, ranges: Vec<(u64, u64)>, use_capdirty: bool) -> u64 {
+    /// Paints the allocator's sealed list and installs the epoch over
+    /// it, its visit set fixed by [`Epoch::open`]. Shared by
+    /// [`CherivokeHeap::open_epoch`] and recovery's roll-forward. Returns
+    /// the bytes painted.
+    fn install_epoch(&mut self, use_capdirty: bool) -> u64 {
         let mut painted = 0u64;
-        for &(addr, len) in &ranges {
+        for &(addr, len) in self.alloc.sealed_ranges() {
             self.shadow.paint(addr, len);
             painted += len;
         }
         let worklist = std::mem::take(&mut self.worklist_scratch);
-        self.epoch = Some(Epoch::open(&self.space, ranges, use_capdirty, worklist));
+        self.epoch = Some(Epoch::open(&self.space, use_capdirty, worklist));
         painted
     }
 
@@ -597,7 +583,7 @@ impl CherivokeHeap {
 
     /// The epoch's step: sweeps up to `max_bytes` of the active epoch's
     /// worklist in one engine call, through the epoch's filter; once the
-    /// worklist is empty, retires the epoch (registers, drain, unpaint,
+    /// worklist is empty, retires the epoch (registers, unpaint, drain,
     /// commit). Returns the epoch's total statistics when it completes,
     /// `None` if work remains (or no epoch is active, or the epoch is held
     /// open — see [`CherivokeHeap::set_epoch_hold`]).
@@ -635,30 +621,26 @@ impl CherivokeHeap {
             self.epoch = Some(epoch);
             return None;
         }
-        // Epoch complete: registers, drain, unpaint.
+        // Epoch complete: registers, unpaint, drain.
         let (_, regs, _) = self.space.sweep_parts_mut();
         epoch.stats += sweep_register_file(regs, &self.shadow);
         self.maybe_crash(FaultPoint::CrashBeforeDrain);
-        let mut drained = std::mem::take(&mut self.drain_scratch);
-        drained.clear();
-        self.alloc.drain_sealed_into(&mut drained);
-        self.drain_scratch = drained;
         let mut painted = 0;
-        for &(addr, len) in &epoch.ranges {
+        for &(addr, len) in self.alloc.sealed_ranges() {
             self.shadow.clear(addr, len);
             painted += len;
         }
+        self.alloc.drain_sealed();
         // No allocation can occur between the drain above and the commit
-        // record below, so a crash here is safely rolled forward (the
-        // re-paint covers now-free ranges no capability can reach).
+        // record below, so a crash here is safely rolled forward: the
+        // image holds no sealed chunk, so recovery repaints nothing and
+        // its re-sweep finds no capability into the drained ranges.
         self.maybe_crash(FaultPoint::CrashBeforeCommit);
-        self.journal_append(&Record::EpochCommitted {
+        self.journal_append(Record::EpochCommitted {
             epoch: self.epoch_seq,
         });
         self.journal_flush_batched();
-        // Recycle the epoch's buffers for the next seal/worklist build.
-        epoch.ranges.clear();
-        self.range_scratch = std::mem::take(&mut epoch.ranges);
+        // Recycle the epoch's worklist for the next build.
         epoch.worklist.clear();
         self.worklist_scratch = std::mem::take(&mut epoch.worklist);
         self.stats.absorb_sweep(&epoch.stats, painted);
@@ -698,14 +680,15 @@ impl CherivokeHeap {
         self.epoch_hold = hold;
     }
 
-    /// The active epoch's painted `(addr, len)` ranges (empty when no epoch
-    /// is active) — the ranges an orchestrator publishes to its global
-    /// revocation barrier.
+    /// The active epoch's painted `(addr, len)` ranges — the allocator's
+    /// sealed list (empty when no epoch is active). These are the ranges
+    /// an orchestrator publishes to its global revocation barrier.
     pub fn epoch_ranges(&self) -> Vec<(u64, u64)> {
-        self.epoch
-            .as_ref()
-            .map(|e| e.ranges.clone())
-            .unwrap_or_default()
+        if self.epoch.is_some() {
+            self.alloc.sealed_ranges().to_vec()
+        } else {
+            Vec::new()
+        }
     }
 
     /// Sweeps this heap's entire root set (heap, stack, globals, registers)
@@ -812,17 +795,18 @@ impl CherivokeHeap {
     /// journal, deterministically finishing whatever the crash
     /// interrupted. The decision table (see `DESIGN.md` §20):
     ///
-    /// | journal tail          | action                                     |
-    /// |-----------------------|--------------------------------------------|
-    /// | clean                 | nothing in flight — restore only           |
-    /// | seal interrupted      | re-open the partially sealed quarantine    |
-    /// | sweep interrupted     | re-paint, exhaustive re-sweep, drain       |
+    /// | journal tail          | action                                      |
+    /// |-----------------------|---------------------------------------------|
+    /// | clean                 | re-open any sealed chunks the image holds   |
+    /// | sweep interrupted     | re-paint sealed chunks, full re-sweep, drain|
     ///
-    /// Both actions are safe in every crash order: sealed memory stays
-    /// quarantined until a completed sweep drains it, and sweeps are
-    /// idempotent. Registers and the shadow map are process state — the
-    /// recovered heap starts with fresh ones (plus whatever the
-    /// roll-forward re-painted and cleared).
+    /// The image's `QuarantinedSealed` chunks are the one record of the
+    /// sealed set; the journal says only whether its seal was durable
+    /// and uncommitted. Both actions are safe in every crash order:
+    /// sealed memory stays quarantined until a completed sweep drains
+    /// it, and sweeps are idempotent. Registers and the shadow map are
+    /// process state — the recovered heap starts with fresh ones (plus
+    /// whatever the roll-forward re-painted and cleared).
     ///
     /// Ends with a full-heap safety audit ([`CherivokeHeap::audit`]);
     /// the report's [`RecoveryReport::safe`] is the harness's verdict.
@@ -918,29 +902,26 @@ impl CherivokeHeap {
         };
         match tail {
             TailState::Clean => {
-                // A clean tail with sealed chunks means the journal
-                // predates the seal (journaling attached mid-life).
-                // Re-opening is the safe default: the memory stays
-                // quarantined and the next epoch re-seals it.
+                // A clean tail with sealed chunks means the process died
+                // between the seal and a durable `Sealed` record (or the
+                // journal was attached mid-epoch). Re-opening is the safe
+                // default: the memory stays quarantined and the next
+                // epoch re-seals it.
                 if !heap.alloc.sealed_ranges().is_empty() {
                     report.reopened_chunks = heap.alloc.unseal_sealed();
                     report.action = RecoveryAction::ReopenSeal;
                 }
             }
-            TailState::SealInterrupted { epoch } => {
-                report.epoch = Some(epoch);
-                report.action = RecoveryAction::ReopenSeal;
-                report.reopened_chunks = heap.alloc.unseal_sealed();
-            }
-            TailState::SweepInterrupted { epoch, ranges } => {
+            TailState::SweepInterrupted { epoch } => {
                 report.epoch = Some(epoch);
                 report.action = RecoveryAction::RollForward;
-                report.repainted_ranges = ranges.len();
-                // Re-paint and complete the epoch over the exhaustive
-                // visit set — every byte of every sweepable segment, no
-                // filter: the journal records no sweep progress, and
-                // re-sweeping swept memory is harmless.
-                heap.install_epoch(ranges, false);
+                report.repainted_ranges = heap.alloc.sealed_ranges().len();
+                // Re-paint the restored sealed set and complete the epoch
+                // over the exhaustive visit set — every byte of every
+                // sweepable segment, no filter: the journal records no
+                // sweep progress, and re-sweeping swept memory is
+                // harmless.
+                heap.install_epoch(false);
                 report.caps_revoked = heap
                     .finish_revocation()
                     .expect("an open epoch runs to completion")
@@ -1594,10 +1575,19 @@ mod tests {
         match point {
             revoker::fault::FaultPoint::CrashAfterSeal => {
                 assert_eq!(report.action, RecoveryAction::ReopenSeal);
+                assert_eq!(report.epoch, None);
                 assert!(report.reopened_chunks > 0);
+            }
+            // The drain already ran: the image holds no sealed chunk, so
+            // the roll-forward repaints nothing.
+            revoker::fault::FaultPoint::CrashBeforeCommit => {
+                assert_eq!(report.action, RecoveryAction::RollForward);
+                assert!(report.epoch.is_some());
+                assert_eq!(report.repainted_ranges, 0);
             }
             _ => {
                 assert_eq!(report.action, RecoveryAction::RollForward);
+                assert!(report.epoch.is_some());
                 assert!(report.repainted_ranges > 0);
             }
         }
@@ -1634,6 +1624,57 @@ mod tests {
     #[test]
     fn crash_before_commit_rolls_forward() {
         soft_crash_and_recover(revoker::fault::FaultPoint::CrashBeforeCommit);
+    }
+
+    /// The allocator's sealed list is the one record of the sealed set:
+    /// what the epoch painted, what it publishes and what the image
+    /// persists are all that list, even while frees join the next
+    /// generation mid-epoch.
+    #[test]
+    fn sealed_list_is_what_the_epoch_paints_and_the_image_persists() {
+        let mut cfg = incremental_config();
+        cfg.policy.quarantine.fraction = f64::INFINITY; // epochs open by hand
+        let mut h = CherivokeHeap::new(cfg).unwrap();
+        let _ballast = h.malloc(256 << 10).unwrap();
+        let mut objs: Vec<_> = (0..12).map(|_| h.malloc(1 << 10).unwrap()).collect();
+        // Free every other object: the seal holds non-adjacent spans.
+        for obj in objs.iter().step_by(2) {
+            h.free(*obj).unwrap();
+        }
+        assert!(h.begin_revocation());
+        // Held open, so the slices the frees below pump cannot retire it.
+        h.set_epoch_hold(true);
+        h.revoke_step(4 << 10);
+        // Frees mid-epoch join the open generation, not the sealed set.
+        for obj in objs.drain(..).skip(1).step_by(2) {
+            h.free(obj).unwrap();
+        }
+        let sealed: Vec<(u64, u64)> = h
+            .capture_image()
+            .chunks
+            .iter()
+            .filter(|c| c.state == ImageChunkState::QuarantinedSealed)
+            .map(|c| (c.addr, c.size))
+            .collect();
+        assert_eq!(sealed.len(), 6);
+        assert_eq!(
+            h.shadow().painted_bytes(),
+            sealed.iter().map(|&(_, size)| size).sum::<u64>()
+        );
+        for &(addr, size) in &sealed {
+            assert!(h.shadow().is_painted(addr), "first granule of {addr:#x}");
+            assert!(
+                h.shadow().is_painted(addr + size - tagmem::GRANULE_SIZE),
+                "last granule of {addr:#x}"
+            );
+        }
+        assert!(h.revocation_active());
+        assert_eq!(h.epoch_ranges(), h.allocator().sealed_ranges());
+        assert_eq!(h.allocator().open_chunks().count(), 6);
+        h.finish_revocation().expect("the epoch retires");
+        assert_eq!(h.shadow().painted_bytes(), 0);
+        assert!(h.allocator().sealed_ranges().is_empty());
+        assert!(h.epoch_ranges().is_empty());
     }
 
     #[test]

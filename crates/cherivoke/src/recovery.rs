@@ -8,13 +8,16 @@
 //!   for the survivable RAM image of a real crashed process.
 //! * **Process** — registers, the shadow map, the in-flight epoch
 //!   machinery and all cumulative counters. These die with the process;
-//!   recovery reconstructs what it must (the shadow map, via the journal)
-//!   and zeroes the rest.
+//!   recovery reconstructs what it must (the shadow map, from the image's
+//!   sealed chunks) and zeroes the rest.
 //!
-//! The [`journal`] crate's write-ahead records say how far the in-flight
-//! epoch got; [`crate::CherivokeHeap::recover`] combines journal + image
-//! into a consistent heap, rolling the epoch forward (re-paint, re-sweep
-//! — sweeps are idempotent) or re-opening a partially sealed quarantine.
+//! The image's `QuarantinedSealed` chunks are the one record of the
+//! sealed set; the [`journal`] crate's write-ahead records say only
+//! whether that seal became durable and whether its epoch committed.
+//! [`crate::CherivokeHeap::recover`] combines journal + image into a
+//! consistent heap, rolling the epoch forward (re-paint the sealed
+//! chunks, re-sweep — sweeps are idempotent) or re-opening a sealed
+//! quarantine whose `Sealed` record never landed.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -215,16 +218,19 @@ impl HeapImage {
 /// classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryAction {
-    /// The journal tail was clean; nothing was in flight.
+    /// The journal tail was clean and the image holds no sealed chunk;
+    /// nothing was in flight.
     None,
-    /// An epoch died before its seal was durably recorded: the partially
-    /// sealed quarantine was re-opened (rollback — safe because sealed
-    /// memory stays quarantined either way).
+    /// The journal tail was clean but the image holds sealed chunks: an
+    /// epoch died after its seal and before its `Sealed` record became
+    /// durable. The sealed chunks were re-opened (rollback — safe because
+    /// sealed memory stays quarantined either way).
     ReopenSeal,
     /// The quarantine was durably sealed but the epoch never committed: the
-    /// recorded ranges were re-painted and the whole heap re-swept
+    /// image's sealed chunks were re-painted and the whole heap re-swept
     /// (roll-forward — safe because sweeps are idempotent and nothing
-    /// allocates between drain and commit). A stop-the-world
+    /// allocates between drain and commit). A crash after the drain
+    /// leaves no sealed chunk, so nothing is re-painted. A stop-the-world
     /// (`revoke_now`) epoch rolls forward exactly like an incremental one.
     RollForward,
 }
@@ -234,7 +240,8 @@ pub enum RecoveryAction {
 pub struct RecoveryReport {
     /// The action the journal classification selected.
     pub action: RecoveryAction,
-    /// The interrupted epoch's sequence number, when one was in flight.
+    /// The interrupted epoch's sequence number on a roll-forward; `None`
+    /// otherwise (a re-opened seal has no durable epoch record).
     pub epoch: Option<u64>,
     /// Whether the journal ended in a torn (partially written) frame.
     pub torn_tail: bool,
@@ -245,7 +252,8 @@ pub struct RecoveryReport {
     pub caps_replayed: u64,
     /// Sealed chunks returned to the open generation (rollback path).
     pub reopened_chunks: usize,
-    /// Ranges re-painted for the roll-forward sweep.
+    /// Ranges re-painted for the roll-forward sweep: the image's
+    /// `QuarantinedSealed` chunks (0 when the crash followed the drain).
     pub repainted_ranges: usize,
     /// Capabilities the roll-forward sweep revoked (dangling pointers
     /// the crash had left unswept).

@@ -18,14 +18,18 @@
 //! entry's spec, image and journal are exported to `$CARGO_TARGET_TMPDIR`
 //! for artifact upload.
 //!
-//! Before recovering, each kill also checks the fact roll-forward rests
-//! on: recovery drains the image's `QuarantinedSealed` chunks but
-//! repaints the journal's `Sealed` ranges, so the former must lie inside
-//! the latter. Until the drain the two cover the same bytes; after it
-//! (`crash_before_commit`) the image holds no sealed chunk. The workload
-//! keeps live fences between freed objects, so an epoch seals several
-//! non-adjacent spans, and the matrix asserts that some kill checked
-//! such a journal.
+//! The image's `QuarantinedSealed` chunks are the one record of the
+//! sealed set; the journal names only the epoch that sealed it. Before
+//! recovering, each kill checks that the two agree on where the epoch
+//! died: at `crash_after_seal` the tail is clean (the `Sealed` frame is
+//! not yet written) and the image holds sealed chunks; from the paint
+//! to the drain the tail is `SweepInterrupted` at the journal's latest
+//! epoch and the image holds sealed chunks; at `crash_before_commit` the
+//! drain has run, so the tail is `SweepInterrupted` and the image holds
+//! none. Every roll-forward must then repaint exactly the image's sealed
+//! chunks. The workload keeps live fences between freed objects, so an
+//! epoch seals several non-adjacent spans, and the matrix asserts that
+//! some kill's image held such a sealed set.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -33,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use cherivoke::fault::{FaultInjector, FaultPlan, FaultPoint, FaultRule, CRASH_POINTS};
 use cherivoke::{CherivokeHeap, HeapConfig, HeapImage, ImageChunkState, Kernel, RecoveryAction};
-use journal::TailState;
+use journal::{Record, TailState};
 
 /// Child-mode selector: `kernel/slice/point/start`.
 const SPEC_ENV: &str = "CVK_CRASH_SPEC";
@@ -160,39 +164,41 @@ fn byte_spans(ranges: impl IntoIterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
     merged
 }
 
-/// Checks the persisted image's sealed chunks against the journal's
-/// `Sealed` ranges at a kill of `point`; `Err` says how they disagree.
-/// `Ok` carries how many non-adjacent byte spans those ranges cover, or
-/// `None` when the journal holds no seal record yet.
+/// The image's sealed set at a kill, as [`check_sealed_sets`] read it.
+struct SealedSet {
+    /// `QuarantinedSealed` chunks in the image.
+    chunks: usize,
+    /// Non-adjacent byte spans those chunks cover.
+    spans: usize,
+}
+
+/// Checks the persisted image's sealed chunks and the journal's tail
+/// against where `point` kills an epoch; `Err` says how they disagree.
 fn check_sealed_sets(
     point: FaultPoint,
     image: &[u8],
     journal_bytes: &[u8],
-) -> Result<Option<usize>, String> {
+) -> Result<SealedSet, String> {
     let image = HeapImage::decode(image).map_err(|e| format!("image does not decode: {e}"))?;
     let outcome =
         journal::read_bytes(journal_bytes).map_err(|e| format!("journal does not read: {e}"))?;
-    let ranges = match journal::classify(&outcome.records) {
-        TailState::SweepInterrupted { ranges, .. } => ranges,
-        // The seal record is not yet written: recovery re-opens the
-        // image's sealed chunks and repaints nothing.
-        _ if point == FaultPoint::CrashAfterSeal => return Ok(None),
-        tail => return Err(format!("journal tail {tail:?}, expected SweepInterrupted")),
-    };
-    let journal = byte_spans(ranges);
-    let sealed = byte_spans(
-        image
-            .chunks
-            .iter()
-            .filter(|c| c.state == ImageChunkState::QuarantinedSealed)
-            .map(|c| (c.addr, c.size)),
-    );
-    let inside = sealed
+    let sealed: Vec<(u64, u64)> = image
+        .chunks
         .iter()
-        .all(|&(s, e)| journal.iter().any(|&(js, je)| js <= s && e <= je));
-    if !inside {
+        .filter(|c| c.state == ImageChunkState::QuarantinedSealed)
+        .map(|c| (c.addr, c.size))
+        .collect();
+    let latest = outcome.records.iter().map(Record::epoch).max();
+    let tail = journal::classify(&outcome.records);
+    let tail_ok = match point {
+        // The seal happened, its record did not: recovery re-opens.
+        FaultPoint::CrashAfterSeal => tail == TailState::Clean,
+        _ => matches!(tail, TailState::SweepInterrupted { epoch } if Some(epoch) == latest),
+    };
+    if !tail_ok {
         return Err(format!(
-            "image's sealed chunks {sealed:x?} are not inside the journal's ranges {journal:x?}"
+            "journal tail {tail:?} at {} (latest epoch {latest:?})",
+            point.name()
         ));
     }
     let drained = point == FaultPoint::CrashBeforeCommit;
@@ -201,23 +207,24 @@ fn check_sealed_sets(
             "drained image still holds sealed chunks {sealed:x?}"
         ));
     }
-    if !drained && sealed != journal {
-        return Err(format!(
-            "image's sealed chunks {sealed:x?} differ from the journal's ranges {journal:x?}"
-        ));
+    if !drained && sealed.is_empty() {
+        return Err("image holds no sealed chunk before the drain".into());
     }
-    Ok(Some(journal.len()))
+    Ok(SealedSet {
+        chunks: sealed.len(),
+        spans: byte_spans(sealed).len(),
+    })
 }
 
 /// One matrix entry: kill a child at `spec`, recover in-process, audit.
-/// Returns the span count [`check_sealed_sets`] saw.
+/// Returns how many non-adjacent spans the image's sealed set covered.
 fn kill_and_recover(
     test_name: &str,
     kernel: Kernel,
     slice: Option<u64>,
     point: FaultPoint,
     start: u64,
-) -> Option<usize> {
+) -> usize {
     let spec = format!(
         "{}/{}/{}/{start}",
         kernel.name(),
@@ -264,8 +271,8 @@ fn kill_and_recover(
         Ok(b) => b,
         Err(e) => fail_entry(&spec, &dir, &format!("child died without a journal: {e}")),
     };
-    let spans = match check_sealed_sets(point, &image, &journal_bytes) {
-        Ok(spans) => spans,
+    let sealed = match check_sealed_sets(point, &image, &journal_bytes) {
+        Ok(sealed) => sealed,
         Err(why) => fail_entry(&spec, &dir, &why),
     };
     let started = Instant::now();
@@ -293,6 +300,16 @@ fn kill_and_recover(
             &format!("unexpected recovery action {:?}", report.action),
         );
     }
+    if report.action == RecoveryAction::RollForward && report.repainted_ranges != sealed.chunks {
+        fail_entry(
+            &spec,
+            &dir,
+            &format!(
+                "roll-forward repainted {} ranges, the image holds {} sealed chunks",
+                report.repainted_ranges, sealed.chunks
+            ),
+        );
+    }
     // Bounded recovery: a 1 MiB heap must come back interactively fast.
     // (The bench verdict gates the precise budget; this is a backstop
     // against pathological rescan loops.)
@@ -307,7 +324,7 @@ fn kill_and_recover(
         fail_entry(&spec, &dir, "post-recovery lifecycle left an unclean audit");
     }
     let _ = std::fs::remove_dir_all(&dir);
-    spans
+    sealed.spans
 }
 
 /// The full kill matrix: 60 seeded process kills.
@@ -328,7 +345,7 @@ fn crash_chaos_stock() {
                 for start in START_INDICES {
                     let spans = kill_and_recover(test_name, kernel, slice, point, start);
                     kills += 1;
-                    if spans.is_some_and(|n| n >= 2) {
+                    if spans >= 2 {
                         multi_span_kills += 1;
                     }
                 }
@@ -339,10 +356,10 @@ fn crash_chaos_stock() {
         kills,
         KERNELS.len() * SLICES.len() * CRASH_POINTS.len() * START_INDICES.len()
     );
-    // The sealed-set check above must have compared a journal whose
-    // ranges are not one contiguous run.
+    // The sealed-set check above must have seen an image whose sealed
+    // chunks are not one contiguous run.
     assert!(
         multi_span_kills > 0,
-        "no SweepInterrupted kill sealed two or more non-adjacent spans"
+        "no kill's image sealed two or more non-adjacent spans"
     );
 }

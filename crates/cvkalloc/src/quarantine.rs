@@ -67,9 +67,11 @@ pub struct CherivokeAllocator {
     /// Sealed generation: chunks whose shadow bits are painted for an
     /// in-progress (incremental) revocation epoch. No further aggregation —
     /// the `(addr, size)` extents are frozen at seal time because they must
-    /// match what was painted. A plain vector (rather than a set) so the
-    /// buffer's capacity survives [`CherivokeAllocator::drain_sealed_into`]
-    /// and steady-state epochs allocate nothing here.
+    /// match what was painted. The one record of the sealed set: the owner
+    /// paints, unpaints and persists it from here. A plain vector (rather
+    /// than a set) so the buffer's capacity survives
+    /// [`CherivokeAllocator::drain_sealed`] and steady-state epochs
+    /// allocate nothing here.
     sealed: Vec<(u64, u64)>,
     /// Metric handles (detached by default; see
     /// [`CherivokeAllocator::set_telemetry`]).
@@ -256,12 +258,12 @@ impl CherivokeAllocator {
 
     /// Seals the open generation for a revocation epoch: its chunks stop
     /// aggregating (their extents are about to be painted) and will be
-    /// released by [`CherivokeAllocator::drain_sealed_into`]. The newly
-    /// sealed `(addr, size)` ranges are *appended* to `out` — callers
-    /// reuse the buffer across epochs, so steady-state sealing allocates
-    /// nothing. Frees arriving while the epoch runs open the next
-    /// generation.
-    pub fn seal_quarantine_into(&mut self, out: &mut Vec<(u64, u64)>) {
+    /// released by [`CherivokeAllocator::drain_sealed`]. Returns the newly
+    /// sealed `(addr, size)` ranges, the tail of
+    /// [`CherivokeAllocator::sealed_ranges`]; nothing is copied, so
+    /// steady-state sealing allocates nothing. Frees arriving while the
+    /// epoch runs open the next generation.
+    pub fn seal_quarantine(&mut self) -> &[(u64, u64)] {
         let sealed_before = self.sealed.len();
         for (&addr, &size) in &self.open {
             debug_assert_eq!(
@@ -272,16 +274,7 @@ impl CherivokeAllocator {
             self.sealed.push((addr, size));
         }
         self.open.clear();
-        out.extend_from_slice(&self.sealed[sealed_before..]);
-    }
-
-    /// Seals the open generation. Returns the newly sealed `(addr, size)`
-    /// ranges (allocating wrapper around
-    /// [`CherivokeAllocator::seal_quarantine_into`]).
-    pub fn seal_quarantine(&mut self) -> Vec<(u64, u64)> {
-        let mut ranges = Vec::new();
-        self.seal_quarantine_into(&mut ranges);
-        ranges
+        &self.sealed[sealed_before..]
     }
 
     /// Bytes in the sealed generation.
@@ -290,18 +283,15 @@ impl CherivokeAllocator {
     }
 
     /// Releases the sealed generation into the free lists (call after the
-    /// epoch's sweep completes), *appending* the drained ranges — whose
-    /// shadow bits the caller clears — to `out`. Like
-    /// [`CherivokeAllocator::seal_quarantine_into`], reusing `out` across
-    /// epochs makes the steady-state drain hand-off allocation-free.
-    pub fn drain_sealed_into(&mut self, out: &mut Vec<(u64, u64)>) {
+    /// epoch's sweep completes, once the caller has cleared the shadow
+    /// bits of [`CherivokeAllocator::sealed_ranges`]).
+    pub fn drain_sealed(&mut self) {
         let levels_before = self.telemetry.is_enabled().then(|| self.byte_levels());
         let mut drained = 0u64;
         for &(addr, size) in &self.sealed {
             self.inner.release(addr);
             drained += size;
         }
-        out.extend_from_slice(&self.sealed);
         self.sealed.clear();
         let stats = self.inner.stats_mut();
         stats.quarantined_bytes -= drained;
@@ -311,22 +301,15 @@ impl CherivokeAllocator {
         }
     }
 
-    /// Releases the sealed generation, returning the drained ranges
-    /// (allocating wrapper around
-    /// [`CherivokeAllocator::drain_sealed_into`]).
-    pub fn drain_sealed(&mut self) -> Vec<(u64, u64)> {
-        let mut ranges = Vec::new();
-        self.drain_sealed_into(&mut ranges);
-        ranges
-    }
-
     /// Empties the *entire* quarantine into the free lists (the
     /// stop-the-world path: call after a full revocation sweep). Returns
     /// the drained `(addr, size)` ranges, whose shadow bits the caller
     /// clears.
     pub fn drain_quarantine(&mut self) -> Vec<(u64, u64)> {
         self.seal_quarantine();
-        self.drain_sealed()
+        let ranges = self.sealed.clone();
+        self.drain_sealed();
+        ranges
     }
 
     /// Statistics snapshot (includes quarantine counters).
@@ -393,10 +376,10 @@ impl CherivokeAllocator {
 
     /// Moves every sealed chunk back into the open generation — the
     /// recovery action for an epoch that died *before* its `Sealed`
-    /// journal record landed: nothing was durably painted, so the safe
-    /// rollback is to pretend the seal never happened. Returns the number
-    /// of chunks re-opened. Safe in both crash orders because the memory
-    /// stays quarantined throughout.
+    /// journal record became durable: no sweep of it can be relied on,
+    /// so the safe rollback is to pretend the seal never happened.
+    /// Returns the number of chunks re-opened. Safe in both crash orders
+    /// because the memory stays quarantined throughout.
     pub fn unseal_sealed(&mut self) -> usize {
         let count = self.sealed.len();
         self.open.extend(self.sealed.drain(..));
@@ -553,12 +536,12 @@ mod tests {
         let b = h.malloc(64).unwrap();
         let _guard = h.malloc(64).unwrap();
         h.free(a.addr).unwrap();
-        let sealed = h.seal_quarantine();
-        assert_eq!(sealed, vec![(a.addr, a.size)]);
+        assert_eq!(h.seal_quarantine(), &[(a.addr, a.size)]);
         h.free(b.addr).unwrap();
         assert_eq!(h.quarantined_chunks(), 2, "no merge across the seal");
-        let drained = h.drain_sealed();
-        assert_eq!(drained, vec![(a.addr, a.size)]);
+        assert_eq!(h.sealed_ranges(), &[(a.addr, a.size)]);
+        h.drain_sealed();
+        assert!(h.sealed_ranges().is_empty());
         assert_eq!(h.quarantined_ranges(), vec![(b.addr, b.size)]);
         h.drain_quarantine();
         h.inner().chunks().assert_tiling();
@@ -566,22 +549,24 @@ mod tests {
 
     #[test]
     fn scratch_buffers_are_reused_without_growth() {
-        // The allocation-free contract: once warm, seal/drain hand-offs fit
-        // in the buffers' existing capacity.
+        // The allocation-free contract: once warm, a seal/drain cycle fits
+        // in the sealed list's existing capacity, and the seal hands out
+        // that list rather than a copy.
         let mut h = heap();
-        let mut sealed = Vec::with_capacity(8);
-        let mut drained = Vec::with_capacity(8);
+        let mut capacity = None;
         for _ in 0..16 {
             let a = h.malloc(64).unwrap();
             let _guard = h.malloc(16).unwrap();
             h.free(a.addr).unwrap();
-            sealed.clear();
-            drained.clear();
-            h.seal_quarantine_into(&mut sealed);
-            h.drain_sealed_into(&mut drained);
-            assert_eq!(sealed, drained);
-            assert_eq!(sealed.len(), 1);
-            assert!(sealed.capacity() == 8 && drained.capacity() == 8);
+            let sealed = h.seal_quarantine();
+            assert_eq!(sealed, &[(a.addr, a.size)]);
+            assert!(std::ptr::eq(sealed.as_ptr(), h.sealed.as_ptr()));
+            h.drain_sealed();
+            assert!(h.sealed.is_empty());
+            assert_eq!(
+                *capacity.get_or_insert(h.sealed.capacity()),
+                h.sealed.capacity()
+            );
         }
     }
 
@@ -653,8 +638,10 @@ mod tests {
 
         // The restored heap behaves: drain the sealed generation, then
         // allocate from the recycled space.
-        let drained = r.drain_sealed();
-        assert_eq!(drained, vec![(c.addr, c.size)]);
+        let quarantined = r.quarantined_bytes();
+        r.drain_sealed();
+        assert!(r.sealed_ranges().is_empty());
+        assert_eq!(r.quarantined_bytes(), quarantined - c.size);
         // b is still live in both worlds.
         assert_eq!(
             r.inner().chunks().get(b.addr),

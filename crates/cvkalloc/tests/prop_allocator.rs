@@ -156,7 +156,7 @@ proptest! {
             heap.free(b.addr).expect("free");
         }
         let before = heap.quarantined_bytes();
-        let sealed = heap.seal_quarantine();
+        let sealed = heap.seal_quarantine().to_vec();
         // Each sealed extent is exactly the chunk the map holds there.
         for &(addr, size) in &sealed {
             prop_assert_eq!(

@@ -113,9 +113,9 @@ pub enum FaultPoint {
     /// re-selects it and every due tenant is still swept.
     SchedulerSkip,
     /// The process dies right after the quarantine is sealed but
-    /// before the `Sealed` journal record lands. Recovery: the
-    /// journal classifies the epoch as seal-interrupted and re-opens the
-    /// partially sealed quarantine (safe — the memory stays quarantined).
+    /// before the `Sealed` journal record lands. Recovery: the journal
+    /// tail is clean, so the image's sealed chunks are re-opened (safe —
+    /// the memory stays quarantined).
     CrashAfterSeal,
     /// The process dies after the shadow map painted but before any
     /// sweeping. Recovery: roll forward — re-paint and re-sweep.
@@ -125,11 +125,13 @@ pub enum FaultPoint {
     CrashMidSweep,
     /// The process dies after the register-file sweep but before the
     /// sealed quarantine drains. Recovery: roll forward; the drain
-    /// re-runs from the journal's sealed ranges.
+    /// re-runs over the image's sealed chunks.
     CrashBeforeDrain,
     /// The process dies after the drain but before the `EpochCommitted`
-    /// record. Recovery: roll forward — re-painting already-drained
-    /// ranges is safe because no allocation happens in that window.
+    /// record. Recovery: roll forward — the image holds no sealed chunk,
+    /// so nothing is re-painted; that is safe because the completed
+    /// sweep revoked every capability into the drained ranges and no
+    /// allocation happens in that window.
     CrashBeforeCommit,
     /// A journal append fails (disk full, I/O error). Recovery: degraded
     /// mode — warn once, drop the journal, and force synchronous epoch

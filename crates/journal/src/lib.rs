@@ -4,36 +4,38 @@
 //! → paint the shadow map → sweep → drain → commit). A process that dies
 //! mid-epoch can leave tagged capabilities pointing into granules the
 //! allocator later reuses — exactly the temporal-safety violation
-//! CHERIvoke exists to prevent. This crate records each transition as an
-//! append-only, checksummed record so recovery
+//! CHERIvoke exists to prevent. This crate records each epoch's seal and
+//! commit as an append-only, checksummed record so recovery
 //! (`cherivoke::CherivokeHeap::recover`) can deterministically classify
 //! the interrupted epoch and either roll it forward (sweeps are
-//! idempotent) or re-open a partially sealed quarantine. An epoch writes
-//! three frames — [`Record::EpochOpen`], [`Record::Sealed`] and
-//! [`Record::EpochCommitted`] — and recovery reads every field of each.
+//! idempotent) or re-open a sealed quarantine whose seal never became
+//! durable. An epoch writes two frames — [`Record::Sealed`] and
+//! [`Record::EpochCommitted`] — and each names only its epoch: the sealed
+//! set itself is recorded once, by the heap image's quarantine chunks.
 //!
-//! # On-disk format (version 2)
+//! # On-disk format (version 3)
 //!
 //! The file is mmap-friendly: a fixed 24-byte header followed by
-//! little-endian, length-prefixed frames. The header follows the
+//! little-endian, fixed-size frames. The header follows the
 //! magic/version/backward-compat-buffer convention used by the repo's
 //! other binary formats:
 //!
 //! ```text
 //! offset 0   magic      b"CVJ"
-//! offset 3   version    2
+//! offset 3   version    3
 //! offset 4   alignment  4 zero bytes (reserved, keeps frames 8-aligned)
 //! offset 8   buffer     16 zero bytes (reserved for future header fields)
 //! ```
 //!
-//! Each frame is `[u32 len][u8 kind][payload][u32 checksum]` where `len`
-//! counts the kind byte plus the payload, and the checksum is FNV-1a/32
-//! over the kind byte plus the payload. The reader is tolerant: a torn
-//! or corrupt tail (short write at crash time) terminates the scan and is
-//! reported via [`ReadOutcome::torn_tail`] rather than an error — only a
-//! bad header or a version other than [`VERSION`] is fatal. There is no
-//! reader for older versions: a journal lives only as long as the crash
-//! artifact it belongs to.
+//! Each frame is [`FRAME_LEN`] = 17 bytes, `[u32 len=9][u8 kind][u64
+//! epoch][u32 checksum]`, where the checksum is FNV-1a/32 over the kind
+//! byte plus the epoch. The reader is tolerant: a torn or corrupt tail
+//! (short write at crash time, a `len` other than 9, a bad checksum or
+//! kind) terminates the scan and is reported via
+//! [`ReadOutcome::torn_tail`] rather than an error — only a bad header or
+//! a version other than [`VERSION`] is fatal. There is no reader for
+//! older versions: a journal lives only as long as the crash artifact it
+//! belongs to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,41 +45,37 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 /// Journal file magic: the first three header bytes.
 pub const MAGIC: [u8; 3] = *b"CVJ";
 
 /// Current journal format version.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 /// Fixed header length in bytes (magic + version + alignment + buffer).
 pub const HEADER_LEN: usize = 24;
 
-/// Largest frame the reader will accept; anything longer is treated as a
-/// corrupt tail. Bounds allocation when scanning damaged files.
-const MAX_FRAME_LEN: u32 = 1 << 24;
+/// The `len` field of every frame: the kind byte plus the `u64` epoch.
+const BODY_LEN: usize = 9;
 
-const KIND_EPOCH_OPEN: u8 = 1;
-const KIND_SEALED: u8 = 2;
-const KIND_EPOCH_COMMITTED: u8 = 3;
+/// Encoded length of every frame: `[u32 len][u8 kind][u64 epoch][u32
+/// checksum]`.
+pub const FRAME_LEN: usize = 4 + BODY_LEN + 4;
+
+const KIND_SEALED: u8 = 1;
+const KIND_EPOCH_COMMITTED: u8 = 2;
 
 /// One epoch state-machine transition. Recovery reads every field of
-/// every kind: which epoch opened, what it sealed, whether it committed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// every kind: which epoch sealed, and whether it committed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Record {
-    /// A revocation epoch opened. Written before the seal is observable.
-    EpochOpen {
+    /// The quarantine was sealed for an epoch. Written after the seal
+    /// and before the paint; the sealed ranges are the allocator's
+    /// sealed list, which the heap image persists.
+    Sealed {
         /// Monotonic epoch sequence number.
         epoch: u64,
-    },
-    /// The quarantine was sealed; `ranges` is the exact set of address
-    /// ranges moved into the sealed list. Written before the paint.
-    Sealed {
-        /// Epoch this sealing belongs to.
-        epoch: u64,
-        /// Sealed `(start, len)` ranges, in seal order.
-        ranges: Vec<(u64, u64)>,
     },
     /// The epoch drained its sealed quarantine and cleared the shadow
     /// map; the heap is back in a steady state.
@@ -88,61 +86,42 @@ pub enum Record {
 }
 
 impl Record {
-    fn kind(&self) -> u8 {
-        match self {
-            Record::EpochOpen { .. } => KIND_EPOCH_OPEN,
-            Record::Sealed { .. } => KIND_SEALED,
-            Record::EpochCommitted { .. } => KIND_EPOCH_COMMITTED,
-        }
-    }
-
     /// The epoch this record belongs to.
     pub fn epoch(&self) -> u64 {
         match *self {
-            Record::EpochOpen { epoch }
-            | Record::Sealed { epoch, .. }
-            | Record::EpochCommitted { epoch } => epoch,
+            Record::Sealed { epoch } | Record::EpochCommitted { epoch } => epoch,
         }
     }
 
-    fn encode_payload(&self, out: &mut BytesMut) {
-        out.put_u64_le(self.epoch());
-        if let Record::Sealed { ranges, .. } = self {
-            out.put_u32_le(ranges.len() as u32);
-            for (start, len) in ranges {
-                out.put_u64_le(*start);
-                out.put_u64_le(*len);
-            }
-        }
+    /// Encodes the record as one frame.
+    fn encode(&self) -> [u8; FRAME_LEN] {
+        let kind = match self {
+            Record::Sealed { .. } => KIND_SEALED,
+            Record::EpochCommitted { .. } => KIND_EPOCH_COMMITTED,
+        };
+        let mut frame = [0u8; FRAME_LEN];
+        frame[..4].copy_from_slice(&(BODY_LEN as u32).to_le_bytes());
+        frame[4] = kind;
+        frame[5..13].copy_from_slice(&self.epoch().to_le_bytes());
+        let checksum = fnv1a32(&frame[4..13]);
+        frame[13..].copy_from_slice(&checksum.to_le_bytes());
+        frame
     }
 
-    /// Decodes a payload; `None` on any structural mismatch (treated as
-    /// a corrupt record by the reader).
-    fn decode(kind: u8, payload: &[u8]) -> Option<Record> {
-        let mut buf = Bytes::from(payload.to_vec());
-        if buf.remaining() < 8 {
+    /// Decodes one frame; `None` on a wrong `len`, a checksum mismatch
+    /// or an unknown kind (treated as a corrupt tail by the reader).
+    fn decode(frame: &[u8; FRAME_LEN]) -> Option<Record> {
+        let len = u32::from_le_bytes(frame[..4].try_into().ok()?);
+        let checksum = u32::from_le_bytes(frame[13..].try_into().ok()?);
+        if len != BODY_LEN as u32 || fnv1a32(&frame[4..13]) != checksum {
             return None;
         }
-        let epoch = buf.get_u64_le();
-        let rec = match kind {
-            KIND_EPOCH_OPEN => Record::EpochOpen { epoch },
-            KIND_EPOCH_COMMITTED => Record::EpochCommitted { epoch },
-            KIND_SEALED => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let count = buf.get_u32_le() as usize;
-                if buf.remaining() < count.checked_mul(16)? {
-                    return None;
-                }
-                let ranges = (0..count)
-                    .map(|_| (buf.get_u64_le(), buf.get_u64_le()))
-                    .collect();
-                Record::Sealed { epoch, ranges }
-            }
-            _ => return None,
-        };
-        (buf.remaining() == 0).then_some(rec)
+        let epoch = u64::from_le_bytes(frame[5..13].try_into().ok()?);
+        match frame[4] {
+            KIND_SEALED => Some(Record::Sealed { epoch }),
+            KIND_EPOCH_COMMITTED => Some(Record::EpochCommitted { epoch }),
+            _ => None,
+        }
     }
 }
 
@@ -156,24 +135,13 @@ fn fnv1a32(bytes: &[u8]) -> u32 {
     hash
 }
 
-fn encode_header(out: &mut BytesMut) {
+fn encode_header() -> Vec<u8> {
+    let mut out = BytesMut::with_capacity(HEADER_LEN);
     out.put_slice(&MAGIC);
     out.put_u8(VERSION);
     out.put_slice(&[0u8; 4]); // alignment
     out.put_slice(&[0u8; 16]); // backward-compat buffer
-}
-
-/// Encodes one record as a standalone frame.
-fn encode_frame(rec: &Record) -> Vec<u8> {
-    let mut body = BytesMut::new();
-    body.put_u8(rec.kind());
-    rec.encode_payload(&mut body);
-    let body = body.freeze();
-    let mut frame = BytesMut::with_capacity(body.len() + 8);
-    frame.put_u32_le(body.len() as u32);
-    frame.put_slice(&body);
-    frame.put_u32_le(fnv1a32(&body));
-    frame.freeze().to_vec()
+    out.freeze().to_vec()
 }
 
 enum Sink {
@@ -184,14 +152,15 @@ enum Sink {
 /// An append-only journal writer.
 ///
 /// Appends are **buffered**: [`Journal::append`] encodes into an
-/// internal buffer and costs no syscall; [`Journal::flush`] writes the
-/// pending frames in one `write(2)`. Durability is therefore the
-/// *caller's* schedule — the heap flushes before any armed crash point
-/// can fire (the write-ahead contract recovery relies on) and at epoch
-/// commit, which prices the whole journal at about one syscall per
-/// revocation epoch on the service hot path. A crash without an armed crash point leaves no
-/// heap image to recover from, so pending frames lost with it classify
-/// exactly like a torn tail. Dropping a journal best-effort flushes.
+/// internal buffer and costs no syscall, so it cannot fail;
+/// [`Journal::flush`] writes the pending frames in one `write(2)` and
+/// reports any write error. Durability is therefore the *caller's*
+/// schedule — the heap flushes before any armed crash point can fire
+/// (the write-ahead contract recovery relies on) and at epoch commit
+/// once a few KiB are pending. A crash without an armed crash point
+/// leaves no heap image to recover from, so pending frames lost with it
+/// classify exactly like a torn tail. Dropping a journal best-effort
+/// flushes.
 pub struct Journal {
     sink: Sink,
     /// Encoded frames not yet written to a file sink.
@@ -228,9 +197,7 @@ impl Journal {
             .create(true)
             .truncate(true)
             .open(path)?;
-        let mut header = BytesMut::new();
-        encode_header(&mut header);
-        file.write_all(&header.freeze())?;
+        file.write_all(&encode_header())?;
         file.flush()?;
         Ok(Journal {
             sink: Sink::File(file),
@@ -241,23 +208,21 @@ impl Journal {
     /// An in-memory journal (tests and the in-process crash probes);
     /// retrieve the encoded bytes with [`Journal::into_bytes`].
     pub fn in_memory() -> Journal {
-        let mut header = BytesMut::new();
-        encode_header(&mut header);
         Journal {
-            sink: Sink::Memory(header.freeze().to_vec()),
+            sink: Sink::Memory(encode_header()),
             pending: Vec::new(),
         }
     }
 
-    /// Appends one record to the buffer (memory sinks absorb it
-    /// immediately). Call [`Journal::flush`] at a durability point.
-    pub fn append(&mut self, rec: &Record) -> io::Result<()> {
-        let frame = encode_frame(rec);
+    /// Appends one [`FRAME_LEN`]-byte frame to the buffer (memory sinks
+    /// absorb it immediately). Call [`Journal::flush`] at a durability
+    /// point; write errors surface there.
+    pub fn append(&mut self, rec: Record) {
+        let frame = rec.encode();
         match &mut self.sink {
             Sink::File(_) => self.pending.extend_from_slice(&frame),
             Sink::Memory(buf) => buf.extend_from_slice(&frame),
         }
-        Ok(())
     }
 
     /// Writes every pending frame to the backing file in one
@@ -355,97 +320,55 @@ pub fn read_bytes(bytes: &[u8]) -> Result<ReadOutcome, JournalError> {
         return Err(JournalError::UnsupportedVersion(version));
     }
     let mut outcome = ReadOutcome::default();
-    let mut pos = HEADER_LEN;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest.len() < 4 {
-            outcome.torn_tail = true;
-            break;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
-        if len == 0 || len > MAX_FRAME_LEN {
-            outcome.torn_tail = true;
-            break;
-        }
-        let len = len as usize;
-        if rest.len() < 4 + len + 4 {
-            outcome.torn_tail = true;
-            break;
-        }
-        let body = &rest[4..4 + len];
-        let stored = u32::from_le_bytes(rest[4 + len..4 + len + 4].try_into().expect("4 bytes"));
-        if fnv1a32(body) != stored {
-            outcome.torn_tail = true;
-            break;
-        }
-        match Record::decode(body[0], &body[1..]) {
+    for frame in bytes[HEADER_LEN..].chunks(FRAME_LEN) {
+        match frame.try_into().ok().and_then(Record::decode) {
             Some(rec) => outcome.records.push(rec),
             None => {
                 outcome.torn_tail = true;
                 break;
             }
         }
-        pos += 4 + len + 4;
     }
     Ok(outcome)
 }
 
 /// What the journal tail says about the epoch in flight when the
 /// process died. Drives the recovery decision table (DESIGN.md §20).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TailState {
-    /// No epoch was in flight: either no records at all or the last
-    /// epoch committed. Nothing to do.
-    Clean,
-    /// An epoch opened but no complete `Sealed` record exists (the
-    /// seal itself may have been interrupted, or its record torn).
-    /// Recovery re-opens the partially sealed quarantine — safe because
+    /// No durably sealed epoch was in flight: either no records at all
+    /// or the last `Sealed` epoch committed. Any sealed chunks the heap
+    /// image still holds were sealed by an epoch whose `Sealed` frame
+    /// never became durable; recovery re-opens them — safe because
     /// sealed memory stays quarantined either way.
-    SealInterrupted {
-        /// The interrupted epoch.
-        epoch: u64,
-    },
+    Clean,
     /// The quarantine was durably sealed but the epoch never committed.
-    /// Recovery rolls forward: re-paint the recorded ranges, re-sweep the
-    /// whole heap (idempotent), then drain.
+    /// Recovery rolls forward: re-paint the image's sealed chunks,
+    /// re-sweep the whole heap (idempotent), then drain.
     SweepInterrupted {
         /// The interrupted epoch.
         epoch: u64,
-        /// The sealed ranges to re-paint.
-        ranges: Vec<(u64, u64)>,
     },
 }
 
-/// Classifies a record stream into the recovery decision table.
+/// Classifies a record stream into the recovery decision table: the
+/// last `Sealed` epoch is interrupted unless an `EpochCommitted` for
+/// that same epoch follows it.
 pub fn classify(records: &[Record]) -> TailState {
-    // The open epoch, and its sealed ranges once the seal landed.
     let mut open: Option<u64> = None;
-    let mut sealed: Option<&[(u64, u64)]> = None;
     for rec in records {
-        match rec {
-            Record::EpochOpen { epoch } => {
-                open = Some(*epoch);
-                sealed = None;
-            }
-            Record::Sealed { epoch, ranges } => {
-                if open == Some(*epoch) {
-                    sealed = Some(ranges);
-                }
-            }
+        match *rec {
+            Record::Sealed { epoch } => open = Some(epoch),
             Record::EpochCommitted { epoch } => {
-                if open == Some(*epoch) {
+                if open == Some(epoch) {
                     open = None;
                 }
             }
         }
     }
-    match (open, sealed) {
-        (None, _) => TailState::Clean,
-        (Some(epoch), None) => TailState::SealInterrupted { epoch },
-        (Some(epoch), Some(ranges)) => TailState::SweepInterrupted {
-            epoch,
-            ranges: ranges.to_vec(),
-        },
+    match open {
+        None => TailState::Clean,
+        Some(epoch) => TailState::SweepInterrupted { epoch },
     }
 }
 
@@ -455,19 +378,17 @@ mod tests {
 
     fn sample_records() -> Vec<Record> {
         vec![
-            Record::EpochOpen { epoch: 7 },
-            Record::Sealed {
-                epoch: 7,
-                ranges: vec![(0x1000, 0x200), (0x4000, 0x80)],
-            },
+            Record::Sealed { epoch: 6 },
+            Record::EpochCommitted { epoch: 6 },
+            Record::Sealed { epoch: 7 },
             Record::EpochCommitted { epoch: 7 },
         ]
     }
 
     fn encode_all(records: &[Record]) -> Vec<u8> {
         let mut j = Journal::in_memory();
-        for r in records {
-            j.append(r).expect("in-memory append");
+        for &r in records {
+            j.append(r);
         }
         j.into_bytes()
     }
@@ -489,8 +410,8 @@ mod tests {
         let records = sample_records();
         {
             let mut j = Journal::create(&path).expect("create");
-            for r in &records {
-                j.append(r).expect("append");
+            for &r in &records {
+                j.append(r);
             }
         }
         let bytes = std::fs::read(&path).expect("io");
@@ -553,10 +474,10 @@ mod tests {
         let mut bytes = encode_all(&[]);
         bytes[0] = b'X';
         assert_eq!(read_bytes(&bytes), Err(JournalError::BadMagic));
-        // Only the current version parses: a newer one, and the v1
-        // layout (whose frames this reader would misparse), are typed
-        // errors rather than torn tails.
-        for version in [VERSION + 1, 1] {
+        // Only the current version parses: a newer one, and the v1 and
+        // v2 layouts (whose variable-length frames this reader would
+        // misparse), are typed errors rather than torn tails.
+        for version in [VERSION + 1, 1, 2] {
             let mut bytes = encode_all(&sample_records());
             bytes[3] = version;
             assert_eq!(
@@ -567,54 +488,71 @@ mod tests {
     }
 
     #[test]
+    fn every_record_is_one_fixed_frame() {
+        assert_eq!(FRAME_LEN, 17);
+        for rec in [
+            Record::Sealed { epoch: u64::MAX },
+            Record::EpochCommitted { epoch: 0 },
+        ] {
+            assert_eq!(encode_all(&[rec]).len(), HEADER_LEN + FRAME_LEN, "{rec:?}");
+        }
+        // A frame whose `len` is not 9 is a torn tail, even when its
+        // checksum (which covers only kind and epoch) still matches.
+        let records = sample_records();
+        let good = encode_all(&records);
+        for len in [0u32, 1, 8, 10, 17, 1 << 24, u32::MAX] {
+            let mut bytes = good.clone();
+            let at = HEADER_LEN + FRAME_LEN;
+            bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            let outcome = read_bytes(&bytes).expect("valid header");
+            assert!(outcome.torn_tail, "len {len}");
+            assert_eq!(outcome.records, records[..1], "len {len}");
+        }
+    }
+
+    #[test]
     fn classify_clean_when_empty_or_committed() {
         assert_eq!(classify(&[]), TailState::Clean);
         assert_eq!(classify(&sample_records()), TailState::Clean);
     }
 
     #[test]
-    fn classify_seal_interrupted_without_sealed_record() {
-        let records = vec![Record::EpochOpen { epoch: 3 }];
-        assert_eq!(classify(&records), TailState::SealInterrupted { epoch: 3 });
+    fn classify_uncommitted_sealed_survives_a_stale_commit() {
+        // An uncommitted Sealed is SweepInterrupted, and a commit of a
+        // different epoch does not clear it.
+        let records = vec![
+            Record::EpochCommitted { epoch: 2 },
+            Record::Sealed { epoch: 3 },
+            Record::EpochCommitted { epoch: 2 },
+        ];
+        assert_eq!(classify(&records), TailState::SweepInterrupted { epoch: 3 });
     }
 
     #[test]
     fn classify_sweep_interrupted_after_seal() {
         let records = vec![
-            Record::EpochOpen { epoch: 4 },
-            Record::Sealed {
-                epoch: 4,
-                ranges: vec![(0x100, 0x40)],
-            },
+            Record::Sealed { epoch: 3 },
+            Record::EpochCommitted { epoch: 3 },
+            Record::Sealed { epoch: 4 },
         ];
-        assert_eq!(
-            classify(&records),
-            TailState::SweepInterrupted {
-                epoch: 4,
-                ranges: vec![(0x100, 0x40)],
-            }
-        );
+        assert_eq!(classify(&records), TailState::SweepInterrupted { epoch: 4 });
     }
 
     #[test]
-    fn classify_torn_sealed_record_falls_back_to_seal_interrupted() {
-        // A torn Sealed frame means the reader only sees EpochOpen:
-        // the safe classification is SealInterrupted (re-open the seal).
-        let open = Record::EpochOpen { epoch: 9 };
-        let open_only_len = encode_all(std::slice::from_ref(&open)).len();
-        let bytes = encode_all(&[
-            open,
-            Record::Sealed {
-                epoch: 9,
-                ranges: vec![(0x1000, 0x100)],
-            },
-        ]);
-        let torn = &bytes[..open_only_len + 5]; // tear inside the sealed frame
+    fn classify_torn_sealed_record_falls_back_to_clean() {
+        // A torn Sealed frame means the reader sees only the previous,
+        // committed epoch: the tail is Clean, and recovery re-opens
+        // whatever sealed chunks the image holds.
+        let committed = [
+            Record::Sealed { epoch: 8 },
+            Record::EpochCommitted { epoch: 8 },
+        ];
+        let committed_len = encode_all(&committed).len();
+        let bytes = encode_all(&[committed[0], committed[1], Record::Sealed { epoch: 9 }]);
+        let torn = &bytes[..committed_len + 5]; // tear inside the sealed frame
         let outcome = read_bytes(torn).expect("header ok");
         assert!(outcome.torn_tail);
-        assert_eq!(
-            classify(&outcome.records),
-            TailState::SealInterrupted { epoch: 9 }
-        );
+        assert_eq!(outcome.records, committed);
+        assert_eq!(classify(&outcome.records), TailState::Clean);
     }
 }
