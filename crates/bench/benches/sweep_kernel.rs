@@ -109,9 +109,17 @@ fn bandwidth_table() {
 /// format.
 fn kernel_verdicts() {
     let v = bench::verdicts::fast_kernel_verdict();
-    println!("sweep_kernel/fast_verdict: {} ({})", v.status(), v.detail);
+    println!(
+        "sweep_kernel/fast_verdict: {} ({})",
+        v.status.as_str(),
+        v.detail
+    );
     let v = bench::verdicts::simd_kernel_verdict();
-    println!("sweep_kernel/simd_verdict: {} ({})", v.status(), v.detail);
+    println!(
+        "sweep_kernel/simd_verdict: {} ({})",
+        v.status.as_str(),
+        v.detail
+    );
 }
 
 criterion_group!(benches, bench_kernel_matrix);

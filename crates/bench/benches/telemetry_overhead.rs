@@ -81,7 +81,7 @@ fn disabled_overhead_verdict() {
     let v = bench::verdicts::telemetry_disabled_verdict(50_000_000);
     println!(
         "telemetry_overhead/disabled_verdict: {} ({})",
-        v.status(),
+        v.status.as_str(),
         v.detail
     );
 }

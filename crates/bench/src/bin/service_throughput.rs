@@ -163,7 +163,7 @@ fn main() {
                 fault_branch_ns,
                 fault_sites_per_op: FAULT_SITES_PER_OP,
                 fault_overhead_pct: fault.value,
-                fault_verdict: fault.pass,
+                fault_verdict: fault.passed(),
                 pass,
             })
             .expect("serialise")
@@ -221,7 +221,7 @@ fn main() {
          (measurable: {scaling_measurable}), sharding speedup {sharding_speedup:.2}x"
     );
     assert!(
-        fault.pass,
+        fault.passed(),
         "disabled fault injection costs {:.3}% per service op (target < 1%)",
         fault.value
     );

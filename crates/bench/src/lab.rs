@@ -2,33 +2,31 @@
 //! {workload × kernel × sweep workers × fault plan}, executed in-process.
 //!
 //! This is the library `cargo xtask lab` drives. Each matrix point runs
-//! three measurements against the *same* configuration:
+//! three measurements against the *same* configuration, and keeps only
+//! what is deterministic or an invariant — speed is `cargo xtask ab`'s to
+//! measure:
 //!
-//! 1. **Sweep throughput** — [`crate::engine_sweep_rate`] over a memory
-//!    image shaped like the workload (its Table-2 pointer page density)
-//!    with a quarter of the heap quarantined, under the experiment's
-//!    kernel and worker count.
-//! 2. **Service churn** — [`crate::service::churn`]: 4 mutator threads
-//!    over a 4-shard [`cherivoke::ConcurrentHeap`] whose shards sweep
-//!    with the experiment's kernel/workers, and whose fault injector is
-//!    the experiment's fault plan. Yields throughput and the p50/p99
-//!    pause distribution.
-//! 3. **Workload overhead** — the fig. 5 replay: the workload's synthetic
+//! 1. **Service churn** — [`crate::service::churn`]: mutator threads over
+//!    a 4-shard [`cherivoke::ConcurrentHeap`] whose shards sweep with the
+//!    experiment's kernel/workers, and whose fault injector is the
+//!    experiment's fault plan. Every repeat must keep its peak quarantine
+//!    under the policy bound.
+//! 2. **Workload overhead** — the fig. 5 replay: the workload's synthetic
 //!    trace against a real [`cherivoke::CherivokeHeap`] with the paper's
 //!    cost model, yielding normalised time/memory vs the unprotected
 //!    baseline. Deterministic for a given seed and scale, so it gates
 //!    hard in CI.
+//! 3. **CapDirty probe** — [`swept_fraction_probe`]: how much of the
+//!    sweepable space one revocation pass visits. Pure counts.
 //!
-//! Experiments run one at a time (never concurrently): each measurement
-//! owns the machine while it runs, which is what makes trajectory points
-//! comparable across commits.
+//! Experiments run one at a time (never concurrently).
 
 use cherivoke::fault::FaultPlan;
-use revoker::{Kernel, ShadowMap};
+use revoker::Kernel;
 use serde::Serialize;
 use workloads::{profiles, run_trace, CherivokeUnderTest, CostModel, Stage, TraceGenerator};
 
-use crate::service::{churn, ChurnParams, FaultMode, ServiceRow};
+use crate::service::{churn, ChurnParams, FaultMode};
 
 /// The fault plan the lab's `chaos-smoke` dimension arms: every
 /// *self-healing* fault point (worker panics, tag read errors, barrier
@@ -53,11 +51,12 @@ pub struct LabMatrix {
 }
 
 impl LabMatrix {
-    /// The reduced matrix CI runs on every PR (8 experiments).
+    /// The reduced matrix CI runs on every PR (12 experiments), including
+    /// the `simd` kernel every heap runs by default.
     pub fn smoke() -> LabMatrix {
         LabMatrix {
             workloads: vec!["omnetpp".into(), "xalancbmk".into()],
-            kernels: vec!["reference".into(), "fast".into()],
+            kernels: vec!["reference".into(), "fast".into(), "simd".into()],
             sweep_workers: vec![1, 4],
             fault_plans: vec!["off".into()],
         }
@@ -168,28 +167,21 @@ pub struct LabOptions {
     pub trace_scale: f64,
     /// Trace generator seed.
     pub seed: u64,
-    /// Sweep-rate image size in MiB.
-    pub image_mib: u64,
     /// Service churn: malloc/free pairs per mutator thread.
     pub service_ops_per_thread: u64,
     /// Service churn: heap MiB per shard.
     pub service_shard_mib: u64,
-    /// Repetitions for the wall-clock stages (sweep rate, churn); the
-    /// best run is kept. Interference from co-tenants is one-sided — it
-    /// only slows a run down — so best-of-N converges on the machine's
-    /// actual capability and keeps same-host gate diffs quiet.
+    /// Service churn repeats: `quarantine_bounded` holds only if every
+    /// repeat kept its peak quarantine under the policy bound.
     pub measure_repeats: usize,
 }
 
 impl LabOptions {
-    /// CI-sized: coarse traces, but images and churns big enough that
-    /// each wall-clock measurement runs for tens of milliseconds —
-    /// sub-millisecond samples cannot hold a 10% gate on a shared host.
+    /// CI-sized: coarse traces and churns long enough to run many epochs.
     pub fn smoke() -> LabOptions {
         LabOptions {
             trace_scale: 1.0 / 2048.0,
             seed: 42,
-            image_mib: 32,
             service_ops_per_thread: 100_000,
             service_shard_mib: 4,
             measure_repeats: 5,
@@ -201,7 +193,6 @@ impl LabOptions {
         LabOptions {
             trace_scale: 1.0 / 512.0,
             seed: 42,
-            image_mib: 64,
             service_ops_per_thread: 500_000,
             service_shard_mib: 8,
             measure_repeats: 5,
@@ -212,14 +203,6 @@ impl LabOptions {
 /// What one experiment measured.
 #[derive(Debug, Clone, Serialize)]
 pub struct ExperimentMetrics {
-    /// Sweep throughput over the workload-shaped image (MiB/s).
-    pub sweep_mib_s: f64,
-    /// Service churn throughput (ops/s).
-    pub service_ops_per_sec: f64,
-    /// Median service revocation pause (µs).
-    pub p50_pause_us: f64,
-    /// 99th-percentile service revocation pause (µs).
-    pub p99_pause_us: f64,
     /// fig. 5a: execution time normalised to the unprotected baseline
     /// (1.0 = no overhead). Deterministic.
     pub overhead_time: f64,
@@ -230,38 +213,11 @@ pub struct ExperimentMetrics {
     /// every byte walked). Deterministic — pure counts, no wall clock —
     /// so it gates hard: any growth means CapDirty skipping lost pages.
     pub swept_fraction: f64,
-    /// Revocation epochs the service completed during churn.
+    /// Revocation epochs the service completed over all churn repeats.
     pub service_epochs: u64,
-    /// Did the churn's peak quarantine stay under the policy bound?
+    /// Did every churn repeat's peak quarantine stay under the policy
+    /// bound?
     pub quarantine_bounded: bool,
-    /// Relative spread of the sweep-rate repeats (percent of max): this
-    /// run's measurement-noise estimate for [`Self::sweep_mib_s`].
-    pub sweep_noise_pct: f64,
-    /// Relative spread of the churn-throughput repeats (percent of max):
-    /// noise estimate for [`Self::service_ops_per_sec`].
-    pub service_noise_pct: f64,
-}
-
-impl ExperimentMetrics {
-    /// Folds a re-measurement of the same experiment into this one under
-    /// the one-sided noise model: interference can only make a sample
-    /// worse, so throughput keeps the max and pauses the min across
-    /// attempts, while the noise estimates keep the widest spread seen.
-    /// Deterministic fields (overheads, epochs, quarantine) take the
-    /// fresh values.
-    pub fn merge_best(&mut self, fresh: &ExperimentMetrics) {
-        self.sweep_mib_s = self.sweep_mib_s.max(fresh.sweep_mib_s);
-        self.service_ops_per_sec = self.service_ops_per_sec.max(fresh.service_ops_per_sec);
-        self.p50_pause_us = self.p50_pause_us.min(fresh.p50_pause_us);
-        self.p99_pause_us = self.p99_pause_us.min(fresh.p99_pause_us);
-        self.sweep_noise_pct = self.sweep_noise_pct.max(fresh.sweep_noise_pct);
-        self.service_noise_pct = self.service_noise_pct.max(fresh.service_noise_pct);
-        self.overhead_time = fresh.overhead_time;
-        self.overhead_memory = fresh.overhead_memory;
-        self.swept_fraction = fresh.swept_fraction;
-        self.service_epochs = fresh.service_epochs;
-        self.quarantine_bounded = fresh.quarantine_bounded;
-    }
 }
 
 /// One experiment's record in the trajectory.
@@ -347,8 +303,8 @@ pub fn swept_fraction_probe(pointer_page_density: f64, seed: u64) -> Result<f64,
     Ok(stats.bytes_swept as f64 / sweepable as f64)
 }
 
-/// Runs one experiment end to end (sweep rate, service churn, workload
-/// replay, CapDirty probe) and returns its trajectory record.
+/// Runs one experiment end to end (service churn, workload replay,
+/// CapDirty probe) and returns its trajectory record.
 ///
 /// # Errors
 ///
@@ -363,54 +319,30 @@ pub fn run_experiment(
     let kernel = config.kernel()?;
     let faults = config.fault_mode()?;
 
-    let repeats = opts.measure_repeats.max(1);
-
-    // 1. Sweep throughput over a workload-shaped image: the workload's
-    // pointer page density, a quarter of the heap painted. Best-of-N
-    // (see [`LabOptions::measure_repeats`]).
-    let mem = crate::image_with_page_density(opts.image_mib << 20, profile.pointer_page_density);
-    let mut shadow = ShadowMap::new(mem.base(), mem.len());
-    shadow.paint(mem.base(), mem.len() / 4);
-    let sweep_samples: Vec<f64> = (0..repeats)
-        .map(|_| crate::engine_sweep_rate(kernel, config.sweep_workers, &mem, &shadow))
-        .collect();
-    let sweep_mib_s = sweep_samples.iter().fold(0.0, |a, &b| f64::max(a, b));
-
-    // 2. Service churn under the same kernel/workers, with the
+    // 1. Service churn under the same kernel/workers, with the
     // experiment's fault plan armed. Mutator threads are capped at the
     // host's parallelism: oversubscribing a small container turns the
-    // measurement into scheduler noise, and the host fingerprint already
-    // scopes wall-clock comparisons to machines with the same core
-    // count. Throughput/epochs/quarantine come from the fastest of N
-    // runs; each pause percentile independently takes its best (noise
-    // from co-tenant interference is one-sided per metric).
+    // run into scheduler noise.
     let threads = ChurnParams::default()
         .threads
         .min(std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let rows: Vec<_> = (0..repeats)
-        .map(|_| {
-            churn(&ChurnParams {
-                threads,
-                ops_per_thread: opts.service_ops_per_thread,
-                shard_mib: opts.service_shard_mib,
-                kernel,
-                sweep_workers: config.sweep_workers,
-                faults: faults.clone(),
-                ..ChurnParams::default()
-            })
-            .0
+    let (mut service_epochs, mut quarantine_bounded) = (0, true);
+    for _ in 0..opts.measure_repeats.max(1) {
+        let row = churn(&ChurnParams {
+            threads,
+            ops_per_thread: opts.service_ops_per_thread,
+            shard_mib: opts.service_shard_mib,
+            kernel,
+            sweep_workers: config.sweep_workers,
+            faults: faults.clone(),
+            ..ChurnParams::default()
         })
-        .collect();
-    let best = |f: fn(&ServiceRow) -> f64| rows.iter().map(f).fold(f64::INFINITY, f64::min);
-    let p50_pause_us = best(|r| r.p50_pause_us);
-    let p99_pause_us = best(|r| r.p99_pause_us);
-    let ops_samples: Vec<f64> = rows.iter().map(|r| r.ops_per_sec).collect();
-    let row = rows
-        .into_iter()
-        .max_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec))
-        .expect("repeats >= 1");
+        .0;
+        service_epochs += row.epochs;
+        quarantine_bounded &= row.quarantine_bounded;
+    }
 
-    // 3. The fig. 5 replay (deterministic overhead vs baseline).
+    // 2. The fig. 5 replay (deterministic overhead vs baseline).
     let trace = TraceGenerator::new(profile, opts.trace_scale, opts.seed).generate();
     let mut policy = cherivoke::RevocationPolicy::paper_default();
     policy.kernel = kernel;
@@ -420,7 +352,7 @@ pub fn run_experiment(
     let report = run_trace(&mut sut, &trace)
         .map_err(|e| format!("{}: trace replay failed: {e}", config.id()))?;
 
-    // 4. The deterministic CapDirty probe: how much of the sweepable
+    // 3. The deterministic CapDirty probe: how much of the sweepable
     // space does one revocation pass actually visit?
     let swept_fraction = swept_fraction_probe(profile.pointer_page_density, opts.seed)
         .map_err(|e| format!("{}: {e}", config.id()))?;
@@ -429,32 +361,13 @@ pub fn run_experiment(
         id: config.id(),
         config: config.clone(),
         metrics: ExperimentMetrics {
-            sweep_mib_s,
-            service_ops_per_sec: row.ops_per_sec,
-            p50_pause_us,
-            p99_pause_us,
             overhead_time: report.normalized_time,
             overhead_memory: report.normalized_memory,
             swept_fraction,
-            service_epochs: row.epochs,
-            quarantine_bounded: row.quarantine_bounded,
-            sweep_noise_pct: rel_spread_pct(&sweep_samples),
-            service_noise_pct: rel_spread_pct(&ops_samples),
+            service_epochs,
+            quarantine_bounded,
         },
     })
-}
-
-/// Relative spread of `samples` as a percentage of their maximum: the
-/// run's own measurement-noise estimate, recorded alongside each
-/// wall-clock metric so the gate can refuse to flag "regressions"
-/// smaller than what this host demonstrably cannot measure.
-fn rel_spread_pct(samples: &[f64]) -> f64 {
-    let max = samples.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-    let min = samples.iter().fold(f64::INFINITY, |a, &b| a.min(b));
-    if max.is_nan() || max <= 0.0 {
-        return 0.0;
-    }
-    (max - min) / max * 100.0
 }
 
 #[cfg(test)]
@@ -468,10 +381,10 @@ mod tests {
             .iter()
             .map(ExperimentConfig::id)
             .collect();
-        assert_eq!(ids.len(), 8);
+        assert_eq!(ids.len(), 12);
         assert_eq!(ids[0], "omnetpp/reference/w1/off");
         assert_eq!(ids[1], "omnetpp/reference/w4/off");
-        assert_eq!(ids[7], "xalancbmk/fast/w4/off");
+        assert_eq!(ids[11], "xalancbmk/simd/w4/off");
         // Ids are unique — the trajectory diff joins on them.
         let mut dedup = ids.clone();
         dedup.sort();
@@ -519,15 +432,12 @@ mod tests {
         let opts = LabOptions {
             trace_scale: 1.0 / 8192.0,
             seed: 42,
-            image_mib: 1,
             service_ops_per_thread: 500,
             service_shard_mib: 1,
             measure_repeats: 1,
         };
         let result = run_experiment(&config, &opts).expect("experiment runs");
         assert_eq!(result.id, "omnetpp/fast/w2/chaos-smoke");
-        assert!(result.metrics.sweep_mib_s > 0.0);
-        assert!(result.metrics.service_ops_per_sec > 0.0);
         assert!(result.metrics.overhead_time >= 1.0 - 0.05);
         assert!(result.metrics.overhead_memory > 0.0);
         assert!(result.metrics.swept_fraction > 0.0);

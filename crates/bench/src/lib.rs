@@ -19,16 +19,18 @@
 //! machine-readable record (used to regenerate `EXPERIMENTS.md`).
 //!
 //! The [`lab`] module is the scalability lab: the declarative experiment
-//! matrix `cargo xtask lab` runs in-process, built on the same
-//! [`engine_sweep_rate`] measurement and the [`service`] churn harness
-//! (the `service_throughput` binary's core). The [`verdicts`] module
-//! holds the acceptance bars CI gates on.
+//! matrix `cargo xtask lab` runs in-process over the [`service`] churn
+//! harness (the `service_throughput` binary's core), the fig. 5 replay
+//! and the [`fleet`] cells. The [`verdicts`] module holds the acceptance
+//! bars CI gates on, and [`paired`] the paired A/B statistics that both
+//! its wall-clock verdicts and `cargo xtask ab` decide through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fleet;
 pub mod lab;
+pub mod paired;
 pub mod service;
 pub mod verdicts;
 

@@ -1,28 +1,26 @@
-//! The repo's acceptance-bar verdicts, as library calls.
-//!
-//! Before the scalability lab these checks lived in three places — the
-//! `sweep_kernel` / `telemetry_overhead` Criterion mains printed verdict
-//! lines, and inline Python in `.github/workflows/ci.yml` re-parsed and
-//! re-asserted them. Now each verdict is computed exactly once, here, and
-//! every consumer (`cargo xtask lab`, the Criterion bench mains, the
-//! `service_throughput` binary) calls the same function, so a local run
-//! reproduces the CI verdict bit-for-bit modulo host speed.
+//! The repo's acceptance-bar verdicts, as library calls. Each is computed
+//! once, here, and every consumer (`cargo xtask lab`, the Criterion bench
+//! mains, the `service_throughput` binary) calls the same function. The
+//! wall-clock ratio verdicts decide through [`crate::paired`].
 
 use cherivoke::{ConcurrentHeap, ServiceConfig};
 use revoker::{Kernel, ShadowMap};
 use serde::Serialize;
 use std::time::Instant;
+use tagmem::TaggedMemory;
 
+pub use crate::paired::Status;
+use crate::paired::{Better, Paired};
 use crate::service::{disabled_fault_branch_ns, FAULT_SITES_PER_OP};
 
 /// One acceptance check: a measured `value` against a `target`, with the
-/// comparison direction baked into `pass`.
+/// comparison direction baked into `status`.
 #[derive(Debug, Clone, Serialize)]
 pub struct Verdict {
     /// Stable verdict name (`fast_kernel`, `telemetry_disabled`, …).
     pub name: String,
     /// Did the measurement clear the bar?
-    pub pass: bool,
+    pub status: Status,
     /// The measured value.
     pub value: f64,
     /// The bar.
@@ -32,86 +30,78 @@ pub struct Verdict {
 }
 
 impl Verdict {
-    /// `PASS` / `BELOW-BAR`, as the bench verdict lines print it.
-    pub fn status(&self) -> &'static str {
-        if self.pass {
-            "PASS"
-        } else {
-            "BELOW-BAR"
-        }
+    /// Whether the verdict passed.
+    pub fn passed(&self) -> bool {
+        self.status == Status::Pass
     }
 }
 
-/// Image size the fast-kernel verdict sweeps (4 MiB, the Criterion bench's
+/// Timed pairs behind each paired verdict ([`fast_kernel_verdict`],
+/// [`simd_kernel_verdict`], [`journal_overhead_verdict`]).
+pub const PAIRS: usize = 20;
+
+/// Image size the kernel verdicts sweep (4 MiB, the Criterion bench's
 /// image).
 pub const FAST_VERDICT_IMAGE_BYTES: u64 = 4 << 20;
 
-/// The fast-kernel acceptance bar: [`Kernel::Fast`] must clear 3× the
-/// §3.3 reference loop on a sparse clustered image (5% tag density) with
-/// a quarter of the heap painted — warmed best-of-five via
-/// [`crate::engine_sweep_rate`], the measurement every experiment binary
-/// uses.
-pub fn fast_kernel_verdict() -> Verdict {
-    let mem = crate::image_with_clustered_caps(FAST_VERDICT_IMAGE_BYTES, 0.05);
+/// A kernel acceptance bar: `change` must sweep `mem`, with a quarter of
+/// it painted, at least `bar` times as fast as `base`, judged by
+/// [`Paired::against`] over [`PAIRS`] alternating pairs of
+/// [`crate::engine_sweep_rate`] readings.
+fn kernel_verdict(
+    name: &str,
+    mem: &TaggedMemory,
+    base: Kernel,
+    change: Kernel,
+    bar: f64,
+) -> Verdict {
     let mut shadow = ShadowMap::new(mem.base(), mem.len());
     shadow.paint(mem.base(), mem.len() / 4);
-    let reference = crate::engine_sweep_rate(Kernel::Simple, 1, &mem, &shadow);
-    let fast = crate::engine_sweep_rate(Kernel::Fast, 1, &mem, &shadow);
-    let speedup = fast / reference;
-    let pass = speedup >= 3.0;
+    let rate = |kernel| crate::engine_sweep_rate(kernel, 1, mem, &shadow);
+    let (mut b, mut c) = (Vec::new(), Vec::new());
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            b.push(rate(base));
+            c.push(rate(change));
+        } else {
+            c.push(rate(change));
+            b.push(rate(base));
+        }
+    }
+    let p = Paired::new(&b, &c, Better::Higher);
     Verdict {
-        name: "fast_kernel".to_string(),
-        pass,
-        value: speedup,
-        target: 3.0,
+        name: name.to_string(),
+        status: p.against(bar, Better::Higher),
+        value: p.ratio,
+        target: bar,
         detail: format!(
-            "{reference:.0} MiB/s reference, {fast:.0} MiB/s fast, {speedup:.2}x, target 3.00x"
+            "median of {PAIRS} pairs: {:.0} MiB/s {}, {:.0} MiB/s {}, {:.2}x (95% interval \
+             {:.2}-{:.2}x), target {bar:.2}x",
+            p.base.1,
+            base.name(),
+            p.change.1,
+            change.name(),
+            p.ratio,
+            p.interval.0,
+            p.interval.1
         ),
     }
+}
+
+/// The fast-kernel acceptance bar: [`Kernel::Fast`] must clear 3× the
+/// §3.3 reference loop on a sparse clustered image (5% tag density).
+pub fn fast_kernel_verdict() -> Verdict {
+    let mem = crate::image_with_clustered_caps(FAST_VERDICT_IMAGE_BYTES, 0.05);
+    kernel_verdict("fast_kernel", &mem, Kernel::Simple, Kernel::Fast, 3.0)
 }
 
 /// The simd-kernel acceptance bar: [`Kernel::Simd`] must clear 2× the
 /// word-at-a-time fast kernel on a **dense** image (25% uniformly spread
 /// self-caps — no tag word is skippable, so lane-parallel decode is doing
-/// the work, not the clean-span skip) with a quarter of the heap painted.
-/// Warmed best-of-five via [`crate::engine_sweep_rate`], same as the
-/// fast-kernel bar, but a below-bar reading is re-measured (up to three
-/// attempts, best ratio) before it is believed: the vector kernel runs at
-/// DRAM bandwidth, so a noisy neighbor's memory traffic suppresses it far
-/// more than the scalar tiers it is compared against, and one burst of
-/// contention would otherwise fail a bar the kernel clears with margin on
-/// a quiet host — the same confirm-before-fail policy the trajectory gate
-/// applies to wall-clock regressions.
+/// the work, not the clean-span skip).
 pub fn simd_kernel_verdict() -> Verdict {
     let mem = crate::image_with_self_caps(FAST_VERDICT_IMAGE_BYTES, 0.25);
-    let mut shadow = ShadowMap::new(mem.base(), mem.len());
-    shadow.paint(mem.base(), mem.len() / 4);
-    let mut fast = 0.0f64;
-    let mut simd = 0.0f64;
-    let mut speedup = 0.0f64;
-    for _ in 0..3 {
-        let f = crate::engine_sweep_rate(Kernel::Fast, 1, &mem, &shadow);
-        let s = crate::engine_sweep_rate(Kernel::Simd, 1, &mem, &shadow);
-        if s / f > speedup {
-            speedup = s / f;
-            fast = f;
-            simd = s;
-        }
-        if speedup >= 2.0 {
-            break;
-        }
-    }
-    let pass = speedup >= 2.0;
-    Verdict {
-        name: "simd_kernel".to_string(),
-        pass,
-        value: speedup,
-        target: 2.0,
-        detail: format!(
-            "{fast:.0} MiB/s fast, {simd:.0} MiB/s simd on the dense image, {speedup:.2}x, \
-             target 2.00x"
-        ),
-    }
+    kernel_verdict("simd_kernel", &mem, Kernel::Fast, Kernel::Simd, 2.0)
 }
 
 /// Median of three timed runs of `f`, in nanoseconds per iteration.
@@ -128,20 +118,59 @@ pub fn ns_per_iter(iters: u64, mut f: impl FnMut(u64)) -> f64 {
     samples[1]
 }
 
-/// Nanoseconds per service malloc/free op on a small telemetry-off
-/// [`ConcurrentHeap`] — the denominator both overhead verdicts share.
-pub fn service_op_ns(iters: u64) -> f64 {
-    let heap = ConcurrentHeap::new(ServiceConfig::small()).expect("service");
-    let client = heap.handle();
-    let mut held = Vec::with_capacity(16);
-    ns_per_iter(iters, |i| {
-        let cap = client.malloc(64 + (i % 8) * 48).expect("malloc");
-        held.push(cap);
-        if held.len() >= 16 {
-            let victim = held.swap_remove((i % 16) as usize);
-            client.free(victim).expect("free");
+/// A continuous service malloc/free churn on a small
+/// [`ConcurrentHeap`], timed in blocks.
+struct Churn {
+    client: cherivoke::HeapClient,
+    held: Vec<cheri::Capability>,
+    i: u64,
+    // Keeps the shards (and their journals) alive across blocks.
+    _heap: ConcurrentHeap,
+}
+
+impl Churn {
+    /// A churn on a telemetry-off heap, journaling into `dir` if given.
+    fn new(dir: Option<&std::path::Path>) -> Churn {
+        let heap = ConcurrentHeap::with_journal_dir(
+            ServiceConfig::small(),
+            cherivoke::fault::FaultInjector::disabled(),
+            dir,
+        )
+        .expect("service");
+        Churn {
+            client: heap.handle(),
+            held: Vec::with_capacity(16),
+            i: 0,
+            _heap: heap,
         }
-    })
+    }
+
+    /// Runs one timed block of churn ops and returns ns/op. State
+    /// (held capabilities, op counter) persists across blocks so the
+    /// workload is one continuous churn split into time slices.
+    fn block_ns(&mut self, iters: u64) -> f64 {
+        let t = Instant::now();
+        for _ in 0..iters {
+            let i = self.i;
+            self.i += 1;
+            let cap = self.client.malloc(64 + (i % 8) * 48).expect("malloc");
+            self.held.push(cap);
+            if self.held.len() >= 16 {
+                let victim = self.held.swap_remove((i % 16) as usize);
+                self.client.free(victim).expect("free");
+            }
+        }
+        t.elapsed().as_nanos() as f64 / iters as f64
+    }
+}
+
+/// Nanoseconds per service malloc/free op on a small telemetry-off
+/// [`ConcurrentHeap`] — the denominator both overhead verdicts share:
+/// the median of three blocks of `iters` ops.
+pub fn service_op_ns(iters: u64) -> f64 {
+    let mut churn = Churn::new(None);
+    let blocks: Vec<f64> = (0..3).map(|_| churn.block_ns(iters)).collect();
+    crate::paired::quartiles(&blocks).1
 }
 
 /// The telemetry acceptance bar: a *disabled* telemetry site must cost
@@ -163,7 +192,7 @@ pub fn telemetry_disabled_verdict(record_iters: u64) -> Verdict {
     let pct = disabled_ns * budget_sites / op_ns * 100.0;
     Verdict {
         name: "telemetry_disabled".to_string(),
-        pass: pct < 1.0,
+        status: Status::from_pass(pct < 1.0),
         value: pct,
         target: 1.0,
         detail: format!(
@@ -185,7 +214,7 @@ pub fn fault_overhead_verdict(branch_iters: u64, op_ns: f64) -> Verdict {
     let pct = 100.0 * FAULT_SITES_PER_OP * branch_ns / op_ns;
     Verdict {
         name: "fault_disabled".to_string(),
-        pass: pct < 1.0,
+        status: Status::from_pass(pct < 1.0),
         value: pct,
         target: 1.0,
         detail: format!(
@@ -197,83 +226,26 @@ pub fn fault_overhead_verdict(branch_iters: u64, op_ns: f64) -> Verdict {
 
 /// The journal-overhead acceptance bar: attaching an epoch journal to
 /// every shard of a [`ConcurrentHeap`] must cost under 1% of a service
-/// malloc/free op. Journal frames are buffered at epoch transitions and
-/// flushed in batched `write(2)`s (a few KiB per syscall, plus the
-/// armed crash sites), so the hot path pays nothing —
-/// but the bar is measured end-to-end on the same churn loop
-/// [`service_op_ns`] uses, journal-off vs journal-on in the same
-/// process. A sub-1% delta is far below this host's noise floor for any
-/// paired whole-run comparison (1-core VMs throttle in multi-second
-/// waves, swinging op cost by tens of percent), so the measurement
-/// interleaves at fine grain instead: both heaps stay alive while short
-/// alternating blocks run on each, and the verdict compares the median
-/// block cost of each side. Interleaving spreads host drift evenly over
-/// both sides, and the medians discard the outlier blocks. A failing reading escalates to fresh
-/// attempts (up to four, best median believed) before it is reported —
-/// the same confirm-before-fail policy as [`simd_kernel_verdict`]:
-/// symmetric noise cannot fail four consecutive attempts, a real
-/// multi-percent regression fails all of them.
+/// malloc/free op, measured on the churn [`service_op_ns`] uses,
+/// journal-off vs journal-on in the same process. Each of [`PAIRS`] pairs
+/// builds a fresh journal-off and journal-on heap, warms both, and times
+/// one block on each; the verdict is [`Paired::against`] the 1.01 on/off
+/// bar.
+///
+/// The second heap built lands on whatever memory the first left behind.
+/// Fresh heaps per pair let that creation order alternate, as the timing
+/// order does, so its layout penalty falls on both sides alike and the
+/// pairs stay independent samples for the bootstrap.
 pub fn journal_overhead_verdict(iters: u64) -> Verdict {
-    use cherivoke::HeapClient;
-    struct Churn {
-        client: HeapClient,
-        held: Vec<cheri::Capability>,
-        i: u64,
-        // Keeps the shards (and their journals) alive across blocks.
-        _heap: ConcurrentHeap,
-    }
-    impl Churn {
-        fn new(dir: Option<&std::path::Path>) -> Churn {
-            let heap = ConcurrentHeap::with_journal_dir(
-                ServiceConfig::small(),
-                cherivoke::fault::FaultInjector::disabled(),
-                dir,
-            )
-            .expect("service");
-            Churn {
-                client: heap.handle(),
-                held: Vec::with_capacity(16),
-                i: 0,
-                _heap: heap,
-            }
-        }
-        /// Runs one timed block of churn ops and returns ns/op. State
-        /// (held capabilities, op counter) persists across blocks so
-        /// the workload is one continuous churn split into time slices.
-        fn block_ns(&mut self, iters: u64) -> f64 {
-            let t = std::time::Instant::now();
-            for _ in 0..iters {
-                let i = self.i;
-                self.i += 1;
-                let cap = self.client.malloc(64 + (i % 8) * 48).expect("malloc");
-                self.held.push(cap);
-                if self.held.len() >= 16 {
-                    let victim = self.held.swap_remove((i % 16) as usize);
-                    self.client.free(victim).expect("free");
-                }
-            }
-            t.elapsed().as_nanos() as f64 / iters as f64
-        }
-    }
-    fn median(mut samples: Vec<f64>) -> f64 {
-        samples.sort_by(|a, b| a.total_cmp(b));
-        samples[samples.len() / 2]
-    }
-    const ROUNDS: u64 = 20;
-    let block = (iters / ROUNDS).max(50);
-    let scratch = std::env::temp_dir().join(format!("cvk-journal-verdict-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let mut off = 0.0f64;
-    let mut on = 0.0f64;
-    let mut pct = f64::INFINITY;
-    let mut journaled = false;
-    for attempt in 0..4 {
-        let dir = scratch.join(format!("attempt-{attempt}"));
+    let block = (iters / PAIRS as u64).max(50);
+    let root = std::env::temp_dir().join(format!("cvk-journal-verdict-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (mut offs, mut ons) = (Vec::new(), Vec::new());
+    let mut journaled = true;
+    for pair in 0..PAIRS {
+        let dir = root.join(format!("pair-{pair}"));
         std::fs::create_dir_all(&dir).expect("journal verdict scratch dir");
-        // Alternate heap creation order: the second-created heap lands
-        // on whatever memory the first left behind, and that layout
-        // penalty must not always fall on the journaled side.
-        let (mut off_churn, mut on_churn) = if attempt % 2 == 0 {
+        let (mut off, mut on) = if pair % 2 == 0 {
             let off = Churn::new(None);
             (off, Churn::new(Some(&dir)))
         } else {
@@ -282,52 +254,39 @@ pub fn journal_overhead_verdict(iters: u64) -> Verdict {
         };
         // One warm-up block each: first-touch page faults and allocator
         // warm-up are not journal overhead.
-        off_churn.block_ns(block);
-        on_churn.block_ns(block);
-        let mut offs = Vec::new();
-        let mut ons = Vec::new();
-        for round in 0..ROUNDS {
-            // Alternate order within the round so even intra-round
-            // drift cancels across rounds.
-            let (o, j) = if round % 2 == 0 {
-                let o = off_churn.block_ns(block);
-                (o, on_churn.block_ns(block))
-            } else {
-                let j = on_churn.block_ns(block);
-                (off_churn.block_ns(block), j)
-            };
-            offs.push(o);
-            ons.push(j);
+        off.block_ns(block);
+        on.block_ns(block);
+        if pair % 4 < 2 {
+            offs.push(off.block_ns(block));
+            ons.push(on.block_ns(block));
+        } else {
+            ons.push(on.block_ns(block));
+            offs.push(off.block_ns(block));
         }
         // The measurement is only meaningful if the shards actually
         // journaled (creation failure degrades to unjournaled shards).
-        journaled = std::fs::read_dir(&dir)
-            .map(|d| d.count() > 0)
-            .unwrap_or(false);
-        // Ratio of per-side medians, not median of per-round ratios:
-        // the ratio distribution is skewed by the occasional hammered
-        // block, and its median drifts percents away from the per-side
-        // medians, which stay put.
-        let (o, j) = (median(offs), median(ons));
-        let p = (j - o) / o * 100.0;
-        if p < pct {
-            pct = p;
-            off = o;
-            on = j;
-        }
-        if pct < 1.0 && journaled {
-            break;
-        }
+        journaled &= std::fs::read_dir(&dir).is_ok_and(|d| d.count() > 0);
     }
-    let _ = std::fs::remove_dir_all(&scratch);
+    let _ = std::fs::remove_dir_all(&root);
+    let p = Paired::new(&offs, &ons, Better::Lower);
+    let pct = |ratio: f64| (ratio - 1.0) * 100.0;
     Verdict {
         name: "journal_overhead".to_string(),
-        pass: journaled && pct < 1.0,
-        value: pct,
+        status: if journaled {
+            p.against(1.01, Better::Lower)
+        } else {
+            Status::Fail
+        },
+        value: pct(p.ratio),
         target: 1.0,
         detail: format!(
-            "median of {ROUNDS} interleaved blocks: {off:.0} ns/op journal-off vs {on:.0} ns/op \
-             journal-on = {pct:.3}% overhead, target < 1%{}",
+            "median of {PAIRS} pairs of fresh heaps: {:.0} ns/op journal-off vs {:.0} ns/op \
+             journal-on = {:.3}% overhead (95% interval {:.2}% to {:.2}%), target < 1%{}",
+            p.base.1,
+            p.change.1,
+            pct(p.ratio),
+            pct(p.interval.0),
+            pct(p.interval.1),
             if journaled {
                 ""
             } else {
@@ -430,7 +389,7 @@ pub fn recovery_safety_verdict() -> Verdict {
     let pass = failure.is_none() && recovered == total && recovered >= FLOOR && max_ms <= BUDGET_MS;
     Verdict {
         name: "recovery_safety".to_string(),
-        pass,
+        status: Status::from_pass(pass),
         value: max_ms,
         target: BUDGET_MS,
         detail: format!(
@@ -451,10 +410,9 @@ pub fn telemetry_snapshot_verdict(snap: &telemetry::MetricsSnapshot) -> Verdict 
         .histograms
         .get("cvk_service_pause_ns")
         .map_or(0, telemetry::HistogramSnapshot::count);
-    let pass = mallocs > 0 && epochs > 0 && pauses > 0;
     Verdict {
         name: "telemetry_snapshot".to_string(),
-        pass,
+        status: Status::from_pass(mallocs > 0 && epochs > 0 && pauses > 0),
         value: mallocs as f64,
         target: 1.0,
         detail: format!(
@@ -480,14 +438,14 @@ mod tests {
         assert!(v.value >= 0.0);
         // And an op so fast the branch must blow the budget:
         let v = fault_overhead_verdict(100_000, 1e-9);
-        assert!(!v.pass);
+        assert!(!v.passed());
     }
 
     #[test]
     fn recovery_safety_verdict_passes() {
         let v = recovery_safety_verdict();
         assert_eq!(v.name, "recovery_safety");
-        assert!(v.pass, "{}", v.detail);
+        assert!(v.passed(), "{}", v.detail);
     }
 
     #[test]
@@ -562,12 +520,12 @@ mod tests {
     fn journal_overhead_bar() {
         let v = journal_overhead_verdict(40_000);
         eprintln!("{}", v.detail);
-        assert!(v.pass, "{}", v.detail);
+        assert!(v.passed(), "{}", v.detail);
     }
 
     #[test]
     fn snapshot_verdict_requires_activity() {
         let empty = telemetry::MetricsSnapshot::default();
-        assert!(!telemetry_snapshot_verdict(&empty).pass);
+        assert!(!telemetry_snapshot_verdict(&empty).passed());
     }
 }

@@ -987,19 +987,28 @@ impl Core {
         // Hard quarantine bound, enforced *before* the quarantine grows:
         // if this free would cross the quota, drain synchronously first.
         // The freer pays for the sweep — the paper's synchronous design,
-        // surfacing exactly at the configured bound.
-        if m.quarantined_hint
-            .load(Ordering::Relaxed)
-            .saturating_add(size)
-            > self.quota()
-        {
-            self.note_emergency(i);
-            self.drain(i);
-        }
-        {
+        // surfacing exactly at the configured bound. The test and the
+        // free are one critical section on the member, so concurrent
+        // freers cannot both pass the test, and the test charges the
+        // chunk's real size, which is what the quarantine will grow by.
+        loop {
             let mut heap = self.lock(i);
+            let quarantined = heap.quarantined_bytes();
+            let chunk = heap
+                .allocator()
+                .inner()
+                .chunks()
+                .get(base)
+                .map_or(size, |(bytes, _)| bytes);
+            if quarantined > 0 && quarantined.saturating_add(chunk) > self.quota() {
+                drop(heap);
+                self.note_emergency(i);
+                self.drain(i);
+                continue;
+            }
             heap.free(cap)?;
             m.sync_hints(&heap, &self.global_quarantine);
+            break;
         }
         m.frees.fetch_add(1, Ordering::Relaxed);
         m.freed_bytes.fetch_add(size, Ordering::Relaxed);

@@ -159,6 +159,70 @@ fn quarantine_budget_is_enforced_under_pressure() {
 }
 
 #[test]
+fn quarantine_budget_holds_under_concurrent_frees() {
+    // Four threads free into one tenant at once, with the lab fleet
+    // driver's object sizes and throttle shed, and the worker pool parked
+    // as above. Every free must still land at or below the quota: the
+    // quota test and the free are one critical section, so two freers
+    // cannot both pass it.
+    let quota = 64u64 << 10;
+    let mut config = fleet_config(1, 256 << 10, quota);
+    config.scheduler_interval = Duration::from_millis(500);
+    let service =
+        std::sync::Arc::new(HeapService::with_faults(config, FaultInjector::disabled()).unwrap());
+    let threads: Vec<_> = (0..4u64)
+        .map(|t| {
+            let service = std::sync::Arc::clone(&service);
+            std::thread::spawn(move || {
+                let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ (t << 17);
+                let mut next = move || {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng
+                };
+                let mut live: Vec<Capability> = Vec::new();
+                let mut peak = 0u64;
+                let free = |cap: Capability, peak: &mut u64| {
+                    service.free(cap).unwrap();
+                    *peak = (*peak).max(service.quarantined_bytes(0).unwrap());
+                };
+                for _ in 0..100_000 {
+                    if live.len() >= 8 || (!live.is_empty() && next() % 3 == 0) {
+                        free(live.remove(0), &mut peak);
+                        continue;
+                    }
+                    match service.malloc(0, 512 + (next() % 8) * 448) {
+                        Ok(cap) => live.push(cap),
+                        Err(FleetError::TenantThrottled { .. }) => {
+                            if let Some(cap) = live.pop() {
+                                free(cap, &mut peak);
+                            }
+                            service.kick();
+                            std::thread::sleep(Duration::from_micros(50));
+                        }
+                        Err(FleetError::Heap(HeapError::OutOfMemory { .. })) => {}
+                        Err(e) => panic!("unexpected error: {e}"),
+                    }
+                }
+                for cap in live {
+                    free(cap, &mut peak);
+                }
+                peak
+            })
+        })
+        .collect();
+    for t in threads {
+        let peak = t.join().unwrap();
+        assert!(
+            peak <= quota,
+            "quarantine peaked at {peak} B over the {quota} B quota"
+        );
+    }
+    assert!(service.stats().max_budget_fraction() <= 1.0);
+}
+
+#[test]
 fn idle_workers_steal_slices_from_the_busiest_epoch() {
     let mut config = fleet_config(2, 1 << 20, 512 << 10);
     config.workers = 4;

@@ -4,14 +4,18 @@
 //!
 //! Subcommands:
 //!
+//! * `cargo xtask ab --base <rev>` — the one wall-clock perf measurement
+//!   (DESIGN.md §16.2): interleaved cvkbench pairs of the working tree
+//!   against `<rev>`, judged by bootstrap intervals ([`ab`]).
 //! * `cargo xtask lab` — the scalability lab (DESIGN.md §16): runs the
 //!   experiment matrix (`bench::lab`) in-process, writes
-//!   `BENCH_trajectory.json` at the repo root, and with `--gate` diffs it
-//!   against the committed baseline, failing on regression beyond the
-//!   per-metric thresholds of `gate::default_policies`.
+//!   `BENCH_trajectory.json` at the repo root, and with `--gate` diffs its
+//!   deterministic metrics, invariants and verdicts against the committed
+//!   baseline under `gate::default_policies`.
 //! * `cargo xtask results` — regenerates the deterministic
 //!   `results/*.txt` captures; `--check` fails on drift.
 
+mod ab;
 mod gate;
 mod results;
 mod trajectory;
@@ -26,12 +30,22 @@ use trajectory::{HostFingerprint, Trajectory, SCHEMA_VERSION};
 const USAGE: &str = "\
 usage: cargo xtask <subcommand>
 
+  ab --base REV
+      Build cvkbench in the working tree and in REV (checked out in a git
+      worktree under target/ab/), run 10 interleaved pairs of every
+      BENCHMARK.json workload, and report medians, quartiles, wins and a
+      bootstrap 95% interval of each end-to-end metric's change/base ratio
+      (also written to target/ab/report.txt). Exit 1 when an interval lies
+      wholly past the metric's bound, a run gives no correct result, or the
+      change fails a larger share of its ops.
+
   lab [--smoke|--full] [--gate] [--list] [--out PATH] [--baseline PATH]
       [--metrics-out PATH]
       Run the scalability-lab experiment matrix and write BENCH_trajectory.json.
         --smoke        CI-sized matrix and sizing (the default)
         --full         full characterisation matrix
-        --gate         diff against the baseline trajectory; exit 1 on regression
+        --gate         diff deterministic metrics, invariants and verdicts against
+                       the baseline trajectory; exit 1 on regression or a FAIL
         --list         print the expanded experiment matrix and exit
         --out PATH     trajectory output (default: <repo>/BENCH_trajectory.json)
         --baseline PATH  baseline to gate against (default: the committed --out file)
@@ -46,6 +60,7 @@ usage: cargo xtask <subcommand>
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
+        Some("ab") => ab_cmd(&args[1..]),
         Some("lab") => lab(&args[1..]),
         Some("results") => results_cmd(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
@@ -172,43 +187,7 @@ fn lab(args: &[String]) -> Result<(), String> {
     };
     let baseline = Trajectory::parse(&baseline_text)
         .map_err(|e| format!("baseline {}: {e}", baseline_path.display()))?;
-    let policies = default_policies();
-    let mut trajectory = trajectory;
-    let mut report = compare(&baseline, &trajectory.flatten(), &policies);
-    // A failing wall-clock comparison on a shared host may just be a bad
-    // measurement window: confirm by re-measuring the implicated
-    // experiments before believing it. Deterministic failures are final
-    // and never retried.
-    const GATE_RETRIES: usize = 2;
-    for attempt in 1..=GATE_RETRIES {
-        if report.passed() {
-            break;
-        }
-        let ids = report.retryable_experiments();
-        if ids.is_empty() {
-            break;
-        }
-        eprintln!(
-            "gate: re-measuring {} experiment(s) to confirm wall-clock regression \
-             (attempt {attempt}/{GATE_RETRIES}): {}",
-            ids.len(),
-            ids.join(", ")
-        );
-        for id in &ids {
-            if let Some(pos) = trajectory.experiments.iter().position(|e| &e.id == id) {
-                let fresh = run_experiment(&trajectory.experiments[pos].config.clone(), &opts)?;
-                trajectory.experiments[pos]
-                    .metrics
-                    .merge_best(&fresh.metrics);
-            } else if let Some(pos) = trajectory.fleet.iter().position(|e| &e.id == id) {
-                let fresh = run_fleet_cell(&trajectory.fleet[pos].config.clone())?;
-                trajectory.fleet[pos].metrics.merge_best(&fresh.metrics);
-            }
-        }
-        std::fs::write(&out_path, trajectory.to_json())
-            .map_err(|e| format!("write {}: {e}", out_path.display()))?;
-        report = compare(&baseline, &trajectory.flatten(), &policies);
-    }
+    let report = compare(&baseline, &trajectory.flatten(), &default_policies());
     print!("{}", report.render());
     if report.passed() {
         Ok(())
@@ -300,7 +279,12 @@ fn run_lab(
         eprintln!("lab: metrics snapshot written to {path}");
     }
     for v in &verdicts {
-        eprintln!("lab: verdict {}: {} ({})", v.name, v.status(), v.detail);
+        eprintln!(
+            "lab: verdict {}: {} ({})",
+            v.name,
+            v.status.as_str(),
+            v.detail
+        );
     }
 
     Ok(Trajectory {
@@ -311,6 +295,18 @@ fn run_lab(
         fleet,
         verdicts,
     })
+}
+
+fn ab_cmd(args: &[String]) -> Result<(), String> {
+    let flags = parse_flags(args, &["--base"])?;
+    if let Some(s) = flags.switches.first() {
+        return Err(format!("unknown flag '{s}'\n\n{USAGE}"));
+    }
+    let base = flags
+        .values
+        .get("--base")
+        .ok_or_else(|| format!("ab needs --base REV\n\n{USAGE}"))?;
+    ab::run(&results::repo_root(), base)
 }
 
 fn results_cmd(args: &[String]) -> Result<(), String> {

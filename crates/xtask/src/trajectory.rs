@@ -5,9 +5,10 @@
 //! Serialisation uses the workspace `serde` derive; parsing walks the
 //! shim `serde_json` [`Value`] tree (the shim has no typed deserialiser).
 //! [`Trajectory::parse`] is therefore the schema's compatibility surface:
-//! it accepts any JSON carrying `schema_version`, `mode`, `host`,
-//! `experiments[].{id,metrics}` and `verdicts[]`, ignoring unknown keys,
-//! so old baselines keep parsing as the schema grows.
+//! it accepts any JSON carrying `schema_version`, `mode`,
+//! `experiments[].{id,metrics}` and `verdicts[].{name,status}`, ignoring
+//! unknown keys, so old baselines keep parsing as the schema grows. A v1
+//! file, whose verdicts carry `pass` instead of `status`, is refused.
 //!
 //! Deliberately **no timestamps**: a re-run on the same host+commit must
 //! produce a byte-identical file for the deterministic metrics, so the
@@ -15,15 +16,16 @@
 
 use bench::fleet::FleetResult;
 use bench::lab::ExperimentResult;
-use bench::verdicts::Verdict;
+use bench::verdicts::{Status, Verdict};
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 
-/// Current schema version (bump on breaking field changes).
-pub const SCHEMA_VERSION: u64 = 1;
+/// Current schema version (bump on breaking field changes). v2 replaced
+/// each verdict's `pass` flag with a `status`.
+pub const SCHEMA_VERSION: u64 = 2;
 
-/// Machine identity attached to every trajectory, so the gate can tell
-/// "same hardware, got slower" from "different runner".
+/// Machine identity attached to every trajectory: the provenance of its
+/// verdict values. The gate does not read it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HostFingerprint {
     /// `std::env::consts::OS`.
@@ -54,14 +56,6 @@ impl HostFingerprint {
             rustc,
         }
     }
-
-    /// Whether wall-clock measurements from `other` are comparable to
-    /// ones taken here: same OS, architecture and core count. (The rustc
-    /// version is recorded but not part of comparability — a compiler
-    /// upgrade changing performance is exactly what the gate should see.)
-    pub fn comparable_to(&self, other: &HostFingerprint) -> bool {
-        self.os == other.os && self.arch == other.arch && self.cores == other.cores
-    }
 }
 
 /// A full lab run: the file `cargo xtask lab` writes.
@@ -84,7 +78,7 @@ pub struct Trajectory {
 }
 
 /// A parsed (possibly older) trajectory: experiment metrics flattened to
-/// `id -> metric -> value`, plus verdict pass flags. This is everything
+/// `id -> metric -> value`, plus verdict statuses. This is everything
 /// the gate needs from a baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedTrajectory {
@@ -92,13 +86,11 @@ pub struct ParsedTrajectory {
     pub schema_version: u64,
     /// `smoke` or `full`.
     pub mode: String,
-    /// Host the baseline was recorded on.
-    pub host: HostFingerprint,
     /// `experiment id -> metric name -> value` (numeric metrics only;
     /// booleans are folded to 0.0 / 1.0).
     pub metrics: BTreeMap<String, BTreeMap<String, f64>>,
-    /// `verdict name -> pass`.
-    pub verdicts: BTreeMap<String, bool>,
+    /// `verdict name -> status`.
+    pub verdicts: BTreeMap<String, Status>,
 }
 
 impl Trajectory {
@@ -144,65 +136,32 @@ fn parse(value: &Value) -> Result<ParsedTrajectory, String> {
         .and_then(Value::as_str)
         .ok_or("missing mode")?
         .to_string();
-    let host = value.get("host").ok_or("missing host")?;
-    let host = HostFingerprint {
-        os: str_field(host, "os")?,
-        arch: str_field(host, "arch")?,
-        cores: host
-            .get("cores")
-            .and_then(Value::as_u64)
-            .ok_or("missing host.cores")? as usize,
-        rustc: str_field(host, "rustc")?,
-    };
-
-    let mut metrics = BTreeMap::new();
-    for exp in value
+    // Fleet cells are optional (the field postdates the first v1
+    // baselines) and flatten into the same id -> metric map the gate
+    // diffs.
+    let experiments = value
         .get("experiments")
         .and_then(Value::as_array)
-        .ok_or("missing experiments")?
-    {
+        .ok_or("missing experiments")?;
+    let fleet = value.get("fleet").and_then(Value::as_array).unwrap_or(&[]);
+    let mut metrics = BTreeMap::new();
+    for exp in experiments.iter().chain(fleet) {
         let id = str_field(exp, "id")?;
-        let mut row = BTreeMap::new();
-        for (name, metric) in exp
+        let row = exp
             .get("metrics")
             .and_then(Value::as_object)
             .ok_or_else(|| format!("experiment {id}: missing metrics"))?
-        {
-            let folded = match metric {
-                Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-                other => other.as_f64(),
-            };
-            if let Some(v) = folded {
-                row.insert(name.clone(), v);
-            }
-        }
-        if metrics.insert(id.clone(), row).is_some() {
-            return Err(format!("duplicate experiment id '{id}'"));
-        }
-    }
-
-    // Fleet cells are optional (the field postdates schema v1 baselines)
-    // and flatten into the same id -> metric map the gate diffs.
-    if let Some(cells) = value.get("fleet").and_then(Value::as_array) {
-        for cell in cells {
-            let id = str_field(cell, "id")?;
-            let mut row = BTreeMap::new();
-            for (name, metric) in cell
-                .get("metrics")
-                .and_then(Value::as_object)
-                .ok_or_else(|| format!("fleet cell {id}: missing metrics"))?
-            {
+            .iter()
+            .filter_map(|(name, metric)| {
                 let folded = match metric {
                     Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
                     other => other.as_f64(),
                 };
-                if let Some(v) = folded {
-                    row.insert(name.clone(), v);
-                }
-            }
-            if metrics.insert(id.clone(), row).is_some() {
-                return Err(format!("duplicate experiment id '{id}'"));
-            }
+                Some((name.clone(), folded?))
+            })
+            .collect();
+        if metrics.insert(id.clone(), row).is_some() {
+            return Err(format!("duplicate experiment id '{id}'"));
         }
     }
 
@@ -213,17 +172,17 @@ fn parse(value: &Value) -> Result<ParsedTrajectory, String> {
         .ok_or("missing verdicts")?
     {
         let name = str_field(v, "name")?;
-        let pass = v
-            .get("pass")
-            .and_then(Value::as_bool)
-            .ok_or_else(|| format!("verdict {name}: missing pass"))?;
-        verdicts.insert(name, pass);
+        let status = v
+            .get("status")
+            .and_then(Value::as_str)
+            .and_then(Status::parse)
+            .ok_or_else(|| format!("verdict {name}: missing status"))?;
+        verdicts.insert(name, status);
     }
 
     Ok(ParsedTrajectory {
         schema_version,
         mode,
-        host,
         metrics,
         verdicts,
     })
@@ -243,7 +202,7 @@ pub(crate) mod fixtures {
     use bench::lab::{ExperimentConfig, ExperimentMetrics, ExperimentResult};
 
     /// A fixture fleet cell with round metric values.
-    pub fn fleet_cell(tenants: usize, ops: f64, bounded: bool) -> FleetResult {
+    pub fn fleet_cell(tenants: usize, bounded: bool) -> FleetResult {
         let config = FleetParams {
             ops_per_thread: 1_000,
             driver_threads: 2,
@@ -254,7 +213,6 @@ pub(crate) mod fixtures {
             id: config.id(),
             config,
             metrics: FleetMetrics {
-                fleet_ops_per_sec: ops,
                 fleet_p99_pause_us: 800.0,
                 tenant_budget_bounded: bounded,
                 max_budget_fraction: 0.9,
@@ -262,14 +220,13 @@ pub(crate) mod fixtures {
                 epochs: 20,
                 throttled: 3,
                 emergency_sweeps: 1,
-                fleet_noise_pct: 0.0,
             },
         }
     }
 
     /// A fixture experiment with round metric values the gate tests can
     /// perturb.
-    pub fn experiment(id_suffix: &str, sweep: f64, ops: f64) -> ExperimentResult {
+    pub fn experiment(id_suffix: &str) -> ExperimentResult {
         let config = ExperimentConfig {
             workload: format!("wl-{id_suffix}"),
             kernel: "fast".into(),
@@ -280,19 +237,11 @@ pub(crate) mod fixtures {
             id: config.id(),
             config,
             metrics: ExperimentMetrics {
-                sweep_mib_s: sweep,
-                service_ops_per_sec: ops,
-                p50_pause_us: 40.0,
-                p99_pause_us: 400.0,
                 overhead_time: 1.05,
                 overhead_memory: 1.2,
                 swept_fraction: 0.25,
                 service_epochs: 12,
                 quarantine_bounded: true,
-                // Perfectly repeatable fixture: gate tests exercise the
-                // configured thresholds, not the noise floor.
-                sweep_noise_pct: 0.0,
-                service_noise_pct: 0.0,
             },
         }
     }
@@ -311,7 +260,7 @@ pub(crate) mod fixtures {
             fleet: Vec::new(),
             verdicts: vec![bench::verdicts::Verdict {
                 name: "fast_kernel".into(),
-                pass: true,
+                status: bench::verdicts::Status::Pass,
                 value: 4.5,
                 target: 3.0,
                 detail: "fixture".into(),
@@ -326,34 +275,27 @@ mod tests {
 
     #[test]
     fn schema_round_trips_through_json() {
-        let t = fixtures::trajectory(vec![
-            fixtures::experiment("a", 1000.0, 2_000_000.0),
-            fixtures::experiment("b", 500.0, 1_000_000.0),
-        ]);
+        let t = fixtures::trajectory(vec![fixtures::experiment("a"), fixtures::experiment("b")]);
         let rendered = t.to_json();
         let parsed = Trajectory::parse(&rendered).expect("parses");
         assert_eq!(parsed.schema_version, SCHEMA_VERSION);
         assert_eq!(parsed.mode, "smoke");
-        assert_eq!(parsed.host, t.host);
         assert_eq!(parsed.metrics.len(), 2);
         let a = &parsed.metrics["wl-a/fast/w4/off"];
-        assert_eq!(a["sweep_mib_s"], 1000.0);
-        assert_eq!(a["service_ops_per_sec"], 2_000_000.0);
         assert_eq!(a["overhead_time"], 1.05);
         assert_eq!(a["swept_fraction"], 0.25);
         assert_eq!(a["quarantine_bounded"], 1.0);
-        assert!(parsed.verdicts["fast_kernel"]);
+        assert_eq!(parsed.verdicts["fast_kernel"], Status::Pass);
         // flatten() is the same projection.
         assert_eq!(t.flatten(), parsed);
     }
 
     #[test]
     fn fleet_cells_flatten_into_the_metric_map() {
-        let mut t = fixtures::trajectory(vec![fixtures::experiment("a", 1000.0, 2_000_000.0)]);
-        t.fleet.push(fixtures::fleet_cell(128, 500_000.0, true));
+        let mut t = fixtures::trajectory(vec![fixtures::experiment("a")]);
+        t.fleet.push(fixtures::fleet_cell(128, true));
         let parsed = Trajectory::parse(&t.to_json()).expect("parses");
         let cell = &parsed.metrics["fleet/t128/s1.2/w4"];
-        assert_eq!(cell["fleet_ops_per_sec"], 500_000.0);
         assert_eq!(cell["fleet_p99_pause_us"], 800.0);
         assert_eq!(cell["tenant_budget_bounded"], 1.0);
         assert_eq!(cell["steals"], 5.0);
@@ -365,7 +307,7 @@ mod tests {
 
     #[test]
     fn parse_ignores_unknown_fields_but_rejects_missing_ones() {
-        let t = fixtures::trajectory(vec![fixtures::experiment("a", 1.0, 2.0)]);
+        let t = fixtures::trajectory(vec![fixtures::experiment("a")]);
         let with_extra = t.to_json().replacen(
             "\"schema_version\"",
             "\"future_field\": {\"x\": 1},\n  \"schema_version\"",
@@ -381,25 +323,12 @@ mod tests {
     #[test]
     fn newer_schema_versions_are_refused() {
         let t = fixtures::trajectory(vec![]);
-        let bumped = t
-            .to_json()
-            .replacen("\"schema_version\": 1", "\"schema_version\": 999", 1);
+        let bumped = t.to_json().replacen(
+            &format!("\"schema_version\": {SCHEMA_VERSION}"),
+            "\"schema_version\": 999",
+            1,
+        );
         let err = Trajectory::parse(&bumped).unwrap_err();
         assert!(err.contains("newer"), "{err}");
-    }
-
-    #[test]
-    fn host_comparability_is_os_arch_cores() {
-        let a = HostFingerprint {
-            os: "linux".into(),
-            arch: "x86_64".into(),
-            cores: 8,
-            rustc: "rustc 1.80".into(),
-        };
-        let mut b = a.clone();
-        b.rustc = "rustc 1.85".into();
-        assert!(a.comparable_to(&b));
-        b.cores = 2;
-        assert!(!a.comparable_to(&b));
     }
 }
