@@ -1,14 +1,22 @@
 //! Criterion benchmark for the sweep engine running the shipped
-//! [`Kernel::Simd`]: the §3.4 filters and chunk-parallel execution over
-//! worker counts (§3.5). Kernel tiers are compared in `sweep_kernel.rs`.
+//! [`Kernel::Simd`]: the §3.4 filters, chunk-parallel execution over
+//! worker counts (§3.5), and a heap's peer sweep
+//! (`CherivokeHeap::sweep_foreign`) over its CapDirty runs. Kernel tiers
+//! are compared in `sweep_kernel.rs`.
 //!
 //! The final group prints a PASS/SKIP verdict for the PR's scaling
 //! acceptance bar: the engine with 4 workers should clear 2× the
 //! sequential throughput on a host with ≥ 4 cores. Hosts with fewer cores
 //! print SKIP rather than failing — scaling cannot be measured there.
 
+use cheri::Capability;
+use cherivoke::{CherivokeHeap, HeapConfig};
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use revoker::{CLoadTagsLines, EveryLine, Kernel, SegmentSource, ShadowMap, SweepEngine};
+use revoker::{
+    CLoadTagsLines, CapDirtyPages, EveryLine, Kernel, SegmentSource, ShadowMap, SpaceSource,
+    SweepEngine,
+};
+use tagmem::{SegmentKind, PAGE_SIZE};
 
 const IMAGE_BYTES: u64 = 8 << 20;
 
@@ -70,6 +78,53 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// A default (16 MiB) heap with one capability on each of `pct`% of its
+/// heap pages, spread evenly, every one into a peer's unpainted range:
+/// steady state, as a sweep revokes nothing and re-cleans no page. The
+/// returned shadow map is the peer's, a quarter of it painted.
+fn peer_image(pct: u64) -> (CherivokeHeap, ShadowMap) {
+    const PEER: u64 = 0x4000_0000;
+    let mut heap = CherivokeHeap::new(HeapConfig::default()).expect("heap");
+    let space = heap.space_mut();
+    let mem = space
+        .segment(SegmentKind::Heap)
+        .expect("heap segment")
+        .mem();
+    let (base, pages) = (mem.base(), mem.len() / PAGE_SIZE);
+    for page in (0..pages).filter(|p| p * pct / 100 != (p + 1) * pct / 100) {
+        let target = Capability::root_rw(PEER + (1 << 20) + page * 16, 16);
+        space
+            .store_cap(base + page * PAGE_SIZE, &target)
+            .expect("heap page is mapped");
+    }
+    let mut shadow = ShadowMap::new(PEER, 4 << 20);
+    shadow.paint(PEER, 1 << 20);
+    (heap, shadow)
+}
+
+/// The peer sweep against heap pages 1%, 10% and 100% CapDirty: its cost
+/// should follow the dirty pages, not the 16 MiB of segments. The
+/// `whole_space` rows are the walk it replaced, which probes every page
+/// of every segment through the CapDirty filter.
+fn bench_sweep_foreign(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sweep_foreign");
+    group.sample_size(10);
+    for pct in [1u64, 10, 100] {
+        let (mut heap, shadow) = peer_image(pct);
+        group.bench_function(format!("visit_set/dirty{pct}pct"), |b| {
+            b.iter(|| heap.sweep_foreign(&shadow));
+        });
+        let engine = SweepEngine::new(heap.policy().kernel);
+        group.bench_function(format!("whole_space/dirty{pct}pct"), |b| {
+            b.iter(|| {
+                let (source, table) = SpaceSource::split(heap.space_mut());
+                engine.sweep(source, CapDirtyPages::new(table), &shadow)
+            });
+        });
+    }
+    group.finish();
+}
+
 /// The acceptance-bar check: 4 workers ≥ 2× sequential on a ≥ 4-core
 /// host; SKIP (never fail) elsewhere. Uses `bench::engine_sweep_rate`
 /// (warmed best of five) rather than criterion samples so the verdict
@@ -96,7 +151,12 @@ fn scaling_verdict() {
     );
 }
 
-criterion_group!(benches, bench_filters, bench_parallel_scaling);
+criterion_group!(
+    benches,
+    bench_filters,
+    bench_parallel_scaling,
+    bench_sweep_foreign
+);
 
 fn main() {
     benches();

@@ -44,41 +44,12 @@ pub(crate) struct Epoch {
 }
 
 impl Epoch {
-    /// An epoch over the painted sealed set, its visit set fixed now: the
-    /// coalesced CapDirty runs of every sweepable segment of `space` (whole
-    /// segments when `use_capdirty` is off; pages left out count as
-    /// skipped), which every slice filters through [`CapDirtyPages`].
-    /// CapDirty off is the exhaustive set: whole segments, no filter.
+    /// An epoch over the painted sealed set, its visit set fixed now by
+    /// [`visit_set`], which every slice filters through [`CapDirtyPages`]
+    /// (no filter when `use_capdirty` is off: the exhaustive set).
     /// `worklist` is a recycled buffer, so a warm open allocates nothing.
     pub fn open(space: &AddressSpace, use_capdirty: bool, mut worklist: Vec<(u64, u64)>) -> Epoch {
-        worklist.clear();
-        let table = space.page_table();
-        let mut pages_skipped = 0;
-        for seg in space.segments().iter().filter(|s| s.kind().sweepable()) {
-            let (base, end) = (seg.mem().base(), seg.mem().end());
-            if !use_capdirty {
-                if end > base {
-                    worklist.push((base, end - base));
-                }
-                continue;
-            }
-            // Runs never coalesce across a segment boundary: a slice
-            // sweeps each range inside one segment.
-            let first = worklist.len();
-            let mut clean = end.div_ceil(PAGE_SIZE) - base / PAGE_SIZE;
-            table.for_each_cap_dirty_page(|page, _| {
-                if page < end && page + PAGE_SIZE > base {
-                    clean -= 1;
-                    let start = page.max(base);
-                    let len = (page + PAGE_SIZE).min(end) - start;
-                    match worklist[first..].last_mut() {
-                        Some((ws, wl)) if *ws + *wl == start => *wl += len,
-                        _ => worklist.push((start, len)),
-                    }
-                }
-            });
-            pages_skipped += clean;
-        }
+        let pages_skipped = visit_set(space, use_capdirty, &mut worklist);
         Epoch {
             worklist,
             use_capdirty,
@@ -143,12 +114,55 @@ impl Epoch {
     }
 }
 
-/// One slice's worklist ranges as a sweep root set, so a slice is one
-/// engine call. No registers: the epoch sweeps those once, at retire.
+/// The visit set of a sweep over `space`'s sweepable segments (paper
+/// §3.4.2, §5.3: the sweep is handed the dirty pages, it does not probe
+/// every PTE). Fills `runs` (cleared first) with the coalesced CapDirty
+/// runs of each segment, in segment order, or with the whole segments
+/// when `use_capdirty` is off, and returns the number of clean pages it
+/// left out. Each segment walks only its own range of the page table.
+/// Runs never coalesce across a segment boundary: each lies inside one
+/// segment, as [`SliceSource`] requires. The epoch and the peer sweep
+/// ([`crate::CherivokeHeap::sweep_foreign`]) both build their visit set
+/// here.
+pub(crate) fn visit_set(
+    space: &AddressSpace,
+    use_capdirty: bool,
+    runs: &mut Vec<(u64, u64)>,
+) -> u64 {
+    runs.clear();
+    let table = space.page_table();
+    let mut clean = 0;
+    for seg in space.segments().iter().filter(|s| s.kind().sweepable()) {
+        let (base, end) = (seg.mem().base(), seg.mem().end());
+        if !use_capdirty {
+            if end > base {
+                runs.push((base, end - base));
+            }
+            continue;
+        }
+        let first = runs.len();
+        clean += end.div_ceil(PAGE_SIZE) - base / PAGE_SIZE;
+        table.for_each_cap_dirty_page_in(base, end, |page| {
+            clean -= 1;
+            let start = page.max(base);
+            let len = (page + PAGE_SIZE).min(end) - start;
+            match runs[first..].last_mut() {
+                Some((rs, rl)) if *rs + *rl == start => *rl += len,
+                _ => runs.push((start, len)),
+            }
+        });
+    }
+    clean
+}
+
+/// Visit-set ranges as a sweep root set, so a sweep over them is one
+/// engine call: an epoch slice's share of the worklist, or a peer sweep's
+/// whole visit set. No registers: the epoch sweeps those once, at retire,
+/// and the peer sweep after its ranges.
 pub(crate) struct SliceSource<'a> {
     /// The address space's segments (each range lies inside one).
     pub segments: &'a mut [Segment],
-    /// The slice's `(start, len)` ranges.
+    /// The `(start, len)` ranges to sweep.
     pub ranges: &'a [(u64, u64)],
 }
 
@@ -196,6 +210,132 @@ impl GranuleFilter for SliceFilter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tagmem::SegmentKind;
+
+    /// Heap and stack adjacent at a page boundary, the stack's end and
+    /// both of the globals' ends off page boundaries, and a shadow
+    /// segment the sweep never visits.
+    fn space() -> AddressSpace {
+        AddressSpace::builder()
+            .segment(SegmentKind::Heap, 0x10_0000, 4 * PAGE_SIZE)
+            .segment(SegmentKind::Stack, 0x10_4000, 2 * PAGE_SIZE - 0x100)
+            .segment(SegmentKind::Globals, 0x20_0100, 2 * PAGE_SIZE - 0x80)
+            .segment(SegmentKind::Shadow, 0x30_0000, PAGE_SIZE)
+            .build()
+    }
+
+    fn dirty(space: &mut AddressSpace, addrs: &[u64]) {
+        for &addr in addrs {
+            space.page_table_mut().note_cap_store(addr).unwrap();
+        }
+    }
+
+    /// The builder `visit_set` replaced: one walk of the whole table per
+    /// segment.
+    fn whole_table_visit_set(space: &AddressSpace) -> (Vec<(u64, u64)>, u64) {
+        let dirty = space.page_table().cap_dirty_pages();
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        let mut skipped = 0;
+        for seg in space.segments().iter().filter(|s| s.kind().sweepable()) {
+            let (base, end) = (seg.mem().base(), seg.mem().end());
+            let first = runs.len();
+            let mut clean = end.div_ceil(PAGE_SIZE) - base / PAGE_SIZE;
+            for &page in &dirty {
+                if page < end && page + PAGE_SIZE > base {
+                    clean -= 1;
+                    let start = page.max(base);
+                    let len = (page + PAGE_SIZE).min(end) - start;
+                    match runs[first..].last_mut() {
+                        Some((rs, rl)) if *rs + *rl == start => *rl += len,
+                        _ => runs.push((start, len)),
+                    }
+                }
+            }
+            skipped += clean;
+        }
+        (runs, skipped)
+    }
+
+    #[test]
+    fn visit_set_is_the_clamped_dirty_runs_of_each_sweepable_segment() {
+        let mut space = space();
+        dirty(
+            &mut space,
+            &[
+                0x10_0000, 0x10_1000, 0x10_3ff0, // heap pages 0, 1 and 3
+                0x10_4000, 0x10_5000, // both stack pages
+                0x20_0000, 0x20_2000, // globals pages cut by its ends
+                0x30_0000, // the shadow segment
+                0x40_0000, // no segment at all
+            ],
+        );
+        let mut runs = vec![(1, 1)]; // a recycled buffer is cleared first
+        let skipped = visit_set(&space, true, &mut runs);
+        assert_eq!(
+            runs,
+            vec![
+                (0x10_0000, 2 * PAGE_SIZE),
+                // Ends where the stack begins, yet does not join its run.
+                (0x10_3000, PAGE_SIZE),
+                (0x10_4000, 2 * PAGE_SIZE - 0x100),
+                (0x20_0100, PAGE_SIZE - 0x100),
+                (0x20_2000, 0x80),
+            ]
+        );
+        // Heap page 2 and globals page 0x20_1000; the shadow and
+        // out-of-segment pages are neither swept nor counted.
+        assert_eq!(skipped, 2);
+        assert_eq!(whole_table_visit_set(&space), (runs.clone(), skipped));
+
+        // CapDirty off: whole sweepable segments, nothing skipped.
+        assert_eq!(visit_set(&space, false, &mut runs), 0);
+        assert_eq!(
+            runs,
+            vec![
+                (0x10_0000, 4 * PAGE_SIZE),
+                (0x10_4000, 2 * PAGE_SIZE - 0x100),
+                (0x20_0100, 2 * PAGE_SIZE - 0x80),
+            ]
+        );
+    }
+
+    #[test]
+    fn visit_set_matches_the_whole_table_builder() {
+        // Every page of the sweepable segments plus neighbours outside
+        // them, dirtied in seeded patterns of varying density.
+        let pages: Vec<u64> = (0x0f_f000..0x10_7000)
+            .chain(0x1f_f000..0x20_4000)
+            .chain(0x30_0000..0x30_2000)
+            .step_by(PAGE_SIZE as usize)
+            .collect();
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut runs = Vec::new();
+        for round in 0..64u64 {
+            let mut space = space();
+            for &page in &pages {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                if seed % 8 < round % 9 {
+                    dirty(&mut space, &[page]);
+                }
+            }
+            let skipped = visit_set(&space, true, &mut runs);
+            assert_eq!(
+                whole_table_visit_set(&space),
+                (runs.clone(), skipped),
+                "round {round}"
+            );
+            let page_table = space.page_table();
+            for &(start, len) in &runs {
+                assert!(space
+                    .segments()
+                    .iter()
+                    .any(|s| s.kind().sweepable() && s.mem().contains(start, len)));
+                assert!(page_table.is_cap_dirty(start) && page_table.is_cap_dirty(start + len - 1));
+            }
+        }
+    }
 
     fn epoch() -> Epoch {
         Epoch {

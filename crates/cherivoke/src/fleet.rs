@@ -674,6 +674,8 @@ pub(crate) struct Core {
     pub(crate) foreign_caps_revoked: AtomicU64,
     pub(crate) bytes_swept: AtomicU64,
     pub(crate) pauses: LogHistogram,
+    /// Nanoseconds of `pauses` spent in peer sweeps (`sweep_peers`).
+    pub(crate) foreign_sweep_ns: AtomicU64,
     pub(crate) faults: FaultInjector,
     pub(crate) registry: Registry,
     slots: Vec<Slot>,
@@ -798,6 +800,7 @@ impl Core {
             foreign_caps_revoked: AtomicU64::new(0),
             bytes_swept: AtomicU64::new(0),
             pauses,
+            foreign_sweep_ns: AtomicU64::new(0),
             faults,
             registry,
             slots: (0..config.workers).map(|_| Slot::default()).collect(),
@@ -1226,7 +1229,14 @@ impl Core {
             let stats = peer.sweep_foreign(painting.shadow());
             drop(b);
             drop(a);
-            self.pauses.record_duration(t0.elapsed());
+            let pause = t0.elapsed();
+            self.pauses.record_duration(pause);
+            // Release after the pause record: a reader that sees this
+            // time also sees it in `pauses` (`ConcurrentHeap::stats`).
+            self.foreign_sweep_ns.fetch_add(
+                u64::try_from(pause.as_nanos()).unwrap_or(u64::MAX),
+                Ordering::Release,
+            );
             self.bytes_swept
                 .fetch_add(stats.bytes_swept, Ordering::Relaxed);
             self.foreign_sweeps.add(1);

@@ -10,12 +10,12 @@ use cvkalloc::{CherivokeAllocator, ChunkState, DlAllocator};
 use journal::{Journal, Record, TailState};
 use revoker::fault::FaultPoint;
 use revoker::{
-    audit_dump, sweep_register_file, AuditReport, CapDirtyPages, NoCost, ShadowMap, SpaceSource,
-    SweepEngine, SweepScratch, SweepStats,
+    audit_dump, sweep_register_file, AuditReport, CapDirtyPages, NoCost, ShadowMap, SweepEngine,
+    SweepScratch, SweepStats,
 };
 use tagmem::{AddressSpace, CoreDump, SegmentKind};
 
-use crate::epoch::{Epoch, SliceFilter, SliceSource};
+use crate::epoch::{visit_set, Epoch, SliceFilter, SliceSource};
 use crate::obs::HeapTelemetry;
 use crate::recovery::{
     warn_once, HeapImage, ImageChunk, ImageChunkState, RecoveryAction, RecoveryError,
@@ -81,9 +81,10 @@ pub struct CherivokeHeap {
     /// steady-state sweeps allocate nothing in the walk and inner loop.
     scratch: SweepScratch,
     /// Recycled range buffers for the epoch lifecycle (worklist build,
-    /// slice take): retained across epochs, so the steady-state seal →
-    /// sweep → drain path performs no Vec allocations. The sealed ranges
-    /// need none: they stay in the allocator's sealed list.
+    /// slice take) and the peer sweep's visit set: retained across
+    /// epochs, so the steady-state seal → sweep → drain path and warm peer
+    /// sweeps perform no Vec allocations. The sealed ranges need none:
+    /// they stay in the allocator's sealed list.
     worklist_scratch: Vec<(u64, u64)>,
     slice_scratch: Vec<(u64, u64)>,
     policy: RevocationPolicy,
@@ -697,14 +698,33 @@ impl CherivokeHeap {
     /// map's coverage are never painted, so this clears no local tags by
     /// mistake. Statistics are returned, not folded into this heap's own
     /// sweep counters (the orchestrator accounts for foreign sweeps).
+    ///
+    /// The memory roots are the visit set an epoch would build now (the
+    /// epoch module's `visit_set`): only the CapDirty runs are walked,
+    /// through the same false-positive purge, so the cost follows the
+    /// dirty pages rather than the segments' size. The run buffer is
+    /// recycled, so a warm peer sweep allocates nothing.
     pub fn sweep_foreign(&mut self, shadow: &ShadowMap) -> SweepStats {
-        let (source, page_table) = SpaceSource::split(&mut self.space);
-        let filter = self
-            .policy
-            .use_capdirty
-            .then(|| CapDirtyPages::new(page_table));
-        self.engine
-            .sweep_with(source, filter, shadow, &mut NoCost, &mut self.scratch)
+        let use_capdirty = self.policy.use_capdirty;
+        let mut runs = std::mem::take(&mut self.slice_scratch);
+        let pages_skipped = visit_set(&self.space, use_capdirty, &mut runs);
+        let (segments, regs, table) = self.space.sweep_parts_mut();
+        let mut stats = self.engine.sweep_with(
+            SliceSource {
+                segments,
+                ranges: &runs,
+            },
+            use_capdirty.then(|| CapDirtyPages::new(table)),
+            shadow,
+            &mut NoCost,
+            &mut self.scratch,
+        );
+        self.slice_scratch = runs;
+        // Runs are fragments of segments, not segment sweeps.
+        stats.segments_swept = 0;
+        stats.pages_skipped += pages_skipped;
+        stats += sweep_register_file(regs, shadow);
+        stats
     }
 
     /// The §3.5 barrier: while an epoch is active, no dangling capability

@@ -379,6 +379,9 @@ impl ConcurrentHeap {
                 }
             })
             .collect();
+        // Read before the pause snapshot, so the peer-sweep share never
+        // exceeds the total it is part of.
+        let foreign_sweep_ns = core.foreign_sweep_ns.load(Ordering::Acquire);
         let pauses = core.pauses.snapshot();
         ServiceStats {
             shards,
@@ -391,6 +394,7 @@ impl ConcurrentHeap {
             emergency_sweeps: core.emergency_sweeps.get(),
             bytes_swept: core.bytes_swept.load(Ordering::Relaxed),
             sweep_secs: pauses.sum as f64 / 1e9,
+            foreign_sweep_secs: foreign_sweep_ns as f64 / 1e9,
             pauses,
             elapsed_secs: elapsed,
         }
@@ -697,6 +701,12 @@ mod tests {
             if stats.epochs > 0 && !heap.core().due(client.shard()) {
                 assert!(stats.foreign_sweeps > 0, "peer sweeps ran");
                 assert!(stats.pauses.count() > 0, "pauses recorded");
+                assert!(
+                    0.0 < stats.foreign_sweep_secs && stats.foreign_sweep_secs <= stats.sweep_secs,
+                    "peer sweeps are timed as a share of the pauses: {} of {} s",
+                    stats.foreign_sweep_secs,
+                    stats.sweep_secs
+                );
                 assert_eq!(stats.emergency_sweeps, 0, "the mutator drained");
                 break;
             }

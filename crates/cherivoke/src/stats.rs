@@ -97,6 +97,10 @@ pub struct ServiceStats {
     /// Wall-clock seconds spent sweeping with a shard lock held: epoch
     /// slices, peer sweeps and synchronous drains (the sum of `pauses`).
     pub sweep_secs: f64,
+    /// The share of `sweep_secs` spent in peer sweeps (other shards swept
+    /// against a painting shard's shadow map, both shard locks held); the
+    /// rest is the shards' own epoch slices and drains.
+    pub foreign_sweep_secs: f64,
     /// Revoker pause-time distribution (log2 buckets of nanoseconds;
     /// `percentile`/`max_value` give bucket ceilings, `sum` is exact).
     pub pauses: HistogramSnapshot,

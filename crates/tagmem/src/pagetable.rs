@@ -123,17 +123,24 @@ impl PageTable {
     /// of §5.3 (compare Windows `GetWriteWatch`).
     pub fn cap_dirty_pages(&self) -> Vec<u64> {
         let mut pages = Vec::new();
-        self.for_each_cap_dirty_page(|p, _| pages.push(p));
+        self.for_each_cap_dirty_page_in(0, u64::MAX, |p| pages.push(p));
         pages
     }
 
-    /// Visits every CapDirty page in address order as `(page_start,
-    /// flags)`, without materialising a vector — epoch worklist builders
-    /// call this once per segment, allocation-free.
-    pub fn for_each_cap_dirty_page(&self, mut f: impl FnMut(u64, PageFlags)) {
-        for (&p, flags) in &self.pages {
+    /// Visits the start address of every CapDirty page overlapping
+    /// `[base, end)`, in address order, without materialising a vector.
+    /// Walks only that range of the table, so a visit-set builder pays for
+    /// the pages of the segment it builds, not for the whole table.
+    pub fn for_each_cap_dirty_page_in(&self, base: u64, end: u64, mut f: impl FnMut(u64)) {
+        if end <= base {
+            return;
+        }
+        let pages = self
+            .pages
+            .range(Self::page_of(base)..=Self::page_of(end - 1));
+        for (&p, flags) in pages {
             if flags.cap_dirty {
-                f(p * PAGE_SIZE, *flags);
+                f(p * PAGE_SIZE);
             }
         }
     }
@@ -198,6 +205,37 @@ mod tests {
         assert!(!pt.is_cap_dirty(0x1000));
         // And the next store traps again (false positives were purged).
         assert!(pt.note_cap_store(0x1000).unwrap());
+    }
+
+    #[test]
+    fn ranged_walk_visits_exactly_the_overlapping_dirty_pages() {
+        let mut pt = PageTable::new();
+        for page in [0u64, 1, 2, 5, 6, 9] {
+            pt.note_cap_store(page * PAGE_SIZE + 8).unwrap();
+        }
+        // A re-cleaned page and an inhibit-only entry are in the table but
+        // not dirty.
+        pt.clear_cap_dirty(6 * PAGE_SIZE);
+        pt.set_cap_store_inhibit(7 * PAGE_SIZE, true);
+        let walk = |base, end| {
+            let mut seen = Vec::new();
+            pt.for_each_cap_dirty_page_in(base, end, |p| seen.push(p));
+            seen
+        };
+        let pages = |ps: &[u64]| ps.iter().map(|p| p * PAGE_SIZE).collect::<Vec<_>>();
+        // Page-aligned ends: `end` is exclusive.
+        assert_eq!(walk(PAGE_SIZE, 5 * PAGE_SIZE), pages(&[1, 2]));
+        assert_eq!(walk(PAGE_SIZE, 5 * PAGE_SIZE + 1), pages(&[1, 2, 5]));
+        // Unaligned ends: a page counts once any byte of it overlaps.
+        assert_eq!(walk(2 * PAGE_SIZE + 16, 5 * PAGE_SIZE + 16), pages(&[2, 5]));
+        assert_eq!(walk(2 * PAGE_SIZE - 16, 2 * PAGE_SIZE + 16), pages(&[1, 2]));
+        // Inside one page, and empty or inverted ranges.
+        assert_eq!(walk(9 * PAGE_SIZE + 64, 9 * PAGE_SIZE + 128), pages(&[9]));
+        assert_eq!(walk(3 * PAGE_SIZE, 3 * PAGE_SIZE), pages(&[]));
+        assert_eq!(walk(4 * PAGE_SIZE, 3 * PAGE_SIZE), pages(&[]));
+        assert_eq!(walk(6 * PAGE_SIZE, 9 * PAGE_SIZE), pages(&[]));
+        // The full listing walks the whole address space.
+        assert_eq!(pt.cap_dirty_pages(), pages(&[0, 1, 2, 5, 9]));
     }
 
     #[test]

@@ -117,11 +117,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.epochs, stats.foreign_sweeps, stats.foreign_caps_revoked, stats.barrier_revocations
     );
     println!(
-        "pauses: p50 {} µs, p99 {} µs, max {} µs over {} revoker lock holds",
+        "pauses: p50 {} µs, p99 {} µs, max {} µs over {} revoker lock holds \
+         ({:.2} of {:.2} ms in peer sweeps)",
         stats.pauses.percentile(50.0) / 1_000,
         stats.pauses.percentile(99.0) / 1_000,
         stats.pauses.max_value() / 1_000,
-        stats.pauses.count()
+        stats.pauses.count(),
+        stats.foreign_sweep_secs * 1e3,
+        stats.sweep_secs * 1e3
     );
     println!(
         "stale-pointer dereferences: {} attempted, {} faulted cleanly,\n\
