@@ -104,8 +104,10 @@ fn peer_image(pct: u64) -> (CherivokeHeap, ShadowMap) {
 
 /// The peer sweep against heap pages 1%, 10% and 100% CapDirty: its cost
 /// should follow the dirty pages, not the 16 MiB of segments. The
-/// `whole_space` rows are the walk it replaced, which probes every page
-/// of every segment through the CapDirty filter.
+/// `whole_space` rows are the walk it replaced, which walks every page of
+/// every segment through the CapDirty filter. That filter seeks the page
+/// table once per dirty run (or per 64 pages of a longer run), not once
+/// per page.
 fn bench_sweep_foreign(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_foreign");
     group.sample_size(10);

@@ -86,7 +86,7 @@ pub use engine::{
 /// Deterministic fault injection for chaos testing the sweep machinery
 /// (re-export of the `faultinject` crate; see its docs for plan syntax).
 pub use faultinject as fault;
-pub use obs::SweepTelemetry;
+pub use obs::{SweepPhases, SweepTelemetry};
 pub use shadow::ShadowMap;
 #[doc(hidden)]
 pub use sweep::force_scalar_kernel;
