@@ -13,7 +13,7 @@ use cheri::Capability;
 use cherivoke::{CherivokeHeap, HeapConfig};
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use revoker::{
-    CLoadTagsLines, CapDirtyPages, EveryLine, Kernel, SegmentSource, ShadowMap, SpaceSource,
+    visit_set, CLoadTagsLines, EveryLine, Kernel, NoFilter, RunSource, SegmentSource, ShadowMap,
     SweepEngine,
 };
 use tagmem::{SegmentKind, PAGE_SIZE};
@@ -102,12 +102,11 @@ fn peer_image(pct: u64) -> (CherivokeHeap, ShadowMap) {
     (heap, shadow)
 }
 
-/// The peer sweep against heap pages 1%, 10% and 100% CapDirty: its cost
-/// should follow the dirty pages, not the 16 MiB of segments. The
-/// `whole_space` rows are the walk it replaced, which walks every page of
-/// every segment through the CapDirty filter. That filter seeks the page
-/// table once per dirty run (or per 64 pages of a longer run), not once
-/// per page.
+/// The peer sweep against heap pages 1%, 10% and 100% CapDirty: it sweeps
+/// the runs of the visit set ([`visit_set`]), so its cost should follow
+/// the dirty pages, not the 16 MiB of segments. The `whole_space` rows
+/// build the visit set the way a heap does with CapDirty off (every
+/// sweepable segment whole) and sweep it with the same engine.
 fn bench_sweep_foreign(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_foreign");
     group.sample_size(10);
@@ -117,10 +116,12 @@ fn bench_sweep_foreign(c: &mut Criterion) {
             b.iter(|| heap.sweep_foreign(&shadow));
         });
         let engine = SweepEngine::new(heap.policy().kernel);
+        let mut runs = Vec::new();
         group.bench_function(format!("whole_space/dirty{pct}pct"), |b| {
             b.iter(|| {
-                let (source, table) = SpaceSource::split(heap.space_mut());
-                engine.sweep(source, CapDirtyPages::new(table), &shadow)
+                visit_set(heap.space(), false, &mut runs);
+                let (segments, _, _) = heap.space_mut().sweep_parts_mut();
+                engine.sweep(RunSource::new(segments, &runs), NoFilter, &shadow)
             });
         });
     }

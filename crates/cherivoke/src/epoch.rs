@@ -24,8 +24,8 @@
 //!   capability never reaches an already-swept or left-out page.
 //! * The epoch retires only once its worklist is empty.
 
-use revoker::{CapDirtyPages, CapSource, FilterGranularity, GranuleFilter, SweepCost, SweepStats};
-use tagmem::{AddressSpace, Segment, TaggedMemory, GRANULE_SIZE, PAGE_SIZE};
+use revoker::{visit_set, SweepStats};
+use tagmem::{AddressSpace, GRANULE_SIZE};
 
 /// The persistent state of an open revocation epoch.
 #[derive(Debug, Clone)]
@@ -33,27 +33,23 @@ pub(crate) struct Epoch {
     /// Remaining `(start, len)` regions to sweep, in segment order and
     /// address order within a segment.
     pub worklist: Vec<(u64, u64)>,
-    /// Whether the worklist holds CapDirty runs (and slices skip clean
-    /// pages) rather than whole segments.
+    /// Whether the worklist holds CapDirty runs (and slices purge
+    /// CapDirty false positives) rather than whole segments.
     pub use_capdirty: bool,
-    /// The page frame the last slice cut in two, if any (see
-    /// [`SliceFilter`]).
-    pub cut: Option<u64>,
     /// Accumulated sweep statistics.
     pub stats: SweepStats,
 }
 
 impl Epoch {
     /// An epoch over the painted sealed set, its visit set fixed now by
-    /// [`visit_set`], which every slice filters through [`CapDirtyPages`]
-    /// (no filter when `use_capdirty` is off: the exhaustive set).
-    /// `worklist` is a recycled buffer, so a warm open allocates nothing.
+    /// [`visit_set`] (whole segments when `use_capdirty` is off: the
+    /// exhaustive set). `worklist` is a recycled buffer, so a warm open
+    /// allocates nothing.
     pub fn open(space: &AddressSpace, use_capdirty: bool, mut worklist: Vec<(u64, u64)>) -> Epoch {
         let pages_skipped = visit_set(space, use_capdirty, &mut worklist);
         Epoch {
             worklist,
             use_capdirty,
-            cut: None,
             stats: SweepStats {
                 pages_skipped,
                 ..SweepStats::default()
@@ -79,12 +75,11 @@ impl Epoch {
     /// front of the worklist, appending the regions to sweep now to `out`
     /// (a caller-recycled buffer — the steady-state slice path allocates
     /// nothing). Linear in the runs taken: the taken prefix is drained
-    /// once. Records in [`Epoch::cut`] the page a mid-page split leaves
-    /// half swept.
+    /// once. A split may fall inside a page: neither part of that page
+    /// covers it whole, so the engine purges neither.
     pub fn take_slice_into(&mut self, max_bytes: u64, out: &mut Vec<(u64, u64)>) {
         let mut budget = max_bytes.max(GRANULE_SIZE);
         let mut taken = 0;
-        self.cut = None;
         for run in &mut self.worklist {
             if budget == 0 {
                 break;
@@ -100,8 +95,6 @@ impl Epoch {
             if take > 0 {
                 out.push((start, take));
                 *run = (start + take, len - take);
-                let split = start + take;
-                self.cut = (!split.is_multiple_of(PAGE_SIZE)).then_some(split - split % PAGE_SIZE);
             }
             break;
         }
@@ -114,103 +107,10 @@ impl Epoch {
     }
 }
 
-/// The visit set of a sweep over `space`'s sweepable segments (paper
-/// §3.4.2, §5.3: the sweep is handed the dirty pages, it does not probe
-/// every PTE). Fills `runs` (cleared first) with the coalesced CapDirty
-/// runs of each segment, in segment order, or with the whole segments
-/// when `use_capdirty` is off, and returns the number of clean pages it
-/// left out. Each segment walks only its own range of the page table.
-/// Runs never coalesce across a segment boundary: each lies inside one
-/// segment, as [`SliceSource`] requires. The epoch and the peer sweep
-/// ([`crate::CherivokeHeap::sweep_foreign`]) both build their visit set
-/// here.
-pub(crate) fn visit_set(
-    space: &AddressSpace,
-    use_capdirty: bool,
-    runs: &mut Vec<(u64, u64)>,
-) -> u64 {
-    runs.clear();
-    let table = space.page_table();
-    let mut clean = 0;
-    for seg in space.segments().iter().filter(|s| s.kind().sweepable()) {
-        let (base, end) = (seg.mem().base(), seg.mem().end());
-        if !use_capdirty {
-            if end > base {
-                runs.push((base, end - base));
-            }
-            continue;
-        }
-        let first = runs.len();
-        clean += end.div_ceil(PAGE_SIZE) - base / PAGE_SIZE;
-        table.for_each_cap_dirty_page_in(base, end, |page| {
-            clean -= 1;
-            let start = page.max(base);
-            let len = (page + PAGE_SIZE).min(end) - start;
-            match runs[first..].last_mut() {
-                Some((rs, rl)) if *rs + *rl == start => *rl += len,
-                _ => runs.push((start, len)),
-            }
-        });
-    }
-    clean
-}
-
-/// Visit-set ranges as a sweep root set, so a sweep over them is one
-/// engine call: an epoch slice's share of the worklist, or a peer sweep's
-/// whole visit set. No registers: the epoch sweeps those once, at retire,
-/// and the peer sweep after its ranges.
-pub(crate) struct SliceSource<'a> {
-    /// The address space's segments (each range lies inside one).
-    pub segments: &'a mut [Segment],
-    /// The `(start, len)` ranges to sweep.
-    pub ranges: &'a [(u64, u64)],
-}
-
-impl CapSource for SliceSource<'_> {
-    fn for_each_region(&mut self, mut f: impl FnMut(&mut TaggedMemory, u64, u64)) {
-        for &(start, len) in self.ranges {
-            let seg = self
-                .segments
-                .iter_mut()
-                .find(|s| s.mem().contains(start, len))
-                .expect("worklist regions lie in segments");
-            f(seg.mem_mut(), start, len);
-        }
-    }
-}
-
-/// The epoch's page filter for one slice — [`CapDirtyPages`] when the
-/// epoch uses CapDirty, none otherwise — withholding the
-/// false-positive purge from the pages a slice boundary cuts in two. Such
-/// a page is swept in two visits and neither sees all of its
-/// capabilities, so neither may declare it capability-free.
-pub(crate) struct SliceFilter<'a> {
-    /// The epoch's page filter.
-    pub inner: Option<CapDirtyPages<'a>>,
-    /// The page frames cut at this slice's start and end.
-    pub cut: [Option<u64>; 2],
-}
-
-impl GranuleFilter for SliceFilter<'_> {
-    fn granularity(&self) -> FilterGranularity {
-        self.inner.granularity()
-    }
-
-    fn visit_page<C: SweepCost>(&mut self, page: u64, mem: &TaggedMemory, cost: &mut C) -> bool {
-        self.inner.visit_page(page, mem, cost)
-    }
-
-    fn page_swept(&mut self, page: u64, caps_found: u64) {
-        if !self.cut.contains(&Some(page)) {
-            self.inner.page_swept(page, caps_found);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tagmem::SegmentKind;
+    use tagmem::{SegmentKind, PAGE_SIZE};
 
     /// Heap and stack adjacent at a page boundary, the stack's end and
     /// both of the globals' ends off page boundaries, and a shadow
@@ -230,8 +130,8 @@ mod tests {
         }
     }
 
-    /// The builder `visit_set` replaced: one walk of the whole table per
-    /// segment.
+    /// The builder the ranged `visit_set` replaced: one walk of the whole
+    /// table per segment.
     fn whole_table_visit_set(space: &AddressSpace) -> (Vec<(u64, u64)>, u64) {
         let dirty = space.page_table().cap_dirty_pages();
         let mut runs: Vec<(u64, u64)> = Vec::new();
@@ -341,7 +241,6 @@ mod tests {
         Epoch {
             worklist: vec![(0x1000, 4096), (0x3000, 1024)],
             use_capdirty: true,
-            cut: None,
             stats: SweepStats::default(),
         }
     }
@@ -351,11 +250,9 @@ mod tests {
         let mut e = epoch();
         let s1 = e.take_slice(1000);
         assert_eq!(s1, vec![(0x1000, 992)]); // rounded down to granules
-        assert_eq!(e.cut, Some(0x1000), "a mid-page split cuts its page");
         assert_eq!(e.remaining_bytes(), 4096 - 992 + 1024);
         let s2 = e.take_slice(1 << 20);
         assert_eq!(s2, vec![(0x1000 + 992, 4096 - 992), (0x3000, 1024)]);
-        assert_eq!(e.cut, None);
         assert!(e.is_done());
     }
 

@@ -1227,6 +1227,7 @@ impl Core {
                 (&mut b, &mut a)
             };
             let stats = peer.sweep_foreign(painting.shadow());
+            peer.count_peer_sweep(&stats);
             drop(b);
             drop(a);
             let pause = t0.elapsed();

@@ -10,12 +10,12 @@ use cvkalloc::{CherivokeAllocator, ChunkState, DlAllocator};
 use journal::{Journal, Record, TailState};
 use revoker::fault::FaultPoint;
 use revoker::{
-    audit_dump, sweep_register_file, AuditReport, CapDirtyPages, NoCost, ShadowMap, SweepEngine,
-    SweepScratch, SweepStats,
+    audit_dump, sweep_register_file, visit_set, AuditReport, CapDirtyPurge, NoCost, RunSource,
+    ShadowMap, SweepEngine, SweepScratch, SweepStats,
 };
 use tagmem::{AddressSpace, CoreDump, SegmentKind};
 
-use crate::epoch::{visit_set, Epoch, SliceFilter, SliceSource};
+use crate::epoch::Epoch;
 use crate::obs::HeapTelemetry;
 use crate::recovery::{
     warn_once, HeapImage, ImageChunk, ImageChunkState, RecoveryAction, RecoveryError,
@@ -583,7 +583,7 @@ impl CherivokeHeap {
     }
 
     /// The epoch's step: sweeps up to `max_bytes` of the active epoch's
-    /// worklist in one engine call, through the epoch's filter; once the
+    /// worklist in one engine call, through the epoch's purge; once the
     /// worklist is empty, retires the epoch (registers, unpaint, drain,
     /// commit). Returns the epoch's total statistics when it completes,
     /// `None` if work remains (or no epoch is active, or the epoch is held
@@ -592,27 +592,16 @@ impl CherivokeHeap {
         let mut epoch = self.epoch.take()?;
         let mut slice = std::mem::take(&mut self.slice_scratch);
         slice.clear();
-        let cut_before = epoch.cut;
         epoch.take_slice_into(max_bytes, &mut slice);
         if !slice.is_empty() {
             let (segments, _, table) = self.space.sweep_parts_mut();
-            let filter = SliceFilter {
-                inner: epoch.use_capdirty.then(|| CapDirtyPages::new(table)),
-                cut: [cut_before, epoch.cut],
-            };
-            let mut stats = self.engine.sweep_with(
-                SliceSource {
-                    segments,
-                    ranges: &slice,
-                },
-                filter,
+            epoch.stats += self.engine.sweep_with(
+                RunSource::new(segments, &slice),
+                epoch.use_capdirty.then(|| CapDirtyPurge::new(table)),
                 &self.shadow,
                 &mut NoCost,
                 &mut self.scratch,
             );
-            // A slice is fragments of segments, not segment sweeps.
-            stats.segments_swept = 0;
-            epoch.stats += stats;
             // Slices are not journaled: recovery re-sweeps exhaustively
             // (sweeps are idempotent).
             self.maybe_crash(FaultPoint::CrashMidSweep);
@@ -699,8 +688,8 @@ impl CherivokeHeap {
     /// mistake. Statistics are returned, not folded into this heap's own
     /// sweep counters (the orchestrator accounts for foreign sweeps).
     ///
-    /// The memory roots are the visit set an epoch would build now (the
-    /// epoch module's `visit_set`): only the CapDirty runs are walked,
+    /// The memory roots are the visit set an epoch would build now
+    /// ([`revoker::visit_set`]): only the CapDirty runs are walked,
     /// through the same false-positive purge, so the cost follows the
     /// dirty pages rather than the segments' size. The run buffer is
     /// recycled, so a warm peer sweep allocates nothing.
@@ -710,18 +699,13 @@ impl CherivokeHeap {
         let pages_skipped = visit_set(&self.space, use_capdirty, &mut runs);
         let (segments, regs, table) = self.space.sweep_parts_mut();
         let mut stats = self.engine.sweep_with(
-            SliceSource {
-                segments,
-                ranges: &runs,
-            },
-            use_capdirty.then(|| CapDirtyPages::new(table)),
+            RunSource::new(segments, &runs),
+            use_capdirty.then(|| CapDirtyPurge::new(table)),
             shadow,
             &mut NoCost,
             &mut self.scratch,
         );
         self.slice_scratch = runs;
-        // Runs are fragments of segments, not segment sweeps.
-        stats.segments_swept = 0;
         stats.pages_skipped += pages_skipped;
         stats += sweep_register_file(regs, shadow);
         stats
@@ -1094,6 +1078,15 @@ impl CherivokeHeap {
     /// The revocation policy in force.
     pub fn policy(&self) -> RevocationPolicy {
         self.policy
+    }
+
+    /// Counts a peer sweep of this heap's roots
+    /// ([`CherivokeHeap::sweep_foreign`]) in its statistics: the pages its
+    /// visit set left out and the capabilities it inspected. Its bytes and
+    /// revocations are the orchestrator's to count.
+    pub(crate) fn count_peer_sweep(&mut self, s: &SweepStats) {
+        self.stats.pages_skipped += s.pages_skipped;
+        self.stats.caps_inspected += s.caps_inspected;
     }
 
     /// Heap statistics (sweeps, revocations, allocator counters).

@@ -765,6 +765,26 @@ mod tests {
     }
 
     #[test]
+    fn peer_sweeps_count_in_the_swept_shard() {
+        let heap = service();
+        let client = heap.handle_on(0);
+        let victim = client.malloc(64).unwrap();
+        let stash = heap.handle_on(1).malloc(16).unwrap();
+        client.store_cap(&stash, 0, &victim).unwrap();
+        client.free(victim).unwrap();
+        heap.revoke_all_now();
+        let swept = heap.stats().shards[1].heap;
+        assert_eq!(swept.sweeps, 0, "shard 1 ran no epoch of its own");
+        // Shard 0's epoch swept shard 1 once: its one capability and the
+        // pages its visit set left out count in shard 1's statistics.
+        assert_eq!(swept.caps_inspected, 1);
+        let shard = heap.core().lock(1);
+        let clean = revoker::visit_set(shard.space(), true, &mut Vec::new());
+        assert!(clean > 0);
+        assert_eq!(swept.pages_skipped, clean);
+    }
+
+    #[test]
     fn telemetry_registry_tracks_service_lifecycle() {
         let mut config = ServiceConfig::small();
         config.telemetry = true;

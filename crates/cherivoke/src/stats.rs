@@ -14,12 +14,13 @@ pub struct HeapStats {
     pub sweeps: u64,
     /// Total capabilities revoked across all sweeps.
     pub caps_revoked: u64,
-    /// Total capabilities inspected across all sweeps.
+    /// Total capabilities inspected across all sweeps, peer sweeps of
+    /// this heap's roots included.
     pub caps_inspected: u64,
     /// Total bytes walked by sweeps.
     pub bytes_swept: u64,
-    /// Pages skipped: left out of an epoch's CapDirty worklist, or
-    /// skipped by the CapDirty filter.
+    /// Pages left out of the CapDirty visit sets of this heap's epochs
+    /// and of peer sweeps of its roots.
     pub pages_skipped: u64,
     /// Bytes painted into the shadow map (cumulative).
     pub bytes_painted: u64,

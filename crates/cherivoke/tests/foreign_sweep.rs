@@ -1,16 +1,19 @@
-//! The peer sweep is the whole-space sweep it replaced: one heap image —
-//! capabilities into a foreign painted quarantine in the heap, the stack,
-//! the globals and the registers, beside capabilities the sweep must keep
-//! and a CapDirty page that holds no capability — swept once by
-//! [`CherivokeHeap::sweep_foreign`] (which visits only the CapDirty runs)
-//! and once by the old walk (every page of every sweepable segment through
-//! the `CapDirtyPages` filter, then the registers) ends in the same memory,
-//! tags, registers, CapDirty bits and sweep counters. A second round of
-//! stores and paint checks the warm path, whose run buffer is recycled.
+//! The peer sweep revokes what a whole-space sweep revokes: one heap image
+//! — capabilities into a foreign painted quarantine in the heap, the
+//! stack, the globals and the registers, beside capabilities the sweep
+//! must keep and a CapDirty page that holds no capability — swept once by
+//! [`CherivokeHeap::sweep_foreign`] (which visits only the CapDirty runs
+//! of its visit set) and once by an unfiltered sweep of every sweepable
+//! segment and the registers ends in the same memory, tags and registers,
+//! with the same capabilities inspected and revoked. The peer sweep's
+//! bytes and skipped pages are its visit set's sizes, the false positive
+//! is re-cleaned and every page still holding a capability stays
+//! CapDirty. A second round of stores and paint checks the warm path,
+//! whose run buffer is recycled.
 
 use cheri::Capability;
 use cherivoke::{CherivokeHeap, HeapConfig, RevocationPolicy};
-use revoker::{CapDirtyPages, ShadowMap, SpaceSource, SweepEngine, SweepStats};
+use revoker::{visit_set, NoFilter, ShadowMap, SpaceSource, SweepEngine, SweepStats};
 use tagmem::{NUM_CAP_REGS, PAGE_SIZE};
 
 /// A peer heap's range: disjoint from the swept heap, as in a
@@ -80,30 +83,24 @@ fn second_round(heap: &mut CherivokeHeap, blocks: &[Capability]) {
     heap.set_register(4, foreign(FOREIGN_LEN / 2 + 8192, 16));
 }
 
-/// The old peer sweep: every page of every sweepable segment through the
-/// `CapDirtyPages` filter, then the registers, in one engine call.
+/// The oracle: every sweepable segment whole, unfiltered, then the
+/// registers, in one engine call.
 fn whole_space_sweep(heap: &mut CherivokeHeap, shadow: &ShadowMap) -> SweepStats {
-    let policy = heap.policy();
-    let (source, table) = SpaceSource::split(heap.space_mut());
-    SweepEngine::new(policy.kernel).sweep(
-        source,
-        policy.use_capdirty.then(|| CapDirtyPages::new(table)),
-        shadow,
-    )
+    let kernel = heap.policy().kernel;
+    let (source, _) = SpaceSource::split(heap.space_mut());
+    SweepEngine::new(kernel).sweep(source, NoFilter, shadow)
 }
 
-/// The CapDirty bit of every page of every segment.
-fn dirty_bits(heap: &CherivokeHeap) -> Vec<bool> {
+/// Every page of every sweepable segment that holds a tagged granule is
+/// CapDirty.
+fn tagged_pages_are_dirty(heap: &CherivokeHeap) -> bool {
     let space = heap.space();
     space
         .segments()
         .iter()
-        .flat_map(|s| {
-            let first = s.mem().base() / PAGE_SIZE;
-            let last = s.mem().end().div_ceil(PAGE_SIZE);
-            (first..last).map(|p| space.page_table().is_cap_dirty(p * PAGE_SIZE))
-        })
-        .collect()
+        .filter(|s| s.kind().sweepable())
+        .flat_map(|s| s.mem().tagged_addrs())
+        .all(|addr| space.page_table().is_cap_dirty(addr))
 }
 
 fn registers(heap: &CherivokeHeap) -> Vec<Capability> {
@@ -112,20 +109,26 @@ fn registers(heap: &CherivokeHeap) -> Vec<Capability> {
 
 /// Sweeps both copies against `shadow` and checks they agree.
 fn sweep_both(new: &mut CherivokeHeap, old: &mut CherivokeHeap, shadow: &ShadowMap) -> SweepStats {
+    let mut runs = Vec::new();
+    let clean = visit_set(new.space(), new.policy().use_capdirty, &mut runs);
     let got = new.sweep_foreign(shadow);
     let want = whole_space_sweep(old, shadow);
     assert_eq!(
-        new.dump(),
-        old.dump(),
-        "memory, tags or CapDirty list differ"
+        new.dump().segments(),
+        old.dump().segments(),
+        "memory or tags differ"
     );
     assert_eq!(registers(new), registers(old), "registers differ");
-    assert_eq!(dirty_bits(new), dirty_bits(old), "CapDirty bits differ");
-    assert_eq!(got.bytes_swept, want.bytes_swept, "bytes_swept");
+    assert!(
+        tagged_pages_are_dirty(new),
+        "a page with a capability was cleaned"
+    );
+    let visited: u64 = runs.iter().map(|&(_, len)| len).sum();
+    assert_eq!(got.bytes_swept, visited, "bytes_swept");
+    assert_eq!(got.pages_skipped, clean, "pages_skipped");
     assert_eq!(got.caps_inspected, want.caps_inspected, "caps_inspected");
     assert_eq!(got.caps_revoked, want.caps_revoked, "caps_revoked");
     assert_eq!(got.regs_revoked, want.regs_revoked, "regs_revoked");
-    assert_eq!(got.pages_skipped, want.pages_skipped, "pages_skipped");
     got
 }
 
@@ -154,6 +157,7 @@ fn check(use_capdirty: bool) {
         );
     } else {
         assert_eq!(first.pages_skipped, 0);
+        assert!(new.space().page_table().is_cap_dirty(fp_page));
     }
 
     // Warm path: new capabilities, a different painted span.

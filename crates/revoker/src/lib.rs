@@ -13,7 +13,7 @@
 //! 3. Optionally skipping work with the paper's two hardware assists:
 //!    **PTE CapDirty** bits skip whole capability-free pages and
 //!    **CLoadTags** skips capability-free cache lines (§3.4) — see
-//!    [`CapDirtyPages`], [`CLoadTagsLines`] and [`timed`].
+//!    [`visit_set`], [`CLoadTagsLines`] and [`timed`].
 //!
 //! Sweep kernels come in the tiers the paper benchmarks in Figure 7: the
 //! naïve [`Kernel::Simple`], the word-skipping [`Kernel::Unrolled`], the
@@ -32,7 +32,7 @@
 //!
 //! ```
 //! use cheri::Capability;
-//! use revoker::{CapDirtyPages, Kernel, ShadowMap, SpaceSource, SweepEngine};
+//! use revoker::{visit_set, CapDirtyPurge, Kernel, RunSource, ShadowMap, SweepEngine};
 //! use tagmem::{AddressSpace, SegmentKind};
 //!
 //! # fn main() -> Result<(), tagmem::MemError> {
@@ -49,16 +49,19 @@
 //! let mut shadow = ShadowMap::new(heap_base, 1 << 20);
 //! shadow.paint(heap_base + 0x40, 64);
 //!
-//! // One sweep later the stored capability is revoked: compose the root
-//! // set (segments + registers), the PTE CapDirty page filter (§3.4.2),
-//! // and a kernel, then sweep.
-//! let (source, page_table) = SpaceSource::split(&mut space);
+//! // One sweep later the stored capability is revoked: build the visit
+//! // set (the PTE CapDirty runs of each sweepable segment, §3.4.2), then
+//! // sweep those runs with a kernel, re-cleaning CapDirty false positives.
+//! let mut runs = Vec::new();
+//! let clean_pages = visit_set(&space, true, &mut runs);
+//! let (segments, _registers, page_table) = space.sweep_parts_mut();
 //! let stats = SweepEngine::new(Kernel::Simd).sweep(
-//!     source,
-//!     CapDirtyPages::new(page_table),
+//!     RunSource::new(segments, &runs),
+//!     CapDirtyPurge::new(page_table),
 //!     &shadow,
 //! );
 //! assert_eq!(stats.caps_revoked, 1);
+//! assert_eq!(clean_pages, 255, "one of the heap's 256 pages is swept");
 //! assert!(!space.load_cap(heap_base + 0x1000)?.tag());
 //! # Ok(())
 //! # }
@@ -78,10 +81,10 @@ pub mod timed;
 
 pub use audit::{audit_dump, AuditReport, AuditViolation};
 pub use engine::{
-    sweep_register_file, CLoadTagsLines, CapDirtyPages, CapSource, DirtyPageList, DumpSource,
-    EveryLine, FilterGranularity, GranuleFilter, IdealLines, NoCost, NoFilter, RangeSource,
-    RegisterSource, SegmentSource, SpaceSource, SweepCost, SweepEngine, SweepScratch,
-    MAX_SWEEP_WORKERS,
+    segment_runs, sweep_register_file, visit_set, CLoadTagsLines, CapDirtyPurge, CapSource,
+    DumpSource, EveryLine, FilterGranularity, GranuleFilter, IdealLines, NoCost, NoFilter,
+    RangeSource, RegisterSource, RunSource, SegmentSource, SpaceSource, SweepCost, SweepEngine,
+    SweepScratch, MAX_SWEEP_WORKERS,
 };
 /// Deterministic fault injection for chaos testing the sweep machinery
 /// (re-export of the `faultinject` crate; see its docs for plan syntax).

@@ -1,24 +1,26 @@
 //! The plan step of a sweep (§3.4–§3.5): which chunks the walk visits.
 //!
-//! [`walk_region`] walks one region under a
-//! [`GranuleFilter`](crate::engine::GranuleFilter), skipping
-//! CapDirty-clean pages and tag-free lines, and hands every chunk that
-//! must be swept to its caller in ascending address order; both of
+//! [`walk_region`] walks one region (a visit-set run, so CapDirty-clean
+//! pages are already left out) under a
+//! [`GranuleFilter`](crate::engine::GranuleFilter), skipping tag-free
+//! lines, and hands every chunk that must be swept to its caller in
+//! ascending address order; both of
 //! [`SweepEngine`](crate::SweepEngine)'s walks run it. An uncosted sweep
 //! first collects the region's chunk list with [`plan_region`] — the
 //! planned bytes are Fig. 8a's memory that must be swept — and, with more
 //! than one worker, [`plan_groups`] splits that list across the worker
 //! pool before the engine's execute step runs it.
 
-use tagmem::{TaggedMemory, GRANULE_SIZE};
+use tagmem::{TaggedMemory, GRANULE_SIZE, PAGE_SIZE};
 
 use crate::engine::{line_spans, page_spans, FilterGranularity, GranuleFilter, SweepCost};
 use crate::{ShadowMap, SweepStats};
 
 /// Walks one region under `filter`, calling `emit(mem, start, len, cost,
 /// stats)` for each chunk that must be swept; `emit` returns the number of
-/// capabilities it inspected. The visited pages are collected into
-/// `pages` (cleared first) as `(frame, caps_found)` pairs — the engine
+/// capabilities it inspected. The page frames the region covers whole are
+/// collected into `pages` (cleared first) as `(frame, caps_found)` pairs
+/// (a frame the region covers in part gets no feedback) — the engine
 /// feeds these to [`GranuleFilter::page_swept`] once the region is swept
 /// (page feedback only affects *future* sweeps, so deferring it preserves
 /// semantics). Taking the buffer from the caller lets a reused
@@ -44,10 +46,7 @@ pub(crate) fn walk_region<F, C>(
         }
         granularity => {
             for (frame, page_start, page_end) in page_spans(start, len) {
-                if !filter.visit_page(frame, mem, cost) {
-                    stats.pages_skipped = stats.pages_skipped.saturating_add(1);
-                    continue;
-                }
+                filter.visit_page(frame);
                 let mut caps = 0u64;
                 if granularity == FilterGranularity::Page {
                     caps += emit(mem, page_start, page_end - page_start, cost, stats);
@@ -60,7 +59,9 @@ pub(crate) fn walk_region<F, C>(
                         }
                     }
                 }
-                pages.push((frame, caps));
+                if page_end - page_start == PAGE_SIZE {
+                    pages.push((frame, caps));
+                }
             }
         }
     }
@@ -69,7 +70,7 @@ pub(crate) fn walk_region<F, C>(
 /// Plans one region of an uncosted sweep: walks it under `filter` and
 /// fills `chunks` (cleared first) with the `(start, len)` chunks that must
 /// be swept, in ascending address order, and `pages` with the visited
-/// pages (their capability counts still zero). Nothing is executed.
+/// whole pages (their capability counts still zero). Nothing is executed.
 #[allow(clippy::too_many_arguments)] // walk ABI: region + hooks + scratch
 pub(crate) fn plan_region<F, C>(
     mem: &mut TaggedMemory,
@@ -191,7 +192,7 @@ pub(crate) fn plan_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CLoadTagsLines, DirtyPageList, EveryLine, NoFilter};
+    use crate::engine::{segment_runs, CLoadTagsLines, EveryLine, NoFilter};
     use cheri::Capability;
     use tagmem::{AddressSpace, CoreDump, SegmentKind, LINE_SIZE, PAGE_SIZE};
 
@@ -220,22 +221,38 @@ mod tests {
     }
 
     /// The planned chunk list of `dump`'s heap image under `filter`, and
-    /// the `CLoadTags` queries planning it issued.
-    fn plan(dump: &CoreDump, mut filter: impl GranuleFilter) -> (Vec<(u64, u64)>, u64) {
+    /// the `CLoadTags` queries planning it issued: over the whole image,
+    /// or with `capdirty` over the runs of its CapDirty pages.
+    fn plan_runs(
+        dump: &CoreDump,
+        capdirty: bool,
+        mut filter: impl GranuleFilter,
+    ) -> (Vec<(u64, u64)>, u64) {
         let mut image = dump.clone();
         let mem = &mut image.segments_mut()[0].mem;
-        let (mut chunks, mut pages, mut queries) = (Vec::new(), Vec::new(), Queries::default());
-        plan_region(
-            mem,
-            HEAP,
-            LEN,
-            &mut filter,
-            &mut queries,
-            &mut SweepStats::default(),
-            &mut pages,
-            &mut chunks,
-        );
-        (chunks, queries.0)
+        let mut runs = Vec::new();
+        let dirty = capdirty.then(|| dump.cap_dirty_pages().iter().copied());
+        segment_runs(HEAP, HEAP + LEN, dirty, &mut runs);
+        let (mut all, mut chunks, mut pages) = (Vec::new(), Vec::new(), Vec::new());
+        let mut queries = Queries::default();
+        for (start, len) in runs {
+            plan_region(
+                mem,
+                start,
+                len,
+                &mut filter,
+                &mut queries,
+                &mut SweepStats::default(),
+                &mut pages,
+                &mut chunks,
+            );
+            all.extend_from_slice(&chunks);
+        }
+        (all, queries.0)
+    }
+
+    fn plan(dump: &CoreDump, filter: impl GranuleFilter) -> (Vec<(u64, u64)>, u64) {
+        plan_runs(dump, false, filter)
     }
 
     fn bytes(chunks: &[(u64, u64)]) -> u64 {
@@ -245,11 +262,10 @@ mod tests {
     /// The plans of Fig. 8a's three sweep modes: no assist, PTE CapDirty
     /// page skipping, and page skipping plus `CLoadTags` line skipping.
     fn mode_plans(dump: &CoreDump) -> [Vec<(u64, u64)>; 3] {
-        let dirty = dump.cap_dirty_pages();
         [
             plan(dump, EveryLine).0,
-            plan(dump, (DirtyPageList::new(dirty), EveryLine)).0,
-            plan(dump, (DirtyPageList::new(dirty), CLoadTagsLines::new())).0,
+            plan_runs(dump, true, EveryLine).0,
+            plan_runs(dump, true, CLoadTagsLines::new()).0,
         ]
     }
 
@@ -266,8 +282,7 @@ mod tests {
     #[test]
     fn page_skipping_keeps_only_dirty_pages() {
         let dump = dump_with_caps(&[HEAP + 0x100, HEAP + 0x5000]);
-        let dirty = DirtyPageList::new(dump.cap_dirty_pages());
-        let (chunks, _) = plan(&dump, (dirty, EveryLine));
+        let (chunks, _) = plan_runs(&dump, true, EveryLine);
         assert_eq!(bytes(&chunks), 2 * PAGE_SIZE);
         assert!(chunks
             .iter()
@@ -277,8 +292,7 @@ mod tests {
     #[test]
     fn line_skipping_keeps_only_tagged_lines() {
         let dump = dump_with_caps(&[HEAP + 0x100, HEAP + 0x5000]);
-        let dirty = DirtyPageList::new(dump.cap_dirty_pages());
-        let (chunks, queries) = plan(&dump, (dirty, CLoadTagsLines::new()));
+        let (chunks, queries) = plan_runs(&dump, true, CLoadTagsLines::new());
         assert_eq!(
             chunks,
             vec![(HEAP + 0x100, LINE_SIZE), (HEAP + 0x5000, LINE_SIZE)]
@@ -303,12 +317,10 @@ mod tests {
     #[test]
     fn empty_image_has_empty_plan() {
         let dump = dump_with_caps(&[]);
-        let dirty = DirtyPageList::new(dump.cap_dirty_pages());
-        let (chunks, queries) = plan(&dump, (dirty, CLoadTagsLines::new()));
+        let (chunks, queries) = plan_runs(&dump, true, CLoadTagsLines::new());
         assert!(chunks.is_empty());
         assert_eq!(queries, 0);
-        let dirty = DirtyPageList::new(dump.cap_dirty_pages());
-        assert!(plan(&dump, (dirty, EveryLine)).0.is_empty());
+        assert!(plan_runs(&dump, true, EveryLine).0.is_empty());
     }
 
     #[test]

@@ -64,8 +64,6 @@ impl Kernel {
 /// across epochs can never wrap (see [`SweepStats::merge_parallel`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
-    /// Segments visited.
-    pub segments_swept: u64,
     /// Bytes of memory the kernel walked over.
     pub bytes_swept: u64,
     /// Tagged words inspected (capabilities found).
@@ -74,7 +72,8 @@ pub struct SweepStats {
     pub caps_revoked: u64,
     /// Register-file capabilities revoked.
     pub regs_revoked: u64,
-    /// Pages skipped by PTE CapDirty filtering (when enabled).
+    /// Pages a CapDirty visit set left out (when enabled). The engine
+    /// never skips a page; whoever builds the visit set adds its count.
     pub pages_skipped: u64,
     /// Cache lines skipped by CLoadTags filtering (when enabled).
     pub lines_skipped: u64,
@@ -89,8 +88,8 @@ impl SweepStats {
     ///
     /// Only the per-granule *work* counters (`bytes_swept`,
     /// `caps_inspected`, `caps_revoked`, `regs_revoked`) are summed
-    /// (saturating). The *plan-level* counters (`segments_swept`,
-    /// `pages_skipped`, `lines_skipped`) belong to the single planning
+    /// (saturating). The *plan-level* counters (`pages_skipped`,
+    /// `lines_skipped`) belong to the single planning
     /// pass that produced the workers' chunks, so they are left at zero —
     /// summing them per worker would double-count skipped work.
     pub fn merge_parallel(parts: impl IntoIterator<Item = SweepStats>) -> SweepStats {
@@ -108,7 +107,6 @@ impl SweepStats {
 
 impl core::ops::AddAssign for SweepStats {
     fn add_assign(&mut self, rhs: SweepStats) {
-        self.segments_swept = self.segments_swept.saturating_add(rhs.segments_swept);
         self.bytes_swept = self.bytes_swept.saturating_add(rhs.bytes_swept);
         self.caps_inspected = self.caps_inspected.saturating_add(rhs.caps_inspected);
         self.caps_revoked = self.caps_revoked.saturating_add(rhs.caps_revoked);
@@ -871,8 +869,8 @@ mod simd_neon {
 mod tests {
     use super::*;
     use crate::engine::{
-        sweep_register_file, CapDirtyPages, NoFilter, RangeSource, SegmentSource, SpaceSource,
-        SweepEngine,
+        sweep_register_file, visit_set, CapDirtyPurge, NoFilter, RangeSource, RunSource,
+        SegmentSource, SpaceSource, SweepEngine,
     };
     use cheri::Capability;
     use tagmem::{AddressSpace, RegisterFile, TaggedMemory};
@@ -1000,7 +998,6 @@ mod tests {
     #[test]
     fn merge_parallel_sums_work_but_not_plan_counters() {
         let worker = SweepStats {
-            segments_swept: 1,
             bytes_swept: 1000,
             caps_inspected: 10,
             caps_revoked: 4,
@@ -1017,7 +1014,6 @@ mod tests {
         // Retries are work-level: each worker's own retries count.
         assert_eq!(merged.chunks_retried, 2);
         // Plan-level counters are not double-counted across workers.
-        assert_eq!(merged.segments_swept, 0);
         assert_eq!(merged.pages_skipped, 0);
         assert_eq!(merged.lines_skipped, 0);
     }
@@ -1137,7 +1133,6 @@ mod tests {
         let (source, _) = SpaceSource::split(&mut space);
         let stats = SweepEngine::new(Kernel::Unrolled).sweep(source, NoFilter, &shadow);
         assert_eq!(stats.caps_revoked, 4);
-        assert_eq!(stats.segments_swept, 3);
         assert_eq!(space.tag_count(), 0);
     }
 
@@ -1154,11 +1149,17 @@ mod tests {
         space.store_u64(HEAP + 0x5000, 0).unwrap();
         let mut shadow = ShadowMap::new(HEAP, 1 << 16);
         shadow.paint(HEAP + 0x40, 64);
-        let (source, table) = SpaceSource::split(&mut space);
-        let stats =
-            SweepEngine::new(Kernel::Unrolled).sweep(source, CapDirtyPages::new(table), &shadow);
+        let mut runs = Vec::new();
+        let skipped = visit_set(&space, true, &mut runs);
+        assert_eq!(skipped, 14, "14 never-dirty pages skipped");
+        let (segments, _, table) = space.sweep_parts_mut();
+        let stats = SweepEngine::new(Kernel::Unrolled).sweep(
+            RunSource::new(segments, &runs),
+            CapDirtyPurge::new(table),
+            &shadow,
+        );
         assert_eq!(stats.caps_revoked, 1);
-        assert_eq!(stats.pages_skipped, 14, "14 never-dirty pages skipped");
+        assert_eq!(stats.bytes_swept, 2 * tagmem::PAGE_SIZE);
         // The false-positive page was re-cleaned.
         assert!(!space.page_table().is_cap_dirty(HEAP + 0x5000));
         // And the genuinely swept page stays dirty (it held a cap, now
@@ -1196,8 +1197,14 @@ mod tests {
             let mut skip = build();
             let engine = SweepEngine::new(Kernel::Unrolled);
             let a = engine.sweep(SpaceSource::split(&mut full).0, NoFilter, &shadow);
-            let (source, table) = SpaceSource::split(&mut skip);
-            let b = engine.sweep(source, CapDirtyPages::new(table), &shadow);
+            let mut runs = Vec::new();
+            visit_set(&skip, true, &mut runs);
+            let (segments, _, table) = skip.sweep_parts_mut();
+            let b = engine.sweep(
+                RunSource::new(segments, &runs),
+                CapDirtyPurge::new(table),
+                &shadow,
+            );
             assert_eq!(a.caps_revoked, b.caps_revoked, "seed {seed}");
             assert_eq!(full.tag_count(), skip.tag_count(), "seed {seed}");
         }
@@ -1231,7 +1238,9 @@ mod tests {
 #[cfg(test)]
 mod line_skip_tests {
     use super::*;
-    use crate::engine::{CLoadTagsLines, CapDirtyPages, NoFilter, SpaceSource, SweepEngine};
+    use crate::engine::{
+        visit_set, CLoadTagsLines, CapDirtyPurge, NoFilter, RunSource, SpaceSource, SweepEngine,
+    };
     use cheri::Capability;
     use tagmem::{AddressSpace, SegmentKind};
 
@@ -1251,16 +1260,22 @@ mod line_skip_tests {
         (space, shadow)
     }
 
-    /// Sweeps with both hardware assists (§3.4): PTE CapDirty skips clean
-    /// pages, and within dirty pages `CLoadTags` skips capability-free
-    /// cache lines.
+    /// Sweeps with both hardware assists (§3.4): the PTE CapDirty visit
+    /// set leaves clean pages out, and within dirty pages `CLoadTags`
+    /// skips capability-free cache lines.
     fn sweep_skipping_lines(space: &mut AddressSpace, shadow: &ShadowMap) -> SweepStats {
-        let (source, table) = SpaceSource::split(space);
-        SweepEngine::new(Kernel::Unrolled).sweep(
-            source,
-            (CapDirtyPages::new(table), CLoadTagsLines::new()),
+        let mut runs = Vec::new();
+        let pages_skipped = visit_set(space, true, &mut runs);
+        let (segments, _, table) = space.sweep_parts_mut();
+        let stats = SweepEngine::new(Kernel::Unrolled).sweep(
+            RunSource::new(segments, &runs),
+            (CapDirtyPurge::new(table), CLoadTagsLines::new()),
             shadow,
-        )
+        );
+        SweepStats {
+            pages_skipped,
+            ..stats
+        }
     }
 
     #[test]

@@ -13,16 +13,18 @@
 //! [`SweepEngine`] with a [`SweepCost`] hook
 //! that charges each access to the machine, so the visitation order (and
 //! therefore the revocation set) cannot diverge from an untimed sweep by
-//! construction. Each [`TimedMode`] is just a different
-//! [`GranuleFilter`](crate::engine::GranuleFilter) composition, built in
-//! one place ([`sweep_image`]); swept without a cost model, the same
-//! compositions measure Fig. 8a's proportion of memory swept.
+//! construction. Each [`TimedMode`] is a visit set (whole images, or the
+//! runs of the dump's CapDirty pages from the same builder a live heap
+//! uses, [`segment_runs`]) and a line
+//! [`GranuleFilter`](crate::engine::GranuleFilter), built in one place
+//! ([`sweep_image`]); swept without a cost model, the same compositions
+//! measure Fig. 8a's proportion of memory swept.
 
 use simcache::Machine;
-use tagmem::{CoreDump, SegmentImage, GRANULE_SIZE};
+use tagmem::{CoreDump, SegmentImage, GRANULE_SIZE, PAGE_SIZE};
 
 use crate::engine::{
-    CLoadTagsLines, DirtyPageList, DumpSource, EveryLine, IdealLines, SweepCost, SweepEngine,
+    segment_runs, CLoadTagsLines, EveryLine, IdealLines, RunSource, SweepCost, SweepEngine,
     SweepScratch,
 };
 use crate::{Kernel, ShadowMap, SweepStats};
@@ -105,11 +107,12 @@ impl SweepCost for MachineCost<'_> {
     }
 }
 
-/// Sweeps `segments` (a core dump's images) with `engine` under `mode`'s
-/// filter composition, charging `cost`. `dirty_pages` is the dump's
-/// sorted CapDirty page list. With [`NoCost`](crate::NoCost) this is the
-/// engine's uncosted walk, whose `bytes_swept` is Fig. 8a's memory that
-/// must be swept; with a machine model it is [`timed_sweep`]'s walk.
+/// Sweeps `segments` (a core dump's images) with `engine` under `mode`,
+/// charging `cost`: every mode but [`TimedMode::Full`] visits only the
+/// runs of `dirty_pages` (the dump's sorted CapDirty page list) and counts
+/// the rest as `pages_skipped`. With [`NoCost`](crate::NoCost) this is
+/// the engine's uncosted walk, whose `bytes_swept` is Fig. 8a's memory
+/// that must be swept; with a machine model it is [`timed_sweep`]'s walk.
 pub fn sweep_image<C: SweepCost>(
     engine: &SweepEngine,
     segments: &mut [SegmentImage],
@@ -118,23 +121,30 @@ pub fn sweep_image<C: SweepCost>(
     mode: TimedMode,
     cost: &mut C,
 ) -> SweepStats {
-    let source = DumpSource::new(segments);
-    let pages = DirtyPageList::new(dirty_pages);
-    let scratch = &mut SweepScratch::new();
-    match mode {
-        TimedMode::Full => engine.sweep_with(source, EveryLine, shadow, cost, scratch),
-        TimedMode::PteCapDirty => {
-            engine.sweep_with(source, (pages, EveryLine), shadow, cost, scratch)
-        }
-        TimedMode::CLoadTags => engine.sweep_with(
-            source,
-            (pages, CLoadTagsLines::new()),
-            shadow,
-            cost,
-            scratch,
-        ),
-        TimedMode::Ideal => engine.sweep_with(source, (pages, IdealLines), shadow, cost, scratch),
+    let mut runs = Vec::new();
+    let mut pages_skipped = 0;
+    for img in segments.iter() {
+        let (base, end) = (img.mem.base(), img.mem.end());
+        let dirty = (mode != TimedMode::Full).then(|| {
+            let lo = dirty_pages.partition_point(|&p| p < base - base % PAGE_SIZE);
+            let hi = dirty_pages.partition_point(|&p| p < end);
+            dirty_pages[lo..hi].iter().copied()
+        });
+        pages_skipped += segment_runs(base, end, dirty, &mut runs);
     }
+    let source = RunSource::new(segments, &runs);
+    let scratch = &mut SweepScratch::new();
+    let mut stats = match mode {
+        TimedMode::Full | TimedMode::PteCapDirty => {
+            engine.sweep_with(source, EveryLine, shadow, cost, scratch)
+        }
+        TimedMode::CLoadTags => {
+            engine.sweep_with(source, CLoadTagsLines::new(), shadow, cost, scratch)
+        }
+        TimedMode::Ideal => engine.sweep_with(source, IdealLines, shadow, cost, scratch),
+    };
+    stats.pages_skipped += pages_skipped;
+    stats
 }
 
 /// Replays a revocation sweep of `dump` on `machine` under `mode`,
@@ -437,8 +447,9 @@ mod tests {
         }
     }
 
-    /// Fig. 8a's metric for an image holding capabilities at `caps`.
-    fn bytes_swept(caps: &[u64], mode: TimedMode) -> u64 {
+    /// Fig. 8a's metric for an image holding capabilities at `caps`, and
+    /// the pages its visit set left out.
+    fn bytes_swept(caps: &[u64], mode: TimedMode) -> (u64, u64) {
         let mut space = AddressSpace::builder()
             .segment(SegmentKind::Heap, HEAP, LEN)
             .build();
@@ -449,27 +460,34 @@ mod tests {
         let dirty = dump.cap_dirty_pages().to_vec();
         let shadow = ShadowMap::new(HEAP, LEN);
         let engine = SweepEngine::new(Kernel::Fast);
-        sweep_image(
+        let stats = sweep_image(
             &engine,
             dump.segments_mut(),
             &dirty,
             &shadow,
             mode,
             &mut crate::NoCost,
-        )
-        .bytes_swept
+        );
+        (stats.bytes_swept, stats.pages_skipped)
     }
 
     #[test]
     fn assisted_sweeps_read_only_what_they_must() {
         // Two dirty pages; the second holds two capabilities in one line.
         let caps = [HEAP + 0x100, HEAP + 0x5000, HEAP + 0x5040];
-        assert_eq!(bytes_swept(&caps, TimedMode::Full), LEN);
-        assert_eq!(bytes_swept(&caps, TimedMode::PteCapDirty), 2 * PAGE_SIZE);
-        assert_eq!(bytes_swept(&caps, TimedMode::CLoadTags), 2 * LINE_SIZE);
+        let pages = LEN / PAGE_SIZE;
+        assert_eq!(bytes_swept(&caps, TimedMode::Full), (LEN, 0));
+        assert_eq!(
+            bytes_swept(&caps, TimedMode::PteCapDirty),
+            (2 * PAGE_SIZE, pages - 2)
+        );
+        assert_eq!(
+            bytes_swept(&caps, TimedMode::CLoadTags),
+            (2 * LINE_SIZE, pages - 2)
+        );
         // A capability-free image needs no sweep under either assist.
-        assert_eq!(bytes_swept(&[], TimedMode::PteCapDirty), 0);
-        assert_eq!(bytes_swept(&[], TimedMode::CLoadTags), 0);
+        assert_eq!(bytes_swept(&[], TimedMode::PteCapDirty), (0, pages));
+        assert_eq!(bytes_swept(&[], TimedMode::CLoadTags), (0, pages));
     }
 
     #[test]

@@ -16,8 +16,8 @@ use std::cell::Cell;
 
 use cheri::Capability;
 use revoker::{
-    CLoadTagsLines, CapDirtyPages, EveryLine, Kernel, NoCost, NoFilter, SegmentSource, ShadowMap,
-    SweepEngine, SweepScratch,
+    segment_runs, CLoadTagsLines, CapDirtyPurge, EveryLine, Kernel, NoCost, NoFilter, RunSource,
+    SegmentSource, ShadowMap, SweepEngine, SweepScratch,
 };
 use tagmem::{PageTable, TaggedMemory};
 
@@ -140,17 +140,21 @@ fn steady_state_scratched_sweeps_allocate_nothing() {
             "steady-state filtered sweep allocated ({kernel:?})"
         );
 
-        // The epoch's CapDirty page filter: page-granular skipping reuses
-        // the same scratch.
+        // The epoch's CapDirty sweep: its visit set's runs through the
+        // page-granular purge reuse the same scratch.
         let mut table = PageTable::new();
         let mut addr = BASE;
         while addr < BASE + LEN {
             table.note_cap_store(addr).expect("stores not inhibited");
             addr += 256;
         }
+        let mut runs = Vec::new();
+        let dirty = Some(table.cap_dirty_pages_in(BASE, BASE + LEN));
+        segment_runs(BASE, BASE + LEN, dirty, &mut runs);
+        let memories = std::slice::from_mut(&mut mem);
         engine.sweep_with(
-            SegmentSource::new(&mut mem),
-            CapDirtyPages::new(&mut table),
+            RunSource::new(memories, &runs),
+            CapDirtyPurge::new(&mut table),
             &shadow,
             &mut NoCost,
             &mut scratch,
@@ -159,8 +163,8 @@ fn steady_state_scratched_sweeps_allocate_nothing() {
         let mut inspected = 0u64;
         for _ in 0..8 {
             let stats = engine.sweep_with(
-                SegmentSource::new(&mut mem),
-                CapDirtyPages::new(&mut table),
+                RunSource::new(memories, &runs),
+                CapDirtyPurge::new(&mut table),
                 &shadow,
                 &mut NoCost,
                 &mut scratch,

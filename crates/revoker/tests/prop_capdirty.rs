@@ -1,46 +1,26 @@
-//! Property tests for the CapDirty filter's page-table cursor: a sweep
-//! through [`CapDirtyPages`], which answers from a cached dirty run and
-//! seeks the page table once per run, leaves exactly what a filter that
-//! looks every page up leaves. Memory, tags, [`SweepStats`] and every
-//! page's CapDirty bit must match, over regions with unaligned ends, in
-//! any order, with false-positive purges between them, and over two sweeps
-//! in a row.
+//! Property tests for the CapDirty false-positive purge: a sweep through
+//! [`CapDirtyPurge`] revokes exactly what an unfiltered sweep of the same
+//! regions revokes, leaves every frame that still holds a tagged granule
+//! CapDirty, and re-cleans exactly the dirty frames one region swept
+//! whole and found capability-free. Regions have unaligned ends, are cut
+//! at any granule (as epoch slices cut their worklist), share frames, and
+//! come in any order; they are taken from the whole image or from its
+//! visit set ([`segment_runs`]), over two sweeps in a row.
 
 use cheri::Capability;
 use proptest::prelude::*;
 use revoker::{
-    CLoadTagsLines, CapDirtyPages, CapSource, FilterGranularity, GranuleFilter, Kernel, NoCost,
-    ShadowMap, SweepCost, SweepEngine, SweepScratch, SweepStats,
+    segment_runs, CLoadTagsLines, CapDirtyPurge, CapSource, GranuleFilter, Kernel, NoCost,
+    NoFilter, ShadowMap, SweepCost, SweepEngine, SweepScratch, SweepStats,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE, PAGE_SIZE};
 
 const HEAP: u64 = 0x1000_0000;
-/// 512 pages: room for dirty runs and clean stretches longer than the
-/// page table's 64-entry scan bound.
+/// 512 pages: room for dirty runs and long clean stretches.
 const LEN: u64 = 2 << 20;
 const PAGES: u64 = LEN / PAGE_SIZE;
 /// Pointees fall in the first 128 KiB, where the shadow paints.
 const PAINT_WINDOW: u64 = 1 << 17;
-
-/// The reference: one page-table lookup per page, the purge applied
-/// directly.
-struct PerPage<'a>(&'a mut PageTable);
-
-impl GranuleFilter for PerPage<'_> {
-    fn granularity(&self) -> FilterGranularity {
-        FilterGranularity::Page
-    }
-
-    fn visit_page<C: SweepCost>(&mut self, page: u64, _mem: &TaggedMemory, _cost: &mut C) -> bool {
-        self.0.is_cap_dirty(page)
-    }
-
-    fn page_swept(&mut self, page: u64, caps_found: u64) {
-        if caps_found == 0 {
-            self.0.clear_cap_dirty(page);
-        }
-    }
-}
 
 /// Several ranges of one memory, swept in the listed order.
 struct Regions<'a> {
@@ -147,23 +127,27 @@ fn build(img: &Image) -> (TaggedMemory, PageTable, ShadowMap) {
     (mem, table, shadow)
 }
 
-/// Splits the image at granule `cuts` into regions, keeps those `keep`
-/// selects and orders them by `order` keys.
-fn regions(cuts: &[u64], keep: &[bool], order: &[u64]) -> Vec<(u64, u64)> {
-    let mut points: Vec<u64> = cuts.iter().map(|&g| g * GRANULE_SIZE).collect();
-    points.extend([0, LEN]);
+/// Cuts `base` (ascending, disjoint ranges) at granule `cuts`, keeps the
+/// pieces `keep` selects and orders them by `order` keys.
+fn regions(base: &[(u64, u64)], cuts: &[u64], keep: &[bool], order: &[u64]) -> Vec<(u64, u64)> {
+    let mut points: Vec<u64> = cuts.iter().map(|&g| HEAP + g * GRANULE_SIZE).collect();
     points.sort_unstable();
-    points.dedup();
-    let mut keyed: Vec<(u64, (u64, u64))> = points
-        .windows(2)
+    let mut pieces = Vec::new();
+    for &(start, len) in base {
+        let mut at = start;
+        for &p in points.iter().filter(|&&p| start < p && p < start + len) {
+            if p > at {
+                pieces.push((at, p - at));
+                at = p;
+            }
+        }
+        pieces.push((at, start + len - at));
+    }
+    let mut keyed: Vec<(u64, (u64, u64))> = pieces
+        .into_iter()
         .enumerate()
-        .filter(|&(i, _)| keep.get(i).copied().unwrap_or(true))
-        .map(|(i, w)| {
-            (
-                order.get(i).copied().unwrap_or(0),
-                (HEAP + w[0], w[1] - w[0]),
-            )
-        })
+        .filter(|&(i, _)| keep.get(i % keep.len()).copied().unwrap_or(true))
+        .map(|(i, r)| (order[i % order.len()], r))
         .collect();
     keyed.sort_by_key(|&(key, _)| key);
     keyed.into_iter().map(|(_, r)| r).collect()
@@ -193,89 +177,74 @@ fn sweep<F: GranuleFilter>(
     }
 }
 
+/// Whether `frame` holds any tagged granule.
+fn tagged(mem: &TaggedMemory, frame: u64) -> bool {
+    (frame..frame + PAGE_SIZE)
+        .step_by(GRANULE_SIZE as usize)
+        .any(|a| mem.tag_at(a))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The cursor filter and the per-page reference agree on memory,
-    /// tags, stats and the page table after each of two sweeps, alone and
-    /// composed with CLoadTags line skipping.
+    /// The purge revokes what an unfiltered sweep of the same regions
+    /// revokes and re-cleans exactly the dirty frames one region swept
+    /// whole and found capability-free, so every frame that still holds
+    /// a tagged granule stays CapDirty; alone and composed with CLoadTags
+    /// line skipping, over two sweeps in a row.
     #[test]
-    fn cursor_matches_per_page_lookups(
+    fn purge_cleans_only_frames_swept_whole_and_capability_free(
         img in image(),
+        from_visit_set in any::<bool>(),
         cuts in proptest::collection::vec(0..LEN / GRANULE_SIZE, 0..6),
-        keep in proptest::collection::vec(prop_oneof![3 => Just(true), 1 => Just(false)], 7),
-        order in proptest::collection::vec(0u64..8, 7),
+        keep in proptest::collection::vec(prop_oneof![3 => Just(true), 1 => Just(false)], 1..8),
+        order in proptest::collection::vec(0u64..8, 1..8),
         lines in any::<bool>(),
         costed in any::<bool>(),
         workers in 1usize..=3,
     ) {
         let engine = SweepEngine::new(Kernel::Fast).with_workers(workers);
-        let ranges = regions(&cuts, &keep, &order);
-        let (mut want_mem, mut want_table, shadow) = build(&img);
-        let (mut got_mem, mut got_table, _) = build(&img);
+        let (mut want_mem, _, shadow) = build(&img);
+        let (mut got_mem, mut table, _) = build(&img);
+        let mut base = Vec::new();
+        let dirty = from_visit_set.then(|| table.cap_dirty_pages_in(HEAP, HEAP + LEN));
+        segment_runs(HEAP, HEAP + LEN, dirty, &mut base);
+        let ranges = regions(&base, &cuts, &keep, &order);
         for round in 0..2 {
-            let (want, got) = if lines {
-                (
-                    sweep(&engine, costed, &mut want_mem, &ranges,
-                        (PerPage(&mut want_table), CLoadTagsLines::new()), &shadow),
-                    sweep(&engine, costed, &mut got_mem, &ranges,
-                        (CapDirtyPages::new(&mut got_table), CLoadTagsLines::new()), &shadow),
-                )
+            // Frames each region covers whole, and what they held first.
+            let before = table.clone();
+            let purgeable: Vec<u64> = ranges
+                .iter()
+                .flat_map(|&(start, len)| {
+                    (start.div_ceil(PAGE_SIZE)..(start + len) / PAGE_SIZE).map(|p| p * PAGE_SIZE)
+                })
+                .filter(|&frame| !tagged(&got_mem, frame))
+                .collect();
+            let want = sweep(&engine, costed, &mut want_mem, &ranges, NoFilter, &shadow);
+            let got = if lines {
+                sweep(&engine, costed, &mut got_mem, &ranges,
+                    (CapDirtyPurge::new(&mut table), CLoadTagsLines::new()), &shadow)
             } else {
-                (
-                    sweep(&engine, costed, &mut want_mem, &ranges,
-                        PerPage(&mut want_table), &shadow),
-                    sweep(&engine, costed, &mut got_mem, &ranges,
-                        CapDirtyPages::new(&mut got_table), &shadow),
-                )
+                sweep(&engine, costed, &mut got_mem, &ranges,
+                    CapDirtyPurge::new(&mut table), &shadow)
             };
-            prop_assert_eq!(got, want, "stats, round {}", round);
             prop_assert_eq!(&got_mem, &want_mem, "memory, round {}", round);
-            prop_assert_eq!(&got_table, &want_table, "page table, round {}", round);
+            prop_assert_eq!(got.caps_revoked, want.caps_revoked, "round {}", round);
+            if !lines {
+                prop_assert_eq!(got.caps_inspected, want.caps_inspected);
+                prop_assert_eq!(got.bytes_swept, want.bytes_swept);
+            }
+            for frame in (0..PAGES).map(|p| HEAP + p * PAGE_SIZE) {
+                if tagged(&got_mem, frame) {
+                    prop_assert!(table.is_cap_dirty(frame), "tagged {:#x} cleaned", frame);
+                }
+                let purged = before.is_cap_dirty(frame) && purgeable.contains(&frame);
+                prop_assert_eq!(
+                    table.is_cap_dirty(frame),
+                    before.is_cap_dirty(frame) && !purged,
+                    "frame {:#x}, round {}", frame, round
+                );
+            }
         }
     }
-}
-
-/// Two regions share a false-positive page: the first sweeps its
-/// capability-free half and purges it, so the second must skip the page,
-/// as the per-page reference does, although the cursor had cached it as
-/// dirty.
-#[test]
-fn a_purge_between_regions_reaches_the_next_region() {
-    let img = Image {
-        stretches: vec![(Stretch::Caps, 0, 2), (Stretch::Caps, 3, 2)],
-        caps: vec![],
-        paint: vec![],
-    };
-    let (mut want_mem, mut want_table, shadow) = build(&img);
-    let (mut got_mem, mut got_table, _) = build(&img);
-    // Page 2 is dirty but holds nothing; cut it in two.
-    want_table.note_cap_store(HEAP + 2 * PAGE_SIZE).unwrap();
-    got_table.note_cap_store(HEAP + 2 * PAGE_SIZE).unwrap();
-    let half = HEAP + 2 * PAGE_SIZE + PAGE_SIZE / 2;
-    let ranges = [(HEAP, half - HEAP), (half, HEAP + 5 * PAGE_SIZE - half)];
-    let engine = SweepEngine::new(Kernel::Fast);
-    let want = sweep(
-        &engine,
-        false,
-        &mut want_mem,
-        &ranges,
-        PerPage(&mut want_table),
-        &shadow,
-    );
-    let got = sweep(
-        &engine,
-        false,
-        &mut got_mem,
-        &ranges,
-        CapDirtyPages::new(&mut got_table),
-        &shadow,
-    );
-    assert_eq!(
-        want.pages_skipped, 1,
-        "the second half of page 2 is skipped"
-    );
-    assert_eq!(got, want);
-    assert_eq!(got_mem, want_mem);
-    assert_eq!(got_table, want_table);
 }

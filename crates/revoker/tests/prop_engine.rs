@@ -8,17 +8,18 @@ use cheri::Capability;
 use proptest::prelude::*;
 use revoker::timed::{sweep_image, TimedMode};
 use revoker::{
-    CLoadTagsLines, CapDirtyPages, CapSource, EveryLine, GranuleFilter, IdealLines, Kernel, NoCost,
-    NoFilter, SegmentSource, ShadowMap, SweepCost, SweepEngine, SweepScratch, SweepStats,
+    segment_runs, CLoadTagsLines, CapDirtyPurge, CapSource, EveryLine, GranuleFilter, IdealLines,
+    Kernel, NoCost, NoFilter, RunSource, SegmentSource, ShadowMap, SweepCost, SweepEngine,
+    SweepScratch, SweepStats,
 };
 use tagmem::{PageTable, SegmentImage, SegmentKind, TaggedMemory, GRANULE_SIZE, PAGE_SIZE};
 
 const HEAP: u64 = 0x1000_0000;
 const LEN: u64 = 1 << 16;
 
-/// A wider image for the CapDirty filter test: 2 MiB holds 512 pages
-/// and few plants, so most pages are clean and the filter actually gets
-/// pages to skip. The paint window is confined to the first 128 KiB to
+/// A wider image for the CapDirty visit-set test: 2 MiB holds 512 pages
+/// and few plants, so most pages are clean and the visit set actually
+/// leaves pages out. The paint window is confined to the first 128 KiB to
 /// keep the revoked sets narrow.
 const BLEN: u64 = 1 << 21;
 const PAINT_WINDOW: u64 = 1 << 17;
@@ -170,6 +171,29 @@ const MODES: [TimedMode; 4] = [
     TimedMode::Ideal,
 ];
 
+/// The epoch's CapDirty sweep of `mem`: the runs of `table`'s dirty
+/// pages ([`segment_runs`]), through the false-positive purge.
+fn capdirty_sweep(
+    engine: &SweepEngine,
+    mem: &mut TaggedMemory,
+    table: &mut PageTable,
+    shadow: &ShadowMap,
+) -> SweepStats {
+    let (base, end) = (mem.base(), mem.end());
+    let mut runs = Vec::new();
+    let dirty = Some(table.cap_dirty_pages_in(base, end));
+    let pages_skipped = segment_runs(base, end, dirty, &mut runs);
+    let stats = engine.sweep(
+        RunSource::new(std::slice::from_mut(mem), &runs),
+        CapDirtyPurge::new(table),
+        shadow,
+    );
+    SweepStats {
+        pages_skipped,
+        ..stats
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -204,10 +228,10 @@ proptest! {
         }
     }
 
-    /// PTE CapDirty page skipping (§3.4.2) revokes exactly the same
-    /// capability set as an unfiltered sweep, provided the dirty set covers
-    /// every page that took a capability store — which is what the page
-    /// table guarantees by construction. Extra (false-positive) dirty
+    /// A sweep of the PTE CapDirty visit set (§3.4.2) revokes exactly the
+    /// same capability set as an unfiltered sweep, provided the dirty set
+    /// covers every page that took a capability store — which is what the
+    /// page table guarantees by construction. Extra (false-positive) dirty
     /// pages are visited harmlessly and re-cleaned.
     #[test]
     fn capdirty_filter_revokes_same_set(
@@ -231,11 +255,7 @@ proptest! {
             table.note_cap_store(HEAP + page * PAGE_SIZE).expect("stores not inhibited");
         }
 
-        let stats = SweepEngine::new(kernel).sweep(
-            SegmentSource::new(&mut mem),
-            CapDirtyPages::new(&mut table),
-            &shadow,
-        );
+        let stats = capdirty_sweep(&SweepEngine::new(kernel), &mut mem, &mut table, &shadow);
         prop_assert_eq!(&mem, &seq_mem, "filtered sweep revoked a different set");
         prop_assert_eq!(stats.caps_revoked, seq_stats.caps_revoked);
         prop_assert_eq!(stats.caps_inspected, seq_stats.caps_inspected);
@@ -245,7 +265,7 @@ proptest! {
             stats.bytes_swept / PAGE_SIZE + stats.pages_skipped,
             LEN / PAGE_SIZE
         );
-        // Every capability-free page the filter visited got re-cleaned:
+        // Every capability-free page the sweep visited got re-cleaned:
         // whatever is still dirty held a capability before the sweep.
         for page in table.cap_dirty_pages() {
             prop_assert!(
@@ -330,8 +350,8 @@ proptest! {
     }
 
     /// The no-tagged-cap-to-reused-granule invariant survives the
-    /// epoch's CapDirty page filter: it leaves byte-identical memory to
-    /// the unfiltered sweep — the skipped pages provably held no
+    /// epoch's CapDirty visit set and purge: it leaves byte-identical
+    /// memory to the unfiltered sweep — the left-out pages provably held no
     /// capability — for any kernel and any worker count.
     #[test]
     fn capdirty_filter_matches_unfiltered_at_any_worker_count(
@@ -343,16 +363,22 @@ proptest! {
         let (mut seq_mem, shadow) = build_len(BLEN, &plants, &paint);
         let seq_stats = costed(kernel, SegmentSource::new(&mut seq_mem), NoFilter, &shadow);
 
-        // Costed, through the epoch's filter.
+        // Costed, over the epoch's visit set and through its purge.
         let (mut mem, shadow) = build_len(BLEN, &plants, &paint);
         let mut table = dirty_table(&plants);
-        let stats = costed(
-            kernel,
-            SegmentSource::new(&mut mem),
-            CapDirtyPages::new(&mut table),
-            &shadow,
-        );
-        prop_assert_eq!(&mem, &seq_mem, "CapDirty filter revoked a different set");
+        let mut runs = Vec::new();
+        let dirty = Some(table.cap_dirty_pages_in(HEAP, HEAP + BLEN));
+        let pages_skipped = segment_runs(HEAP, HEAP + BLEN, dirty, &mut runs);
+        let stats = SweepStats {
+            pages_skipped,
+            ..costed(
+                kernel,
+                RunSource::new(std::slice::from_mut(&mut mem), &runs),
+                CapDirtyPurge::new(&mut table),
+                &shadow,
+            )
+        };
+        prop_assert_eq!(&mem, &seq_mem, "CapDirty sweep revoked a different set");
         prop_assert_eq!(stats.caps_revoked, seq_stats.caps_revoked);
         prop_assert!(stats.caps_inspected <= seq_stats.caps_inspected);
         prop_assert!(stats.bytes_swept <= seq_stats.bytes_swept);
@@ -367,17 +393,12 @@ proptest! {
         }
 
         // Uncosted at the sampled worker count: same memory, same
-        // revocations and the same pages re-cleaned (the plan is built by
-        // the same filter walk).
+        // revocations and the same pages re-cleaned.
         let costed_dirty = table.cap_dirty_pages();
         let (mut mem, shadow) = build_len(BLEN, &plants, &paint);
         let mut table = dirty_table(&plants);
-        let par = SweepEngine::new(kernel).with_workers(workers).sweep(
-            SegmentSource::new(&mut mem),
-            CapDirtyPages::new(&mut table),
-            &shadow,
-        );
-        prop_assert_eq!(&mem, &seq_mem, "CapDirty filter diverged at {} workers", workers);
+        let par = capdirty_sweep(&SweepEngine::new(kernel).with_workers(workers), &mut mem, &mut table, &shadow);
+        prop_assert_eq!(&mem, &seq_mem, "CapDirty sweep diverged at {} workers", workers);
         prop_assert_eq!(par, stats, "stats diverged at {} workers", workers);
         prop_assert_eq!(table.cap_dirty_pages(), costed_dirty, "re-cleaning diverged");
     }

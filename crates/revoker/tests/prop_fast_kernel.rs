@@ -13,16 +13,16 @@
 use cheri::Capability;
 use proptest::prelude::*;
 use revoker::{
-    CLoadTagsLines, CapDirtyPages, EveryLine, Kernel, NoFilter, SegmentSource, ShadowMap,
-    SweepEngine, SweepStats,
+    segment_runs, CLoadTagsLines, CapDirtyPurge, EveryLine, Kernel, NoFilter, RunSource,
+    SegmentSource, ShadowMap, SweepEngine, SweepStats,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE};
 
 const HEAP: u64 = 0x1000_0000;
 const LEN: u64 = 1 << 16;
 
-/// Wider image for the CapDirty filter pinning test: 2 MiB of mostly
-/// clean pages, so the filter has pages to skip; paint stays in the
+/// Wider image for the CapDirty visit-set pinning test: 2 MiB of mostly
+/// clean pages, so the visit set leaves pages out; paint stays in the
 /// first 128 KiB.
 const BLEN: u64 = 1 << 21;
 const PAINT_WINDOW: u64 = 1 << 17;
@@ -115,6 +115,29 @@ where
     (mem, stats)
 }
 
+/// The epoch's CapDirty sweep of `mem`: the runs of `table`'s dirty
+/// pages ([`segment_runs`]), through the false-positive purge.
+fn capdirty_sweep(
+    engine: &SweepEngine,
+    mem: &mut TaggedMemory,
+    table: &mut PageTable,
+    shadow: &ShadowMap,
+) -> SweepStats {
+    let (base, end) = (mem.base(), mem.end());
+    let mut runs = Vec::new();
+    let dirty = Some(table.cap_dirty_pages_in(base, end));
+    let pages_skipped = segment_runs(base, end, dirty, &mut runs);
+    let stats = engine.sweep(
+        RunSource::new(std::slice::from_mut(mem), &runs),
+        CapDirtyPurge::new(table),
+        shadow,
+    );
+    SweepStats {
+        pages_skipped,
+        ..stats
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -149,7 +172,7 @@ proptest! {
         }
     }
 
-    /// CapDirty page filtering composes with the fast kernel exactly as
+    /// A CapDirty visit-set sweep composes with the fast kernel exactly as
     /// with the unrolled one (same dirty set in ⇒ same revocations and same
     /// re-cleaned pages out).
     #[test]
@@ -167,20 +190,12 @@ proptest! {
 
         let (mut ref_mem, shadow) = build(&plants, &paint);
         let mut ref_table = dirty(&ref_mem);
-        let ref_stats = SweepEngine::new(Kernel::Unrolled).sweep(
-            SegmentSource::new(&mut ref_mem),
-            CapDirtyPages::new(&mut ref_table),
-            &shadow,
-        );
+        let ref_stats = capdirty_sweep(&SweepEngine::new(Kernel::Unrolled), &mut ref_mem, &mut ref_table, &shadow);
 
         for kernel in [Kernel::Fast, Kernel::Simd] {
             let (mut mem, shadow) = build(&plants, &paint);
             let mut table = dirty(&mem);
-            let stats = SweepEngine::new(kernel).sweep(
-                SegmentSource::new(&mut mem),
-                CapDirtyPages::new(&mut table),
-                &shadow,
-            );
+            let stats = capdirty_sweep(&SweepEngine::new(kernel), &mut mem, &mut table, &shadow);
             prop_assert_eq!(&mem, &ref_mem, "CapDirty {:?} sweep diverged", kernel);
             prop_assert_eq!(stats, ref_stats);
             prop_assert_eq!(
@@ -223,7 +238,7 @@ proptest! {
         }
     }
 
-    /// The fast and simd kernels behind the epoch's CapDirty page filter
+    /// The fast and simd kernels over the epoch's CapDirty visit set
     /// match the unrolled reference on the 2 MiB image bit for bit —
     /// memory, stats, and which
     /// pages stayed dirty afterwards — sequentially and at any worker
@@ -236,20 +251,12 @@ proptest! {
     ) {
         let (mut ref_mem, shadow) = build_wide(&plants, &paint);
         let mut ref_table = dirty_table(&plants);
-        let ref_stats = SweepEngine::new(Kernel::Unrolled).sweep(
-            SegmentSource::new(&mut ref_mem),
-            CapDirtyPages::new(&mut ref_table),
-            &shadow,
-        );
+        let ref_stats = capdirty_sweep(&SweepEngine::new(Kernel::Unrolled), &mut ref_mem, &mut ref_table, &shadow);
 
         for kernel in [Kernel::Fast, Kernel::Simd] {
             let (mut mem, shadow) = build_wide(&plants, &paint);
             let mut table = dirty_table(&plants);
-            let stats = SweepEngine::new(kernel).sweep(
-                SegmentSource::new(&mut mem),
-                CapDirtyPages::new(&mut table),
-                &shadow,
-            );
+            let stats = capdirty_sweep(&SweepEngine::new(kernel), &mut mem, &mut table, &shadow);
             prop_assert_eq!(&mem, &ref_mem, "{:?} sweep diverged", kernel);
             prop_assert_eq!(stats, ref_stats);
             prop_assert_eq!(
@@ -260,11 +267,7 @@ proptest! {
 
             let (mut mem, shadow) = build_wide(&plants, &paint);
             let mut table = dirty_table(&plants);
-            let par = SweepEngine::new(kernel).with_workers(workers).sweep(
-                SegmentSource::new(&mut mem),
-                CapDirtyPages::new(&mut table),
-                &shadow,
-            );
+            let par = capdirty_sweep(&SweepEngine::new(kernel).with_workers(workers), &mut mem, &mut table, &shadow);
             prop_assert_eq!(
                 &mem, &ref_mem,
                 "parallel {:?} diverged at {} workers", kernel, workers

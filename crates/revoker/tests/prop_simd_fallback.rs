@@ -20,8 +20,8 @@
 use cheri::Capability;
 use proptest::prelude::*;
 use revoker::{
-    force_scalar_kernel, CapDirtyPages, EveryLine, Kernel, NoFilter, SegmentSource, ShadowMap,
-    SweepCost, SweepEngine, SweepScratch,
+    force_scalar_kernel, segment_runs, CapDirtyPurge, EveryLine, Kernel, NoFilter, RunSource,
+    SegmentSource, ShadowMap, SweepCost, SweepEngine, SweepScratch, SweepStats,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE};
 
@@ -92,13 +92,36 @@ impl SweepCost for RecordingCost {
     }
 }
 
+/// The epoch's CapDirty sweep of `mem`: the runs of `table`'s dirty
+/// pages ([`segment_runs`]), through the false-positive purge.
+fn capdirty_sweep(
+    engine: &SweepEngine,
+    mem: &mut TaggedMemory,
+    table: &mut PageTable,
+    shadow: &ShadowMap,
+) -> SweepStats {
+    let (base, end) = (mem.base(), mem.end());
+    let mut runs = Vec::new();
+    let dirty = Some(table.cap_dirty_pages_in(base, end));
+    let pages_skipped = segment_runs(base, end, dirty, &mut runs);
+    let stats = engine.sweep(
+        RunSource::new(std::slice::from_mut(mem), &runs),
+        CapDirtyPurge::new(table),
+        shadow,
+    );
+    SweepStats {
+        pages_skipped,
+        ..stats
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// With the scalar fallback forced, simd still matches the unrolled
     /// reference (and its
     /// own unforced vector results) bit for bit — sequentially, in
-    /// parallel at 1..=8 workers, and under the CapDirty page filter.
+    /// parallel at 1..=8 workers, and over a CapDirty visit set.
     #[test]
     fn forced_scalar_simd_matches_wide(
         plants in planted(),
@@ -136,18 +159,10 @@ proptest! {
 
             let (mut ref_mem, shadow) = build(&plants, &paint);
             let mut ref_table = dirty_table(&plants);
-            let ref_stats = SweepEngine::new(Kernel::Unrolled).sweep(
-                SegmentSource::new(&mut ref_mem),
-                CapDirtyPages::new(&mut ref_table),
-                &shadow,
-            );
+            let ref_stats = capdirty_sweep(&SweepEngine::new(Kernel::Unrolled), &mut ref_mem, &mut ref_table, &shadow);
             let (mut mem, shadow) = build(&plants, &paint);
             let mut table = dirty_table(&plants);
-            let stats = SweepEngine::new(Kernel::Simd).sweep(
-                SegmentSource::new(&mut mem),
-                CapDirtyPages::new(&mut table),
-                &shadow,
-            );
+            let stats = capdirty_sweep(&SweepEngine::new(Kernel::Simd), &mut mem, &mut table, &shadow);
             prop_assert_eq!(&mem, &ref_mem, "forced-scalar CapDirty simd diverged");
             prop_assert_eq!(stats, ref_stats);
             Ok(())

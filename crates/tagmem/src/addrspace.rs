@@ -54,6 +54,12 @@ impl Segment {
     }
 }
 
+impl AsMut<TaggedMemory> for Segment {
+    fn as_mut(&mut self) -> &mut TaggedMemory {
+        &mut self.mem
+    }
+}
+
 /// Builder for [`AddressSpace`].
 ///
 /// # Examples

@@ -39,6 +39,12 @@ pub struct TaggedMemory {
     tags: Vec<u64>,
 }
 
+impl AsMut<TaggedMemory> for TaggedMemory {
+    fn as_mut(&mut self) -> &mut TaggedMemory {
+        self
+    }
+}
+
 impl TaggedMemory {
     /// Creates a zeroed segment covering `[base, base + len)`.
     ///

@@ -1,14 +1,9 @@
 //! Page table with CapDirty tracking (paper §3.4.2).
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// Bytes per virtual page.
 pub const PAGE_SIZE: u64 = 4096;
-
-/// Table entries [`PageTable::cap_dirty_run_from`] scans after its seek.
-/// Bounds how far past the end of a short sweep region one lookup walks.
-const RUN_SCAN_LIMIT: usize = 64;
 
 /// Per-page flags relevant to capability sweeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -127,68 +122,20 @@ impl PageTable {
     /// This models the "array of pages that could contain capabilities" API
     /// of §5.3 (compare Windows `GetWriteWatch`).
     pub fn cap_dirty_pages(&self) -> Vec<u64> {
-        let mut pages = Vec::new();
-        self.for_each_cap_dirty_page_in(0, u64::MAX, |p| pages.push(p));
+        self.cap_dirty_pages_in(0, u64::MAX).collect()
+    }
+
+    /// The start address of every CapDirty page overlapping `[base, end)`,
+    /// in address order, without materialising a vector. Walks only that
+    /// range of the table, so a visit-set builder pays for the pages of
+    /// the segment it builds, not for the whole table.
+    pub fn cap_dirty_pages_in(&self, base: u64, end: u64) -> impl Iterator<Item = u64> + '_ {
+        let pages = (end > base).then(|| Self::page_of(base)..=Self::page_of(end - 1));
         pages
-    }
-
-    /// Visits the start address of every CapDirty page overlapping
-    /// `[base, end)`, in address order, without materialising a vector.
-    /// Walks only that range of the table, so a visit-set builder pays for
-    /// the pages of the segment it builds, not for the whole table.
-    pub fn for_each_cap_dirty_page_in(&self, base: u64, end: u64, mut f: impl FnMut(u64)) {
-        if end <= base {
-            return;
-        }
-        let pages = self
-            .pages
-            .range(Self::page_of(base)..=Self::page_of(end - 1));
-        for (&p, flags) in pages {
-            if flags.cap_dirty {
-                f(p * PAGE_SIZE);
-            }
-        }
-    }
-
-    /// The run of consecutive CapDirty pages at or after the page holding
-    /// `addr`, found with one `BTreeMap::range` seek and a scan of at most
-    /// 64 table entries.
-    ///
-    /// Returns page-aligned `lo..hi`. Every page from `addr`'s page up to
-    /// `lo` is clean, and every page in `lo..hi` is CapDirty, so the page
-    /// holding `addr` is always one or the other. The run is empty
-    /// (`lo == hi`) when the scan met no dirty page before its bound; then
-    /// only the stretch it scanned is known clean, and `lo` is the end of
-    /// that stretch. When the scan reaches the end of the table everything
-    /// from `addr` on is clean and the result is `u64::MAX..u64::MAX`. A
-    /// run the bound truncates ends after the last dirty page scanned.
-    pub fn cap_dirty_run_from(&self, addr: u64) -> Range<u64> {
-        let to_addr = |page: u64| page.saturating_mul(PAGE_SIZE);
-        let mut entries = self.pages.range(Self::page_of(addr)..);
-        let mut budget = RUN_SCAN_LIMIT;
-        // The clean gap: pages before the first dirty entry.
-        let mut clean_to = Self::page_of(addr);
-        let lo = loop {
-            if budget == 0 {
-                return to_addr(clean_to)..to_addr(clean_to);
-            }
-            budget -= 1;
-            match entries.next() {
-                None => return u64::MAX..u64::MAX,
-                Some((&page, flags)) if flags.cap_dirty => break page,
-                Some((&page, _)) => clean_to = page + 1,
-            }
-        };
-        // The run: dirty entries with no page between them.
-        let mut hi = lo + 1;
-        while budget > 0 {
-            budget -= 1;
-            match entries.next() {
-                Some((&page, flags)) if page == hi && flags.cap_dirty => hi += 1,
-                _ => break,
-            }
-        }
-        to_addr(lo)..to_addr(hi)
+            .into_iter()
+            .flat_map(|pages| self.pages.range(pages))
+            .filter(|(_, flags)| flags.cap_dirty)
+            .map(|(&p, _)| p * PAGE_SIZE)
     }
 
     /// Of the pages overlapping `[base, base+len)`, the fraction that are
@@ -263,11 +210,7 @@ mod tests {
         // not dirty.
         pt.clear_cap_dirty(6 * PAGE_SIZE);
         pt.set_cap_store_inhibit(7 * PAGE_SIZE, true);
-        let walk = |base, end| {
-            let mut seen = Vec::new();
-            pt.for_each_cap_dirty_page_in(base, end, |p| seen.push(p));
-            seen
-        };
+        let walk = |base, end| pt.cap_dirty_pages_in(base, end).collect::<Vec<_>>();
         let pages = |ps: &[u64]| ps.iter().map(|p| p * PAGE_SIZE).collect::<Vec<_>>();
         // Page-aligned ends: `end` is exclusive.
         assert_eq!(walk(PAGE_SIZE, 5 * PAGE_SIZE), pages(&[1, 2]));
@@ -282,74 +225,6 @@ mod tests {
         assert_eq!(walk(6 * PAGE_SIZE, 9 * PAGE_SIZE), pages(&[]));
         // The full listing walks the whole address space.
         assert_eq!(pt.cap_dirty_pages(), pages(&[0, 1, 2, 5, 9]));
-    }
-
-    #[test]
-    fn run_lookup_finds_the_next_dirty_run_within_its_bound() {
-        let mut pt = PageTable::new();
-        let dirty = |pt: &mut PageTable, pages: std::ops::Range<u64>| {
-            for page in pages {
-                pt.note_cap_store(page * PAGE_SIZE).unwrap();
-            }
-        };
-        dirty(&mut pt, 10..20);
-        dirty(&mut pt, 30..32);
-        // An inhibit-only entry, a re-cleaned entry, then a dirty page.
-        pt.set_cap_store_inhibit(40 * PAGE_SIZE, true);
-        dirty(&mut pt, 41..43);
-        pt.clear_cap_dirty(41 * PAGE_SIZE);
-        // A run split by a re-cleaned entry.
-        dirty(&mut pt, 50..54);
-        pt.clear_cap_dirty(52 * PAGE_SIZE);
-        // A run longer than the scan bound.
-        dirty(&mut pt, 100..200);
-        // A clean stretch of entries longer than the scan bound.
-        for page in 300..400 {
-            pt.set_cap_store_inhibit(page * PAGE_SIZE, true);
-        }
-        dirty(&mut pt, 400..401);
-
-        let run = |page: u64| pt.cap_dirty_run_from(page * PAGE_SIZE);
-        let pages = |r: std::ops::Range<u64>| r.start * PAGE_SIZE..r.end * PAGE_SIZE;
-        // Inside a run, and unaligned.
-        assert_eq!(run(12), pages(12..20));
-        assert_eq!(pt.cap_dirty_run_from(12 * PAGE_SIZE + 8), pages(12..20));
-        // Across a gap of absent entries.
-        assert_eq!(run(20), pages(30..32));
-        assert_eq!(run(0), pages(10..20));
-        // Inhibit-only and re-cleaned entries are clean.
-        assert_eq!(run(40), pages(42..43));
-        assert_eq!(run(50), pages(50..52));
-        assert_eq!(run(52), pages(53..54));
-        // The bound truncates a long run, from inside it or from a gap.
-        let bound = RUN_SCAN_LIMIT as u64;
-        assert_eq!(run(100), pages(100..100 + bound));
-        assert_eq!(run(60), pages(100..100 + bound));
-        assert_eq!(run(180), pages(180..200));
-        // A clean stretch past the bound: only the scanned entries are
-        // known clean, not the rest of the table.
-        assert_eq!(run(300), pages(300 + bound..300 + bound));
-        assert_eq!(run(300 + bound), pages(400..401));
-        // Past the last entry everything is clean.
-        assert_eq!(run(401), u64::MAX..u64::MAX);
-        assert_eq!(PageTable::new().cap_dirty_run_from(0), u64::MAX..u64::MAX);
-
-        // Every answer agrees with the per-page flags it summarises.
-        for q in 0..420 {
-            let r = run(q);
-            assert!(
-                r.start > q * PAGE_SIZE || r.contains(&(q * PAGE_SIZE)),
-                "page {q}"
-            );
-            for page in q..420 {
-                let addr = page * PAGE_SIZE;
-                if addr < r.start {
-                    assert!(!pt.is_cap_dirty(addr), "page {page} from {q}");
-                } else if r.contains(&addr) {
-                    assert!(pt.is_cap_dirty(addr), "page {page} from {q}");
-                }
-            }
-        }
     }
 
     #[test]

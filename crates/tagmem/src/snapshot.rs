@@ -18,6 +18,12 @@ pub struct SegmentImage {
     pub mem: TaggedMemory,
 }
 
+impl AsMut<TaggedMemory> for SegmentImage {
+    fn as_mut(&mut self) -> &mut TaggedMemory {
+        &mut self.mem
+    }
+}
+
 /// A captured process image, sweepable offline.
 ///
 /// # Examples
