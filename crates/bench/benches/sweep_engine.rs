@@ -12,10 +12,7 @@
 use cheri::Capability;
 use cherivoke::{CherivokeHeap, HeapConfig};
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use revoker::{
-    visit_set, CLoadTagsLines, EveryLine, Kernel, NoFilter, RunSource, SegmentSource, ShadowMap,
-    SweepEngine,
-};
+use revoker::{visit_set, CLoadTagsLines, EveryLine, Kernel, NoFilter, ShadowMap, SweepEngine};
 use tagmem::{SegmentKind, PAGE_SIZE};
 
 const IMAGE_BYTES: u64 = 8 << 20;
@@ -33,6 +30,7 @@ fn image() -> (tagmem::TaggedMemory, ShadowMap) {
 /// at this density, on the identical visitation order.
 fn bench_filters(c: &mut Criterion) {
     let (mem, shadow) = image();
+    let run = [(mem.base(), mem.len())];
     let mut group = c.benchmark_group("sweep_engine_filters");
     group.throughput(Throughput::Bytes(IMAGE_BYTES));
     group.sample_size(10);
@@ -40,14 +38,21 @@ fn bench_filters(c: &mut Criterion) {
     group.bench_function("simd/everyline", |b| {
         b.iter_batched(
             || mem.clone(),
-            |mut img| engine.sweep(SegmentSource::new(&mut img), EveryLine, &shadow),
+            |mut img| engine.sweep(std::slice::from_mut(&mut img), &run, EveryLine, &shadow),
             criterion::BatchSize::LargeInput,
         );
     });
     group.bench_function("simd/cloadtags", |b| {
         b.iter_batched(
             || mem.clone(),
-            |mut img| engine.sweep(SegmentSource::new(&mut img), CLoadTagsLines::new(), &shadow),
+            |mut img| {
+                engine.sweep(
+                    std::slice::from_mut(&mut img),
+                    &run,
+                    CLoadTagsLines::new(),
+                    &shadow,
+                )
+            },
             criterion::BatchSize::LargeInput,
         );
     });
@@ -58,6 +63,7 @@ fn bench_filters(c: &mut Criterion) {
 /// multi-chunk shape real sweeps take).
 fn bench_parallel_scaling(c: &mut Criterion) {
     let (mem, shadow) = image();
+    let run = [(mem.base(), mem.len())];
     let mut group = c.benchmark_group("sweep_engine_par");
     group.throughput(Throughput::Bytes(IMAGE_BYTES));
     group.sample_size(10);
@@ -69,7 +75,9 @@ fn bench_parallel_scaling(c: &mut Criterion) {
                 let engine = SweepEngine::new(Kernel::Simd).with_workers(workers);
                 b.iter_batched(
                     || mem.clone(),
-                    |mut img| engine.sweep(SegmentSource::new(&mut img), EveryLine, &shadow),
+                    |mut img| {
+                        engine.sweep(std::slice::from_mut(&mut img), &run, EveryLine, &shadow)
+                    },
                     criterion::BatchSize::LargeInput,
                 );
             },
@@ -121,7 +129,7 @@ fn bench_sweep_foreign(c: &mut Criterion) {
             b.iter(|| {
                 visit_set(heap.space(), false, &mut runs);
                 let (segments, _, _) = heap.space_mut().sweep_parts_mut();
-                engine.sweep(RunSource::new(segments, &runs), NoFilter, &shadow)
+                engine.sweep(segments, &runs, NoFilter, &shadow)
             });
         });
     }

@@ -12,7 +12,7 @@
 //! sweep bandwidth in GiB/s per image, alongside the per-op numbers.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use revoker::{Kernel, NoCost, NoFilter, SegmentSource, ShadowMap, SweepEngine, SweepScratch};
+use revoker::{Kernel, NoCost, NoFilter, ShadowMap, SweepEngine, SweepScratch};
 
 const IMAGE_BYTES: u64 = 4 << 20;
 
@@ -53,6 +53,7 @@ fn bench_kernel_matrix(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(IMAGE_BYTES));
     group.sample_size(10);
     for (iname, mem) in images() {
+        let run = [(mem.base(), mem.len())];
         for (sname, shadow) in shadows(&mem) {
             for (kname, kernel) in KERNELS {
                 group.bench_with_input(
@@ -65,7 +66,8 @@ fn bench_kernel_matrix(c: &mut Criterion) {
                             || mem.clone(),
                             |mut img| {
                                 engine.sweep_with(
-                                    SegmentSource::new(&mut img),
+                                    std::slice::from_mut(&mut img),
+                                    &run,
                                     NoFilter,
                                     &shadow,
                                     &mut NoCost,

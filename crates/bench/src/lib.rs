@@ -35,7 +35,7 @@ pub mod service;
 pub mod verdicts;
 
 use cheri::Capability;
-use revoker::{Kernel, NoFilter, SegmentSource, ShadowMap, SweepEngine};
+use revoker::{Kernel, NoFilter, ShadowMap, SweepEngine};
 use tagmem::{TaggedMemory, GRANULE_SIZE, LINE_SIZE, PAGE_SIZE};
 
 /// Geometric mean of a slice (the paper's summary statistic in fig. 5).
@@ -106,11 +106,12 @@ pub fn engine_sweep_rate(
     shadow: &ShadowMap,
 ) -> f64 {
     let engine = SweepEngine::new(kernel).with_workers(workers);
+    let run = [(mem.base(), mem.len())];
     let mut times = Vec::new();
     for rep in 0..7 {
         let mut img = mem.clone();
         let t0 = std::time::Instant::now();
-        let stats = engine.sweep(SegmentSource::new(&mut img), NoFilter, shadow);
+        let stats = engine.sweep(std::slice::from_mut(&mut img), &run, NoFilter, shadow);
         let dt = t0.elapsed().as_secs_f64();
         assert_eq!(stats.bytes_swept, mem.len());
         if rep >= 2 {

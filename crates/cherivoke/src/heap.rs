@@ -10,8 +10,8 @@ use cvkalloc::{CherivokeAllocator, ChunkState, DlAllocator};
 use journal::{Journal, Record, TailState};
 use revoker::fault::FaultPoint;
 use revoker::{
-    audit_dump, sweep_register_file, visit_set, AuditReport, CapDirtyPurge, NoCost, RunSource,
-    ShadowMap, SweepEngine, SweepScratch, SweepStats,
+    audit_dump, sweep_register_file, visit_set, AuditReport, CapDirtyPurge, NoCost, ShadowMap,
+    SweepEngine, SweepScratch, SweepStats,
 };
 use tagmem::{AddressSpace, CoreDump, SegmentKind};
 
@@ -596,7 +596,8 @@ impl CherivokeHeap {
         if !slice.is_empty() {
             let (segments, _, table) = self.space.sweep_parts_mut();
             epoch.stats += self.engine.sweep_with(
-                RunSource::new(segments, &slice),
+                segments,
+                &slice,
                 epoch.use_capdirty.then(|| CapDirtyPurge::new(table)),
                 &self.shadow,
                 &mut NoCost,
@@ -699,7 +700,8 @@ impl CherivokeHeap {
         let pages_skipped = visit_set(&self.space, use_capdirty, &mut runs);
         let (segments, regs, table) = self.space.sweep_parts_mut();
         let mut stats = self.engine.sweep_with(
-            RunSource::new(segments, &runs),
+            segments,
+            &runs,
             use_capdirty.then(|| CapDirtyPurge::new(table)),
             shadow,
             &mut NoCost,

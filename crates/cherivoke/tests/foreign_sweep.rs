@@ -13,7 +13,7 @@
 
 use cheri::Capability;
 use cherivoke::{CherivokeHeap, HeapConfig, RevocationPolicy};
-use revoker::{visit_set, NoFilter, ShadowMap, SpaceSource, SweepEngine, SweepStats};
+use revoker::{sweep_register_file, visit_set, NoFilter, ShadowMap, SweepEngine, SweepStats};
 use tagmem::{NUM_CAP_REGS, PAGE_SIZE};
 
 /// A peer heap's range: disjoint from the swept heap, as in a
@@ -84,11 +84,15 @@ fn second_round(heap: &mut CherivokeHeap, blocks: &[Capability]) {
 }
 
 /// The oracle: every sweepable segment whole, unfiltered, then the
-/// registers, in one engine call.
+/// registers.
 fn whole_space_sweep(heap: &mut CherivokeHeap, shadow: &ShadowMap) -> SweepStats {
     let kernel = heap.policy().kernel;
-    let (source, _) = SpaceSource::split(heap.space_mut());
-    SweepEngine::new(kernel).sweep(source, NoFilter, shadow)
+    let mut runs = Vec::new();
+    visit_set(heap.space(), false, &mut runs);
+    let (segments, regs, _) = heap.space_mut().sweep_parts_mut();
+    let mut stats = SweepEngine::new(kernel).sweep(segments, &runs, NoFilter, shadow);
+    stats += sweep_register_file(regs, shadow);
+    stats
 }
 
 /// Every page of every sweepable segment that holds a tagged granule is

@@ -17,7 +17,7 @@
 //! and the walk must agree, and the report carries both counts so a
 //! divergence (a kernel bug) is itself detectable.
 
-use crate::engine::{DumpSource, NoFilter, SweepEngine};
+use crate::engine::{NoFilter, SweepEngine};
 use crate::shadow::ShadowMap;
 use tagmem::{CoreDump, RegisterFile};
 
@@ -87,7 +87,12 @@ pub fn audit_dump(
             }
         }
     }
-    let stats = engine.sweep(DumpSource::new(dump.segments_mut()), NoFilter, shadow);
+    let runs: Vec<(u64, u64)> = dump
+        .segments()
+        .iter()
+        .map(|img| (img.mem.base(), img.mem.len()))
+        .collect();
+    let stats = engine.sweep(dump.segments_mut(), &runs, NoFilter, shadow);
     report.bytes_scanned = stats.bytes_swept;
     report.caps_inspected = stats.caps_inspected;
     report.violations = stats.caps_revoked;

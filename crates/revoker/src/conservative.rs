@@ -365,7 +365,8 @@ mod tests {
         let mut img = ConservativeImage::from_memory(&mem, HEAP, HEAP + LEN);
         let cons = sweep_avx2(&mut img, &shadow);
         let exact = crate::SweepEngine::new(crate::Kernel::Unrolled).sweep(
-            crate::SegmentSource::new(&mut mem),
+            std::slice::from_mut(&mut mem),
+            &[(HEAP, LEN)],
             crate::NoFilter,
             &shadow,
         );

@@ -2,21 +2,19 @@
 //!
 //! Revocation sweeping decomposes into three orthogonal choices:
 //!
-//! * **What to walk** — a [`CapSource`]: an [`AddressSpace`]'s sweepable
-//!   segments plus the register file ([`SpaceSource`]), one segment
-//!   ([`SegmentSource`]), a sub-range of one ([`RangeSource`]), the
-//!   register file alone ([`RegisterSource`]), a core dump's images
-//!   ([`DumpSource`]), or a visit set's runs ([`RunSource`]). The visit
-//!   set is where PTE CapDirty skips clean pages (§3.4.2, §5.3): one
-//!   builder, [`segment_runs`], turns a segment's dirty frames into the
-//!   runs a sweep visits, for a live space ([`visit_set`]) and for a core
-//!   dump ([`crate::timed::sweep_image`]) alike.
+//! * **What to walk** — the visit set: `(start, len)` runs over a slice
+//!   of memories (an [`AddressSpace`]'s segments, a core dump's images,
+//!   or one [`TaggedMemory`]). The visit set is where PTE CapDirty skips
+//!   clean pages (§3.4.2, §5.3): one builder, [`segment_runs`], turns a
+//!   segment's dirty frames into the runs a sweep visits, for a live
+//!   space ([`visit_set`]) and for a core dump
+//!   ([`crate::timed::sweep_image`]) alike. The register file, the other
+//!   §3.3 root, is swept by its caller with [`sweep_register_file`].
 //! * **What to skip** — a [`GranuleFilter`]: nothing ([`NoFilter`]) or
 //!   capability-free cache lines ([`CLoadTagsLines`], [`IdealLines`];
 //!   §3.4.1). [`CapDirtyPurge`] skips nothing; it re-cleans the CapDirty
-//!   false positives a sweep finds. Filters compose as tuples:
-//!   `(purge, lines)` applies both; an `Option` of one toggles it at run
-//!   time.
+//!   false positives a sweep finds. An `Option` of a filter toggles it
+//!   at run time.
 //! * **How to revoke** — a [`Kernel`]: the Figure 7 optimisation tiers.
 //!
 //! [`SweepEngine`] composes the three, owning chunked visitation,
@@ -30,8 +28,7 @@ use std::time::{Duration, Instant};
 
 use faultinject::{FaultInjector, FaultPoint, InjectedFault};
 use tagmem::{
-    AddressSpace, PageTable, RegisterFile, Segment, SegmentImage, TaggedMemory, GRANULE_SIZE,
-    LINE_SIZE, PAGE_SIZE,
+    AddressSpace, PageTable, RegisterFile, TaggedMemory, GRANULE_SIZE, LINE_SIZE, PAGE_SIZE,
 };
 
 use crate::plan::{plan_groups, plan_region, walk_region};
@@ -81,156 +78,6 @@ pub struct NoCost;
 
 impl SweepCost for NoCost {
     const IS_FREE: bool = true;
-}
-
-/// A root set to sweep: one or more contiguous memory regions, plus
-/// optionally the capability register file (§3.3's roots).
-pub trait CapSource {
-    /// Calls `f(mem, start, len)` for each region, in a fixed order.
-    fn for_each_region(&mut self, f: impl FnMut(&mut TaggedMemory, u64, u64));
-
-    /// The register file to sweep after the regions, if this source has
-    /// one.
-    fn registers(&mut self) -> Option<&mut RegisterFile> {
-        None
-    }
-}
-
-/// The full §3.3 root set of an [`AddressSpace`]: every sweepable segment
-/// and the register file.
-pub struct SpaceSource<'a> {
-    segments: &'a mut [Segment],
-    regs: &'a mut RegisterFile,
-}
-
-impl<'a> SpaceSource<'a> {
-    /// Splits `space` into a sweep source and its page table (so a
-    /// [`CapDirtyPurge`] filter can borrow the table while the source
-    /// borrows the segments).
-    pub fn split(space: &'a mut AddressSpace) -> (SpaceSource<'a>, &'a mut PageTable) {
-        let (segments, regs, page_table) = space.sweep_parts_mut();
-        (SpaceSource { segments, regs }, page_table)
-    }
-}
-
-impl CapSource for SpaceSource<'_> {
-    fn for_each_region(&mut self, mut f: impl FnMut(&mut TaggedMemory, u64, u64)) {
-        for seg in self.segments.iter_mut().filter(|s| s.kind().sweepable()) {
-            let mem = seg.mem_mut();
-            let (base, len) = (mem.base(), mem.len());
-            f(mem, base, len);
-        }
-    }
-
-    fn registers(&mut self) -> Option<&mut RegisterFile> {
-        Some(self.regs)
-    }
-}
-
-/// One whole segment, no registers.
-pub struct SegmentSource<'a>(&'a mut TaggedMemory);
-
-impl<'a> SegmentSource<'a> {
-    /// A source walking all of `mem`.
-    pub fn new(mem: &'a mut TaggedMemory) -> SegmentSource<'a> {
-        SegmentSource(mem)
-    }
-}
-
-impl CapSource for SegmentSource<'_> {
-    fn for_each_region(&mut self, mut f: impl FnMut(&mut TaggedMemory, u64, u64)) {
-        let (base, len) = (self.0.base(), self.0.len());
-        f(self.0, base, len);
-    }
-}
-
-/// A granule-aligned sub-range of one segment.
-pub struct RangeSource<'a> {
-    mem: &'a mut TaggedMemory,
-    start: u64,
-    len: u64,
-}
-
-impl<'a> RangeSource<'a> {
-    /// A source walking `[start, start + len)` of `mem`.
-    pub fn new(mem: &'a mut TaggedMemory, start: u64, len: u64) -> RangeSource<'a> {
-        RangeSource { mem, start, len }
-    }
-}
-
-impl CapSource for RangeSource<'_> {
-    fn for_each_region(&mut self, mut f: impl FnMut(&mut TaggedMemory, u64, u64)) {
-        let (start, len) = (self.start, self.len);
-        f(self.mem, start, len);
-    }
-}
-
-/// The capability register file alone (swept at the end of an incremental
-/// revocation epoch).
-pub struct RegisterSource<'a>(&'a mut RegisterFile);
-
-impl<'a> RegisterSource<'a> {
-    /// A source sweeping only `regs`.
-    pub fn new(regs: &'a mut RegisterFile) -> RegisterSource<'a> {
-        RegisterSource(regs)
-    }
-}
-
-impl CapSource for RegisterSource<'_> {
-    fn for_each_region(&mut self, _f: impl FnMut(&mut TaggedMemory, u64, u64)) {}
-
-    fn registers(&mut self) -> Option<&mut RegisterFile> {
-        Some(self.0)
-    }
-}
-
-/// The segment images of a captured core dump (the §5.3 offline pipeline).
-pub struct DumpSource<'a>(&'a mut [SegmentImage]);
-
-impl<'a> DumpSource<'a> {
-    /// A source walking each image in `segments`.
-    pub fn new(segments: &'a mut [SegmentImage]) -> DumpSource<'a> {
-        DumpSource(segments)
-    }
-}
-
-impl CapSource for DumpSource<'_> {
-    fn for_each_region(&mut self, mut f: impl FnMut(&mut TaggedMemory, u64, u64)) {
-        for img in self.0.iter_mut() {
-            let (base, len) = (img.mem.base(), img.mem.len());
-            f(&mut img.mem, base, len);
-        }
-    }
-}
-
-/// A visit set's `(start, len)` runs as a sweep root set, swept in the
-/// listed order: an epoch slice's share of its worklist, a peer sweep's
-/// visit set, or a core dump's runs. `memories` are the segments (or
-/// images) the runs lie in; each run lies inside one. No registers.
-pub struct RunSource<'a, M> {
-    memories: &'a mut [M],
-    runs: &'a [(u64, u64)],
-}
-
-impl<'a, M: AsMut<TaggedMemory>> RunSource<'a, M> {
-    /// A source walking `runs`, each inside one of `memories`.
-    pub fn new(memories: &'a mut [M], runs: &'a [(u64, u64)]) -> RunSource<'a, M> {
-        RunSource { memories, runs }
-    }
-}
-
-impl<M: AsMut<TaggedMemory>> CapSource for RunSource<'_, M> {
-    fn for_each_region(&mut self, mut f: impl FnMut(&mut TaggedMemory, u64, u64)) {
-        for &(start, len) in self.runs {
-            let mem = self
-                .memories
-                .iter_mut()
-                .map(AsMut::as_mut)
-                .find(|mem| mem.contains(start, len))
-                .expect("visit-set runs lie in a segment");
-            f(mem, start, len);
-        }
-    }
 }
 
 /// The visit-set builder: the one place that decides which pages of a
@@ -291,11 +138,10 @@ pub fn visit_set(space: &AddressSpace, use_capdirty: bool, runs: &mut Vec<(u64, 
         .sum()
 }
 
-/// How finely a [`GranuleFilter`] partitions the walk. Ordered: composing
-/// filters walks at the finest granularity either requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// How finely a [`GranuleFilter`] partitions the walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterGranularity {
-    /// One chunk per region (no skip opportunities).
+    /// One chunk per run (no skip opportunities).
     Region,
     /// One chunk per page ([`PAGE_SIZE`] frames; §3.4.2).
     Page,
@@ -305,12 +151,12 @@ pub enum FilterGranularity {
 
 /// A line-skipping predicate over the walk (the `CLoadTags` assist,
 /// §3.4.1), plus page feedback for the CapDirty purge (§3.4.2). Which
-/// pages a sweep visits is not a filter's decision: the source's regions
-/// are the visit set ([`segment_runs`]). Filters are stateful. Within a
-/// region the engine consults them in ascending address order; regions
-/// come in the source's order, which need not be ascending.
+/// pages a sweep visits is not a filter's decision: the sweep's runs are
+/// the visit set ([`segment_runs`]). Filters are stateful. Within a run
+/// the engine consults them in ascending address order; runs come in the
+/// caller's order, which need not be ascending.
 pub trait GranuleFilter {
-    /// The chunking this filter needs. Defaults to whole regions.
+    /// The chunking this filter needs. Defaults to whole runs.
     fn granularity(&self) -> FilterGranularity {
         FilterGranularity::Region
     }
@@ -461,26 +307,6 @@ impl GranuleFilter for EveryLine {
     }
 }
 
-impl<A: GranuleFilter, B: GranuleFilter> GranuleFilter for (A, B) {
-    fn granularity(&self) -> FilterGranularity {
-        self.0.granularity().max(self.1.granularity())
-    }
-
-    fn visit_page(&mut self, page: u64) {
-        self.0.visit_page(page);
-        self.1.visit_page(page);
-    }
-
-    fn visit_line<C: SweepCost>(&mut self, line: u64, mem: &TaggedMemory, cost: &mut C) -> bool {
-        self.0.visit_line(line, mem, cost) && self.1.visit_line(line, mem, cost)
-    }
-
-    fn page_swept(&mut self, page: u64, caps_found: u64) {
-        self.0.page_swept(page, caps_found);
-        self.1.page_swept(page, caps_found);
-    }
-}
-
 /// Yields the page frames overlapping `[start, start + len)` as
 /// `(frame, clamped_start, clamped_end)` triples, ascending. `frame` is
 /// the [`PAGE_SIZE`]-aligned key used by page tables.
@@ -582,12 +408,15 @@ pub fn sweep_register_file(regs: &mut RegisterFile, shadow: &ShadowMap) -> Sweep
 /// rather than honouring them.
 pub const MAX_SWEEP_WORKERS: usize = 64;
 
-/// The sweep engine: one `source × filter × kernel` composition (§3.3–§3.5).
+/// The sweep engine: one `runs × filter × kernel` composition (§3.3–§3.5).
 ///
 /// An engine holds the [`Kernel`], a worker count (default 1, set with
 /// [`SweepEngine::with_workers`]), a [`SweepTelemetry`] and a
-/// [`FaultInjector`]. Every sweep walks its source's regions in ascending
-/// address order, one of two ways, picked by [`SweepCost::IS_FREE`]:
+/// [`FaultInjector`]. A sweep's root set is a list of memories (segments,
+/// dump images or bare [`TaggedMemory`]) and the `(start, len)` runs to
+/// walk in them, each granule-aligned and inside one memory; the runs
+/// come in the caller's order, and each is walked in ascending address
+/// order, one of two ways, picked by [`SweepCost::IS_FREE`]:
 ///
 /// * **Costed** (a cost model is attached, as in [`crate::timed`]): each
 ///   chunk is executed on the calling thread the moment the walk reaches
@@ -605,7 +434,9 @@ pub const MAX_SWEEP_WORKERS: usize = 64;
 ///   reference kernel.
 ///
 /// Both walks leave byte-identical memory, tags and [`SweepStats`] for
-/// any worker count. Attached telemetry times each sweep and reports it
+/// any worker count. The register file is not a run: a caller whose root
+/// set includes it sweeps it with [`sweep_register_file`]. Attached
+/// telemetry times each sweep and reports it
 /// as metrics plus one structured event; detached telemetry (the
 /// default) costs one branch per sweep.
 #[derive(Debug, Clone)]
@@ -652,15 +483,22 @@ impl SweepEngine {
         self
     }
 
-    /// Sweeps `source` under `filter` without cost accounting, with a
-    /// fresh [`SweepScratch`].
-    pub fn sweep<S, F>(&self, source: S, filter: F, shadow: &ShadowMap) -> SweepStats
+    /// Sweeps `runs` of `memories` under `filter` without cost accounting,
+    /// with a fresh [`SweepScratch`].
+    pub fn sweep<M, F>(
+        &self,
+        memories: &mut [M],
+        runs: &[(u64, u64)],
+        filter: F,
+        shadow: &ShadowMap,
+    ) -> SweepStats
     where
-        S: CapSource,
+        M: AsMut<TaggedMemory>,
         F: GranuleFilter,
     {
         self.sweep_with(
-            source,
+            memories,
+            runs,
             filter,
             shadow,
             &mut NoCost,
@@ -668,19 +506,25 @@ impl SweepEngine {
         )
     }
 
-    /// Sweeps `source` under `filter`, charging every access to `cost` in
-    /// visitation order (the costed walk; [`NoCost`] selects the uncosted
-    /// one) and reusing `scratch`'s buffers.
-    pub fn sweep_with<S, F, C>(
+    /// Sweeps `runs` of `memories` under `filter`, charging every access
+    /// to `cost` in visitation order (the costed walk; [`NoCost`] selects
+    /// the uncosted one) and reusing `scratch`'s buffers.
+    ///
+    /// # Panics
+    ///
+    /// If a run is not granule-aligned or lies inside no one of
+    /// `memories`.
+    pub fn sweep_with<M, F, C>(
         &self,
-        mut source: S,
+        memories: &mut [M],
+        runs: &[(u64, u64)],
         mut filter: F,
         shadow: &ShadowMap,
         cost: &mut C,
         scratch: &mut SweepScratch,
     ) -> SweepStats
     where
-        S: CapSource,
+        M: AsMut<TaggedMemory>,
         F: GranuleFilter,
         C: SweepCost,
     {
@@ -693,10 +537,17 @@ impl SweepEngine {
             chunks,
             exec,
         } = scratch;
-        source.for_each_region(|mem, start, len| {
-            assert!(mem.contains(start, len), "sweep range outside segment");
-            assert_eq!(start % GRANULE_SIZE, 0, "unaligned sweep start");
-            assert_eq!(len % GRANULE_SIZE, 0, "unaligned sweep length");
+        for &(start, len) in runs {
+            // The root-set check: the run is granule-aligned and lies
+            // inside one memory.
+            let mem = memories
+                .iter_mut()
+                .map(AsMut::as_mut)
+                .find(|mem| mem.contains(start, len))
+                .filter(|_| (start | len) % GRANULE_SIZE == 0)
+                .unwrap_or_else(|| {
+                    panic!("sweep run ({start:#x}, {len:#x}) is unaligned or in no one memory")
+                });
             if C::IS_FREE {
                 // Uncosted: plan the region's chunks, then execute them.
                 plan_region(
@@ -753,10 +604,6 @@ impl SweepEngine {
                 filter.page_swept(frame, caps);
             }
             phases.plan += clock.lap();
-        });
-        if let Some(regs) = source.registers() {
-            stats += sweep_register_file(regs, shadow);
-            phases.execute += clock.lap();
         }
         if stats.chunks_retried > 0 {
             self.telemetry
@@ -1077,31 +924,60 @@ mod tests {
         }
     }
 
+    /// The runs of `space`'s sweepable segments, each whole.
+    fn whole_runs(space: &AddressSpace) -> Vec<(u64, u64)> {
+        let mut runs = Vec::new();
+        visit_set(space, false, &mut runs);
+        runs
+    }
+
+    /// Sweeps `space` the epoch's way: its CapDirty visit set, through the
+    /// false-positive purge.
+    fn sweep_visit_set<C: SweepCost>(
+        engine: &SweepEngine,
+        space: &mut AddressSpace,
+        shadow: &ShadowMap,
+        cost: &mut C,
+        scratch: &mut SweepScratch,
+    ) -> SweepStats {
+        let mut runs = Vec::new();
+        visit_set(space, true, &mut runs);
+        let (segments, _, table) = space.sweep_parts_mut();
+        engine.sweep_with(
+            segments,
+            &runs,
+            CapDirtyPurge::new(table),
+            shadow,
+            cost,
+            scratch,
+        )
+    }
+
     #[test]
     fn parallel_engine_matches_sequential_on_all_filters() {
         // The costed walk (interleaved, on the calling thread) is the
         // reference; the uncosted walk matches it at any worker count,
-        // under the epoch's purge and every composition `timed` builds.
+        // under the epoch's purge and every line filter `timed` builds.
         let dump = CoreDump::capture(&seeded_space(7).0);
         for workers in [1, 2, 3, 8] {
             let engine = SweepEngine::new(Kernel::Unrolled).with_workers(workers);
             let (mut a, shadow) = seeded_space(7);
             let (mut b, _) = seeded_space(7);
 
-            let (src_a, pt_a) = SpaceSource::split(&mut a);
             let mut cost = BytesRead::default();
-            let costed = engine.sweep_with(
-                src_a,
-                (CapDirtyPurge::new(pt_a), CLoadTagsLines::new()),
+            let costed = sweep_visit_set(
+                &engine,
+                &mut a,
                 &shadow,
                 &mut cost,
                 &mut SweepScratch::new(),
             );
-            let (src_b, pt_b) = SpaceSource::split(&mut b);
-            let uncosted = engine.sweep(
-                src_b,
-                (CapDirtyPurge::new(pt_b), CLoadTagsLines::new()),
+            let uncosted = sweep_visit_set(
+                &engine,
+                &mut b,
                 &shadow,
+                &mut NoCost,
+                &mut SweepScratch::new(),
             );
             assert_eq!(costed, uncosted, "workers={workers}");
             assert_eq!(cost.0, costed.bytes_swept, "workers={workers}");
@@ -1137,10 +1013,11 @@ mod tests {
         for workers in [1, 4] {
             let (mut a, shadow) = seeded_space(11);
             let (mut b, _) = seeded_space(11);
+            let runs = whole_runs(&a);
 
-            let (src_a, _) = SpaceSource::split(&mut a);
             let clean = SweepEngine::new(Kernel::Fast).with_workers(workers).sweep(
-                src_a,
+                a.segments_mut(),
+                &runs,
                 CLoadTagsLines::new(),
                 &shadow,
             );
@@ -1150,11 +1027,10 @@ mod tests {
             let plan =
                 faultinject::FaultPlan::parse("worker_panic@1/2,tag_read_error@2/2").unwrap();
             let inj = FaultInjector::new(plan);
-            let (src_b, _) = SpaceSource::split(&mut b);
             let faulted = SweepEngine::new(Kernel::Fast)
                 .with_workers(workers)
                 .with_faults(inj.clone())
-                .sweep(src_b, CLoadTagsLines::new(), &shadow);
+                .sweep(b.segments_mut(), &runs, CLoadTagsLines::new(), &shadow);
 
             assert!(faulted.chunks_retried > 0, "workers={workers}");
             assert!(inj.fired(FaultPoint::SweepWorkerPanic) > 0);
@@ -1174,12 +1050,12 @@ mod tests {
         let registry = telemetry::Registry::new(16);
         let (mut space, shadow) = seeded_space(3);
         let inj = FaultInjector::new(faultinject::FaultPlan::parse("worker_panic@1x2").unwrap());
-        let (src, _) = SpaceSource::split(&mut space);
+        let runs = whole_runs(&space);
         let stats = SweepEngine::new(Kernel::Fast)
             .with_workers(2)
             .with_telemetry(crate::SweepTelemetry::register(&registry))
             .with_faults(inj)
-            .sweep(src, NoFilter, &shadow);
+            .sweep(space.segments_mut(), &runs, NoFilter, &shadow);
         assert!(stats.chunks_retried > 0);
         let snap = registry.snapshot();
         assert_eq!(
@@ -1193,21 +1069,6 @@ mod tests {
     }
 
     #[test]
-    fn register_source_sweeps_only_registers() {
-        let mut regs = RegisterFile::new();
-        regs.set(0, Capability::root_rw(HEAP + 0x40, 64));
-        let mut shadow = ShadowMap::new(HEAP, LEN);
-        shadow.paint(HEAP + 0x40, 64);
-        let stats = SweepEngine::new(Kernel::Unrolled).sweep(
-            RegisterSource::new(&mut regs),
-            NoFilter,
-            &shadow,
-        );
-        assert_eq!(stats.regs_revoked, 1);
-        assert_eq!(stats.bytes_swept, 0);
-    }
-
-    #[test]
     fn scratched_sweeps_match_unscratched() {
         let mut scratch = SweepScratch::new();
         for seed in 0..3u64 {
@@ -1218,24 +1079,52 @@ mod tests {
                 // The page-feedback, plan and worker buffers are reused.
                 let (mut a, shadow) = seeded_space(seed);
                 let (mut b, _) = seeded_space(seed);
-                let (src_a, pt_a) = SpaceSource::split(&mut a);
-                let plain = engine.sweep(
-                    src_a,
-                    (CapDirtyPurge::new(pt_a), CLoadTagsLines::new()),
-                    &shadow,
-                );
-                let (src_b, pt_b) = SpaceSource::split(&mut b);
-                let scratched = engine.sweep_with(
-                    src_b,
-                    (CapDirtyPurge::new(pt_b), CLoadTagsLines::new()),
+                let plain = sweep_visit_set(
+                    &engine,
+                    &mut a,
                     &shadow,
                     &mut NoCost,
-                    &mut scratch,
+                    &mut SweepScratch::new(),
                 );
+                let scratched =
+                    sweep_visit_set(&engine, &mut b, &shadow, &mut NoCost, &mut scratch);
                 assert_eq!(plain, scratched, "seed {seed}");
                 assert_eq!(a.tag_count(), b.tag_count(), "seed {seed}");
             }
         }
+    }
+
+    /// A heap and a stack that abut at `HEAP + LEN`, and a shadow.
+    fn abutting_segments() -> (AddressSpace, ShadowMap) {
+        let space = AddressSpace::builder()
+            .segment(SegmentKind::Heap, HEAP, LEN)
+            .segment(SegmentKind::Stack, HEAP + LEN, LEN)
+            .build();
+        (space, ShadowMap::new(HEAP, LEN))
+    }
+
+    #[test]
+    #[should_panic(expected = "is unaligned or in no one memory")]
+    fn a_run_straddling_two_memories_panics() {
+        let (mut space, shadow) = abutting_segments();
+        let runs = [(HEAP + LEN - PAGE_SIZE, 2 * PAGE_SIZE)];
+        SweepEngine::new(Kernel::Fast).sweep(space.segments_mut(), &runs, NoFilter, &shadow);
+    }
+
+    #[test]
+    #[should_panic(expected = "is unaligned or in no one memory")]
+    fn a_run_in_no_memory_panics() {
+        let (mut space, shadow) = abutting_segments();
+        let runs = [(HEAP + 2 * LEN, PAGE_SIZE)];
+        SweepEngine::new(Kernel::Fast).sweep(space.segments_mut(), &runs, NoFilter, &shadow);
+    }
+
+    #[test]
+    #[should_panic(expected = "is unaligned or in no one memory")]
+    fn an_unaligned_run_panics() {
+        let (mut space, shadow) = abutting_segments();
+        let runs = [(HEAP + GRANULE_SIZE / 2, PAGE_SIZE)];
+        SweepEngine::new(Kernel::Fast).sweep(space.segments_mut(), &runs, NoFilter, &shadow);
     }
 
     #[test]
@@ -1266,7 +1155,8 @@ mod tests {
         );
         let (segments, _, table) = space.sweep_parts_mut();
         let stats = SweepEngine::new(Kernel::Fast).sweep(
-            RunSource::new(segments, &runs),
+            segments,
+            &runs,
             CapDirtyPurge::new(table),
             &shadow,
         );

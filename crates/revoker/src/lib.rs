@@ -22,8 +22,10 @@
 //! without AVX2/NEON).
 //!
 //! All tag-exact sweeping runs through the [`engine`] module's one
-//! [`SweepEngine`]: a composition of a [`CapSource`] (what to walk), a
-//! [`GranuleFilter`] (what to skip), and a [`Kernel`] (the inner loop).
+//! [`SweepEngine`]: a composition of a visit set's runs over a slice of
+//! memories (what to walk), a [`GranuleFilter`] (what to skip), and a
+//! [`Kernel`] (the inner loop). The register file is swept beside it with
+//! [`sweep_register_file`].
 //! The same engine splits a sweep across worker threads, exploiting the
 //! embarrassing parallelism of §3.5, and replays it against a cost model
 //! for the timed figures.
@@ -32,7 +34,7 @@
 //!
 //! ```
 //! use cheri::Capability;
-//! use revoker::{visit_set, CapDirtyPurge, Kernel, RunSource, ShadowMap, SweepEngine};
+//! use revoker::{sweep_register_file, visit_set, CapDirtyPurge, Kernel, ShadowMap, SweepEngine};
 //! use tagmem::{AddressSpace, SegmentKind};
 //!
 //! # fn main() -> Result<(), tagmem::MemError> {
@@ -51,15 +53,18 @@
 //!
 //! // One sweep later the stored capability is revoked: build the visit
 //! // set (the PTE CapDirty runs of each sweepable segment, §3.4.2), then
-//! // sweep those runs with a kernel, re-cleaning CapDirty false positives.
+//! // sweep those runs with a kernel, re-cleaning CapDirty false positives,
+//! // then sweep the register file.
 //! let mut runs = Vec::new();
 //! let clean_pages = visit_set(&space, true, &mut runs);
-//! let (segments, _registers, page_table) = space.sweep_parts_mut();
-//! let stats = SweepEngine::new(Kernel::Simd).sweep(
-//!     RunSource::new(segments, &runs),
+//! let (segments, registers, page_table) = space.sweep_parts_mut();
+//! let mut stats = SweepEngine::new(Kernel::Simd).sweep(
+//!     segments,
+//!     &runs,
 //!     CapDirtyPurge::new(page_table),
 //!     &shadow,
 //! );
+//! stats += sweep_register_file(registers, &shadow);
 //! assert_eq!(stats.caps_revoked, 1);
 //! assert_eq!(clean_pages, 255, "one of the heap's 256 pages is swept");
 //! assert!(!space.load_cap(heap_base + 0x1000)?.tag());
@@ -81,9 +86,8 @@ pub mod timed;
 
 pub use audit::{audit_dump, AuditReport, AuditViolation};
 pub use engine::{
-    segment_runs, sweep_register_file, visit_set, CLoadTagsLines, CapDirtyPurge, CapSource,
-    DumpSource, EveryLine, FilterGranularity, GranuleFilter, IdealLines, NoCost, NoFilter,
-    RangeSource, RegisterSource, RunSource, SegmentSource, SpaceSource, SweepCost, SweepEngine,
+    segment_runs, sweep_register_file, visit_set, CLoadTagsLines, CapDirtyPurge, EveryLine,
+    FilterGranularity, GranuleFilter, IdealLines, NoCost, NoFilter, SweepCost, SweepEngine,
     SweepScratch, MAX_SWEEP_WORKERS,
 };
 /// Deterministic fault injection for chaos testing the sweep machinery
@@ -91,6 +95,4 @@ pub use engine::{
 pub use faultinject as fault;
 pub use obs::{SweepPhases, SweepTelemetry};
 pub use shadow::ShadowMap;
-#[doc(hidden)]
-pub use sweep::force_scalar_kernel;
 pub use sweep::{Kernel, SweepStats};

@@ -101,7 +101,7 @@ pub struct SweepPhases {
     /// its walk, so only its purge counts here.
     pub plan: Duration,
     /// The execute step: the kernel over the planned chunks (the whole
-    /// walk of a costed sweep) and the register file.
+    /// walk of a costed sweep).
     pub execute: Duration,
 }
 

@@ -140,23 +140,6 @@ pub(crate) fn run_kernel<C: SweepCost>(
     }
 }
 
-/// Forces [`Kernel::Simd`] onto its scalar fallback path (test hook).
-///
-/// Process-global so the engine's scoped worker threads observe
-/// it too. Equivalence tests use it to prove the fallback is exercised and
-/// bit-identical; it is not part of the public API surface.
-#[doc(hidden)]
-pub fn force_scalar_kernel(force: bool) {
-    FORCE_SCALAR.store(force, std::sync::atomic::Ordering::SeqCst);
-}
-
-static FORCE_SCALAR: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-#[inline]
-fn scalar_forced() -> bool {
-    FORCE_SCALAR.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// Revokes granule `g`: clears the tag bit and zeroes the 16 data bytes
 /// (the paper's `*x = 0`).
 #[inline]
@@ -330,12 +313,11 @@ fn kernel_fast<C: SweepCost>(
 /// [`Kernel::Simd`]'s dispatcher: picks the vector implementation the host
 /// supports, or [`kernel_fast`] when none applies.
 ///
-/// Three conditions force the scalar fallback, each preserving
+/// Two conditions force the scalar fallback, each preserving
 /// bit-identical memory, stats, and [`SweepCost`] charges:
 ///
 /// * a cost model is attached (`!C::IS_FREE`) — timed replays must observe
 ///   the exact scalar access stream, so the vector path never runs costed;
-/// * the test hook [`force_scalar_kernel`] is armed;
 /// * runtime feature detection finds no usable vector unit.
 ///
 /// The empty-shadow bulk count also routes through [`kernel_fast`], whose
@@ -352,7 +334,7 @@ fn kernel_simd<C: SweepCost>(
     cost: &mut C,
     stats: &mut SweepStats,
 ) {
-    if !C::IS_FREE || scalar_forced() || shadow.painted_bytes() == 0 {
+    if !C::IS_FREE || shadow.painted_bytes() == 0 {
         return kernel_fast(data, tags, g0, g1, shadow, base, cost, stats);
     }
     #[cfg(target_arch = "x86_64")]
@@ -868,10 +850,7 @@ mod simd_neon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{
-        sweep_register_file, visit_set, CapDirtyPurge, NoFilter, RangeSource, RunSource,
-        SegmentSource, SpaceSource, SweepEngine,
-    };
+    use crate::engine::{sweep_register_file, visit_set, CapDirtyPurge, NoFilter, SweepEngine};
     use cheri::Capability;
     use tagmem::{AddressSpace, RegisterFile, TaggedMemory};
 
@@ -897,7 +876,8 @@ mod tests {
     }
 
     fn sweep_segment(kernel: Kernel, mem: &mut TaggedMemory, shadow: &ShadowMap) -> SweepStats {
-        SweepEngine::new(kernel).sweep(SegmentSource::new(mem), NoFilter, shadow)
+        let (start, len) = (mem.base(), mem.len());
+        sweep_range(kernel, mem, shadow, start, len)
     }
 
     fn sweep_range(
@@ -907,7 +887,7 @@ mod tests {
         start: u64,
         len: u64,
     ) -> SweepStats {
-        SweepEngine::new(kernel).sweep(RangeSource::new(mem, start, len), NoFilter, shadow)
+        SweepEngine::new(kernel).sweep(std::slice::from_mut(mem), &[(start, len)], NoFilter, shadow)
     }
 
     fn all_kernels() -> Vec<Kernel> {
@@ -946,19 +926,6 @@ mod tests {
             assert_eq!(fast, simd, "range ({start_g}, {len_g})");
             assert_eq!(fast_mem, simd_mem, "range ({start_g}, {len_g})");
         }
-    }
-
-    #[test]
-    fn forced_scalar_simd_matches_vector_simd() {
-        let (mut vec_mem, shadow, expect) = scenario(333);
-        let mut scalar_mem = vec_mem.clone();
-        let vec_stats = sweep_segment(Kernel::Simd, &mut vec_mem, &shadow);
-        force_scalar_kernel(true);
-        let scalar_stats = sweep_segment(Kernel::Simd, &mut scalar_mem, &shadow);
-        force_scalar_kernel(false);
-        assert_eq!(vec_stats, scalar_stats);
-        assert_eq!(vec_stats.caps_revoked, expect);
-        assert_eq!(vec_mem, scalar_mem);
     }
 
     #[test]
@@ -1130,8 +1097,12 @@ mod tests {
         space.registers_mut().set(5, obj);
         let mut shadow = ShadowMap::new(HEAP, 1 << 16);
         shadow.paint(HEAP + 0x40, 64);
-        let (source, _) = SpaceSource::split(&mut space);
-        let stats = SweepEngine::new(Kernel::Unrolled).sweep(source, NoFilter, &shadow);
+        let mut runs = Vec::new();
+        visit_set(&space, false, &mut runs);
+        let (segments, regs, _) = space.sweep_parts_mut();
+        let mut stats =
+            SweepEngine::new(Kernel::Unrolled).sweep(segments, &runs, NoFilter, &shadow);
+        stats += sweep_register_file(regs, &shadow);
         assert_eq!(stats.caps_revoked, 4);
         assert_eq!(space.tag_count(), 0);
     }
@@ -1154,7 +1125,8 @@ mod tests {
         assert_eq!(skipped, 14, "14 never-dirty pages skipped");
         let (segments, _, table) = space.sweep_parts_mut();
         let stats = SweepEngine::new(Kernel::Unrolled).sweep(
-            RunSource::new(segments, &runs),
+            segments,
+            &runs,
             CapDirtyPurge::new(table),
             &shadow,
         );
@@ -1196,15 +1168,12 @@ mod tests {
             let mut full = build();
             let mut skip = build();
             let engine = SweepEngine::new(Kernel::Unrolled);
-            let a = engine.sweep(SpaceSource::split(&mut full).0, NoFilter, &shadow);
             let mut runs = Vec::new();
+            visit_set(&full, false, &mut runs);
+            let a = engine.sweep(full.segments_mut(), &runs, NoFilter, &shadow);
             visit_set(&skip, true, &mut runs);
             let (segments, _, table) = skip.sweep_parts_mut();
-            let b = engine.sweep(
-                RunSource::new(segments, &runs),
-                CapDirtyPurge::new(table),
-                &shadow,
-            );
+            let b = engine.sweep(segments, &runs, CapDirtyPurge::new(table), &shadow);
             assert_eq!(a.caps_revoked, b.caps_revoked, "seed {seed}");
             assert_eq!(full.tag_count(), skip.tag_count(), "seed {seed}");
         }
@@ -1216,7 +1185,12 @@ mod tests {
             let (mut mem, shadow, expect) = scenario(333);
             let stats = SweepEngine::new(Kernel::Unrolled)
                 .with_workers(threads)
-                .sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
+                .sweep(
+                    std::slice::from_mut(&mut mem),
+                    &[(HEAP, LEN)],
+                    NoFilter,
+                    &shadow,
+                );
             assert_eq!(stats.caps_revoked, expect, "threads={threads}");
         }
     }
@@ -1238,9 +1212,7 @@ mod tests {
 #[cfg(test)]
 mod line_skip_tests {
     use super::*;
-    use crate::engine::{
-        visit_set, CLoadTagsLines, CapDirtyPurge, NoFilter, RunSource, SpaceSource, SweepEngine,
-    };
+    use crate::engine::{visit_set, CLoadTagsLines, NoFilter, SweepEngine};
     use cheri::Capability;
     use tagmem::{AddressSpace, SegmentKind};
 
@@ -1266,10 +1238,10 @@ mod line_skip_tests {
     fn sweep_skipping_lines(space: &mut AddressSpace, shadow: &ShadowMap) -> SweepStats {
         let mut runs = Vec::new();
         let pages_skipped = visit_set(space, true, &mut runs);
-        let (segments, _, table) = space.sweep_parts_mut();
         let stats = SweepEngine::new(Kernel::Unrolled).sweep(
-            RunSource::new(segments, &runs),
-            (CapDirtyPurge::new(table), CLoadTagsLines::new()),
+            space.segments_mut(),
+            &runs,
+            CLoadTagsLines::new(),
             shadow,
         );
         SweepStats {
@@ -1282,11 +1254,10 @@ mod line_skip_tests {
     fn line_skipping_agrees_with_full_sweep() {
         let (mut a, shadow) = seeded_space();
         let (mut b, _) = seeded_space();
-        let full = SweepEngine::new(Kernel::Unrolled).sweep(
-            SpaceSource::split(&mut a).0,
-            NoFilter,
-            &shadow,
-        );
+        let mut runs = Vec::new();
+        visit_set(&a, false, &mut runs);
+        let full =
+            SweepEngine::new(Kernel::Unrolled).sweep(a.segments_mut(), &runs, NoFilter, &shadow);
         let skip = sweep_skipping_lines(&mut b, &shadow);
         assert_eq!(full.caps_revoked, skip.caps_revoked);
         assert_eq!(a.tag_count(), b.tag_count());
@@ -1303,18 +1274,5 @@ mod line_skip_tests {
         assert_eq!(stats.lines_skipped, 61);
         // Bytes actually walked: three lines.
         assert_eq!(stats.bytes_swept, 3 * tagmem::LINE_SIZE);
-    }
-
-    #[test]
-    fn line_skipping_recleans_false_positive_pages() {
-        let mut space = AddressSpace::builder()
-            .segment(SegmentKind::Heap, HEAP, 1 << 16)
-            .build();
-        let cap = Capability::root_rw(HEAP + 0x40, 64);
-        space.store_cap(HEAP + 0x2000, &cap).unwrap();
-        space.store_u64(HEAP + 0x2000, 0).unwrap(); // tag gone, page still dirty
-        let shadow = ShadowMap::new(HEAP, 1 << 16);
-        sweep_skipping_lines(&mut space, &shadow);
-        assert!(!space.page_table().is_cap_dirty(HEAP + 0x2000));
     }
 }

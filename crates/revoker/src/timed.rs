@@ -24,8 +24,7 @@ use simcache::Machine;
 use tagmem::{CoreDump, SegmentImage, GRANULE_SIZE, PAGE_SIZE};
 
 use crate::engine::{
-    segment_runs, CLoadTagsLines, EveryLine, IdealLines, RunSource, SweepCost, SweepEngine,
-    SweepScratch,
+    segment_runs, CLoadTagsLines, EveryLine, IdealLines, SweepCost, SweepEngine, SweepScratch,
 };
 use crate::{Kernel, ShadowMap, SweepStats};
 
@@ -132,16 +131,20 @@ pub fn sweep_image<C: SweepCost>(
         });
         pages_skipped += segment_runs(base, end, dirty, &mut runs);
     }
-    let source = RunSource::new(segments, &runs);
     let scratch = &mut SweepScratch::new();
     let mut stats = match mode {
         TimedMode::Full | TimedMode::PteCapDirty => {
-            engine.sweep_with(source, EveryLine, shadow, cost, scratch)
+            engine.sweep_with(segments, &runs, EveryLine, shadow, cost, scratch)
         }
-        TimedMode::CLoadTags => {
-            engine.sweep_with(source, CLoadTagsLines::new(), shadow, cost, scratch)
-        }
-        TimedMode::Ideal => engine.sweep_with(source, IdealLines, shadow, cost, scratch),
+        TimedMode::CLoadTags => engine.sweep_with(
+            segments,
+            &runs,
+            CLoadTagsLines::new(),
+            shadow,
+            cost,
+            scratch,
+        ),
+        TimedMode::Ideal => engine.sweep_with(segments, &runs, IdealLines, shadow, cost, scratch),
     };
     stats.pages_skipped += pages_skipped;
     stats
@@ -324,14 +327,12 @@ mod tests {
         let timed = timed_sweep(&dump, &shadow, &mut m, TimedMode::Full);
         // Untimed reference sweep on a copy.
         let mut dump2 = dump.clone();
-        let mut total = crate::SweepStats::default();
-        for img in dump2.segments_mut() {
-            total += crate::SweepEngine::new(crate::Kernel::Unrolled).sweep(
-                crate::SegmentSource::new(&mut img.mem),
-                crate::NoFilter,
-                &shadow,
-            );
-        }
+        let total = crate::SweepEngine::new(crate::Kernel::Unrolled).sweep(
+            dump2.segments_mut(),
+            &[(HEAP, LEN)],
+            crate::NoFilter,
+            &shadow,
+        );
         assert_eq!(timed.caps_revoked, total.caps_revoked);
         assert_eq!(timed.caps_inspected, total.caps_inspected);
     }

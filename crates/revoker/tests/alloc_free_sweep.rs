@@ -16,8 +16,8 @@ use std::cell::Cell;
 
 use cheri::Capability;
 use revoker::{
-    segment_runs, CLoadTagsLines, CapDirtyPurge, EveryLine, Kernel, NoCost, NoFilter, RunSource,
-    SegmentSource, ShadowMap, SweepEngine, SweepScratch,
+    segment_runs, CLoadTagsLines, CapDirtyPurge, Kernel, NoCost, NoFilter, ShadowMap, SweepEngine,
+    SweepScratch,
 };
 use tagmem::{PageTable, TaggedMemory};
 
@@ -57,6 +57,8 @@ fn allocations() -> u64 {
 
 const BASE: u64 = 0x1000_0000;
 const LEN: u64 = 1 << 20;
+/// The one run covering the whole image.
+const WHOLE: [(u64, u64); 1] = [(BASE, LEN)];
 
 /// A 1 MiB image with a capability every 256 bytes, a painted stripe in
 /// the shadow, and one warm-up sweep already absorbed by `scratch`.
@@ -75,7 +77,8 @@ fn warmed(kernel: Kernel, scratch: &mut SweepScratch) -> (TaggedMemory, ShadowMa
     shadow.paint(BASE + 4096, 4096);
     let engine = SweepEngine::new(kernel);
     engine.sweep_with(
-        SegmentSource::new(&mut mem),
+        std::slice::from_mut(&mut mem),
+        &WHOLE,
         NoFilter,
         &shadow,
         &mut NoCost,
@@ -98,7 +101,8 @@ fn steady_state_scratched_sweeps_allocate_nothing() {
         let mut inspected = 0u64;
         for _ in 0..8 {
             let stats = engine.sweep_with(
-                SegmentSource::new(&mut mem),
+                std::slice::from_mut(&mut mem),
+                &WHOLE,
                 NoFilter,
                 &shadow,
                 &mut NoCost,
@@ -117,8 +121,9 @@ fn steady_state_scratched_sweeps_allocate_nothing() {
         // Filtered steady state: the line/page span consumers must reuse
         // the scratch too (the hoisted per-page buffers).
         engine.sweep_with(
-            SegmentSource::new(&mut mem),
-            (EveryLine, CLoadTagsLines::new()),
+            std::slice::from_mut(&mut mem),
+            &WHOLE,
+            CLoadTagsLines::new(),
             &shadow,
             &mut NoCost,
             &mut scratch,
@@ -126,8 +131,9 @@ fn steady_state_scratched_sweeps_allocate_nothing() {
         let before = allocations();
         for _ in 0..8 {
             engine.sweep_with(
-                SegmentSource::new(&mut mem),
-                (EveryLine, CLoadTagsLines::new()),
+                std::slice::from_mut(&mut mem),
+                &WHOLE,
+                CLoadTagsLines::new(),
                 &shadow,
                 &mut NoCost,
                 &mut scratch,
@@ -153,7 +159,8 @@ fn steady_state_scratched_sweeps_allocate_nothing() {
         segment_runs(BASE, BASE + LEN, dirty, &mut runs);
         let memories = std::slice::from_mut(&mut mem);
         engine.sweep_with(
-            RunSource::new(memories, &runs),
+            memories,
+            &runs,
             CapDirtyPurge::new(&mut table),
             &shadow,
             &mut NoCost,
@@ -163,7 +170,8 @@ fn steady_state_scratched_sweeps_allocate_nothing() {
         let mut inspected = 0u64;
         for _ in 0..8 {
             let stats = engine.sweep_with(
-                RunSource::new(memories, &runs),
+                memories,
+                &runs,
                 CapDirtyPurge::new(&mut table),
                 &shadow,
                 &mut NoCost,

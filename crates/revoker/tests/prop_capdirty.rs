@@ -10,8 +10,8 @@
 use cheri::Capability;
 use proptest::prelude::*;
 use revoker::{
-    segment_runs, CLoadTagsLines, CapDirtyPurge, CapSource, GranuleFilter, Kernel, NoCost,
-    NoFilter, ShadowMap, SweepCost, SweepEngine, SweepScratch, SweepStats,
+    segment_runs, CapDirtyPurge, GranuleFilter, Kernel, NoCost, NoFilter, ShadowMap, SweepCost,
+    SweepEngine, SweepScratch, SweepStats,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE, PAGE_SIZE};
 
@@ -21,20 +21,6 @@ const LEN: u64 = 2 << 20;
 const PAGES: u64 = LEN / PAGE_SIZE;
 /// Pointees fall in the first 128 KiB, where the shadow paints.
 const PAINT_WINDOW: u64 = 1 << 17;
-
-/// Several ranges of one memory, swept in the listed order.
-struct Regions<'a> {
-    mem: &'a mut TaggedMemory,
-    ranges: &'a [(u64, u64)],
-}
-
-impl CapSource for Regions<'_> {
-    fn for_each_region(&mut self, mut f: impl FnMut(&mut TaggedMemory, u64, u64)) {
-        for &(start, len) in self.ranges {
-            f(self.mem, start, len);
-        }
-    }
-}
 
 /// What a stretch of pages holds, beyond the scattered capabilities.
 #[derive(Debug, Clone, Copy)]
@@ -158,7 +144,8 @@ struct Costed;
 
 impl SweepCost for Costed {}
 
-/// Sweeps `ranges` of `mem` through `filter`, on the costed or the
+/// Sweeps `ranges` of `mem` through `filter`, through the entry point
+/// the heap uses,, on the costed or the
 /// uncosted walk.
 fn sweep<F: GranuleFilter>(
     engine: &SweepEngine,
@@ -168,12 +155,12 @@ fn sweep<F: GranuleFilter>(
     filter: F,
     shadow: &ShadowMap,
 ) -> SweepStats {
-    let source = Regions { mem, ranges };
+    let memories = std::slice::from_mut(mem);
     let scratch = &mut SweepScratch::new();
     if costed {
-        engine.sweep_with(source, filter, shadow, &mut Costed, scratch)
+        engine.sweep_with(memories, ranges, filter, shadow, &mut Costed, scratch)
     } else {
-        engine.sweep_with(source, filter, shadow, &mut NoCost, scratch)
+        engine.sweep_with(memories, ranges, filter, shadow, &mut NoCost, scratch)
     }
 }
 
@@ -190,8 +177,7 @@ proptest! {
     /// The purge revokes what an unfiltered sweep of the same regions
     /// revokes and re-cleans exactly the dirty frames one region swept
     /// whole and found capability-free, so every frame that still holds
-    /// a tagged granule stays CapDirty; alone and composed with CLoadTags
-    /// line skipping, over two sweeps in a row.
+    /// a tagged granule stays CapDirty, over two sweeps in a row.
     #[test]
     fn purge_cleans_only_frames_swept_whole_and_capability_free(
         img in image(),
@@ -199,7 +185,6 @@ proptest! {
         cuts in proptest::collection::vec(0..LEN / GRANULE_SIZE, 0..6),
         keep in proptest::collection::vec(prop_oneof![3 => Just(true), 1 => Just(false)], 1..8),
         order in proptest::collection::vec(0u64..8, 1..8),
-        lines in any::<bool>(),
         costed in any::<bool>(),
         workers in 1usize..=3,
     ) {
@@ -221,19 +206,12 @@ proptest! {
                 .filter(|&frame| !tagged(&got_mem, frame))
                 .collect();
             let want = sweep(&engine, costed, &mut want_mem, &ranges, NoFilter, &shadow);
-            let got = if lines {
-                sweep(&engine, costed, &mut got_mem, &ranges,
-                    (CapDirtyPurge::new(&mut table), CLoadTagsLines::new()), &shadow)
-            } else {
-                sweep(&engine, costed, &mut got_mem, &ranges,
-                    CapDirtyPurge::new(&mut table), &shadow)
-            };
+            let got = sweep(&engine, costed, &mut got_mem, &ranges,
+                CapDirtyPurge::new(&mut table), &shadow);
             prop_assert_eq!(&got_mem, &want_mem, "memory, round {}", round);
             prop_assert_eq!(got.caps_revoked, want.caps_revoked, "round {}", round);
-            if !lines {
-                prop_assert_eq!(got.caps_inspected, want.caps_inspected);
-                prop_assert_eq!(got.bytes_swept, want.bytes_swept);
-            }
+            prop_assert_eq!(got.caps_inspected, want.caps_inspected);
+            prop_assert_eq!(got.bytes_swept, want.bytes_swept);
             for frame in (0..PAGES).map(|p| HEAP + p * PAGE_SIZE) {
                 if tagged(&got_mem, frame) {
                     prop_assert!(table.is_cap_dirty(frame), "tagged {:#x} cleaned", frame);

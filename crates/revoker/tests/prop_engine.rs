@@ -8,9 +8,8 @@ use cheri::Capability;
 use proptest::prelude::*;
 use revoker::timed::{sweep_image, TimedMode};
 use revoker::{
-    segment_runs, CLoadTagsLines, CapDirtyPurge, CapSource, EveryLine, GranuleFilter, IdealLines,
-    Kernel, NoCost, NoFilter, RunSource, SegmentSource, ShadowMap, SweepCost, SweepEngine,
-    SweepScratch, SweepStats,
+    segment_runs, CLoadTagsLines, CapDirtyPurge, EveryLine, GranuleFilter, IdealLines, Kernel,
+    NoCost, NoFilter, ShadowMap, SweepCost, SweepEngine, SweepScratch, SweepStats,
 };
 use tagmem::{PageTable, SegmentImage, SegmentKind, TaggedMemory, GRANULE_SIZE, PAGE_SIZE};
 
@@ -120,16 +119,22 @@ impl SweepCost for Recording {
     }
 }
 
-/// A costed sweep: the reference every uncosted sweep must match.
-fn costed<S: CapSource, F: GranuleFilter>(
+/// The one run covering all of the `LEN`-byte image.
+const WHOLE: [(u64, u64); 1] = [(HEAP, LEN)];
+
+/// A costed sweep of `runs` of `mem`: the reference every uncosted sweep
+/// must match.
+fn costed<F: GranuleFilter>(
     kernel: Kernel,
-    source: S,
+    mem: &mut TaggedMemory,
+    runs: &[(u64, u64)],
     filter: F,
     shadow: &ShadowMap,
 ) -> SweepStats {
     let mut cost = Recording::default();
     let stats = SweepEngine::new(kernel).sweep_with(
-        source,
+        std::slice::from_mut(mem),
+        runs,
         filter,
         shadow,
         &mut cost,
@@ -142,7 +147,7 @@ fn costed<S: CapSource, F: GranuleFilter>(
 /// Costed reference sweep of a fresh image.
 fn sequential(plants: &[PlantedCap], paint: &[u64], kernel: Kernel) -> (TaggedMemory, SweepStats) {
     let (mut mem, shadow) = build(plants, paint);
-    let stats = costed(kernel, SegmentSource::new(&mut mem), NoFilter, &shadow);
+    let stats = costed(kernel, &mut mem, &WHOLE, NoFilter, &shadow);
     (mem, stats)
 }
 
@@ -184,7 +189,8 @@ fn capdirty_sweep(
     let dirty = Some(table.cap_dirty_pages_in(base, end));
     let pages_skipped = segment_runs(base, end, dirty, &mut runs);
     let stats = engine.sweep(
-        RunSource::new(std::slice::from_mut(mem), &runs),
+        std::slice::from_mut(mem),
+        &runs,
         CapDirtyPurge::new(table),
         shadow,
     );
@@ -210,19 +216,19 @@ proptest! {
         let (seq_mem, seq_stats) = sequential(&plants, &paint, kernel);
         // Line-granular reference: same revocations, chunked plan.
         let (mut line_mem, shadow) = build(&plants, &paint);
-        let line_stats = costed(kernel, SegmentSource::new(&mut line_mem), EveryLine, &shadow);
+        let line_stats = costed(kernel, &mut line_mem, &WHOLE, EveryLine, &shadow);
         prop_assert_eq!(&seq_mem, &line_mem, "chunking changed the result");
 
         for workers in 1..=8usize {
             let engine = SweepEngine::new(kernel).with_workers(workers);
 
             let (mut mem, shadow) = build(&plants, &paint);
-            let stats = engine.sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
+            let stats = engine.sweep(std::slice::from_mut(&mut mem), &WHOLE, NoFilter, &shadow);
             prop_assert_eq!(&mem, &seq_mem, "memory diverged at {} workers", workers);
             prop_assert_eq!(stats, seq_stats, "stats diverged at {} workers", workers);
 
             let (mut mem, shadow) = build(&plants, &paint);
-            let stats = engine.sweep(SegmentSource::new(&mut mem), EveryLine, &shadow);
+            let stats = engine.sweep(std::slice::from_mut(&mut mem), &WHOLE, EveryLine, &shadow);
             prop_assert_eq!(&mem, &seq_mem, "line-plan memory diverged at {} workers", workers);
             prop_assert_eq!(stats, line_stats, "line-plan stats diverged at {} workers", workers);
         }
@@ -288,7 +294,8 @@ proptest! {
 
         let (mut mem, shadow) = build(&plants, &paint);
         let stats = SweepEngine::new(kernel).sweep(
-            SegmentSource::new(&mut mem),
+            std::slice::from_mut(&mut mem),
+            &WHOLE,
             CLoadTagsLines::new(),
             &shadow,
         );
@@ -298,7 +305,8 @@ proptest! {
 
         let (mut mem, shadow) = build(&plants, &paint);
         let ideal = SweepEngine::new(kernel).sweep(
-            SegmentSource::new(&mut mem),
+            std::slice::from_mut(&mut mem),
+            &WHOLE,
             IdealLines,
             &shadow,
         );
@@ -314,9 +322,9 @@ proptest! {
     /// Filtered sweeps behave identically on both walks too: the plan is
     /// built by the same filter walk, so neither the cost model nor the
     /// worker count can change which chunks are skipped. Covered for a
-    /// bare CLoadTags filter and for every filter composition the timed
-    /// sweeps build (Fig. 8's modes over a CapDirty page list with false
-    /// positives), at 1 and `workers` workers.
+    /// bare CLoadTags filter and for every visit set and line filter the
+    /// timed sweeps build (Fig. 8's modes over a CapDirty page list with
+    /// false positives), at 1 and `workers` workers.
     #[test]
     fn parallel_filtered_matches_sequential_filtered(
         plants in planted(),
@@ -326,13 +334,13 @@ proptest! {
         workers in 2..=8usize,
     ) {
         let (mut seq_mem, shadow) = build(&plants, &paint);
-        let seq = costed(kernel, SegmentSource::new(&mut seq_mem), CLoadTagsLines::new(), &shadow);
+        let seq = costed(kernel, &mut seq_mem, &WHOLE, CLoadTagsLines::new(), &shadow);
         let (images, dirty) = dump_image(&build(&plants, &paint).0, &false_positives);
 
         for n in [1, workers] {
             let engine = SweepEngine::new(kernel).with_workers(n);
             let (mut par_mem, shadow) = build(&plants, &paint);
-            let par = engine.sweep(SegmentSource::new(&mut par_mem), CLoadTagsLines::new(), &shadow);
+            let par = engine.sweep(std::slice::from_mut(&mut par_mem), &WHOLE, CLoadTagsLines::new(), &shadow);
             prop_assert_eq!(&par_mem, &seq_mem, "memory diverged at {} workers", n);
             prop_assert_eq!(par, seq, "stats diverged at {} workers", n);
 
@@ -361,7 +369,7 @@ proptest! {
         workers in 1..=8usize,
     ) {
         let (mut seq_mem, shadow) = build_len(BLEN, &plants, &paint);
-        let seq_stats = costed(kernel, SegmentSource::new(&mut seq_mem), NoFilter, &shadow);
+        let seq_stats = costed(kernel, &mut seq_mem, &[(HEAP, BLEN)], NoFilter, &shadow);
 
         // Costed, over the epoch's visit set and through its purge.
         let (mut mem, shadow) = build_len(BLEN, &plants, &paint);
@@ -371,12 +379,7 @@ proptest! {
         let pages_skipped = segment_runs(HEAP, HEAP + BLEN, dirty, &mut runs);
         let stats = SweepStats {
             pages_skipped,
-            ..costed(
-                kernel,
-                RunSource::new(std::slice::from_mut(&mut mem), &runs),
-                CapDirtyPurge::new(&mut table),
-                &shadow,
-            )
+            ..costed(kernel, &mut mem, &runs, CapDirtyPurge::new(&mut table), &shadow)
         };
         prop_assert_eq!(&mem, &seq_mem, "CapDirty sweep revoked a different set");
         prop_assert_eq!(stats.caps_revoked, seq_stats.caps_revoked);

@@ -7,14 +7,14 @@
 //! partial base-only decode, shadow-word screening, the empty-shadow bulk
 //! fall-through — and the simd tier's lane-parallel decode, clean-span
 //! skip, and prefetching must be invisible except in time. (The simd
-//! tier's *forced scalar fallback* is pinned separately in
-//! `prop_simd_fallback.rs`, which owns the process-global test hook.)
+//! tier's scalar fallback and costed charges are pinned separately in
+//! `prop_simd_fallback.rs`.)
 
 use cheri::Capability;
 use proptest::prelude::*;
 use revoker::{
-    segment_runs, CLoadTagsLines, CapDirtyPurge, EveryLine, Kernel, NoFilter, RunSource,
-    SegmentSource, ShadowMap, SweepEngine, SweepStats,
+    segment_runs, CLoadTagsLines, CapDirtyPurge, EveryLine, GranuleFilter, Kernel, NoFilter,
+    ShadowMap, SweepEngine, SweepStats,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE};
 
@@ -104,14 +104,30 @@ fn build(plants: &[PlantedCap], paint: &[u64]) -> (TaggedMemory, ShadowMap) {
     (mem, shadow)
 }
 
+/// Sweeps all of `mem` with `engine` under `filter`.
+fn sweep_whole<F: GranuleFilter>(
+    engine: &SweepEngine,
+    mem: &mut TaggedMemory,
+    filter: F,
+    shadow: &ShadowMap,
+) -> SweepStats {
+    let run = [(mem.base(), mem.len())];
+    engine.sweep(std::slice::from_mut(mem), &run, filter, shadow)
+}
+
 /// Unrolled-tier reference sweep of a fresh image under `filter`.
-fn reference<F>(plants: &[PlantedCap], paint: &[u64], filter: F) -> (TaggedMemory, SweepStats)
-where
-    F: revoker::GranuleFilter,
-{
+fn reference<F: GranuleFilter>(
+    plants: &[PlantedCap],
+    paint: &[u64],
+    filter: F,
+) -> (TaggedMemory, SweepStats) {
     let (mut mem, shadow) = build(plants, paint);
-    let stats =
-        SweepEngine::new(Kernel::Unrolled).sweep(SegmentSource::new(&mut mem), filter, &shadow);
+    let stats = sweep_whole(
+        &SweepEngine::new(Kernel::Unrolled),
+        &mut mem,
+        filter,
+        &shadow,
+    );
     (mem, stats)
 }
 
@@ -128,7 +144,8 @@ fn capdirty_sweep(
     let dirty = Some(table.cap_dirty_pages_in(base, end));
     let pages_skipped = segment_runs(base, end, dirty, &mut runs);
     let stats = engine.sweep(
-        RunSource::new(std::slice::from_mut(mem), &runs),
+        std::slice::from_mut(mem),
+        &runs,
         CapDirtyPurge::new(table),
         shadow,
     );
@@ -151,22 +168,19 @@ proptest! {
         for kernel in [Kernel::Fast, Kernel::Simd] {
             let (ref_mem, ref_stats) = reference(&plants, &paint, NoFilter);
             let (mut mem, shadow) = build(&plants, &paint);
-            let stats = SweepEngine::new(kernel)
-                .sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
+            let stats = sweep_whole(&SweepEngine::new(kernel), &mut mem, NoFilter, &shadow);
             prop_assert_eq!(&mem, &ref_mem, "{:?} kernel revoked a different set", kernel);
             prop_assert_eq!(stats, ref_stats);
 
             let (ref_mem, ref_stats) = reference(&plants, &paint, EveryLine);
             let (mut mem, shadow) = build(&plants, &paint);
-            let stats = SweepEngine::new(kernel)
-                .sweep(SegmentSource::new(&mut mem), EveryLine, &shadow);
+            let stats = sweep_whole(&SweepEngine::new(kernel), &mut mem, EveryLine, &shadow);
             prop_assert_eq!(&mem, &ref_mem, "line-granular {:?} sweep diverged", kernel);
             prop_assert_eq!(stats, ref_stats);
 
             let (ref_mem, ref_stats) = reference(&plants, &paint, CLoadTagsLines::new());
             let (mut mem, shadow) = build(&plants, &paint);
-            let stats = SweepEngine::new(kernel)
-                .sweep(SegmentSource::new(&mut mem), CLoadTagsLines::new(), &shadow);
+            let stats = sweep_whole(&SweepEngine::new(kernel), &mut mem, CLoadTagsLines::new(), &shadow);
             prop_assert_eq!(&mem, &ref_mem, "CLoadTags {:?} sweep diverged", kernel);
             prop_assert_eq!(stats, ref_stats);
         }
@@ -220,7 +234,7 @@ proptest! {
             let engine = SweepEngine::new(kernel).with_workers(workers);
 
             let (mut mem, shadow) = build(&plants, &paint);
-            let stats = engine.sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
+            let stats = sweep_whole(&engine, &mut mem, NoFilter, &shadow);
             prop_assert_eq!(
                 &mem, &ref_mem,
                 "parallel {:?} diverged at {} workers", kernel, workers
@@ -229,7 +243,7 @@ proptest! {
 
             let (line_mem, line_stats) = reference(&plants, &paint, EveryLine);
             let (mut mem, shadow) = build(&plants, &paint);
-            let stats = engine.sweep(SegmentSource::new(&mut mem), EveryLine, &shadow);
+            let stats = sweep_whole(&engine, &mut mem, EveryLine, &shadow);
             prop_assert_eq!(
                 &mem, &line_mem,
                 "parallel line-plan {:?} diverged at {} workers", kernel, workers

@@ -2,26 +2,24 @@
 //!
 //! Two guarantees live here:
 //!
-//! * **Forced scalar fallback** — with the `force_scalar_kernel` test hook
-//!   armed, the simd kernel must produce byte-identical memory and stats
-//!   to its own vector path (and to the [`Kernel::Unrolled`] reference), across filters and
-//!   worker counts. The hook is process-global (the engine's
-//!   scoped workers must observe it), so this lives in its own integration
-//!   binary: no other test in this process runs concurrently and the hook
-//!   cannot leak into unrelated equivalence tests.
+//! * **Scalar fallback** — without a usable vector unit, `kernel_simd`
+//!   calls the fast kernel, so [`Kernel::Fast`] is that fallback arm. Both
+//!   the simd kernel's vector path and the fast kernel must produce
+//!   byte-identical memory and stats to the [`Kernel::Unrolled`]
+//!   reference, across filters, worker counts and a CapDirty visit set.
 //! * **Identical `SweepCost` charges** — a costed simd sweep must replay
 //!   the exact scalar access stream: every `SweepCost` hook invocation, in
 //!   order, with the same operands as [`Kernel::Fast`].
 //!
 //! Together these pin the dispatch contract in `kernel_simd`: costed or
-//! forced-scalar sweeps are the fast kernel, bit for bit and charge for
+//! scalar-fallback sweeps are the fast kernel, bit for bit and charge for
 //! charge.
 
 use cheri::Capability;
 use proptest::prelude::*;
 use revoker::{
-    force_scalar_kernel, segment_runs, CapDirtyPurge, EveryLine, Kernel, NoFilter, RunSource,
-    SegmentSource, ShadowMap, SweepCost, SweepEngine, SweepScratch, SweepStats,
+    segment_runs, CapDirtyPurge, EveryLine, GranuleFilter, Kernel, NoCost, NoFilter, ShadowMap,
+    SweepCost, SweepEngine, SweepScratch, SweepStats,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE};
 
@@ -92,6 +90,25 @@ impl SweepCost for RecordingCost {
     }
 }
 
+/// Sweeps all of `mem` with `engine` under `filter`, charging `cost`.
+fn sweep_whole<F: GranuleFilter, C: SweepCost>(
+    engine: &SweepEngine,
+    mem: &mut TaggedMemory,
+    filter: F,
+    shadow: &ShadowMap,
+    cost: &mut C,
+) -> SweepStats {
+    let run = [(mem.base(), mem.len())];
+    engine.sweep_with(
+        std::slice::from_mut(mem),
+        &run,
+        filter,
+        shadow,
+        cost,
+        &mut SweepScratch::new(),
+    )
+}
+
 /// The epoch's CapDirty sweep of `mem`: the runs of `table`'s dirty
 /// pages ([`segment_runs`]), through the false-positive purge.
 fn capdirty_sweep(
@@ -105,7 +122,8 @@ fn capdirty_sweep(
     let dirty = Some(table.cap_dirty_pages_in(base, end));
     let pages_skipped = segment_runs(base, end, dirty, &mut runs);
     let stats = engine.sweep(
-        RunSource::new(std::slice::from_mut(mem), &runs),
+        std::slice::from_mut(mem),
+        &runs,
         CapDirtyPurge::new(table),
         shadow,
     );
@@ -118,58 +136,45 @@ fn capdirty_sweep(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// With the scalar fallback forced, simd still matches the unrolled
-    /// reference (and its
-    /// own unforced vector results) bit for bit — sequentially, in
-    /// parallel at 1..=8 workers, and over a CapDirty visit set.
+    /// The simd kernel's vector path (where the host has one) and the
+    /// fast kernel, its scalar fallback, match the unrolled reference bit
+    /// for bit: simd sequentially; fast in parallel at 1..=8 workers on a
+    /// line-granular plan and over a CapDirty visit set. (Fast's
+    /// sequential unfiltered sweep is pinned in `prop_fast_kernel.rs`.)
     #[test]
-    fn forced_scalar_simd_matches_wide(
+    fn simd_and_fast_fallback_match_wide(
         plants in planted(),
         paint in painted_granules(),
         workers in 1..=8usize,
     ) {
         let (mut ref_mem, shadow) = build(&plants, &paint);
-        let ref_stats = SweepEngine::new(Kernel::Unrolled)
-            .sweep(SegmentSource::new(&mut ref_mem), NoFilter, &shadow);
+        let ref_stats =
+            sweep_whole(&SweepEngine::new(Kernel::Unrolled), &mut ref_mem, NoFilter, &shadow, &mut NoCost);
 
-        // Unforced simd first (vector path where the host supports it).
         let (mut vec_mem, shadow) = build(&plants, &paint);
-        let vec_stats = SweepEngine::new(Kernel::Simd)
-            .sweep(SegmentSource::new(&mut vec_mem), NoFilter, &shadow);
+        let vec_stats =
+            sweep_whole(&SweepEngine::new(Kernel::Simd), &mut vec_mem, NoFilter, &shadow, &mut NoCost);
         prop_assert_eq!(&vec_mem, &ref_mem, "vector simd diverged from unrolled");
         prop_assert_eq!(vec_stats, ref_stats);
 
-        force_scalar_kernel(true);
-        let forced = || -> Result<(), proptest::test_runner::TestCaseError> {
-            let (mut mem, shadow) = build(&plants, &paint);
-            let stats = SweepEngine::new(Kernel::Simd)
-                .sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
-            prop_assert_eq!(&mem, &ref_mem, "forced-scalar simd diverged from unrolled");
-            prop_assert_eq!(stats, ref_stats);
+        let (mut mem, shadow) = build(&plants, &paint);
+        let engine = SweepEngine::new(Kernel::Fast).with_workers(workers);
+        let stats = sweep_whole(&engine, &mut mem, EveryLine, &shadow, &mut NoCost);
+        prop_assert_eq!(
+            &mem, &ref_mem,
+            "parallel fast diverged at {} workers", workers
+        );
+        prop_assert_eq!(stats.caps_revoked, ref_stats.caps_revoked);
+        prop_assert_eq!(stats.caps_inspected, ref_stats.caps_inspected);
 
-            let (mut mem, shadow) = build(&plants, &paint);
-            let stats = SweepEngine::new(Kernel::Simd).with_workers(workers)
-                .sweep(SegmentSource::new(&mut mem), EveryLine, &shadow);
-            prop_assert_eq!(
-                &mem, &ref_mem,
-                "forced-scalar parallel simd diverged at {} workers", workers
-            );
-            prop_assert_eq!(stats.caps_revoked, ref_stats.caps_revoked);
-            prop_assert_eq!(stats.caps_inspected, ref_stats.caps_inspected);
-
-            let (mut ref_mem, shadow) = build(&plants, &paint);
-            let mut ref_table = dirty_table(&plants);
-            let ref_stats = capdirty_sweep(&SweepEngine::new(Kernel::Unrolled), &mut ref_mem, &mut ref_table, &shadow);
-            let (mut mem, shadow) = build(&plants, &paint);
-            let mut table = dirty_table(&plants);
-            let stats = capdirty_sweep(&SweepEngine::new(Kernel::Simd), &mut mem, &mut table, &shadow);
-            prop_assert_eq!(&mem, &ref_mem, "forced-scalar CapDirty simd diverged");
-            prop_assert_eq!(stats, ref_stats);
-            Ok(())
-        };
-        let outcome = forced();
-        force_scalar_kernel(false);
-        outcome?;
+        let (mut ref_mem, shadow) = build(&plants, &paint);
+        let mut ref_table = dirty_table(&plants);
+        let ref_stats = capdirty_sweep(&SweepEngine::new(Kernel::Unrolled), &mut ref_mem, &mut ref_table, &shadow);
+        let (mut mem, shadow) = build(&plants, &paint);
+        let mut table = dirty_table(&plants);
+        let stats = capdirty_sweep(&SweepEngine::new(Kernel::Fast), &mut mem, &mut table, &shadow);
+        prop_assert_eq!(&mem, &ref_mem, "CapDirty fast diverged");
+        prop_assert_eq!(stats, ref_stats);
     }
 
     /// A costed simd sweep charges exactly the hooks, in exactly the
@@ -182,23 +187,13 @@ proptest! {
     ) {
         let (mut fast_mem, shadow) = build(&plants, &paint);
         let mut fast_cost = RecordingCost::default();
-        let fast_stats = SweepEngine::new(Kernel::Fast).sweep_with(
-            SegmentSource::new(&mut fast_mem),
-            EveryLine,
-            &shadow,
-            &mut fast_cost,
-            &mut SweepScratch::new(),
-        );
+        let fast_stats =
+            sweep_whole(&SweepEngine::new(Kernel::Fast), &mut fast_mem, EveryLine, &shadow, &mut fast_cost);
 
         let (mut simd_mem, shadow) = build(&plants, &paint);
         let mut simd_cost = RecordingCost::default();
-        let simd_stats = SweepEngine::new(Kernel::Simd).sweep_with(
-            SegmentSource::new(&mut simd_mem),
-            EveryLine,
-            &shadow,
-            &mut simd_cost,
-            &mut SweepScratch::new(),
-        );
+        let simd_stats =
+            sweep_whole(&SweepEngine::new(Kernel::Simd), &mut simd_mem, EveryLine, &shadow, &mut simd_cost);
 
         prop_assert_eq!(&simd_mem, &fast_mem, "costed simd revoked a different set");
         prop_assert_eq!(simd_stats, fast_stats);

@@ -4,7 +4,7 @@
 
 use cheri::Capability;
 use proptest::prelude::*;
-use revoker::{Kernel, NoFilter, SegmentSource, ShadowMap, SweepEngine, SweepStats};
+use revoker::{Kernel, NoFilter, ShadowMap, SweepEngine, SweepStats};
 use tagmem::{TaggedMemory, GRANULE_SIZE};
 
 const HEAP: u64 = 0x1000_0000;
@@ -50,7 +50,7 @@ fn build(plants: &[PlantedCap], paint: &[u64]) -> (TaggedMemory, ShadowMap) {
 
 /// One sequential whole-segment sweep with `kernel`.
 fn sweep(kernel: Kernel, mem: &mut TaggedMemory, shadow: &ShadowMap) -> SweepStats {
-    SweepEngine::new(kernel).sweep(SegmentSource::new(mem), NoFilter, shadow)
+    SweepEngine::new(kernel).sweep(std::slice::from_mut(mem), &[(HEAP, LEN)], NoFilter, shadow)
 }
 
 proptest! {
@@ -74,7 +74,8 @@ proptest! {
         }
         let (mut mem, shadow) = build(&plants, &paint);
         let stats = SweepEngine::new(Kernel::Simd).with_workers(3).sweep(
-            SegmentSource::new(&mut mem),
+            std::slice::from_mut(&mut mem),
+            &[(HEAP, LEN)],
             NoFilter,
             &shadow,
         );

@@ -5,9 +5,10 @@
 
 use cherivoke::{CherivokeHeap, HeapConfig};
 use revoker::timed::{sweep_image, timed_sweep, TimedMode};
-use revoker::{Kernel, NoCost, NoFilter, SegmentSource, ShadowMap, SweepEngine};
+use revoker::{Kernel, NoCost, NoFilter, ShadowMap, SweepEngine};
 use simcache::{Machine, MachineConfig};
 use tagmem::snapshot_io::{decode_dump, encode_dump};
+use tagmem::CoreDump;
 use workloads::trace_io::{decode_trace, encode_trace};
 use workloads::{profiles, run_trace, CherivokeUnderTest, TraceGenerator};
 
@@ -93,18 +94,19 @@ fn serialised_dumps_sweep_identically_to_live_memory() {
     // heap's own image.
     let mut live_img = dump.clone();
     let mut wire_img = restored;
-    let mut live_total = 0;
-    let mut wire_total = 0;
-    for img in live_img.segments_mut() {
-        live_total += engine
-            .sweep(SegmentSource::new(&mut img.mem), NoFilter, &shadow)
-            .caps_revoked;
-    }
-    for img in wire_img.segments_mut() {
-        wire_total += engine
-            .sweep(SegmentSource::new(&mut img.mem), NoFilter, &shadow)
-            .caps_revoked;
-    }
+    let whole = |img: &CoreDump| -> Vec<(u64, u64)> {
+        img.segments()
+            .iter()
+            .map(|s| (s.mem.base(), s.mem.len()))
+            .collect()
+    };
+    let (live_runs, wire_runs) = (whole(&live_img), whole(&wire_img));
+    let live_total = engine
+        .sweep(live_img.segments_mut(), &live_runs, NoFilter, &shadow)
+        .caps_revoked;
+    let wire_total = engine
+        .sweep(wire_img.segments_mut(), &wire_runs, NoFilter, &shadow)
+        .caps_revoked;
     assert_eq!(live_total, wire_total);
     assert!(live_total > 0, "scenario must have dangling captures");
 }
