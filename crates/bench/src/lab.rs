@@ -51,13 +51,16 @@ pub struct LabMatrix {
 }
 
 impl LabMatrix {
-    /// The reduced matrix CI runs on every PR (12 experiments), including
-    /// the `simd` kernel every heap runs by default.
+    /// The reduced matrix CI runs on every PR (2 experiments): its
+    /// workload axis at the paper default's kernel (`simd`) and worker
+    /// count (1). Every gated metric reads the same for every kernel and
+    /// worker count, which the revoker's kernel-equivalence property
+    /// proves, so only [`LabMatrix::full`] varies them.
     pub fn smoke() -> LabMatrix {
         LabMatrix {
             workloads: vec!["omnetpp".into(), "xalancbmk".into()],
-            kernels: vec!["reference".into(), "fast".into(), "simd".into()],
-            sweep_workers: vec![1, 4],
+            kernels: vec!["simd".into()],
+            sweep_workers: vec![1],
             fault_plans: vec!["off".into()],
         }
     }
@@ -381,15 +384,7 @@ mod tests {
             .iter()
             .map(ExperimentConfig::id)
             .collect();
-        assert_eq!(ids.len(), 12);
-        assert_eq!(ids[0], "omnetpp/reference/w1/off");
-        assert_eq!(ids[1], "omnetpp/reference/w4/off");
-        assert_eq!(ids[11], "xalancbmk/simd/w4/off");
-        // Ids are unique — the trajectory diff joins on them.
-        let mut dedup = ids.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), ids.len());
+        assert_eq!(ids, ["omnetpp/simd/w1/off", "xalancbmk/simd/w1/off"]);
     }
 
     #[test]

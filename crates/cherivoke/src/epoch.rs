@@ -126,7 +126,7 @@ mod tests {
 
     fn dirty(space: &mut AddressSpace, addrs: &[u64]) {
         for &addr in addrs {
-            space.page_table_mut().note_cap_store(addr).unwrap();
+            space.page_table_mut().note_cap_store(addr);
         }
     }
 

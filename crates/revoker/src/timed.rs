@@ -155,31 +155,15 @@ pub fn sweep_image<C: SweepCost>(
 /// repeatedly, like the paper's 20-sweep averages, §5.3): the sweep runs
 /// on a scratch clone whose revocations are discarded.
 ///
-/// Uses [`Kernel::Simple`] — the per-capability charge order of the scalar
-/// loop the paper times. [`timed_sweep_with_kernel`] times other kernels;
-/// because every kernel charges the same [`SweepCost`] events for the same
-/// image, tier choice moves only the host-side inner-loop cost, never the
+/// Uses [`Kernel::Simple`], the scalar loop the paper times. Every kernel
+/// charges the same [`SweepCost`] events of each kind for the same image,
+/// so tier choice moves only the host-side inner-loop cost, never the
 /// modelled access stream.
 pub fn timed_sweep(
     dump: &CoreDump,
     shadow: &ShadowMap,
     machine: &mut Machine,
     mode: TimedMode,
-) -> TimedSweepReport {
-    timed_sweep_with_kernel(dump, shadow, machine, mode, Kernel::Simple)
-}
-
-/// [`timed_sweep`] with an explicit inner-loop [`Kernel`]. The fast
-/// word-at-a-time kernel charges the identical cost events as the
-/// reference tiers (its accounting-free shortcuts are disabled whenever a
-/// cost model is attached), so swapping kernels never changes the modelled
-/// cycle count's inputs.
-pub fn timed_sweep_with_kernel(
-    dump: &CoreDump,
-    shadow: &ShadowMap,
-    machine: &mut Machine,
-    mode: TimedMode,
-    kernel: Kernel,
 ) -> TimedSweepReport {
     let mut scratch = dump.clone();
     let start_cycles = machine.cycles();
@@ -190,7 +174,7 @@ pub fn timed_sweep_with_kernel(
         cloadtags_issued: 0,
     };
     let stats = sweep_image(
-        &SweepEngine::new(kernel),
+        &SweepEngine::new(Kernel::Simple),
         scratch.segments_mut(),
         dump.cap_dirty_pages(),
         shadow,
@@ -335,117 +319,6 @@ mod tests {
         );
         assert_eq!(timed.caps_revoked, total.caps_revoked);
         assert_eq!(timed.caps_inspected, total.caps_inspected);
-    }
-
-    /// Every cost event a sweep charges, one list per kind.
-    #[derive(Debug, Default, PartialEq)]
-    struct Events {
-        reads: Vec<(u64, u64)>,
-        cloadtags: Vec<u64>,
-        lookups: Vec<u64>,
-        stores: Vec<u64>,
-        mispredicts: u64,
-    }
-
-    impl SweepCost for Events {
-        fn chunk_read(&mut self, addr: u64, len: u64) {
-            self.reads.push((addr, len));
-        }
-        fn cloadtags(&mut self, addr: u64) {
-            self.cloadtags.push(addr);
-        }
-        fn shadow_lookup(&mut self, cap_base: u64) {
-            self.lookups.push(cap_base);
-        }
-        fn revoke_store(&mut self, addr: u64) {
-            self.stores.push(addr);
-        }
-        fn branch_mispredict(&mut self) {
-            self.mispredicts += 1;
-        }
-    }
-
-    /// An image with several capabilities per tag word on three pages in
-    /// four, their bases scattered over painted and unpainted objects.
-    fn mixed_image() -> (CoreDump, ShadowMap) {
-        let mut space = AddressSpace::builder()
-            .segment(SegmentKind::Heap, HEAP, LEN)
-            .build();
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let pages = LEN / PAGE_SIZE;
-        for _ in 0..3000 {
-            let page = next() % pages;
-            if page.is_multiple_of(4) {
-                continue;
-            }
-            let at = HEAP + page * PAGE_SIZE + (next() % (PAGE_SIZE / GRANULE_SIZE)) * GRANULE_SIZE;
-            let base = HEAP + (next() % (LEN / 64)) * 64;
-            space.store_cap(at, &Capability::root_rw(base, 64)).unwrap();
-        }
-        let mut shadow = ShadowMap::new(HEAP, LEN);
-        for k in (0..pages).step_by(3) {
-            shadow.paint(HEAP + k * PAGE_SIZE, 0x400);
-        }
-        (CoreDump::capture(&space), shadow)
-    }
-
-    #[test]
-    fn fast_kernel_charges_identical_costs() {
-        // Fast issues the unrolled reference's lookups and stores, each in
-        // ascending order, only grouped per tag word (all lookups, then all
-        // stores) where Unrolled interleaves them; its accounting-free
-        // shortcuts are host-side only, invisible to a cost model.
-        let (dump, shadow) = mixed_image();
-        for mode in [
-            TimedMode::Full,
-            TimedMode::PteCapDirty,
-            TimedMode::CLoadTags,
-            TimedMode::Ideal,
-        ] {
-            let sweep = |kernel| {
-                let mut swept = dump.clone();
-                let mut events = Events::default();
-                let stats = sweep_image(
-                    &SweepEngine::new(kernel),
-                    swept.segments_mut(),
-                    dump.cap_dirty_pages(),
-                    &shadow,
-                    mode,
-                    &mut events,
-                );
-                (swept, stats, events)
-            };
-            let (unrolled_mem, unrolled_stats, unrolled) = sweep(Kernel::Unrolled);
-            let (fast_mem, fast_stats, fast) = sweep(Kernel::Fast);
-            assert!(
-                unrolled.stores.len() > 100,
-                "{mode:?}: image revokes too little"
-            );
-            assert!(
-                unrolled.lookups.len() > unrolled.stores.len(),
-                "{mode:?}: image keeps nothing"
-            );
-            assert_eq!(fast_stats, unrolled_stats, "{mode:?}");
-            assert_eq!(fast, unrolled, "{mode:?}");
-            assert!(
-                fast_mem == unrolled_mem,
-                "{mode:?}: revoked different granules"
-            );
-
-            // Simd falls back to Fast whenever a cost model is attached, so
-            // the shipped kernel's timed report is bit-identical to Fast's.
-            let mut m1 = Machine::new(MachineConfig::cheri_fpga_like());
-            let simd = timed_sweep_with_kernel(&dump, &shadow, &mut m1, mode, Kernel::Simd);
-            let mut m2 = Machine::new(MachineConfig::cheri_fpga_like());
-            let fast = timed_sweep_with_kernel(&dump, &shadow, &mut m2, mode, Kernel::Fast);
-            assert_eq!(simd, fast, "{mode:?}");
-        }
     }
 
     /// Fig. 8a's metric for an image holding capabilities at `caps`, and

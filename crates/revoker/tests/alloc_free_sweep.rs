@@ -151,7 +151,7 @@ fn steady_state_scratched_sweeps_allocate_nothing() {
         let mut table = PageTable::new();
         let mut addr = BASE;
         while addr < BASE + LEN {
-            table.note_cap_store(addr).expect("stores not inhibited");
+            table.note_cap_store(addr);
             addr += 256;
         }
         let mut runs = Vec::new();

@@ -7,15 +7,17 @@
 //! come in any order; they are taken from the whole image or from its
 //! visit set ([`segment_runs`]), over two sweeps in a row.
 
+mod common;
+
 use cheri::Capability;
+use common::{Recording, HEAP};
 use proptest::prelude::*;
 use revoker::{
-    segment_runs, CapDirtyPurge, GranuleFilter, Kernel, NoCost, NoFilter, ShadowMap, SweepCost,
-    SweepEngine, SweepScratch, SweepStats,
+    segment_runs, CapDirtyPurge, GranuleFilter, Kernel, NoCost, NoFilter, ShadowMap, SweepEngine,
+    SweepScratch, SweepStats,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE, PAGE_SIZE};
 
-const HEAP: u64 = 0x1000_0000;
 /// 512 pages: room for dirty runs and long clean stretches.
 const LEN: u64 = 2 << 20;
 const PAGES: u64 = LEN / PAGE_SIZE;
@@ -29,9 +31,7 @@ enum Stretch {
     Caps,
     /// CapDirty with no capability: the purge re-cleans these.
     FalsePositive,
-    /// A table entry that only inhibits capability stores (clean).
-    InhibitOnly,
-    /// Dirtied, then re-cleaned: a clean entry.
+    /// Dirtied, then re-cleaned: clean again.
     Recleaned,
 }
 
@@ -47,7 +47,6 @@ fn image() -> impl Strategy<Value = Image> {
     let kind = prop_oneof![
         Just(Stretch::Caps),
         Just(Stretch::FalsePositive),
-        Just(Stretch::InhibitOnly),
         Just(Stretch::Recleaned),
     ];
     let stretches = proptest::collection::vec((kind, 0..PAGES, 1u64..160), 0..8);
@@ -71,7 +70,7 @@ fn build(img: &Image) -> (TaggedMemory, PageTable, ShadowMap) {
         let cap = Capability::root_rw(HEAP + obj * GRANULE_SIZE, GRANULE_SIZE);
         let addr = HEAP + slot * GRANULE_SIZE;
         mem.write_cap(addr, &cap).expect("in range");
-        table.note_cap_store(addr).expect("stores not inhibited");
+        table.note_cap_store(addr);
     };
     for &(slot, obj) in &img.caps {
         store(&mut mem, slot, obj);
@@ -88,18 +87,14 @@ fn build(img: &Image) -> (TaggedMemory, PageTable, ShadowMap) {
     }
     for &(kind, start, len) in &img.stretches {
         for page in pages(start, len) {
-            let flags = table.flags(page);
-            if flags.cap_dirty || flags.cap_store_inhibit {
-                continue; // a dirty or inhibited page keeps its state
+            if table.is_cap_dirty(page) {
+                continue; // a dirty page keeps its state
             }
             match kind {
                 Stretch::Caps => {}
-                Stretch::FalsePositive => {
-                    table.note_cap_store(page).expect("not inhibited");
-                }
-                Stretch::InhibitOnly => table.set_cap_store_inhibit(page, true),
+                Stretch::FalsePositive => table.note_cap_store(page),
                 Stretch::Recleaned => {
-                    table.note_cap_store(page).expect("not inhibited");
+                    table.note_cap_store(page);
                     table.clear_cap_dirty(page);
                 }
             }
@@ -139,14 +134,8 @@ fn regions(base: &[(u64, u64)], cuts: &[u64], keep: &[bool], order: &[u64]) -> V
     keyed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// A cost model that records nothing but selects the costed walk.
-struct Costed;
-
-impl SweepCost for Costed {}
-
 /// Sweeps `ranges` of `mem` through `filter`, through the entry point
-/// the heap uses,, on the costed or the
-/// uncosted walk.
+/// the heap uses, on the costed or the uncosted walk.
 fn sweep<F: GranuleFilter>(
     engine: &SweepEngine,
     costed: bool,
@@ -158,7 +147,8 @@ fn sweep<F: GranuleFilter>(
     let memories = std::slice::from_mut(mem);
     let scratch = &mut SweepScratch::new();
     if costed {
-        engine.sweep_with(memories, ranges, filter, shadow, &mut Costed, scratch)
+        let cost = &mut Recording::default();
+        engine.sweep_with(memories, ranges, filter, shadow, cost, scratch)
     } else {
         engine.sweep_with(memories, ranges, filter, shadow, &mut NoCost, scratch)
     }

@@ -1,88 +1,116 @@
-//! Property tests for the revocation machinery: all kernels compute the
-//! same result, sweeps are precise (revoke exactly the painted bases), and
-//! shadow-map painting matches a reference implementation.
+//! Property tests for the revocation machinery: every kernel tier, worker
+//! count, filter and cost model sweeps exactly like the reference tier,
+//! sweeps are precise (revoke exactly the painted bases) and idempotent,
+//! and shadow-map painting matches a reference implementation.
 
-use cheri::Capability;
+mod common;
+
+use common::{
+    build, capdirty_sweep, dirty_table, false_positive_pages, painted_granules, planted,
+    sweep_whole, PlantedCap, Recording, HEAP, LEN,
+};
 use proptest::prelude::*;
-use revoker::{Kernel, NoFilter, ShadowMap, SweepEngine, SweepStats};
-use tagmem::{TaggedMemory, GRANULE_SIZE};
+use revoker::{
+    CLoadTagsLines, EveryLine, Kernel, NoCost, NoFilter, ShadowMap, SweepCost, SweepEngine,
+    SweepStats,
+};
+use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE};
 
-const HEAP: u64 = 0x1000_0000;
-const LEN: u64 = 1 << 16;
-
+/// The filter columns of the kernel-equivalence table.
 #[derive(Debug, Clone, Copy)]
-struct PlantedCap {
-    /// Granule slot the capability is stored in.
-    slot: u64,
-    /// The object (granule index) it points to.
-    obj: u64,
+enum Filter {
+    /// The whole image as one chunk.
+    None,
+    /// The whole image line by line.
+    EveryLine,
+    /// The whole image, skipping tag-free lines (§3.4.1).
+    CLoadTags,
+    /// The CapDirty visit set, false positives included, through the
+    /// purge (§3.4.2).
+    CapDirty,
 }
 
-fn planted() -> impl Strategy<Value = Vec<PlantedCap>> {
-    proptest::collection::vec(
-        (0u64..LEN / GRANULE_SIZE, 0u64..LEN / GRANULE_SIZE)
-            .prop_map(|(slot, obj)| PlantedCap { slot, obj }),
-        0..80,
-    )
+const FILTERS: [Filter; 4] = [
+    Filter::None,
+    Filter::EveryLine,
+    Filter::CLoadTags,
+    Filter::CapDirty,
+];
+
+/// The kernel rows; Fast comes before Simd, whose costed charges must
+/// replay Fast's in order.
+const KERNELS: [Kernel; 3] = [Kernel::Simple, Kernel::Fast, Kernel::Simd];
+
+/// What one sweep of a fresh image leaves: memory, stats, page table.
+type Outcome = (TaggedMemory, SweepStats, PageTable);
+
+/// Sweeps a fresh image of `plants`, `paint` and `false_positives` with
+/// `engine` under `filter`, charging `cost`.
+fn sweep_case<C: SweepCost>(
+    engine: &SweepEngine,
+    filter: Filter,
+    (plants, paint, false_positives): (&[PlantedCap], &[u64], &[u64]),
+    cost: &mut C,
+) -> Outcome {
+    let (mut mem, shadow) = build(plants, paint);
+    let mut table = dirty_table(plants, false_positives);
+    let stats = match filter {
+        Filter::None => sweep_whole(engine, &mut mem, NoFilter, &shadow, cost),
+        Filter::EveryLine => sweep_whole(engine, &mut mem, EveryLine, &shadow, cost),
+        Filter::CLoadTags => sweep_whole(engine, &mut mem, CLoadTagsLines::new(), &shadow, cost),
+        Filter::CapDirty => capdirty_sweep(engine, &mut mem, &mut table, &shadow, cost),
+    };
+    (mem, stats, table)
 }
 
-fn painted_granules() -> impl Strategy<Value = Vec<u64>> {
-    proptest::collection::vec(0u64..LEN / GRANULE_SIZE, 0..40)
+fn assert_same(got: &Outcome, want: &Outcome, case: &str) {
+    assert!(got.0 == want.0, "{case}: memory diverged");
+    assert_eq!(got.1, want.1, "{case}: stats diverged");
+    assert_eq!(got.2, want.2, "{case}: page table diverged");
 }
 
-fn build(plants: &[PlantedCap], paint: &[u64]) -> (TaggedMemory, ShadowMap) {
-    let mut mem = TaggedMemory::new(HEAP, LEN);
-    for p in plants {
-        let cap = Capability::root_rw(HEAP + p.obj * GRANULE_SIZE, GRANULE_SIZE);
-        mem.write_cap(HEAP + p.slot * GRANULE_SIZE, &cap)
-            .expect("in range");
-    }
-    let mut shadow = ShadowMap::new(HEAP, LEN);
-    // Dedupe: painting the same granule twice violates the shadow map's
-    // strict paint/clear contract (each granule painted once per
-    // quarantine generation).
-    let paint: std::collections::BTreeSet<u64> = paint.iter().copied().collect();
-    for &g in &paint {
-        shadow.paint(HEAP + g * GRANULE_SIZE, GRANULE_SIZE);
-    }
-    (mem, shadow)
-}
-
-/// One sequential whole-segment sweep with `kernel`.
-fn sweep(kernel: Kernel, mem: &mut TaggedMemory, shadow: &ShadowMap) -> SweepStats {
-    SweepEngine::new(kernel).sweep(std::slice::from_mut(mem), &[(HEAP, LEN)], NoFilter, shadow)
+/// One sequential whole-image sweep with the shipped kernel.
+fn sweep(mem: &mut TaggedMemory, shadow: &ShadowMap) -> SweepStats {
+    let engine = SweepEngine::new(Kernel::Simd);
+    sweep_whole(&engine, mem, NoFilter, shadow, &mut NoCost)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every kernel, and a three-worker sweep, produces byte-identical
-    /// post-sweep memory and identical statistics.
+    /// The Fig. 7 tiers are one sweep: for every filter, each kernel at
+    /// the sampled worker count, costed and uncosted, leaves the memory,
+    /// stats and page table of a costed Unrolled sweep. Costed, it also
+    /// charges Unrolled's accesses of each kind in Unrolled's order, and
+    /// Simd charges Fast's exact stream, the fallback it runs whenever a
+    /// cost model is attached.
     #[test]
-    fn kernels_are_equivalent(plants in planted(), paint in painted_granules()) {
-        let kernels = [
-            Kernel::Simple,
-            Kernel::Unrolled,
-            Kernel::Fast,
-            Kernel::Simd,
-        ];
-        let mut outcomes = Vec::new();
-        for kernel in kernels {
-            let (mut mem, shadow) = build(&plants, &paint);
-            let stats = sweep(kernel, &mut mem, &shadow);
-            outcomes.push((mem, stats));
-        }
-        let (mut mem, shadow) = build(&plants, &paint);
-        let stats = SweepEngine::new(Kernel::Simd).with_workers(3).sweep(
-            std::slice::from_mut(&mut mem),
-            &[(HEAP, LEN)],
-            NoFilter,
-            &shadow,
-        );
-        outcomes.push((mem, stats));
-        for other in &outcomes[1..] {
-            prop_assert_eq!(&outcomes[0].0, &other.0, "memory diverged");
-            prop_assert_eq!(outcomes[0].1, other.1);
+    fn kernels_are_equivalent(
+        plants in planted(),
+        paint in painted_granules(),
+        false_positives in false_positive_pages(),
+        workers in 1..=8usize,
+    ) {
+        let images = (&plants[..], &paint[..], &false_positives[..]);
+        for filter in FILTERS {
+            let mut want_charges = Recording::default();
+            let unrolled = SweepEngine::new(Kernel::Unrolled);
+            let want = sweep_case(&unrolled, filter, images, &mut want_charges);
+            let mut fast_charges = Recording::default();
+            for kernel in KERNELS {
+                let engine = SweepEngine::new(kernel).with_workers(workers);
+                let name = format!("{kernel:?} at {workers} workers under {filter:?}");
+                assert_same(&sweep_case(&engine, filter, images, &mut NoCost), &want, &name);
+                let mut charges = Recording::default();
+                let got = sweep_case(&engine, filter, images, &mut charges);
+                assert_same(&got, &want, &format!("costed {name}"));
+                prop_assert_eq!(charges.per_kind(), want_charges.per_kind(), "{} charges", name);
+                match kernel {
+                    Kernel::Fast => fast_charges = charges,
+                    Kernel::Simd => prop_assert!(charges == fast_charges, "{} charge order", name),
+                    _ => {}
+                }
+            }
         }
     }
 
@@ -102,7 +130,7 @@ proptest! {
             .collect();
         let expect_revoked = ground_truth.iter().filter(|&&(_, dangling)| dangling).count();
 
-        let stats = sweep(Kernel::Simd, &mut mem, &shadow);
+        let stats = sweep(&mut mem, &shadow);
         prop_assert_eq!(stats.caps_revoked as usize, expect_revoked);
         prop_assert_eq!(stats.caps_inspected as usize, ground_truth.len());
         for (addr, dangling) in ground_truth {
@@ -120,9 +148,9 @@ proptest! {
     #[test]
     fn sweep_is_idempotent(plants in planted(), paint in painted_granules()) {
         let (mut mem, shadow) = build(&plants, &paint);
-        sweep(Kernel::Simd, &mut mem, &shadow);
+        sweep(&mut mem, &shadow);
         let snapshot = mem.clone();
-        let again = sweep(Kernel::Simd, &mut mem, &shadow);
+        let again = sweep(&mut mem, &shadow);
         prop_assert_eq!(again.caps_revoked, 0);
         prop_assert_eq!(mem, snapshot);
     }

@@ -257,20 +257,19 @@ impl AddressSpace {
         self.seg_for(addr, 16)?.read_cap_word(addr)
     }
 
-    /// Stores a capability at `addr`, updating CapDirty state when the
-    /// stored word is tagged.
+    /// Stores a capability at `addr`, marking its page CapDirty when the
+    /// stored word is tagged. A store that fails leaves the page table as
+    /// it was.
     ///
     /// # Errors
     ///
-    /// [`MemError::CapStoreInhibited`] if the page inhibits capability
-    /// stores; otherwise as [`AddressSpace::load_cap`].
+    /// As [`AddressSpace::load_cap`].
     pub fn store_cap(&mut self, addr: u64, cap: &Capability) -> Result<(), MemError> {
+        self.seg_for_mut(addr, 16)?.write_cap(addr, cap)?;
         if cap.tag() {
-            self.page_table
-                .note_cap_store(addr)
-                .map_err(|()| MemError::CapStoreInhibited { addr })?;
+            self.page_table.note_cap_store(addr);
         }
-        self.seg_for_mut(addr, 16)?.write_cap(addr, cap)
+        Ok(())
     }
 
     /// Total tagged granules across all segments.
@@ -282,7 +281,6 @@ impl AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PAGE_SIZE;
 
     fn space() -> AddressSpace {
         AddressSpace::builder()
@@ -326,16 +324,19 @@ mod tests {
     }
 
     #[test]
-    fn inhibited_page_rejects_cap_store() {
+    fn failed_cap_store_leaves_page_clean() {
         let mut s = space();
-        s.page_table_mut().set_cap_store_inhibit(0x1000_0000, true);
         let cap = Capability::root_rw(0x1000_0000, 64);
+        assert!(matches!(
+            s.store_cap(0x5000_0000, &cap),
+            Err(MemError::Unmapped { .. })
+        ));
         assert_eq!(
-            s.store_cap(0x1000_0000, &cap),
-            Err(MemError::CapStoreInhibited { addr: 0x1000_0000 })
+            s.store_cap(0x1000_0008, &cap),
+            Err(MemError::Misaligned { addr: 0x1000_0008 })
         );
-        // Next page is fine.
-        s.store_cap(0x1000_0000 + PAGE_SIZE, &cap).unwrap();
+        assert!(s.page_table().cap_dirty_pages().is_empty());
+        assert_eq!(s.tag_count(), 0);
     }
 
     #[test]

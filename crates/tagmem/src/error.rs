@@ -23,12 +23,6 @@ pub enum MemError {
         /// The misaligned address.
         addr: u64,
     },
-    /// A capability store hit a page with the capability-store-inhibit flag
-    /// (paper footnote 3: e.g. file-backed mappings cannot hold tags).
-    CapStoreInhibited {
-        /// The faulting address.
-        addr: u64,
-    },
 }
 
 impl fmt::Display for MemError {
@@ -43,12 +37,6 @@ impl fmt::Display for MemError {
             }
             MemError::Misaligned { addr } => {
                 write!(f, "capability access at {addr:#x} is not 16-byte aligned")
-            }
-            MemError::CapStoreInhibited { addr } => {
-                write!(
-                    f,
-                    "capability store to {addr:#x} is inhibited by the page table"
-                )
             }
         }
     }
@@ -71,8 +59,5 @@ mod tests {
         assert!(MemError::Misaligned { addr: 3 }
             .to_string()
             .contains("aligned"));
-        assert!(MemError::CapStoreInhibited { addr: 4 }
-            .to_string()
-            .contains("inhibited"));
     }
 }

@@ -55,7 +55,7 @@ pub mod snapshot_io;
 pub use addrspace::{AddressSpace, AddressSpaceBuilder, Segment, SegmentKind};
 pub use error::MemError;
 pub use memory::TaggedMemory;
-pub use pagetable::{PageFlags, PageTable, PAGE_SIZE};
+pub use pagetable::{PageTable, PAGE_SIZE};
 pub use regfile::{RegisterFile, NUM_CAP_REGS};
 pub use snapshot::{CoreDump, PointerStats, SegmentImage};
 

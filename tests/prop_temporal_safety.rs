@@ -7,6 +7,8 @@
 //!    *previous* allocation of any byte of that region.
 //! 2. **No false revocation**: capabilities to live allocations survive
 //!    every sweep with their tags intact.
+//! 3. **No capability off the visit set**: every tagged granule of a
+//!    sweepable segment lies on a CapDirty page.
 //!
 //! The checker tracks allocation generations per address and audits the
 //! heap after every operation batch. Each case also draws the sweep
@@ -145,6 +147,19 @@ proptest! {
                 // invariant 1 plus this spot check covers.)
                 for (_, base) in tagged.iter().filter(|(_, b)| *b == cap.base()) {
                     prop_assert_eq!(*base, cap.base());
+                }
+            }
+
+            // INVARIANT 3: every tagged granule of a sweepable segment lies
+            // on a CapDirty page, so the visit set, the sweep's only page
+            // skip, leaves no capability out.
+            let space = h.space();
+            for seg in space.segments().iter().filter(|s| s.kind().sweepable()) {
+                for addr in seg.mem().tagged_addrs() {
+                    prop_assert!(
+                        space.page_table().is_cap_dirty(addr),
+                        "tagged granule {addr:#x} lies on a clean page"
+                    );
                 }
             }
         }
