@@ -1,7 +1,8 @@
 //! Property tests for the revocation machinery: every kernel tier, worker
-//! count, filter and cost model sweeps exactly like the reference tier,
-//! sweeps are precise (revoke exactly the painted bases) and idempotent,
-//! and shadow-map painting matches a reference implementation.
+//! count, filter and cost model sweeps exactly like the reference tier, no
+//! filter changes what a sweep revokes, sweeps are precise (revoke exactly
+//! the painted bases) and idempotent, and shadow-map painting matches a
+//! reference implementation.
 
 mod common;
 
@@ -11,8 +12,8 @@ use common::{
 };
 use proptest::prelude::*;
 use revoker::{
-    CLoadTagsLines, EveryLine, Kernel, NoCost, NoFilter, ShadowMap, SweepCost, SweepEngine,
-    SweepStats,
+    CLoadTagsLines, EveryLine, IdealLines, Kernel, NoCost, NoFilter, ShadowMap, SweepCost,
+    SweepEngine, SweepStats,
 };
 use tagmem::{PageTable, TaggedMemory, GRANULE_SIZE};
 
@@ -25,15 +26,21 @@ enum Filter {
     EveryLine,
     /// The whole image, skipping tag-free lines (§3.4.1).
     CLoadTags,
+    /// The whole image, reading only capability-bearing lines (Fig. 8b's
+    /// oracle).
+    Ideal,
     /// The CapDirty visit set, false positives included, through the
     /// purge (§3.4.2).
     CapDirty,
 }
 
-const FILTERS: [Filter; 4] = [
+/// `Filter::None` comes first: every other column must revoke what it
+/// revokes.
+const FILTERS: [Filter; 5] = [
     Filter::None,
     Filter::EveryLine,
     Filter::CLoadTags,
+    Filter::Ideal,
     Filter::CapDirty,
 ];
 
@@ -58,6 +65,7 @@ fn sweep_case<C: SweepCost>(
         Filter::None => sweep_whole(engine, &mut mem, NoFilter, &shadow, cost),
         Filter::EveryLine => sweep_whole(engine, &mut mem, EveryLine, &shadow, cost),
         Filter::CLoadTags => sweep_whole(engine, &mut mem, CLoadTagsLines::new(), &shadow, cost),
+        Filter::Ideal => sweep_whole(engine, &mut mem, IdealLines, &shadow, cost),
         Filter::CapDirty => capdirty_sweep(engine, &mut mem, &mut table, &shadow, cost),
     };
     (mem, stats, table)
@@ -83,7 +91,10 @@ proptest! {
     /// stats and page table of a costed Unrolled sweep. Costed, it also
     /// charges Unrolled's accesses of each kind in Unrolled's order, and
     /// Simd charges Fast's exact stream, the fallback it runs whenever a
-    /// cost model is attached.
+    /// cost model is attached. And the hardware assists (§3.4) change only
+    /// what a sweep reads: each filter's Unrolled sweep leaves the
+    /// unfiltered sweep's memory and inspects and revokes as many
+    /// capabilities.
     #[test]
     fn kernels_are_equivalent(
         plants in planted(),
@@ -92,10 +103,16 @@ proptest! {
         workers in 1..=8usize,
     ) {
         let images = (&plants[..], &paint[..], &false_positives[..]);
+        let mut unfiltered = None;
         for filter in FILTERS {
             let mut want_charges = Recording::default();
             let unrolled = SweepEngine::new(Kernel::Unrolled);
             let want = sweep_case(&unrolled, filter, images, &mut want_charges);
+            let (mem, stats, _) = unfiltered.get_or_insert_with(|| want.clone());
+            prop_assert!(want.0 == *mem, "{:?} revoked a different set", filter);
+            prop_assert_eq!(want.1.caps_revoked, stats.caps_revoked, "{:?} revoked", filter);
+            prop_assert_eq!(want.1.caps_inspected, stats.caps_inspected, "{:?} inspected", filter);
+            prop_assert!(want.1.bytes_swept <= stats.bytes_swept, "{:?} read more", filter);
             let mut fast_charges = Recording::default();
             for kernel in KERNELS {
                 let engine = SweepEngine::new(kernel).with_workers(workers);
