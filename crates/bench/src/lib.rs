@@ -18,18 +18,16 @@
 //! Every binary prints a human-readable table; pass `--json` for a
 //! machine-readable record (used to regenerate `EXPERIMENTS.md`).
 //!
-//! The [`lab`] module is the scalability lab: the declarative experiment
-//! matrix `cargo xtask lab` runs in-process over the [`service`] churn
-//! harness (the `service_throughput` binary's core), the fig. 5 replay
-//! and the [`fleet`] cells. The [`verdicts`] module holds the acceptance
-//! bars CI gates on, and [`paired`] the paired A/B statistics that both
-//! its wall-clock verdicts and `cargo xtask ab` decide through.
+//! The [`verdicts`] module holds the acceptance bars `cargo xtask lab`
+//! gates on, over the [`service`] churn harness (the
+//! `service_throughput` binary's core) and the [`fleet`] cells, and
+//! [`paired`] the paired A/B statistics that both its wall-clock verdicts
+//! and `cargo xtask ab` decide through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fleet;
-pub mod lab;
 pub mod paired;
 pub mod service;
 pub mod verdicts;

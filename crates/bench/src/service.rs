@@ -1,6 +1,6 @@
 //! In-process churn harness for the concurrent revocation service — the
 //! measurement core of the `service_throughput` binary, exposed as a
-//! library so `cargo xtask lab` can run the same experiment (identical
+//! library so `cargo xtask lab`'s verdicts run the same churn (identical
 //! mutator loop, identical metrics) without parsing binary stdout.
 //!
 //! One [`churn`] call spins up a [`ConcurrentHeap`], drives `threads`
@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use cherivoke::fault::{FaultInjector, FaultPoint};
-use cherivoke::{ConcurrentHeap, Kernel, RevocationPolicy, ServiceConfig};
+use cherivoke::{ConcurrentHeap, ServiceConfig};
 use serde::Serialize;
 use telemetry::MetricsSnapshot;
 
@@ -32,12 +32,10 @@ pub enum FaultMode {
     Inherit,
     /// An explicitly disabled injector (the faults-off control row).
     Disabled,
-    /// A specific armed plan (the lab's chaos-smoke dimension).
-    Plan(cherivoke::fault::FaultPlan),
 }
 
 /// One churn configuration. `Default` is the 4-thread sharded smoke shape
-/// the CI verdicts are computed from.
+/// the CI verdicts are computed from, on the paper-default policy.
 #[derive(Debug, Clone)]
 pub struct ChurnParams {
     /// Mutator threads.
@@ -54,16 +52,10 @@ pub struct ChurnParams {
     pub telemetry: bool,
     /// Fault-injection mode.
     pub faults: FaultMode,
-    /// Sweep kernel for every shard's engine.
-    pub kernel: Kernel,
-    /// Sweep worker threads per sweep.
-    pub sweep_workers: usize,
 }
 
 impl Default for ChurnParams {
-    /// The paper-default policy's kernel and workers.
     fn default() -> ChurnParams {
-        let policy = RevocationPolicy::paper_default();
         ChurnParams {
             threads: 4,
             shards: 4,
@@ -72,8 +64,6 @@ impl Default for ChurnParams {
             shard_mib: 4,
             telemetry: false,
             faults: FaultMode::Inherit,
-            kernel: policy.kernel,
-            sweep_workers: policy.sweep_workers,
         }
     }
 }
@@ -125,25 +115,17 @@ pub struct ServiceRow {
 /// Panics if the service cannot be constructed or a mutator operation
 /// fails — churn failures are harness bugs, not measurements.
 pub fn churn(params: &ChurnParams) -> (ServiceRow, Option<MetricsSnapshot>) {
-    let mut config = ServiceConfig {
+    let config = ServiceConfig {
         shards: params.shards,
         shard_heap_size: params.shard_mib << 20,
         telemetry: params.telemetry,
         ..ServiceConfig::default()
     };
-    config.policy.kernel = params.kernel;
-    config.policy.sweep_workers = params.sweep_workers;
     let fraction = config.policy.quarantine.fraction;
     let kernel = config.policy.kernel.name();
-    let injector = match &params.faults {
+    let injector = match params.faults {
         FaultMode::Inherit => FaultInjector::from_env(),
         FaultMode::Disabled => FaultInjector::disabled(),
-        FaultMode::Plan(plan) => {
-            // Injected worker panics are expected under an armed plan;
-            // keep harness output readable.
-            cherivoke::fault::silence_injected_panics();
-            FaultInjector::new(plan.clone())
-        }
     };
     let heap = ConcurrentHeap::with_faults(config, injector).expect("construct service");
     let total_heap = (params.shard_mib << 20) * params.shards as u64;
@@ -212,8 +194,6 @@ pub fn churn(params: &ChurnParams) -> (ServiceRow, Option<MetricsSnapshot>) {
             "contended-1-shard"
         } else if matches!(params.faults, FaultMode::Disabled) {
             "sharded-faults-off"
-        } else if matches!(params.faults, FaultMode::Plan(_)) {
-            "sharded-chaos"
         } else {
             "sharded"
         }

@@ -11,7 +11,7 @@ use tagmem::TaggedMemory;
 
 pub use crate::paired::Status;
 use crate::paired::{Better, Paired};
-use crate::service::{disabled_fault_branch_ns, FAULT_SITES_PER_OP};
+use crate::service::{churn, disabled_fault_branch_ns, ChurnParams, FaultMode, FAULT_SITES_PER_OP};
 
 /// One acceptance check: a measured `value` against a `target`, with the
 /// comparison direction baked into `status`.
@@ -396,6 +396,42 @@ pub fn recovery_safety_verdict() -> Verdict {
             "{recovered}/{total} seeded crashes recovered safely (floor {FLOOR}), max recovery \
              {max_ms:.2} ms, budget {BUDGET_MS:.0} ms{}",
             failure.map(|f| format!(" — {f}")).unwrap_or_default()
+        ),
+    }
+}
+
+/// The quarantine-bound acceptance bar: five faults-off service churns
+/// (100 000 malloc/free pairs per mutator, 4 MiB shards, mutators capped at
+/// the host's parallelism, since oversubscribing a small host turns the run
+/// into scheduler noise) must each keep their peak quarantine under the
+/// policy's bound.
+pub fn quarantine_bound_verdict() -> Verdict {
+    const REPEATS: usize = 5;
+    let params = ChurnParams {
+        threads: ChurnParams::default()
+            .threads
+            .min(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        ops_per_thread: 100_000,
+        shard_mib: 4,
+        faults: FaultMode::Disabled,
+        ..ChurnParams::default()
+    };
+    let rows: Vec<_> = (0..REPEATS).map(|_| churn(&params).0).collect();
+    let peak = rows
+        .iter()
+        .map(|r| r.peak_quarantine_fraction)
+        .fold(0.0, f64::max);
+    let bound = rows[0].quarantine_bound_fraction;
+    let epochs: u64 = rows.iter().map(|r| r.epochs).sum();
+    Verdict {
+        name: "quarantine_bound".to_string(),
+        status: Status::from_pass(rows.iter().all(|r| r.quarantine_bounded)),
+        value: peak,
+        target: bound,
+        detail: format!(
+            "{REPEATS} churns of {} threads x {} ops on {} x {} MiB shards, {epochs} epochs: \
+             peak quarantine {peak:.4} of the heap, bound {bound}",
+            params.threads, params.ops_per_thread, params.shards, params.shard_mib
         ),
     }
 }

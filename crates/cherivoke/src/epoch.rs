@@ -62,15 +62,6 @@ impl Epoch {
         self.worklist.iter().map(|&(_, l)| l).sum()
     }
 
-    /// Takes up to `max_bytes` of work off the front of the worklist,
-    /// returning the regions to sweep now.
-    #[cfg(test)]
-    pub fn take_slice(&mut self, max_bytes: u64) -> Vec<(u64, u64)> {
-        let mut slice = Vec::new();
-        self.take_slice_into(max_bytes, &mut slice);
-        slice
-    }
-
     /// Takes up to `max_bytes` (at least one granule) of work off the
     /// front of the worklist, appending the regions to sweep now to `out`
     /// (a caller-recycled buffer — the steady-state slice path allocates
@@ -248,10 +239,12 @@ mod tests {
     #[test]
     fn slices_respect_budget_and_granularity() {
         let mut e = epoch();
-        let s1 = e.take_slice(1000);
+        let mut s1 = Vec::new();
+        e.take_slice_into(1000, &mut s1);
         assert_eq!(s1, vec![(0x1000, 992)]); // rounded down to granules
         assert_eq!(e.remaining_bytes(), 4096 - 992 + 1024);
-        let s2 = e.take_slice(1 << 20);
+        let mut s2 = Vec::new();
+        e.take_slice_into(1 << 20, &mut s2);
         assert_eq!(s2, vec![(0x1000 + 992, 4096 - 992), (0x3000, 1024)]);
         assert!(e.is_done());
     }
@@ -259,7 +252,8 @@ mod tests {
     #[test]
     fn tiny_budgets_still_progress() {
         let mut e = epoch();
-        let s = e.take_slice(1);
+        let mut s = Vec::new();
+        e.take_slice_into(1, &mut s);
         assert_eq!(s, vec![(0x1000, 16)]);
     }
 }

@@ -16,10 +16,15 @@
 //! enumerates the offending addresses for diagnostics — the engine sweep
 //! and the walk must agree, and the report carries both counts so a
 //! divergence (a kernel bug) is itself detectable.
+//!
+//! The walk also checks the precondition the CapDirty page skip rests
+//! on: every tagged granule lies on a page the dump's CapDirty list
+//! names. A tagged granule off that list is one a CapDirty sweep would
+//! never visit, so the report counts it as unclean too.
 
 use crate::engine::{NoFilter, SweepEngine};
 use crate::shadow::ShadowMap;
-use tagmem::{CoreDump, RegisterFile};
+use tagmem::{CoreDump, RegisterFile, PAGE_SIZE};
 
 /// One audit violation: a tagged capability at `at` whose base points
 /// into the painted (reusable) set.
@@ -49,12 +54,18 @@ pub struct AuditReport {
     /// `offenders.len() == violations` unless the sweep kernel and the
     /// walk disagree (which is itself a bug worth surfacing).
     pub offenders: Vec<AuditViolation>,
+    /// Tagged granules whose page is missing from the dump's CapDirty
+    /// list: capabilities a CapDirty sweep would skip.
+    pub off_cap_dirty: Vec<u64>,
 }
 
 impl AuditReport {
     /// `true` when the audited image upholds the invariant.
     pub fn clean(&self) -> bool {
-        self.violations == 0 && self.reg_violations == 0 && self.offenders.is_empty()
+        self.violations == 0
+            && self.reg_violations == 0
+            && self.offenders.is_empty()
+            && self.off_cap_dirty.is_empty()
     }
 }
 
@@ -76,8 +87,12 @@ pub fn audit_dump(
     };
     // Diagnostic walk first: the engine sweep below clears the very tags
     // that identify the offenders.
+    let dirty = dump.cap_dirty_pages();
     for img in dump.segments() {
         for addr in img.mem.tagged_addrs() {
+            if dirty.binary_search(&(addr & !(PAGE_SIZE - 1))).is_err() {
+                report.off_cap_dirty.push(addr);
+            }
             let cap = img.mem.read_cap(addr).expect("tagged granule is mapped");
             if cap.tag() && shadow.is_painted(cap.base()) {
                 report.offenders.push(AuditViolation {
@@ -162,6 +177,19 @@ mod tests {
         let report = audit_dump(&engine, &mut dump, space.registers(), &shadow);
         assert_eq!(report.reg_violations, 1);
         assert_eq!(report.violations, 0, "memory itself is clean");
+        assert!(!report.clean());
+    }
+
+    #[test]
+    fn tagged_granule_off_a_cap_dirty_page_is_unclean() {
+        let mut space = space_with_cap(HEAP + 0x100);
+        space.page_table_mut().clear_cap_dirty(HEAP + 0x2000);
+        let mut dump = CoreDump::capture(&space);
+        let shadow = ShadowMap::new(HEAP, 1 << 20); // nothing reusable
+        let engine = SweepEngine::new(Kernel::Simple);
+        let report = audit_dump(&engine, &mut dump, space.registers(), &shadow);
+        assert_eq!(report.off_cap_dirty, [HEAP + 0x2000]);
+        assert_eq!(report.violations, 0);
         assert!(!report.clean());
     }
 

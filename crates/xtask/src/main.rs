@@ -7,11 +7,10 @@
 //! * `cargo xtask ab --base <rev>` — the one wall-clock perf measurement
 //!   (DESIGN.md §16.2): interleaved cvkbench pairs of the working tree
 //!   against `<rev>`, judged by bootstrap intervals ([`ab`]).
-//! * `cargo xtask lab` — the scalability lab (DESIGN.md §16): runs the
-//!   experiment matrix (`bench::lab`) in-process, writes
-//!   `BENCH_trajectory.json` at the repo root, and with `--gate` diffs its
-//!   deterministic metrics, invariants and verdicts against the committed
-//!   baseline under `gate::default_policies`.
+//! * `cargo xtask lab` — the acceptance-bar verdicts (DESIGN.md §16):
+//!   runs every [`bench::verdicts`] bar in-process, writes
+//!   `BENCH_trajectory.json` at the repo root, and with `--gate` compares
+//!   the verdicts against the committed baseline ([`gate`]).
 //! * `cargo xtask results` — regenerates the deterministic
 //!   `results/*.txt` captures; `--check` fails on drift.
 
@@ -20,10 +19,8 @@ mod gate;
 mod results;
 mod trajectory;
 
-use bench::fleet::{run_fleet_cell, FleetParams};
-use bench::lab::{run_experiment, ExperimentConfig, LabMatrix, LabOptions, FLEET_GRID};
 use bench::service::{churn, ChurnParams};
-use gate::{compare, default_policies};
+use gate::compare;
 use std::path::PathBuf;
 use trajectory::{HostFingerprint, Trajectory, SCHEMA_VERSION};
 
@@ -39,14 +36,11 @@ usage: cargo xtask <subcommand>
       wholly past the metric's bound, a run gives no correct result, or the
       change fails a larger share of its ops.
 
-  lab [--smoke|--full] [--gate] [--list] [--out PATH] [--baseline PATH]
-      [--metrics-out PATH]
-      Run the scalability-lab experiment matrix and write BENCH_trajectory.json.
-        --smoke        CI-sized matrix and sizing (the default)
-        --full         full characterisation matrix
-        --gate         diff deterministic metrics, invariants and verdicts against
-                       the baseline trajectory; exit 1 on regression or a FAIL
-        --list         print the expanded experiment matrix and exit
+  lab [--gate] [--out PATH] [--baseline PATH] [--metrics-out PATH]
+      Run the acceptance-bar verdicts and write BENCH_trajectory.json.
+        --gate         compare the verdicts against the baseline trajectory;
+                       exit 1 on a FAIL the baseline does not share, or on a
+                       baseline verdict missing from the run
         --out PATH     trajectory output (default: <repo>/BENCH_trajectory.json)
         --baseline PATH  baseline to gate against (default: the committed --out file)
         --metrics-out PATH  write the telemetry churn's metrics snapshot JSON
@@ -111,45 +105,15 @@ fn parse_flags(args: &[String], value_flags: &[&str]) -> Result<Flags, String> {
 fn lab(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, &["--out", "--baseline", "--metrics-out"])?;
     for s in &flags.switches {
-        if !["--smoke", "--full", "--gate", "--list"].contains(&s.as_str()) {
+        if s != "--gate" {
             return Err(format!("unknown flag '{s}'\n\n{USAGE}"));
         }
     }
-    let full = flags.switches.iter().any(|s| s == "--full");
-    if full && flags.switches.iter().any(|s| s == "--smoke") {
-        return Err("--smoke and --full are mutually exclusive".into());
-    }
-    let mode = if full { "full" } else { "smoke" };
-    let root = results::repo_root();
-
-    let (matrix, opts) = if full {
-        (LabMatrix::full(), LabOptions::full())
-    } else {
-        (LabMatrix::smoke(), LabOptions::smoke())
-    };
-    let experiments = matrix.expand();
-    let fleet_cells = fleet_params(mode, &FLEET_GRID, &opts);
-
-    if flags.switches.iter().any(|s| s == "--list") {
-        println!(
-            "lab matrix ({mode}): {} experiments + {} fleet cells",
-            experiments.len(),
-            fleet_cells.len()
-        );
-        for config in &experiments {
-            println!("  {}", config.id());
-        }
-        for cell in &fleet_cells {
-            println!("  {}", cell.id());
-        }
-        return Ok(());
-    }
-
     let out_path = flags
         .values
         .get("--out")
         .map(PathBuf::from)
-        .unwrap_or_else(|| root.join("BENCH_trajectory.json"));
+        .unwrap_or_else(|| results::repo_root().join("BENCH_trajectory.json"));
     let baseline_path = flags
         .values
         .get("--baseline")
@@ -158,18 +122,11 @@ fn lab(args: &[String]) -> Result<(), String> {
     // Read the baseline *before* the run overwrites the file.
     let baseline_text = std::fs::read_to_string(&baseline_path).ok();
 
-    let trajectory = run_lab(
-        mode,
-        &experiments,
-        &fleet_cells,
-        &opts,
-        flags.values.get("--metrics-out"),
-    )?;
+    let trajectory = run_lab(flags.values.get("--metrics-out"))?;
     std::fs::write(&out_path, trajectory.to_json())
         .map_err(|e| format!("write {}: {e}", out_path.display()))?;
     eprintln!(
-        "lab: trajectory ({} experiments, {} verdicts) written to {}",
-        trajectory.experiments.len(),
+        "lab: trajectory ({} verdicts) written to {}",
         trajectory.verdicts.len(),
         out_path.display()
     );
@@ -179,81 +136,34 @@ fn lab(args: &[String]) -> Result<(), String> {
     }
     let Some(baseline_text) = baseline_text else {
         eprintln!(
-            "gate: no baseline at {} — nothing to diff against; the trajectory just written \
-             becomes the baseline once committed",
+            "gate: no baseline at {} — nothing to compare against; the trajectory just \
+             written becomes the baseline once committed",
             baseline_path.display()
         );
         return Ok(());
     };
     let baseline = Trajectory::parse(&baseline_text)
         .map_err(|e| format!("baseline {}: {e}", baseline_path.display()))?;
-    let report = compare(&baseline, &trajectory.flatten(), &default_policies());
+    let report = compare(&baseline, &trajectory.statuses());
     print!("{}", report.render());
     if report.passed() {
         Ok(())
     } else {
-        Err("perf gate failed (see FAIL lines above)".into())
+        Err("lab gate failed (see FAIL lines above)".into())
     }
 }
 
-/// Sizes the [`FLEET_GRID`] cells for the run: the lab seed flows
-/// through, and the full mode drives each cell harder.
-fn fleet_params(mode: &str, cells: &[(usize, f64, usize)], opts: &LabOptions) -> Vec<FleetParams> {
-    cells
-        .iter()
-        .map(|&(tenants, skew, workers)| {
-            let mut params = FleetParams::smoke(tenants, skew, workers);
-            params.seed = opts.seed;
-            if mode == "full" {
-                params.ops_per_thread = 25_000;
-                params.measure_repeats = opts.measure_repeats.max(1);
-            }
-            params
-        })
-        .collect()
-}
-
-/// Runs the matrix plus the acceptance-bar verdicts and assembles the
-/// trajectory.
-fn run_lab(
-    mode: &str,
-    experiments: &[ExperimentConfig],
-    fleet_cells: &[FleetParams],
-    opts: &LabOptions,
-    metrics_out: Option<&String>,
-) -> Result<Trajectory, String> {
-    let total = experiments.len();
-    let mut results = Vec::with_capacity(total);
-    for (i, config) in experiments.iter().enumerate() {
-        eprintln!("lab: [{}/{total}] {}", i + 1, config.id());
-        results.push(run_experiment(config, opts)?);
-    }
-
-    let mut fleet = Vec::with_capacity(fleet_cells.len());
-    for (i, params) in fleet_cells.iter().enumerate() {
-        eprintln!(
-            "lab: [fleet {}/{}] {}",
-            i + 1,
-            fleet_cells.len(),
-            params.id()
-        );
-        fleet.push(run_fleet_cell(params)?);
-    }
-
-    // The acceptance bars CI used to compute with inline Python over
-    // bench stdout, now in-process (bench::verdicts).
+/// Runs the acceptance-bar verdicts and assembles the trajectory.
+fn run_lab(metrics_out: Option<&String>) -> Result<Trajectory, String> {
     eprintln!(
-        "lab: verdicts (fast kernel, simd kernel, telemetry, faults, journal, recovery, snapshot)"
+        "lab: verdicts (fast kernel, simd kernel, telemetry, faults, journal, recovery, \
+         snapshot, fleet, quarantine)"
     );
     let mut verdicts = vec![
         bench::verdicts::fast_kernel_verdict(),
         bench::verdicts::simd_kernel_verdict(),
     ];
-    let record_iters = if mode == "full" {
-        50_000_000
-    } else {
-        10_000_000
-    };
+    let record_iters = 10_000_000;
     verdicts.push(bench::verdicts::telemetry_disabled_verdict(record_iters));
     let op_ns = bench::verdicts::service_op_ns(40_000);
     verdicts.push(bench::verdicts::fault_overhead_verdict(record_iters, op_ns));
@@ -262,18 +172,16 @@ fn run_lab(
     verdicts.push(bench::verdicts::journal_overhead_verdict(40_000));
     verdicts.push(bench::verdicts::recovery_safety_verdict());
     // Telemetry-enabled churn: proves the instrumented path records real
-    // traffic (the old telemetry-smoke CI job's Python assertions).
+    // traffic.
     let (_, snapshot) = churn(&ChurnParams {
         telemetry: true,
-        ops_per_thread: opts.service_ops_per_thread,
-        shard_mib: opts.service_shard_mib,
+        ops_per_thread: 100_000,
         ..ChurnParams::default()
     });
     let snapshot = snapshot.expect("telemetry churn returns a snapshot");
     verdicts.push(bench::verdicts::telemetry_snapshot_verdict(&snapshot));
-    if !fleet.is_empty() {
-        verdicts.push(bench::fleet::fleet_fairness_verdict(&fleet));
-    }
+    verdicts.push(bench::fleet::fleet_fairness_verdict());
+    verdicts.push(bench::verdicts::quarantine_bound_verdict());
     if let Some(path) = metrics_out {
         std::fs::write(path, snapshot.to_json()).map_err(|e| format!("write {path}: {e}"))?;
         eprintln!("lab: metrics snapshot written to {path}");
@@ -289,10 +197,7 @@ fn run_lab(
 
     Ok(Trajectory {
         schema_version: SCHEMA_VERSION,
-        mode: mode.to_string(),
         host: HostFingerprint::current(),
-        experiments: results,
-        fleet,
         verdicts,
     })
 }

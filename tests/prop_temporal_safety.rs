@@ -252,7 +252,12 @@ proptest! {
                         used_slots.push(slot);
                     }
                 }
-                SvcOp::RevokeAll => heap.revoke_all_now(),
+                SvcOp::RevokeAll => {
+                    heap.revoke_all_now();
+                    for report in heap.audit_all() {
+                        prop_assert!(report.clean(), "audit after RevokeAll: {:?}", report);
+                    }
+                }
             }
         }
 
@@ -265,6 +270,9 @@ proptest! {
         }
         heap.revoke_all_now();
         prop_assert_eq!(heap.quarantined_bytes(), 0, "quarantine drained service-wide");
+        for report in heap.audit_all() {
+            prop_assert!(report.clean(), "audit after the final revocation: {:?}", report);
+        }
         for slot in used_slots {
             let (holder, off) = slot_of(slot);
             let cap = client.load_cap(holder, off).expect("load stash");
