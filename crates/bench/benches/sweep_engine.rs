@@ -2,16 +2,12 @@
 //! [`Kernel::Simd`]: the §3.4 filters, chunk-parallel execution over
 //! worker counts (§3.5), and a heap's peer sweep
 //! (`CherivokeHeap::sweep_foreign`) over its CapDirty runs. Kernel tiers
-//! are compared in `sweep_kernel.rs`.
-//!
-//! The final group prints a PASS/SKIP verdict for the PR's scaling
-//! acceptance bar: the engine with 4 workers should clear 2× the
-//! sequential throughput on a host with ≥ 4 cores. Hosts with fewer cores
-//! print SKIP rather than failing — scaling cannot be measured there.
+//! are compared in `sweep_kernel.rs`; the `parallelism` binary reports
+//! the engine's worker scaling on a 128 MiB image of the same density.
 
 use cheri::Capability;
 use cherivoke::{CherivokeHeap, HeapConfig};
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use revoker::{visit_set, CLoadTagsLines, EveryLine, Kernel, NoFilter, ShadowMap, SweepEngine};
 use tagmem::{SegmentKind, PAGE_SIZE};
 
@@ -136,40 +132,10 @@ fn bench_sweep_foreign(c: &mut Criterion) {
     group.finish();
 }
 
-/// The acceptance-bar check: 4 workers ≥ 2× sequential on a ≥ 4-core
-/// host; SKIP (never fail) elsewhere. Uses `bench::engine_sweep_rate`
-/// (warmed best of five) rather than criterion samples so the verdict
-/// matches the fig7/parallelism harnesses.
-fn scaling_verdict() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores < 4 {
-        println!(
-            "sweep_engine/scaling_verdict: SKIP ({cores} cores < 4, cannot measure 4-way scaling)"
-        );
-        return;
-    }
-    let mem = bench::image_with_granule_density(64 << 20, 0.07);
-    let mut shadow = ShadowMap::new(mem.base(), mem.len());
-    shadow.paint(mem.base(), mem.len() / 4);
-    let seq = bench::engine_sweep_rate(Kernel::Simd, 1, &mem, &shadow);
-    let par = bench::engine_sweep_rate(Kernel::Simd, 4, &mem, &shadow);
-    let speedup = par / seq;
-    let verdict = if speedup >= 2.0 { "PASS" } else { "BELOW-BAR" };
-    println!(
-        "sweep_engine/scaling_verdict: {verdict} ({seq:.0} MiB/s seq, {par:.0} MiB/s at 4 workers, {speedup:.2}x, target 2.00x)"
-    );
-}
-
 criterion_group!(
     benches,
     bench_filters,
     bench_parallel_scaling,
     bench_sweep_foreign
 );
-
-fn main() {
-    benches();
-    scaling_verdict();
-}
+criterion_main!(benches);

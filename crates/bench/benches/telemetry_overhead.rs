@@ -6,20 +6,15 @@
 //!    heap, allocator and sweep engine holds `Option`-backed handles that
 //!    are `None` when telemetry is off, so the disabled path is a single
 //!    branch. This is the cost the whole fleet pays when nobody is
-//!    looking, and the PR's acceptance bar: under 1% of a service
-//!    malloc/free op.
+//!    looking; `cargo xtask lab`'s `telemetry_disabled` verdict holds it
+//!    under 1% of a service malloc/free op.
 //! 2. What does an *enabled* record cost (relaxed atomic fetch-add, plus a
 //!    leading-zeros bucket index for histograms)? This is the cost a
 //!    deployment opting into metrics pays per instrumented event.
-//!
-//! The final verdict line measures both sides for real: ns per disabled
-//! record vs ns per service malloc/free op on a live
-//! [`cherivoke::ConcurrentHeap`], with a generous 4-disabled-sites-per-op
-//! budget (the real count on the malloc/free paths is 1-2).
 
 use std::hint::black_box;
 
-use criterion::{criterion_group, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use telemetry::{Counter, LogHistogram, Registry};
 
 fn bench_disabled_handles(c: &mut Criterion) {
@@ -71,24 +66,5 @@ fn bench_enabled_handles(c: &mut Criterion) {
     group.finish();
 }
 
-/// The acceptance bar: a disabled telemetry site must cost under 1% of a
-/// service malloc/free op, even assuming 4 such sites per op (the real
-/// count on the malloc/free paths is 1-2). The measurement lives in
-/// [`bench::verdicts::telemetry_disabled_verdict`] so `cargo xtask lab`
-/// computes the identical verdict in-process; this main just prints it in
-/// the historical line format.
-fn disabled_overhead_verdict() {
-    let v = bench::verdicts::telemetry_disabled_verdict(50_000_000);
-    println!(
-        "telemetry_overhead/disabled_verdict: {} ({})",
-        v.status.as_str(),
-        v.detail
-    );
-}
-
 criterion_group!(benches, bench_disabled_handles, bench_enabled_handles);
-
-fn main() {
-    benches();
-    disabled_overhead_verdict();
-}
+criterion_main!(benches);

@@ -16,10 +16,8 @@ use std::time::Instant;
 
 use cherivoke::RevocationPolicy;
 use revoker::{Kernel, ShadowMap};
-use serde::Serialize;
 use workloads::{profiles, run_trace, CherivokeUnderTest, CostModel, Stage, TraceGenerator};
 
-#[derive(Serialize)]
 struct Ablations {
     aggregation: AggregationAblation,
     painting: PaintingAblation,
@@ -28,35 +26,30 @@ struct Ablations {
     pauses: Vec<PauseAblation>,
 }
 
-#[derive(Serialize)]
 struct AggregationAblation {
     internal_frees_with: u64,
     internal_frees_without: u64,
     reduction_factor: f64,
 }
 
-#[derive(Serialize)]
 struct PaintingAblation {
     wide_mib_s: f64,
     bitwise_mib_s: f64,
     speedup: f64,
 }
 
-#[derive(Serialize)]
 struct CapDirtyAblation {
     bytes_swept_with: u64,
     bytes_swept_without: u64,
     work_reduction: f64,
 }
 
-#[derive(Serialize)]
 struct KernelAblation {
     kernel: String,
     scan_rate_mib_s: f64,
     xalancbmk_overhead_pct: f64,
 }
 
-#[derive(Serialize)]
 struct PauseAblation {
     mode: String,
     max_pause_bytes: u64,
@@ -201,14 +194,6 @@ fn main() {
         kernels: kernels(),
         pauses: pauses(),
     };
-
-    if bench::json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&result).expect("serialise")
-        );
-        return;
-    }
 
     println!("Ablation study\n");
     println!(

@@ -13,11 +13,9 @@
 //! and the L2 miss counts are compared.
 
 use cvkalloc::{CherivokeAllocator, DlAllocator};
-use serde::Serialize;
 use simcache::{Machine, MachineConfig};
 use workloads::{profiles, TraceGenerator, TraceOp};
 
-#[derive(Serialize)]
 struct CacheEffectRow {
     config: String,
     l2_miss_ratio: f64,
@@ -107,14 +105,6 @@ fn main() {
             cycles_per_alloc: cycles as f64 / allocs as f64,
             miss_growth_vs_eager_pct: (miss / eager_miss - 1.0) * 100.0,
         });
-    }
-
-    if bench::json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialise")
-        );
-        return;
     }
 
     println!(

@@ -7,14 +7,12 @@
 //! intensive workloads tend to be memory-bandwidth intensive* — baseline
 //! traffic is a floor plus a multiple of the free rate.
 
-use serde::Serialize;
 use workloads::{profiles, run_trace, CherivokeUnderTest, TraceGenerator};
 
 /// Baseline app off-core traffic model: floor + beta × free rate.
 const APP_TRAFFIC_FLOOR_MIB_S: f64 = 1200.0;
 const APP_TRAFFIC_PER_FREE_RATE: f64 = 40.0;
 
-#[derive(Serialize)]
 struct Fig10Row {
     benchmark: String,
     sweep_traffic_mib_s: f64,
@@ -44,14 +42,6 @@ fn main() {
             traffic_overhead_pct: 100.0 * sweep_mib_s / app_mib_s,
             time_overhead_pct: (report.normalized_time - 1.0) * 100.0,
         });
-    }
-
-    if bench::json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialise")
-        );
-        return;
     }
 
     println!("Figure 10: off-core traffic overhead\n");

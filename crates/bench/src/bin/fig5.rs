@@ -8,10 +8,8 @@
 //! characteristic pathology.
 
 use baselines::{BoehmGcHeap, DangSanHeap, OscarHeap, PSweeperHeap};
-use serde::Serialize;
 use workloads::{profiles, run_trace, CherivokeUnderTest, TraceGenerator, WorkloadHeap};
 
-#[derive(Serialize)]
 struct Fig5Row {
     benchmark: String,
     cherivoke_time: f64,
@@ -79,14 +77,6 @@ fn main() {
         boehm_mem: g(&|r| r.boehm_mem),
     };
     rows.push(geo);
-
-    if bench::json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialise")
-        );
-        return;
-    }
 
     println!("Figure 5(a): normalised execution time (25% quarantine)\n");
     bench::print_table(

@@ -2,10 +2,8 @@
 //! overhead into quarantine-buffer, shadow-map and sweeping components,
 //! at the default 25% heap overhead (all 17 benchmarks including ffmpeg).
 
-use serde::Serialize;
 use workloads::{profiles, run_trace, CherivokeUnderTest, CostModel, Stage, TraceGenerator};
 
-#[derive(Serialize)]
 struct Fig6Row {
     benchmark: String,
     quarantine_only: f64,
@@ -50,14 +48,6 @@ fn main() {
         with_shadow: g(&|r| r.with_shadow),
         with_sweeping: g(&|r| r.with_sweeping),
     });
-
-    if bench::json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialise")
-        );
-        return;
-    }
 
     println!("Figure 6: decomposition of run-time overheads (25% heap overhead)\n");
     bench::print_table(

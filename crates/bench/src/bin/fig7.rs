@@ -16,12 +16,10 @@ use std::time::Instant;
 
 use revoker::conservative::{sweep_avx2, sweep_scalar, sweep_unrolled, ConservativeImage};
 use revoker::{Kernel, ShadowMap};
-use serde::Serialize;
 use workloads::profiles;
 
 const IMAGE_BYTES: u64 = 64 << 20;
 
-#[derive(Serialize)]
 struct Fig7Row {
     benchmark: String,
     granule_density: f64,
@@ -124,14 +122,6 @@ fn main() {
         cons_unrolled_mib_s: g(&|r| r.cons_unrolled_mib_s),
         cons_avx2_mib_s: g(&|r| r.cons_avx2_mib_s),
     });
-
-    if bench::json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialise")
-        );
-        return;
-    }
 
     println!(
         "Figure 7: sweep-loop bandwidth by kernel (host-measured, 64 MiB images, \

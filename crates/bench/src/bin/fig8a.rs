@@ -8,10 +8,8 @@
 
 use revoker::timed::{sweep_image, TimedMode};
 use revoker::{Kernel, NoCost, ShadowMap, SweepEngine};
-use serde::Serialize;
 use workloads::{profiles, run_trace, CherivokeUnderTest, TraceGenerator};
 
-#[derive(Serialize)]
 struct Fig8aRow {
     benchmark: String,
     pte_capdirty_fraction: f64,
@@ -59,14 +57,6 @@ fn main() {
             pte_capdirty_fraction: (pte as f64 / used as f64).min(1.0),
             cloadtags_fraction: (clt as f64 / used as f64).min(1.0),
         });
-    }
-
-    if bench::json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialise")
-        );
-        return;
     }
 
     println!("Figure 8(a): proportion of memory that must be swept\n");

@@ -10,13 +10,11 @@
 
 use revoker::timed::{timed_sweep, TimedMode};
 use revoker::ShadowMap;
-use serde::Serialize;
 use simcache::{Machine, MachineConfig};
 use tagmem::{CoreDump, SegmentImage, SegmentKind, TaggedMemory};
 
 const IMAGE_BYTES: u64 = 8 << 20;
 
-#[derive(Serialize)]
 struct Fig8bRow {
     density: f64,
     pte_dirty: f64,
@@ -55,14 +53,6 @@ fn main() {
             cloadtags: clt,
             idealised: d,
         });
-    }
-
-    if bench::json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialise")
-        );
-        return;
     }
 
     println!(

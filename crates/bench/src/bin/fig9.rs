@@ -2,10 +2,8 @@
 //! overhead (quarantine fraction), for the two worst-overhead workloads,
 //! xalancbmk and omnetpp.
 
-use serde::Serialize;
 use workloads::{profiles, run_trace, CherivokeUnderTest, CostModel, Stage, TraceGenerator};
 
-#[derive(Serialize)]
 struct Fig9Row {
     heap_overhead_pct: f64,
     xalancbmk: f64,
@@ -39,14 +37,6 @@ fn main() {
             omnetpp: time_at("omnetpp", f, scale, seed),
         })
         .collect();
-
-    if bench::json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialise")
-        );
-        return;
-    }
 
     println!("Figure 9: normalised execution time vs heap overhead\n");
     bench::print_table(

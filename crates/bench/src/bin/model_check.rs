@@ -9,10 +9,8 @@
 //! approximation if the heap is large" caveat in the paper.
 
 use cherivoke::OverheadModel;
-use serde::Serialize;
 use workloads::{profiles, run_trace, CherivokeUnderTest, TraceGenerator};
 
-#[derive(Serialize)]
 struct ModelRow {
     benchmark: String,
     predicted_pct: f64,
@@ -42,14 +40,6 @@ fn main() {
             predicted_pct: model.runtime_overhead() * 100.0,
             measured_sweep_pct: report.breakdown.sweep / report.app_seconds * 100.0,
         });
-    }
-
-    if bench::json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialise")
-        );
-        return;
     }
 
     println!("§6.1.3 analytic model vs measured sweep overhead\n");

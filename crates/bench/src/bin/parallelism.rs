@@ -12,11 +12,9 @@
 use std::time::Instant;
 
 use revoker::{Kernel, ShadowMap};
-use serde::Serialize;
 
 const IMAGE_BYTES: u64 = 128 << 20;
 
-#[derive(Serialize)]
 struct ParallelRow {
     threads: usize,
     sweep_mib_s: f64,
@@ -61,14 +59,6 @@ fn main() {
             speedup_vs_single: r / single,
             fraction_of_read_bw: r / read_bw,
         });
-    }
-
-    if bench::json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialise")
-        );
-        return;
     }
 
     println!(

@@ -10,14 +10,6 @@ fn main() {
     let scale = 1.0 / 512.0;
     let rows = measure_table2(scale, 42);
 
-    if bench::json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialise")
-        );
-        return;
-    }
-
     println!("Table 2: deallocation metadata (paper vs regenerated, heap scale 1/512)\n");
     let table: Vec<Vec<String>> = rows
         .iter()

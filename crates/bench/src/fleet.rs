@@ -128,7 +128,7 @@ fn run_once(params: &FleetParams, seed: u64) -> Result<FleetMetrics, String> {
     config.global_ceiling = params.tenants as u64 * (params.quota_kib << 10);
     config.workers = params.workers;
     let service = std::sync::Arc::new(
-        HeapService::with_faults(config, FaultInjector::disabled())
+        HeapService::with_journal_dir(config, FaultInjector::disabled(), None)
             .map_err(|e| format!("{}: fleet construction failed: {e}", params.id()))?,
     );
 

@@ -15,12 +15,11 @@
 //! | `fig10` | Figure 10 (off-core traffic overhead) |
 //! | `model_check` | §6.1.3 analytic model vs measured |
 //!
-//! Every binary prints a human-readable table; pass `--json` for a
-//! machine-readable record (used to regenerate `EXPERIMENTS.md`).
+//! Every binary prints one text table; `cargo xtask results` captures the
+//! deterministic ones into `results/*.txt`.
 //!
 //! The [`verdicts`] module holds the acceptance bars `cargo xtask lab`
-//! gates on, over the [`service`] churn harness (the
-//! `service_throughput` binary's core) and the [`fleet`] cells, and
+//! gates on, over the [`service`] churn and the [`fleet`] cells, and
 //! [`paired`] the paired A/B statistics that both its wall-clock verdicts
 //! and `cargo xtask ab` decide through.
 
@@ -74,11 +73,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row.clone());
     }
-}
-
-/// `true` if the process was invoked with `--json`.
-pub fn json_mode() -> bool {
-    std::env::args().any(|a| a == "--json")
 }
 
 /// Warmed best-of-five sweep rate (MiB/s) of `mem` under one engine

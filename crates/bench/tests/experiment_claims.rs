@@ -3,56 +3,15 @@
 //! pipelines, so `cargo test` continuously verifies the headline results.
 
 use baselines::{BoehmGcHeap, DangSanHeap, OscarHeap, PSweeperHeap};
-use bench_helpers::*;
+use bench::{geomean, image_with_line_density, image_with_page_density};
 use revoker::timed::{timed_sweep, TimedMode};
 use revoker::ShadowMap;
 use simcache::{Machine, MachineConfig};
 use tagmem::{CoreDump, SegmentImage, SegmentKind};
 use workloads::{profiles, run_trace, CherivokeUnderTest, TraceGenerator};
 
-/// Local stand-ins for the bench crate's image builders (the bench crate is
-/// not a dependency of the umbrella crate's tests).
-mod bench_helpers {
-    use cheri::Capability;
-    use tagmem::{TaggedMemory, LINE_SIZE, PAGE_SIZE};
-
-    pub fn image_with_page_density(len: u64, d: f64) -> TaggedMemory {
-        let base = 0x1000_0000u64;
-        let mut mem = TaggedMemory::new(base, len);
-        let cap = Capability::root_rw(base, 64);
-        let pages = len / PAGE_SIZE;
-        let dirty = (pages as f64 * d).round() as u64;
-        for i in 0..dirty {
-            let page = base + (i * pages / dirty.max(1)) * PAGE_SIZE;
-            let mut line = page;
-            while line < page + PAGE_SIZE {
-                mem.write_cap(line, &cap).expect("in range");
-                line += LINE_SIZE;
-            }
-        }
-        mem
-    }
-
-    pub fn image_with_line_density(len: u64, d: f64) -> TaggedMemory {
-        let base = 0x1000_0000u64;
-        let mut mem = TaggedMemory::new(base, len);
-        let cap = Capability::root_rw(base, 64);
-        let lines = len / LINE_SIZE;
-        let tagged = (lines as f64 * d).round() as u64;
-        for i in 0..tagged {
-            let line = base + (i * lines / tagged.max(1)) * LINE_SIZE;
-            mem.write_cap(line, &cap).expect("in range");
-        }
-        mem
-    }
-}
-
 const SCALE: f64 = 1.0 / 1024.0;
 const SEED: u64 = 7;
-
-fn geomean(xs: &[f64]) -> f64 {
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
 
 /// Figure 5 claim: CHERIvoke "significantly outperforms any other
 /// technique" in geomean execution time, and its average is in single-digit

@@ -14,8 +14,8 @@
 //!   disabled-handle pattern as `telemetry::Counter`: an
 //!   `Option<Arc<State>>` that is `None` when no plan is armed, so
 //!   [`FaultInjector::should_fire`] is a single branch on the hot path.
-//!   The bench suite (`service_throughput`) proves the cost is <1% per
-//!   service op.
+//!   `cargo xtask lab`'s `fault_disabled` verdict holds the cost under
+//!   1% of a service op.
 //! - **Deterministic.** A plan is a set of `(start, every, limit)` rules
 //!   keyed by fault point; firing depends only on how many times the point
 //!   has been *reached* (per-point atomic hit counters), never on wall
