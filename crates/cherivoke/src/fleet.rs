@@ -107,7 +107,7 @@ use faultinject::{FaultInjector, FaultPoint};
 use journal::Journal;
 use telemetry::{Counter, EventKind, HistogramSnapshot, LogHistogram, MetricsSnapshot, Registry};
 
-use crate::recovery::{journal_dir_from_env, warn_once, HeapImage, ImageChunkState};
+use crate::recovery::{warn_once, HeapImage, ImageChunkState};
 use crate::{
     CherivokeHeap, HeapConfig, HeapError, RecoveryError, RecoveryReport, RevocationPolicy,
 };
@@ -1593,37 +1593,26 @@ pub struct HeapService {
 }
 
 impl HeapService {
-    /// Builds the fleet and spawns the shared worker pool, reading the
-    /// fault plan from the environment ([`FaultInjector::from_env`]).
+    /// Builds the fleet and spawns the shared worker pool, with fault
+    /// injection and journaling off: [`HeapService::with_journal_dir`]
+    /// with [`FaultInjector::disabled`] and no journal directory.
     ///
     /// # Errors
     ///
     /// [`HeapError::InvalidConfig`] via [`FleetConfig::validated`], or
     /// any tenant-heap construction error.
     pub fn new(config: FleetConfig) -> Result<HeapService, HeapError> {
-        HeapService::with_faults(config, FaultInjector::from_env())
+        HeapService::with_journal_dir(config, FaultInjector::disabled(), None)
     }
 
-    /// As [`HeapService::new`] with an explicit fault injector.
-    ///
-    /// # Errors
-    ///
-    /// As [`HeapService::new`].
-    pub fn with_faults(
-        config: FleetConfig,
-        faults: FaultInjector,
-    ) -> Result<HeapService, HeapError> {
-        let dir = journal_dir_from_env();
-        HeapService::with_journal_dir(config, faults, dir.as_deref())
-    }
-
-    /// As [`HeapService::with_faults`], with an explicit epoch-journal
-    /// directory: each tenant writes its crash-consistency journal to
-    /// `dir/tenant-{i}.cvj` (see [`crate::recovery`]). Pass `None` to run
-    /// without journaling — the default; `with_faults` reads the
-    /// `CHERIVOKE_JOURNAL` knob instead. A journal that cannot be created
-    /// degrades that tenant to unjournaled operation with a
-    /// once-per-process warning; construction still succeeds.
+    /// The full constructor: as [`HeapService::new`], armed with `faults`
+    /// (a [`FaultInjector::new`] plan, or [`FaultInjector::disabled`]) and
+    /// journaling into `journal_dir`: each tenant writes its
+    /// crash-consistency journal to `journal_dir/tenant-{i}.cvj` (see
+    /// [`crate::recovery`]). `None` runs without journaling. A journal
+    /// that cannot be created degrades that tenant to unjournaled
+    /// operation with a once-per-process warning; construction still
+    /// succeeds.
     ///
     /// # Errors
     ///
@@ -2035,7 +2024,9 @@ mod tests {
 
     #[test]
     fn malloc_free_and_cross_tenant_isolation() {
-        let service = HeapService::with_faults(small_config(2), FaultInjector::disabled()).unwrap();
+        let service =
+            HeapService::with_journal_dir(small_config(2), FaultInjector::disabled(), None)
+                .unwrap();
         let slot_a = service.malloc(0, 64).unwrap();
         let obj_a = service.malloc(0, 64).unwrap();
         let slot_b = service.malloc(1, 64).unwrap();
@@ -2057,7 +2048,9 @@ mod tests {
 
     #[test]
     fn no_such_tenant_is_typed() {
-        let service = HeapService::with_faults(small_config(1), FaultInjector::disabled()).unwrap();
+        let service =
+            HeapService::with_journal_dir(small_config(1), FaultInjector::disabled(), None)
+                .unwrap();
         assert_eq!(
             service.malloc(9, 64).unwrap_err(),
             FleetError::NoSuchTenant { tenant: 9 }
@@ -2280,7 +2273,7 @@ mod tests {
 
         // The boundary, on a service whose worker drops every pick, so
         // no epoch resyncs the hint under the test.
-        let probe = HeapService::with_faults(config, skip_every_pick()).unwrap();
+        let probe = HeapService::with_journal_dir(config, skip_every_pick(), None).unwrap();
         let core = probe.core();
         let hint = &core.members[0].quarantined_hint;
         hint.store(trigger - 1, Ordering::Relaxed);
@@ -2288,7 +2281,8 @@ mod tests {
         hint.store(trigger, Ordering::Relaxed);
         assert!(core.due(0), "the trigger itself is due");
 
-        let service = HeapService::with_faults(config, FaultInjector::disabled()).unwrap();
+        let service =
+            HeapService::with_journal_dir(config, FaultInjector::disabled(), None).unwrap();
         let step = trigger / 4;
         for _ in 0..3 {
             let obj = service.malloc(0, step).unwrap();

@@ -82,6 +82,7 @@ pub use cvkalloc::QuarantineConfig;
 pub use revoker::{AuditReport, AuditViolation, Kernel};
 
 /// Deterministic fault injection ([`fault::FaultInjector`],
-/// [`fault::FaultPlan`], the `CHERIVOKE_FAULT_PLAN` knob) — re-exported so
-/// chaos harnesses depend only on `cherivoke`.
+/// [`fault::FaultPlan`]), armed by passing `FaultInjector::new(plan)` to a
+/// runtime's `with_journal_dir` — re-exported so chaos harnesses depend
+/// only on `cherivoke`.
 pub use faultinject as fault;

@@ -20,7 +20,6 @@
 //! quarantine whose `Sealed` record never landed.
 
 use std::collections::HashSet;
-use std::path::PathBuf;
 use std::sync::Mutex;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -44,25 +43,6 @@ pub(crate) fn warn_once(msg: &str) -> bool {
     } else {
         false
     }
-}
-
-/// Reads the `CHERIVOKE_JOURNAL` environment knob: a directory to write
-/// per-heap epoch journals into, parsed by [`journal_dir_from_value`].
-/// Unset means "journaling disabled" (the default — the journal costs a
-/// file write per epoch transition, so it is strictly opt-in).
-pub(crate) fn journal_dir_from_env() -> Option<PathBuf> {
-    journal_dir_from_value(&std::env::var("CHERIVOKE_JOURNAL").ok()?)
-}
-
-/// Parses one `CHERIVOKE_JOURNAL` value: empty, `0` and `off` (any case,
-/// surrounding whitespace ignored) disable journaling; anything else is
-/// the journal directory.
-fn journal_dir_from_value(val: &str) -> Option<PathBuf> {
-    let trimmed = val.trim();
-    if trimmed.is_empty() || trimmed == "0" || trimmed.eq_ignore_ascii_case("off") {
-        return None;
-    }
-    Some(PathBuf::from(trimmed))
 }
 
 /// One allocator chunk as persisted in a [`HeapImage`], annotated with
@@ -432,26 +412,5 @@ mod tests {
         assert!(warn_once(key));
         assert!(!warn_once(key));
         assert!(warn_once("recovery-test-unique-warning-b"));
-    }
-
-    #[test]
-    fn journal_env_off_values() {
-        // Can't mutate the process env safely in parallel tests; exercise
-        // the parser the env wrapper calls with targeted values instead.
-        for (val, expect) in [
-            ("", None),
-            ("0", None),
-            ("off", None),
-            ("OFF", None),
-            ("  ", None),
-            ("/tmp/j", Some("/tmp/j")),
-            (" /tmp/j\n", Some("/tmp/j")),
-        ] {
-            assert_eq!(
-                journal_dir_from_value(val),
-                expect.map(PathBuf::from),
-                "value {val:?}"
-            );
-        }
     }
 }

@@ -72,7 +72,6 @@ use faultinject::FaultInjector;
 use telemetry::{MetricsSnapshot, Registry};
 
 use crate::fleet::{Core, FleetConfig, FleetError, Runtime, Shape, TenantPolicy};
-use crate::recovery::journal_dir_from_env;
 use crate::stats::{ServiceStats, ShardStats};
 use crate::{CherivokeHeap, HeapError, RevocationPolicy};
 
@@ -207,9 +206,9 @@ pub struct ConcurrentHeap {
 
 impl ConcurrentHeap {
     /// Builds the shards and starts the supervisor (which in turn runs
-    /// the background worker). Reads a fault plan from
-    /// `CHERIVOKE_FAULT_PLAN` if set (see [`faultinject`]); use
-    /// [`ConcurrentHeap::with_faults`] to pass one programmatically.
+    /// the background worker), with fault injection and journaling off:
+    /// [`ConcurrentHeap::with_journal_dir`] with
+    /// [`FaultInjector::disabled`] and no journal directory.
     ///
     /// This constructor never panics: configuration problems come back as
     /// typed [`HeapError`]s, and a failure to spawn the supervisor or
@@ -222,31 +221,17 @@ impl ConcurrentHeap {
     /// [`ServiceConfig::validated`]); [`HeapError`] if a shard heap cannot
     /// be constructed.
     pub fn new(config: ServiceConfig) -> Result<ConcurrentHeap, HeapError> {
-        ConcurrentHeap::with_faults(config, FaultInjector::from_env())
+        ConcurrentHeap::with_journal_dir(config, FaultInjector::disabled(), None)
     }
 
-    /// As [`ConcurrentHeap::new`], with an explicit fault injector (the
-    /// chaos tests construct plans programmatically; pass
-    /// [`FaultInjector::disabled`] to ignore the environment).
-    ///
-    /// # Errors
-    ///
-    /// As [`ConcurrentHeap::new`].
-    pub fn with_faults(
-        config: ServiceConfig,
-        faults: FaultInjector,
-    ) -> Result<ConcurrentHeap, HeapError> {
-        let dir = journal_dir_from_env();
-        ConcurrentHeap::with_journal_dir(config, faults, dir.as_deref())
-    }
-
-    /// As [`ConcurrentHeap::with_faults`], with an explicit epoch-journal
-    /// directory: each shard writes its crash-consistency journal to
-    /// `dir/shard-{i}.cvj` (see [`crate::recovery`]). Pass `None` to run
-    /// without journaling — the default; `with_faults` reads the
-    /// `CHERIVOKE_JOURNAL` knob instead. A journal that cannot be created
-    /// degrades that shard to unjournaled operation with a
-    /// once-per-process warning; construction still succeeds.
+    /// The full constructor: as [`ConcurrentHeap::new`], armed with
+    /// `faults` (a [`FaultInjector::new`] plan, or
+    /// [`FaultInjector::disabled`]) and journaling into `journal_dir`:
+    /// each shard writes its crash-consistency journal to
+    /// `journal_dir/shard-{i}.cvj` (see [`crate::recovery`]). `None` runs
+    /// without journaling. A journal that cannot be created degrades
+    /// that shard to unjournaled operation with a once-per-process
+    /// warning; construction still succeeds.
     ///
     /// # Errors
     ///
@@ -334,8 +319,8 @@ impl ConcurrentHeap {
         self.core().workers_alive()
     }
 
-    /// The service's fault injector (disabled unless a plan was supplied
-    /// via [`ConcurrentHeap::with_faults`] or `CHERIVOKE_FAULT_PLAN`).
+    /// The service's fault injector (disabled unless a plan was passed to
+    /// [`ConcurrentHeap::with_journal_dir`]).
     /// Chaos tests read its hit/fired counts to assert coverage.
     pub fn fault_injector(&self) -> &FaultInjector {
         &self.core().faults
@@ -894,7 +879,8 @@ mod tests {
         let mut config = ServiceConfig::small();
         config.telemetry = true;
         config.revoker_watchdog = Duration::from_millis(5);
-        let heap = ConcurrentHeap::with_faults(config, FaultInjector::new(plan)).unwrap();
+        let heap =
+            ConcurrentHeap::with_journal_dir(config, FaultInjector::new(plan), None).unwrap();
         let client = heap.handle_on(0);
         let deadline = Instant::now() + Duration::from_secs(10);
         while heap.stats().revoker_restarts < 3 || !heap.revoker_alive() {

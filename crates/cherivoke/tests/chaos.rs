@@ -253,7 +253,7 @@ fn run_seed(seed: u64) {
     cherivoke::fault::silence_injected_panics();
     let plan = FaultPlan::from_seed(seed);
     let injector = FaultInjector::new(plan);
-    let heap = ConcurrentHeap::with_faults(chaos_config(seed), injector)
+    let heap = ConcurrentHeap::with_journal_dir(chaos_config(seed), injector, None)
         .expect("chaos config is always repairable");
     let mut driver = Driver::new(heap, seed ^ 0xdead_beef);
     for round in 0..4 {
@@ -365,7 +365,7 @@ fn directed_sweep_faults_recover_via_retry() {
     let plan: FaultPlan = "worker_panic@1/2x6,tag_read_error@2/2x6".parse().unwrap();
     let mut config = ServiceConfig::small();
     config.telemetry = true;
-    let heap = ConcurrentHeap::with_faults(config, FaultInjector::new(plan)).unwrap();
+    let heap = ConcurrentHeap::with_journal_dir(config, FaultInjector::new(plan), None).unwrap();
     let client = heap.handle_on(0);
     let victim = client.malloc(64).unwrap();
     let stash = heap.handle_on(1).malloc(16).unwrap();
@@ -390,7 +390,7 @@ fn directed_barrier_delay_cannot_leak_dangling_caps() {
     let plan: FaultPlan = "barrier_delay@1x4".parse().unwrap();
     let mut config = ServiceConfig::small();
     config.telemetry = true;
-    let heap = ConcurrentHeap::with_faults(config, FaultInjector::new(plan)).unwrap();
+    let heap = ConcurrentHeap::with_journal_dir(config, FaultInjector::new(plan), None).unwrap();
     // The classic cross-shard stash, with the window between barrier
     // publication and the foreign sweeps stretched by the injected delay.
     let client = heap.handle_on(0);
@@ -422,7 +422,7 @@ fn directed_alloc_failure_triggers_emergency_sweep() {
     // Keep the background revoker out of it (as in the plain OOM test):
     // the emergency path must be the one draining the quarantine.
     config.policy.quarantine.fraction = f64::INFINITY;
-    let heap = ConcurrentHeap::with_faults(config, FaultInjector::new(plan)).unwrap();
+    let heap = ConcurrentHeap::with_journal_dir(config, FaultInjector::new(plan), None).unwrap();
     let client = heap.handle_on(0);
     let a = client.malloc(64 << 10).unwrap();
     client.free(a).unwrap();
@@ -448,7 +448,7 @@ fn directed_revoker_death_is_survivable_under_load() {
     config.telemetry = true;
     config.revoker_watchdog = Duration::from_millis(5);
     config.policy.quarantine.fraction = 0.2;
-    let heap = ConcurrentHeap::with_faults(config, FaultInjector::new(plan)).unwrap();
+    let heap = ConcurrentHeap::with_journal_dir(config, FaultInjector::new(plan), None).unwrap();
     let client = heap.handle();
     for _ in 0..400 {
         let c = client.malloc(4096).unwrap();

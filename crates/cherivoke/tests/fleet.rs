@@ -54,9 +54,10 @@ fn settle_then_drain(service: &HeapService, quota: u64, what: &str) {
 
 #[test]
 fn cross_tenant_uaf_is_stopped() {
-    let service = HeapService::with_faults(
+    let service = HeapService::with_journal_dir(
         fleet_config(4, 256 << 10, 64 << 10),
         FaultInjector::disabled(),
+        None,
     )
     .unwrap();
     // Tenant A allocates an object and stashes a second pointer to it;
@@ -95,9 +96,10 @@ fn cross_tenant_uaf_is_stopped() {
 /// whether it is the destination or the stored value.
 #[test]
 fn capabilities_outside_every_tenant_are_not_allocations() {
-    let service = HeapService::with_faults(
+    let service = HeapService::with_journal_dir(
         fleet_config(2, 256 << 10, 64 << 10),
         FaultInjector::disabled(),
+        None,
     )
     .unwrap();
     let slot = service.malloc(0, 16).unwrap();
@@ -119,7 +121,7 @@ fn quarantine_budget_is_enforced_under_pressure() {
     // Park the worker pool for long stretches so admission control —
     // not a background drain — is what the test observes.
     config.scheduler_interval = Duration::from_millis(500);
-    let service = HeapService::with_faults(config, FaultInjector::disabled()).unwrap();
+    let service = HeapService::with_journal_dir(config, FaultInjector::disabled(), None).unwrap();
 
     let mut throttled = None;
     for _ in 0..10_000 {
@@ -168,8 +170,9 @@ fn quarantine_budget_holds_under_concurrent_frees() {
     let quota = 64u64 << 10;
     let mut config = fleet_config(1, 256 << 10, quota);
     config.scheduler_interval = Duration::from_millis(500);
-    let service =
-        std::sync::Arc::new(HeapService::with_faults(config, FaultInjector::disabled()).unwrap());
+    let service = std::sync::Arc::new(
+        HeapService::with_journal_dir(config, FaultInjector::disabled(), None).unwrap(),
+    );
     let threads: Vec<_> = (0..4u64)
         .map(|t| {
             let service = std::sync::Arc::clone(&service);
@@ -235,7 +238,7 @@ fn idle_workers_steal_slices_from_the_busiest_epoch() {
         every: 1,
         limit: 512,
     }]);
-    let service = HeapService::with_faults(config, FaultInjector::new(plan)).unwrap();
+    let service = HeapService::with_journal_dir(config, FaultInjector::new(plan), None).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(10);
     while service.stats().steals == 0 {
@@ -270,7 +273,7 @@ fn hundred_tenant_smoke_is_fast_and_drains_clean() {
     let mut config = fleet_config(tenants, 256 << 10, 64 << 10);
     config.workers = 4;
     config.telemetry = true;
-    let service = HeapService::with_faults(config, FaultInjector::disabled()).unwrap();
+    let service = HeapService::with_journal_dir(config, FaultInjector::disabled(), None).unwrap();
 
     for tenant in 0..tenants {
         let objs: Vec<_> = (0..8)
@@ -316,7 +319,7 @@ fn dead_pool_workers_are_respawned() {
     let plan: FaultPlan = "revoker_death@1/2".parse().unwrap();
     let mut config = fleet_config(4, 256 << 10, 64 << 10);
     config.workers = 2;
-    let service = HeapService::with_faults(config, FaultInjector::new(plan)).unwrap();
+    let service = HeapService::with_journal_dir(config, FaultInjector::new(plan), None).unwrap();
     let stashes: Vec<_> = (0..4).map(|t| service.malloc(t, 16).unwrap()).collect();
     for _ in 0..50 {
         for (tenant, stash) in stashes.iter().enumerate() {
@@ -370,7 +373,7 @@ fn scheduler_survives_rotated_stall_and_skip_plans() {
         config.workers = 2;
         config.scheduler_interval = Duration::from_micros(100);
         let injector = FaultInjector::new(plan.clone());
-        let service = HeapService::with_faults(config, injector).unwrap();
+        let service = HeapService::with_journal_dir(config, injector, None).unwrap();
 
         // Push every tenant past its debt threshold (56 KiB of frees,
         // short of the quota, so no free drains synchronously).
@@ -406,7 +409,7 @@ fn scheduler_survives_rotated_stall_and_skip_plans() {
 fn throttled_tenant_is_drained_without_an_explicit_drain() {
     let mut config = fleet_config(1, 256 << 10, MIN_TENANT_QUOTA);
     config.policy.quarantine.fraction = 1.0;
-    let service = HeapService::with_faults(config, FaultInjector::disabled()).unwrap();
+    let service = HeapService::with_journal_dir(config, FaultInjector::disabled(), None).unwrap();
 
     let mut throttled = false;
     for _ in 0..10_000 {

@@ -24,8 +24,9 @@
 //! - **Reproducible from one string.** Plans round-trip through
 //!   [`FaultPlan::parse`] / `Display`, and `seed=N` expands to a derived
 //!   rule set, so a plan printed in a failure message is re-armed from
-//!   that one string: [`FaultPlan::parse`], or `CHERIVOKE_FAULT_PLAN`
-//!   for constructors that read [`FaultInjector::from_env`].
+//!   that one string: `FaultInjector::new(FaultPlan::parse(s)?)`.
+//!   The library reads no environment variable; a runtime is armed
+//!   only through the injector its constructor is given.
 //!
 //! # Plan syntax
 //!
@@ -71,11 +72,6 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Environment variable holding the default fault plan, consumed by
-/// [`FaultInjector::from_env`]. Set it to a [`FaultPlan`] string (e.g.
-/// `seed=42` or `worker_panic@3x2`) to reproduce a chaos run.
-pub const FAULT_PLAN_ENV: &str = "CHERIVOKE_FAULT_PLAN";
 
 /// The catalogue of named fault points threaded through the revocation
 /// machinery. Each variant names one *place and failure mode*; a
@@ -362,23 +358,9 @@ impl FaultPlan {
     /// are appended after (and may re-arm a derived point — explicit rules
     /// win because later rules for the same point shadow earlier ones).
     ///
-    /// Out-of-range but structurally sound values (`every=0`, `limit=0`)
-    /// are clamped silently; use [`FaultPlan::validated`] to surface the
-    /// clamp warnings, matching the `ServiceConfig::validated`
-    /// convention.
+    /// Every malformed clause is a typed [`PlanParseError`]: an unknown
+    /// point name, a non-numeric field, `start=0`, `every=0` or `limit=0`.
     pub fn parse(text: &str) -> Result<FaultPlan, PlanParseError> {
-        FaultPlan::validated(text).map(|(plan, _)| plan)
-    }
-
-    /// [`FaultPlan::parse`] with the clamp+warn path made explicit:
-    /// structurally malformed clauses (unknown point names, non-numeric
-    /// fields, `start=0`) still return a typed [`PlanParseError`], but
-    /// recoverable out-of-range values are clamped and reported as
-    /// human-readable warnings — `every=0` is clamped to 1 (a period of
-    /// zero would fire every hit anyway), and `limit=0` to 1 (a rule
-    /// that can never fire is always a typo for "once").
-    pub fn validated(text: &str) -> Result<(FaultPlan, Vec<String>), PlanParseError> {
-        let mut warnings = Vec::new();
         let mut plan = FaultPlan::empty();
         for clause in text.split(',').map(str::trim).filter(|c| !c.is_empty()) {
             let err = |reason| PlanParseError {
@@ -394,11 +376,11 @@ impl FaultPlan {
             }
             let (name, sched) = clause.split_once('@').ok_or(err("expected point@start"))?;
             let point = FaultPoint::from_name(name).ok_or(err("unknown fault point"))?;
-            let (sched, mut limit) = match sched.split_once('x') {
+            let (sched, limit) = match sched.split_once('x') {
                 Some((s, l)) => (s, l.parse().map_err(|_| err("limit is not a u64"))?),
                 None => (sched, u64::MAX),
             };
-            let (start, mut every) = match sched.split_once('/') {
+            let (start, every) = match sched.split_once('/') {
                 Some((s, e)) => (
                     s.parse().map_err(|_| err("start is not a u64"))?,
                     e.parse().map_err(|_| err("every is not a u64"))?,
@@ -409,12 +391,10 @@ impl FaultPlan {
                 return Err(err("start must be >= 1 (hits are 1-based)"));
             }
             if every == 0 {
-                warnings.push(format!("clause {clause:?}: every=0 clamped to 1"));
-                every = 1;
+                return Err(err("every must be >= 1"));
             }
             if limit == 0 {
-                warnings.push(format!("clause {clause:?}: limit=0 clamped to 1"));
-                limit = 1;
+                return Err(err("limit must be >= 1"));
             }
             // Explicit clauses shadow any derived rule for the same point.
             plan.rules.retain(|r| r.point != point);
@@ -425,7 +405,7 @@ impl FaultPlan {
                 limit,
             });
         }
-        Ok((plan, warnings))
+        Ok(plan)
     }
 
     /// The seed this plan was derived from, if any.
@@ -547,41 +527,6 @@ impl FaultInjector {
             points[rule.point.index()].rule = Some(*rule);
         }
         FaultInjector(Some(Arc::new(State { plan, points })))
-    }
-
-    /// An injector armed from the `CHERIVOKE_FAULT_PLAN` environment
-    /// variable, or disabled when unset. An unparsable plan disables
-    /// injection with a warning on stderr rather than panicking; clamp
-    /// warnings from [`FaultPlan::validated`] are also surfaced. Both
-    /// print once per process (`std::sync::Once`) — the fleet tests
-    /// construct hundreds of heaps, each of which consults the plan.
-    pub fn from_env() -> FaultInjector {
-        use std::sync::Once;
-        static WARN_ONCE: Once = Once::new();
-        let Ok(text) = std::env::var(FAULT_PLAN_ENV) else {
-            return FaultInjector::disabled();
-        };
-        if text.trim().is_empty() {
-            return FaultInjector::disabled();
-        }
-        match FaultPlan::validated(&text) {
-            Ok((plan, warnings)) => {
-                if !warnings.is_empty() {
-                    WARN_ONCE.call_once(|| {
-                        for w in &warnings {
-                            eprintln!("cherivoke: {FAULT_PLAN_ENV}: {w}");
-                        }
-                    });
-                }
-                FaultInjector::new(plan)
-            }
-            Err(e) => {
-                WARN_ONCE.call_once(|| {
-                    eprintln!("cherivoke: ignoring {FAULT_PLAN_ENV}={text:?}: {e}");
-                });
-                FaultInjector::disabled()
-            }
-        }
     }
 
     /// Whether a plan is armed (even an empty one).
@@ -741,6 +686,8 @@ mod tests {
         assert!(FaultPlan::parse("worker_panic@x").is_err());
         assert!(FaultPlan::parse("unknown_point@1").is_err());
         assert!(FaultPlan::parse("seed=notanumber").is_err());
+        assert!(FaultPlan::parse("worker_panic@2/0x3").is_err());
+        assert!(FaultPlan::parse("alloc_failure@1x0").is_err());
         // Empty and whitespace are fine (no rules armed).
         assert!(!FaultPlan::parse("").unwrap().is_armed());
         assert!(!FaultPlan::parse(" , ").unwrap().is_armed());
@@ -796,36 +743,6 @@ mod tests {
             let msg = err.to_string();
             assert!(msg.contains(needle), "{text}: {msg}");
         }
-    }
-
-    #[test]
-    fn validated_clamps_every_zero_with_warning() {
-        let (plan, warnings) = FaultPlan::validated("worker_panic@2/0x3").unwrap();
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("every=0"), "{warnings:?}");
-        assert_eq!(
-            plan.rules(),
-            [FaultRule {
-                point: FaultPoint::SweepWorkerPanic,
-                start: 2,
-                every: 1,
-                limit: 3,
-            }]
-        );
-    }
-
-    #[test]
-    fn validated_clamps_limit_zero_with_warning() {
-        let (plan, warnings) = FaultPlan::validated("alloc_failure@1x0").unwrap();
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("limit=0"), "{warnings:?}");
-        assert_eq!(plan.rules()[0].limit, 1);
-    }
-
-    #[test]
-    fn validated_clean_plan_has_no_warnings() {
-        let (_, warnings) = FaultPlan::validated("worker_panic@2/3x2,seed=7").unwrap();
-        assert!(warnings.is_empty(), "{warnings:?}");
     }
 
     #[test]

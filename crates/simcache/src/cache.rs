@@ -128,11 +128,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets counters (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Invalidates all lines and resets statistics.
     pub fn flush(&mut self) {
         for set in &mut self.sets {

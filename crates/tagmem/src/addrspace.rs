@@ -1,6 +1,6 @@
 //! The program's full memory image: segments + registers + page table.
 
-use cheri::{CapWord, Capability};
+use cheri::Capability;
 
 use crate::{MemError, PageTable, RegisterFile, TaggedMemory};
 
@@ -141,11 +141,6 @@ impl AddressSpace {
         self.segments.iter().find(|s| s.kind == kind)
     }
 
-    /// Mutable view of the first segment of the given kind.
-    pub fn segment_mut(&mut self, kind: SegmentKind) -> Option<&mut Segment> {
-        self.segments.iter_mut().find(|s| s.kind == kind)
-    }
-
     /// The capability register file.
     #[inline]
     pub fn registers(&self) -> &RegisterFile {
@@ -246,15 +241,6 @@ impl AddressSpace {
     /// [`MemError::Unmapped`], [`MemError::Misaligned`].
     pub fn load_cap(&self, addr: u64) -> Result<Capability, MemError> {
         self.seg_for(addr, 16)?.read_cap(addr)
-    }
-
-    /// Loads the raw capability word and tag at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// As [`AddressSpace::load_cap`].
-    pub fn load_cap_word(&self, addr: u64) -> Result<(CapWord, bool), MemError> {
-        self.seg_for(addr, 16)?.read_cap_word(addr)
     }
 
     /// Stores a capability at `addr`, marking its page CapDirty when the

@@ -40,7 +40,6 @@
 
 mod adapter;
 mod driver;
-mod multirun;
 pub mod profiles;
 mod table2;
 mod trace;
@@ -48,7 +47,6 @@ pub mod trace_io;
 
 pub use adapter::{CherivokeUnderTest, CostModel, Stage};
 pub use driver::{run_trace, MechanismBreakdown, ReplayError, RunReport, WorkloadHeap};
-pub use multirun::{run_many, MultiRunSummary};
 pub use profiles::BenchmarkProfile;
 pub use table2::{measure_table2, Table2Row};
 pub use trace::{Trace, TraceEvent, TraceGenerator, TraceOp};

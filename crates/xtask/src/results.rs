@@ -17,10 +17,6 @@ use std::process::Command;
 pub const DETERMINISTIC_RESULTS: &[&str] =
     &["table2", "fig5", "fig6", "fig8a", "fig8b", "fig9", "fig10"];
 
-/// Environment variables that change experiment behaviour; scrubbed so a
-/// developer's shell cannot skew the regenerated captures.
-const SCRUBBED_ENV: &[&str] = &["CHERIVOKE_FAULT_PLAN"];
-
 /// The repository root (two levels above this crate's manifest).
 pub fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -82,25 +78,21 @@ pub fn run(check: bool, only: Option<&str>) -> Result<(), String> {
     }
 }
 
-/// Runs one experiment binary with a scrubbed environment and captures
-/// its stdout.
+/// Runs one experiment binary and captures its stdout.
 fn capture(root: &Path, name: &str) -> Result<String, String> {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let mut cmd = Command::new(cargo);
-    cmd.current_dir(root).args([
-        "run",
-        "--release",
-        "--locked",
-        "-q",
-        "-p",
-        "bench",
-        "--bin",
-        name,
-    ]);
-    for var in SCRUBBED_ENV {
-        cmd.env_remove(var);
-    }
-    let out = cmd
+    let out = Command::new(cargo)
+        .current_dir(root)
+        .args([
+            "run",
+            "--release",
+            "--locked",
+            "-q",
+            "-p",
+            "bench",
+            "--bin",
+            name,
+        ])
         .output()
         .map_err(|e| format!("spawn cargo run --bin {name}: {e}"))?;
     if !out.status.success() {
